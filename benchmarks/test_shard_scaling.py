@@ -66,7 +66,7 @@ def _shard_scaling_table(objects, queries, config):
             f"fig9 OCR workload: RBH m=32 domain=1024, {len(objects)} objects, "
             f"{N_QUERIES} queries, k={K}, range partition.",
             "seconds = critical path (slowest shard + host merge) of one",
-            "ShardedIndexHandle.search; results bit-identical to the",
+            "IndexHandle.search; results bit-identical to the",
             "unsharded index at every shard count (asserted).",
             "virtual-device timing: identical numbers on every run/machine.",
         ],

@@ -3,7 +3,7 @@
 Partitions one corpus across four simulated devices through the session
 surface (``shards=4``), shows the per-shard profile slices and residency
 accounting, verifies the results are bit-identical to an unsharded index,
-and runs the core-level ``ShardedExecutor`` on the same data.
+and repeats the search on a range partition of the same data.
 
 Run with: PYTHONPATH=src python examples/sharded_search.py
 """
@@ -11,8 +11,7 @@ Run with: PYTHONPATH=src python examples/sharded_search.py
 import numpy as np
 
 from repro.api import GenieSession
-from repro.cluster import ShardedExecutor
-from repro.core.types import Corpus, Query
+from repro.core.types import Query
 
 M, DOMAIN, N_OBJECTS, N_QUERIES, K = 32, 1024, 12_000, 64, 10
 
@@ -58,15 +57,15 @@ def main():
               f"(match {profile.get('match') * 1e6:.2f} us)")
     print(f"host merge: {result.profile.get('result_merge') * 1e6:.2f} us")
 
-    # --- core surface: ShardedExecutor without a session --------------
-    executor = ShardedExecutor(4, strategy="range").fit(Corpus(objects))
-    core_results = executor.query(queries, k=K)
+    # --- the other partition strategy: contiguous object ranges --------
+    ranged = session.create_index(objects, model="raw", name="ranged", shards=4)
+    range_result = ranged.search(queries, k=K)
     assert all(
         np.array_equal(a.ids, b.ids)
-        for a, b in zip(core_results, reference.results)
+        for a, b in zip(range_result.results, reference.results)
     )
-    print(f"ShardedExecutor (range partition) agrees; "
-          f"critical path {executor.last_profile.query_total() * 1e6:.2f} us")
+    print(f"range partition {ranged.placement.layout} agrees; "
+          f"critical path {range_result.profile.query_total() * 1e6:.2f} us")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import logging as _logging
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
 from repro.api import GenieSession, IndexHandle, MatchModel, SearchResult
-from repro.core import Corpus, GenieConfig, GenieEngine, MultiLoadGenie, Query, TopKResult
+from repro.core import Corpus, GenieConfig, GenieEngine, Query, TopKResult
 from repro.gpu import Device, HostCpu
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "IndexHandle",
     "SearchResult",
     "MatchModel",
-    "MultiLoadGenie",
     "Device",
     "HostCpu",
     "__version__",

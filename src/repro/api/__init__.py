@@ -11,7 +11,10 @@ three concepts:
   device-memory budget and multi-index residency (attach / LRU-evict),
 * :class:`~repro.api.session.IndexHandle` — one named index with the
   uniform ``search(raw_queries, k=..., batch_size=...)`` surface returning
-  a :class:`~repro.api.session.SearchResult`.
+  a :class:`~repro.api.session.SearchResult`. There is one handle type:
+  ``create_index(..., shards=N[, replicas=R])`` gives it a
+  :class:`~repro.cluster.plan.Placement` (``handle.placement``, ``None``
+  when unsharded) that partitioning, residency, dispatch and healing read.
 
 Paper-section map:
 
@@ -55,9 +58,9 @@ Every search compiles to an explicit plan (:mod:`repro.plan`):
 ``search(..., route=..., plan=...)`` forces a routing/merge strategy with
 bit-identical results.
 
-Deprecation path: the legacy wrappers — ``repro.sa.RelationalIndex``,
-``repro.sa.DocumentIndex``, ``repro.sa.SequenceIndex``,
-``repro.lsh.TauAnnIndex`` and ``repro.core.MultiLoadGenie`` — remain as
+Deprecation path: the legacy per-modality wrappers —
+``repro.sa.RelationalIndex``, ``repro.sa.DocumentIndex``,
+``repro.sa.SequenceIndex`` and ``repro.lsh.TauAnnIndex`` — remain as
 thin shims that each own a single-index session and delegate to this
 layer with unchanged results. New code should create a
 :class:`GenieSession` directly.

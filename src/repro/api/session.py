@@ -35,6 +35,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.api.models import MatchModel, resolve_model, resolve_shortlist_k
+from repro.cluster.plan import Placement, ShardPlan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex
 from repro.core.types import ID_DTYPE, Corpus, Query, TopKResult
@@ -44,7 +45,7 @@ from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings, timings_delta
 from repro.obs.trace import Span
 from repro.plan.cache import PlanCache
-from repro.plan.cost import calibrate_session
+from repro.plan.cost import calibrate_session, postings_per_keyword
 from repro.plan.executor import execute_plan
 from repro.plan.nodes import PlanNode, RoutingSummary
 from repro.plan.planner import (
@@ -54,6 +55,8 @@ from repro.plan.planner import (
     reprice_plan,
     validate_plan_args,
 )
+from repro.replica.faults import STATUS_DOWN
+from repro.replica.rebalance import balanced_range_bounds
 
 logger = logging.getLogger("repro.api")
 
@@ -203,11 +206,11 @@ class _IndexPart:
     """One device-swappable slice of an index: corpus + inverted index + engine.
 
     ``offset`` remaps the part's local object ids back to global ids for
-    contiguous partitions (multi-loading parts); sharded handles pass an
+    contiguous partitions (multi-loading parts); shard slices carry an
     explicit ``global_ids`` gather map instead (hash partitions are not
     contiguous) and leave ``offset`` at 0. ``replica`` distinguishes the
-    copies of one shard slice a replicated handle places on distinct
-    devices (each copy is its own residency/LRU unit).
+    copies of one shard slice placed on distinct devices (each copy is
+    its own residency/LRU unit).
     """
 
     __slots__ = ("handle", "position", "engine", "corpus", "index", "offset",
@@ -449,17 +452,18 @@ class GenieSession:
                 resident until the budget forces eviction.
             shards: Partition the corpus across this many simulated
                 devices and scan them concurrently (see
-                :mod:`repro.cluster`); returns a
-                :class:`~repro.cluster.executor.ShardedIndexHandle`.
+                :mod:`repro.cluster`); the handle then carries a
+                :class:`~repro.cluster.plan.Placement` as
+                ``handle.placement`` (``None`` on unsharded handles).
                 Mutually exclusive with ``part_size``/``swap_parts``
                 (sharding multiplexes space, multi-loading time).
             shard_strategy: ``"range"`` or ``"hash"`` partitioning.
             shard_seed: Hash-partition seed.
             replicas: Place this many copies of every shard slice on
-                distinct pool devices (requires ``shards=``); returns a
-                :class:`~repro.replica.handle.ReplicatedIndexHandle`.
-                Shard scans pick the least-loaded live replica and fail
-                over past faulted devices (see :mod:`repro.replica`).
+                distinct pool devices (requires ``shards=``; omitted
+                means one). Shard scans pick the least-loaded live
+                replica and fail over past faulted devices (see
+                :mod:`repro.replica`).
             stream_config: :class:`~repro.stream.StreamConfig` governing
                 online ``insert``/``delete``/``update`` on the handle
                 (segment seal size, compaction thresholds); defaults
@@ -503,39 +507,27 @@ class GenieSession:
             self._auto_names += 1
         if name in self._handles:
             raise ConfigError(f"an index named {name!r} already exists in this session")
-        resolved_config = config if config is not None else self.config
-        if shards is not None:
-            if part_size is not None or swap_parts:
-                raise ConfigError(
-                    "shards= is mutually exclusive with part_size=/swap_parts=; "
-                    "sharding partitions across devices, multi-loading through one"
-                )
-            if replicas is not None:
-                from repro.replica.handle import ReplicatedIndexHandle
-
-                handle: IndexHandle = ReplicatedIndexHandle(
-                    self, name, model, resolved_config,
-                    shards=shards, replicas=replicas,
-                    strategy=shard_strategy, seed=shard_seed,
-                )
-            else:
-                from repro.cluster.executor import ShardedIndexHandle
-
-                handle = ShardedIndexHandle(
-                    self, name, model, resolved_config,
-                    shards=shards, strategy=shard_strategy, seed=shard_seed,
-                )
-        else:
+        if shards is None:
             if shard_strategy != "range" or shard_seed != 0:
                 raise ConfigError(
                     "shard_strategy=/shard_seed= require shards=N"
                 )
             if replicas is not None:
                 raise ConfigError("replicas= requires shards=N")
-            handle = IndexHandle(
-                self, name, model, resolved_config,
-                part_size=part_size, swap_parts=swap_parts,
+            placement = None
+        else:
+            if part_size is not None or swap_parts:
+                raise ConfigError(
+                    "shards= is mutually exclusive with part_size=/swap_parts=; "
+                    "sharding partitions across devices, multi-loading through one"
+                )
+            placement = Placement(
+                shards, 1 if replicas is None else replicas, shard_strategy, shard_seed
             )
+        handle = IndexHandle(
+            self, name, model, config if config is not None else self.config,
+            part_size=part_size, swap_parts=swap_parts, placement=placement,
+        )
         if stream_config is not None:
             handle.stream_config = stream_config
         self._handles[name] = handle
@@ -713,6 +705,17 @@ class IndexHandle:
     directly. The handle owns the model (encoders), the adapted engine
     configuration, and the index parts the session swaps through device
     memory.
+
+    ``placement`` is what separates the two ways of outgrowing a device.
+    ``None`` is Section III-D multi-loading: ``part_size`` slices swap
+    through the session's one device and merge on the host. A
+    :class:`~repro.cluster.plan.Placement` (``create_index(...,
+    shards=N[, replicas=R])``) is its space-multiplexed dual: every
+    shard slice is its own residency unit on its own pool device — it
+    counts toward the session's aggregate memory budget and is
+    LRU-evicted and swapped back in independently — each replica of a
+    slice is one more such unit, and results carry per-shard profile
+    slices next to the critical-path ``profile``.
     """
 
     def __init__(
@@ -723,6 +726,7 @@ class IndexHandle:
         config: GenieConfig,
         part_size: int | None = None,
         swap_parts: bool = False,
+        placement: Placement | None = None,
     ):
         if part_size is not None and part_size < 1:
             raise ConfigError("part_size must be >= 1")
@@ -733,9 +737,21 @@ class IndexHandle:
         self.config = adapt(config) if adapt is not None else config
         self.part_size = part_size
         self.swap_parts = bool(swap_parts)
+        self.placement = placement
+        #: The fitted :class:`~repro.cluster.plan.ShardPlan` of a sharded
+        #: handle (``None`` when unsharded or unfitted).
+        self.plan: ShardPlan | None = None
+        self.rebalance_epoch = 0
+        #: Per-shard stage profiles of the last search, in shard order.
+        #: ``()`` until a sharded search succeeds — and again after a
+        #: search *fails*, so a monitoring caller never reads a previous
+        #: search's profiles as if they belonged to the failed one.
+        self.shard_profiles: tuple[StageTimings, ...] = ()
         self.last_result: SearchResult | None = None
         self.fit_epoch = 0
-        self._parts: list[_IndexPart] = []
+        # _copies[i] holds every replica of part i (one when unsharded),
+        # each its own residency unit.
+        self._copies: list[list[_IndexPart]] = []
         # Online-mutation state (repro.stream), attached lazily on the
         # first insert/delete/update; ``stream_config`` tunes its seal
         # and compaction thresholds.
@@ -756,14 +772,45 @@ class IndexHandle:
         return self._engine0
 
     @property
+    def _parts(self) -> list[_IndexPart]:
+        """Replica 0 of every part: the copy plans and scans address it by."""
+        return [copies[0] for copies in self._copies]
+
+    @property
     def fitted(self) -> bool:
         """Whether :meth:`fit` has produced at least one part."""
-        return bool(self._parts)
+        return bool(self._copies)
 
     @property
     def num_parts(self) -> int:
         """Number of corpus parts."""
-        return len(self._parts)
+        return len(self._copies)
+
+    @property
+    def n_shards(self) -> int | None:
+        """Shards the corpus is partitioned into (``None`` when unsharded)."""
+        return self.placement.shards if self.placement is not None else None
+
+    num_shards = n_shards
+
+    @property
+    def n_replicas(self) -> int | None:
+        """Copies of every shard slice (``None`` when unsharded)."""
+        return self.placement.replicas if self.placement is not None else None
+
+    def shard_devices(self) -> list[Device]:
+        """The pool devices this index's shards were dealt, in shard order."""
+        return self.session.shard_devices(self.n_shards or 1)
+
+    def replica_devices(self, shard: int) -> list[int]:
+        """Pool positions currently hosting ``shard``'s replica group."""
+        return list(self.replica_layout()[int(shard)])
+
+    def replica_layout(self) -> dict[int, tuple[int, ...]]:
+        """Current shard → device-position placement (after any healing)."""
+        if self.placement is None:
+            return {}
+        return dict(enumerate(self.placement.layout))
 
     @property
     def device_bytes(self) -> int:
@@ -771,8 +818,8 @@ class IndexHandle:
         return sum(part.device_bytes for part in self._all_parts())
 
     def _all_parts(self) -> list[_IndexPart]:
-        """Base parts plus any materialized delta-segment parts."""
-        parts = list(self._parts)
+        """Every copy of every part, plus any materialized delta-segment parts."""
+        parts = [part for copies in self._copies for part in copies]
         if self._stream is not None:
             parts.extend(self._stream.attached_parts())
         return parts
@@ -785,17 +832,23 @@ class IndexHandle:
     @property
     def resident(self) -> bool:
         """Whether every part of this index is device-resident."""
-        return bool(self._parts) and self.resident_parts == len(self._parts)
+        return bool(self._copies) and self.resident_parts == len(self._copies)
 
     # ------------------------------------------------------------------
     # lifecycle
 
-    def _prepare_fit(self, data) -> Corpus:
-        """Shared fit preamble: lifecycle bookkeeping + corpus encoding.
+    def fit(self, data) -> "IndexHandle":
+        """Encode ``data``, build the part indexes on the host.
 
-        Bumps the fit epoch, notifies invalidation hooks (serving caches
-        subscribe), encodes the raw data, and clears the previous parts.
-        Both the serial and the sharded fit build on this.
+        Unpartitioned and sharded indexes are attached to their devices
+        immediately (paying ``index_transfer``, exactly like the legacy
+        wrappers; the session may LRU-evict shards later under budget
+        pressure, and search swaps them back in per shard);
+        ``part_size`` indexes defer residency to search time, matching
+        the multi-loading protocol where only builds happen offline.
+
+        Bumps the fit epoch and notifies invalidation hooks (serving
+        caches subscribe) — a refit changes what every query returns.
         """
         self.session._check_open()
         self.fit_epoch += 1
@@ -805,43 +858,86 @@ class IndexHandle:
             corpus = Corpus(corpus)
         self.evict()
         self._stream = None  # a refit abandons any live mutations
-        self._parts = []
-        return corpus
-
-    def _part_engine(self, position: int, device: Device | None = None) -> GenieEngine:
-        """Engine for part ``position``: part 0 reuses the pre-fit engine."""
-        if position == 0:
-            return self._engine0
-        return GenieEngine(
-            device=device if device is not None else self.session.device,
-            host=self.session.host, config=self.config,
-        )
-
-    def fit(self, data) -> "IndexHandle":
-        """Encode ``data``, build the part indexes on the host.
-
-        Unpartitioned indexes are attached to the device immediately
-        (paying ``index_transfer``, exactly like the legacy wrappers);
-        partitioned indexes defer residency to search time, matching the
-        multi-loading protocol where only builds happen offline.
-        """
-        corpus = self._prepare_fit(data)
-        if self.part_size is None:
-            slices = [(0, corpus)]
-        else:
-            slices = [
-                (start, Corpus(corpus.keyword_arrays[start : start + self.part_size]))
-                for start in range(0, len(corpus), self.part_size)
-            ]
-        for position, (offset, part_corpus) in enumerate(slices):
-            index = InvertedIndex.build(part_corpus, load_balance=self.config.load_balance)
-            self.session.host.charge_ops(index.build_ops, stage="index_build")
-            self._parts.append(
-                _IndexPart(self, position, self._part_engine(position), part_corpus, index, offset)
-            )
-        if self.part_size is None and self._parts and not self.swap_parts:
-            self.session._ensure_resident(self._parts[0])
+        self._copies = []
+        self._install(corpus)
         return self
+
+    def _part_engine(self, position: int, replica: int, device: Device) -> GenieEngine:
+        """Engine for one copy: the first copy of part 0 reuses the pre-fit engine."""
+        if position == 0 and replica == 0 and device is self._engine0.device:
+            return self._engine0
+        return GenieEngine(device=device, host=self.session.host, config=self.config)
+
+    def _install(self, corpus: Corpus, bounds=None) -> None:
+        """Slice ``corpus``, build every slice's index, swap the new parts in.
+
+        The one rebuild routine behind :meth:`fit`, stream compaction
+        and :meth:`rebalance` (which passes explicit range ``bounds``):
+        every slice index is built on the host first (charging
+        ``index_build``), then the old parts are evicted and the new
+        ones placed and attached under the session's residency budget —
+        atomic to any observer, since no search runs mid-swap in the
+        synchronous session. Sharded slices go where
+        ``placement.layout`` says (each copy pays ``index_transfer`` on
+        its own link), so a copy healed off a failed device is not put
+        back by the next rebuild. No epoch bump or invalidation here:
+        compaction and rebalance leave results unchanged by
+        construction, and their callers handle plan staleness.
+        """
+        session, placement = self.session, self.placement
+        if placement is not None:
+            plan = (
+                ShardPlan.build(corpus, placement.shards, placement.strategy, placement.seed)
+                if bounds is None
+                else ShardPlan.build_ranges(corpus, bounds)
+            )
+            slices = [
+                (shard.corpus, 0, shard.global_ids, devices)
+                for shard, devices in zip(plan.shards, placement.layout)
+            ]
+            pool = session.shard_devices(placement.pool_size)
+        else:
+            plan = None
+            if self.part_size is None:
+                slices = [(corpus, 0, None, (0,))]
+            else:
+                slices = [
+                    (Corpus(corpus.keyword_arrays[start : start + self.part_size]), start, None, (0,))
+                    for start in range(0, len(corpus), self.part_size)
+                ]
+            pool = [session.device]
+        built = []
+        for position, part in enumerate(slices):
+            index = InvertedIndex.build(part[0], load_balance=self.config.load_balance)
+            session.host.charge_ops(index.build_ops, stage="index_build")
+            if plan is not None:
+                # The built index materializes the shard's sorted distinct
+                # keywords; seed the slice's routing-bounds cache with the
+                # same array so the planner's table costs nothing extra. The
+                # per-keyword posting lengths (the cost model's work
+                # features) come from the same CSR arrays.
+                plan.shards[position]._keywords = index.keyword_array
+                plan.shards[position]._posting_counts = postings_per_keyword(index)
+            built.append(index)
+        self.evict()
+        self.plan = plan
+        self._copies = [
+            [
+                _IndexPart(
+                    self, position, self._part_engine(position, replica, pool[device]),
+                    part_corpus, index, offset, global_ids, replica,
+                )
+                for replica, device in enumerate(devices)
+            ]
+            for position, ((part_corpus, offset, global_ids, devices), index)
+            in enumerate(zip(slices, built))
+        ]
+        if placement is not None:
+            for copies in self._copies:
+                for part in copies:
+                    session._ensure_resident(part)
+        elif self.part_size is None and self._copies and not self.swap_parts:
+            session._ensure_resident(self._copies[0][0])
 
     def evict(self) -> None:
         """Release every resident part of this index (delta parts too)."""
@@ -849,42 +945,112 @@ class IndexHandle:
             if part.resident:
                 self.session._evict_part(part)
 
-    def _rebuild_base(self, corpus: Corpus) -> None:
-        """Swap in a freshly built base over ``corpus`` (stream compaction).
+    # ------------------------------------------------------------------
+    # self-healing (see repro.replica)
 
-        Rebuilds every part index on the host first (charging
-        ``index_build``), then replaces the old parts under the session's
-        residency machinery — atomic to any observer, since no search
-        runs mid-swap in the synchronous session. Deliberately *not*
-        :meth:`fit`: no epoch bump, no invalidation hooks (results are
-        unchanged by construction; the caller handles plan staleness).
+    def rebalance(self, shard_weights) -> bool:
+        """Recut a fitted range partition so observed load evens out.
+
+        ``shard_weights`` is one non-negative load figure per shard
+        (typically the serve layer's rolling per-shard busy seconds).
+        Each shard's weight is spread over its objects as a density, and
+        new contiguous range bounds are cut so every shard carries a near
+        equal share of the observed load — the hot shard shrinks, its
+        neighbours absorb the edges. The plan stays a range partition, so
+        keyword-bounds routing (and shard pruning) keeps working.
+
+        Invalidation is scoped: the *plan* cache entries for this index
+        are dropped (the routing table changed) and ``rebalance_epoch``
+        joins the plan-cache key, but serve-layer *result* caches are
+        untouched — a rebalance moves objects between devices without
+        changing any answer, which the equivalence tests pin.
+
+        Returns ``True`` if the partition changed. No-ops (``False``)
+        for unsharded, hash-partitioned or streaming handles, degenerate
+        weights, and cuts identical to the current bounds.
+
+        Raises:
+            ConfigError: Called on an unfitted sharded handle.
         """
-        if self.part_size is None:
-            slices = [(0, corpus)]
-        else:
-            slices = [
-                (start, Corpus(corpus.keyword_arrays[start : start + self.part_size]))
-                for start in range(0, len(corpus), self.part_size)
-            ]
-        built = []
-        for position, (offset, part_corpus) in enumerate(slices):
-            index = InvertedIndex.build(part_corpus, load_balance=self.config.load_balance)
-            self.session.host.charge_ops(index.build_ops, stage="index_build")
-            built.append((position, offset, part_corpus, index))
-        self.evict()
-        self._parts = [
-            _IndexPart(self, position, self._part_engine(position), part_corpus, index, offset)
-            for position, offset, part_corpus, index in built
-        ]
-        if self.part_size is None and self._parts and not self.swap_parts:
-            self.session._ensure_resident(self._parts[0])
+        self.session._check_open()
+        placement = self.placement
+        if placement is None:
+            return False
+        if self.plan is None:
+            raise ConfigError(f"cannot rebalance unfitted index {self.name!r}")
+        if placement.strategy != "range" or placement.shards < 2:
+            return False
+        if self._stream is not None:
+            # Live mutations would have to be re-routed mid-flight;
+            # compaction folds them into the base first.
+            return False
+        current = self.plan.range_bounds()
+        if current is None:
+            return False
+        weights = [float(w) for w in shard_weights][: placement.shards]
+        weights += [0.0] * (placement.shards - len(weights))
+        bounds = balanced_range_bounds(self.plan.sizes(), weights)
+        if bounds is None or bounds == current:
+            return False
+        self._install(self.plan.reassemble(), bounds)
+        self.rebalance_epoch += 1
+        if self.session.plan_cache is not None:
+            self.session.plan_cache.invalidate(self.name)
+        return True
+
+    def re_replicate(self) -> int:
+        """Replace replicas stranded on permanently failed devices.
+
+        For every copy whose device the session's fault plan marks
+        permanently down, a replacement is placed on the least-loaded
+        live pool device not already hosting the shard — re-attaching
+        the *surviving* index structure (a group's copies are
+        identical), so the cost is an ``index_transfer`` on the new
+        device's link, not a rebuild — and ``placement.layout`` records
+        the move. Groups whose dead device has no eligible target
+        (everything else down or already hosting) are left
+        under-replicated for a later pass.
+
+        Returns the number of replicas placed. No-op (``0``) without an
+        injected fault plan and on unsharded or unfitted handles.
+        """
+        session = self.session
+        faults = session.faults
+        if faults is None or self.plan is None:
+            return 0
+        pool = session.shard_devices(self.placement.pool_size)
+        load = session.device_load
+        placed = 0
+        for shard, copies in enumerate(self._copies):
+            for replica, part in enumerate(copies):
+                hosting = self.placement.layout[shard]
+                if not faults.permanently_down(hosting[replica]):
+                    continue
+                candidates = [
+                    i for i in range(len(pool))
+                    if i not in hosting and faults.state(i)[0] != STATUS_DOWN
+                ]
+                if not candidates:
+                    continue
+                target = min(candidates, key=lambda i: (load.load(i), i))
+                replacement = _IndexPart(
+                    self, shard, self._part_engine(shard, replica, pool[target]),
+                    part.corpus, part.index, 0, part.global_ids, replica,
+                )
+                if part.resident:
+                    session._evict_part(part)
+                copies[replica] = replacement
+                self.placement = self.placement.moved(shard, replica, target)
+                session._ensure_resident(replacement)
+                placed += 1
+        return placed
 
     # ------------------------------------------------------------------
     # online mutations (see repro.stream)
 
     def _stream_state(self):
         self.session._check_open()
-        if not self._parts:
+        if not self._copies:
             raise QueryError("index must be fitted before mutating")
         if self._stream is None:
             from repro.stream import StreamState
@@ -934,14 +1100,6 @@ class IndexHandle:
     def mutation_epoch(self) -> int:
         """Mutations applied since the last fit (0 before any)."""
         return self._stream.manifest.mutation_epoch if self._stream is not None else 0
-
-    def _plan_epoch(self):
-        """Plan-cache epoch: the fit epoch, plus the compaction epoch
-        once a stream exists (a compaction rewrites the shard keyword
-        tables the planner routes against)."""
-        if self._stream is None:
-            return self.fit_epoch
-        return (self.fit_epoch, self._stream.manifest.base_epoch)
 
     # ------------------------------------------------------------------
     # search
@@ -993,7 +1151,7 @@ class IndexHandle:
                 a shard-only strategy forced on a serial index.
         """
         self.session._check_open()
-        if not self._parts:
+        if not self._copies:
             raise QueryError("index must be fitted before searching")
         raw_queries = list(raw_queries)
         if not raw_queries:
@@ -1024,7 +1182,7 @@ class IndexHandle:
         # model has no vocabulary/discretizers to encode against);
         # everything else is _compile's, shared with search_encoded.
         self.session._check_open()
-        if not self._parts:
+        if not self._copies:
             raise QueryError("index must be fitted before searching")
         queries = self.encode_queries(list(raw_queries))
         _, compiled, _ = self._compile(queries, k, route, plan, search_opts)
@@ -1045,7 +1203,7 @@ class IndexHandle:
             cache (trace spans and cache-audit callers read the flag).
         """
         self.session._check_open()
-        if not self._parts:
+        if not self._copies:
             raise QueryError("index must be fitted before searching")
         if not queries:
             raise QueryError("empty query batch")
@@ -1071,7 +1229,11 @@ class IndexHandle:
             k, retrieval_k, tuple(sorted(search_opts.items())),
             norm_route, norm_plan, dirty,
         )
-        plan_epoch = self._plan_epoch()
+        # Compaction and rebalance rewrite the shard keyword tables the
+        # planner routes against without touching the fit epoch (results
+        # are unchanged), so each contributes its own epoch component.
+        base_epoch = self._stream.manifest.base_epoch if self._stream is not None else 0
+        plan_epoch = (self.fit_epoch, base_epoch, self.rebalance_epoch)
         try:
             hit = cache.fetch(
                 index=self.name, fit_epoch=plan_epoch, shape=shape,
@@ -1131,6 +1293,7 @@ class IndexHandle:
         :func:`repro.plan.executor.execute_plan`, for serial and sharded
         indexes alike (the serve layer's dispatch lands here too).
         """
+        self.shard_profiles = ()
         k, compiled, plan_cache_hit = self._compile(queries, k, route, plan, search_opts)
         if len(raw_queries) != len(queries):
             raise QueryError("raw_queries and queries must align")
@@ -1225,21 +1388,50 @@ class IndexHandle:
             failovers=tuple(failovers),
         )
         self.last_result = result
+        self.shard_profiles = result.shard_profiles or ()
         return result
 
     def _plan_shards(self) -> ShardContext | None:
-        """Shard context for the planner; serial handles have none."""
-        return None
+        """Shard context the query planner compiles against.
+
+        ``None`` for unsharded (serial) handles. The routing table is
+        each slice's keyword bounds (:meth:`ShardSlice.keywords
+        <repro.cluster.plan.ShardSlice.keywords>`), seeded at fit time
+        from the shard index's already-materialized ``keyword_array`` —
+        no extra pass over the corpus.
+        """
+        if self.plan is None or not self._copies:
+            return None
+        return ShardContext(
+            n_shards=self.placement.shards,
+            strategy=self.placement.strategy,
+            shard_keywords=tuple(shard.keywords() for shard in self.plan.shards),
+            n_objects=self.plan.n_objects,
+            shard_postings=tuple(
+                shard.posting_counts() for shard in self.plan.shards
+            ),
+        )
 
     def _scan_candidates(self, part: "_IndexPart") -> tuple:
-        """Replica candidates for scanning ``part``'s slice, in try order.
+        """Copies of ``part``'s slice in dispatch order, least-loaded first.
 
-        The plan executor dispatches each shard scan to the first live
-        candidate. Plain handles have exactly one copy of every slice;
-        :class:`~repro.replica.handle.ReplicatedIndexHandle` overrides
-        this to return the whole replica group, least-loaded first.
+        The plan executor dispatches each scan to the first live
+        candidate. Ordering key is (rolling busy seconds of the copy's
+        device, replica number) — deterministic, and self-balancing: a
+        slowed device accumulates stretched busy seconds and repels
+        traffic. Replica choice deliberately stays *out* of the compiled
+        plan: cached plans remain valid across failures and load shifts.
+        Delta-segment parts are not replicated and pass through as
+        themselves.
         """
-        return (part,)
+        if part.position >= len(self._copies) or len(self._copies[part.position]) == 1:
+            return (part,)
+        load = self.session.device_load
+        devices = self.placement.layout[part.position]
+        return tuple(sorted(
+            self._copies[part.position],
+            key=lambda copy: (load.load(devices[copy.replica]), copy.replica),
+        ))
 
     @staticmethod
     def _query_engine(

@@ -7,12 +7,17 @@ devices** and answers every query with an exact global top-k:
 
 * :class:`~repro.cluster.plan.ShardPlan` — object-range or seeded
   hash partitioning into per-shard corpora with local↔global id maps,
-* :class:`~repro.cluster.executor.ShardedExecutor` — core-level N-device
-  ``fit``/``query`` (per-shard batch scans on independent device
-  timelines, scatter/gather transfer costs, deterministic lexsort merge),
-* :class:`~repro.cluster.executor.ShardedIndexHandle` — the session
-  surface behind ``GenieSession.create_index(..., shards=N)``: per-shard
-  residency accounting plus per-shard profile slices on every result.
+* :class:`~repro.cluster.plan.Placement` — the value behind
+  ``GenieSession.create_index(..., shards=N[, replicas=R])``: shards,
+  replicas, partition strategy/seed and the current shard → pool-device
+  layout. The session's one :class:`~repro.api.session.IndexHandle`
+  holds it as ``handle.placement`` and partitions, places, dispatches
+  and heals from it (per-shard residency accounting, per-shard profile
+  slices on every result),
+* :func:`~repro.cluster.executor.merge_shard_results` /
+  :func:`~repro.cluster.executor.critical_path_profile` — the exact
+  deterministic lexsort merge and the slowest-shard latency model the
+  plan executor (:mod:`repro.plan.executor`) runs shard scans under.
 
 Results are **bit-identical** to a single unsharded index (ids, counts,
 tie order, thresholds): shards partition the objects, so match counts are
@@ -33,20 +38,14 @@ Quickstart::
     [p.query_total() for p in result.shard_profiles]  # per-shard slices
 """
 
-from repro.cluster.executor import (
-    ShardedExecutor,
-    ShardedIndexHandle,
-    critical_path_profile,
-    merge_shard_results,
-)
-from repro.cluster.plan import PARTITION_STRATEGIES, ShardPlan, ShardSlice
+from repro.cluster.executor import critical_path_profile, merge_shard_results
+from repro.cluster.plan import PARTITION_STRATEGIES, Placement, ShardPlan, ShardSlice
 
 __all__ = [
     "ShardPlan",
     "ShardSlice",
     "PARTITION_STRATEGIES",
-    "ShardedExecutor",
-    "ShardedIndexHandle",
+    "Placement",
     "merge_shard_results",
     "critical_path_profile",
 ]

@@ -1,56 +1,31 @@
-"""Sharded execution: concurrent per-shard scans, exact global top-k.
+"""Sharded merge helpers: exact global top-k, critical-path latency.
 
-The executor is the space-multiplexed dual of Section III-D's
-multi-loading: where multi-loading swaps index parts through *one* device
-in turn (time on the critical path adds up part by part), sharding gives
-every part its *own* simulated device and runs the batch against all
-shards concurrently. One query batch costs:
+Sharding is the space-multiplexed dual of Section III-D's multi-loading:
+where multi-loading swaps index parts through *one* device in turn (time
+on the critical path adds up part by part), sharding gives every part
+its *own* simulated device and runs the batch against all shards
+concurrently. The plan executor (:mod:`repro.plan.executor`) runs the
+per-shard scans; this module holds the two pieces that make the answer
+and its latency:
 
-* **scatter** — the encoded batch is broadcast to every shard device
-  (each shard engine pays the full ``query_transfer`` on its own PCIe
-  link, in parallel),
-* **scan** — PR 1's vectorized batch pipeline
-  (:func:`repro.core.batch_scan.plan_batch_scan` via
-  :meth:`~repro.core.engine.GenieEngine.query`) runs per shard on the
-  shard's own device timeline over its slice of the postings,
-* **gather** — each shard transfers its per-query top-k candidates back
-  (the ``select``-stage result transfer, again per link in parallel),
-* **merge** — the host merges the shards' candidates per query with the
-  deterministic count-desc / id-asc lexsort already used by the
-  multi-loading merge. Shards partition the objects, so every count is
-  complete within its shard and the merged top-k is **bit-identical** to
-  a single unsharded index (ids, counts, and tie order).
-
-Simulated latency models the concurrency: a batch's profile is the
-*slowest shard's* stage profile (the critical path) plus the host-side
-``result_merge`` — not the sum over shards. Per-shard profiles are kept
-so callers (the serve layer's imbalance counters, the shard-scaling
-benchmark) can see how evenly the work spread.
-
-Two entry points:
-
-* :class:`ShardedExecutor` — core-level: owns its devices and engines,
-  ``fit``/``query`` like a :class:`~repro.core.engine.GenieEngine`.
-* :class:`ShardedIndexHandle` — session-level: the
-  :meth:`~repro.api.session.GenieSession.create_index` ``shards=N``
-  surface, with every shard participating in the session's residency
-  accounting as its own attach/evict unit.
+* :func:`merge_shard_results` — the host merges the shards' candidates
+  per query with the deterministic count-desc / id-asc lexsort already
+  used by the multi-loading merge. Shards partition the objects, so
+  every count is complete within its shard and the merged top-k is
+  **bit-identical** to a single unsharded index (ids, counts, and tie
+  order).
+* :func:`critical_path_profile` — a batch's profile is the *slowest
+  shard's* stage profile plus the host-side ``result_merge``, not the
+  sum over shards. Per-shard profiles are kept so callers (the serve
+  layer's imbalance counters, the shard-scaling benchmark) can see how
+  evenly the work spread.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.api.session import IndexHandle, _IndexPart
-from repro.cluster.plan import ShardPlan, check_partition_args
-from repro.replica.rebalance import balanced_range_bounds
-from repro.plan.cost import postings_per_keyword
-from repro.plan.planner import ShardContext
-from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.inverted_index import InvertedIndex
-from repro.core.types import ID_DTYPE, Corpus, Query, TopKResult
-from repro.errors import ConfigError, QueryError
-from repro.gpu.device import Device
+from repro.core.types import ID_DTYPE, TopKResult
 from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings
 
@@ -130,340 +105,3 @@ def critical_path_profile(shard_profiles: list[StageTimings]) -> StageTimings:
         if slowest is None or profile.query_total() > slowest.query_total():
             slowest = profile
     return slowest.copy() if slowest is not None else StageTimings()
-
-
-class ShardedExecutor:
-    """Core-level sharded GENIE: N devices, one exact search surface.
-
-    Mirrors :class:`~repro.core.engine.GenieEngine`'s ``fit`` / ``query``
-    shape so core workloads and benchmarks can shard without a session.
-
-    Args:
-        n_shards: Number of shards (== devices). Derived from ``devices``
-            when those are given.
-        devices: The shard devices; ``n_shards`` fresh default devices
-            when omitted.
-        host: Shared simulated host (builds, merges); fresh when omitted.
-        config: Engine configuration applied to every shard engine.
-        strategy: Partition strategy (see :class:`ShardPlan`).
-        seed: Hash-partition seed.
-    """
-
-    def __init__(
-        self,
-        n_shards: int | None = None,
-        devices: list[Device] | None = None,
-        host: HostCpu | None = None,
-        config: GenieConfig | None = None,
-        strategy: str = "range",
-        seed: int = 0,
-    ):
-        if devices is not None:
-            if n_shards is not None and int(n_shards) != len(devices):
-                raise ConfigError("n_shards must match the number of devices")
-            n_shards = len(devices)
-        if n_shards is None or int(n_shards) < 1:
-            raise ConfigError("need n_shards >= 1 (or an explicit device list)")
-        self.devices = devices if devices is not None else [Device() for _ in range(int(n_shards))]
-        self.host = host if host is not None else HostCpu()
-        self.config = config if config is not None else GenieConfig()
-        self.strategy = strategy
-        self.seed = int(seed)
-        self.engines = [
-            GenieEngine(device=device, host=self.host, config=self.config)
-            for device in self.devices
-        ]
-        self.plan: ShardPlan | None = None
-        self.last_profile: StageTimings | None = None
-        self.last_shard_profiles: list[StageTimings] | None = None
-
-    @property
-    def n_shards(self) -> int:
-        """Number of shards (one engine/device each)."""
-        return len(self.engines)
-
-    def fit(self, corpus: Corpus) -> "ShardedExecutor":
-        """Partition the corpus and build+attach every shard's index."""
-        self.plan = ShardPlan.build(corpus, self.n_shards, self.strategy, self.seed)
-        for engine, shard in zip(self.engines, self.plan.shards):
-            engine.fit(shard.corpus)
-        return self
-
-    def query(
-        self, queries: list[Query], k: int | None = None, batch_size: int | None = None
-    ) -> list[TopKResult]:
-        """Scan every shard concurrently; return the exact global top-k.
-
-        ``last_profile`` holds the batch's critical-path profile (slowest
-        shard + host merge); ``last_shard_profiles`` the per-shard slices.
-
-        Raises:
-            QueryError: Unfitted executor, empty batch, or bad ``k``.
-        """
-        if self.plan is None:
-            raise QueryError("sharded executor must be fitted before querying")
-        queries = list(queries)
-        if not queries:
-            raise QueryError("empty query batch")
-        k = int(k if k is not None else self.config.k)
-        if k < 1:
-            raise QueryError("k must be >= 1")
-
-        per_shard: list[list[TopKResult]] = []
-        shard_profiles: list[StageTimings] = []
-        for engine in self.engines:
-            if batch_size is None:
-                per_shard.append(engine.query(queries, k=k))
-            else:
-                per_shard.append(engine.query_batched(queries, k=k, batch_size=batch_size))
-            shard_profiles.append(engine.last_profile.copy())
-
-        merged, merge_seconds = merge_shard_results(
-            per_shard, [shard.global_ids for shard in self.plan.shards],
-            len(queries), k, self.host, n_objects=self.plan.n_objects,
-        )
-        profile = critical_path_profile(shard_profiles)
-        profile.add("result_merge", merge_seconds)
-        self.last_profile = profile
-        self.last_shard_profiles = shard_profiles
-        return merged
-
-
-class ShardedIndexHandle(IndexHandle):
-    """A session index whose corpus is partitioned across shard devices.
-
-    Created by :meth:`GenieSession.create_index(..., shards=N)
-    <repro.api.session.GenieSession.create_index>`; satisfies the whole
-    :class:`~repro.api.session.IndexHandle` search surface. Every shard
-    is its own residency unit: it attaches to its own pool device, counts
-    toward the session's (aggregate) memory budget, and can be LRU-evicted
-    and swapped back in independently. Search results carry per-shard
-    profile slices in :attr:`SearchResult.shard_profiles
-    <repro.api.session.SearchResult.shard_profiles>`; the result's main
-    ``profile`` is the concurrent critical path (slowest shard + merge).
-
-    Execution lowers through the session's query planner
-    (:mod:`repro.plan`): this class only contributes the shard *context*
-    — partition strategy, per-shard keyword bounds (the routing table
-    shard pruning tests queries against), and the local→global id maps —
-    while the plan executor runs the routed scans, the one-round or
-    two-round-TPUT merge, and the critical-path profile. ``route=`` /
-    ``plan=`` on :meth:`~repro.api.session.IndexHandle.search` force a
-    strategy; results are bit-identical under all of them.
-    """
-
-    def __init__(
-        self,
-        session,
-        name: str,
-        model,
-        config: GenieConfig,
-        shards: int,
-        strategy: str = "range",
-        seed: int = 0,
-    ):
-        if int(shards) < 1:
-            raise ConfigError("shards must be >= 1")
-        check_partition_args(strategy, seed)  # fail before the name registers
-        super().__init__(session, name, model, config, part_size=None, swap_parts=False)
-        self.n_shards = int(shards)
-        self.shard_strategy = strategy
-        self.shard_seed = int(seed)
-        self.plan: ShardPlan | None = None
-        self.rebalance_epoch = 0
-        self._last_shard_profiles: tuple[StageTimings, ...] = ()
-
-    # ------------------------------------------------------------------
-    # introspection
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shards the corpus is partitioned into."""
-        return self.n_shards
-
-    @property
-    def shard_profiles(self) -> tuple[StageTimings, ...]:
-        """Per-shard stage profiles of the last search, in shard order.
-
-        ``()`` until a search succeeds — and again after a search
-        *fails*, so a monitoring caller never reads a previous search's
-        profiles as if they belonged to the failed one.
-        """
-        return self._last_shard_profiles
-
-    def search_encoded(self, raw_queries, queries, k=None, batch_size=None,
-                       route=None, plan=None, trace=False, **search_opts):
-        """See :meth:`IndexHandle.search_encoded`; tracks shard profiles."""
-        self._last_shard_profiles = ()
-        result = super().search_encoded(
-            raw_queries, queries, k=k, batch_size=batch_size,
-            route=route, plan=plan, trace=trace, **search_opts,
-        )
-        self._last_shard_profiles = tuple(result.shard_profiles or ())
-        return result
-
-    def shard_devices(self) -> list[Device]:
-        """The pool devices this index's shards live on, in shard order."""
-        return self.session.shard_devices(self.n_shards)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def _pool_size(self) -> int:
-        """Devices the session's shard pool must hold for this index."""
-        return self.n_shards
-
-    def _place_parts(self, built, devices) -> list[_IndexPart]:
-        """Create the parts for freshly built shard indexes.
-
-        One part per shard on its own pool device; the replicated
-        subclass overrides this to place R copies per shard. Returns
-        every part that should be attached.
-        """
-        self._parts = [
-            _IndexPart(
-                self, shard.position,
-                self._part_engine(shard.position, devices[shard.position]),
-                shard.corpus, index, offset=0, global_ids=shard.global_ids,
-            )
-            for shard, index in built
-        ]
-        return list(self._parts)
-
-    def _install_plan(self, plan: ShardPlan) -> None:
-        """Build every shard's index and swap the new parts in.
-
-        Shared tail of :meth:`fit`, stream compaction
-        (:meth:`_rebuild_base`) and :meth:`rebalance`: every shard index
-        is built on the host (charging ``index_build``), the old parts
-        are evicted, and the new ones attach to their own pool devices
-        (each paying ``index_transfer`` on its own link) under the
-        session's residency budget. No epoch bump or invalidation here —
-        results are unchanged by construction; callers handle plan
-        staleness themselves.
-        """
-        devices = self.session.shard_devices(self._pool_size())
-        built = []
-        for shard in plan.shards:
-            index = InvertedIndex.build(shard.corpus, load_balance=self.config.load_balance)
-            self.session.host.charge_ops(index.build_ops, stage="index_build")
-            # The built index materializes the shard's sorted distinct
-            # keywords; seed the slice's routing-bounds cache with the
-            # same array so the planner's table costs nothing extra. The
-            # per-keyword posting lengths (the cost model's work
-            # features) come from the same CSR arrays.
-            shard._keywords = index.keyword_array
-            shard._posting_counts = postings_per_keyword(index)
-            built.append((shard, index))
-        self.evict()
-        self.plan = plan
-        for part in self._place_parts(built, devices):
-            self.session._ensure_resident(part)
-
-    def fit(self, data) -> "ShardedIndexHandle":
-        """Encode ``data``, partition it, build one index per shard.
-
-        Every shard index is built on the host and attached to its own
-        pool device immediately; the session may LRU-evict shards later
-        under budget pressure, and search swaps them back in per shard.
-        """
-        corpus = self._prepare_fit(data)
-        self._install_plan(
-            ShardPlan.build(corpus, self.n_shards, self.shard_strategy, self.shard_seed)
-        )
-        return self
-
-    def _rebuild_base(self, corpus: Corpus) -> None:
-        """Repartition ``corpus`` into fresh shard indexes (compaction).
-
-        Sharded twin of :meth:`IndexHandle._rebuild_base`: same partition
-        strategy and seed. No epoch bump or invalidation — results are
-        unchanged by construction; the stream state invalidates the plan
-        cache itself (the shard keyword tables did change).
-        """
-        self._install_plan(
-            ShardPlan.build(corpus, self.n_shards, self.shard_strategy, self.shard_seed)
-        )
-
-    # ------------------------------------------------------------------
-    # self-healing
-
-    def rebalance(self, shard_weights) -> bool:
-        """Recut a fitted range partition so observed load evens out.
-
-        ``shard_weights`` is one non-negative load figure per shard
-        (typically the serve layer's rolling per-shard busy seconds).
-        Each shard's weight is spread over its objects as a density, and
-        new contiguous range bounds are cut so every shard carries a near
-        equal share of the observed load — the hot shard shrinks, its
-        neighbours absorb the edges. The plan stays a range partition, so
-        keyword-bounds routing (and shard pruning) keeps working.
-
-        Invalidation is scoped: the *plan* cache entries for this index
-        are dropped (the routing table changed) and ``rebalance_epoch``
-        joins the plan-cache key, but serve-layer *result* caches are
-        untouched — a rebalance moves objects between devices without
-        changing any answer, which the equivalence tests pin.
-
-        Returns ``True`` if the partition changed. No-ops (``False``)
-        for hash partitions, unfitted or streaming handles, degenerate
-        weights, and cuts identical to the current bounds.
-
-        Raises:
-            ConfigError: Called on an unfitted handle.
-        """
-        self.session._check_open()
-        if self.plan is None:
-            raise ConfigError(f"cannot rebalance unfitted index {self.name!r}")
-        if self.shard_strategy != "range" or self.n_shards < 2:
-            return False
-        if self._stream is not None:
-            # Live mutations would have to be re-routed mid-flight;
-            # compaction folds them into the base first.
-            return False
-        current = self.plan.range_bounds()
-        if current is None:
-            return False
-        weights = [float(w) for w in shard_weights][: self.n_shards]
-        weights += [0.0] * (self.n_shards - len(weights))
-        bounds = balanced_range_bounds(self.plan.sizes(), weights)
-        if bounds is None or bounds == current:
-            return False
-        corpus = self.plan.reassemble()
-        self._install_plan(ShardPlan.build_ranges(corpus, bounds))
-        self.rebalance_epoch += 1
-        if self.session.plan_cache is not None:
-            self.session.plan_cache.invalidate(self.name)
-        return True
-
-    # ------------------------------------------------------------------
-    # planning
-
-    def _plan_epoch(self):
-        """Plan-cache epoch: the base epoch plus the rebalance counter.
-
-        A rebalance rewrites the shard keyword tables the planner routes
-        against without touching the fit epoch (results are unchanged),
-        so it must contribute its own component to the cache key.
-        """
-        return (super()._plan_epoch(), self.rebalance_epoch)
-
-    def _plan_shards(self) -> ShardContext | None:
-        """Shard context the query planner compiles against.
-
-        The routing table is each slice's keyword bounds
-        (:meth:`ShardSlice.keywords <repro.cluster.plan.ShardSlice.keywords>`),
-        seeded at fit time from the shard index's already-materialized
-        ``keyword_array`` — no extra pass over the corpus.
-        """
-        if self.plan is None or not self._parts:
-            return None
-        return ShardContext(
-            n_shards=self.n_shards,
-            strategy=self.shard_strategy,
-            shard_keywords=tuple(shard.keywords() for shard in self.plan.shards),
-            n_objects=self.plan.n_objects,
-            shard_postings=tuple(
-                shard.posting_counts() for shard in self.plan.shards
-            ),
-        )

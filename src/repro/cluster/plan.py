@@ -24,7 +24,7 @@ Two partition strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,9 +38,9 @@ PARTITION_STRATEGIES = ("range", "hash")
 def check_partition_args(strategy: str, seed: int) -> None:
     """Validate a partition strategy/seed pair.
 
-    Shared by :meth:`ShardPlan.build` and the session handle's
-    constructor, so misconfiguration fails at ``create_index`` time
-    (before the index name is registered), not at fit.
+    Shared by :meth:`ShardPlan.build` and :class:`Placement`, so
+    misconfiguration fails at ``create_index`` time (before the index
+    name is registered), not at fit.
 
     Raises:
         ConfigError: Unknown strategy, or a seed outside ``[0, 2**64)``
@@ -52,6 +52,62 @@ def check_partition_args(strategy: str, seed: int) -> None:
         )
     if not 0 <= int(seed) < 2**64:
         raise ConfigError("shard seed must fit in 64 bits (0 <= seed < 2**64)")
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where a sharded index lives: shards x replicas over the device pool.
+
+    The one value an :class:`~repro.api.session.IndexHandle` reads to
+    partition, place, dispatch and heal (``handle.placement``; ``None``
+    on an unsharded handle). ``create_index(..., shards=N)`` and
+    ``shards=N, replicas=1`` build the same value.
+
+    Attributes:
+        shards: Slices the corpus is partitioned into (>= 1).
+        replicas: Copies of every slice, on distinct pool devices (>= 1).
+        strategy: Partition strategy (``"range"`` / ``"hash"``).
+        seed: Hash-partition seed.
+        layout: ``layout[s][r]`` is the pool position hosting replica
+            ``r`` of shard ``s``. Starts as chained declustering —
+            ``(s + r) % pool_size``, so every group spans ``replicas``
+            distinct devices and any ``replicas - 1`` concurrent device
+            failures leave every group a survivor — and is what every
+            rebuild places from, so copies :meth:`moved` off a failed
+            device stay off it.
+    """
+
+    shards: int
+    replicas: int = 1
+    strategy: str = "range"
+    seed: int = 0
+    layout: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        if int(self.shards) < 1:
+            raise ConfigError("shards must be >= 1")
+        if int(self.replicas) < 1:
+            raise ConfigError("replicas must be >= 1")
+        check_partition_args(self.strategy, self.seed)
+        if not self.layout:
+            pool = self.pool_size
+            object.__setattr__(self, "layout", tuple(
+                tuple((s + r) % pool for r in range(self.replicas))
+                for s in range(self.shards)
+            ))
+
+    @property
+    def pool_size(self) -> int:
+        """Pool devices needed: enough for the shards *and* one group."""
+        return max(self.shards, self.replicas)
+
+    def moved(self, shard: int, replica: int, device: int) -> "Placement":
+        """This placement with one copy re-homed on pool ``device``."""
+        group = list(self.layout[shard])
+        group[replica] = device
+        layout = self.layout[:shard] + (tuple(group),) + self.layout[shard + 1:]
+        return replace(self, layout=layout)
+
 
 #: 64-bit Fibonacci-hashing multiplier (2^64 / golden ratio, odd).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)

@@ -17,7 +17,6 @@ from repro.core.hash_table import RobinHoodHashTable
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import brute_force_topk, match_count, match_counts_all
-from repro.core.multiload import MultiLoadGenie
 from repro.core.selection import (
     audit_threshold_from_counts,
     audit_threshold_from_counts_batch,
@@ -36,7 +35,6 @@ __all__ = [
     "TopKResult",
     "GenieEngine",
     "GenieConfig",
-    "MultiLoadGenie",
     "InvertedIndex",
     "LoadBalanceConfig",
     "CountPriorityQueue",

@@ -147,13 +147,13 @@ def sequence_systems(
     k: int = 1,
     n_candidates: int = 32,
     modify_fraction: float = 0.2,
-    query_pool_size: int = 64,
+    n_pool_queries: int = 64,
     ngram: int = 3,
     seed: int = 0,
 ) -> dict:
     """Runners for the DBLP sequence workload: GENIE, GPU-SPQ, AppGram."""
     titles = registry.load("dblp", n=n, seed=seed)
-    query_pool, _ = make_query_set(titles, query_pool_size, modify_fraction, seed=seed + 1)
+    query_pool, _ = make_query_set(titles, n_pool_queries, modify_fraction, seed=seed + 1)
 
     def queries_for(n_queries: int) -> list[str]:
         reps = int(np.ceil(n_queries / len(query_pool)))
@@ -200,12 +200,12 @@ def sequence_systems(
 def document_systems(
     n: int | None = None,
     k: int = DEFAULT_K,
-    query_pool_size: int = 64,
+    n_pool_queries: int = 64,
     seed: int = 0,
 ) -> dict:
     """Runners for the Tweets workload: GENIE, GPU-SPQ, CPU-Idx."""
     docs = registry.load("tweets", n=n, seed=seed)
-    query_pool, _ = make_document_queries(docs, query_pool_size, seed=seed + 1)
+    query_pool, _ = make_document_queries(docs, n_pool_queries, seed=seed + 1)
 
     def queries_for(n_queries: int) -> list[str]:
         reps = int(np.ceil(n_queries / len(query_pool)))
@@ -265,13 +265,13 @@ def document_systems(
 def relational_systems(
     n: int | None = None,
     k: int = DEFAULT_K,
-    query_pool_size: int = 64,
+    n_pool_queries: int = 64,
     numeric_bins: int = 64,
     seed: int = 0,
 ) -> dict:
     """Runners for the Adult workload: GENIE, GPU-SPQ, CPU-Idx."""
     columns = registry.load("adult", n=n, seed=seed)
-    query_pool = make_range_queries(columns, query_pool_size, seed=seed + 1)
+    query_pool = make_range_queries(columns, n_pool_queries, seed=seed + 1)
 
     def queries_for(n_queries: int) -> list[dict]:
         reps = int(np.ceil(n_queries / len(query_pool)))

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.session import GenieSession
 from repro.core.engine import GenieConfig
-from repro.core.multiload import MultiLoadGenie
 from repro.datasets import registry
 from repro.experiments.common import DEFAULT_K, DEFAULT_M
 from repro.experiments.table import ResultTable
-from repro.gpu.device import Device
-from repro.gpu.host import HostCpu
 from repro.lsh.e2lsh import E2Lsh
 from repro.lsh.transform import LshTransformer
 
@@ -55,16 +53,13 @@ def run(
     )
     for size in sizes:
         corpus = transformer.to_corpus(full.data[:size])
-        engine = MultiLoadGenie(
-            device=Device(),
-            host=HostCpu(),
-            config=GenieConfig(k=k, count_bound=m),
-            part_size=part_size,
-        ).fit(corpus)
-        engine.query(queries, k=k)
-        profile = engine.last_profile
+        session = GenieSession(config=GenieConfig(k=k, count_bound=m))
+        handle = session.create_index(
+            corpus, model="raw", part_size=part_size, swap_parts=True
+        )
+        profile = handle.search(queries, k=k).profile
         total = profile.query_total()
-        table2.add_row(n_points=size, n_parts=engine.num_parts, genie_seconds=total)
+        table2.add_row(n_points=size, n_parts=handle.num_parts, genie_seconds=total)
         table3.add_row(
             n_points=size,
             index_transfer=profile.get("index_transfer"),

@@ -1,8 +1,8 @@
 """Explainable query planning: one compiled plan behind every search.
 
-``repro.plan`` unifies the session layer's three execution paths —
-serial :meth:`IndexHandle.search <repro.api.session.IndexHandle.search>`,
-sharded :class:`~repro.cluster.executor.ShardedIndexHandle` search, and
+``repro.plan`` puts every way a search is issued —
+:meth:`IndexHandle.search <repro.api.session.IndexHandle.search>` on a
+serial or a sharded (:class:`~repro.cluster.plan.Placement`) index, and
 :class:`~repro.serve.server.GenieServer` batch dispatch — behind one
 logical/physical plan IR::
 

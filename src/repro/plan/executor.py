@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.executor import critical_path_profile, merge_shard_results
 from repro.core.types import ID_DTYPE, Query, TopKResult
 from repro.errors import AvailabilityError
 from repro.gpu.stats import StageTimings
@@ -219,9 +220,8 @@ def _scan_one(
 ) -> tuple[list[TopKResult], StageTimings]:
     """Scan one slice's routed subset on the first live replica.
 
-    The candidate order comes from ``handle._scan_candidates`` (plain
-    handles: the part itself; replicated handles: the whole replica
-    group, least-loaded first). Under an injected
+    The candidate order comes from ``handle._scan_candidates`` (every
+    copy of the slice, least-loaded first). Under an injected
     :class:`~repro.replica.faults.FaultPlan`, a candidate on a crashed
     device is skipped — charging a deterministic seeded retry penalty
     onto the surviving scan's profile (the ``failover_retry`` stage, on
@@ -340,10 +340,6 @@ def _run_shards(
     profile: StageTimings,
     trace=None,
 ) -> tuple[list[TopKResult], list[StageTimings]]:
-    # Imported lazily: repro.cluster.executor imports the session module,
-    # which imports this executor at module level.
-    from repro.cluster.executor import critical_path_profile, merge_shard_results
-
     session = handle.session
     parts = handle._parts
     n_queries = len(queries)
@@ -431,8 +427,6 @@ def _run_stream(
     Returns the base per-shard profiles for sharded handles (delta and
     merge work lands on the batch profile only), ``None`` for serial.
     """
-    from repro.cluster.executor import critical_path_profile, merge_shard_results
-
     session = handle.session
     stream = handle._stream
     manifest = stream.manifest

@@ -1,9 +1,8 @@
 """The rule-based planner: compile every search into one explicit plan.
 
 :func:`compile_search` is the single lowering point for the session
-layer's three entry points (`IndexHandle.search`,
-`ShardedIndexHandle.search`, and `GenieServer`'s batch dispatch). It
-applies three rules, each preserving bit-identical results:
+layer's entry points (`IndexHandle.search` on serial and sharded
+indexes, and `GenieServer`'s batch dispatch). It applies three rules, each preserving bit-identical results:
 
 1. **Skip elision** — queries a model marks unanswerable (``skip_empty``
    models with no indexed keywords) drop out of the scan node entirely;
@@ -426,8 +425,8 @@ def compile_search(
     """Compile one search over ``handle`` into a :class:`CompiledPlan`.
 
     ``handle`` is duck-typed: the planner reads ``name``, ``model``,
-    ``num_parts``, ``swap_parts`` and ``_plan_shards()`` — exactly the
-    surface both serial and sharded session handles provide.
+    ``num_parts``, ``swap_parts`` and ``_plan_shards()`` (``None`` on a
+    handle without a placement).
 
     Raises:
         QueryError: Invalid ``route=`` / ``plan=`` directives.

@@ -2,10 +2,13 @@
 
 Four pieces, wired through the existing layers:
 
-* **Replica groups** (:mod:`repro.replica.handle`) —
-  ``create_index(..., shards=N, replicas=R)`` places R copies of every
-  shard slice on distinct pool devices (chained declustering); shard
-  scans pick the least-loaded live replica per batch.
+* **Replica groups** — ``create_index(..., shards=N, replicas=R)``
+  gives the handle a :class:`~repro.cluster.plan.Placement` with R
+  copies of every shard slice on distinct pool devices (chained
+  declustering: replica ``r`` of shard ``s`` starts on pool device
+  ``(s + r) % max(N, R)``). Each copy is its own residency unit under
+  the session's aggregate memory budget, and shard scans pick the
+  least-loaded live replica per batch.
 * **Deterministic fault injection** (:mod:`repro.replica.faults`) — a
   seeded :class:`FaultPlan` of device crash/slowdown/recovery events on
   the virtual clock; failure experiments are bit-reproducible.
@@ -17,13 +20,15 @@ Four pieces, wired through the existing layers:
 * **Self-healing** (:mod:`repro.replica.rebalance`) — a
   :class:`RebalancePolicy` watches the serve layer's rolling shard
   imbalance and recuts hot range partitions online
-  (:meth:`ShardedIndexHandle.rebalance
-  <repro.cluster.executor.ShardedIndexHandle.rebalance>`), and
-  permanently failed devices trigger re-replication of their groups.
+  (:meth:`IndexHandle.rebalance
+  <repro.api.session.IndexHandle.rebalance>`), and permanently failed
+  devices trigger re-replication of their groups
+  (:meth:`IndexHandle.re_replicate
+  <repro.api.session.IndexHandle.re_replicate>`); the healed layout is
+  recorded in ``handle.placement``, so later rebuilds keep it.
 
-:class:`ReplicatedIndexHandle` is imported lazily (it pulls in the
-session and cluster layers; the leaf modules here must stay importable
-from them without a cycle).
+This package holds leaf modules only (the session imports them); the
+handle-side logic lives on :class:`~repro.api.session.IndexHandle`.
 """
 
 from repro.replica.faults import (
@@ -50,14 +55,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "RebalancePolicy",
-    "ReplicatedIndexHandle",
     "balanced_range_bounds",
 ]
 
-
-def __getattr__(name):
-    if name == "ReplicatedIndexHandle":
-        from repro.replica.handle import ReplicatedIndexHandle
-
-        return ReplicatedIndexHandle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,8 +13,8 @@ new bounds are chosen so every shard carries a near-equal share.
 it through :class:`RebalancePolicy`, which watches the rolling
 ``shard_imbalance`` (:attr:`ServeMetrics.rolling_shard_imbalance
 <repro.serve.metrics.ServeMetrics.rolling_shard_imbalance>`) and fires
-:meth:`ShardedIndexHandle.rebalance
-<repro.cluster.executor.ShardedIndexHandle.rebalance>` once the window
+:meth:`IndexHandle.rebalance
+<repro.api.session.IndexHandle.rebalance>` once the window
 is full, the threshold is crossed, and the cooldown has elapsed.
 """
 

@@ -214,8 +214,8 @@ class GenieServer:
         rebalance: A :class:`~repro.replica.rebalance.RebalancePolicy`
             consulted after every dispatched sharded batch; past its
             rolling-imbalance threshold the server recuts the batch's
-            index online (:meth:`ShardedIndexHandle.rebalance
-            <repro.cluster.executor.ShardedIndexHandle.rebalance>`).
+            index online (:meth:`IndexHandle.rebalance
+            <repro.api.session.IndexHandle.rebalance>`).
             ``None`` (default) never rebalances.
     """
 
@@ -422,7 +422,7 @@ class GenieServer:
         plan always reflects what a submit with the same arguments would
         execute.
         """
-        sharded = getattr(handle, "n_shards", None) is not None
+        sharded = handle.placement is not None
         if route is None:
             route = self.route if sharded else None
         if plan is None:
@@ -699,10 +699,9 @@ class GenieServer:
         an ``index_transfer``, charged on the simulated timeline).
         """
         self.metrics.replica_failovers += len(failovers)
-        re_replicate = getattr(handle, "re_replicate", None)
-        if re_replicate is None or not any(ev.permanent for ev in failovers):
+        if not any(ev.permanent for ev in failovers):
             return
-        placed = re_replicate()
+        placed = handle.re_replicate()
         if placed:
             self.metrics.replica_re_replications += placed
             logger.debug(
@@ -720,11 +719,8 @@ class GenieServer:
         """Fire the rebalance policy when rolling imbalance crosses it."""
         if not self.rebalance_policy.should_rebalance(self.metrics):
             return
-        rebalance = getattr(handle, "rebalance", None)
-        if rebalance is None:
-            return
         imbalance = self.metrics.rolling_shard_imbalance
-        moved = rebalance(self.metrics.rolling_shard_seconds())
+        moved = handle.rebalance(self.metrics.rolling_shard_seconds())
         self.rebalance_policy.note_fired(self.metrics)
         if not moved:
             return

@@ -326,7 +326,7 @@ class StreamState:
         host_before = session.host.timings.copy()
         corpus = self.full_corpus()
         self.release()
-        self.handle._rebuild_base(corpus)
+        self.handle._install(corpus)
         manifest.segments = []
         manifest.tombstones = set()
         manifest.base_objects = manifest.next_gid

@@ -11,7 +11,6 @@ import numpy as np
 from repro.api import GenieSession
 from repro.api.models import AnnModel
 from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.multiload import MultiLoadGenie
 from repro.core.types import Corpus, Query
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
@@ -160,9 +159,11 @@ class TestMultiLoadEquivalence:
         corpus, queries = self._workload()
         config = GenieConfig(k=4, count_bound=8)
 
-        legacy = MultiLoadGenie(device=Device(), host=HostCpu(), config=config, part_size=9)
-        legacy.fit(corpus)
-        legacy_results = legacy.query(queries, k=4)
+        # The paper's explicit protocol: every part is evicted right after
+        # its batch.
+        swapped = GenieSession(device=Device(), host=HostCpu(), config=config).create_index(
+            corpus, model="raw", part_size=9, swap_parts=True
+        ).search(queries, k=4)
 
         session = GenieSession(device=Device(), host=HostCpu(), config=config)
         # Budget sized to a single part forces the same swap-through-memory
@@ -171,8 +172,8 @@ class TestMultiLoadEquivalence:
         session.memory_budget = max(part.device_bytes for part in handle._parts)
         result = handle.search(queries, k=4)
 
-        assert_results_identical(legacy_results, result.results)
-        assert_timings_identical(legacy.last_profile, result.profile)
+        assert_results_identical(swapped.results, result.results)
+        assert_timings_identical(swapped.profile, result.profile)
         assert len(result.evicted) >= handle.num_parts - 1
 
     def test_multipart_matches_single_index(self):

@@ -1,13 +1,13 @@
-"""Tests for ShardedExecutor: exactness, timelines, critical-path profile."""
+"""Sharded search through the session: exactness, timelines, critical path."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import ShardedExecutor, critical_path_profile, merge_shard_results
+from repro.api import GenieSession
+from repro.cluster import critical_path_profile, merge_shard_results
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.types import Corpus, Query, TopKResult
 from repro.errors import ConfigError, QueryError
-from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings
 
@@ -22,6 +22,13 @@ def _workload(n=300, n_queries=16, m=6, domain=40, seed=0):
     return corpus, queries
 
 
+def _sharded(corpus, n_shards, config=None, strategy="range"):
+    """A fresh session holding one ``shards=n_shards`` raw index."""
+    return GenieSession(config=config).create_index(
+        corpus, model="raw", shards=n_shards, shard_strategy=strategy
+    )
+
+
 class TestExactness:
     @pytest.mark.parametrize("strategy", ["range", "hash"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -29,21 +36,17 @@ class TestExactness:
         corpus, queries = _workload()
         config = GenieConfig(k=7)
         reference = GenieEngine(config=config).fit(corpus).query(queries, k=7)
-        executor = ShardedExecutor(n_shards, config=config, strategy=strategy).fit(corpus)
-        sharded = executor.query(queries, k=7)
-        for ref, got in zip(reference, sharded):
+        sharded = _sharded(corpus, n_shards, config, strategy).search(queries, k=7)
+        for ref, got in zip(reference, sharded.results):
             assert np.array_equal(ref.ids, got.ids)
             assert np.array_equal(ref.counts, got.counts)
             assert ref.threshold == got.threshold
 
     def test_batched_path_matches_unbatched(self):
         corpus, queries = _workload()
-        executor = ShardedExecutor(3, config=GenieConfig(k=5)).fit(corpus)
-        whole = executor.query(queries, k=5)
-        batched = ShardedExecutor(3, config=GenieConfig(k=5)).fit(corpus).query(
-            queries, k=5, batch_size=4
-        )
-        for a, b in zip(whole, batched):
+        whole = _sharded(corpus, 3, GenieConfig(k=5)).search(queries, k=5)
+        batched = _sharded(corpus, 3, GenieConfig(k=5)).search(queries, k=5, batch_size=4)
+        for a, b in zip(whole.results, batched.results):
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.counts, b.counts)
 
@@ -51,8 +54,7 @@ class TestExactness:
         corpus = Corpus([[1, 2], [2, 3], [3, 4]])
         queries = [Query.from_keywords([2, 3])]
         reference = GenieEngine(config=GenieConfig(k=3)).fit(corpus).query(queries, k=3)
-        executor = ShardedExecutor(6, config=GenieConfig(k=3)).fit(corpus)
-        got = executor.query(queries, k=3)
+        got = _sharded(corpus, 6, GenieConfig(k=3)).search(queries, k=3)
         assert np.array_equal(reference[0].ids, got[0].ids)
         assert np.array_equal(reference[0].counts, got[0].counts)
 
@@ -60,59 +62,50 @@ class TestExactness:
 class TestTimelines:
     def test_each_shard_runs_on_its_own_device(self):
         corpus, queries = _workload()
-        executor = ShardedExecutor(3).fit(corpus)
-        executor.query(queries, k=5)
-        assert len({id(d) for d in executor.devices}) == 3
-        for device in executor.devices:
+        handle = _sharded(corpus, 3)
+        handle.search(queries, k=5)
+        devices = handle.shard_devices()
+        assert len({id(d) for d in devices}) == 3
+        for device in devices:
             assert device.timings.get("match") > 0.0
 
     def test_profile_is_critical_path_not_sum(self):
         corpus, queries = _workload()
-        executor = ShardedExecutor(4).fit(corpus)
-        executor.query(queries, k=5)
-        shard_totals = [p.query_total() for p in executor.last_shard_profiles]
-        merge = executor.last_profile.get("result_merge")
-        assert executor.last_profile.query_total() == pytest.approx(
-            max(shard_totals) + merge
-        )
-        assert executor.last_profile.query_total() < sum(shard_totals) + merge
+        result = _sharded(corpus, 4).search(queries, k=5)
+        shard_totals = [p.query_total() for p in result.shard_profiles]
+        merge = result.profile.get("result_merge")
+        assert result.profile.query_total() == pytest.approx(max(shard_totals) + merge)
+        assert result.profile.query_total() < sum(shard_totals) + merge
 
     def test_sharding_beats_single_device_on_scan_heavy_work(self):
         # An OCR-shaped workload big enough for the match scan to dominate
         # the per-query floors (query/result transfer, select, merge).
         corpus, queries = _workload(n=12000, n_queries=64, m=32, domain=1024)
-        single = ShardedExecutor(1).fit(corpus)
-        single.query(queries, k=10)
-        quad = ShardedExecutor(4).fit(corpus)
-        quad.query(queries, k=10)
-        assert quad.last_profile.query_total() < single.last_profile.query_total()
-
-    def test_explicit_devices_are_adopted(self):
-        devices = [Device(), Device()]
-        executor = ShardedExecutor(devices=devices)
-        assert executor.devices is devices
-        with pytest.raises(ConfigError, match="match"):
-            ShardedExecutor(n_shards=3, devices=devices)
+        single = _sharded(corpus, 1).search(queries, k=10)
+        quad = _sharded(corpus, 4).search(queries, k=10)
+        assert quad.profile.query_total() < single.profile.query_total()
 
 
 class TestErrors:
     def test_unfitted_query_rejected(self):
+        handle = GenieSession().declare_index("raw", shards=2)
         with pytest.raises(QueryError, match="fitted"):
-            ShardedExecutor(2).query([Query.from_keywords([1])])
+            handle.search([Query.from_keywords([1])])
 
     def test_empty_batch_rejected(self):
         corpus, _ = _workload(n=10)
         with pytest.raises(QueryError, match="empty"):
-            ShardedExecutor(2).fit(corpus).query([])
+            _sharded(corpus, 2).search([])
 
     def test_bad_k_rejected(self):
         corpus, queries = _workload(n=10)
         with pytest.raises(QueryError, match="k must be"):
-            ShardedExecutor(2).fit(corpus).query(queries, k=0)
+            _sharded(corpus, 2).search(queries, k=0)
 
     def test_bad_shard_count_rejected(self):
+        corpus, _ = _workload(n=10)
         with pytest.raises(ConfigError):
-            ShardedExecutor(0)
+            _sharded(corpus, 0)
 
 
 class TestMergeHelpers:

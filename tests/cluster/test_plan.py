@@ -112,7 +112,7 @@ class TestShardKeywords:
     """ShardSlice.keywords(): the plan-level routing bounds.
 
     The planner routes against the *fitted* shard index's keyword_array
-    (ShardedIndexHandle._plan_shards); the plan-level view must stay
+    (IndexHandle._plan_shards); the plan-level view must stay
     bit-identical to it — it is the same partition-bounds surface, usable
     before any index is built (e.g. by rebalancing tooling).
     """

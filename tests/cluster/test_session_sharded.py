@@ -1,12 +1,13 @@
-"""Tests for ShardedIndexHandle: session residency, profiles, serving."""
+"""Tests for sharded session indexes: residency, profiles, serving."""
 
 import numpy as np
 import pytest
 
 from repro.api import GenieSession
-from repro.cluster import ShardedIndexHandle
+from repro.cluster import Placement
 from repro.core.engine import GenieConfig
-from repro.errors import ConfigError, QueryError
+from repro.errors import AvailabilityError, ConfigError, QueryError
+from repro.replica import FaultEvent, FaultPlan
 from repro.serve import BatchPolicy, GenieServer
 
 
@@ -26,7 +27,8 @@ class TestCreateIndex:
     def test_shards_returns_sharded_handle(self):
         session = GenieSession()
         handle = session.create_index(_objects(), model="raw", name="x", shards=4)
-        assert isinstance(handle, ShardedIndexHandle)
+        assert handle.placement == Placement(shards=4)
+        assert handle.placement.layout == ((0,), (1,), (2,), (3,))
         assert handle.num_shards == 4
         assert handle.num_parts == 4
         assert handle.plan.strategy == "range"
@@ -90,6 +92,41 @@ class TestCreateIndex:
         assert b.shard_devices()[0] is session.device
         assert a.shard_devices()[1] is b.shard_devices()[1]
         assert len(session.shard_devices(3)) == 3
+
+
+@pytest.mark.parametrize("crash", [False, True])
+@pytest.mark.parametrize("n_shards", [1, 3, 4])
+@pytest.mark.parametrize("strategy", ["range", "hash"])
+def test_replicas_omitted_is_one_replica(strategy, n_shards, crash):
+    """``shards=N`` and ``shards=N, replicas=1`` are one program."""
+    objects, queries = _objects(), _queries()
+    observed = []
+    for replicas in (None, 1):
+        session = GenieSession()
+        handle = session.create_index(
+            objects, model="raw", name="x", shards=n_shards,
+            shard_strategy=strategy, replicas=replicas,
+        )
+        explained = handle.explain(queries, k=6).render()
+        if crash:
+            session.inject_faults(FaultPlan([FaultEvent(device=0, start=0.0)]))
+            with pytest.raises(AvailabilityError) as err:
+                handle.search(queries, k=6)
+            outcome = (str(err.value), err.value.shard, err.value.devices)
+            assert handle.shard_profiles == ()
+        else:
+            result = handle.search(queries, k=6)
+            outcome = (
+                [(r.ids.tolist(), r.counts.tolist(), r.threshold) for r in result.results],
+                result.profile.seconds,
+                [p.seconds for p in result.shard_profiles],
+                [p.seconds for p in handle.shard_profiles],
+                result.plan.render(),
+            )
+        observed.append(
+            (handle.placement, explained, outcome, list(session.residency_log))
+        )
+    assert observed[0] == observed[1]
 
 
 class TestResidency:

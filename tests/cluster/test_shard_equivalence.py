@@ -10,11 +10,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ShardedExecutor
+from repro.api import GenieSession
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.types import Corpus, Query
 
 corpora = st.lists(st.lists(st.integers(0, 15), max_size=6), min_size=1, max_size=25)
+
 query_batches = st.lists(
     st.lists(  # one query = a list of items
         st.lists(st.integers(0, 25), max_size=4),  # items may be empty or miss the index
@@ -23,6 +24,14 @@ query_batches = st.lists(
     min_size=1,
     max_size=5,
 )
+
+
+def _sharded_search(raw_objects, queries, k, n_shards, strategy="range", seed=0):
+    handle = GenieSession(config=GenieConfig(k=k)).create_index(
+        Corpus(raw_objects), model="raw",
+        shards=n_shards, shard_strategy=strategy, shard_seed=seed,
+    )
+    return handle.search(queries, k=k).results
 
 
 @settings(max_examples=60, deadline=None)
@@ -40,10 +49,7 @@ def test_sharded_equals_unsharded(raw_objects, raw_queries, n_shards, strategy, 
     config = GenieConfig(k=k)
 
     reference = GenieEngine(config=config).fit(corpus).query(queries, k=k)
-    executor = ShardedExecutor(
-        n_shards, config=config, strategy=strategy, seed=seed
-    ).fit(Corpus(raw_objects))
-    sharded = executor.query(queries, k=k)
+    sharded = _sharded_search(raw_objects, queries, k, n_shards, strategy, seed)
 
     assert len(sharded) == len(reference)
     for ref, got in zip(reference, sharded):
@@ -61,10 +67,9 @@ def test_sharded_equals_unsharded(raw_objects, raw_queries, n_shards, strategy, 
 )
 def test_shard_count_never_changes_answers(raw_objects, raw_queries, n_shards):
     # Different shard counts of the same corpus agree with each other too.
-    corpus_a, corpus_b = Corpus(raw_objects), Corpus(raw_objects)
     queries = [Query(items=items) for items in raw_queries]
-    one = ShardedExecutor(1).fit(corpus_a).query(queries, k=4)
-    many = ShardedExecutor(n_shards, strategy="hash", seed=7).fit(corpus_b).query(queries, k=4)
+    one = _sharded_search(raw_objects, queries, 4, 1)
+    many = _sharded_search(raw_objects, queries, 4, n_shards, "hash", 7)
     for a, b in zip(one, many):
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.counts, b.counts)

@@ -1,4 +1,4 @@
-"""ReplicatedIndexHandle: placement, failover, healing, availability."""
+"""Replicated indexes (``shards=N, replicas=R``): placement, failover, healing."""
 
 import numpy as np
 import pytest
@@ -63,16 +63,17 @@ class TestPlacement:
     def test_pool_covers_replicas_beyond_shards(self):
         with GenieSession() as session:
             handle = build(session, shards=2, replicas=3)
-            assert handle._pool_size() == 3
+            assert handle.placement.pool_size == 3
             for devices in handle.replica_layout().values():
                 assert len(set(devices)) == 3
 
     def test_each_replica_is_its_own_residency_unit(self):
         with GenieSession() as session:
             handle = build(session, shards=4, replicas=2)
-            parts = [p for g in handle._replica_parts for p in g]
-            assert len(parts) == 8
-            assert len({id(p) for p in parts}) == 8
+            resident = session.resident_parts()
+            assert len(resident) == 8
+            assert sorted(resident) == sorted([("idx", s) for s in range(4)] * 2)
+            assert session.resident_bytes == handle.device_bytes
 
     def test_replicas_must_be_positive(self):
         with GenieSession() as session:
@@ -190,6 +191,26 @@ class TestReReplication:
             assert results_of(handle, queries) == expected
             assert not handle.search([queries[0]], k=K).failovers
 
+    @pytest.mark.parametrize("rebuild", ["compact", "rebalance"])
+    def test_healed_layout_survives_rebuild(self, rebuild):
+        # A rebuild places from placement.layout, not from the initial
+        # chained declustering: copies healed off a dead device stay off.
+        queries = make_queries()
+        with GenieSession() as session:
+            handle = build(session, shards=4, replicas=2)
+            session.inject_faults(FaultPlan([FaultEvent(device=1, start=0.0)]))
+            assert handle.re_replicate() == 2
+            healed = handle.replica_layout()
+            assert healed == {0: (0, 2), 1: (0, 2), 2: (2, 3), 3: (3, 0)}
+            if rebuild == "compact":
+                handle.insert([np.array([1, 2, 3], dtype=np.int64)])
+                assert handle.compact()
+            else:
+                assert handle.rebalance([10.0, 1.0, 1.0, 1.0])
+            assert handle.replica_layout() == healed
+            assert handle.re_replicate() == 0
+            assert not handle.search(queries, k=K).failovers
+
     def test_transient_outage_does_not_re_replicate(self):
         with GenieSession() as session:
             handle = build(session)
@@ -215,22 +236,24 @@ class TestLoadSteering:
     def test_scan_prefers_least_loaded_replica(self):
         with GenieSession() as session:
             handle = build(session, shards=4, replicas=2)
-            part = handle._replica_parts[0][0]
-            # Pile synthetic busy seconds onto device 0; the group
-            # (devices 0, 1) must now lead with the replica on 1.
+            devices = session.shard_devices(4)
+            # Pile synthetic busy seconds onto device 0; the groups it
+            # hosts (shard 0 on 0/1, shard 3 on 3/0) must now lead with
+            # their other replica, so device 0 is never scanned.
             session.device_load.record(0, 10.0)
-            candidates = handle._scan_candidates(part)
-            first = session.device_position(candidates[0].engine.device)
-            assert first == 1
+            handle.search([np.arange(VOCAB, dtype=np.int64)], k=K)
+            assert devices[0].timings.get("match") == 0.0
+            assert all(d.timings.get("match") > 0.0 for d in devices[1:])
 
     def test_delta_parts_pass_through(self):
-        with GenieSession() as session:
-            handle = build(session)
-            other = handle._replica_parts[0][0]
-
-            class Fake:
-                pass
-
-            fake = Fake()
-            assert handle._scan_candidates(fake) == (fake,)
-            assert other in handle._scan_candidates(other)
+        # Delta-segment parts are not replicated: a mutated replicated
+        # index scans them as themselves and answers like a plain one.
+        fresh = np.array([VOCAB + 1, VOCAB + 2], dtype=np.int64)
+        queries = make_queries() + [fresh]
+        with GenieSession() as a, GenieSession() as b:
+            plain = a.create_index(make_data(), model="raw", name="idx", shards=4)
+            repl = build(b, shards=4, replicas=2)
+            for handle in (plain, repl):
+                assert handle.insert([fresh]).tolist() == [N]
+            assert results_of(plain, queries) == results_of(repl, queries)
+            assert results_of(repl, [fresh])[0][0] == (N,)

@@ -139,11 +139,15 @@ class TestOnlineRebalance:
             handle = self._build(session)
             q = self._queries(0, 400, count=1)
             handle.search(q, k=K)
-            epoch_before = handle._plan_epoch()
+            handle.search(q, k=K)  # warm: served from the plan cache
+            before = session.plan_cache.stats()
+            assert before["hits"] == 1
             assert handle.rebalance([10.0, 1.0, 1.0, 1.0])
             assert handle.rebalance_epoch == 1
-            assert handle._plan_epoch() != epoch_before
             handle.search(q, k=K)  # recompiles against the new cuts
+            after = session.plan_cache.stats()
+            assert after["hits"] == before["hits"]
+            assert after["misses"] == before["misses"] + 1
 
     def test_identical_weights_are_a_no_op(self):
         with GenieSession() as session:

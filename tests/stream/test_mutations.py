@@ -226,5 +226,6 @@ class TestEpochsAndInvalidation:
         handle.search([[80]], k=2)  # materializes the delta part
         assert handle.device_bytes > 0
         handle.evict()
-        assert all(not p.resident for p in handle._all_parts())
+        assert handle.resident_parts == 0
+        assert session.resident_parts() == []
         session.close()

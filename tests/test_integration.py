@@ -8,11 +8,11 @@ GPU-SPQ full scan, CPU-Idx) agree on real workloads.
 import numpy as np
 import pytest
 
+from repro.api import GenieSession
 from repro.baselines.cpu_idx import CpuIdx
 from repro.baselines.gpu_spq import GpuSpq
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.load_balance import LoadBalanceConfig
-from repro.core.multiload import MultiLoadGenie
 from repro.core.types import Corpus, Query
 from repro.datasets.synthetic import make_sift_like, true_knn
 from repro.errors import QueryError
@@ -51,10 +51,12 @@ class TestSystemsAgree:
         balanced = GenieEngine(
             config=GenieConfig(k=k, load_balance=LoadBalanceConfig(max_sublist_len=16))
         ).fit(self.corpus)
-        multi = MultiLoadGenie(config=GenieConfig(k=k), part_size=77).fit(self.corpus)
+        multi = GenieSession(config=GenieConfig(k=k)).create_index(
+            self.corpus, model="raw", part_size=77, swap_parts=True
+        )
         expected = _count_lists(plain.query(self.queries))
         assert _count_lists(balanced.query(self.queries)) == expected
-        assert _count_lists(multi.query(self.queries)) == expected
+        assert _count_lists(multi.search(self.queries).results) == expected
 
 
 class TestQueryBatched:
