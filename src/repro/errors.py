@@ -3,6 +3,11 @@
 Every error raised by this package derives from :class:`ReproError` so that
 callers can catch one base class. Subclasses mirror the major subsystems:
 the simulated GPU device, index construction, and query execution.
+
+:class:`QueryError` and :class:`ConfigError` are also ``ValueError``s: a
+malformed query or an inconsistent configuration *is* a bad value, and
+code written against the seed-era modules (which raised the builtin)
+keeps catching them.
 """
 
 
@@ -35,11 +40,11 @@ class IndexError_(ReproError):
     """Raised when an inverted index is built from or queried with bad input."""
 
 
-class QueryError(ReproError):
+class QueryError(ReproError, ValueError):
     """Raised when a query is malformed for the index it is issued against."""
 
 
-class ConfigError(ReproError):
+class ConfigError(ReproError, ValueError):
     """Raised when an engine or structure is configured inconsistently."""
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import norm
 
+from repro.errors import ConfigError, QueryError
 from repro.lsh.family import LshFamily
 
 
@@ -55,9 +56,9 @@ class E2Lsh(LshFamily):
     def __init__(self, num_functions: int, dim: int, width: float, p: int = 2, seed: int = 0):
         super().__init__(num_functions, seed)
         if p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
+            raise ConfigError("p must be 1 or 2")
         if width <= 0:
-            raise ValueError("width must be positive")
+            raise ConfigError("width must be positive")
         self.dim = int(dim)
         self.width = float(width)
         self.p = int(p)
@@ -72,7 +73,7 @@ class E2Lsh(LshFamily):
         """Signatures ``floor((a.q + b)/w)`` for all points and functions."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {points.shape[1]}")
+            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
         projections = points @ self._a + self._b
         return np.floor(projections / self.width).astype(np.int64)
 

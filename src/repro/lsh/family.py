@@ -16,6 +16,8 @@ import abc
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 class LshFamily(abc.ABC):
     """A set of ``m`` locality-sensitive hash functions over points.
@@ -26,7 +28,7 @@ class LshFamily(abc.ABC):
 
     def __init__(self, num_functions: int, seed: int = 0):
         if num_functions < 1:
-            raise ValueError("num_functions must be >= 1")
+            raise ConfigError("num_functions must be >= 1")
         self.num_functions = int(num_functions)
         self.seed = int(seed)
 

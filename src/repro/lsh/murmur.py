@@ -4,11 +4,28 @@ The paper uses MurmurHash3 as the random-projection function of the
 re-hashing mechanism (Section IV-A2). The scalar implementation follows
 Appleby's reference; the vectorized versions hash whole numpy arrays with
 the same algorithm so the two can be cross-checked.
+
+The vectorized functions are shape-agnostic: :func:`murmur3_int64` hashes
+an array of any shape under one seed or an array of per-element seeds, and
+:func:`hash_combine` folds the last axis of an N-d array. That is what lets
+an LSH signature batch — all ``m`` functions x ``d`` dimensions of every
+point — go through one hash pass instead of one numpy round-trip per
+function and dimension.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.errors import ConfigError
+
+#: Elements the batch callers (:mod:`repro.lsh.rbh`, :mod:`repro.lsh.rehash`)
+#: hand to one hash pass. A pass holds a handful of temporaries of its
+#: input's size (state, scratch, the two key words; RBH adds the cell tensor
+#: itself), so this keeps each under ~2 MB — cache-resident and invisible in
+#: peak memory however large the batch — while a pass is still long enough
+#: that numpy's per-call overhead is noise.
+_CHUNK_CELLS = 200_000
 
 _C1 = np.uint32(0xCC9E2D51)
 _C2 = np.uint32(0x1B873593)
@@ -66,66 +83,118 @@ def _fmix32_scalar(h: int) -> int:
     return h
 
 
-def _rotl32_vec(x: np.ndarray, r: int) -> np.ndarray:
-    return (x << np.uint32(r)) | (x >> np.uint32(32 - r))
+def _rotl32_vec(x: np.ndarray, r: int, scratch: np.ndarray) -> None:
+    """Rotate each ``uint32`` of ``x`` left by ``r`` bits, in place."""
+    np.right_shift(x, np.uint32(32 - r), out=scratch)
+    x <<= np.uint32(r)
+    x |= scratch
 
 
-def _fmix32_vec(h: np.ndarray) -> np.ndarray:
-    h = h ^ (h >> np.uint32(16))
-    h = h * np.uint32(0x85EBCA6B)
-    h = h ^ (h >> np.uint32(13))
-    h = h * np.uint32(0xC2B2AE35)
-    return h ^ (h >> np.uint32(16))
+def _fmix32_vec(h: np.ndarray, scratch: np.ndarray) -> None:
+    """MurmurHash3's 32-bit finalizer over each element of ``h``, in place."""
+    np.right_shift(h, np.uint32(16), out=scratch)
+    h ^= scratch
+    h *= np.uint32(0x85EBCA6B)
+    np.right_shift(h, np.uint32(13), out=scratch)
+    h ^= scratch
+    h *= np.uint32(0xC2B2AE35)
+    np.right_shift(h, np.uint32(16), out=scratch)
+    h ^= scratch
 
 
-def murmur3_int64(values: np.ndarray, seed: int = 0) -> np.ndarray:
+def _seed_state(seed: int | np.ndarray, shape: tuple) -> np.ndarray:
+    """``seed`` (int or integer array) as a fresh ``uint32`` array of ``shape``."""
+    seeds = np.asarray(seed)
+    if seeds.dtype.kind not in "iu":
+        raise ConfigError(f"seed must be an integer or an integer array, got dtype {seeds.dtype}")
+    state = np.empty(shape, dtype=np.uint32)
+    try:
+        state[...] = seeds & _MASK  # the assignment broadcasts
+    except ValueError:
+        raise ConfigError(
+            f"seed of shape {seeds.shape} does not broadcast to the hashed shape {shape}"
+        ) from None
+    return state
+
+
+def murmur3_int64(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
     """Vectorized MurmurHash3_x86_32 of each int64 as an 8-byte little-endian key.
 
-    Bit-identical to ``murmur3_32(value.tobytes(), seed)`` element-wise.
+    Bit-identical to ``murmur3_32(value.tobytes(), seed)`` element-wise,
+    for an array of any shape. ``seed`` is one 32-bit seed for every
+    element or an integer array broadcastable to ``values.shape`` — e.g.
+    a length-``m`` vector against ``(n, m)`` values hashes column ``j``
+    under ``seed[j]``, all in this one call.
 
     Args:
-        values: Array of int64 keys.
-        seed: 32-bit seed.
+        values: Array of int64 keys, any shape.
+        seed: 32-bit seed, or an integer array of per-element seeds.
 
     Returns:
-        ``uint32`` array of hashes.
+        ``uint32`` array of hashes, shaped like ``values``.
+
+    Raises:
+        ConfigError: If an array ``seed`` does not broadcast to
+            ``values.shape`` or is not of integer dtype.
     """
-    vals = np.asarray(values, dtype=np.int64).view(np.uint64)
-    low = (vals & np.uint64(_MASK)).astype(np.uint32)
+    values = np.asarray(values, dtype=np.int64)
+    vals = np.atleast_1d(values).view(np.uint64)
+    # One state array, the two key words and one scratch buffer are all a
+    # pass allocates; every step below works in place on them.
+    h = _seed_state(seed, vals.shape)
+    scratch = np.empty_like(h)
+    low = vals.astype(np.uint32)  # the cast truncates to the low word
     high = (vals >> np.uint64(32)).astype(np.uint32)
-    h = np.full(vals.shape, np.uint32(seed & _MASK), dtype=np.uint32)
     with np.errstate(over="ignore"):
-        for block in (low, high):
-            k = block * _C1
-            k = _rotl32_vec(k, 15)
-            k = k * _C2
-            h = h ^ k
-            h = _rotl32_vec(h, 13)
-            h = h * np.uint32(5) + np.uint32(0xE6546B64)
-        h = h ^ np.uint32(8)  # key length in bytes
-        return _fmix32_vec(h)
+        for k in (low, high):
+            k *= _C1
+            _rotl32_vec(k, 15, scratch)
+            k *= _C2
+            h ^= k
+            _rotl32_vec(h, 13, scratch)
+            h *= np.uint32(5)
+            h += np.uint32(0xE6546B64)
+        h ^= np.uint32(8)  # key length in bytes
+        _fmix32_vec(h, scratch)
+    return h.reshape(values.shape)
 
 
-def hash_combine(values: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Reduce a 2-D array of int64 components to one hash per row.
+def hash_combine(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
+    """Fold the last axis of an int64 array to one hash per leading index.
 
     Used to hash multi-dimensional LSH signatures (e.g. Random Binning
     Hashing's per-dimension grid coordinates) into a single 32-bit value:
-    each column is murmur-mixed into a running per-row state.
+    the whole tensor is murmur-mixed in one :func:`murmur3_int64` call,
+    then component ``j`` of every vector is folded, in order, into a
+    running state ``state = fmix(state * 31 + mixed[..., j])``. A 1-D
+    input is ``n`` one-component vectors.
 
     Args:
-        values: ``(n, d)`` int64 array.
-        seed: Seed of the first mixing round.
+        values: ``(..., d)`` int64 array (``(n, d)`` for a plain batch,
+            ``(n, m, d)`` for ``m`` functions' signatures at once).
+        seed: Initial state: one 32-bit seed, or an integer array
+            broadcastable to ``values.shape[:-1]`` (a length-``m`` vector
+            seeds function ``j`` of an ``(n, m, d)`` tensor with
+            ``seed[j]``).
 
     Returns:
-        ``uint32`` array of length ``n``.
+        ``uint32`` array of shape ``values.shape[:-1]``.
+
+    Raises:
+        ConfigError: If an array ``seed`` does not broadcast to
+            ``values.shape[:-1]`` or is not of integer dtype.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[:, None]
-    state = np.full(arr.shape[0], np.uint32(seed & _MASK), dtype=np.uint32)
+    state = _seed_state(seed, arr.shape[:-1])
+    scratch = np.empty_like(state)
+    # The fold reads one component of every vector per step: lay the mixed
+    # tensor out component-major once instead of striding through it d times.
+    mixed = np.ascontiguousarray(np.moveaxis(murmur3_int64(arr, seed=0), -1, 0))
     with np.errstate(over="ignore"):
-        for j in range(arr.shape[1]):
-            mixed = murmur3_int64(arr[:, j], seed=0)
-            state = _fmix32_vec(state * np.uint32(31) + mixed)
+        for component in mixed:
+            state *= np.uint32(31)
+            state += component
+            _fmix32_vec(state, scratch)
     return state

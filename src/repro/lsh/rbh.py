@@ -12,16 +12,19 @@ density works out to ``Gamma(shape=2, scale=sigma)``.
 
 The signature is a whole d-dimensional integer vector — the "huge signature
 space" that motivates the paper's re-hashing mechanism. This module hashes
-it to one 64-bit integer per function (collision-free for practical
-purposes); :mod:`repro.lsh.rehash` then buckets it into ``[0, D)``.
+it to one integer per function (collision-free for practical purposes) —
+the ``(rows, m, d)`` cell tensor of a chunk of points goes through one
+:func:`~repro.lsh.murmur.hash_combine` pass, function ``j`` seeded with
+``j + 1``; :mod:`repro.lsh.rehash` then buckets it into ``[0, D)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError, QueryError
 from repro.lsh.family import LshFamily
-from repro.lsh.murmur import hash_combine
+from repro.lsh.murmur import _CHUNK_CELLS, hash_combine
 
 
 def laplacian_kernel(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
@@ -40,7 +43,7 @@ def estimate_kernel_width(points: np.ndarray, n_samples: int = 1000, seed: int =
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     if n < 2:
-        raise ValueError("need at least two points")
+        raise ConfigError("need at least two points")
     left = rng.integers(0, n, size=n_samples)
     right = rng.integers(0, n, size=n_samples)
     keep = left != right
@@ -63,7 +66,7 @@ class RandomBinningHash(LshFamily):
     def __init__(self, num_functions: int, dim: int, sigma: float, seed: int = 0):
         super().__init__(num_functions, seed)
         if sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ConfigError("sigma must be positive")
         self.dim = int(dim)
         self.sigma = float(sigma)
         rng = np.random.default_rng(seed)
@@ -75,28 +78,31 @@ class RandomBinningHash(LshFamily):
         """Raw grid signatures: ``(n, m, d)`` integer coordinates (Eqn. 2)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {points.shape[1]}")
+            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
         # (n, 1, d) against (m, d) broadcast to (n, m, d).
         cells = np.floor((points[:, None, :] - self._shift[None, :, :]) / self._pitch[None, :, :])
         return cells.astype(np.int64)
 
-    def hash_points(self, points: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def hash_points(self, points: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """Signatures folded to one integer per (point, function).
 
         The d-dimensional coordinate vector is murmur-combined; equal grid
         cells always fold to equal integers, so LSH collisions survive.
-        Points are processed in chunks to bound the ``(n, m, d)``
-        intermediate.
+        Points are processed ``chunk`` rows at a time, each chunk's
+        ``(rows, m, d)`` cell tensor in a single hash pass; the result
+        does not depend on ``chunk``. By default a chunk holds a fixed
+        budget of cells (``murmur._CHUNK_CELLS``), which bounds the
+        intermediates whatever ``n``, ``m`` and ``d`` are.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = points.shape[0]
+        if chunk is None:
+            chunk = max(1, _CHUNK_CELLS // max(1, self.num_functions * self.dim))
+        seeds = np.arange(1, self.num_functions + 1)
         folded = np.empty((n, self.num_functions), dtype=np.int64)
         for start in range(0, n, chunk):
             cells = self.grid_coordinates(points[start : start + chunk])
-            for j in range(self.num_functions):
-                folded[start : start + chunk, j] = hash_combine(
-                    cells[:, j, :], seed=j + 1
-                ).astype(np.int64)
+            folded[start : start + chunk] = hash_combine(cells, seed=seeds)
         return folded
 
     def similarity(self, p: np.ndarray, q: np.ndarray) -> float:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lsh.murmur import murmur3_int64
+from repro.errors import ConfigError, QueryError
+from repro.lsh.murmur import _CHUNK_CELLS, murmur3_int64
 
 
 class ReHasher:
@@ -27,9 +28,9 @@ class ReHasher:
 
     def __init__(self, num_functions: int, domain: int, seed: int = 0):
         if num_functions < 1:
-            raise ValueError("num_functions must be >= 1")
+            raise ConfigError("num_functions must be >= 1")
         if domain < 1:
-            raise ValueError("domain must be >= 1")
+            raise ConfigError("domain must be >= 1")
         self.num_functions = int(num_functions)
         self.domain = int(domain)
         rng = np.random.default_rng(seed)
@@ -38,21 +39,31 @@ class ReHasher:
     def rehash(self, signatures: np.ndarray) -> np.ndarray:
         """Project a signature matrix into the bounded bucket domain.
 
+        Column ``j`` is murmur-hashed under function ``j``'s seed — the
+        whole matrix in one :func:`~repro.lsh.murmur.murmur3_int64` pass
+        with the seed vector broadcast along the rows (matrices beyond the
+        ``murmur._CHUNK_CELLS`` element budget go through in row blocks).
+
         Args:
-            signatures: ``(n, num_functions)`` int64 LSH signatures.
+            signatures: ``(n, num_functions)`` int64 LSH signatures; a 1-D
+                array is one signature row.
 
         Returns:
             ``(n, num_functions)`` int64 buckets in ``[0, domain)``.
+
+        Raises:
+            QueryError: If the signature width is not ``num_functions``.
         """
         signatures = np.atleast_2d(np.asarray(signatures, dtype=np.int64))
         if signatures.shape[1] != self.num_functions:
-            raise ValueError(
+            raise QueryError(
                 f"expected {self.num_functions} signature columns, got {signatures.shape[1]}"
             )
         buckets = np.empty_like(signatures)
-        for j in range(self.num_functions):
-            hashed = murmur3_int64(signatures[:, j], seed=int(self._seeds[j]))
-            buckets[:, j] = (hashed % np.uint32(self.domain)).astype(np.int64)
+        rows = max(1, _CHUNK_CELLS // self.num_functions)
+        for start in range(0, signatures.shape[0], rows):
+            hashed = murmur3_int64(signatures[start : start + rows], seed=self._seeds)
+            buckets[start : start + rows] = hashed % np.uint32(self.domain)
         return buckets
 
     def keywords(self, signatures: np.ndarray) -> np.ndarray:

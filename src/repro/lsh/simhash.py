@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import QueryError
 from repro.lsh.family import LshFamily
 
 
@@ -42,7 +43,7 @@ class SimHash(LshFamily):
         """Signatures in {0, 1}: the sign bit of each projection."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {points.shape[1]}")
+            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
         return (points @ self._a >= 0).astype(np.int64)
 
     def similarity(self, p: np.ndarray, q: np.ndarray) -> float:

@@ -16,6 +16,8 @@ import math
 import numpy as np
 from scipy.stats import binom
 
+from repro.errors import ConfigError
+
 #: The paper's default tolerance parameters (Section VI-A3).
 PAPER_EPS = 0.06
 PAPER_DELTA = 0.06
@@ -24,7 +26,7 @@ PAPER_DELTA = 0.06
 def hoeffding_m(eps: float = PAPER_EPS, delta: float = PAPER_DELTA) -> int:
     """Theorem 4.1's function count: ``ceil(2 ln(3/delta) / eps^2)``."""
     if not 0 < eps < 1 or not 0 < delta < 1:
-        raise ValueError("eps and delta must lie in (0, 1)")
+        raise ConfigError("eps and delta must lie in (0, 1)")
     return math.ceil(2.0 * math.log(3.0 / delta) / eps**2)
 
 
@@ -38,9 +40,9 @@ def success_probability(s: float, m: int, eps: float = PAPER_EPS) -> float:
     versus the 237 the paper reads off its own simulation.)
     """
     if not 0 <= s <= 1:
-        raise ValueError("similarity s must lie in [0, 1]")
+        raise ConfigError("similarity s must lie in [0, 1]")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigError("m must be >= 1")
     lo = max(0, math.ceil((s - eps) * m))
     hi = min(m, math.floor((s + eps) * m))
     if hi < lo:
@@ -60,13 +62,13 @@ def required_m(
     scans upward like the paper's simulation does.
 
     Raises:
-        ValueError: If no ``m <= m_max`` suffices.
+        ConfigError: If no ``m <= m_max`` suffices.
     """
     target = 1.0 - delta
     for m in range(1, m_max + 1):
         if success_probability(s, m, eps) >= target:
             return m
-    raise ValueError(f"no m <= {m_max} achieves the ({eps}, {delta}) guarantee at s={s}")
+    raise ConfigError(f"no m <= {m_max} achieves the ({eps}, {delta}) guarantee at s={s}")
 
 
 def fig8_curve(
@@ -101,7 +103,7 @@ def practical_m(eps: float = PAPER_EPS, delta: float = PAPER_DELTA) -> int:
 def similarity_estimate(count: int | np.ndarray, m: int):
     """The MLE similarity estimate ``s ≈ c/m`` (Eqn. 7)."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigError("m must be >= 1")
     return np.asarray(count, dtype=np.float64) / float(m)
 
 

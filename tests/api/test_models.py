@@ -135,6 +135,71 @@ class TestAnnModel:
         assert AnnModel(E2Lsh(4, 8, 4.0, seed=0)).name == "ann-e2lsh"
 
 
+NUMERIC_ANN = {
+    "ann-e2lsh": dict(num_functions=8, dim=8, width=4.0),
+    "ann-rbh": dict(num_functions=8, dim=8, sigma=2.0),
+    "ann-simhash": dict(num_functions=8, dim=8),
+}
+
+
+@pytest.mark.parametrize("model", sorted(NUMERIC_ANN))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+class TestNonFinitePoints:
+    """A NaN/inf coordinate has no LSH signature. It used to be hashed anyway
+    (``INT64_MIN`` grid cells after a ``RuntimeWarning``; SimHash silently
+    took the sign bit) and answered with a confident top-k."""
+
+    def _points(self):
+        return np.random.default_rng(0).standard_normal((30, 8))
+
+    def test_encode_queries_rejects(self, model, bad):
+        ann = resolve_model(model, **NUMERIC_ANN[model])
+        ann.encode_corpus(self._points())
+        queries = self._points()[:4]
+        queries[2, 5] = bad
+        with pytest.raises(QueryError, match="point 2 has a non-finite coordinate"):
+            ann.encode_queries(queries)
+        with pytest.raises(QueryError, match="point 0 has a non-finite"):
+            ann.encode_queries(queries[2])  # a single (d,) point
+        assert len(ann.encode_queries(queries[:2])) == 2
+
+    def test_encode_corpus_rejects(self, model, bad):
+        ann = resolve_model(model, **NUMERIC_ANN[model])
+        points = self._points()
+        points[[17, 21], 0] = bad
+        with pytest.raises(ConfigError, match="point 17 has a non-finite coordinate"):
+            ann.encode_corpus(points)
+        with pytest.raises(QueryError):
+            _ = ann.points  # the rejected corpus was not kept
+
+    def test_session_entry_points_reject(self, model, bad, recwarn):
+        from repro.api import GenieSession
+
+        session = GenieSession()
+        points = self._points()
+        handle = session.create_index(points, model=model, name="ok", **NUMERIC_ANN[model])
+        query = points[:3].copy()
+        query[1, 0] = bad
+        with pytest.raises(QueryError, match="point 1 has a non-finite"):
+            handle.search(query, k=3)
+        corrupt = points.copy()
+        corrupt[4, 4] = bad
+        with pytest.raises(ConfigError, match="point 4 has a non-finite"):
+            session.create_index(corrupt, model=model, name="bad", **NUMERIC_ANN[model])
+        with pytest.raises(ConfigError, match="point 4 has a non-finite"):
+            handle.fit(corrupt)
+        # Rejected up front: no cast warning, and the good index still answers.
+        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+        assert int(handle.search(points[:1], k=1).results[0].ids[0]) == 0
+
+
+def test_integer_set_input_is_exempt_from_the_finite_check():
+    model = resolve_model("ann-minhash", num_functions=8)
+    sets = [[1, 2, 3], [2, 3, 4], [7, 8, 9]]
+    assert len(model.encode_corpus(sets)) == 3
+    assert len(model.encode_queries(sets[:1])) == 1
+
+
 class TestSequenceModel:
     def test_shortlist_validation(self):
         model = SequenceModel()

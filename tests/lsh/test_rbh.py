@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.lsh.murmur import _CHUNK_CELLS, hash_combine
 from repro.lsh.rbh import RandomBinningHash, estimate_kernel_width, laplacian_kernel
 
 
@@ -53,6 +54,48 @@ class TestRandomBinningHash:
         assert np.array_equal(
             family.hash_points(points, chunk=3), family.hash_points(points, chunk=512)
         )
+
+    @pytest.mark.parametrize("m, d", [(6, 4), (1, 4), (6, 1), (1, 1)])
+    def test_matches_per_function_fold(self, m, d):
+        """The fused pass equals the loop it replaced: function ``j``'s
+        cells folded on their own under seed ``j + 1``."""
+        family = RandomBinningHash(m, dim=d, sigma=2.0, seed=0)
+        points = np.random.default_rng(2).standard_normal((9, d))
+        cells = family.grid_coordinates(points)
+        expected = np.stack(
+            [hash_combine(cells[:, j, :], seed=j + 1) for j in range(m)], axis=1
+        ).astype(np.int64)
+        got = family.hash_points(points)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 19, 20, 21])
+    def test_n_not_a_multiple_of_the_chunk(self, chunk):
+        family = RandomBinningHash(6, dim=4, sigma=2.0, seed=0)
+        points = np.random.default_rng(1).standard_normal((20, 4))
+        assert np.array_equal(family.hash_points(points, chunk), family.hash_points(points))
+
+    def test_default_chunk_is_an_element_budget(self):
+        """More rows than one default chunk holds (and a ragged tail):
+        same signatures as one big chunk, and as row-at-a-time."""
+        family = RandomBinningHash(40, dim=50, sigma=2.0, seed=0)
+        n = 2 * (_CHUNK_CELLS // (40 * 50)) + 3
+        points = np.random.default_rng(3).standard_normal((n, 50))
+        default = family.hash_points(points)
+        assert np.array_equal(default, family.hash_points(points, chunk=n))
+        assert np.array_equal(default[:5], family.hash_points(points[:5], chunk=1))
+        # A single row wider than the whole budget still hashes (chunk >= 1).
+        wide = RandomBinningHash(_CHUNK_CELLS // 4 + 1, dim=5, sigma=2.0, seed=0)
+        assert wide.hash_points(np.zeros((2, 5))).shape == (2, _CHUNK_CELLS // 4 + 1)
+
+    def test_single_point_and_empty_batch(self):
+        family = RandomBinningHash(6, dim=4, sigma=2.0, seed=0)
+        points = np.random.default_rng(1).standard_normal((3, 4))
+        whole = family.hash_points(points)
+        assert np.array_equal(family.hash_points(points[1]), whole[1:2])  # (d,) -> (1, m)
+        assert np.array_equal(family.hash_points(points[1:2]), whole[1:2])
+        empty = family.hash_points(np.zeros((0, 4)))
+        assert empty.shape == (0, 6) and empty.dtype == np.int64
 
     def test_collision_rate_tracks_kernel(self):
         """Expected collision probability equals the Laplacian kernel."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lsh.murmur import _CHUNK_CELLS, murmur3_int64
 from repro.lsh.rehash import ReHasher
 
 
@@ -47,6 +48,37 @@ class TestReHasher:
             ReHasher(0, 10)
         with pytest.raises(ValueError):
             ReHasher(1, 0)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_per_function_rehash(self, m):
+        """The fused pass equals the loop it replaced: column ``j`` hashed
+        on its own under function ``j``'s seed, then bucketed."""
+        rh = ReHasher(m, domain=67, seed=3)
+        sig = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, size=(40, m))
+        expected = np.stack(
+            [murmur3_int64(sig[:, j], seed=int(rh._seeds[j])) % 67 for j in range(m)], axis=1
+        )
+        got = rh.rehash(sig)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_one_dimensional_signature_is_one_row(self):
+        rh = ReHasher(4, domain=67, seed=1)
+        sig = np.array([[3, -9, 2**40, 0], [1, 2, 3, 4]])
+        assert np.array_equal(rh.rehash(sig[0]), rh.rehash(sig)[0:1])
+        assert rh.rehash(sig[0]).shape == (1, 4)
+        assert np.array_equal(rh.keywords(sig[1]), rh.keywords(sig)[1:2])
+
+    def test_empty_and_row_blocked_matrices(self):
+        rh = ReHasher(8, domain=67, seed=1)
+        empty = rh.rehash(np.zeros((0, 8), dtype=np.int64))
+        assert empty.shape == (0, 8) and empty.dtype == np.int64
+        # More rows than one hash pass holds, with a ragged last block.
+        n = 2 * (_CHUNK_CELLS // 8) + 5
+        sig = np.random.default_rng(1).integers(-(10**12), 10**12, size=(n, 8))
+        whole = rh.rehash(sig)
+        for rows in (slice(0, 3), slice(_CHUNK_CELLS // 8 - 1, _CHUNK_CELLS // 8 + 2), slice(n - 2, n)):
+            assert np.array_equal(whole[rows], rh.rehash(sig[rows]))
 
     def test_deterministic_by_seed(self):
         sig = np.arange(12).reshape(4, 3)

@@ -81,6 +81,26 @@ class TestSubmission:
             server.submit("tweets", "zzzz qqqq")
         assert server.depth == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected_at_submit(self, bad):
+        """A NaN/inf query fails its own submit with the model's QueryError;
+        lane-mates already queued still resolve (nothing hangs)."""
+        session = GenieSession()
+        points = np.random.default_rng(0).standard_normal((40, 8))
+        session.create_index(points, model="ann-e2lsh", name="pts",
+                             num_functions=8, dim=8, width=4.0)
+        server = GenieServer(session, policy=BatchPolicy.micro(max_batch=4, max_wait=100.0),
+                             cache_size=None)
+        queued = server.submit("pts", points[0], k=2)
+        poisoned = points[1].copy()
+        poisoned[3] = bad
+        with pytest.raises(QueryError, match="non-finite coordinate"):
+            server.submit("pts", poisoned, k=2)
+        assert server.depth == 1
+        assert server.snapshot()["rejected_by_reason"]["bad_directive"] == 1
+        server.drain()
+        assert queued.done() and int(queued.result().ids[0]) == 0
+
     def test_default_k_comes_from_index_config(self):
         server = make_server(BatchPolicy.fifo())
         future = server.submit("tweets", DOCS[0])
