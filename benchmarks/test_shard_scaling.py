@@ -43,12 +43,12 @@ def _ocr_workload():
     """The fig9 OCR setup: RBH-keyword corpus + 256 encoded queries."""
     dataset = registry.load("ocr", seed=SEED)
     setup = fit_genie_ocr(dataset, k=K, seed=SEED)
-    transformer = setup.index.transformer
+    transformer = setup.handle.model.transformer
     corpus = transformer.to_corpus(dataset.data)
     reps = int(np.ceil(N_QUERIES / len(dataset.queries)))
     raw = np.tile(dataset.queries, (reps, 1))[:N_QUERIES]
     queries = transformer.to_queries(raw)
-    return list(corpus.keyword_arrays), queries, setup.index.engine.config
+    return list(corpus.keyword_arrays), queries, setup.handle.engine.config
 
 
 def _shard_scaling_table(objects, queries, config):

@@ -15,9 +15,10 @@ GPU" (ICDE 2018). Subpackages:
   virtual clock, typed metric primitives, cost-drift tracking),
 * :mod:`repro.gpu` — the simulated GPU/CPU substrate,
 * :mod:`repro.core` — match-count model, inverted index, c-PQ, engine,
-* :mod:`repro.lsh` — LSH families, re-hashing, tau-ANN search,
-* :mod:`repro.sa` — shotgun-and-assembly front-ends (sequences, documents,
-  relational tables),
+* :mod:`repro.lsh` — LSH families, re-hashing, the points-to-keywords
+  transform and the tau-ANN theory (searched via ``model="ann-*"``),
+* :mod:`repro.sa` — shotgun-and-assembly encoders (n-grams, words,
+  relational attributes) behind the sequence/document/relational models,
 * :mod:`repro.baselines` — the paper's competitor systems,
 * :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets,
 * :mod:`repro.experiments` — the figure/table reproduction harness.

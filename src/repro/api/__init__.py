@@ -1,7 +1,6 @@
 """Unified GENIE session API: one search surface for every modality.
 
-This package is the public entry point of the reproduction. It replaces
-the four per-modality wrappers (and the separate multi-loading class) with
+This package is the public entry point of the reproduction, built on
 three concepts:
 
 * :class:`~repro.api.models.MatchModel` — how raw data becomes keywords
@@ -57,13 +56,6 @@ Every search compiles to an explicit plan (:mod:`repro.plan`):
 ``handle.explain(raw_queries, k=...)`` renders it without executing, and
 ``search(..., route=..., plan=...)`` forces a routing/merge strategy with
 bit-identical results.
-
-Deprecation path: the legacy per-modality wrappers —
-``repro.sa.RelationalIndex``, ``repro.sa.DocumentIndex``,
-``repro.sa.SequenceIndex`` and ``repro.lsh.TauAnnIndex`` — remain as
-thin shims that each own a single-index session and delegate to this
-layer with unchanged results. New code should create a
-:class:`GenieSession` directly.
 """
 
 from repro.api.models import (

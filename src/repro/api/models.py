@@ -14,8 +14,7 @@ into keyword sets. A :class:`MatchModel` captures exactly that seam:
   edit-distance verification.
 
 Models are stateful: vocabularies, discretizers and LSH projections are
-learned in ``encode_corpus`` and reused by ``encode_queries``, exactly as
-the legacy per-modality wrappers did.
+learned in ``encode_corpus`` and reused by ``encode_queries``.
 
 The string-keyed registry maps the paper's workloads onto models:
 ``"relational"`` (Section V-C), ``"document"`` (V-B), ``"sequence"`` /
@@ -566,7 +565,7 @@ def _register_ann_family(key: str, family_cls):
     ):
         # ``seed`` inside family_kwargs seeds the LSH family itself;
         # ``rehash_seed`` seeds the re-hash projections (the ``seed``
-        # argument of AnnModel / the legacy TauAnnIndex).
+        # argument of AnnModel).
         if family is None:
             family = family_cls(**family_kwargs)
         elif family_kwargs:

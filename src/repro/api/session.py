@@ -472,6 +472,10 @@ class GenieSession:
 
         Returns:
             The fitted :class:`IndexHandle`.
+
+        Raises:
+            ConfigError: Bad arguments or data the model cannot encode;
+                the index is then *not* registered.
         """
         handle = self.declare_index(
             model, name=name, config=config, part_size=part_size,
@@ -479,7 +483,13 @@ class GenieSession:
             shard_seed=shard_seed, replicas=replicas,
             stream_config=stream_config, **model_kwargs,
         )
-        return handle.fit(data)
+        try:
+            return handle.fit(data)
+        except Exception:
+            # A failed fit must not leave an unfitted index registered
+            # under the name (a retry would collide with it).
+            self.drop(handle.name)
+            raise
 
     def declare_index(
         self,
@@ -497,8 +507,8 @@ class GenieSession:
     ) -> "IndexHandle":
         """Register an *unfitted* index; call :meth:`IndexHandle.fit` later.
 
-        Exists so wrappers can expose a configured engine before data
-        arrives; most callers want :meth:`create_index`.
+        Exposes a configured engine before data arrives; most callers
+        want :meth:`create_index`.
         """
         self._check_open()
         model = resolve_model(model, **model_kwargs)
@@ -758,7 +768,7 @@ class IndexHandle:
         self.stream_config = None
         self._stream = None
         # The primary engine exists before fit so configuration is
-        # inspectable (and legacy wrappers can expose `.engine`).
+        # inspectable.
         self._engine0 = GenieEngine(
             device=session.device, host=session.host, config=self.config
         )
@@ -841,9 +851,9 @@ class IndexHandle:
         """Encode ``data``, build the part indexes on the host.
 
         Unpartitioned and sharded indexes are attached to their devices
-        immediately (paying ``index_transfer``, exactly like the legacy
-        wrappers; the session may LRU-evict shards later under budget
-        pressure, and search swaps them back in per shard);
+        immediately (paying ``index_transfer``; the session may LRU-evict
+        shards later under budget pressure, and search swaps them back in
+        per shard);
         ``part_size`` indexes defer residency to search time, matching
         the multi-loading protocol where only builds happen offline.
 
@@ -1218,10 +1228,7 @@ class IndexHandle:
                 self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan
             ), False
         norm_route, norm_plan = validate_plan_args(route, plan, sharded=True)
-        costed = (
-            bool(self.session.cost_coefficients)
-            and shards.shard_postings is not None
-        )
+        costed = bool(self.session.cost_coefficients)
         needs_buckets = eligibility_needed(norm_route, shards.strategy, costed)
         dirty = self._stream is not None and self._stream.dirty
         shape = (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.session import GenieSession
 from repro.core.cpq import CountPriorityQueue
 from repro.core.engine import GenieConfig, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig
@@ -19,7 +20,6 @@ from repro.datasets.synthetic import true_knn
 from repro.experiments.common import fit_genie_sift, reported_distances
 from repro.experiments.metrics import batch_approximation_ratio
 from repro.experiments.table import ResultTable
-from repro.sa.relational import RelationalIndex
 
 
 def run_bitmap_width(
@@ -111,8 +111,10 @@ def run_sublist_length(
     )
     for length in lengths:
         config = GenieConfig(k=10, load_balance=LoadBalanceConfig(max_sublist_len=length))
-        index = RelationalIndex(adult_schema(), config=config).fit(columns)
-        index.query(queries, k=10)
+        index = GenieSession().create_index(
+            columns, model="relational", schema=adult_schema(), config=config
+        )
+        index.search(queries, k=10)
         table.add_row(max_sublist_len=length, seconds=index.engine.last_profile.query_total())
     return table
 
@@ -135,7 +137,7 @@ def run_rehash_domain(
     )
     for domain in domains:
         setup = fit_genie_sift(dataset, domain=domain, k=k, seed=seed)
-        results = setup.index.query(queries, k=k)
+        results = setup.handle.search(queries, k=k).results
         reported = reported_distances(dataset, queries, results)
         ratio = batch_approximation_ratio(
             np.pad(reported, ((0, 0), (0, max(0, k - reported.shape[1]))), mode="edge")[:, :k]

@@ -2,9 +2,7 @@
 
 Each helper builds one "system under test" on a fresh simulated device so
 experiments compare like against like. GENIE systems are built through the
-unified :mod:`repro.api` session layer; the returned :class:`AnnSetup`
-exposes both the session/handle surface and the legacy ``index`` wrapper
-view that older runners still consume. Default scales are laptop-sized;
+unified :mod:`repro.api` session layer. Default scales are laptop-sized;
 every runner takes overrides (see EXPERIMENTS.md for the scale mapping to
 the paper's setup).
 """
@@ -15,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api.models import AnnModel
 from repro.api.session import GenieSession, IndexHandle
 from repro.core.engine import GenieConfig
 from repro.datasets.synthetic import PointDataset
-from repro.gpu.device import Device
-from repro.gpu.host import HostCpu
 from repro.lsh.e2lsh import E2Lsh
 from repro.lsh.rbh import RandomBinningHash, estimate_kernel_width
-from repro.lsh.transform import TauAnnIndex
 
 #: Default number of LSH functions for experiments (scaled from the
 #: paper's 237; the ratio m/domain is kept comparable).
@@ -37,36 +33,29 @@ DEFAULT_K = 10
 
 @dataclass
 class AnnSetup:
-    """A fitted GENIE ANN index together with its device and dataset.
+    """A fitted GENIE ANN index together with its session and dataset.
 
     Attributes:
-        index: Legacy wrapper view (kept for older runners).
-        device: The simulated GPU shared by the session.
-        host: The simulated host CPU.
         dataset: The point dataset the index was fitted on.
-        session: The owning :class:`~repro.api.session.GenieSession`.
+        session: The owning :class:`~repro.api.session.GenieSession`
+            (its ``device`` / ``host`` are the simulated GPU and CPU).
         handle: The fitted index's uniform search surface.
     """
 
-    index: TauAnnIndex
-    device: Device
-    host: HostCpu
     dataset: PointDataset
-    session: GenieSession | None = None
-    handle: IndexHandle | None = None
+    session: GenieSession
+    handle: IndexHandle
 
 
 def _ann_setup(dataset: PointDataset, family, domain: int, k: int,
                config: GenieConfig | None, seed: int) -> AnnSetup:
-    device = Device()
-    host = HostCpu()
-    base = (config or GenieConfig()).with_(k=k)
-    index = TauAnnIndex(family, domain=domain, device=device, host=host, config=base, seed=seed)
-    index.fit(dataset.data)
-    return AnnSetup(
-        index=index, device=device, host=host, dataset=dataset,
-        session=index.session, handle=index.handle,
+    session = GenieSession()  # a fresh simulated device and host per system
+    handle = session.create_index(
+        dataset.data,
+        model=AnnModel(family, domain=domain, seed=seed),
+        config=(config or GenieConfig()).with_(k=k),
     )
+    return AnnSetup(dataset=dataset, session=session, handle=handle)
 
 
 def fit_genie_sift(

@@ -58,8 +58,8 @@ def run(
         points = queries_for(n_queries)
         genie_total = 0.0
         for start in range(0, n_queries, batch_size):
-            setup.index.query(points[start : start + batch_size], k=k)
-            genie_total += setup.index.engine.last_profile.query_total()
+            setup.handle.search(points[start : start + batch_size], k=k)
+            genie_total += setup.handle.engine.last_profile.query_total()
         gpu_lsh.query(points, k=k)
         table.add_row(
             n_queries=n_queries,

@@ -9,12 +9,12 @@ variant is slightly *slower* (split-index overhead).
 
 from __future__ import annotations
 
+from repro.api.session import GenieSession
 from repro.core.engine import GenieConfig
 from repro.core.load_balance import LoadBalanceConfig
 from repro.datasets import registry
 from repro.datasets.relational import adult_schema, make_exact_match_queries
 from repro.experiments.table import ResultTable
-from repro.sa.relational import RelationalIndex
 
 #: Scaled query counts (paper sweeps 1..16 on a 100M-row table).
 DEFAULT_QUERY_COUNTS = (1, 2, 4, 8, 16)
@@ -36,7 +36,9 @@ def run(
         "GENIE_noLB": GenieConfig(k=k, load_balance=None),
     }
     indexes = {
-        name: RelationalIndex(adult_schema(), config=config).fit(columns)
+        name: GenieSession().create_index(
+            columns, model="relational", schema=adult_schema(), config=config
+        )
         for name, config in variants.items()
     }
 
@@ -47,7 +49,7 @@ def run(
     for n_queries in query_counts:
         row = {"n_queries": n_queries}
         for name, index in indexes.items():
-            index.query(query_pool[:n_queries], k=k)
+            index.search(query_pool[:n_queries], k=k)
             row[name] = index.engine.last_profile.query_total()
         table.add_row(**row)
     return table

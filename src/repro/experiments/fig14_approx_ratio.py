@@ -53,7 +53,7 @@ def run(
     )
     for k in ks:
         _, true_d = true_knn(dataset.data, queries, k)
-        genie_results = setup.index.query(queries, k=k)
+        genie_results = setup.handle.search(queries, k=k).results
         genie_d = _pad_to_k(reported_distances(dataset, queries, genie_results), k)
         lsh_results = gpu_lsh.query(queries, k=k)
         lsh_d = _pad_to_k(reported_distances(dataset, queries, lsh_results), k)

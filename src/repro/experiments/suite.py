@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.session import GenieSession
 from repro.baselines.appgram import AppGram
 from repro.baselines.cpu_idx import CpuIdx
 from repro.baselines.cpu_lsh import CpuLsh
@@ -25,10 +26,8 @@ from repro.datasets.sequences import make_query_set
 from repro.errors import GpuOutOfMemoryError
 from repro.experiments.common import DEFAULT_DOMAIN, DEFAULT_K, DEFAULT_M, fit_genie_ocr, fit_genie_sift
 from repro.gpu.device import Device
-from repro.sa.document import DocumentIndex, WordVocabulary, tokenize
+from repro.sa.document import WordVocabulary, tokenize
 from repro.sa.ngram import NgramVocabulary
-from repro.sa.relational import RelationalIndex
-from repro.sa.sequence import SequenceIndex
 
 
 def _oom_guard(fn):
@@ -65,7 +64,7 @@ def point_systems(
         setup = fit_genie_ocr(dataset, m=m, k=k, seed=seed)
     else:
         setup = fit_genie_sift(dataset, m=m, domain=domain, k=k, seed=seed)
-    transformer = setup.index.transformer
+    transformer = setup.handle.model.transformer
     corpus = transformer.to_corpus(dataset.data)
     query_pool = dataset.queries
 
@@ -77,8 +76,8 @@ def point_systems(
 
     if "GENIE" in systems:
         def run_genie(n_queries: int, _setup=setup) -> float:
-            _setup.index.query(queries_for(n_queries), k=k)
-            return _setup.index.engine.last_profile.query_total()
+            _setup.handle.search(queries_for(n_queries), k=k)
+            return _setup.handle.engine.last_profile.query_total()
 
         runners["GENIE"] = run_genie
 
@@ -159,21 +158,22 @@ def sequence_systems(
         reps = int(np.ceil(n_queries / len(query_pool)))
         return (query_pool * reps)[:n_queries]
 
-    genie = SequenceIndex(n=ngram).fit(titles)
+    session = GenieSession()
+    genie = session.create_index(titles, model="sequence", n=ngram)
     runners = {}
 
     def run_genie(n_queries: int) -> float:
-        before_dev = genie.engine.device.timings.copy()
-        before_host = genie.host.timings.copy()
+        before_dev = session.device.timings.copy()
+        before_host = session.host.timings.copy()
         for q in queries_for(n_queries):
-            genie.search(q, k=k, n_candidates=n_candidates)
-        dev = genie.engine.device.timings.total - before_dev.total
-        host = genie.host.timings.total - before_host.total
+            genie.search([q], k=k, n_candidates=n_candidates)
+        dev = session.device.timings.total - before_dev.total
+        host = session.host.timings.total - before_host.total
         return dev + host
 
     runners["GENIE"] = run_genie
 
-    vocab = genie.vocabulary
+    vocab = genie.model.vocabulary
     corpus = Corpus([vocab.encode(s, grow=False) for s in titles])
     gpu_spq = GpuSpq(device=Device()).fit(corpus)
 
@@ -211,16 +211,16 @@ def document_systems(
         reps = int(np.ceil(n_queries / len(query_pool)))
         return (query_pool * reps)[:n_queries]
 
-    genie = DocumentIndex().fit(docs)
+    genie = GenieSession().create_index(docs, model="document")
     runners = {}
 
     def run_genie(n_queries: int) -> float:
-        genie.query_batch(queries_for(n_queries), k=k)
+        genie.search(queries_for(n_queries), k=k)
         return genie.engine.last_profile.query_total()
 
     runners["GENIE"] = run_genie
 
-    vocab: WordVocabulary = genie.vocabulary
+    vocab: WordVocabulary = genie.model.vocabulary
     corpus = Corpus([vocab.encode(tokenize(d), grow=False) for d in docs])
 
     def to_queries(texts: list[str]) -> list[Query]:
@@ -277,11 +277,13 @@ def relational_systems(
         reps = int(np.ceil(n_queries / len(query_pool)))
         return (query_pool * reps)[:n_queries]
 
-    genie = RelationalIndex(adult_schema(numeric_bins)).fit(columns)
+    genie = GenieSession().create_index(
+        columns, model="relational", schema=adult_schema(numeric_bins)
+    )
     runners = {}
 
     def run_genie(n_queries: int) -> float:
-        genie.query(queries_for(n_queries), k=k)
+        genie.search(queries_for(n_queries), k=k)
         return genie.engine.last_profile.query_total()
 
     runners["GENIE"] = run_genie
@@ -289,7 +291,7 @@ def relational_systems(
     corpus = genie.engine.corpus
 
     def to_queries(ranges_batch: list[dict]) -> list[Query]:
-        return [genie.make_query(r) for r in ranges_batch]
+        return genie.model.encode_queries(ranges_batch)
 
     gpu_spq = GpuSpq(device=Device()).fit(corpus)
 

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api.session import GenieSession
 from repro.datasets import registry
 from repro.datasets.documents import make_document_queries
 from repro.datasets.relational import adult_schema, make_range_queries
 from repro.datasets.sequences import make_query_set
 from repro.experiments.common import DEFAULT_K, fit_genie_ocr, fit_genie_sift
 from repro.experiments.table import ResultTable
-from repro.sa.document import DocumentIndex
-from repro.sa.relational import RelationalIndex
-from repro.sa.sequence import SequenceIndex
 
 STAGE_COLUMNS = ["index_build", "index_transfer", "query_transfer", "match", "select"]
 
@@ -36,32 +34,33 @@ def run(n_queries: int = 256, n: int | None = None, k: int = DEFAULT_K, seed: in
         setup = fit_genie_ocr(dataset, seed=seed) if name == "ocr" else fit_genie_sift(dataset, seed=seed)
         reps = int(np.ceil(n_queries / len(dataset.queries)))
         queries = np.tile(dataset.queries, (reps, 1))[:n_queries]
-        setup.index.query(queries, k=k)
-        _add_profile_row(table, name, setup.index.engine, setup.host)
+        setup.handle.search(queries, k=k)
+        _add_profile_row(table, name, setup.handle.engine, setup.session.host)
 
     titles = registry.load("dblp", n=n, seed=seed)
-    seq_index = SequenceIndex(n=3).fit(titles)
+    session = GenieSession()
+    seq_index = session.create_index(titles, model="sequence", n=3)
     seq_queries, _ = make_query_set(titles, min(n_queries, len(titles)), 0.2, seed=seed + 1)
-    dev0 = seq_index.engine.device.timings.copy()
-    host0 = seq_index.host.timings.copy()
+    dev0 = session.device.timings.copy()
+    host0 = session.host.timings.copy()
     for q in seq_queries:
-        seq_index.search(q, k=1, n_candidates=32)
-    profile = {s: seq_index.engine.device.timings.get(s) - dev0.get(s) for s in STAGE_COLUMNS}
-    profile["select"] += seq_index.host.timings.get("verify") - host0.get("verify")
-    profile["index_build"] = seq_index.host.timings.get("index_build")
+        seq_index.search([q], k=1, n_candidates=32)
+    profile = {s: session.device.timings.get(s) - dev0.get(s) for s in STAGE_COLUMNS}
+    profile["select"] += session.host.timings.get("verify") - host0.get("verify")
+    profile["index_build"] = session.host.timings.get("index_build")
     profile["index_transfer"] = dev0.get("index_transfer")
     table.add_row(dataset="dblp", **profile)
 
     docs = registry.load("tweets", n=n, seed=seed)
-    doc_index = DocumentIndex().fit(docs)
+    doc_index = GenieSession().create_index(docs, model="document")
     doc_queries, _ = make_document_queries(docs, n_queries, seed=seed + 1)
-    doc_index.query_batch(doc_queries, k=k)
+    doc_index.search(doc_queries, k=k)
     _add_profile_row(table, "tweets", doc_index.engine, doc_index.engine.host)
 
     columns = registry.load("adult", n=n, seed=seed)
-    rel_index = RelationalIndex(adult_schema()).fit(columns)
+    rel_index = GenieSession().create_index(columns, model="relational", schema=adult_schema())
     rel_queries = make_range_queries(columns, n_queries, seed=seed + 1)
-    rel_index.query(rel_queries, k=k)
+    rel_index.search(rel_queries, k=k)
     _add_profile_row(table, "adult", rel_index.engine, rel_index.engine.host)
 
     return table

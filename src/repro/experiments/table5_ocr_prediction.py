@@ -31,7 +31,7 @@ def run(
     truth = dataset.query_labels[:n_queries]
 
     setup = fit_genie_ocr(dataset, m=m, seed=seed)
-    genie_results = setup.index.query(queries, k=1)
+    genie_results = setup.handle.search(queries, k=1).results
     genie_pred = [
         int(dataset.labels[r.ids[0]]) if len(r.ids) else -1 for r in genie_results
     ]

@@ -8,11 +8,11 @@ still >= 0.95 at 40%; per-batch latency roughly constant.
 
 from __future__ import annotations
 
+from repro.api.session import GenieSession
 from repro.datasets import registry
 from repro.datasets.sequences import make_query_set
 from repro.experiments.metrics import top1_accuracy
 from repro.experiments.table import ResultTable
-from repro.sa.sequence import SequenceIndex
 
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
 
@@ -26,7 +26,8 @@ def run(
 ) -> ResultTable:
     """Measure recovery accuracy and latency per modification rate."""
     titles = registry.load("dblp", n=n, seed=seed)
-    index = SequenceIndex(n=3).fit(titles)
+    session = GenieSession()
+    index = session.create_index(titles, model="sequence", n=3)
 
     table = ResultTable(
         title=f"Table VI: DBLP top-1 accuracy vs modification (K={n_candidates})",
@@ -34,13 +35,13 @@ def run(
     )
     for fraction in fractions:
         queries, true_ids = make_query_set(titles, n_queries, fraction, seed=seed + 1)
-        dev0 = index.engine.device.timings.total
-        host0 = index.host.timings.total
+        dev0 = session.device.timings.total
+        host0 = session.host.timings.total
         predictions = []
         for q in queries:
-            result = index.search(q, k=1, n_candidates=n_candidates)
+            result = index.search([q], k=1, n_candidates=n_candidates).payload[0]
             predictions.append(result.best.sequence_id if result.best else -1)
-        latency = (index.engine.device.timings.total - dev0) + (index.host.timings.total - host0)
+        latency = (session.device.timings.total - dev0) + (session.host.timings.total - host0)
         table.add_row(
             modified_fraction=fraction,
             accuracy=top1_accuracy(predictions, true_ids),

@@ -7,11 +7,11 @@ should be visible in the output.
 
 from __future__ import annotations
 
+from repro.api.session import GenieSession
 from repro.datasets import registry
 from repro.datasets.sequences import make_query_set
 from repro.experiments.metrics import top1_accuracy
 from repro.experiments.table import ResultTable
-from repro.sa.sequence import SequenceIndex
 
 DEFAULT_KS = (8, 16, 32, 64, 128, 256)
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4)
@@ -26,7 +26,8 @@ def run(
 ) -> ResultTable:
     """Sweep the shortlist size K against modification rates."""
     titles = registry.load("dblp", n=n, seed=seed)
-    index = SequenceIndex(n=3).fit(titles)
+    session = GenieSession()
+    index = session.create_index(titles, model="sequence", n=3)
 
     table = ResultTable(
         title="Table VII: sequence accuracy and time vs K",
@@ -35,14 +36,14 @@ def run(
     for fraction in fractions:
         queries, true_ids = make_query_set(titles, n_queries, fraction, seed=seed + 1)
         for K in candidate_ks:
-            dev0 = index.engine.device.timings.total
-            host0 = index.host.timings.total
+            dev0 = session.device.timings.total
+            host0 = session.host.timings.total
             predictions = []
             for q in queries:
-                result = index.search(q, k=1, n_candidates=K)
+                result = index.search([q], k=1, n_candidates=K).payload[0]
                 predictions.append(result.best.sequence_id if result.best else -1)
-            seconds = (index.engine.device.timings.total - dev0) + (
-                index.host.timings.total - host0
+            seconds = (session.device.timings.total - dev0) + (
+                session.host.timings.total - host0
             )
             table.add_row(
                 K=K,

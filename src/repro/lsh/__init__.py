@@ -1,12 +1,14 @@
-"""LSH front-end for GENIE: families, re-hashing, tau-ANN search, theory.
+"""LSH front-end for GENIE: families, re-hashing, the keyword transform, theory.
 
-Typical use::
+Typical use (``model="ann"`` wraps a family instance; ``"ann-e2lsh"`` and
+friends build one from keyword arguments)::
 
-    from repro.lsh import E2Lsh, TauAnnIndex, practical_m
+    from repro import GenieSession
+    from repro.lsh import E2Lsh, practical_m
 
     family = E2Lsh(num_functions=practical_m(), dim=128, width=4.0)
-    index = TauAnnIndex(family, domain=67).fit(points)
-    results = index.query(query_points, k=10)
+    index = GenieSession().create_index(points, model="ann", family=family, domain=67)
+    results = index.search(query_points, k=10).results
 """
 
 from repro.lsh.e2lsh import E2Lsh, psi_l1, psi_l2
@@ -27,7 +29,7 @@ from repro.lsh.tann import (
     success_probability,
     tau_from_eps,
 )
-from repro.lsh.transform import DEFAULT_DOMAIN, LshTransformer, TauAnnIndex
+from repro.lsh.transform import DEFAULT_DOMAIN, LshTransformer
 
 __all__ = [
     "LshFamily",
@@ -46,7 +48,6 @@ __all__ = [
     "murmur3_int64",
     "hash_combine",
     "LshTransformer",
-    "TauAnnIndex",
     "DEFAULT_DOMAIN",
     "hoeffding_m",
     "required_m",

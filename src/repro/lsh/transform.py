@@ -1,23 +1,15 @@
-"""LSH-to-GENIE transformation and the high-level tau-ANN index.
+"""LSH-to-GENIE transformation.
 
 :class:`LshTransformer` turns points into GENIE objects/queries: point
 ``p`` becomes ``[r_1(h_1(p)), ..., r_m(h_m(p))]`` with keyword
 ``i * D + bucket`` for function ``i`` (Section IV-A1).
-
-:class:`TauAnnIndex` is the deprecated user-facing wrapper; the encoding
-lives in :class:`repro.api.models.AnnModel` and the engine work in
-:class:`repro.api.session.GenieSession`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.types import Corpus, Query, TopKResult
-from repro.errors import QueryError
-from repro.gpu.device import Device
-from repro.gpu.host import HostCpu
+from repro.core.types import Corpus, Query
 from repro.lsh.family import LshFamily
 from repro.lsh.rehash import ReHasher
 
@@ -55,80 +47,3 @@ class LshTransformer:
     def to_queries(self, points) -> list[Query]:
         """Transform query points into GENIE queries (one item per function)."""
         return [Query.from_keywords(row) for row in self.keyword_matrix(points)]
-
-
-class TauAnnIndex:
-    """Deprecated wrapper: tau-ANN search on GENIE (Theorem 4.2).
-
-    Thin shim over :class:`repro.api.session.GenieSession` with an
-    :class:`~repro.api.models.AnnModel`; results, the forced
-    ``count_bound = m`` and stage timings are identical to the historical
-    implementation. New code should call
-    ``session.create_index(points, model="ann-e2lsh", ...)``.
-
-    Args:
-        family: LSH family matching the target similarity measure.
-        domain: Re-hash domain ``D``; larger D lowers the ``1/D`` false-
-            collision term of Theorem 4.1.
-        device: Simulated GPU; a fresh one when omitted.
-        host: Simulated host CPU.
-        config: Engine configuration; ``count_bound`` is forced to ``m``.
-        seed: Re-hash seed.
-    """
-
-    def __init__(
-        self,
-        family: LshFamily,
-        domain: int = DEFAULT_DOMAIN,
-        device: Device | None = None,
-        host: HostCpu | None = None,
-        config: GenieConfig | None = None,
-        seed: int = 0,
-    ):
-        from repro.api.models import AnnModel
-        from repro.api.session import GenieSession
-
-        self._model = AnnModel(family, domain=domain, seed=seed)
-        self.session = GenieSession(device=device, host=host)
-        self.handle = self.session.declare_index(
-            self._model, name="tau-ann", config=config or GenieConfig()
-        )
-        self.transformer = self._model.transformer
-
-    @property
-    def engine(self) -> GenieEngine:
-        """The underlying engine (kept for experiment/profiling code)."""
-        return self.handle.engine
-
-    @property
-    def num_functions(self) -> int:
-        """Number of LSH functions ``m``."""
-        return self._model.num_functions
-
-    def fit(self, points: np.ndarray) -> "TauAnnIndex":
-        """Hash, re-hash and index the data points."""
-        self.handle.fit(points)
-        return self
-
-    def query(self, query_points: np.ndarray, k: int | None = None) -> list[TopKResult]:
-        """Batched tau-ANN search; top result per query is the tau-ANN."""
-        if not self.handle.fitted:
-            raise QueryError("index must be fitted before querying")
-        return self.handle.search(query_points, k=k).results
-
-    def search(self, query_points: np.ndarray, k: int | None = None):
-        """Search and attach similarity estimates.
-
-        Returns:
-            A list of ``(ids, counts, estimates)`` triples, where
-            ``estimates = counts / m`` is the MLE of the similarity
-            (Eqn. 7).
-        """
-        if not self.handle.fitted:
-            raise QueryError("index must be fitted before querying")
-        return self.handle.search(query_points, k=k).payload
-
-    @property
-    def points(self) -> np.ndarray:
-        """The indexed points (used by evaluations to compute true distances)."""
-        return self._model.points

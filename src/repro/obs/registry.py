@@ -60,9 +60,7 @@ class Counter:
 
     Attributes:
         name: Registry name (also the snapshot key).
-        value: Current total. Direct assignment is allowed so legacy
-            ``metrics.rejected += 1`` call sites keep working through
-            property setters; :meth:`inc` is the idiomatic spelling.
+        value: Current total; accumulate with :meth:`inc`.
     """
 
     __slots__ = ("name", "value")

@@ -108,14 +108,14 @@ class ShardContext:
         n_objects: Global corpus size (threshold re-pinning in the merge).
         shard_postings: Per shard, the posting-list length aligned with
             each ``shard_keywords`` entry — the cost model's work
-            features (``None`` when the handle predates cost planning).
+            features.
     """
 
     n_shards: int
     strategy: str
     shard_keywords: tuple[np.ndarray, ...]
     n_objects: int
-    shard_postings: tuple[np.ndarray, ...] | None = None
+    shard_postings: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -371,7 +371,6 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: list[Query]) -> Compil
     if (
         compiled.predicted_cost is None
         or shards is None
-        or shards.shard_postings is None
         or compiled.routes is None
         or not compiled.active
     ):
@@ -484,11 +483,7 @@ def compile_search(
         # cheapest — every candidate is exact, so pricing only moves cost.
         everyone = np.arange(len(active), dtype=np.int64)
         cost_model = _session_cost_model(handle)
-        costed = (
-            cost_model is not None
-            and shards.shard_postings is not None
-            and len(active) > 0
-        )
+        costed = cost_model is not None and len(active) > 0
         total_keywords = float(sum(q.num_keywords for q in active_queries))
         # One binary search per (query keyword, shard) into the shard's
         # keyword bounds — the host cost of a routing/feature pass.

@@ -132,10 +132,10 @@ class RebalancePolicy:
         if metrics.rolling_window_batches < self.min_window:
             return False
         if self._last_fire is not None:
-            if metrics.sharded_batches - self._last_fire < self.cooldown:
+            if metrics.sharded_batches.value - self._last_fire < self.cooldown:
                 return False
         return metrics.rolling_shard_imbalance > self.threshold
 
     def note_fired(self, metrics) -> None:
         """Record that a rebalance fired (starts the cooldown)."""
-        self._last_fire = int(metrics.sharded_batches)
+        self._last_fire = metrics.sharded_batches.value

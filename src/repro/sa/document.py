@@ -3,10 +3,8 @@
 Documents are shredded into words; the match count between two documents is
 then exactly the inner product of their binary vector-space representations.
 
-This module keeps the tokenization primitives (:func:`tokenize`,
-:class:`WordVocabulary`) and the deprecated :class:`DocumentIndex` wrapper;
-the encoding lives in :class:`repro.api.models.DocumentModel` and the
-engine work in :class:`repro.api.session.GenieSession`.
+This module holds the tokenization primitives (:func:`tokenize`,
+:class:`WordVocabulary`) the ``"document"`` match model encodes with.
 """
 
 from __future__ import annotations
@@ -14,12 +12,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-
-from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.types import TopKResult
-from repro.errors import QueryError
-from repro.gpu.device import Device
-from repro.gpu.host import HostCpu
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -55,70 +47,3 @@ class WordVocabulary:
             if kw is not None:
                 keywords.append(kw)
         return np.asarray(keywords, dtype=np.int64)
-
-
-class DocumentIndex:
-    """Deprecated wrapper: GENIE-backed short-document search.
-
-    Thin shim over :class:`repro.api.session.GenieSession` with a
-    ``"document"`` model; results and stage timings are identical to the
-    historical implementation. New code should call
-    ``session.create_index(texts, model="document")``.
-
-    Args:
-        device: Simulated GPU.
-        host: Simulated host CPU.
-        config: Engine configuration.
-        stopwords: Words to drop at tokenization time.
-    """
-
-    def __init__(
-        self,
-        device: Device | None = None,
-        host: HostCpu | None = None,
-        config: GenieConfig | None = None,
-        stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    ):
-        from repro.api.models import DocumentModel
-        from repro.api.session import GenieSession
-
-        self._model = DocumentModel(stopwords=stopwords)
-        self.session = GenieSession(device=device, host=host)
-        self.handle = self.session.declare_index(
-            self._model, name="document", config=config or GenieConfig()
-        )
-        self.stopwords = stopwords
-
-    @property
-    def engine(self) -> GenieEngine:
-        """The underlying engine (kept for experiment/profiling code)."""
-        return self.handle.engine
-
-    @property
-    def vocabulary(self) -> WordVocabulary:
-        """The word -> keyword map learned at fit time."""
-        return self._model.vocabulary
-
-    @property
-    def documents(self) -> list[str]:
-        """The indexed documents."""
-        return self._model.documents
-
-    def fit(self, documents: list[str]) -> "DocumentIndex":
-        """Tokenize and index the documents."""
-        self.handle.fit(documents)
-        return self
-
-    def query_one(self, text: str, k: int = 10) -> TopKResult:
-        """Top-k documents by binary inner product with ``text``."""
-        return self.query_batch([text], k=k)[0]
-
-    def query_batch(self, texts: list[str], k: int = 10) -> list[TopKResult]:
-        """Batched document search."""
-        if not self.documents:
-            raise QueryError("index must be fitted before querying")
-        return self.handle.search(texts, k=k).results
-
-    def inner_product(self, a: str, b: str) -> int:
-        """Reference binary vector-space inner product of two texts."""
-        return len(set(tokenize(a, self.stopwords)) & set(tokenize(b, self.stopwords)))

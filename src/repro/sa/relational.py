@@ -6,10 +6,8 @@ attributes are first discretized into equal-width intervals (the paper uses
 one query item containing every keyword in the range; GENIE then ranks
 tuples by how many of their attributes fall inside the query's ranges.
 
-This module keeps the encoding primitives (:class:`AttributeSpec`,
-:class:`Discretizer`) and the deprecated :class:`RelationalIndex` wrapper;
-the encoding itself lives in :class:`repro.api.models.RelationalModel` and
-the engine work in :class:`repro.api.session.GenieSession`.
+This module holds the encoding primitives (:class:`AttributeSpec`,
+:class:`Discretizer`) the ``"relational"`` match model encodes with.
 """
 
 from __future__ import annotations
@@ -18,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.types import Query, TopKResult
-from repro.errors import ConfigError, QueryError
-from repro.gpu.device import Device
-from repro.gpu.host import HostCpu
+from repro.errors import ConfigError
 
 #: Discretization granularity the paper uses for Adult's numeric attributes.
 PAPER_NUM_BINS = 1024
@@ -87,61 +81,3 @@ class Discretizer:
             return np.zeros(values.shape, dtype=np.int64)
         raw = np.floor((values - self.lo) / span * self.bins).astype(np.int64)
         return np.clip(raw, 0, self.bins - 1)
-
-
-class RelationalIndex:
-    """Deprecated wrapper: GENIE top-k selection over a mixed table.
-
-    Thin shim over :class:`repro.api.session.GenieSession` with a
-    ``"relational"`` model; results, errors and stage timings are identical
-    to the historical implementation. New code should call
-    ``session.create_index(columns, model="relational", schema=...)``.
-
-    Args:
-        schema: One :class:`AttributeSpec` per column, in column order.
-        device: Simulated GPU.
-        host: Simulated host CPU.
-        config: Engine configuration.
-    """
-
-    def __init__(
-        self,
-        schema: list[AttributeSpec],
-        device: Device | None = None,
-        host: HostCpu | None = None,
-        config: GenieConfig | None = None,
-    ):
-        from repro.api.models import RelationalModel
-        from repro.api.session import GenieSession
-
-        self._model = RelationalModel(schema)
-        self.session = GenieSession(device=device, host=host)
-        self.handle = self.session.declare_index(
-            self._model, name="relational", config=config or GenieConfig()
-        )
-        self.schema = self._model.schema
-
-    @property
-    def engine(self) -> GenieEngine:
-        """The underlying engine (kept for experiment/profiling code)."""
-        return self.handle.engine
-
-    @property
-    def n_rows(self) -> int:
-        """Rows indexed so far (0 before :meth:`fit`)."""
-        return self._model.n_rows
-
-    def fit(self, columns: dict[str, np.ndarray]) -> "RelationalIndex":
-        """Index a table given as ``{column_name: values}``."""
-        self.handle.fit(columns)
-        return self
-
-    def make_query(self, ranges: dict[str, tuple]) -> Query:
-        """Build a GENIE query from ``{attribute: (lo, hi)}`` ranges."""
-        return self._model.make_query(ranges)
-
-    def query(self, ranges_batch: list[dict[str, tuple]], k: int = 10) -> list[TopKResult]:
-        """Batched top-k selection; counts = matched attributes per tuple."""
-        if self.n_rows == 0:
-            raise QueryError("index must be fitted before querying")
-        return self.handle.search(ranges_batch, k=k).results

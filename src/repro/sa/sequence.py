@@ -7,21 +7,14 @@ gives a *certificate*: when the K-th candidate's count falls below
 ``|Q| - n + 1 - tau_k' * n``, the returned top-k is provably the true
 top-k; otherwise the search can be repeated with a larger K.
 
-This module keeps the result dataclasses and the deprecated
-:class:`SequenceIndex` wrapper; the encoding and the verification hook live
-in :class:`repro.api.models.SequenceModel`, driven through
-:class:`repro.api.session.GenieSession`.
+This module holds the result dataclasses of the ``"sequence"`` match model
+(which owns the encoding and the verification hook) and
+:func:`search_until_certified`, the grow-K-until-certified loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.core.engine import GenieConfig, GenieEngine
-from repro.errors import QueryError
-from repro.gpu.device import Device
-from repro.gpu.host import HostCpu
-from repro.sa.ngram import NgramVocabulary
 
 #: The paper's defaults for DBLP: K = 32 shortlist, top-1 result.
 PAPER_K_CANDIDATES = 32
@@ -59,99 +52,23 @@ class SequenceSearchResult:
         return self.matches[0] if self.matches else None
 
 
-class SequenceIndex:
-    """Deprecated wrapper: GENIE-backed sequence similarity search.
+def search_until_certified(
+    handle,
+    query: str,
+    k: int = 1,
+    schedule: tuple[int, ...] = (8, 16, 32, 64, 128, 256),
+) -> SequenceSearchResult:
+    """Repeat the search with growing K until Theorem 5.2 certifies it.
 
-    Thin shim over :class:`repro.api.session.GenieSession` with a
-    ``"sequence"`` model; retrieval, verification and certificates are
-    identical to the historical implementation. New code should call
-    ``session.create_index(sequences, model="sequence", n=...)`` and read
-    the verified :class:`SequenceSearchResult` payload off
-    ``handle.search(...)``.
-
-    Args:
-        n: n-gram length (3 by default, as for DBLP titles).
-        device: Simulated GPU.
-        host: Simulated host CPU (charged for verification).
-        config: Engine configuration.
+    ``handle`` is a fitted ``"sequence"`` index handle (anything whose
+    ``search([query], k=, n_candidates=)`` returns a per-query
+    :class:`SequenceSearchResult` payload). Returns the last round's result
+    (certified or not — the schedule is finite, as the paper recommends
+    balancing time against certainty).
     """
-
-    def __init__(
-        self,
-        n: int = 3,
-        device: Device | None = None,
-        host: HostCpu | None = None,
-        config: GenieConfig | None = None,
-    ):
-        from repro.api.models import SequenceModel
-        from repro.api.session import GenieSession
-
-        self._model = SequenceModel(n=n)
-        self.session = GenieSession(device=device, host=host)
-        self.handle = self.session.declare_index(
-            self._model, name="sequence", config=config or GenieConfig()
-        )
-        self.n = self._model.n
-
-    @property
-    def engine(self) -> GenieEngine:
-        """The underlying engine (kept for experiment/profiling code)."""
-        return self.handle.engine
-
-    @property
-    def host(self) -> HostCpu:
-        """The simulated host CPU charged for verification."""
-        return self.session.host
-
-    @property
-    def vocabulary(self) -> NgramVocabulary:
-        """The ordered-n-gram -> keyword map learned at fit time."""
-        return self._model.vocabulary
-
-    @property
-    def sequences(self) -> list[str]:
-        """The indexed sequences."""
-        return self._model.sequences
-
-    def fit(self, sequences: list[str]) -> "SequenceIndex":
-        """Shred and index the data sequences."""
-        self.handle.fit(sequences)
-        return self
-
-    def search(
-        self, query: str, k: int = 1, n_candidates: int = PAPER_K_CANDIDATES
-    ) -> SequenceSearchResult:
-        """One round of retrieve-and-verify.
-
-        Args:
-            query: Query sequence.
-            k: Number of nearest sequences wanted.
-            n_candidates: Shortlist size K (K >> k per the paper).
-
-        Returns:
-            The verified result, with :attr:`SequenceSearchResult.certified`
-            set per Theorem 5.2.
-        """
-        if not self.sequences:
-            raise QueryError("index must be fitted before searching")
-        if k < 1 or n_candidates < k:
-            raise QueryError("need n_candidates >= k >= 1")
-        return self.handle.search([query], k=k, n_candidates=n_candidates).payload[0]
-
-    def search_until_certified(
-        self,
-        query: str,
-        k: int = 1,
-        schedule: tuple[int, ...] = (8, 16, 32, 64, 128, 256),
-    ) -> SequenceSearchResult:
-        """Repeat the search with growing K until Theorem 5.2 certifies it.
-
-        Returns the last round's result (certified or not — the schedule is
-        finite, as the paper recommends balancing time against certainty).
-        """
-        result = SequenceSearchResult()
-        for n_candidates in schedule:
-            result = self.search(query, k=k, n_candidates=n_candidates)
-            if result.certified:
-                return result
-        return result
+    result = SequenceSearchResult()
+    for n_candidates in schedule:
+        result = handle.search([query], k=k, n_candidates=n_candidates).payload[0]
+        if result.certified:
+            return result
+    return result

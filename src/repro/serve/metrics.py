@@ -6,13 +6,12 @@ percentiles are CI-assertable, not flaky. Percentiles use the
 nearest-rank method (no interpolation): ``p50`` of a recorded population
 is always one of the recorded latencies.
 
-Internally every scalar counter lives in a
-:class:`~repro.obs.registry.MetricsRegistry` of typed primitives
-(:class:`~repro.obs.registry.Counter` /
-:class:`~repro.obs.registry.Histogram`), and the batch-size histogram is
-cardinality-bounded — but the public surface is unchanged: the same
-attributes read and write as before, and :meth:`ServeMetrics.snapshot`
-exports the same keys it always has (a back-compat test enforces it).
+Every scalar counter is a :class:`~repro.obs.registry.Counter` registered
+in one :class:`~repro.obs.registry.MetricsRegistry` and bound as a plain
+attribute: writers call ``metrics.rejected.inc()``, readers take
+``metrics.rejected.value``. The batch-size histogram is cardinality-bounded,
+and :meth:`ServeMetrics.snapshot` exports the same keys it always has (a
+back-compat test enforces it).
 """
 
 from __future__ import annotations
@@ -37,25 +36,11 @@ ROLLING_SHARD_WINDOW = 64
 BATCH_SIZE_BINS = 128
 
 
-def _counter_property(name: str):
-    """Expose a registry counter as a plain read/write int-like attribute.
-
-    Call sites accumulate with ``metrics.rejected += 1`` exactly as they
-    did when these were bare instance attributes; the property routes the
-    read and the write-back through the registered counter.
-    """
-
-    def fget(self):
-        return self._registry.get(name).value
-
-    def fset(self, value):
-        self._registry.get(name).value = value
-
-    return property(fget, fset, doc=f"Registry counter ``{name}``.")
-
-
 class ServeMetrics:
     """Counters and distributions accumulated by a :class:`GenieServer`.
+
+    The scalar attributes below are registry
+    :class:`~repro.obs.registry.Counter` objects (``.inc(n)`` / ``.value``).
 
     Attributes:
         submitted: Requests admitted (queued or served from cache).
@@ -104,32 +89,16 @@ class ServeMetrics:
             holding the typed primitives behind the scalar attributes.
     """
 
-    submitted = _counter_property("submitted")
-    completed = _counter_property("completed")
-    rejected = _counter_property("rejected")
-    failed = _counter_property("failed")
-    cache_hits = _counter_property("cache_hits")
-    cache_misses = _counter_property("cache_misses")
-    batches = _counter_property("batches")
-    swap_ins = _counter_property("swap_ins")
-    evictions = _counter_property("evictions")
-    busy_seconds = _counter_property("busy_seconds")
-    sharded_batches = _counter_property("sharded_batches")
-    routed_batches = _counter_property("routed_batches")
-    replica_failovers = _counter_property("replica_failovers")
-    replica_rebalances = _counter_property("replica_rebalances")
-    replica_re_replications = _counter_property("replica_re_replications")
-
     def __init__(self, rolling_shard_window: int = ROLLING_SHARD_WINDOW):
         registry = MetricsRegistry()
         for name in (
             "submitted", "completed", "rejected", "failed",
             "cache_hits", "cache_misses", "batches",
-            "swap_ins", "evictions", "sharded_batches", "routed_batches",
+            "swap_ins", "evictions", "busy_seconds", "sharded_batches", "routed_batches",
             "replica_failovers", "replica_rebalances", "replica_re_replications",
         ):
-            registry.counter(name)
-        registry.counter("busy_seconds").value = 0.0
+            setattr(self, name, registry.counter(name))
+        self.busy_seconds.value = 0.0
         self._registry = registry
         self._batch_hist = registry.histogram("batch_sizes", max_bins=BATCH_SIZE_BINS)
         self.rejected_by_reason: dict[str, int] = {}
@@ -168,13 +137,13 @@ class ServeMetrics:
 
     def record_arrival(self, now: float) -> None:
         """Note an admitted request at simulated time ``now``."""
-        self.submitted += 1
+        self.submitted.inc()
         if self.first_arrival is None:
             self.first_arrival = now
 
     def record_completion(self, latency: float, queue_time: float, completed_at: float) -> None:
         """Note one answered request with its latency components."""
-        self.completed += 1
+        self.completed.inc()
         self._latencies.append(float(latency))
         self._queue_times.append(float(queue_time))
         if self.last_completion is None or completed_at > self.last_completion:
@@ -220,13 +189,13 @@ class ServeMetrics:
                 stages; with ``predicted_cost`` it feeds the rolling
                 cost-drift gauges.
         """
-        self.batches += 1
+        self.batches.inc()
         self._batch_hist.observe(int(size))
-        self.busy_seconds += float(service_seconds)
-        self.swap_ins += int(swap_ins)
-        self.evictions += int(evictions)
+        self.busy_seconds.inc(float(service_seconds))
+        self.swap_ins.inc(int(swap_ins))
+        self.evictions.inc(int(evictions))
         if shard_seconds is not None:
-            self.sharded_batches += 1
+            self.sharded_batches.inc()
             self._rolling_shards.append(tuple(float(s) for s in shard_seconds))
             for shard, seconds in enumerate(shard_seconds):
                 self.shard_busy_seconds[shard] = (
@@ -236,7 +205,7 @@ class ServeMetrics:
             self._scanned_pairs += int(routing.scanned_pairs)
             self._pruned_pairs += int(routing.pruned_pairs)
             if not routing.broadcast:
-                self.routed_batches += 1
+                self.routed_batches.inc()
         if predicted_cost is not None:
             self.drift.record(predicted_cost, observed_seconds)
 
@@ -268,7 +237,7 @@ class ServeMetrics:
         dividing by zero.
         """
         elapsed = self.elapsed_seconds
-        return self.completed / elapsed if elapsed > 0 else 0.0
+        return self.completed.value / elapsed if elapsed > 0 else 0.0
 
     @property
     def mean_batch_size(self) -> float:
@@ -277,7 +246,8 @@ class ServeMetrics:
         Computed from the histogram's exact raw accumulators, so bin
         clamping never moves the mean.
         """
-        return self._batch_hist.total / self.batches if self.batches else 0.0
+        batches = self.batches.value
+        return self._batch_hist.total / batches if batches else 0.0
 
     @property
     def shard_imbalance(self) -> float:
@@ -365,28 +335,28 @@ class ServeMetrics:
         gauges.
         """
         snap = {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "failed": self.failed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "batches": self.batches,
+            "submitted": self.submitted.value,
+            "completed": self.completed.value,
+            "rejected": self.rejected.value,
+            "failed": self.failed.value,
+            "cache_hits": self.cache_hits.value,
+            "cache_misses": self.cache_misses.value,
+            "batches": self.batches.value,
             "mean_batch_size": self.mean_batch_size,
             "batch_size_histogram": self._batch_hist.as_dict(),
-            "swap_ins": self.swap_ins,
-            "evictions": self.evictions,
-            "busy_seconds": self.busy_seconds,
-            "sharded_batches": self.sharded_batches,
-            "routed_batches": self.routed_batches,
+            "swap_ins": self.swap_ins.value,
+            "evictions": self.evictions.value,
+            "busy_seconds": self.busy_seconds.value,
+            "sharded_batches": self.sharded_batches.value,
+            "routed_batches": self.routed_batches.value,
             "pruned_shard_fraction": self.pruned_shard_fraction,
             "shard_busy_seconds": dict(sorted(self.shard_busy_seconds.items())),
             "shard_imbalance": self.shard_imbalance,
             "rolling_shard_imbalance": self.rolling_shard_imbalance,
             "rolling_window_batches": self.rolling_window_batches,
-            "replica_failovers": self.replica_failovers,
-            "replica_rebalances": self.replica_rebalances,
-            "replica_re_replications": self.replica_re_replications,
+            "replica_failovers": self.replica_failovers.value,
+            "replica_rebalances": self.replica_rebalances.value,
+            "replica_re_replications": self.replica_re_replications.value,
             "elapsed_seconds": self.elapsed_seconds,
             "throughput_qps": self.throughput,
             "plan_cache_hits": self.plan_cache.hits if self.plan_cache is not None else 0,

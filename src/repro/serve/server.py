@@ -343,7 +343,7 @@ class GenieServer:
         if cache_key is not None:
             cached = self.cache.get(cache_key)
             if cached is not None:
-                self.metrics.cache_hits += 1
+                self.metrics.cache_hits.inc()
                 future = self._answer_from_cache(index, k, cached, now)
                 if sampled:
                     root = Span("request", start=now, seq=future.metadata.seq,
@@ -353,10 +353,10 @@ class GenieServer:
                     future.metadata.trace = root
                     tracer.record(root)
                 return future
-            self.metrics.cache_misses += 1
+            self.metrics.cache_misses.inc()
 
         if self.scheduler.depth + 1 > self.max_queue_depth:
-            self.metrics.rejected += 1
+            self.metrics.rejected.inc()
             self.metrics.record_rejection("queue_full")
             logger.debug(
                 "admission reject reason=queue_full index=%s depth=%d limit=%d",
@@ -399,7 +399,7 @@ class GenieServer:
         self._check_open()
         raw_queries = list(raw_queries)
         if self.scheduler.depth + len(raw_queries) > self.max_queue_depth:
-            self.metrics.rejected += len(raw_queries)
+            self.metrics.rejected.inc(len(raw_queries))
             for _ in raw_queries:
                 self.metrics.record_rejection("queue_full")
             logger.debug(
@@ -514,7 +514,7 @@ class GenieServer:
             except BaseException as error:
                 now = self.clock.now()
                 for _, remaining in batches[position + 1 :]:
-                    self.metrics.failed += len(remaining)
+                    self.metrics.failed.inc(len(remaining))
                     for request in remaining:
                         request.future.metadata.dispatched = now
                         request.future._fail(error)
@@ -611,7 +611,7 @@ class GenieServer:
                 **dict(opts_key)
             )
         except ReproError as error:
-            self.metrics.failed += len(requests)
+            self.metrics.failed.inc(len(requests))
             for request in requests:
                 request.future.metadata.dispatched = now
                 request.future._fail(error)
@@ -620,7 +620,7 @@ class GenieServer:
             # Unexpected (non-Repro) errors propagate to the driver, but
             # the requests were already popped from the scheduler — their
             # futures must still resolve (with the error), never strand.
-            self.metrics.failed += len(requests)
+            self.metrics.failed.inc(len(requests))
             for request in requests:
                 request.future.metadata.dispatched = now
                 request.future._fail(error)
@@ -698,12 +698,12 @@ class GenieServer:
         re-places those copies on live devices immediately (the copy is
         an ``index_transfer``, charged on the simulated timeline).
         """
-        self.metrics.replica_failovers += len(failovers)
+        self.metrics.replica_failovers.inc(len(failovers))
         if not any(ev.permanent for ev in failovers):
             return
         placed = handle.re_replicate()
         if placed:
-            self.metrics.replica_re_replications += placed
+            self.metrics.replica_re_replications.inc(placed)
             logger.debug(
                 "re-replicate index=%s placed=%d", handle.name, placed
             )
@@ -724,7 +724,7 @@ class GenieServer:
         self.rebalance_policy.note_fired(self.metrics)
         if not moved:
             return
-        self.metrics.replica_rebalances += 1
+        self.metrics.replica_rebalances.inc()
         # The window measured the *old* cuts; post-move skew must be
         # re-observed from scratch, and so must per-device load.
         self.metrics.reset_rolling_shards()

@@ -1,24 +1,24 @@
-"""API equivalence: every modality through GenieSession == the legacy path.
+"""API equivalence: every modality through GenieSession == the engine path.
 
 Each test builds the same workload twice on fresh simulated devices — once
-through the unified session layer, once through the engine-level path the
-legacy wrappers used — and asserts value-identical ids, counts, tie-break
-order and per-stage StageTimings.
+through the unified session layer, once by encoding by hand and driving a
+raw :class:`GenieEngine` — and asserts value-identical ids, counts,
+tie-break order and per-stage StageTimings.
 """
 
 import numpy as np
 
 from repro.api import GenieSession
-from repro.api.models import AnnModel
+from repro.api.models import AnnModel, SequenceModel
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.types import Corpus, Query
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
 from repro.lsh.e2lsh import E2Lsh
-from repro.lsh.transform import LshTransformer, TauAnnIndex
-from repro.sa.document import DocumentIndex, WordVocabulary, tokenize
-from repro.sa.relational import AttributeSpec, RelationalIndex
-from repro.sa.sequence import SequenceIndex
+from repro.lsh.transform import LshTransformer
+from repro.sa.document import WordVocabulary, tokenize
+from repro.sa.edit_distance import edit_distance
+from repro.sa.relational import AttributeSpec, Discretizer
 
 
 def assert_results_identical(lhs, rhs):
@@ -44,8 +44,8 @@ DOCS = [
 
 class TestDocumentEquivalence:
     def test_session_matches_engine_path(self):
-        # Reference: the historical DocumentIndex implementation, inlined
-        # against a raw engine on its own device.
+        # Reference: the document encoding inlined against a raw engine on
+        # its own device.
         vocab = WordVocabulary()
         engine = GenieEngine(device=Device(), host=HostCpu(), config=GenieConfig())
         engine.fit(Corpus([vocab.encode(tokenize(d), grow=True) for d in DOCS]))
@@ -62,14 +62,6 @@ class TestDocumentEquivalence:
         assert_results_identical(legacy, result.results)
         assert_timings_identical(legacy_profile, result.profile)
 
-    def test_wrapper_delegates_unchanged(self):
-        wrapper = DocumentIndex().fit(DOCS)
-        session = GenieSession()
-        handle = session.create_index(DOCS, model="document")
-        texts = ["quick brown dog"]
-        assert_results_identical(wrapper.query_batch(texts, k=4), handle.search(texts, k=4).results)
-        assert_timings_identical(wrapper.engine.last_profile, handle.last_result.profile)
-
 
 class TestRelationalEquivalence:
     COLUMNS = {
@@ -80,11 +72,28 @@ class TestRelationalEquivalence:
     RANGES = [{"age": (30, 60), "job": (0, 1)}, {"age": (18, 40)}]
 
     def test_session_matches_wrapper(self):
-        wrapper = RelationalIndex(self.SCHEMA).fit(self.COLUMNS)
-        legacy = wrapper.query(self.RANGES, k=5)
-        legacy_profile = wrapper.engine.last_profile
+        # Reference: the (attribute, value) encoding inlined — age takes
+        # keywords [0, 16), job [16, 19) — against a raw engine.
+        age = Discretizer(16).fit(self.COLUMNS["age"])
 
-        session = GenieSession()
+        def age_range(lo, hi):
+            lo_code, hi_code = age.transform(np.array([lo, hi]))
+            return np.arange(lo_code, hi_code + 1)
+
+        engine = GenieEngine(device=Device(), host=HostCpu(), config=GenieConfig())
+        engine.fit(Corpus(list(np.column_stack(
+            [age.transform(self.COLUMNS["age"]), self.COLUMNS["job"] + 16]
+        ))))
+        legacy = engine.query(
+            [
+                Query(items=[age_range(30, 60), np.arange(0, 2) + 16]),
+                Query(items=[age_range(18, 40)]),
+            ],
+            k=5,
+        )
+        legacy_profile = engine.last_profile
+
+        session = GenieSession(device=Device(), host=HostCpu())
         handle = session.create_index(self.COLUMNS, model="relational", schema=self.SCHEMA)
         result = handle.search(self.RANGES, k=5)
 
@@ -100,28 +109,49 @@ class TestSequenceEquivalence:
         "approximate string matching algorithms",
     ]
 
+    QUERY = "approximate string matcing"
+
+    def _engine_path(self, k, n_candidates):
+        """Retrieve-and-verify by hand: encoders + raw engine + Algorithm 2.
+
+        Returns ``(shortlist, verified, engine, host)``.
+        """
+        model = SequenceModel(n=3)
+        host = HostCpu()
+        engine = GenieEngine(device=Device(), host=host, config=GenieConfig())
+        engine.fit(model.encode_corpus(self.TITLES))
+        shortlist = engine.query(model.encode_queries([self.QUERY]), k=n_candidates)[0]
+        verified = model.verify(
+            self.QUERY, shortlist.ids, shortlist.counts, k, n_candidates, host
+        )
+        return shortlist, verified, engine, host
+
     def test_session_matches_wrapper(self):
-        wrapper = SequenceIndex(n=3).fit(self.TITLES)
-        legacy = wrapper.search("approximate string matcing", k=2, n_candidates=4)
+        shortlist, legacy, _, _ = self._engine_path(k=2, n_candidates=4)
 
-        session = GenieSession()
+        session = GenieSession(device=Device(), host=HostCpu())
         handle = session.create_index(self.TITLES, model="sequence", n=3)
-        ours = handle.search(["approximate string matcing"], k=2, n_candidates=4).payload[0]
+        result = handle.search([self.QUERY], k=2, n_candidates=4)
+        ours = result.payload[0]
 
+        assert_results_identical([shortlist], result.results)
         assert [(m.sequence_id, m.distance, m.count) for m in legacy.matches] == [
             (m.sequence_id, m.distance, m.count) for m in ours.matches
         ]
+        for match in ours.matches:
+            assert match.distance == edit_distance(self.QUERY, self.TITLES[match.sequence_id])
         assert legacy.certified == ours.certified
         assert legacy.candidates_verified == ours.candidates_verified
         assert legacy.shortlist_size == ours.shortlist_size
 
     def test_verify_cost_charged_identically(self):
-        wrapper = SequenceIndex(n=3).fit(self.TITLES)
-        wrapper.search("approximate string matcing", k=1, n_candidates=4)
-        session = GenieSession()
+        _, _, engine, host = self._engine_path(k=1, n_candidates=4)
+        session = GenieSession(device=Device(), host=HostCpu())
         handle = session.create_index(self.TITLES, model="sequence", n=3)
-        result = handle.search(["approximate string matcing"], k=1, n_candidates=4)
-        assert result.profile.get("verify") == wrapper.host.timings.get("verify")
+        result = handle.search([self.QUERY], k=1, n_candidates=4)
+        assert result.profile.get("verify") == host.timings.get("verify") > 0
+        for stage, seconds in engine.last_profile.seconds.items():
+            assert result.profile.get(stage) == seconds, stage
 
 
 class TestAnnEquivalence:
@@ -130,11 +160,15 @@ class TestAnnEquivalence:
         points = rng.standard_normal((60, 8))
         family_kwargs = dict(num_functions=16, dim=8, width=4.0, seed=0)
 
-        wrapper = TauAnnIndex(E2Lsh(**family_kwargs), domain=67, seed=0).fit(points)
-        legacy = wrapper.query(points[:4], k=3)
-        legacy_profile = wrapper.engine.last_profile
+        # Reference: hash + re-hash by hand, raw engine with count_bound = m.
+        transformer = LshTransformer(E2Lsh(**family_kwargs), domain=67, seed=0)
+        engine = GenieEngine(
+            device=Device(), host=HostCpu(), config=GenieConfig(count_bound=16)
+        ).fit(transformer.to_corpus(points))
+        legacy = engine.query(transformer.to_queries(points[:4]), k=3)
+        legacy_profile = engine.last_profile
 
-        session = GenieSession()
+        session = GenieSession(device=Device(), host=HostCpu())
         handle = session.create_index(
             points, model=AnnModel(E2Lsh(**family_kwargs), domain=67, seed=0)
         )

@@ -7,6 +7,7 @@ from repro.api import GenieSession
 from repro.core.types import Query
 from repro.errors import ConfigError, QueryError
 from repro.sa.relational import AttributeSpec
+from repro.serve import GenieServer
 
 
 def _docs(n=30):
@@ -112,6 +113,22 @@ class TestLifecycle:
         session.close()
         with pytest.raises(ConfigError, match="session is closed"):
             session.create_index(_docs(), model="document")
+
+    def test_failed_create_index_leaves_no_zombie(self):
+        # Regression: create_index registered the handle before fitting,
+        # so a fit that raised left an unfitted index under the name.
+        session = GenieSession()
+        ann = dict(model="ann-e2lsh", name="x", num_functions=8, dim=2, width=4.0)
+        with pytest.raises(ConfigError, match="non-finite"):
+            session.create_index(np.array([[np.nan, 1.0]]), **ann)
+        assert "x" not in session.indexes
+        assert session.resident_bytes == 0
+        with GenieServer(session) as server:
+            with pytest.raises(ConfigError, match="no index named 'x'"):
+                server.submit("x", np.zeros(2), k=1)
+        handle = session.create_index(np.array([[0.0, 1.0], [2.0, 3.0]]), **ann)
+        assert session.indexes == ("x",)
+        assert int(handle.search(np.array([[0.0, 1.0]]), k=1)[0].ids[0]) == 0
 
     def test_fit_after_close_raises(self):
         session = GenieSession()

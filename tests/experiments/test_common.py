@@ -20,7 +20,7 @@ class TestFitHelpers:
     def test_ocr_setup_uses_rbh(self):
         dataset = make_ocr_like(n=200, n_queries=10, dim=16, seed=0)
         setup = fit_genie_ocr(dataset, m=8, k=3)
-        results = setup.index.query(dataset.queries[:2], k=3)
+        results = setup.handle.search(dataset.queries[:2], k=3).results
         assert len(results) == 2
 
 

@@ -1,10 +1,11 @@
-"""Tests for the LSH->GENIE transformer and the tau-ANN index."""
+"""Tests for the LSH->GENIE transformer and tau-ANN search through it."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.api import AnnModel, GenieSession
 from repro.core.engine import GenieConfig
 from repro.errors import ConfigError, QueryError
 from repro.lsh import murmur
@@ -12,7 +13,7 @@ from repro.lsh.e2lsh import E2Lsh
 from repro.lsh.minhash import MinHash
 from repro.lsh.rbh import RandomBinningHash
 from repro.lsh.simhash import SimHash
-from repro.lsh.transform import LshTransformer, TauAnnIndex
+from repro.lsh.transform import LshTransformer
 
 
 def _family(m=32, dim=8):
@@ -198,41 +199,46 @@ class TestKeywordMatrixEdgeShapes:
             assert out.shape == (0, 4) and out.dtype == np.int64
 
 
+def _ann_index(points, m=32):
+    return GenieSession().create_index(points, model=AnnModel(_family(m=m), domain=67))
+
+
 class TestTauAnnIndex:
     def test_self_query_returns_self_with_full_count(self):
         rng = np.random.default_rng(0)
         points = rng.standard_normal((50, 8))
-        index = TauAnnIndex(_family(), domain=67).fit(points)
-        results = index.query(points[:5], k=1)
+        index = _ann_index(points)
+        results = index.search(points[:5], k=1).results
         for i, result in enumerate(results):
             assert int(result.ids[0]) == i
-            assert int(result.counts[0]) == index.num_functions
+            assert int(result.counts[0]) == index.model.num_functions
 
     def test_near_points_rank_high(self):
         rng = np.random.default_rng(1)
         points = rng.standard_normal((100, 8)) * 5
-        index = TauAnnIndex(_family(m=64), domain=67).fit(points)
+        index = _ann_index(points, m=64)
         noisy = points[7] + 0.01 * rng.standard_normal(8)
-        result = index.query(noisy[None, :], k=3)[0]
+        result = index.search(noisy[None, :], k=3)[0]
         assert int(result.ids[0]) == 7
 
     def test_search_returns_similarity_estimates(self):
         points = np.random.default_rng(0).standard_normal((20, 8))
-        index = TauAnnIndex(_family(m=16), domain=67).fit(points)
-        triples = index.search(points[:2], k=2)
+        triples = _ann_index(points, m=16).search(points[:2], k=2).payload
         for ids, counts, estimates in triples:
             assert np.allclose(estimates, counts / 16.0)
             assert (estimates <= 1.0).all()
 
     def test_count_bound_forced_to_m(self):
-        index = TauAnnIndex(_family(m=16), domain=67, config=GenieConfig(k=3))
+        index = GenieSession().declare_index(
+            AnnModel(_family(m=16), domain=67), config=GenieConfig(k=3)
+        )
         assert index.engine.config.count_bound == 16
 
     def test_errors(self):
-        index = TauAnnIndex(_family())
+        index = GenieSession().declare_index(AnnModel(_family()))
         with pytest.raises(QueryError):
-            index.query(np.zeros((1, 8)))
+            index.search(np.zeros((1, 8)))
         with pytest.raises(QueryError):
-            _ = index.points
+            _ = index.model.points
         with pytest.raises(ConfigError):
             index.fit(np.zeros((0, 8)))

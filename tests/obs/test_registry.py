@@ -15,8 +15,7 @@ class TestCounter:
         assert counter.value == 5
 
     def test_value_is_settable_for_legacy_augmented_assignment(self):
-        # ServeMetrics call sites do ``metrics.rejected += 1``; the
-        # property descriptor routes that through Counter.value.
+        # ``value`` is a plain attribute: augmented assignment works too.
         counter = Counter("rejected")
         counter.value += 3
         assert counter.value == 3

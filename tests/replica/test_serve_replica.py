@@ -95,7 +95,7 @@ class TestServedFailover:
             assert snap["replica_failovers"] > 0
             assert snap["replica_re_replications"] == 0
             # past the outage window the device serves again
-            assert server.metrics.replica_failovers == snap["replica_failovers"]
+            assert server.metrics.replica_failovers.value == snap["replica_failovers"]
             server.close()
 
     def test_fault_clock_is_auto_wired_to_server(self):
@@ -166,10 +166,10 @@ class TestServedRebalance:
             server = make_server(session, rebalance=policy)
             serve_all(server, queries * 3)
             metrics = server.metrics
-            if metrics.replica_rebalances:
+            if metrics.replica_rebalances.value:
                 # post-fire observations only: the window was rebuilt
                 # from scratch after the recut
-                assert metrics.rolling_window_batches < metrics.sharded_batches
+                assert metrics.rolling_window_batches < metrics.sharded_batches.value
             server.close()
 
     def test_no_policy_means_no_rebalance(self):
@@ -178,6 +178,6 @@ class TestServedRebalance:
             handle = session.create_index(rows, model="raw", name="idx", shards=4)
             server = make_server(session)
             serve_all(server, self._skewed_workload() * 3)
-            assert server.metrics.replica_rebalances == 0
+            assert server.metrics.replica_rebalances.value == 0
             assert handle.rebalance_epoch == 0
             server.close()

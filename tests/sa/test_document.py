@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import GenieSession
 from repro.errors import QueryError
-from repro.sa.document import DEFAULT_STOPWORDS, DocumentIndex, WordVocabulary, tokenize
+from repro.sa.document import DEFAULT_STOPWORDS, WordVocabulary, tokenize
 
 DOCS = [
     "the quick brown fox jumps",
@@ -39,30 +40,35 @@ class TestWordVocabulary:
         assert vocab.encode(["a", "z"], grow=False).tolist() == [0]
 
 
+def _index():
+    return GenieSession().create_index(DOCS, model="document")
+
+
+def _inner_product(a: str, b: str) -> int:
+    """Reference binary vector-space inner product of two texts."""
+    return len(set(tokenize(a)) & set(tokenize(b)))
+
+
 class TestDocumentIndex:
     def test_count_equals_inner_product(self):
-        index = DocumentIndex().fit(DOCS)
         query = "quick brown dog"
-        result = index.query_one(query, k=4)
+        result = _index().search([query], k=4)[0]
         for doc_id, count in result.as_pairs():
-            assert count == index.inner_product(query, DOCS[doc_id])
+            assert count == _inner_product(query, DOCS[doc_id])
 
     def test_most_overlapping_doc_first(self):
-        index = DocumentIndex().fit(DOCS)
-        result = index.query_one("lazy dog sleeps", k=1)
+        result = _index().search(["lazy dog sleeps"], k=1)[0]
         assert int(result.ids[0]) == 1
 
     def test_batch(self):
-        index = DocumentIndex().fit(DOCS)
-        results = index.query_batch(["quick fox", "honey bears"], k=2)
+        results = _index().search(["quick fox", "honey bears"], k=2).results
         assert int(results[0].ids[0]) == 0
         assert int(results[1].ids[0]) == 3
 
     def test_unknown_words_raise(self):
-        index = DocumentIndex().fit(DOCS)
         with pytest.raises(QueryError):
-            index.query_one("zzz qqq", k=1)
+            _index().search(["zzz qqq"], k=1)
 
     def test_query_before_fit(self):
         with pytest.raises(QueryError):
-            DocumentIndex().query_one("dog", k=1)
+            GenieSession().declare_index("document").search(["dog"], k=1)

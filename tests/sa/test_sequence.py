@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GenieSession
 from repro.errors import QueryError
 from repro.sa.edit_distance import edit_distance
-from repro.sa.sequence import SequenceIndex
+from repro.sa.sequence import search_until_certified
 
 TITLES = [
     "approximate string matching",
@@ -21,51 +22,60 @@ TITLES = [
 ]
 
 
+def _index(sequences, n=3):
+    return GenieSession().create_index(sequences, model="sequence", n=n)
+
+
+def _search(index, query, **opts):
+    """One query's verified ``SequenceSearchResult`` payload."""
+    return index.search([query], **opts).payload[0]
+
+
 class TestBasicSearch:
     def test_exact_query_finds_itself(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        result = index.search(TITLES[3], k=1, n_candidates=4)
+        index = _index(TITLES)
+        result = _search(index, TITLES[3], k=1, n_candidates=4)
         assert result.best.sequence_id == 3
         assert result.best.distance == 0
 
     def test_corrupted_query_recovers_original(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        result = index.search("aproximate string matchng", k=1, n_candidates=4)
+        index = _index(TITLES)
+        result = _search(index, "aproximate string matchng", k=1, n_candidates=4)
         assert result.best.sequence_id == 0
 
     def test_topk_ordering(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        result = index.search("exact string matching", k=3, n_candidates=8)
+        index = _index(TITLES)
+        result = _search(index, "exact string matching", k=3, n_candidates=8)
         distances = [m.distance for m in result.matches]
         assert distances == sorted(distances)
         assert result.matches[0].sequence_id == 1
 
     def test_unknown_grams_empty_result(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        result = index.search("zzzzzzzz", k=1, n_candidates=4)
+        index = _index(TITLES)
+        result = _search(index, "zzzzzzzz", k=1, n_candidates=4)
         assert result.best is None
 
     def test_errors(self):
-        index = SequenceIndex(n=3)
+        index = GenieSession().declare_index("sequence", n=3)
         with pytest.raises(QueryError):
-            index.search("abc")
+            _search(index, "abc", k=1)
         index.fit(TITLES)
         with pytest.raises(QueryError):
-            index.search("abc", k=2, n_candidates=1)
+            _search(index, "abc", k=2, n_candidates=1)
 
 
 class TestCertificate:
     def test_certified_result_is_truly_optimal(self):
-        index = SequenceIndex(n=3).fit(TITLES)
+        index = _index(TITLES)
         query = "locality sensitve hashing"
-        result = index.search(query, k=1, n_candidates=len(TITLES))
+        result = _search(index, query, k=1, n_candidates=len(TITLES))
         best_true = min(edit_distance(query, t) for t in TITLES)
         assert result.certified
         assert result.best.distance == best_true
 
     def test_search_until_certified(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        result = index.search_until_certified("graph patern mining", k=1)
+        index = _index(TITLES)
+        result = search_until_certified(index, "graph patern mining", k=1)
         assert result.certified
         assert result.best.sequence_id == 2
 
@@ -81,7 +91,7 @@ def test_certified_searches_match_brute_force(data):
         "".join(alphabet[int(c)] for c in rng.integers(0, 3, size=rng.integers(6, 14)))
         for _ in range(12)
     ]
-    index = SequenceIndex(n=2).fit(titles)
+    index = _index(titles, n=2)
     query = titles[int(rng.integers(0, len(titles)))]
     # Corrupt two characters.
     chars = list(query)
@@ -89,7 +99,7 @@ def test_certified_searches_match_brute_force(data):
         chars[int(rng.integers(0, len(chars)))] = alphabet[int(rng.integers(0, 3))]
     query = "".join(chars)
 
-    result = index.search(query, k=1, n_candidates=12)
+    result = _search(index, query, k=1, n_candidates=12)
     if result.certified and result.best is not None:
         best_true = min(edit_distance(query, t) for t in titles)
         assert result.best.distance == best_true
@@ -97,13 +107,13 @@ def test_certified_searches_match_brute_force(data):
 
 class TestVerificationCost:
     def test_host_charged_for_verification(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        index.search(TITLES[0], k=1, n_candidates=4)
-        assert index.host.timings.get("verify") > 0
+        index = _index(TITLES)
+        _search(index, TITLES[0], k=1, n_candidates=4)
+        assert index.session.host.timings.get("verify") > 0
 
     def test_filter_limits_verifications(self):
-        index = SequenceIndex(n=3).fit(TITLES)
-        result = index.search(TITLES[0], k=1, n_candidates=len(TITLES))
+        index = _index(TITLES)
+        result = _search(index, TITLES[0], k=1, n_candidates=len(TITLES))
         # The exact match (distance 0) makes the Theorem-5.1 threshold huge,
         # so verification stops well before the whole shortlist.
         assert result.candidates_verified < len(TITLES)

@@ -89,7 +89,7 @@ class TestShardCounters:
         metrics.record_batch(4, 3.0, 0, 0, shard_seconds=[3.0, 1.0])
         metrics.record_batch(4, 3.0, 0, 0, shard_seconds=[3.0, 1.0])
         assert metrics.shard_busy_seconds == {0: 6.0, 1: 2.0}
-        assert metrics.sharded_batches == 2
+        assert metrics.sharded_batches.value == 2
         # max busy 6.0 over mean 4.0
         assert metrics.shard_imbalance == pytest.approx(1.5)
 
@@ -112,8 +112,8 @@ class TestRoutingCounters:
         broadcast = RoutingSummary(n_shards=4, n_queries=2, scanned_pairs=8, pruned_pairs=0)
         metrics.record_batch(2, 1.0, 0, 0, shard_seconds=[1.0, 0, 0, 0], routing=routed)
         metrics.record_batch(2, 1.0, 0, 0, shard_seconds=[1.0, 1.0, 1.0, 1.0], routing=broadcast)
-        assert metrics.routed_batches == 1
-        assert metrics.sharded_batches == 2
+        assert metrics.routed_batches.value == 1
+        assert metrics.sharded_batches.value == 2
         # 6 of 16 (query, shard) scan pairs were avoided across both batches.
         assert metrics.pruned_shard_fraction == pytest.approx(6 / 16)
         snap = metrics.snapshot()
@@ -123,7 +123,7 @@ class TestRoutingCounters:
     def test_unsharded_batches_leave_routing_counters_zero(self):
         metrics = ServeMetrics()
         metrics.record_batch(4, 3.0, 0, 0)
-        assert metrics.routed_batches == 0
+        assert metrics.routed_batches.value == 0
         assert metrics.pruned_shard_fraction == 0.0
         snap = metrics.snapshot()
         assert snap["routed_batches"] == 0
@@ -162,7 +162,7 @@ class TestRejectedByReason:
         server.submit("tweets", DOCS[1], k=2)
         with pytest.raises(AdmissionError):
             server.submit("tweets", DOCS[2], k=2)
-        assert server.metrics.rejected == 1  # legacy queue-full counter
+        assert server.metrics.rejected.value == 1  # legacy queue-full counter
         assert server.metrics.rejected_by_reason == {"queue_full": 1}
         server.drain()
         server.close()
@@ -239,7 +239,7 @@ class TestRollingShardWindow:
         metrics.reset_rolling_shards()
         assert metrics.rolling_window_batches == 0
         assert metrics.rolling_shard_seconds() == []
-        assert metrics.sharded_batches == 1  # lifetime counters survive
+        assert metrics.sharded_batches.value == 1  # lifetime counters survive
 
     def test_snapshot_exposes_rolling_gauges(self):
         metrics = ServeMetrics()

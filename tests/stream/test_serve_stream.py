@@ -28,7 +28,7 @@ class TestCacheInvalidation:
         server = make_server()
         server.submit("a", (1,), k=2)
         server.submit("b", (11,), k=2)
-        assert server.metrics.cache_misses == 2
+        assert server.metrics.cache_misses.value == 2
         server.session.index("a").insert([[1, 50]])
         # "a" re-executes (a stale hit would miss the new object);
         # "b" still answers from cache.

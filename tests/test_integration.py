@@ -8,7 +8,7 @@ GPU-SPQ full scan, CPU-Idx) agree on real workloads.
 import numpy as np
 import pytest
 
-from repro.api import GenieSession
+from repro.api import AnnModel, GenieSession
 from repro.baselines.cpu_idx import CpuIdx
 from repro.baselines.gpu_spq import GpuSpq
 from repro.core.engine import GenieConfig, GenieEngine
@@ -17,7 +17,7 @@ from repro.core.types import Corpus, Query
 from repro.datasets.synthetic import make_sift_like, true_knn
 from repro.errors import QueryError
 from repro.gpu.device import Device
-from repro.lsh import E2Lsh, MinHash, SimHash, TauAnnIndex
+from repro.lsh import E2Lsh, MinHash, SimHash
 from repro.lsh.transform import LshTransformer
 
 
@@ -86,10 +86,10 @@ class TestAnnQualityEndToEnd:
     def test_e2lsh_recall_beats_random(self):
         dataset = make_sift_like(n=1500, n_queries=30, seed=3)
         family = E2Lsh(64, dim=dataset.dim, width=4.0, seed=4)
-        index = TauAnnIndex(family, domain=67).fit(dataset.data)
+        index = GenieSession().create_index(dataset.data, model=AnnModel(family, domain=67))
         true_ids, _ = true_knn(dataset.data, dataset.queries, 10)
         hits = 0
-        for result, tids in zip(index.query(dataset.queries, k=10), true_ids):
+        for result, tids in zip(index.search(dataset.queries, k=10).results, true_ids):
             hits += len(set(result.ids.tolist()) & set(tids.tolist()))
         recall = hits / (30 * 10)
         assert recall > 0.5  # far above the ~0.7% random baseline
@@ -114,9 +114,9 @@ class TestAnnQualityEndToEnd:
         rng = np.random.default_rng(8)
         points = rng.standard_normal((150, 24))
         family = SimHash(num_functions=96, dim=24, seed=9)
-        index = TauAnnIndex(family, domain=8, seed=10).fit(points)
+        index = GenieSession().create_index(points, model=AnnModel(family, domain=8, seed=10))
         probe = 3.0 * points[42]  # same direction, different norm
-        result = index.query(probe[None, :], k=1)[0]
+        result = index.search(probe[None, :], k=1)[0]
         assert int(result.ids[0]) == 42
 
 

@@ -1,0 +1,39 @@
+"""Layering: the substrate packages never import the layers built on them.
+
+``core`` / ``gpu`` / ``lsh`` / ``sa`` / ``datasets`` / ``baselines`` are what
+the session, planner, cluster, replica, stream, serve and obs layers are
+built from; an import in the other direction — even a lazy one inside a
+function body — is a cycle waiting to happen.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+LOWER = ("core", "gpu", "lsh", "sa", "datasets", "baselines")
+UPPER = ("api", "serve", "plan", "cluster", "replica", "stream", "obs")
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):  # walks function bodies too
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.lineno, node.module
+            for alias in node.names:  # ``from repro import api``
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def test_lower_layers_do_not_import_upward():
+    root = Path(repro.__file__).parent
+    banned = tuple(f"repro.{name}" for name in UPPER)
+    offenders = []
+    for package in LOWER:
+        for path in sorted((root / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for lineno, module in _imported_modules(tree):
+                if any(module == b or module.startswith(b + ".") for b in banned):
+                    offenders.append(f"{path.relative_to(root)}:{lineno}: {module}")
+    assert not offenders, "upward imports:\n" + "\n".join(offenders)
