@@ -6,7 +6,8 @@ functionally identical pipelines on a Fig.-9-style 256-query LSH workload
 objects, k=10):
 
 * legacy: one :func:`plan_query_scan` + :func:`topk_from_counts` per query
-  (dict position-map walk, per-query ``bincount``/selection), and
+  (the specification in ``repro.core.reference``: per-item span lookups,
+  per-query ``bincount``/selection), and
 * batch: one :func:`plan_batch_scan` for the whole batch (CSR span
   resolution, fused-key ``bincount`` tiles, cache-resident cost/selection
   sweep).
@@ -24,8 +25,7 @@ import numpy as np
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex
-from repro.core.scan_kernel import plan_query_scan
-from repro.core.selection import topk_from_counts
+from repro.core.reference import plan_query_scan, topk_from_counts
 from repro.core.types import Corpus, Query
 from repro.experiments.table import ResultTable
 
@@ -62,7 +62,7 @@ def test_batch_pipeline_speedup(benchmark, emit):
     def batch():
         return plan_batch_scan(index, queries, K, select=True).results
 
-    # Warm both paths (lazy dict / int32 caches), check they agree, then time.
+    # Warm both paths (lazy int32 cache), check they agree, then time.
     for a, b in zip(legacy(), batch()):
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.counts, b.counts)

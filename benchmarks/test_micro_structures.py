@@ -13,7 +13,7 @@ from repro.core.bitmap_counter import BitmapCounter
 from repro.core.cpq import CountPriorityQueue
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.hash_table import RobinHoodHashTable
-from repro.core.selection import topk_from_counts
+from repro.core.reference import topk_from_counts
 from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query
 from repro.sa.edit_distance import edit_distance

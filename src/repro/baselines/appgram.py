@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.inverted_index import InvertedIndex
+from repro.core.reference import match_counts
 from repro.core.types import Corpus, Query
 from repro.errors import QueryError
 from repro.gpu.host import HostCpu
@@ -58,10 +59,8 @@ class AppGram:
             raise QueryError("AppGram must be fitted before searching")
         genie_query = Query.from_keywords(self.vocabulary.encode(query, grow=False))
         n_seq = len(self.sequences)
-        spans = [s for item in genie_query.items for s in self._index.spans_for_keywords(item)]
-        ids = self._index.gather(spans)
-        counts = np.bincount(ids, minlength=n_seq).astype(np.int64)
-        self.host.charge_ops(float(ids.size) * 3.0 + n_seq, stage="match")
+        counts = match_counts(self._index, genie_query)
+        self.host.charge_ops(float(counts.sum()) * 3.0 + n_seq, stage="match")
 
         order = np.lexsort((np.arange(n_seq), -counts))
         matches: list[SequenceMatch] = []

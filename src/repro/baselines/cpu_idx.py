@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.inverted_index import InvertedIndex
-from repro.core.selection import topk_from_counts
+from repro.core.reference import match_counts, topk_from_counts
 from repro.core.types import Corpus, Query, TopKResult
 from repro.errors import QueryError
 from repro.gpu.host import HostCpu
@@ -48,15 +48,14 @@ class CpuIdx:
         results = []
         n = len(self.corpus)
         for query in queries:
-            spans = [s for item in query.items for s in self.index.spans_for_keywords(item)]
-            ids = self.index.gather(spans)
-            counts = np.bincount(ids, minlength=n).astype(np.int64)
+            counts = match_counts(self.index, query)
+            scanned = int(counts.sum())  # one postings entry per counter bump
             results.append(topk_from_counts(counts, k))
             # Postings scan + count array reset + partial selection.
-            scan_ops = float(ids.size) * 3.0
+            scan_ops = float(scanned) * 3.0
             select_ops = float(n) + float(k) * np.log2(max(n, 2))
             self.host.charge_ops(scan_ops + select_ops, stage="match")
-            self.host.charge_bytes(float(ids.size + n) * 4.0, stage="match")
+            self.host.charge_bytes(float(scanned + n) * 4.0, stage="match")
         self.last_profile = timings_delta(before, self.host.timings)
         return results
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.inverted_index import InvertedIndex
+from repro.core.reference import match_counts
 from repro.core.types import Corpus, Query, TopKResult
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings, timings_delta
 from repro.lsh.e2lsh import E2Lsh
@@ -47,7 +48,7 @@ class CpuLsh:
         seed: int = 0,
     ):
         if not 0 < collision_fraction <= 1:
-            raise ValueError("collision_fraction must lie in (0, 1]")
+            raise ConfigError("collision_fraction must lie in (0, 1]")
         self.num_functions = int(num_functions)
         self.width = float(width)
         self.p = int(p)
@@ -89,10 +90,7 @@ class CpuLsh:
         results = []
         query_keywords = self._rehasher.keywords(self._family.hash_points(query_points))
         for row, qp in zip(query_keywords, query_points):
-            query = Query.from_keywords(row)
-            spans = [s for item in query.items for s in self._index.spans_for_keywords(item)]
-            ids = self._index.gather(spans)
-            counts = np.bincount(ids, minlength=n).astype(np.int64)
+            counts = match_counts(self._index, Query.from_keywords(row))
             candidates = np.nonzero(counts >= threshold)[0]
             if candidates.size < k:
                 # C2LSH relaxes the threshold until enough candidates exist.
@@ -103,7 +101,7 @@ class CpuLsh:
             chosen = candidates[order]
             results.append(TopKResult(ids=chosen, counts=counts[chosen]))
 
-            scan_ops = float(ids.size) * 3.0 + float(n)
+            scan_ops = float(counts.sum()) * 3.0 + float(n)
             verify_ops = float(candidates.size) * float(dim) * 3.0
             self.host.charge_ops(scan_ops, stage="match")
             self.host.charge_ops(verify_ops, stage="verify")

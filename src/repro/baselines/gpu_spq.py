@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.count_table import count_table_batch_bytes
 from repro.core.inverted_index import InvertedIndex
+from repro.core.reference import match_counts
 from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query, TopKResult
 from repro.errors import QueryError
@@ -82,10 +83,7 @@ class GpuSpq:
         scan_items = 0
         select_scanned = 0
         for query in queries:
-            spans = [s for item in query.items for s in self._index.spans_for_keywords(item)]
-            ids = self._index.gather(spans)
-            counts = np.bincount(ids, minlength=len(self.corpus)).astype(np.int64)
-            result, trace = spq_topk(counts, k)
+            result, trace = spq_topk(match_counts(self._index, query), k)
             results.append(result)
             scan_items += total_entries  # every query scans the whole dataset
             select_scanned += trace.elements_scanned

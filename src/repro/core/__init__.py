@@ -6,6 +6,10 @@ Typical use::
 
     engine = GenieEngine(config=GenieConfig(k=10)).fit(Corpus(objects))
     results = engine.query([Query.from_keywords(sig) for sig in signatures])
+
+The per-query specification the scan is tested against (``topk_from_counts``,
+``plan_query_scan``, the Algorithm-1 ``reference_query``, ...) is
+:mod:`repro.core.reference`; it is deliberately not imported here.
 """
 
 from repro.core.batch_scan import BatchScanPlan, plan_batch_scan
@@ -17,14 +21,6 @@ from repro.core.hash_table import RobinHoodHashTable
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import brute_force_topk, match_count, match_counts_all
-from repro.core.selection import (
-    audit_threshold_from_counts,
-    audit_threshold_from_counts_batch,
-    derive_cpq_cost,
-    derive_cpq_cost_batch,
-    topk_from_counts,
-    topk_from_counts_batch,
-)
 from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query, TopKResult
 from repro.core.zipper import Gate
@@ -45,12 +41,6 @@ __all__ = [
     "match_count",
     "match_counts_all",
     "brute_force_topk",
-    "topk_from_counts",
-    "topk_from_counts_batch",
-    "audit_threshold_from_counts",
-    "audit_threshold_from_counts_batch",
-    "derive_cpq_cost",
-    "derive_cpq_cost_batch",
     "plan_batch_scan",
     "BatchScanPlan",
     "spq_topk",

@@ -1,33 +1,35 @@
-"""Fused whole-batch match counting (the vectorized engine hot path).
+"""Fused whole-batch match counting (the engine's one scan path).
 
 GENIE's match-count model lets thousands of queries share one scan
-infrastructure; this module is the host-side realization of that idea. Where
-:func:`repro.core.scan_kernel.plan_query_scan` walks one query at a time
-(dict lookups per keyword, one full-corpus ``bincount`` per query), the
-batch scanner processes the *whole batch* as flat arrays:
+infrastructure; this module is the host-side realization of that idea. The
+*whole batch* is processed as flat arrays:
 
 1. every query item's keywords are resolved to CSR keyword rows with one
    fancy-indexed lookup (:meth:`InvertedIndex.keyword_rows`),
 2. keyword rows expand to span rows and then to one flat object-id stream
    in ``(query, item, span)`` order — a single gather of all queries'
    postings,
-3. the count matrix is computed tile-by-tile with a fused-key ``bincount``
+3. match counts are computed tile-by-tile with a fused-key ``bincount``
    over ``query_row * n_objects + object_id``; tiles are sized so one
    tile's count rows stay cache-resident,
-4. per-query ``block_sizes`` fall out of segmented reductions over the same
-   span stream, and the c-PQ cost statistics, positive-count histograms and
-   (optionally) the top-k selection are all computed per tile while the
-   rows are still hot in cache.
+4. the batch's ``block_sizes`` fall out of segmented reductions over the
+   same span stream, and the c-PQ cost statistics, positive-count
+   histograms and (with ``select=True``) the top-k selection are all
+   computed per tile while the rows are still hot in cache.
 
-The resulting :class:`~repro.core.scan_kernel.QueryScanPlan` objects are
-value-identical to the per-query planner's (same block layout, same counts,
-same cost state), so the simulated :class:`~repro.gpu.kernel.KernelLaunch`
-costs are bit-for-bit unchanged — only the host wall-clock drops. The
-optional integrated selection returns exactly what
-:func:`repro.core.selection.topk_from_counts` returns row by row, including
-the count-desc / id-asc tie-break (Theorem 3.1 pins the threshold to the
-k-th count, so candidates are extracted by threshold instead of a full
-``argpartition``).
+:class:`BatchScanPlan` carries what the engine and the launch builders of
+:mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. On
+the c-PQ path (``select=True``) tiles are counted into one reused buffer, so
+no ``(n_queries, n_objects)`` array ever exists; the dense matrix is kept
+only for GEN-SPQ (``select=False``), whose bucket selection reads full rows.
+
+The readable per-query specification lives in :mod:`repro.core.reference`;
+``reference.plan_batch`` assembles the same struct one query at a time and
+``tests/core/test_batch_scan.py`` holds the two equal field by field, so the
+simulated :class:`~repro.gpu.kernel.KernelLaunch` costs and every answer
+(count-desc / id-asc tie-break included) are bit-for-bit the specification's.
+Theorem 3.1 pins the threshold to the k-th count, so candidates are
+extracted by threshold instead of a full ``argpartition``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.inverted_index import InvertedIndex, ragged_slices
-from repro.core.scan_kernel import QueryScanPlan
-from repro.core.selection import CpqCostState
 from repro.core.types import ID_DTYPE, Query, TopKResult
 
 #: Cap on the fused bincount key domain (count-matrix cells per tile). Also
@@ -51,30 +51,34 @@ DEFAULT_MAX_FUSED_CELLS = 512 * 1024
 #: fancy-index array; short spans amortize better through the index array.
 _CONCAT_MIN_AVG_SPAN = 32
 
-#: Block-size array used for queries that scan nothing (matches
-#: ``plan_query_scan``'s ``block_sizes or [0]``).
-_EMPTY_BLOCKS = np.zeros(1, dtype=np.int64)
-_EMPTY_BLOCKS.setflags(write=False)
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_IDS.setflags(write=False)
-
 
 @dataclass
 class BatchScanPlan:
     """Work layout (and optional results) of a whole batch's scan.
 
     Attributes:
-        plans: One :class:`QueryScanPlan` per query, in batch order; each
-            plan's ``counts`` is a row view into ``count_matrix``.
-        count_matrix: ``(n_queries, n_objects)`` final match counts.
-        results: Top-k results per query when the scan was planned with
-            ``select=True``, else ``None``.
+        n_queries: Queries in the batch.
+        block_sizes: Postings entries scanned by each match-kernel block:
+            every query's blocks concatenated in batch order (a query that
+            scans nothing still contributes one ``0`` block).
+        updates: ``(n_queries,)`` counter increments (= entries scanned).
+        gate_passes: ``(n_queries,)`` estimated c-PQ Gate passes.
+        hot_counts: The batch's positive match counts, flat and 32-bit, in
+            (query, ascending-id) order.
+        hot_bounds: ``(n_queries + 1,)`` per-query offsets into ``hot_counts``.
+        results: Per-query top-k under ``select=True``, else ``None``.
+        counts: Dense ``(n_queries, n_objects)`` match counts under
+            ``select=False`` (GEN-SPQ), else ``None``.
     """
 
-    plans: list[QueryScanPlan]
-    count_matrix: np.ndarray
+    n_queries: int
+    block_sizes: np.ndarray
+    updates: np.ndarray
+    gate_passes: np.ndarray
+    hot_counts: np.ndarray
+    hot_bounds: np.ndarray
     results: list[TopKResult] | None = None
+    counts: np.ndarray | None = None
 
 
 def plan_batch_scan(
@@ -92,36 +96,20 @@ def plan_batch_scan(
         k: Result size (feeds the c-PQ cost derivation and selection).
         max_fused_cells: Upper bound on one tile's fused ``bincount``
             domain; also the tile size of the cache-resident pipeline.
-        select: Also compute each query's top-k while tiles are cache-hot.
+        select: Compute each query's top-k while tiles are cache-hot (the
+            c-PQ path) instead of keeping the dense count matrix.
 
     Returns:
-        The batch plan; ``plans[i]`` equals
-        ``plan_query_scan(index, queries[i], i, k)`` value-for-value, and
-        ``results[i]`` (when selected) equals
-        ``topk_from_counts(count_matrix[i], k)``.
+        The batch plan, equal field by field to
+        ``repro.core.reference.plan_batch(index, queries, k)``.
     """
     n_queries = len(queries)
-    n_objects = index.n_objects
-
     span_rows, span_query, span_item = _resolve_spans(index, queries)
     span_lengths = index.span_ends[span_rows] - index.span_starts[span_rows]
     block_sizes = _segmented_block_sizes(index, span_lengths, span_query, span_item, n_queries)
-
-    sweep = _tiled_sweep(
-        index, span_rows, span_lengths, span_query, n_queries, int(k), max_fused_cells, select
+    return _tiled_sweep(
+        index, span_rows, span_lengths, span_query, block_sizes, n_queries, int(k), max_fused_cells, select
     )
-
-    plans = [
-        QueryScanPlan(
-            query_index=qi,
-            block_sizes=block_sizes[qi],
-            counts=sweep.count_matrix[qi],
-            cpq_cost=sweep.cost_states[qi],
-            hot_counts=sweep.hot_counts[qi],
-        )
-        for qi in range(n_queries)
-    ]
-    return BatchScanPlan(plans=plans, count_matrix=sweep.count_matrix, results=sweep.results)
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +125,8 @@ def _resolve_spans(
         ``(span_rows, span_query, span_item)``: for each resolved span its
         row in the index's span table, owning query, and owning item (a
         batch-global item counter). The stream is ordered by query, then
-        item, then the item's keyword order, then span order — the same
-        order ``plan_query_scan`` visits spans.
+        item, then the item's keyword order, then span order — the order
+        :func:`repro.core.reference.plan_query_scan` visits spans.
     """
     keyword_chunks: list[np.ndarray] = []
     item_sizes: list[int] = []
@@ -173,15 +161,17 @@ def _segmented_block_sizes(
     span_query: np.ndarray,
     span_item: np.ndarray,
     n_queries: int,
-) -> list[np.ndarray]:
-    """Per-query block sizes from segmented reductions over the span stream.
+) -> np.ndarray:
+    """The batch's block sizes from segmented reductions over the span stream.
 
-    Mirrors ``plan_query_scan``'s layout rule: without load balancing one
+    The layout rule of the paper's match kernel: without load balancing one
     block per item with postings; with load balancing the item's spans are
-    grouped ``max_lists_per_block`` at a time, in stream order.
+    grouped ``max_lists_per_block`` at a time, in stream order. A query with
+    no block of its own gets a single ``0`` block, so the launch's block
+    count never drops below the batch size.
     """
     if span_item.size == 0:
-        return [_EMPTY_BLOCKS] * n_queries
+        return np.zeros(n_queries, dtype=np.int64)
 
     is_new_item = np.empty(span_item.size, dtype=bool)
     is_new_item[0] = True
@@ -198,25 +188,17 @@ def _segmented_block_sizes(
         )
         block_starts = np.nonzero(is_new_item | (within_item % lb.max_lists_per_block == 0))[0]
 
-    all_block_sizes = np.add.reduceat(span_lengths, block_starts)
+    real_blocks = np.add.reduceat(span_lengths, block_starts)
     block_query = span_query[block_starts]
-    bounds = np.searchsorted(block_query, np.arange(n_queries + 1))
-    return [
-        all_block_sizes[bounds[qi] : bounds[qi + 1]] if bounds[qi] < bounds[qi + 1] else _EMPTY_BLOCKS
-        for qi in range(n_queries)
-    ]
+    scans_nothing = np.bincount(block_query, minlength=n_queries) == 0
+    # Each real block shifts right by the number of empty queries before it.
+    block_sizes = np.zeros(real_blocks.size + int(scans_nothing.sum()), dtype=np.int64)
+    block_sizes[np.arange(real_blocks.size) + np.cumsum(scans_nothing)[block_query]] = real_blocks
+    return block_sizes
 
 
 # ----------------------------------------------------------------------
 # the tiled count / cost / selection sweep
-
-
-@dataclass
-class _SweepResult:
-    count_matrix: np.ndarray
-    cost_states: list[CpqCostState]
-    hot_counts: list[np.ndarray]
-    results: list[TopKResult] | None
 
 
 def _gather_stream(index: InvertedIndex, span_rows: np.ndarray, span_lengths: np.ndarray) -> np.ndarray:
@@ -237,61 +219,49 @@ def _tiled_sweep(
     span_rows: np.ndarray,
     span_lengths: np.ndarray,
     span_query: np.ndarray,
+    block_sizes: np.ndarray,
     n_queries: int,
     k: int,
     max_fused_cells: int,
     select: bool,
-) -> _SweepResult:
+) -> BatchScanPlan:
     """Count, cost-derive and (optionally) select, one cache-sized tile at a time."""
     n_objects = index.n_objects
-    if n_objects == 0 or span_rows.size == 0:
-        count_matrix = np.zeros((n_queries, n_objects), dtype=np.int64)
-        zero_cost = CpqCostState(audit_threshold=1, ht_entries=0, gate_passes=0.0, updates=0)
-        return _SweepResult(
-            count_matrix=count_matrix,
-            cost_states=[zero_cost] * n_queries,
-            hot_counts=[_EMPTY_IDS] * n_queries,
-            results=[TopKResult(ids=_EMPTY_IDS, counts=_EMPTY_IDS)] * n_queries
-            if select
-            else None,
-        )
-
     stream = _gather_stream(index, span_rows, span_lengths)
     # Per-query entry ranges of the stream (ordered by batch position).
-    per_query_entries = np.bincount(
+    updates = np.bincount(
         span_query, weights=span_lengths.astype(np.float64), minlength=n_queries
     ).astype(np.int64)
     entry_bounds = np.zeros(n_queries + 1, dtype=np.int64)
-    np.cumsum(per_query_entries, out=entry_bounds[1:])
+    np.cumsum(updates, out=entry_bounds[1:])
 
-    count_matrix = np.empty((n_queries, n_objects), dtype=np.int64)
     kk = min(k, n_objects)
-    take = kk
-    at_all = np.empty(n_queries, dtype=np.int64)
-    ht_all = np.empty(n_queries, dtype=np.int64)
-    gates_all = np.empty(n_queries, dtype=np.float64)
-    hot_counts: list[np.ndarray] = [_EMPTY_IDS] * n_queries
+    gate_passes = np.empty(n_queries, dtype=np.float64)
+    hot_bounds = np.zeros(n_queries + 1, dtype=np.int64)
+    hot_tiles = [np.empty(0, dtype=np.int32)]  # so an empty batch still concatenates
     results: list[TopKResult] | None = [None] * n_queries if select else None  # type: ignore[list-item]
 
     span_base = span_query * n_objects
     rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
+    # GEN-SPQ keeps every row; the c-PQ path recounts into one tile buffer.
+    counts = None if select else np.empty((n_queries, n_objects), dtype=np.int64)
+    buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=np.int64) if select else None
     for lo in range(0, n_queries, rows_per_tile):
         hi = min(lo + rows_per_tile, n_queries)
-        tile = count_matrix[lo:hi]
+        tile = buffer[: hi - lo] if select else counts[lo:hi]
         # One sparse extraction of the positive counts serves everything
         # downstream: AuditThresholds, nonzero totals, Gate-pass sums,
         # Hash-Table histograms for the launch cost, and top-k candidates.
         hot_q, hot_ids, hot_vals = _count_tile(
             tile, stream, entry_bounds, span_base, span_query, span_lengths, lo, hi, n_objects
         )
-        hot_bounds = np.searchsorted(hot_q, np.arange(hi - lo + 1))
-        nonzero_tile = np.diff(hot_bounds)
+        nonzero_tile = np.diff(np.searchsorted(hot_q, np.arange(hi - lo + 1)))
+        hot_bounds[lo + 1 : hi + 1] = nonzero_tile
+        hot_tiles.append(hot_vals.astype(np.int32))  # kept for the launch: the device's counter width
 
         # AuditThreshold: the k-th largest count per row (Theorem 3.1),
         # via a per-row histogram of the (small, bounded) positive counts.
         at_tile = _kth_largest(hot_q, hot_vals, nonzero_tile, tile, kk) + 1
-        at_all[lo:hi] = at_tile
-        ht_all[lo:hi] = np.minimum(nonzero_tile, k * at_tile)
 
         lo_level = np.maximum(at_tile - 1, 1)
         passing = hot_vals >= lo_level[hot_q]
@@ -301,11 +271,7 @@ def _tiled_sweep(
             minlength=hi - lo,
         )
         passes_low = np.minimum(nonzero_tile, k) * np.maximum(at_tile - 1, 0)
-        gates_all[lo:hi] = passes_high + passes_low
-
-        for ti in range(hi - lo):
-            a, b = hot_bounds[ti], hot_bounds[ti + 1]
-            hot_counts[lo + ti] = hot_vals[a:b]
+        gate_passes[lo:hi] = passes_high + passes_low
 
         if select:
             thresholds = at_tile - 1
@@ -315,23 +281,19 @@ def _tiled_sweep(
             for ti in range(hi - lo):
                 a, b = cand_bounds[ti], cand_bounds[ti + 1]
                 results[lo + ti] = _select_row(  # type: ignore[index]
-                    cand_ids[a:b], cand_vals[a:b], int(thresholds[ti]), take
+                    cand_ids[a:b], cand_vals[a:b], int(thresholds[ti]), kk
                 )
 
-    cost_states = [
-        CpqCostState(
-            audit_threshold=int(at_all[qi]),
-            ht_entries=int(ht_all[qi]),
-            gate_passes=float(gates_all[qi]),
-            updates=int(per_query_entries[qi]),
-        )
-        for qi in range(n_queries)
-    ]
-    return _SweepResult(
-        count_matrix=count_matrix,
-        cost_states=cost_states,
-        hot_counts=hot_counts,
+    np.cumsum(hot_bounds, out=hot_bounds)
+    return BatchScanPlan(
+        n_queries=n_queries,
+        block_sizes=block_sizes,
+        updates=updates,
+        gate_passes=gate_passes,
+        hot_counts=np.concatenate(hot_tiles),
+        hot_bounds=hot_bounds,
         results=results,
+        counts=counts,
     )
 
 
@@ -432,7 +394,7 @@ def _select_row(
 
     ``cand_ids`` holds (in ascending id order) every object with a count
     ``>= max(threshold, 1)``; exactly the candidate set
-    :func:`repro.core.selection.topk_from_counts` draws from, since
+    :func:`repro.core.reference.topk_from_counts` draws from, since
     zero-count objects never surface and sub-threshold objects never win.
     """
     sure = cand_counts > threshold

@@ -9,13 +9,14 @@
    (postings scan into c-PQ or a plain Count Table), launch the selection
    step, and transfer results back.
 
-The functional work of a batch is array-native end to end: one call to
+The functional work of a batch has one path: a call to
 :func:`repro.core.batch_scan.plan_batch_scan` resolves every query's
-postings through the CSR position map, computes the whole batch's count
-matrix with fused ``bincount`` tiles, and (with ``select=True``, the
-engine's default) selects every query's top-k while each tile is still
-cache-resident. The per-query reference path (``reference_cpq=True``) runs
-the exact Algorithm-1 c-PQ and is retained for equivalence testing.
+postings through the CSR position map, counts matches with fused
+``bincount`` tiles, and hands back batch arrays (block sizes, update and
+Gate-pass totals, the positive-count histogram) plus either every query's
+top-k (c-PQ) or the dense count matrix GEN-SPQ's bucket selection reads.
+The per-query specification it is tested against, Algorithm-1 c-PQ run
+included, lives in :mod:`repro.core.reference`, which the engine never imports.
 
 The engine is also the home of the memory accounting that reproduces
 Table IV: per-batch structures are really allocated on the simulated
@@ -32,15 +33,11 @@ import numpy as np
 
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.bitmap_counter import bits_for_bound
-from repro.core.cpq import CountPriorityQueue, hash_table_capacity
+from repro.core.cpq import hash_table_capacity
 from repro.core.count_table import COUNT_TABLE_ENTRY_BYTES, SPQ_WORKSPACE_BYTES
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
-from repro.core.scan_kernel import (
-    HT_INSERT_BYTES,
-    build_match_launch,
-    build_select_launch,
-)
+from repro.core.scan_kernel import build_match_launch, build_select_launch
 from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query, TopKResult
 from repro.errors import ConfigError, QueryError
@@ -69,10 +66,6 @@ class GenieConfig:
             queries when ``None``.
         load_balance: Postings-list splitting configuration, or ``None``.
         threads_per_block: Match-kernel launch configuration.
-        expired_overwrite: Robin Hood expired-overwrite modification
-            (ablation knob).
-        reference_cpq: Run the exact per-update Algorithm-1 c-PQ instead of
-            the vectorized path. Slow; used by tests.
     """
 
     k: int = 100
@@ -81,8 +74,6 @@ class GenieConfig:
     count_bound: int | None = None
     load_balance: LoadBalanceConfig | None = None
     threads_per_block: int = 256
-    expired_overwrite: bool = True
-    reference_cpq: bool = False
 
     def with_(self, **changes) -> "GenieConfig":
         """A copy of this config with fields replaced.
@@ -157,8 +148,7 @@ class GenieEngine:
         """
         self.corpus = corpus
         self.index = index
-        if self._index_darray is not None and self._index_darray.is_live:
-            self._index_darray.free()
+        self.release()
         # The real List Array holds 32-bit ids; transfer that footprint.
         device_view = index.list_array.astype(np.int32)
         self._index_darray = self.device.to_device(device_view, label="list_array", stage="index_transfer")
@@ -241,22 +231,22 @@ class GenieEngine:
         query_bytes = sum(q.num_keywords for q in queries) * 4
         self.device.charge_seconds(query_bytes / self.device.spec.pcie_bandwidth, stage="query_transfer")
 
-        select = self.config.use_cpq and not self.config.reference_cpq
-        batch = plan_batch_scan(self.index, queries, k, select=select)
-        plans = batch.plans
+        scan = plan_batch_scan(self.index, queries, k, select=self.config.use_cpq)
         match_launch = build_match_launch(
-            plans, self.device.spec, self.config.threads_per_block, self.config.use_cpq
+            scan, self.device.spec, self.config.threads_per_block, self.config.use_cpq
         )
         self.device.launch(match_launch, stage="match")
 
-        if self.config.reference_cpq:
-            results = [self._reference_query(q, k, count_bound) for q in queries]
-        elif self.config.use_cpq:
-            results = batch.results
+        if self.config.use_cpq:
+            results = scan.results
+            select_launch = build_select_launch(
+                len(queries), hash_table_capacity(k, count_bound), k, self.config.threads_per_block
+            )
+            self.device.launch(select_launch, stage="select")
         else:
             results = []
-            for plan in plans:
-                result, trace = spq_topk(plan.counts, k)
+            for counts in scan.counts:
+                result, trace = spq_topk(counts, k)
                 self.device.launch(
                     KernelLaunch(
                         name="spq_select",
@@ -270,12 +260,6 @@ class GenieEngine:
                     stage="select",
                 )
                 results.append(result)
-
-        if self.config.use_cpq and not self.config.reference_cpq:
-            select_launch = build_select_launch(
-                plans, hash_table_capacity(k, count_bound), k, self.config.threads_per_block
-            )
-            self.device.launch(select_launch, stage="select")
 
         result_bytes = len(queries) * k * _RESULT_ENTRY_BYTES
         self.device.charge_seconds(result_bytes / self.device.spec.pcie_bandwidth, stage="select")
@@ -317,18 +301,3 @@ class GenieEngine:
         finally:
             self.last_profile = profile
         return results
-
-    def _reference_query(self, query: Query, k: int, count_bound: int) -> TopKResult:
-        """Exact Algorithm-1 execution: scan postings in span order through c-PQ."""
-        cpq = CountPriorityQueue(
-            self.index.n_objects,
-            k,
-            count_bound,
-            bits=self.config.bits,
-            expired_overwrite=self.config.expired_overwrite,
-        )
-        for item in query.items:
-            spans = self.index.spans_for_keywords(item)
-            cpq.update_many(self.index.gather(spans))
-        return cpq.select_topk()
-

@@ -18,13 +18,11 @@ spans with fancy indexing instead of a Python loop:
   keyword universe is compact, binary search over the sorted keyword array
   otherwise).
 
-The original dict-shaped API (``spans_for_keyword`` and friends) remains as
-a thin compatibility layer on top of the CSR arrays.
+The scalar API (``spans_for_keyword`` and friends) is a thin layer of
+functions over the same CSR arrays; there is no second copy of the map.
 """
 
 from __future__ import annotations
-
-from types import MappingProxyType
 
 import numpy as np
 
@@ -45,7 +43,7 @@ class InvertedIndex:
     """An inverted index over a keyword corpus.
 
     Build with :meth:`build`; query through
-    :meth:`spans_for_keyword` / :meth:`spans_for_keywords` (scalar compat
+    :meth:`spans_for_keyword` / :meth:`spans_for_keywords` (scalar
     API) or :meth:`keyword_rows` + the CSR arrays (vectorized API), or hand
     the whole index to :class:`repro.core.engine.GenieEngine`.
 
@@ -80,7 +78,6 @@ class InvertedIndex:
         self.load_balance = load_balance
         self.build_ops = float(build_ops)
         self._kw_lookup = self._build_dense_lookup(self.keyword_array)
-        self._position_map_cache: dict[int, tuple[tuple[int, int], ...]] | None = None
         self._list_array32: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -195,7 +192,7 @@ class InvertedIndex:
         return self._list_array32
 
     # ------------------------------------------------------------------
-    # compatibility lookups (dict-shaped API over the CSR arrays)
+    # scalar lookups (functions over the CSR arrays)
 
     @property
     def keywords(self) -> list[int]:
@@ -214,53 +211,19 @@ class InvertedIndex:
             return 0
         return int((self.span_ends - self.span_starts).max())
 
-    @property
-    def _position_map(self):
-        """A read-only dict view of the CSR position map, built on demand.
-
-        Scalar per-keyword lookups (this compat API, the CPU baselines) are
-        faster through a dict than through tiny numpy calls; the dict is
-        derived from the CSR arrays the first time it is needed. The view
-        is a :class:`types.MappingProxyType` over tuple-valued entries, so
-        no caller can mutate the cache and desynchronize it from the CSR
-        truth; :meth:`spans_for_keyword` hands out fresh lists for the
-        same reason.
-        """
-        return MappingProxyType(self._position_map_dict())
-
-    def _position_map_dict(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        if self._position_map_cache is None:
-            offsets = self.kw_span_offsets.tolist()
-            starts = self.span_starts.tolist()
-            ends = self.span_ends.tolist()
-            self._position_map_cache = {
-                int(kw): tuple(zip(starts[offsets[i] : offsets[i + 1]], ends[offsets[i] : offsets[i + 1]]))
-                for i, kw in enumerate(self.keyword_array.tolist())
-            }
-        return self._position_map_cache
-
     def spans_for_keyword(self, keyword: int) -> list[tuple[int, int]]:
-        """Sublist spans for one keyword (empty if it has no postings).
-
-        The list is a fresh copy on every call — mutating it cannot
-        corrupt later lookups.
-        """
-        return list(self._position_map_dict().get(int(keyword), ()))
+        """Sublist spans for one keyword (empty if it has no postings)."""
+        return self.spans_for_keywords(np.asarray([keyword]))
 
     def spans_for_keywords(self, keywords: np.ndarray) -> list[tuple[int, int]]:
         """Concatenated spans for an array of keywords (a fresh list)."""
-        position_map = self._position_map_dict()
-        spans: list[tuple[int, int]] = []
-        for kw in np.asarray(keywords).reshape(-1).tolist():
-            spans.extend(position_map.get(int(kw), ()))
-        return spans
+        rows, found = self.keyword_rows(keywords)
+        span_rows, _ = self.span_rows_for_keyword_rows(rows[found])
+        return list(zip(self.span_starts[span_rows].tolist(), self.span_ends[span_rows].tolist()))
 
     def postings_for_keyword(self, keyword: int) -> np.ndarray:
         """The full (re-joined) postings list for a keyword."""
-        spans = self.spans_for_keyword(keyword)
-        if not spans:
-            return np.empty(0, dtype=ID_DTYPE)
-        return np.concatenate([self.list_array[s:e] for s, e in spans])
+        return self.gather(self.spans_for_keyword(keyword))
 
     def gather(self, spans: list[tuple[int, int]]) -> np.ndarray:
         """Concatenate the object ids covered by ``spans``."""

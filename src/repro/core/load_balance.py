@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 #: The sublist length limit the paper uses (4K entries).
 PAPER_MAX_SUBLIST = 4096
 
@@ -33,9 +35,9 @@ class LoadBalanceConfig:
 
     def __post_init__(self):
         if self.max_sublist_len < 1:
-            raise ValueError("max_sublist_len must be >= 1")
+            raise ConfigError("max_sublist_len must be >= 1")
         if self.max_lists_per_block < 1:
-            raise ValueError("max_lists_per_block must be >= 1")
+            raise ConfigError("max_lists_per_block must be >= 1")
 
 
 def split_span(start: int, end: int, max_len: int) -> list[tuple[int, int]]:
@@ -46,7 +48,7 @@ def split_span(start: int, end: int, max_len: int) -> list[tuple[int, int]]:
         A span within the limit is returned unchanged (as a single chunk).
     """
     if end < start:
-        raise ValueError("end must be >= start")
+        raise ConfigError("end must be >= start")
     if end - start <= max_len:
         return [(start, end)]
     return [(lo, min(lo + max_len, end)) for lo in range(start, end, max_len)]
@@ -63,5 +65,5 @@ def group_spans_into_blocks(spans: list[tuple[int, int]], lists_per_block: int) 
         One list of spans per block.
     """
     if lists_per_block < 1:
-        raise ValueError("lists_per_block must be >= 1")
+        raise ConfigError("lists_per_block must be >= 1")
     return [spans[i : i + lists_per_block] for i in range(0, len(spans), lists_per_block)]

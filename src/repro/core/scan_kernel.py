@@ -1,31 +1,21 @@
-"""The GENIE match kernel: postings scan + counter updates (Section III-B).
+"""The GENIE match and selection kernels as launches (Section III-B).
 
 One thread block scans the postings lists matched by one query item (with
 load balancing, one block per couple of sublists); each thread takes one
 postings entry and atomically bumps the object's counter. The functional
-result of that scan is the per-query final count vector, which this module
-computes with ``bincount``; the *cost* — coalesced list reads, atomic
-contention on hot counters, Gate branch divergence, Hash-Table writes — is
-assembled into a :class:`~repro.gpu.kernel.KernelLaunch`.
-
-:func:`plan_query_scan` is the *per-query* planner. The engine's hot path
-now plans whole batches at once through
-:func:`repro.core.batch_scan.plan_batch_scan`, which produces value-
-identical :class:`QueryScanPlan` records with array-native batch
-computation; the per-query planner remains the readable specification and
-the oracle the batch path is tested against.
+result of that scan is computed by
+:func:`repro.core.batch_scan.plan_batch_scan`; this module assembles its
+*cost* — coalesced list reads, atomic contention on hot counters, Gate branch
+divergence, Hash-Table writes — into a :class:`~repro.gpu.kernel.KernelLaunch`
+from that one :class:`~repro.core.batch_scan.BatchScanPlan` (which the
+per-query specification, :func:`repro.core.reference.plan_batch`, also builds).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.inverted_index import InvertedIndex
-from repro.core.load_balance import group_spans_into_blocks
-from repro.core.selection import CpqCostState, derive_cpq_cost
-from repro.core.types import Query
+from repro.core.batch_scan import BatchScanPlan
 from repro.gpu.atomics import conflicts_from_histogram
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.specs import DeviceSpec
@@ -42,72 +32,16 @@ HT_INSERT_BYTES = 16
 CONTENTION_DILUTION = 16.0
 
 
-@dataclass
-class QueryScanPlan:
-    """Work layout of one query's scan.
-
-    Attributes:
-        query_index: Position of the query in the batch.
-        block_sizes: Postings entries scanned by each block of this query.
-        counts: Final per-object match counts (the functional result).
-        cpq_cost: Derived c-PQ cost statistics for the query.
-        hot_counts: The positive entries of ``counts`` in ascending-id
-            order, when the planner already extracted them (the batch
-            scanner does); ``None`` means derive from ``counts`` on demand.
-    """
-
-    query_index: int
-    block_sizes: np.ndarray
-    counts: np.ndarray
-    cpq_cost: CpqCostState
-    hot_counts: np.ndarray | None = None
-
-
-def plan_query_scan(index: InvertedIndex, query: Query, query_index: int, k: int) -> QueryScanPlan:
-    """Lay out the block structure and compute final counts for one query.
-
-    Without load balancing each query item gets one block (the paper's
-    baseline mapping); with load balancing, each item's sublists are grouped
-    ``max_lists_per_block`` at a time.
-    """
-    block_sizes: list[int] = []
-    gathered: list[np.ndarray] = []
-    lb = index.load_balance
-    for item in query.items:
-        spans = index.spans_for_keywords(item)
-        if not spans:
-            continue
-        if lb is None:
-            block_sizes.append(sum(end - start for start, end in spans))
-        else:
-            for group in group_spans_into_blocks(spans, lb.max_lists_per_block):
-                block_sizes.append(sum(end - start for start, end in group))
-        gathered.append(index.gather(spans))
-
-    if gathered:
-        all_ids = np.concatenate(gathered)
-        counts = np.bincount(all_ids, minlength=index.n_objects).astype(np.int64)
-    else:
-        counts = np.zeros(index.n_objects, dtype=np.int64)
-
-    return QueryScanPlan(
-        query_index=query_index,
-        block_sizes=np.asarray(block_sizes or [0], dtype=np.int64),
-        counts=counts,
-        cpq_cost=derive_cpq_cost(counts, k),
-    )
-
-
 def build_match_launch(
-    plans: list[QueryScanPlan],
+    scan: BatchScanPlan,
     spec: DeviceSpec,
     threads_per_block: int,
     use_cpq: bool,
 ) -> KernelLaunch:
-    """Assemble the batch's match kernel from per-query scan plans.
+    """Assemble the batch's match kernel from its scan plan.
 
     Args:
-        plans: One plan per query in the batch.
+        scan: The batch's work layout and count statistics.
         spec: Target device (for warp-size-dependent estimates).
         threads_per_block: Launch configuration.
         use_cpq: Whether counters go through c-PQ (Gate branch + Hash-Table
@@ -117,19 +51,15 @@ def build_match_launch(
         A single :class:`KernelLaunch` covering all queries' blocks — the
         fine-grained "m*s blocks in parallel" structure of the paper.
     """
-    block_sizes = np.concatenate([plan.block_sizes for plan in plans])
-    total_updates = float(sum(plan.cpq_cost.updates for plan in plans))
-
-    atomic_conflicts = 0.0
-    gate_passes = 0.0
-    for plan in plans:
-        hot = plan.hot_counts if plan.hot_counts is not None else plan.counts[plan.counts > 0]
-        atomic_conflicts += conflicts_from_histogram(hot, spec.warp_size)
-        gate_passes += plan.cpq_cost.gate_passes
-    # An object's counter hits come from different postings lists scanned by
-    # different blocks at different times; only a fraction of the histogram
-    # conflicts are temporally coincident on real hardware.
-    atomic_conflicts /= CONTENTION_DILUTION
+    total_updates = float(scan.updates.sum())
+    gate_passes = float(scan.gate_passes.sum())
+    # An object's counter hits come from different blocks at different times;
+    # only a fraction of the histogram conflicts are temporally coincident.
+    # One estimate per query slice keeps its float temporaries cache-sized.
+    bounds = scan.hot_bounds.tolist()
+    atomic_conflicts = sum(
+        conflicts_from_histogram(scan.hot_counts[a:b], spec.warp_size) for a, b in zip(bounds, bounds[1:])
+    ) / CONTENTION_DILUTION
 
     if use_cpq:
         # Per update: list read + BC atomic increment + Gate check. Atomics
@@ -150,10 +80,10 @@ def build_match_launch(
 
     return KernelLaunch(
         name="genie_match" if use_cpq else "genie_match_counttable",
-        block_items=block_sizes,
+        block_items=scan.block_sizes,
         threads_per_block=threads_per_block,
         cycles_per_item=cycles_per_item,
-        bytes_read=float(block_sizes.sum()) * POSTING_ENTRY_BYTES,
+        bytes_read=float(scan.block_sizes.sum()) * POSTING_ENTRY_BYTES,
         bytes_written=0.0,
         uncoalesced_bytes=uncoalesced,
         atomic_ops=atomic_ops,
@@ -163,7 +93,7 @@ def build_match_launch(
 
 
 def build_select_launch(
-    plans: list[QueryScanPlan],
+    n_queries: int,
     ht_capacity: int,
     k: int,
     threads_per_block: int,
@@ -174,12 +104,12 @@ def build_select_launch(
     entries above ``AT - 1`` — the small, homogeneous selection step that
     replaces sorting (Theorem 3.1).
     """
-    block_sizes = np.full(len(plans), int(ht_capacity), dtype=np.int64)
+    block_sizes = np.full(n_queries, int(ht_capacity), dtype=np.int64)
     return KernelLaunch(
         name="cpq_select",
         block_items=block_sizes,
         threads_per_block=threads_per_block,
         cycles_per_item=2.0,
         bytes_read=float(block_sizes.sum()) * HT_INSERT_BYTES,
-        bytes_written=float(len(plans)) * k * 8.0,
+        bytes_written=float(n_queries) * k * 8.0,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import ConfigError, QueryError
 
 #: Dtype used for keyword and object identifiers throughout the package.
 ID_DTYPE = np.int64
@@ -31,16 +31,21 @@ def as_keyword_array(keywords) -> np.ndarray:
     """Normalize raw keyword input to a validated int64 array.
 
     Args:
-        keywords: Any iterable of non-negative integers.
+        keywords: Any iterable of non-negative integers (``2.0`` counts as one).
 
     Returns:
         A 1-D ``int64`` array.
 
     Raises:
-        QueryError: If any keyword is negative.
+        QueryError: If any keyword is negative, non-finite, or a float with
+            a fractional part (a cast would silently match another element).
     """
-    arr = np.asarray(list(keywords) if not isinstance(keywords, np.ndarray) else keywords, dtype=ID_DTYPE)
-    arr = arr.reshape(-1)
+    raw = np.asarray(keywords if isinstance(keywords, np.ndarray) else list(keywords))
+    if raw.dtype.kind == "f":
+        bad = ~(np.isfinite(raw) & (raw == np.trunc(raw)))
+        if bad.any():
+            raise QueryError(f"keywords must be integers; got {raw[bad][0]!r}")
+    arr = raw.astype(ID_DTYPE, copy=False).reshape(-1)
     if arr.size and arr.min() < 0:
         raise QueryError("keywords must be non-negative integers")
     return arr
@@ -192,7 +197,7 @@ class TopKResult:
         self.ids = np.asarray(self.ids, dtype=ID_DTYPE)
         self.counts = np.asarray(self.counts, dtype=ID_DTYPE)
         if self.ids.shape != self.counts.shape:
-            raise ValueError("ids and counts must align")
+            raise ConfigError("ids and counts must align")
 
     def __len__(self) -> int:
         return int(self.ids.size)

@@ -82,11 +82,7 @@ DEFAULT_BASELINE = Baseline(
             "for the human running it; no simulated path imports this module",
         ),
         # -- REPRO002: seed-era builtin raises, per file.
-        BaselineEntry("repro/baselines/cpu_lsh.py", "REPRO002", _SEED_ERA_RAISES),
         BaselineEntry("repro/core/bitmap_counter.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/core/load_balance.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/core/selection.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/core/types.py", "REPRO002", _SEED_ERA_RAISES),
         BaselineEntry("repro/datasets/documents.py", "REPRO002", _SEED_ERA_RAISES),
         BaselineEntry("repro/datasets/registry.py", "REPRO002", _SEED_ERA_RAISES),
         BaselineEntry("repro/datasets/sequences.py", "REPRO002", _SEED_ERA_RAISES),

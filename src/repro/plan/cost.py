@@ -117,7 +117,8 @@ def shard_block_matrix(queries, shard_keywords, shard_postings) -> np.ndarray:
     """Match blocks per (query, shard): query items with postings there.
 
     The match kernel maps one thread block to one query item's postings
-    lists (:func:`repro.core.scan_kernel.plan_query_scan`); an item whose
+    lists (:func:`repro.core.batch_scan.plan_batch_scan`'s ``block_sizes``,
+    specified per query by :func:`repro.core.reference.plan_query_scan`); an item whose
     keywords miss the shard spawns no block. The per-shard block count is
     what the ``scan.hot`` feature divides by: the device spreads the
     launch's atomic work over ``min(blocks, num_sms)`` SMs, so a batch

@@ -267,6 +267,24 @@ class TestSearchSurface:
             assert np.array_equal(a.counts, b.counts)
 
 
+class TestNonIntegralKeywords:
+    """A float keyword with a fraction must not be truncated into another element."""
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+    def test_raw_model_rejects_fractional_and_non_finite_keywords(self, bad):
+        session = GenieSession()
+        with pytest.raises(QueryError):
+            session.create_index([[1, 2], [bad]], model="raw")
+        handle = session.create_index([[1, 2], [2, 3], [3]], model="raw")
+        with pytest.raises(QueryError):
+            handle.search([[bad]], k=1)
+
+    def test_integer_valued_float_equals_int(self):
+        handle = GenieSession().create_index([[1, 2], [2, 3], [3]], model="raw")
+        a, b = handle.search([[2.0]], k=2), handle.search([[2]], k=2)
+        assert a[0].as_pairs() == b[0].as_pairs() == [(0, 1), (1, 1)]
+
+
 class TestResidency:
     def test_multiple_indexes_share_budget_with_lru_eviction(self):
         corpus_a = [[i % 7] for i in range(600)]

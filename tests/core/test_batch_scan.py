@@ -1,11 +1,13 @@
 """Tests for the vectorized batch match pipeline.
 
-The batch scanner must be *value-identical* to the per-query planner
-(:func:`plan_query_scan` + :func:`topk_from_counts`), and equivalent to the
-exact Algorithm-1 reference up to the reference's own tie identity at the
-k-th count (Theorem 3.1 pins counts and threshold, not which tied id the
-Robin Hood table happens to retain).
+The batch scanner must be *value-identical* to the per-query specification
+in :mod:`repro.core.reference` (``plan_batch`` assembles the same struct one
+query at a time), and equivalent to the exact Algorithm-1 reference up to the
+reference's own tie identity at the k-th count (Theorem 3.1 pins counts and
+threshold, not which tied id the Robin Hood table happens to retain).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,16 +20,10 @@ from repro.core.inverted_index import InvertedIndex, ragged_slices
 from repro.core.load_balance import LoadBalanceConfig, split_span
 from repro.core.match_count import match_counts_all
 from repro.core.posting import build_postings
-from repro.core.scan_kernel import build_match_launch, plan_query_scan
-from repro.core.selection import (
-    audit_threshold_from_counts,
-    audit_threshold_from_counts_batch,
-    derive_cpq_cost,
-    derive_cpq_cost_batch,
-    topk_from_counts,
-    topk_from_counts_batch,
-)
+from repro.core import reference
+from repro.core.scan_kernel import build_match_launch
 from repro.core.types import Corpus, Query
+from repro.gpu.device import Device
 from repro.gpu.specs import TITAN_X
 
 # ----------------------------------------------------------------------
@@ -49,6 +45,28 @@ lb_configs = st.sampled_from(
 
 def make_batch(raw_queries):
     return [Query(items=items) for items in raw_queries]
+
+
+def assert_scan_matches_reference(index, queries, k, scan):
+    """``scan`` equals the specification's plan, field by field."""
+    ref = reference.plan_batch(index, queries, k)
+    assert scan.n_queries == ref.n_queries == len(queries)
+    assert np.array_equal(scan.block_sizes, ref.block_sizes)
+    assert np.array_equal(scan.updates, ref.updates)
+    assert np.array_equal(scan.gate_passes, ref.gate_passes)
+    assert np.array_equal(scan.hot_counts, ref.hot_counts)
+    assert np.array_equal(scan.hot_bounds, ref.hot_bounds)
+    if scan.counts is not None:
+        assert np.array_equal(scan.counts, ref.counts)
+    if scan.results is not None:
+        for query, got in zip(queries, scan.results):
+            counts = reference.match_counts(index, query)
+            expected = reference.topk_from_counts(counts, k)
+            assert np.array_equal(got.ids, expected.ids)
+            assert np.array_equal(got.counts, expected.counts)
+            assert got.threshold == expected.threshold
+            if counts.size:
+                assert got.threshold + 1 == reference.audit_threshold_from_counts(counts, k)
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +131,7 @@ class TestCsrLayout:
 
 
 # ----------------------------------------------------------------------
-# batch plans == per-query plans
+# batch plan == the per-query specification's plan
 
 
 class TestPlanEquivalence:
@@ -122,25 +140,22 @@ class TestPlanEquivalence:
     def test_plans_match_per_query_planner(self, raw_objects, raw_queries, k, lb):
         index = InvertedIndex.build(Corpus(raw_objects), load_balance=lb)
         queries = make_batch(raw_queries)
-        batch = plan_batch_scan(index, queries, k)
-        for qi, query in enumerate(queries):
-            ref = plan_query_scan(index, query, qi, k)
-            plan = batch.plans[qi]
-            assert np.array_equal(plan.block_sizes, ref.block_sizes)
-            assert np.array_equal(plan.counts, ref.counts)
-            assert plan.cpq_cost == ref.cpq_cost
-            assert np.array_equal(plan.counts[plan.counts > 0], plan.hot_counts)
+        for select in (False, True):
+            scan = plan_batch_scan(index, queries, k, select=select)
+            assert (scan.counts is None) == select
+            assert (scan.results is None) == (not select)
+            assert_scan_matches_reference(index, queries, k, scan)
 
     @settings(max_examples=25, deadline=None)
     @given(corpora, query_batches, st.integers(1, 4))
     def test_match_launch_statistics_identical(self, raw_objects, raw_queries, k):
         index = InvertedIndex.build(Corpus(raw_objects))
         queries = make_batch(raw_queries)
-        plans_batch = plan_batch_scan(index, queries, k).plans
-        plans_ref = [plan_query_scan(index, q, i, k) for i, q in enumerate(queries)]
+        scan = plan_batch_scan(index, queries, k)
+        ref = reference.plan_batch(index, queries, k)
         for use_cpq in (True, False):
-            a = build_match_launch(plans_batch, TITAN_X, 256, use_cpq)
-            b = build_match_launch(plans_ref, TITAN_X, 256, use_cpq)
+            a = build_match_launch(scan, TITAN_X, 256, use_cpq)
+            b = build_match_launch(ref, TITAN_X, 256, use_cpq)
             assert np.array_equal(a.block_items, b.block_items)
             for field in (
                 "bytes_read",
@@ -159,16 +174,22 @@ class TestPlanEquivalence:
             Corpus([rng.integers(0, 30, size=8) for _ in range(50)])
         )
         queries = [Query.from_keywords(rng.integers(0, 40, size=6)) for _ in range(9)]
-        batch = plan_batch_scan(index, queries, 3, max_fused_cells=max_fused_cells, select=True)
-        for qi, query in enumerate(queries):
-            ref = plan_query_scan(index, query, qi, 3)
-            assert np.array_equal(batch.plans[qi].counts, ref.counts)
-            assert batch.plans[qi].cpq_cost == ref.cpq_cost
-            expected = topk_from_counts(ref.counts, 3)
-            got = batch.results[qi]
-            assert np.array_equal(got.ids, expected.ids)
-            assert np.array_equal(got.counts, expected.counts)
-            assert got.threshold == expected.threshold
+        for select in (False, True):
+            scan = plan_batch_scan(
+                index, queries, 3, max_fused_cells=max_fused_cells, select=select
+            )
+            assert_scan_matches_reference(index, queries, 3, scan)
+
+    @pytest.mark.parametrize("objects", [[], [[]], [[1, 2], [3]]])
+    def test_nothing_to_scan(self, objects):
+        # No objects, no keywords, or no keyword hit: one 0 block per query.
+        index = InvertedIndex.build(Corpus(objects))
+        queries = [Query(items=[[7], [8, 9]]), Query(items=[])]
+        for select in (False, True):
+            scan = plan_batch_scan(index, queries, 3, select=select)
+            assert scan.block_sizes.tolist() == [0, 0]
+            assert scan.hot_counts.size == 0 and not scan.updates.any()
+            assert_scan_matches_reference(index, queries, 3, scan)
 
     def test_dense_stream_uses_per_row_counting(self):
         # Everyone matches everything: stream >> matrix cells exercises the
@@ -176,63 +197,60 @@ class TestPlanEquivalence:
         corpus = Corpus([[1, 2, 3]] * 10)
         index = InvertedIndex.build(corpus)
         queries = [Query(items=[[1], [2], [3]])] * 4
-        batch = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=True)
+        dense = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=False)
+        assert dense.counts.tolist() == [[3] * 10] * 4
+        scan = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=True)
+        assert scan.hot_counts.tolist() == [3] * 40
+        assert scan.hot_bounds.tolist() == [0, 10, 20, 30, 40]
         for qi in range(4):
-            assert batch.plans[qi].counts.tolist() == [3] * 10
-            assert batch.results[qi].counts.tolist() == [3, 3]
-            assert batch.results[qi].ids.tolist() == [0, 1]
+            assert scan.results[qi].counts.tolist() == [3, 3]
+            assert scan.results[qi].ids.tolist() == [0, 1]
+        for got in (dense, scan):
+            assert_scan_matches_reference(index, queries, 2, got)
 
 
-# ----------------------------------------------------------------------
-# batched selection == scalar selection
+class TestPeakMemory:
+    """The c-PQ path never holds an ``(n_queries, n_objects)`` array."""
 
+    N_QUERIES, N_OBJECTS, K = 4096, 2000, 5
 
-class TestBatchedSelection:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 5),
-        st.integers(0, 12),
-        st.integers(1, 7),
-        st.integers(0, 6),
-        st.integers(0, 10**6),
-    )
-    def test_matrix_helpers_match_scalar(self, n_queries, n_objects, k, max_count, seed):
-        rng = np.random.default_rng(seed)
-        matrix = rng.integers(0, max_count + 1, size=(n_queries, n_objects)).astype(np.int64)
-        at_batch = audit_threshold_from_counts_batch(matrix, k)
-        cost_batch = derive_cpq_cost_batch(matrix, k)
-        topk_batch = topk_from_counts_batch(matrix, k)
-        for qi in range(n_queries):
-            assert int(at_batch[qi]) == audit_threshold_from_counts(matrix[qi], k)
-            assert cost_batch[qi] == derive_cpq_cost(matrix[qi], k)
-            expected = topk_from_counts(matrix[qi], k)
-            assert np.array_equal(topk_batch[qi].ids, expected.ids)
-            assert np.array_equal(topk_batch[qi].counts, expected.counts)
-            assert topk_batch[qi].threshold == expected.threshold
+    def _workload(self):
+        rng = np.random.default_rng(11)
+        index = InvertedIndex.build(
+            Corpus([rng.integers(0, 500, size=4) for _ in range(self.N_OBJECTS)])
+        )
+        queries = [Query.from_keywords(rng.integers(0, 500, size=3)) for _ in range(self.N_QUERIES)]
+        return index, queries
 
-    def test_ties_at_kth_count_break_by_ascending_id(self):
-        matrix = np.asarray([[2, 5, 2, 2, 0, 2]], dtype=np.int64)
-        result = topk_from_counts_batch(matrix, 3)[0]
-        # id 1 wins outright; the four count-2 ties fill by ascending id.
-        assert result.as_pairs() == [(1, 5), (0, 2), (2, 2)]
-        assert result.threshold == 2
+    def test_select_path_peaks_below_half_the_dense_matrix(self):
+        index, queries = self._workload()
+        index.list_array32  # the lazy 32-bit view belongs to the index, not the batch
+        tracemalloc.start()
+        try:
+            scan = plan_batch_scan(index, queries, self.K, select=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.counts is None
+        assert len(scan.results) == self.N_QUERIES
+        assert peak < self.N_QUERIES * self.N_OBJECTS * 8 // 2
 
-    def test_empty_matrix(self):
-        assert all(len(r) == 0 for r in topk_from_counts_batch(np.empty((3, 0)), 4))
-        assert audit_threshold_from_counts_batch(np.empty((3, 0)), 4).tolist() == [1, 1, 1]
+    def test_gen_spq_path_keeps_the_dense_counts(self):
+        index, queries = self._workload()
+        scan = plan_batch_scan(index, queries, self.K, select=False)
+        assert scan.results is None
+        assert scan.counts.shape == (self.N_QUERIES, self.N_OBJECTS)
+        expected = np.stack([reference.match_counts(index, q) for q in queries])
+        assert np.array_equal(scan.counts, expected)
 
 
 # ----------------------------------------------------------------------
 # engine: vectorized batch path vs the Algorithm-1 reference
 
 
-def _run_pair(raw_objects, raw_queries, k, lb, use_load_balance):
+def _engine(raw_objects, k, lb):
     corpus = Corpus(raw_objects)
-    queries = make_batch(raw_queries)
-    config = GenieConfig(k=k, load_balance=lb if use_load_balance else None)
-    fast = GenieEngine(config=config).fit(corpus)
-    slow = GenieEngine(config=config.with_(reference_cpq=True)).fit(corpus)
-    return corpus, queries, fast, slow
+    return corpus, GenieEngine(config=GenieConfig(k=k, load_balance=lb)).fit(corpus)
 
 
 class TestEngineEquivalence:
@@ -249,9 +267,13 @@ class TestEngineEquivalence:
         while the reference Gate keeps the paper's ``MC_k = 0`` (both
         pre-date this pipeline and agree on the returned objects).
         """
-        corpus, queries, fast, slow = _run_pair(raw_objects, raw_queries, k, lb, True)
-        results_fast = fast.query(queries)
-        results_slow = slow.query(queries)
+        corpus, engine = _engine(raw_objects, k, lb)
+        queries = make_batch(raw_queries)
+        count_bound = max(1, max(q.count_bound() for q in queries))
+        results_fast = engine.query(queries)
+        results_slow = [
+            reference.reference_query(engine.index, q, k, count_bound) for q in queries
+        ]
         for query, a, b in zip(queries, results_fast, results_slow):
             assert sorted(a.counts.tolist(), reverse=True) == sorted(
                 b.counts.tolist(), reverse=True
@@ -270,14 +292,22 @@ class TestEngineEquivalence:
     @settings(max_examples=20, deadline=None)
     @given(corpora, query_batches, st.integers(1, 4))
     def test_match_kernel_cost_identical_to_reference_run(self, raw_objects, raw_queries, k):
-        """Both paths charge the device the exact same match-stage kernel."""
-        _, queries, fast, slow = _run_pair(raw_objects, raw_queries, k, None, False)
-        fast.query(queries)
-        slow.query(queries)
-        stats_fast = [s for s in fast.device.kernel_log if s.name == "genie_match"]
-        stats_slow = [s for s in slow.device.kernel_log if s.name == "genie_match"]
-        assert len(stats_fast) == len(stats_slow) == 1
-        a, b = stats_fast[0], stats_slow[0]
+        """The engine charges exactly the match kernel the specification lays out."""
+        _, engine = _engine(raw_objects, k, None)
+        queries = make_batch(raw_queries)
+        engine.query(queries)
+        stats_fast = [s for s in engine.device.kernel_log if s.name == "genie_match"]
+        assert len(stats_fast) == 1
+
+        ref_device = Device()
+        ref_launch = build_match_launch(
+            reference.plan_batch(engine.index, queries, k),
+            ref_device.spec,
+            engine.config.threads_per_block,
+            use_cpq=True,
+        )
+        ref_device.launch(ref_launch, stage="match")
+        a, b = stats_fast[0], ref_device.kernel_log[-1]
         for field in (
             "blocks",
             "ops",

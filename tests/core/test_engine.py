@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.engine import GenieConfig, GenieEngine, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import brute_force_topk
+from repro.core.reference import reference_query
 from repro.core.types import Corpus, Query
 from repro.errors import ConfigError, GpuOutOfMemoryError, QueryError
 from repro.gpu.device import Device
@@ -64,8 +65,8 @@ class TestCorrectness:
         corpus = Corpus(raw_objects)
         query = Query.from_keywords(keywords)
         fast = GenieEngine(config=GenieConfig(k=k)).fit(corpus)
-        slow = GenieEngine(config=GenieConfig(k=k, reference_cpq=True)).fit(corpus)
-        assert _counts(fast.query([query])[0]) == _counts(slow.query([query])[0])
+        slow = reference_query(fast.index, query, k, query.count_bound())
+        assert _counts(fast.query([query])[0]) == _counts(slow)
 
 
 class TestGenSpqVariant:

@@ -1,7 +1,6 @@
 """Tests for the inverted index (List Array + Position Map)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,16 +52,6 @@ class TestPositionMapImmutability:
         spans.reverse()
         spans.append((5, 6))
         assert index.spans_for_keywords(np.array([1, 2])) == truth
-
-    def test_position_map_view_is_read_only(self):
-        index = _index([[1, 2], [2]])
-        view = index._position_map
-        with pytest.raises(TypeError):
-            view[2] = [(0, 1)]
-        with pytest.raises(TypeError):
-            del view[2]
-        # Values are tuples: in-place mutation is impossible too.
-        assert all(isinstance(spans, tuple) for spans in view.values())
 
     def test_spans_agree_with_csr_truth_after_mutation_attempts(self):
         index = _index([[k] for k in [7] * 10 + [8] * 3], lb=LoadBalanceConfig(max_sublist_len=4))

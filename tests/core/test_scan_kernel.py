@@ -1,4 +1,4 @@
-"""Tests for the match-kernel planner and launch assembly."""
+"""Tests for the per-query planner (specification) and launch assembly."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import match_counts_all
-from repro.core.scan_kernel import build_match_launch, build_select_launch, plan_query_scan
+from repro.core.reference import plan_batch, plan_query_scan
+from repro.core.scan_kernel import build_match_launch, build_select_launch
 from repro.core.types import Corpus, Query
 from repro.gpu.specs import TITAN_X
 
@@ -59,29 +60,25 @@ class TestPlanQueryScan:
 
 
 class TestLaunchAssembly:
-    def _plans(self):
+    def _scan(self):
         index = InvertedIndex.build(_corpus())
-        return [
-            plan_query_scan(index, Query(items=[[1], [3]]), 0, k=2),
-            plan_query_scan(index, Query(items=[[2, 4]]), 1, k=2),
-        ]
+        return plan_batch(index, [Query(items=[[1], [3]]), Query(items=[[2, 4]])], k=2)
 
     def test_match_launch_covers_all_blocks(self):
-        plans = self._plans()
-        launch = build_match_launch(plans, TITAN_X, 256, use_cpq=True)
-        assert launch.num_blocks == sum(p.block_sizes.size for p in plans)
-        assert launch.total_items == sum(int(p.block_sizes.sum()) for p in plans)
+        scan = self._scan()
+        launch = build_match_launch(scan, TITAN_X, 256, use_cpq=True)
+        assert launch.num_blocks == scan.block_sizes.size == 3
+        assert launch.total_items == int(scan.updates.sum())
 
     def test_cpq_launch_has_gate_traffic(self):
-        plans = self._plans()
-        cpq = build_match_launch(plans, TITAN_X, 256, use_cpq=True)
-        table = build_match_launch(plans, TITAN_X, 256, use_cpq=False)
+        scan = self._scan()
+        cpq = build_match_launch(scan, TITAN_X, 256, use_cpq=True)
+        table = build_match_launch(scan, TITAN_X, 256, use_cpq=False)
         assert cpq.uncoalesced_bytes > 0
         assert table.uncoalesced_bytes == 0
         assert cpq.name != table.name
 
     def test_select_launch_one_block_per_query(self):
-        plans = self._plans()
-        launch = build_select_launch(plans, ht_capacity=64, k=2, threads_per_block=128)
+        launch = build_select_launch(2, ht_capacity=64, k=2, threads_per_block=128)
         assert launch.num_blocks == 2
         assert launch.total_items == 128

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selection import audit_threshold_from_counts, derive_cpq_cost, topk_from_counts
+from repro.core.reference import audit_threshold_from_counts, derive_cpq_cost, topk_from_counts
 
 
 class TestTopkFromCounts:

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selection import topk_from_counts
+from repro.core.reference import topk_from_counts
 from repro.core.spq_select import spq_topk
 
 

@@ -19,6 +19,30 @@ class TestKeywordArray:
     def test_empty(self):
         assert as_keyword_array([]).size == 0
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf, -np.inf])
+    def test_rejects_non_integral_floats(self, bad):
+        # A cast would silently turn 1.5 into keyword 1 — another element.
+        for raw in ([bad], np.array([2.0, bad])):
+            with pytest.raises(QueryError, match="must be integers"):
+                as_keyword_array(raw)
+        with pytest.raises(QueryError):
+            Corpus([[1, 2], [bad]])
+        with pytest.raises(QueryError):
+            Query(items=[[bad]])
+        with pytest.raises(QueryError):
+            Query.from_keywords([bad])
+
+    def test_integer_valued_floats_and_int_dtypes_accepted(self):
+        assert as_keyword_array([2.0]).tolist() == [2]
+        assert as_keyword_array(np.array([2.0, 3.0], dtype=np.float32)).tolist() == [2, 3]
+        assert as_keyword_array(np.array([4, 5], dtype=np.uint8)).dtype == np.int64
+        assert Corpus([[2.0]])[0].tolist() == Corpus([[2]])[0].tolist()
+        assert Query(items=[[2.0]]).items[0].tolist() == [2]
+
+    def test_int64_input_is_not_copied(self):
+        arr = np.array([3, 1, 2], dtype=np.int64)
+        assert np.shares_memory(as_keyword_array(arr), arr)
+
 
 class TestCorpus:
     def test_dedupes_and_sorts_object_keywords(self):

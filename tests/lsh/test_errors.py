@@ -66,4 +66,4 @@ def test_malformed_input(name):
 
 def test_lsh_is_off_the_lint_baseline():
     assert not [e.path for e in DEFAULT_BASELINE.entries if e.path.startswith("repro/lsh/")]
-    assert len(DEFAULT_BASELINE) == 20
+    assert len(DEFAULT_BASELINE) == 16

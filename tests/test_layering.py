@@ -37,3 +37,24 @@ def test_lower_layers_do_not_import_upward():
                 if any(module == b or module.startswith(b + ".") for b in banned):
                     offenders.append(f"{path.relative_to(root)}:{lineno}: {module}")
     assert not offenders, "upward imports:\n" + "\n".join(offenders)
+
+
+def test_only_baselines_and_experiments_import_the_specification():
+    """``core/reference.py`` is the per-query specification, not a code path.
+
+    Production modules — the engine included, and ``repro.core``'s own
+    ``__init__`` — never import it; the baselines (which *are* per-query
+    systems) and the experiment runners may.
+    """
+    root = Path(repro.__file__).parent
+    allowed = ("baselines", "experiments")
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[0] in allowed or relative == Path("core/reference.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, module in _imported_modules(tree):
+            if module == "repro.core.reference" or module.startswith("repro.core.reference."):
+                offenders.append(f"{relative}:{lineno}: {module}")
+    assert not offenders, "the specification leaked into production:\n" + "\n".join(offenders)
