@@ -235,6 +235,18 @@ class _IndexPart:
     def resident(self) -> bool:
         return self.engine.index_resident
 
+    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
+        """Global object ids of this part's ``local_ids``.
+
+        Returns ``local_ids`` itself when the two coincide (an
+        unpartitioned index, the first multi-loading part).
+        """
+        if self.global_ids is not None:
+            return self.global_ids[local_ids]
+        if self.offset:
+            return local_ids + self.offset
+        return local_ids
+
 
 class GenieSession:
     """Shared device/host plus budgeted multi-index residency.
@@ -376,10 +388,6 @@ class GenieSession:
 
             self._device_load = DeviceLoadTracker()
         return self._device_load
-
-    def _note_device_busy(self, device: Device, seconds: float) -> None:
-        """Record one scan's simulated seconds against its pool device."""
-        self.device_load.record(self.device_position(device), seconds)
 
     # ------------------------------------------------------------------
     # fault injection
@@ -1439,14 +1447,6 @@ class IndexHandle:
             self._copies[part.position],
             key=lambda copy: (load.load(devices[copy.replica]), copy.replica),
         ))
-
-    @staticmethod
-    def _query_engine(
-        engine: GenieEngine, queries: list[Query], k: int, batch_size: int | None
-    ) -> list[TopKResult]:
-        if batch_size is None:
-            return engine.query(queries, k=k)
-        return engine.query_batched(queries, k=k, batch_size=batch_size)
 
     @staticmethod
     def _scatter(merged: list[TopKResult], active: list[int], total: int) -> list[TopKResult]:

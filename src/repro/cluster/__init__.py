@@ -15,16 +15,19 @@ devices** and answers every query with an exact global top-k:
   and heals from it (per-shard residency accounting, per-shard profile
   slices on every result),
 * :func:`~repro.cluster.executor.merge_shard_results` /
-  :func:`~repro.cluster.executor.critical_path_profile` — the exact
-  deterministic lexsort merge and the slowest-shard latency model the
-  plan executor (:mod:`repro.plan.executor`) runs shard scans under.
+  :func:`~repro.cluster.executor.critical_path_profile` — the one exact
+  top-k merge and the slowest-source latency fold of the plan executor's
+  one loop (:mod:`repro.plan.executor`). Shards are one kind of scan
+  source in that loop; multi-loading parts and delta segments are the
+  others, and all of them end in this merge.
 
 Results are **bit-identical** to a single unsharded index (ids, counts,
 tie order, thresholds): shards partition the objects, so match counts are
-complete within each shard and the candidate merge is exact — the same
-argument Section III-D makes for multi-loading, applied in space instead
-of time. Simulated latency is the *critical path* (slowest shard + host
-merge), which is what makes sharding a throughput multiplier.
+complete within each shard and the candidate merge is exact — Section
+III-D's multi-loading argument, applied in space instead of time, which
+is why both run the same code. Simulated latency is the *critical path*
+(slowest shard + host merge), which is what makes sharding a throughput
+multiplier.
 
 Quickstart::
 

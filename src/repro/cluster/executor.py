@@ -1,24 +1,24 @@
-"""Sharded merge helpers: exact global top-k, critical-path latency.
+"""The one top-k merge and the critical-path fold of the one execution loop.
 
-Sharding is the space-multiplexed dual of Section III-D's multi-loading:
-where multi-loading swaps index parts through *one* device in turn (time
-on the critical path adds up part by part), sharding gives every part
-its *own* simulated device and runs the batch against all shards
-concurrently. The plan executor (:mod:`repro.plan.executor`) runs the
-per-shard scans; this module holds the two pieces that make the answer
-and its latency:
+The plan executor (:mod:`repro.plan.executor`) scans a list of *sources*
+— multi-loading parts swapped through one device (Section III-D), shard
+slices on their own pool devices (its space-multiplexed dual), delta
+segments of a mutated index — and hands every source's candidates, ids
+already global, to the two pieces here that make the answer and its
+latency:
 
-* :func:`merge_shard_results` — the host merges the shards' candidates
-  per query with the deterministic count-desc / id-asc lexsort already
-  used by the multi-loading merge. Shards partition the objects, so
-  every count is complete within its shard and the merged top-k is
-  **bit-identical** to a single unsharded index (ids, counts, and tie
-  order).
-* :func:`critical_path_profile` — a batch's profile is the *slowest
-  shard's* stage profile plus the host-side ``result_merge``, not the
-  sum over shards. Per-shard profiles are kept so callers (the serve
-  layer's imbalance counters, the shard-scaling benchmark) can see how
-  evenly the work spread.
+* :func:`merge_shard_results` — the host merges the sources' candidates
+  per query by count-desc / id-asc. Sources partition the objects, so
+  every count is complete within its source and the merged top-k is
+  **bit-identical** to a single unpartitioned index (ids, counts, tie
+  order and Theorem 3.1 threshold). It is the only top-k merge in
+  :mod:`repro.plan` and :mod:`repro.cluster`, and it has one price: an
+  S-way heap merge of the already-sorted candidate lists.
+* :func:`critical_path_profile` — sources on independent devices run
+  concurrently, so their share of a batch's profile is the *slowest
+  source's* stage profile, not the sum. Per-shard profiles are kept so
+  callers (the serve layer's imbalance counters, the shard-scaling
+  benchmark) can see how evenly the work spread.
 """
 
 from __future__ import annotations
@@ -31,63 +31,54 @@ from repro.gpu.stats import StageTimings
 
 
 def merge_shard_results(
-    per_shard: list[list[TopKResult]],
-    global_id_maps: list[np.ndarray],
+    per_shard: list[list[TopKResult | None]],
     n_queries: int,
     k: int,
     host: HostCpu,
     n_objects: int | None = None,
 ) -> tuple[list[TopKResult], float]:
-    """Merge per-shard top-k candidates into the exact global top-k.
+    """Merge per-source top-k candidates into the exact global top-k.
 
     Args:
-        per_shard: One result list (aligned with the query batch) per
-            shard that was scanned.
-        global_id_maps: Per shard, the local → global object id map its
-            results must be remapped through (aligned with ``per_shard``).
-        n_queries: Batch size (needed when every shard is empty).
+        per_shard: One candidate list (aligned with the query batch, ids
+            global) per source; ``None`` where a source was not scanned
+            for a query.
+        n_queries: Batch size (needed when every source is empty).
         k: Results to keep per query.
         host: Host CPU charged for the merge (``result_merge`` stage).
         n_objects: Global corpus size; caps the threshold rank at
-            ``min(k, n_objects)`` exactly as the unsharded selection does
-            when ``k`` exceeds the corpus. ``k`` when omitted.
+            ``min(k, n_objects)`` exactly as the unpartitioned selection
+            does when ``k`` exceeds the corpus. ``k`` when omitted.
 
     Returns:
         ``(results, merge_seconds)``: the merged results (count-desc /
         global-id-asc order, thresholds re-pinned to the global k-th
         count per Theorem 3.1) and the host seconds the merge cost.
-
-    This deliberately parallels the multi-loading merge in the plan
-    executor's serial path (:mod:`repro.plan.executor`) rather than
-    sharing code with it: the legacy merge keeps its seed-pinned
-    semantics (no threshold on merged results, a full re-sort cost
-    model), while shards remap through gather maps, re-pin thresholds,
-    and charge a heap merge. A tie-order change must be applied to both.
     """
     kk = min(k, int(n_objects)) if n_objects is not None else k
+    fan_in = max(1.0, np.log2(max(len(per_shard), 2)))
     results: list[TopKResult] = []
     merge_ops = 0.0
     for qi in range(n_queries):
-        ids_parts = []
-        count_parts = []
-        for shard_results, global_ids in zip(per_shard, global_id_maps):
-            r = shard_results[qi]
-            if r.ids.size:
-                ids_parts.append(global_ids[r.ids])
-                count_parts.append(r.counts)
-        ids = np.concatenate(ids_parts) if ids_parts else np.empty(0, dtype=ID_DTYPE)
-        counts = np.concatenate(count_parts) if count_parts else np.empty(0, dtype=ID_DTYPE)
+        found = [
+            r for source in per_shard
+            if (r := source[qi]) is not None and r.ids.size
+        ]
+        ids = np.concatenate([r.ids for r in found]) if found else np.empty(0, dtype=ID_DTYPE)
+        counts = (
+            np.concatenate([r.counts for r in found]) if found else np.empty(0, dtype=ID_DTYPE)
+        )
         order = np.lexsort((ids, -counts))[:k]
         top_counts = counts[order]
-        # Any object in the global top-k beats its shard-mates under the
-        # same order, so it survived its shard's selection: the kk-th
+        # Any object in the global top-k beats its source-mates under the
+        # same order, so it survived its source's selection: the kk-th
         # merged count is the global kk-th count (Theorem 3.1's AT - 1).
         threshold = int(top_counts[kk - 1]) if 0 < kk <= top_counts.size else 0
         results.append(TopKResult(ids=ids[order], counts=top_counts, threshold=threshold))
-        # Charged as an S-way heap merge of the shards' already-sorted
+        # Charged as an S-way heap merge of the sources' already-sorted
         # candidate lists: O(C log S), not a full O(C log C) re-sort (the
-        # lexsort below is an implementation convenience, not the model).
-        merge_ops += ids.size * max(1.0, np.log2(max(len(per_shard), 2)))
+        # lexsort above is an implementation convenience, not the model).
+        merge_ops += ids.size * fan_in
     merge_seconds = host.charge_ops(merge_ops, stage="result_merge")
     return results, merge_seconds
 

@@ -59,21 +59,25 @@ class InvariantError(ReproError):
 
 
 class AvailabilityError(ReproError):
-    """Raised when every replica of a shard's group is unavailable.
+    """Raised when every copy of a scan source is unavailable.
 
-    A shard scan that hits a failed device fails over to a surviving
-    replica (see :mod:`repro.replica`); only when the *whole* replica
-    group is down does the search fail — with this error, never a hang
-    or a silently partial result. Carries the index name, the shard
-    position, and the pool positions of the devices that were tried.
+    A scan that hits a failed device fails over to a surviving replica
+    (see :mod:`repro.replica`); only when *every* copy of the source is
+    down does the search fail — with this error, never a hang or a
+    silently partial result. Carries the index name, the source's part
+    position (the shard, on a sharded index), the pool positions of the
+    devices that were tried, and — when the source was a delta segment
+    of a mutated index rather than a base part — the segment's number.
     """
 
-    def __init__(self, index, shard, devices):
+    def __init__(self, index, shard, devices, segment=None):
         self.index = str(index)
         self.shard = int(shard)
         self.devices = tuple(int(d) for d in devices)
+        self.segment = None if segment is None else int(segment)
+        source = f"shard {self.shard}" if segment is None else f"delta segment {self.segment}"
         super().__init__(
-            f"shard {self.shard} of index {self.index!r} has no live replica "
+            f"{source} of index {self.index!r} has no live replica "
             f"(pool devices {list(self.devices)} are down)"
         )
 

@@ -1,12 +1,29 @@
-"""One executor for every compiled plan: serial, routed-shard, TPUT.
+"""One execution loop: scan rounds over a source list, then one merge.
 
-The session layer's three entry points all lower through
-:func:`repro.plan.planner.compile_search` and execute here. The executor
-owns the physical loop — residency, per-part/per-shard engine calls, the
-host-side merges and their cost accounting — and guarantees the planner's
-contract: **every strategy returns bit-identical results** (ids, counts,
-tie order, thresholds) to a broadcast one-round execution. What changes
-between plans is only the simulated time spent getting there.
+The paper has one retrieval step (scan postings → c-PQ top-k, Theorem
+3.1) and one way to scale it (Section III-D: scan parts, merge their
+top-k on the host). :func:`execute_plan` runs every plan
+:func:`repro.plan.planner.compile_search` produces in that shape:
+
+1. build the **source list** — the index's base parts (one, or
+   ``part_size`` slices sharing a device, or one shard slice per pool
+   device) plus one part per delta segment while mutations are live;
+2. run one :func:`_scan_round` over it (two for a TPUT plan), each scan
+   through :func:`_scan_one` — fault check, replica choice, residency,
+   engine call, ``swap_parts`` eviction, profile — remapping ids to
+   global ids as results land;
+3. strike tombstoned base candidates;
+4. fold the per-source profiles along the timeline: sources on their own
+   devices run concurrently (the slowest is the critical path), sources
+   sharing a device add up;
+5. finish with :func:`~repro.cluster.executor.merge_shard_results` —
+   skipped only by the ``"direct"`` plan (one clean source), whose scan
+   results already are the answer.
+
+Handle kind and stream state change the source list, never the loop, so
+the planner's contract — **every strategy returns bit-identical
+results** (ids, counts, tie order, thresholds) — and the fault,
+residency and pricing rules hold for all of them alike.
 
 Cost model notes:
 
@@ -17,6 +34,13 @@ Cost model notes:
   ``max(shard round-1) + round-1 threshold merge + max(shard round-2) +
   final merge`` — the rounds are global barriers, so the per-round
   critical paths add instead of max-ing over whole shard timelines.
+* Base parts of a mutated index scan at a width of ``retrieval_k +
+  tombstones``: filtering strikes at most ``tombstones`` candidates from
+  a part's list, so the widened fetch still contains the part's live
+  top-``retrieval_k``. Delta segments scan the whole batch (recent
+  writes obey no partition bounds) back to back on the primary device,
+  and the merge re-pins thresholds against the logical corpus size
+  exactly as a from-scratch refit would.
 """
 
 from __future__ import annotations
@@ -56,159 +80,154 @@ def execute_plan(
 
     Returns:
         ``(results, shard_profiles)``: one result per active query, and
-        per-shard profile slices (``None`` for serial plans).
+        per-shard base-scan profile slices (``None`` for serial plans).
     """
-    stream = getattr(handle, "_stream", None)
-    if stream is not None and stream.dirty:
-        # Live mutations: compose the base scan with the delta-segment
-        # scans, filtering tombstones before the top-k (repro.stream).
-        return _run_stream(compiled, handle, queries, batch_size, profile, trace)
-    if compiled.shards is None:
-        results = _run_serial(
-            handle, queries, compiled.retrieval_k, batch_size, profile, trace
+    host = handle.session.host
+    n_queries = len(queries)
+    k = compiled.retrieval_k
+    sharded = compiled.shards is not None
+    stream = handle._stream
+    dirty = stream is not None and stream.dirty
+    if compiled.routing_ops:
+        # The routing decision is pre-dispatch host work (binary searches
+        # against the shard keyword bounds). Like query encoding — the
+        # same class of work — it is charged to the host's accounting but
+        # not to the batch profile: it happens before any device is
+        # touched and overlaps device execution under pipelined dispatch,
+        # so it is not on the batch's critical path.
+        host.charge_ops(compiled.routing_ops, stage="plan_route")
+
+    base = handle._parts
+    deltas = stream.delta_parts() if dirty else []
+    sources = base + deltas
+    n_base = len(base)
+    everyone = np.arange(n_queries, dtype=np.int64)
+    routes = (list(compiled.routes) if sharded else [everyone] * n_base) + [everyone] * len(deltas)
+    tombstones = stream.tombstone_array() if dirty else np.empty(0, dtype=ID_DTYPE)
+    two_round = compiled.merge == "two-round-tput"
+    base_k = compiled.first_round_k if two_round else k + int(tombstones.size)
+
+    # candidates[source][query]: the source's top-k for the query under
+    # global ids, None where the source was not scanned for it.
+    candidates: list[list[TopKResult | None]] = [[None] * n_queries for _ in sources]
+    scans = _scan_round(
+        handle, sources, routes, [base_k] * n_base + [k] * len(deltas),
+        queries, batch_size, candidates,
+    )
+    if two_round:
+        topup_routes, threshold_seconds = _tput_topup_routes(
+            candidates, n_queries, k, base_k, host
         )
-        return results, None
-    return _run_shards(compiled, handle, queries, batch_size, profile, trace)
-
-
-# ----------------------------------------------------------------------
-# serial (single device, one or more multi-loading parts)
-
-
-def _run_serial(
-    handle,
-    queries: list[Query],
-    k: int,
-    batch_size: int | None,
-    profile: StageTimings,
-    trace=None,
-) -> list[TopKResult]:
-    session = handle.session
-    device = session.device
-    parts = handle._parts
-    if len(parts) == 1:
-        part = parts[0]
-        transfer_before = device.timings.get("index_transfer")
-        session._ensure_resident(part)
-        try:
-            results = handle._query_engine(part.engine, queries, k, batch_size)
-        finally:
-            if handle.swap_parts:
-                session._evict_part(part)
-        profile.merge(part.engine.last_profile)
-        swap_seconds = device.timings.get("index_transfer") - transfer_before
-        if swap_seconds > 0:
-            profile.add("index_transfer", swap_seconds)
-        if trace is not None:
-            trace.child(
-                "scan",
-                duration=part.engine.last_profile.query_total() + max(swap_seconds, 0.0),
-                part=0, queries=len(queries),
-            )
-        return results
-
-    # Multi-part: query each part, merge per query on the host (Fig. 6).
-    # Parts partition the objects, so an object's count is complete within
-    # its part and the merge is exact. The sharded merge
-    # (repro.cluster.executor.merge_shard_results) parallels this ordering
-    # deliberately — keep tie-order changes in sync.
-    merged_ids: list[list[np.ndarray]] = [[] for _ in queries]
-    merged_counts: list[list[np.ndarray]] = [[] for _ in queries]
-    cursor = 0.0  # serial parts run back to back on the one device
-    for part in parts:
-        transfer_before = device.timings.get("index_transfer")
-        session._ensure_resident(part)
-        try:
-            part_results = handle._query_engine(part.engine, queries, k, batch_size)
-        finally:
-            if handle.swap_parts:
-                session._evict_part(part)
-        profile.merge(part.engine.last_profile)
-        swap_seconds = device.timings.get("index_transfer") - transfer_before
-        profile.add("index_transfer", swap_seconds)
-        if trace is not None:
-            part_seconds = part.engine.last_profile.query_total() + max(swap_seconds, 0.0)
-            trace.child(
-                "scan", start=cursor, duration=part_seconds,
-                part=part.position, queries=len(queries),
-            )
-            cursor += part_seconds
-        for qi, part_result in enumerate(part_results):
-            merged_ids[qi].append(part_result.ids + part.offset)
-            merged_counts[qi].append(part_result.counts)
-
-    results = []
-    merge_ops = 0.0
-    for qi in range(len(queries)):
-        ids = np.concatenate(merged_ids[qi]) if merged_ids[qi] else np.empty(0, dtype=ID_DTYPE)
-        counts = (
-            np.concatenate(merged_counts[qi]) if merged_counts[qi] else np.empty(0, dtype=ID_DTYPE)
+        topups = _scan_round(
+            handle, base, topup_routes, [k] * n_base, queries, batch_size, candidates
         )
-        order = np.lexsort((ids, -counts))[:k]
-        results.append(TopKResult(ids=ids[order], counts=counts[order]))
-        merge_ops += ids.size * max(1.0, np.log2(max(ids.size, 2)))
-    session.host.charge_ops(merge_ops, stage="result_merge")
-    merge_seconds = merge_ops / session.host.spec.ops_per_second
-    profile.add("result_merge", merge_seconds)
+    filter_seconds = _strike_tombstones(candidates[:n_base], tombstones, host)
+
+    _fold(profile, scans[:n_base], concurrent=sharded)
+    if two_round:
+        profile.add("result_merge", threshold_seconds)
+        _fold(profile, topups, concurrent=sharded)
+    _fold(profile, scans[n_base:], concurrent=False)
+    if filter_seconds:
+        profile.add("tombstone_filter", filter_seconds)
+    if compiled.merge == "direct":
+        merged = candidates[0]
+    else:
+        n_objects = stream.manifest.next_gid if dirty else sum(len(p.corpus) for p in base)
+        merged, merge_seconds = merge_shard_results(
+            candidates, n_queries, k, host, n_objects=n_objects
+        )
+        profile.add("result_merge", merge_seconds)
+
     if trace is not None:
-        trace.child("merge", start=cursor, duration=merge_seconds, parts=len(parts))
-    return results
+        key, labels = "shard" if sharded else "part", range(n_base)
+        name = "base_scan" if dirty else "shard_scan" if sharded else "scan"
+        cursor = _trace_scans(trace, name, key, labels, routes, scans, 0.0, sharded)
+        if two_round:
+            trace.child("tput_threshold", start=cursor, duration=threshold_seconds)
+            cursor = _trace_scans(
+                trace, "shard_topup", key, labels, topup_routes, topups,
+                cursor + threshold_seconds, sharded,
+            )
+        if filter_seconds:
+            trace.child("tombstone_filter", start=cursor, duration=filter_seconds,
+                        tombstones=int(tombstones.size))
+            cursor += filter_seconds
+        cursor = _trace_scans(
+            trace, "delta_scan", "segment", range(len(deltas)),
+            routes[n_base:], scans[n_base:], cursor, False,
+        )
+        if compiled.merge != "direct":
+            trace.child("merge", start=cursor, duration=merge_seconds, sources=len(sources))
+
+    if two_round:
+        for total, topup in zip(scans, topups):
+            total.merge(topup)
+    return merged, scans[:n_base] if sharded else None
 
 
-# ----------------------------------------------------------------------
-# sharded (one device per shard, routed, one- or two-round merge)
+def _fold(profile: StageTimings, scans: list[StageTimings], concurrent: bool) -> None:
+    """Add one group of source scans to the batch ``profile``.
+
+    Sources on their own devices run concurrently, so the group costs its
+    slowest member; sources sharing a device run back to back and add up.
+    """
+    if concurrent:
+        profile.merge(critical_path_profile(scans))
+    else:
+        for scan in scans:
+            profile.merge(scan)
 
 
-def _trace_scans(trace, name: str, routes, profiles, start: float) -> float:
-    """Record one concurrent scan span per routed shard; returns the barrier.
+def _trace_scans(
+    trace, name: str, key: str, labels, routes, profiles, start: float, concurrent: bool
+) -> float:
+    """Record one scan span per scanned source; returns when the last ends.
 
-    Shards run concurrently, so every span starts at ``start`` and the
-    returned barrier time is ``start`` plus the slowest shard (``start``
-    itself when every shard was pruned).
+    Concurrent sources (each on its own device) all start at ``start``
+    and the group ends with the slowest; sources sharing a device run
+    back to back. A group where nothing was scanned ends at ``start``.
     """
     end = start
-    for shard, route in enumerate(routes):
+    for label, route, profile in zip(labels, routes, profiles):
         if route.size == 0:
             continue
-        seconds = profiles[shard].query_total()
-        trace.child(name, start=start, duration=seconds, shard=shard, queries=int(route.size))
-        end = max(end, start + seconds)
+        seconds = profile.query_total()
+        trace.child(name, start=start if concurrent else end, duration=seconds,
+                    **{key: label}, queries=int(route.size))
+        end = max(end, start + seconds) if concurrent else end + seconds
     return end
-
-
-def _empty_result() -> TopKResult:
-    return TopKResult(ids=np.empty(0, dtype=ID_DTYPE), counts=np.empty(0, dtype=ID_DTYPE))
 
 
 def _scan_round(
     handle,
-    parts: list,
+    sources: list,
     routes: list[np.ndarray],
+    widths: list[int],
     queries: list[Query],
-    k: int,
     batch_size: int | None,
-    per_shard: list[list[TopKResult]],
-    shard_profiles: list[StageTimings],
-) -> None:
-    """Scan each part's routed query subset at width ``k``.
+    candidates: list[list[TopKResult | None]],
+) -> list[StageTimings]:
+    """Scan each source's routed query subset at its width.
 
-    ``parts`` is usually ``handle._parts`` (one per shard) but the
-    streamed path also feeds delta-segment parts through here. Results
-    land query-aligned in ``per_shard`` (positions a part was not routed
-    keep their previous contents — empty for round one, the round-one
-    candidates for a TPUT top-up round); each part's stage profile
-    (including any swap-in it forced) accumulates into
-    ``shard_profiles``.
+    Results land query-aligned in ``candidates`` with their ids remapped
+    to global ids (positions a source was not routed keep their previous
+    contents — ``None`` in round one, the round-one candidates in a TPUT
+    top-up round). Returns each source's stage profile for the round
+    (including any swap-in it forced); empty for an unscanned source.
     """
-    for shard, part in enumerate(parts):
-        route = routes[shard]
+    profiles = [StageTimings() for _ in sources]
+    for s, (part, route, width) in enumerate(zip(sources, routes, widths)):
         if route.size == 0:
             continue
-        subset = [queries[int(j)] for j in route]
-        results, shard_profile = _scan_one(handle, part, subset, k, batch_size)
-        shard_profiles[shard].merge(shard_profile)
-        for j, result in zip(route, results):
-            per_shard[shard][int(j)] = result
+        positions = route.tolist()
+        subset = queries if len(positions) == len(queries) else [queries[j] for j in positions]
+        results, profiles[s] = _scan_one(handle, part, subset, width, batch_size)
+        for j, result in zip(positions, results):
+            if result.ids.size and (ids := part.to_global(result.ids)) is not result.ids:
+                result = TopKResult(ids=ids, counts=result.counts)
+            candidates[s][j] = result
+    return profiles
 
 
 def _scan_one(
@@ -218,10 +237,11 @@ def _scan_one(
     k: int,
     batch_size: int | None,
 ) -> tuple[list[TopKResult], StageTimings]:
-    """Scan one slice's routed subset on the first live replica.
+    """Scan one source's routed subset on the first live copy of it.
 
     The candidate order comes from ``handle._scan_candidates`` (every
-    copy of the slice, least-loaded first). Under an injected
+    copy of the slice, least-loaded first; the part itself when it has
+    no replicas). Under an injected
     :class:`~repro.replica.faults.FaultPlan`, a candidate on a crashed
     device is skipped — charging a deterministic seeded retry penalty
     onto the surviving scan's profile (the ``failover_retry`` stage, on
@@ -229,21 +249,24 @@ def _scan_one(
     :class:`~repro.replica.faults.FailoverEvent` — and a candidate on a
     slowed device scans with its stage timings stretched by the fault's
     factor. The attempt loop is bounded by the replica count (lint rule
-    REPRO007's bounded-retry shape).
+    REPRO007's bounded-retry shape). The chosen copy is made resident
+    (paying ``index_transfer`` when it has to swap in) and, on a
+    ``swap_parts`` index, evicted again right after its scan — the
+    paper's one-part-at-a-time multi-loading protocol.
 
     Raises:
         AvailabilityError: Every candidate's device is down.
     """
     session = handle.session
-    faults = getattr(session, "faults", None)
-    candidates = handle._scan_candidates(part)
+    faults = session.faults
     penalty = 0.0
     tried: list[int] = []
-    for attempt, candidate in enumerate(candidates):
-        device = candidate.engine.device
+    for attempt, candidate in enumerate(handle._scan_candidates(part)):
+        engine = candidate.engine
+        device = engine.device
+        position = session.device_position(device)
         factor = 1.0
         if faults is not None:
-            position = session.device_position(device)
             status, factor = faults.state(position)
             if status == STATUS_DOWN:
                 step = faults.retry_penalty_for(part.position, attempt)
@@ -262,24 +285,59 @@ def _scan_one(
                 continue
         transfer_before = device.timings.get("index_transfer")
         session._ensure_resident(candidate)
-        results = handle._query_engine(candidate.engine, subset, k, batch_size)
-        shard_profile = candidate.engine.last_profile.copy()
+        try:
+            if batch_size is None:
+                results = engine.query(subset, k=k)
+            else:
+                results = engine.query_batched(subset, k=k, batch_size=batch_size)
+        finally:
+            if handle.swap_parts:
+                session._evict_part(candidate)
+        scan_profile = engine.last_profile.copy()
         swap_seconds = device.timings.get("index_transfer") - transfer_before
         if swap_seconds > 0:
-            shard_profile.add("index_transfer", swap_seconds)
+            scan_profile.add("index_transfer", swap_seconds)
         if factor > 1.0:
             # A slowed device does the same work on a stretched timeline;
             # counts and ids are untouched, only latency grows.
-            shard_profile.scale(factor)
+            scan_profile.scale(factor)
         if penalty > 0.0:
-            shard_profile.add("failover_retry", penalty)
-        session._note_device_busy(device, shard_profile.query_total())
-        return results, shard_profile
-    raise AvailabilityError(handle.name, part.position, tried)
+            scan_profile.add("failover_retry", penalty)
+        session.device_load.record(position, scan_profile.query_total())
+        return results, scan_profile
+    segment = part.position - handle.num_parts
+    raise AvailabilityError(
+        handle.name, part.position, tried, segment=segment if segment >= 0 else None
+    )
+
+
+def _strike_tombstones(
+    base_candidates: list[list[TopKResult | None]], tombstones: np.ndarray, host
+) -> float:
+    """Drop tombstoned ids from the base candidates, in place.
+
+    Runs before any top-k decision — a dead base copy must never outrank
+    a live object (its replacement may sit in a delta segment under the
+    same id). Charged to the host as one binary search per candidate
+    (stage ``tombstone_filter``); returns the charged seconds.
+    """
+    if tombstones.size == 0:
+        return 0.0
+    filter_ops = 0.0
+    for results in base_candidates:
+        for qi, result in enumerate(results):
+            if result is None or result.ids.size == 0:
+                continue
+            filter_ops += result.ids.size * np.log2(max(tombstones.size, 2))
+            pos = np.searchsorted(tombstones, result.ids)
+            dead = tombstones[np.minimum(pos, tombstones.size - 1)] == result.ids
+            if dead.any():
+                results[qi] = TopKResult(ids=result.ids[~dead], counts=result.counts[~dead])
+    return host.charge_ops(filter_ops, stage="tombstone_filter") if filter_ops else 0.0
 
 
 def _tput_topup_routes(
-    per_shard: list[list[TopKResult]],
+    candidates: list[list[TopKResult | None]],
     n_queries: int,
     retrieval_k: int,
     first_round_k: int,
@@ -307,13 +365,12 @@ def _tput_topup_routes(
         ``(topup_routes, seconds)``: per shard, the query positions to
         re-fetch at full width, and the charged host seconds.
     """
-    topup: list[list[int]] = [[] for _ in per_shard]
+    topup: list[list[int]] = [[] for _ in candidates]
     fetched = 0
     for qi in range(n_queries):
         counts_parts = [
-            shard_results[qi].counts
-            for shard_results in per_shard
-            if shard_results[qi].counts.size
+            r.counts for shard_results in candidates
+            if (r := shard_results[qi]) is not None and r.counts.size
         ]
         pool = np.concatenate(counts_parts) if counts_parts else np.empty(0, dtype=ID_DTYPE)
         fetched += int(pool.size)
@@ -321,216 +378,12 @@ def _tput_topup_routes(
             cutoff = int(np.partition(pool, pool.size - retrieval_k)[pool.size - retrieval_k])
         else:
             cutoff = 0  # pool too small: every incomplete shard must top up
-        for shard, shard_results in enumerate(per_shard):
+        for shard, shard_results in enumerate(candidates):
             result = shard_results[qi]
-            if result.ids.size < first_round_k:
+            if result is None or result.ids.size < first_round_k:
                 continue  # complete: nothing unfetched remains
             if int(result.counts[-1]) >= cutoff:
                 topup[shard].append(qi)
-    ops = fetched * max(1.0, np.log2(max(len(per_shard), 2)))
+    ops = fetched * max(1.0, np.log2(max(len(candidates), 2)))
     seconds = host.charge_ops(ops, stage="result_merge")
     return [np.asarray(positions, dtype=np.int64) for positions in topup], seconds
-
-
-def _run_shards(
-    compiled: CompiledPlan,
-    handle,
-    queries: list[Query],
-    batch_size: int | None,
-    profile: StageTimings,
-    trace=None,
-) -> tuple[list[TopKResult], list[StageTimings]]:
-    session = handle.session
-    parts = handle._parts
-    n_queries = len(queries)
-    shards = compiled.shards
-    if compiled.routing_ops:
-        # The routing decision is pre-dispatch host work (binary searches
-        # against the shard keyword bounds). Like query encoding — the
-        # same class of work — it is charged to the host's accounting but
-        # not to the batch profile: it happens before any device is
-        # touched and overlaps device execution under pipelined dispatch,
-        # so it is not on the batch's critical path.
-        session.host.charge_ops(compiled.routing_ops, stage="plan_route")
-    per_shard: list[list[TopKResult]] = [
-        [_empty_result() for _ in range(n_queries)] for _ in parts
-    ]
-    round1_profiles = [StageTimings() for _ in parts]
-
-    if compiled.merge == "two-round-tput":
-        first_k = compiled.first_round_k
-        _scan_round(handle, parts, compiled.routes, queries, first_k, batch_size,
-                    per_shard, round1_profiles)
-        topup_routes, threshold_seconds = _tput_topup_routes(
-            per_shard, n_queries, compiled.retrieval_k, first_k, session.host,
-        )
-        round2_profiles = [StageTimings() for _ in parts]
-        _scan_round(handle, parts, topup_routes, queries, compiled.retrieval_k,
-                    batch_size, per_shard, round2_profiles)
-        profile.merge(critical_path_profile(round1_profiles))
-        profile.add("result_merge", threshold_seconds)
-        profile.merge(critical_path_profile(round2_profiles))
-        shard_profiles = [StageTimings() for _ in parts]
-        for shard in range(len(parts)):
-            shard_profiles[shard].merge(round1_profiles[shard])
-            shard_profiles[shard].merge(round2_profiles[shard])
-        if trace is not None:
-            barrier = _trace_scans(trace, "shard_scan", compiled.routes,
-                                   round1_profiles, 0.0)
-            trace.child("tput_threshold", start=barrier, duration=threshold_seconds)
-            scan_end = _trace_scans(trace, "shard_topup", topup_routes,
-                                    round2_profiles, barrier + threshold_seconds)
-    else:
-        _scan_round(handle, parts, compiled.routes, queries, compiled.retrieval_k,
-                    batch_size, per_shard, round1_profiles)
-        profile.merge(critical_path_profile(round1_profiles))
-        shard_profiles = round1_profiles
-        if trace is not None:
-            scan_end = _trace_scans(trace, "shard_scan", compiled.routes,
-                                    round1_profiles, 0.0)
-
-    merged, merge_seconds = merge_shard_results(
-        per_shard, [part.global_ids for part in parts], n_queries,
-        compiled.retrieval_k, session.host, n_objects=shards.n_objects,
-    )
-    profile.add("result_merge", merge_seconds)
-    if trace is not None:
-        trace.child("merge", start=scan_end, duration=merge_seconds,
-                    shards=len(parts))
-    return merged, shard_profiles
-
-
-# ----------------------------------------------------------------------
-# streamed (mutated index: base scan + delta-segment scans + tombstones)
-
-
-def _run_stream(
-    compiled: CompiledPlan,
-    handle,
-    queries: list[Query],
-    batch_size: int | None,
-    profile: StageTimings,
-    trace=None,
-) -> tuple[list[TopKResult], list[StageTimings] | None]:
-    """Execute a plan over a mutated index (see :mod:`repro.stream`).
-
-    The base part(s) scan at a width of ``retrieval_k + tombstones`` —
-    filtering can strike at most ``tombstones`` candidates from a part's
-    list, so the widened fetch provably still contains the part's live
-    top-``retrieval_k``. Base candidates are remapped to global ids and
-    tombstone-filtered (host binary searches, stage ``tombstone_filter``),
-    then every delta segment scans the whole batch on the session's
-    primary device, and one exact one-round merge over all sources
-    re-pins thresholds against the logical corpus size (``next_gid``)
-    exactly as a from-scratch refit would compute them.
-
-    Returns the base per-shard profiles for sharded handles (delta and
-    merge work lands on the batch profile only), ``None`` for serial.
-    """
-    session = handle.session
-    stream = handle._stream
-    manifest = stream.manifest
-    n_queries = len(queries)
-    if compiled.routing_ops:
-        session.host.charge_ops(compiled.routing_ops, stage="plan_route")
-
-    base_parts = list(handle._parts)
-    everyone = np.arange(n_queries, dtype=np.int64)
-    if compiled.shards is not None and compiled.routes is not None:
-        base_routes = compiled.routes
-    else:
-        base_routes = [everyone for _ in base_parts]
-
-    tombstones = stream.tombstone_array()
-    base_k = compiled.retrieval_k + int(tombstones.size)
-    per_part: list[list[TopKResult]] = [
-        [_empty_result() for _ in range(n_queries)] for _ in base_parts
-    ]
-    base_profiles = [StageTimings() for _ in base_parts]
-    _scan_round(handle, base_parts, base_routes, queries, base_k, batch_size,
-                per_part, base_profiles)
-
-    # Remap base candidates to global ids and strike the tombstoned ones
-    # before any top-k decision — a dead base copy must never outrank a
-    # live object (its replacement may sit in a segment under the same id).
-    filter_ops = 0.0
-    for part, part_results in zip(base_parts, per_part):
-        for qi, result in enumerate(part_results):
-            if result.ids.size == 0:
-                continue
-            if part.global_ids is not None:
-                gids = part.global_ids[result.ids]
-            else:
-                gids = result.ids + part.offset
-            counts = result.counts
-            if tombstones.size:
-                filter_ops += gids.size * np.log2(max(tombstones.size, 2))
-                pos = np.searchsorted(tombstones, gids)
-                dead = (pos < tombstones.size) & (
-                    tombstones[np.minimum(pos, tombstones.size - 1)] == gids
-                )
-                gids = gids[~dead]
-                counts = counts[~dead]
-            part_results[qi] = TopKResult(ids=gids, counts=counts)
-    filter_seconds = 0.0
-    if filter_ops:
-        filter_seconds = session.host.charge_ops(filter_ops, stage="tombstone_filter")
-
-    # Delta segments: every query scans every segment (recent writes obey
-    # no partition bounds), sequentially on the session's primary device.
-    all_results = per_part
-    delta_profiles: list[StageTimings] = []
-    for part in stream.delta_parts():
-        segment_results: list[TopKResult] = [_empty_result() for _ in range(n_queries)]
-        segment_profile = [StageTimings()]
-        _scan_round(handle, [part], [everyone], queries, compiled.retrieval_k,
-                    batch_size, [segment_results], segment_profile)
-        for qi, result in enumerate(segment_results):
-            if result.ids.size:
-                segment_results[qi] = TopKResult(
-                    ids=part.global_ids[result.ids], counts=result.counts
-                )
-        all_results.append(segment_results)
-        delta_profiles.append(segment_profile[0])
-
-    identity = np.arange(max(manifest.next_gid, 1), dtype=ID_DTYPE)
-    merged, merge_seconds = merge_shard_results(
-        all_results, [identity] * len(all_results), n_queries,
-        compiled.retrieval_k, session.host, n_objects=manifest.next_gid,
-    )
-
-    if compiled.shards is not None:
-        profile.merge(critical_path_profile(base_profiles))
-        shard_profiles: list[StageTimings] | None = base_profiles
-    else:
-        for base_profile in base_profiles:
-            profile.merge(base_profile)
-        shard_profiles = None
-    for delta_profile in delta_profiles:
-        profile.merge(delta_profile)
-    if filter_seconds:
-        profile.add("tombstone_filter", filter_seconds)
-    profile.add("result_merge", merge_seconds)
-    if trace is not None:
-        if compiled.shards is not None:
-            cursor = _trace_scans(trace, "base_scan", base_routes, base_profiles, 0.0)
-        else:
-            cursor = 0.0  # serial base parts share one device: back to back
-            for position, base_profile in enumerate(base_profiles):
-                seconds = base_profile.query_total()
-                trace.child("base_scan", start=cursor, duration=seconds,
-                            part=position, queries=n_queries)
-                cursor += seconds
-        if filter_seconds:
-            trace.child("tombstone_filter", start=cursor, duration=filter_seconds,
-                        tombstones=int(tombstones.size))
-            cursor += filter_seconds
-        # Delta segments scan sequentially on the session's primary device.
-        for segment, delta_profile in enumerate(delta_profiles):
-            seconds = delta_profile.query_total()
-            trace.child("delta_scan", start=cursor, duration=seconds,
-                        segment=segment, queries=n_queries)
-            cursor += seconds
-        trace.child("merge", start=cursor, duration=merge_seconds,
-                    sources=len(all_results))
-    return merged, shard_profiles

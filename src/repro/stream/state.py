@@ -186,6 +186,7 @@ class StreamState:
             live.add(id(segment))
             cached = self._part_cache.get(id(segment))
             if cached is not None and cached[0] == segment.version:
+                cached[1].position = base_positions + i  # earlier segments may have emptied
                 parts.append(cached[1])
                 continue
             if cached is not None:
@@ -269,12 +270,9 @@ class StreamState:
         slots: list = [None] * manifest.next_gid
         for part in self.handle._parts:
             arrays = part.corpus.keyword_arrays
-            if part.global_ids is not None:
-                for local, gid in enumerate(part.global_ids):
-                    slots[int(gid)] = arrays[local]
-            else:
-                for local, keywords in enumerate(arrays):
-                    slots[part.offset + local] = keywords
+            gids = part.to_global(np.arange(len(arrays), dtype=ID_DTYPE))
+            for gid, keywords in zip(gids.tolist(), arrays):
+                slots[gid] = keywords
         empty = np.empty(0, dtype=ID_DTYPE)
         for gid in manifest.tombstones:
             slots[gid] = empty

@@ -112,10 +112,9 @@ class TestMergeHelpers:
     def test_merge_ties_break_on_global_id(self):
         host = HostCpu()
         # Two shards, both with count-3 candidates; global ids interleave.
-        shard_a = [TopKResult(ids=np.array([0, 1]), counts=np.array([3, 2]))]
-        shard_b = [TopKResult(ids=np.array([0, 1]), counts=np.array([3, 3]))]
-        maps = [np.array([4, 9]), np.array([2, 7])]
-        merged, seconds = merge_shard_results([shard_a, shard_b], maps, 1, 3, host)
+        shard_a = [TopKResult(ids=np.array([4, 9]), counts=np.array([3, 2]))]
+        shard_b = [TopKResult(ids=np.array([2, 7]), counts=np.array([3, 3]))]
+        merged, seconds = merge_shard_results([shard_a, shard_b], 1, 3, host)
         assert merged[0].ids.tolist() == [2, 4, 7]
         assert merged[0].counts.tolist() == [3, 3, 3]
         assert merged[0].threshold == 3
@@ -124,8 +123,7 @@ class TestMergeHelpers:
 
     def test_merge_fewer_than_k_has_zero_threshold(self):
         merged, _ = merge_shard_results(
-            [[TopKResult(ids=np.array([0]), counts=np.array([2]))]],
-            [np.array([5])],
+            [[TopKResult(ids=np.array([5]), counts=np.array([2]))], [None]],
             1,
             10,
             HostCpu(),

@@ -11,8 +11,8 @@ from repro.core.types import Corpus, Query
 from repro.errors import ConfigError, QueryError
 
 
-def _counts(result):
-    return sorted(result.counts.tolist(), reverse=True)
+def _answer(result):
+    return result.ids.tolist(), result.counts.tolist(), result.threshold
 
 
 def _multiload(corpus, part_size, config=None):
@@ -33,7 +33,7 @@ class TestMultiLoad:
         single = GenieEngine(config=GenieConfig(k=5)).fit(corpus)
         multi = _multiload(corpus, 7, GenieConfig(k=5))
         for s, m in zip(single.query(queries), multi.search(queries).results):
-            assert _counts(s) == _counts(m)
+            assert _answer(s) == _answer(m)
 
     def test_global_ids_restored(self):
         # Object 25 (in the second part) must be reported with its global id.
@@ -73,4 +73,4 @@ class TestMultiLoad:
         query = Query.from_keywords(keywords)
         single = GenieEngine(config=GenieConfig(k=k)).fit(corpus)
         multi = _multiload(corpus, part_size, GenieConfig(k=k))
-        assert _counts(single.query([query])[0]) == _counts(multi.search([query])[0])
+        assert _answer(single.query([query])[0]) == _answer(multi.search([query])[0])

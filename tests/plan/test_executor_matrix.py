@@ -1,0 +1,154 @@
+"""The executor matrix: one loop, every handle kind × state × plan × fault.
+
+Every cell builds a fresh index, optionally mutates it, optionally
+injects a fault, searches, and compares every answer — ids, counts and
+the Theorem 3.1 threshold — with brute-force match counting
+(:mod:`repro.core.match_count`) over the logical corpus. The cross-feature
+seams the four separate loops used to disagree on (``swap_parts`` after a
+mutation, faults on unsharded handles, the multi-loading merge's price
+and threshold) are cells and assertions of this grid, not files of their
+own.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.api import GenieSession
+from repro.core.match_count import brute_force_topk
+from repro.core.types import Corpus, Query
+from repro.errors import AvailabilityError
+from repro.gpu.host import HostCpu
+from repro.replica import FaultEvent, FaultPlan
+from repro.stream import StreamConfig
+
+K = 6
+SLOW = 4.0
+
+KINDS = {
+    "serial": {},
+    "multi": {"part_size": 40},
+    "multi-swap": {"part_size": 40, "swap_parts": True},
+    "range": {"shards": 3},
+    "hash-r2": {"shards": 3, "shard_strategy": "hash", "replicas": 2},
+}
+UNREPLICATED = ("serial", "shards-1", "multi")
+FAULTS = {
+    "none": None,
+    "slow": FaultEvent(device=0, start=0.0, kind="slow", factor=SLOW),
+    # Device 1 holds one copy each of hash shards 0 and 1; both survive
+    # on devices 0 and 2.
+    "crash": FaultEvent(device=1, start=0.0),
+}
+
+
+def _objects(n, seed):
+    rng = np.random.default_rng(seed)
+    return [np.unique(rng.integers(0, 40, size=5)).astype(np.int64) for _ in range(n)]
+
+
+QUERIES = [Query.from_keywords(keywords) for keywords in _objects(5, seed=1)]
+
+
+def _build(kind, dirty, fault=None, host=None):
+    """``(handle, logical)``: the index and the corpus a refit would see."""
+    opts = {"shards": 1} if kind == "shards-1" else KINDS[kind]
+    session = GenieSession(host=host)
+    logical = _objects(120, seed=0)
+    handle = session.create_index(
+        logical, model="raw", name="x",
+        stream_config=StreamConfig(auto_compact=False, seal_objects=2), **opts,
+    )
+    if dirty:
+        fresh = _objects(5, seed=2)
+        gids = handle.insert(fresh)
+        logical = logical + fresh
+        dead = [3, 41, 97, int(gids[1])]  # three tombstones + one deleted insert
+        handle.delete(dead)
+        handle.update(10, [1, 2, 3])
+        logical[10] = [1, 2, 3]
+        for gid in dead:
+            logical[gid] = []  # dead slots keep their id and match nothing
+    if fault is not None:
+        session.inject_faults(FaultPlan([fault]))
+    return handle, Corpus(logical)
+
+
+def _expected(query, logical, k):
+    top = brute_force_topk(query, logical, k)
+    found = [(i, c) for i, c in top if c > 0]
+    # brute_force_topk lists min(k, n) objects, zero counts included, so
+    # its last count is the k-th count — 0 when positives ran out.
+    return [i for i, _ in found], [c for _, c in found], top[-1][1]
+
+
+def _cells():
+    for kind, dirty, plan, fault in itertools.product(
+        KINDS, (False, True), ("one-round", "two-round"), FAULTS
+    ):
+        if plan == "two-round" and "shards" not in KINDS[kind]:
+            continue  # the TPUT merge needs shards to trade width against
+        if fault == "crash" and "replicas" not in KINDS[kind]:
+            continue  # nothing survives a crash without a second copy
+        yield pytest.param(
+            kind, dirty, plan, fault,
+            id=f"{kind}-{'dirty' if dirty else 'clean'}-{plan}-{fault}",
+        )
+
+
+@pytest.mark.parametrize("kind,dirty,plan,fault", _cells())
+def test_every_cell_answers_like_brute_force(kind, dirty, plan, fault):
+    handle, logical = _build(kind, dirty, FAULTS[fault])
+    for k in (K, 500):  # 500 > n: the threshold rank caps at the corpus size
+        result = handle.search(QUERIES, k=k, plan=plan)
+        for query, got in zip(QUERIES, result.results):
+            assert (got.ids.tolist(), got.counts.tolist(), got.threshold) == _expected(
+                query, logical, k
+            )
+        if handle.swap_parts:
+            # The multi-loading protocol holds for what actually ran:
+            # every base part swapped in for its scan and out again.
+            assert "swap_parts" in result.plan.render()
+            assert handle.resident_parts == 0
+            assert result.swapped_in >= handle.num_parts
+        if fault == "crash":
+            assert result.failovers
+
+
+@pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+@pytest.mark.parametrize("kind", UNREPLICATED)
+class TestOneFaultRule:
+    """Handles without a second copy obey the fault plan like ``shards=1``."""
+
+    def test_crashed_only_copy_is_unavailable(self, kind, dirty):
+        handle, _ = _build(kind, dirty, FaultEvent(device=0, start=0.0))
+        with pytest.raises(AvailabilityError) as err:
+            handle.search(QUERIES, k=K)
+        assert (err.value.shard, err.value.devices, err.value.segment) == (0, (0,), None)
+
+    def test_slowed_device_stretches_the_scan(self, kind, dirty):
+        healthy, _ = _build(kind, dirty)
+        slowed, _ = _build(kind, dirty, FAULTS["slow"])
+        for stage in ("match", "select"):
+            assert slowed.search(QUERIES, k=K).profile.get(stage) == pytest.approx(
+                SLOW * healthy.search(QUERIES, k=K).profile.get(stage)
+            )
+
+
+def test_unreplicated_delta_segment_is_named_when_its_device_is_down():
+    # Delta segments live on the primary device only: one insert makes a
+    # replicated index unavailable while device 0 is down (ROADMAP item 4).
+    handle, _ = _build("hash-r2", dirty=True, fault=FaultEvent(device=0, start=0.0))
+    with pytest.raises(AvailabilityError, match="delta segment 0 of index 'x'") as err:
+        handle.search(QUERIES, k=K)
+    assert err.value.segment == 0
+
+
+def test_merge_profile_equals_the_host_charge_on_a_two_core_host():
+    handle, _ = _build("multi", dirty=False, host=HostCpu(cores=2))
+    host = handle.session.host
+    before = host.timings.get("result_merge")
+    result = handle.search(QUERIES, k=K)
+    assert result.profile.get("result_merge") > 0.0
+    assert result.profile.get("result_merge") == host.timings.get("result_merge") - before

@@ -58,3 +58,32 @@ def test_only_baselines_and_experiments_import_the_specification():
             if module == "repro.core.reference" or module.startswith("repro.core.reference."):
                 offenders.append(f"{relative}:{lineno}: {module}")
     assert not offenders, "the specification leaked into production:\n" + "\n".join(offenders)
+
+
+def _called_names(path: Path):
+    """Attribute / function names of every call expression in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_one_execution_loop_and_one_merge():
+    """A second scan loop or top-k merge cannot come back unnoticed.
+
+    Every scan goes through ``_scan_one``, the only place the executor
+    makes a part resident; every merge is ``merge_shard_results``, the
+    only ``lexsort`` in the plan and cluster layers.
+    """
+    root = Path(repro.__file__).parent
+    executor_calls = list(_called_names(root / "plan" / "executor.py"))
+    assert executor_calls.count("_ensure_resident") == 1
+    sorters = [
+        str(path.relative_to(root))
+        for package in ("plan", "cluster")
+        for path in sorted((root / package).rglob("*.py"))
+        if "lexsort" in _called_names(path)
+    ]
+    assert sorters == ["cluster/executor.py"]
+    merge_calls = list(_called_names(root / "cluster" / "executor.py"))
+    assert merge_calls.count("lexsort") == 1
