@@ -1,35 +1,42 @@
-"""Fused whole-batch match counting (the engine's one scan path).
+"""Whole-batch match counting (the engine's one scan path).
 
 GENIE's match-count model lets thousands of queries share one scan
 infrastructure; this module is the host-side realization of that idea. The
 *whole batch* is processed as flat arrays:
 
 1. every query item's keywords are resolved to CSR keyword rows with one
-   fancy-indexed lookup (:meth:`InvertedIndex.keyword_rows`),
-2. keyword rows expand to span rows and then to one flat object-id stream
-   in ``(query, item, span)`` order — a single gather of all queries'
-   postings,
-3. match counts are computed tile-by-tile with a fused-key ``bincount``
-   over ``query_row * n_objects + object_id``; tiles are sized so one
-   tile's count rows stay cache-resident,
-4. the batch's ``block_sizes`` fall out of segmented reductions over the
-   same span stream, and the c-PQ cost statistics, positive-count
-   histograms and (with ``select=True``) the top-k selection are all
-   computed per tile while the rows are still hot in cache.
+   fancy-indexed lookup (:meth:`InvertedIndex.keyword_rows`) and expanded
+   to span rows in ``(query, item, span)`` order; the batch's
+   ``block_sizes`` fall out of segmented reductions over that span stream,
+2. match counts are computed one tile of query rows at a time, in one of
+   two regimes picked by the tile's density. **Dense** (postings stream
+   above a quarter of the tile's cells): each row's List-Array spans are
+   concatenated — a cache-sized stream, never the batch's — and counted
+   with one ``bincount`` straight into a reused **int32** tile, the
+   device's counter width. **Sparse**: ``np.unique`` of the fused
+   ``row * n_objects + object_id`` keys yields the positive cells and the
+   tile is never touched,
+3. either regime feeds one **per-row count histogram** (slot ``v`` = how
+   many of the row's objects ended at count ``v``; a count is bounded by
+   the query size, the fact the paper's Bitmap Counter rests on). Every
+   statistic is read off it: nonzero totals, the k-th largest count
+   (Theorem 3.1 pins ``AT - 1`` to it), the c-PQ Gate passes, and the
+   batch's ``count_hist`` for the launch's atomic-conflict estimate,
+4. with ``select=True`` the only sparse extraction is the cells at or above
+   each row's threshold, and one segmented sort over them yields every
+   row's top-k.
 
 :class:`BatchScanPlan` carries what the engine and the launch builders of
 :mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. On
-the c-PQ path (``select=True``) tiles are counted into one reused buffer, so
-no ``(n_queries, n_objects)`` array ever exists; the dense matrix is kept
-only for GEN-SPQ (``select=False``), whose bucket selection reads full rows.
+the c-PQ path (``select=True``) no ``(n_queries, n_objects)`` array ever
+exists; the dense matrix is kept only for GEN-SPQ (``select=False``), whose
+bucket selection reads full rows.
 
 The readable per-query specification lives in :mod:`repro.core.reference`;
 ``reference.plan_batch`` assembles the same struct one query at a time and
 ``tests/core/test_batch_scan.py`` holds the two equal field by field, so the
 simulated :class:`~repro.gpu.kernel.KernelLaunch` costs and every answer
 (count-desc / id-asc tie-break included) are bit-for-bit the specification's.
-Theorem 3.1 pins the threshold to the k-th count, so candidates are
-extracted by threshold instead of a full ``argpartition``.
 """
 
 from __future__ import annotations
@@ -41,15 +48,10 @@ import numpy as np
 from repro.core.inverted_index import InvertedIndex, ragged_slices
 from repro.core.types import ID_DTYPE, Query, TopKResult
 
-#: Cap on the fused bincount key domain (count-matrix cells per tile). Also
-#: the pipeline's cache budget: 512k int64 cells = 4 MB, so a tile's count
-#: rows stay resident while cost statistics and selection read them back.
+#: Count-matrix cells per tile — the pipeline's cache budget: 512k int32
+#: cells = 2 MB, so a tile's count rows stay resident while the candidate
+#: extraction reads them back.
 DEFAULT_MAX_FUSED_CELLS = 512 * 1024
-
-#: Average span length above which the postings stream is gathered by
-#: concatenating List-Array views (pure memcpy) instead of materializing a
-#: fancy-index array; short spans amortize better through the index array.
-_CONCAT_MIN_AVG_SPAN = 32
 
 
 @dataclass
@@ -63,9 +65,9 @@ class BatchScanPlan:
             scans nothing still contributes one ``0`` block).
         updates: ``(n_queries,)`` counter increments (= entries scanned).
         gate_passes: ``(n_queries,)`` estimated c-PQ Gate passes.
-        hot_counts: The batch's positive match counts, flat and 32-bit, in
-            (query, ascending-id) order.
-        hot_bounds: ``(n_queries + 1,)`` per-query offsets into ``hot_counts``.
+        count_hist: Histogram of the batch's final counters: entry ``v`` is
+            the number of ``(query, object)`` counters that ended at count
+            ``v >= 1`` (entry 0 is 0; the last entry is the largest count).
         results: Per-query top-k under ``select=True``, else ``None``.
         counts: Dense ``(n_queries, n_objects)`` match counts under
             ``select=False`` (GEN-SPQ), else ``None``.
@@ -75,8 +77,7 @@ class BatchScanPlan:
     block_sizes: np.ndarray
     updates: np.ndarray
     gate_passes: np.ndarray
-    hot_counts: np.ndarray
-    hot_bounds: np.ndarray
+    count_hist: np.ndarray
     results: list[TopKResult] | None = None
     counts: np.ndarray | None = None
 
@@ -94,8 +95,8 @@ def plan_batch_scan(
         index: The fitted inverted index (CSR position map).
         queries: The batch.
         k: Result size (feeds the c-PQ cost derivation and selection).
-        max_fused_cells: Upper bound on one tile's fused ``bincount``
-            domain; also the tile size of the cache-resident pipeline.
+        max_fused_cells: Upper bound on one tile's count-matrix cells (the
+            tile size of the cache-resident pipeline).
         select: Compute each query's top-k while tiles are cache-hot (the
             c-PQ path) instead of keeping the dense count matrix.
 
@@ -198,20 +199,7 @@ def _segmented_block_sizes(
 
 
 # ----------------------------------------------------------------------
-# the tiled count / cost / selection sweep
-
-
-def _gather_stream(index: InvertedIndex, span_rows: np.ndarray, span_lengths: np.ndarray) -> np.ndarray:
-    """The batch's flat object-id stream (32-bit), in span order."""
-    list_array32 = index.list_array32
-    starts = index.span_starts[span_rows]
-    total = int(span_lengths.sum())
-    if span_rows.size and total >= _CONCAT_MIN_AVG_SPAN * span_rows.size:
-        ends = starts + span_lengths
-        return np.concatenate(
-            [list_array32[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-        )
-    return list_array32[ragged_slices(starts, span_lengths)]
+# the tiled count / histogram / selection sweep
 
 
 def _tiled_sweep(
@@ -225,184 +213,186 @@ def _tiled_sweep(
     max_fused_cells: int,
     select: bool,
 ) -> BatchScanPlan:
-    """Count, cost-derive and (optionally) select, one cache-sized tile at a time."""
+    """Count, histogram, cost-derive and (optionally) select, one tile at a time."""
     n_objects = index.n_objects
-    stream = _gather_stream(index, span_rows, span_lengths)
-    # Per-query entry ranges of the stream (ordered by batch position).
+    kk = min(k, n_objects)
     updates = np.bincount(
         span_query, weights=span_lengths.astype(np.float64), minlength=n_queries
     ).astype(np.int64)
-    entry_bounds = np.zeros(n_queries + 1, dtype=np.int64)
-    np.cumsum(updates, out=entry_bounds[1:])
+    span_starts = index.span_starts[span_rows]
+    span_bounds = np.searchsorted(span_query, np.arange(n_queries + 1))
 
-    kk = min(k, n_objects)
     gate_passes = np.empty(n_queries, dtype=np.float64)
-    hot_bounds = np.zeros(n_queries + 1, dtype=np.int64)
-    hot_tiles = [np.empty(0, dtype=np.int32)]  # so an empty batch still concatenates
+    # Per tile: the count values that occur, and how many counters ended on each.
+    hist_values = [np.empty(0, dtype=np.int64)]  # so an empty batch still concatenates
+    hist_counters = [np.empty(0, dtype=np.int64)]
     results: list[TopKResult] | None = [None] * n_queries if select else None  # type: ignore[list-item]
 
-    span_base = span_query * n_objects
     rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
-    # GEN-SPQ keeps every row; the c-PQ path recounts into one tile buffer.
+    # GEN-SPQ keeps every row; the c-PQ path recounts into one tile buffer
+    # at the device's counter width.
     counts = None if select else np.empty((n_queries, n_objects), dtype=np.int64)
-    buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=np.int64) if select else None
+    buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=np.int32) if select else None
     for lo in range(0, n_queries, rows_per_tile):
         hi = min(lo + rows_per_tile, n_queries)
-        tile = buffer[: hi - lo] if select else counts[lo:hi]
-        # One sparse extraction of the positive counts serves everything
-        # downstream: AuditThresholds, nonzero totals, Gate-pass sums,
-        # Hash-Table histograms for the launch cost, and top-k candidates.
-        hot_q, hot_ids, hot_vals = _count_tile(
-            tile, stream, entry_bounds, span_base, span_query, span_lengths, lo, hi, n_objects
-        )
-        nonzero_tile = np.diff(np.searchsorted(hot_q, np.arange(hi - lo + 1)))
-        hot_bounds[lo + 1 : hi + 1] = nonzero_tile
-        hot_tiles.append(hot_vals.astype(np.int32))  # kept for the launch: the device's counter width
+        n_rows = hi - lo
+        tile = buffer[:n_rows] if select else counts[lo:hi]
+        spans = slice(span_bounds[lo], span_bounds[hi])
+        sparse = int(updates[lo:hi].sum()) * 4 <= tile.size
+        if sparse:
+            keys, vals = _positive_cells(
+                index, span_starts[spans], span_lengths[spans], span_query[spans] - lo, n_rows
+            )
+            key_row = keys // n_objects
+            # A count never exceeds the entries its row scanned.
+            widths = updates[lo:hi] + 1
+            hist = np.bincount((np.cumsum(widths) - widths)[key_row] + vals, minlength=int(widths.sum()))
+            if not select:
+                tile[:] = 0
+                tile.reshape(-1)[keys] = vals
+        else:
+            widths, hist = _count_rows(
+                tile, index, span_starts[spans], span_lengths[spans], span_bounds[lo : hi + 1] - span_bounds[lo]
+            )
 
-        # AuditThreshold: the k-th largest count per row (Theorem 3.1),
-        # via a per-row histogram of the (small, bounded) positive counts.
-        at_tile = _kth_largest(hot_q, hot_vals, nonzero_tile, tile, kk) + 1
-
-        lo_level = np.maximum(at_tile - 1, 1)
-        passing = hot_vals >= lo_level[hot_q]
-        passes_high = np.bincount(
-            hot_q[passing],
-            weights=(hot_vals[passing] - lo_level[hot_q[passing]] + 1).astype(np.float64),
-            minlength=hi - lo,
-        )
-        passes_low = np.minimum(nonzero_tile, k) * np.maximum(at_tile - 1, 0)
-        gate_passes[lo:hi] = passes_high + passes_low
+        nonzero, kth, passes_high, value = _row_statistics(hist, widths, kk)
+        gate_passes[lo:hi] = passes_high + np.minimum(nonzero, k) * kth
+        occurs = hist > 0
+        hist_values.append(value[occurs])
+        hist_counters.append(hist[occurs])
 
         if select:
-            thresholds = at_tile - 1
-            cand = hot_vals >= np.maximum(thresholds, 1)[hot_q]
-            cand_q, cand_ids, cand_vals = hot_q[cand], hot_ids[cand], hot_vals[cand]
-            cand_bounds = np.searchsorted(cand_q, np.arange(hi - lo + 1))
-            for ti in range(hi - lo):
-                a, b = cand_bounds[ti], cand_bounds[ti + 1]
-                results[lo + ti] = _select_row(  # type: ignore[index]
-                    cand_ids[a:b], cand_vals[a:b], int(thresholds[ti]), kk
-                )
+            # Theorem 3.1: only counts at or above the k-th largest can win.
+            level = np.maximum(kth, 1)
+            if sparse:
+                keep = vals >= level[key_row]
+                keys, vals = keys[keep], vals[keep]
+            else:
+                keys = np.flatnonzero(tile >= level.astype(tile.dtype)[:, None])
+                vals = tile.reshape(-1)[keys]
+            results[lo:hi] = _select_rows(keys, vals, kth, kk, n_objects)  # type: ignore[index]
 
-    np.cumsum(hot_bounds, out=hot_bounds)
     return BatchScanPlan(
         n_queries=n_queries,
         block_sizes=block_sizes,
         updates=updates,
         gate_passes=gate_passes,
-        hot_counts=np.concatenate(hot_tiles),
-        hot_bounds=hot_bounds,
+        count_hist=np.bincount(
+            np.concatenate(hist_values), weights=np.concatenate(hist_counters)
+        ).astype(np.int64),
         results=results,
         counts=counts,
     )
 
 
-def _count_tile(
-    tile: np.ndarray,
-    stream: np.ndarray,
-    entry_bounds: np.ndarray,
-    span_base: np.ndarray,
-    span_query: np.ndarray,
+def _positive_cells(
+    index: InvertedIndex,
+    span_starts: np.ndarray,
     span_lengths: np.ndarray,
-    lo: int,
-    hi: int,
-    n_objects: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill ``tile`` with rows ``lo:hi`` of the count matrix.
+    span_row: np.ndarray,
+    n_rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse regime: a tile's positive cells without touching the tile.
+
+    The tile's postings stream is much smaller than the tile, so
+    ``np.unique`` of the fused ``row * n_objects + object_id`` keys yields
+    the positive cells directly.
 
     Returns:
-        ``(hot_q, hot_ids, hot_vals)``: the tile's positive counts in
-        (row, ascending-id) order — the sparse view every downstream
-        statistic is computed from.
-
-    Three fused-key strategies, picked by the tile's stream density:
-
-    * sparse (stream much smaller than the tile): ``np.unique`` of the
-      fused keys yields the positive cells directly; the dense tile is a
-      zero-fill plus a scatter, and no dense pass ever reads it back,
-    * fused ``bincount`` over the fused keys (the default),
-    * one plain ``bincount`` per row when the stream is so dense that
-      building fused keys would cost more than the per-row calls.
+        ``(keys, vals)``: flat cell keys in ascending order and their counts.
     """
-    a, b = int(entry_bounds[lo]), int(entry_bounds[hi])
-    if a == b:
-        tile[:] = 0
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    if b - a > tile.size:
-        for ti in range(hi - lo):
-            tile[ti] = np.bincount(
-                stream[entry_bounds[lo + ti] : entry_bounds[lo + ti + 1]], minlength=n_objects
-            )
-        hot_q, hot_ids = np.nonzero(tile > 0)
-        return hot_q, hot_ids, tile[hot_q, hot_ids]
-
-    sa, sb = np.searchsorted(span_query, [lo, hi])
-    fused_dtype = np.int32 if (hi - lo) * n_objects < 2**31 else np.int64
-    tile_base = (span_base[sa:sb] - lo * n_objects).astype(fused_dtype)
-    fused = stream[a:b].astype(fused_dtype, copy=False) + np.repeat(tile_base, span_lengths[sa:sb])
-    if (b - a) * 4 <= tile.size:
-        keys, hot_vals = np.unique(fused, return_counts=True)
-        keys = keys.astype(np.int64, copy=False)
-        tile[:] = 0
-        tile.reshape(-1)[keys] = hot_vals
-        return keys // n_objects, keys % n_objects, hot_vals
-    tile[:] = np.bincount(fused, minlength=tile.size).reshape(tile.shape)
-    hot_q, hot_ids = np.nonzero(tile > 0)
-    return hot_q, hot_ids, tile[hot_q, hot_ids]
+    n_objects = index.n_objects
+    stream = index.list_array32[ragged_slices(span_starts, span_lengths)]
+    fused_dtype = np.int32 if n_rows * n_objects < 2**31 else np.int64
+    fused = stream.astype(fused_dtype, copy=False) + np.repeat(
+        (span_row * n_objects).astype(fused_dtype), span_lengths
+    )
+    return np.unique(fused, return_counts=True)
 
 
-#: Count bound above which the histogram k-th-largest falls back to a
-#: dense row partition (counts are normally tiny: at most the query size).
-_HIST_KTH_MAX_BOUND = 4096
-
-
-def _kth_largest(
-    hot_q: np.ndarray,
-    hot_vals: np.ndarray,
-    nonzero_tile: np.ndarray,
+def _count_rows(
     tile: np.ndarray,
-    kk: int,
-) -> np.ndarray:
-    """Per-row k-th largest count of a tile (0 when fewer than ``kk`` hot).
+    index: InvertedIndex,
+    span_starts: np.ndarray,
+    span_lengths: np.ndarray,
+    row_bounds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense regime: fill ``tile`` row by row, one ``bincount`` per row.
 
-    Match counts are bounded by the query size, so a per-row histogram of
-    the positive counts answers the selection with tiny arrays instead of
-    partitioning dense rows.
+    A row's List-Array spans are concatenated (plain memcpy of a
+    cache-sized stream) and counted straight into the tile; the row's count
+    histogram is taken while the row is still hot.
+
+    Returns:
+        ``(widths, hist)``: the rows' histograms concatenated, row ``r``
+        owning ``widths[r]`` slots (see :func:`_row_statistics`).
     """
-    n_rows = tile.shape[0]
-    bound = int(hot_vals.max()) if hot_vals.size else 0
-    if bound == 0:
-        return np.zeros(n_rows, dtype=np.int64)
-    if bound > _HIST_KTH_MAX_BOUND:
-        n = tile.shape[1]
-        return np.partition(tile, n - kk, axis=1)[:, n - kk]
-    hist = np.bincount(
-        hot_q * (bound + 1) + hot_vals, minlength=n_rows * (bound + 1)
-    ).reshape(n_rows, bound + 1)
-    # ge[r, c-1]: does row r have at least kk objects with count >= c?
-    ge = np.cumsum(hist[:, ::-1], axis=1)[:, ::-1][:, 1:] >= kk
-    kth = np.where(ge.any(axis=1), bound - np.argmax(ge[:, ::-1], axis=1), 0)
-    # Rows whose positives cannot reach kk still select 0 via the zeros.
-    return np.where(nonzero_tile >= kk, kth, 0)
+    list_array32 = index.list_array32
+    n_objects = tile.shape[1]
+    views = [list_array32[s : s + n] for s, n in zip(span_starts.tolist(), span_lengths.tolist())]
+    bounds = row_bounds.tolist()
+    hists = []
+    for ti, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        row = np.bincount(np.concatenate(views[a:b] or [list_array32[:0]]), minlength=n_objects)
+        tile[ti] = row
+        hist = np.bincount(row)
+        hist[0] = 0  # untouched objects are not positive counts
+        hists.append(hist)
+    return np.asarray([hist.size for hist in hists]), np.concatenate(hists)
 
 
-def _select_row(
-    cand_ids: np.ndarray, cand_counts: np.ndarray, threshold: int, take: int
-) -> TopKResult:
-    """Assemble one row's top-k from its threshold-filtered candidates.
+def _row_statistics(
+    hist: np.ndarray, widths: np.ndarray, kk: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every per-row statistic of a tile from its per-row count histogram.
 
-    ``cand_ids`` holds (in ascending id order) every object with a count
-    ``>= max(threshold, 1)``; exactly the candidate set
-    :func:`repro.core.reference.topk_from_counts` draws from, since
-    zero-count objects never surface and sub-threshold objects never win.
+    ``hist`` concatenates one histogram per row: row ``r`` owns
+    ``widths[r]`` slots (more than its largest count) and slot ``v >= 1``
+    holds the number of the row's objects whose count ended at ``v``; slot 0
+    is 0. Its size is bounded by the tile's data, not by how large a count
+    gets: at most the tile's postings stream plus one slot per row.
+
+    Returns:
+        ``(nonzero, kth, passes_high, value)``: per row its number of
+        positive counts, its ``kk``-th largest count (Theorem 3.1's
+        ``AT - 1``; 0 when fewer than ``kk`` are positive) and the Gate
+        passes of the objects at or above it; per slot its count value.
     """
-    sure = cand_counts > threshold
-    top_ids = cand_ids[sure]
-    top_counts = cand_counts[sure]
-    if threshold >= 1 and top_ids.size < take:
-        ties = np.nonzero(cand_counts == threshold)[0][: take - top_ids.size]
-        top_ids = np.concatenate([top_ids, cand_ids[ties]])
-        top_counts = np.concatenate([top_counts, cand_counts[ties]])
-    order = np.lexsort((top_ids, -top_counts))
-    return TopKResult(ids=top_ids[order], counts=top_counts[order], threshold=threshold)
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    row_of = np.repeat(np.arange(widths.size), widths)
+    value = np.arange(hist.size) - starts[row_of]
+    running = np.cumsum(hist)
+    row_end = running[ends - 1]
+    nonzero = np.diff(row_end, prepend=0)
+    # Objects of the slot's row with a count >= the slot's value: it never
+    # grows along a row, so the slots that still reach kk are 1..kth.
+    at_least = row_end[row_of] - running + hist
+    kth = np.add.reduceat(((at_least >= kk) & (value > 0)).astype(np.int64), starts)
+    level = np.maximum(kth, 1)
+    passes_high = np.add.reduceat(hist * np.maximum(value - level[row_of] + 1, 0), starts)
+    return nonzero, kth, passes_high, value
+
+
+def _select_rows(
+    keys: np.ndarray, vals: np.ndarray, kth: np.ndarray, kk: int, n_objects: int
+) -> list[TopKResult]:
+    """Every row's top-k from the tile's threshold-filtered candidates.
+
+    ``keys`` / ``vals`` hold, in ascending flat-key (row, then id) order,
+    every cell with a count ``>= max(kth, 1)`` — exactly the candidate set
+    :func:`repro.core.reference.topk_from_counts` draws from. One stable
+    segmented sort by (row, count desc) leaves ids ascending among equal
+    counts; fewer than ``kk`` cells sit above the threshold, so a row's
+    first ``kk`` entries are those plus the threshold ties of lowest id.
+    """
+    rows, ids = np.divmod(keys, n_objects)
+    order = np.lexsort((-vals, rows))  # rows are already ascending, so they stay in place
+    ids, vals = ids[order], vals[order]
+    first = np.searchsorted(rows, np.arange(kth.size + 1))
+    last = np.minimum(first[1:], first[:-1] + kk)
+    # Copies: a kept result must not pin the tile's candidate arrays.
+    return [
+        TopKResult(ids=ids[a:b].copy(), counts=vals[a:b].copy(), threshold=threshold)
+        for a, b, threshold in zip(first.tolist(), last.tolist(), kth.tolist())
+    ]

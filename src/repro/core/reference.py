@@ -173,14 +173,13 @@ def plan_batch(index: InvertedIndex, queries: list[Query], k: int) -> BatchScanP
     Fills both ``results`` and the dense ``counts`` (either ``select``).
     """
     plans = [plan_query_scan(index, query, qi, k) for qi, query in enumerate(queries)]
-    hot = [plan.counts[plan.counts > 0] for plan in plans]
+    positive = [plan.counts[plan.counts > 0] for plan in plans]
     return BatchScanPlan(
         n_queries=len(plans),
         block_sizes=np.concatenate([plan.block_sizes for plan in plans]),
         updates=np.asarray([plan.cpq_cost.updates for plan in plans], dtype=np.int64),
         gate_passes=np.asarray([plan.cpq_cost.gate_passes for plan in plans], dtype=np.float64),
-        hot_counts=np.concatenate(hot).astype(np.int32),
-        hot_bounds=np.concatenate([[0], np.cumsum([h.size for h in hot])]),
+        count_hist=np.bincount(np.concatenate(positive)),
         results=[topk_from_counts(plan.counts, k) for plan in plans],
         counts=np.stack([plan.counts for plan in plans]),
     )

@@ -8,7 +8,10 @@ result of that scan is computed by
 *cost* — coalesced list reads, atomic contention on hot counters, Gate branch
 divergence, Hash-Table writes — into a :class:`~repro.gpu.kernel.KernelLaunch`
 from that one :class:`~repro.core.batch_scan.BatchScanPlan` (which the
-per-query specification, :func:`repro.core.reference.plan_batch`, also builds).
+per-query specification, :func:`repro.core.reference.plan_batch`, also
+builds): two sums over its per-query arrays, and the atomic-conflict estimate
+in one expression over ``count_hist``, the histogram of where the batch's
+counters ended.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ def build_match_launch(
     gate_passes = float(scan.gate_passes.sum())
     # An object's counter hits come from different blocks at different times;
     # only a fraction of the histogram conflicts are temporally coincident.
-    # One estimate per query slice keeps its float temporaries cache-sized.
-    bounds = scan.hot_bounds.tolist()
-    atomic_conflicts = sum(
-        conflicts_from_histogram(scan.hot_counts[a:b], spec.warp_size) for a, b in zip(bounds, bounds[1:])
-    ) / CONTENTION_DILUTION
+    # count_hist[v] counters took v hits each.
+    atomic_conflicts = (
+        conflicts_from_histogram(np.arange(scan.count_hist.size), spec.warp_size, scan.count_hist)
+        / CONTENTION_DILUTION
+    )
 
     if use_cpq:
         # Per update: list read + BC atomic increment + Gate check. Atomics

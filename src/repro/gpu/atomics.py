@@ -36,21 +36,23 @@ def conflict_count(n_ops: int, n_targets: int, warp_size: int) -> float:
     return float(n_ops) * extra_rounds / warp_size * min(warp_size, lanes_per_target)
 
 
-def conflicts_from_histogram(hits_per_target: np.ndarray, warp_size: int) -> float:
+def conflicts_from_histogram(
+    hits_per_target: np.ndarray, warp_size: int, targets: np.ndarray | float = 1
+) -> float:
     """Conflict estimate from an exact per-target hit histogram.
 
     Args:
         hits_per_target: Number of atomic hits each address received.
         warp_size: Lanes per warp.
+        targets: How many addresses share each entry's hit count (aligned
+            with ``hits_per_target``), for a histogram binned by hit count.
 
     Returns:
         Expected serialized retries. Each address with ``h`` hits contributes
         roughly ``h * (min(h, warp_size) - 1) / warp_size`` retries: its hits
-        arrive spread over warps, and within a warp they serialize.
+        arrive spread over warps, and within a warp they serialize. Integer
+        histograms are summed in integers and divided once, so the estimate
+        does not depend on how the addresses are grouped.
     """
-    hits = np.asarray(hits_per_target, dtype=np.float64)
-    hits = hits[hits > 0]
-    if hits.size == 0:
-        return 0.0
-    per_warp = np.minimum(hits, warp_size)
-    return float(np.sum(hits * (per_warp - 1.0) / warp_size))
+    hits = np.asarray(hits_per_target)
+    return float(np.sum(targets * hits * (np.minimum(hits, warp_size) - 1))) / warp_size

@@ -170,7 +170,6 @@ def _schedule_blocks(per_block_cycles: np.ndarray, num_sms: int) -> float:
         return float(per_block_cycles.max())
     loads = [0.0] * num_sms
     heapq.heapify(loads)
-    for cycles in per_block_cycles:
-        lightest = heapq.heappop(loads)
-        heapq.heappush(loads, lightest + float(cycles))
+    for cycles in per_block_cycles.tolist():
+        heapq.heapreplace(loads, loads[0] + cycles)
     return max(loads)

@@ -16,6 +16,7 @@ back-compat test enforces it).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from repro.obs.drift import DriftTracker
@@ -110,8 +111,8 @@ class ServeMetrics:
         self._pruned_pairs = 0
         self.first_arrival: float | None = None
         self.last_completion: float | None = None
-        self._latencies: list[float] = []
-        self._queue_times: list[float] = []
+        self._latencies = array("d")  # packed: one entry per completed request, never dropped
+        self._queue_times = array("d")
         self.plan_cache = None
         self.delta_postings: dict[str, int] = {}
         self.compactions: dict[str, int] = {}
@@ -144,8 +145,8 @@ class ServeMetrics:
     def record_completion(self, latency: float, queue_time: float, completed_at: float) -> None:
         """Note one answered request with its latency components."""
         self.completed.inc()
-        self._latencies.append(float(latency))
-        self._queue_times.append(float(queue_time))
+        self._latencies.append(latency)
+        self._queue_times.append(queue_time)
         if self.last_completion is None or completed_at > self.last_completion:
             self.last_completion = completed_at
 

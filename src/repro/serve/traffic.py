@@ -53,7 +53,7 @@ class TrafficSource:
     opts: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrival:
     """One request of a trace: when it arrives and what it asks."""
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch_scan
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex, ragged_slices
@@ -38,9 +39,20 @@ query_batches = st.lists(
     min_size=1,
     max_size=6,
 )
-lb_configs = st.sampled_from(
-    [None, LoadBalanceConfig(max_sublist_len=3), LoadBalanceConfig(max_sublist_len=5, max_lists_per_block=3)]
-)
+LB_CONFIGS = [None, LoadBalanceConfig(max_sublist_len=3), LoadBalanceConfig(max_sublist_len=5, max_lists_per_block=3)]
+lb_configs = st.sampled_from(LB_CONFIGS)
+
+# Keyword L sits in objects 0..L-1, so a query's postings stream is the sum of
+# its keywords. Four queries around a hole make 5 rows x 16 objects = 80 cells:
+# the regime boundary (stream * 4 == cells) is a stream of 20 entries.
+REGIME_CORPUS = Corpus([[kw for kw in (1, 2, 3, 4, 16) if obj < kw] for obj in range(16)])
+REGIME_QUERIES = {
+    "sparse": ([[1]], [[2]], [[1]], [[1, 2]]),  # 7 entries
+    "boundary": ([[16]], [[1]], [[2]], [[1]]),  # 20: the last sparse stream
+    "one_past": ([[16]], [[1]], [[2]], [[2]]),  # 21: the first dense stream
+    "dense": ([[16], [16, 4]], [[16, 3]], [[16], [16]], [[16, 4, 3, 2, 1]]),  # 127
+}
+HOLES = {"empty_query": [], "all_miss_query": [[99], [98, 97]]}
 
 
 def make_batch(raw_queries):
@@ -54,8 +66,7 @@ def assert_scan_matches_reference(index, queries, k, scan):
     assert np.array_equal(scan.block_sizes, ref.block_sizes)
     assert np.array_equal(scan.updates, ref.updates)
     assert np.array_equal(scan.gate_passes, ref.gate_passes)
-    assert np.array_equal(scan.hot_counts, ref.hot_counts)
-    assert np.array_equal(scan.hot_bounds, ref.hot_bounds)
+    assert np.array_equal(scan.count_hist, ref.count_hist)
     if scan.counts is not None:
         assert np.array_equal(scan.counts, ref.counts)
     if scan.results is not None:
@@ -188,7 +199,7 @@ class TestPlanEquivalence:
         for select in (False, True):
             scan = plan_batch_scan(index, queries, 3, select=select)
             assert scan.block_sizes.tolist() == [0, 0]
-            assert scan.hot_counts.size == 0 and not scan.updates.any()
+            assert scan.count_hist.size == 0 and not scan.updates.any()
             assert_scan_matches_reference(index, queries, 3, scan)
 
     def test_dense_stream_uses_per_row_counting(self):
@@ -200,13 +211,45 @@ class TestPlanEquivalence:
         dense = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=False)
         assert dense.counts.tolist() == [[3] * 10] * 4
         scan = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=True)
-        assert scan.hot_counts.tolist() == [3] * 40
-        assert scan.hot_bounds.tolist() == [0, 10, 20, 30, 40]
+        assert scan.count_hist.tolist() == [0, 0, 0, 40]
         for qi in range(4):
             assert scan.results[qi].counts.tolist() == [3, 3]
             assert scan.results[qi].ids.tolist() == [0, 1]
         for got in (dense, scan):
             assert_scan_matches_reference(index, queries, 2, got)
+
+    @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
+    @pytest.mark.parametrize("max_fused_cells", [1, 7, 64, 10**9])
+    @pytest.mark.parametrize("select", [False, True], ids=["gen_spq", "cpq"])
+    @pytest.mark.parametrize("hole", list(HOLES))
+    @pytest.mark.parametrize("density", list(REGIME_QUERIES))
+    def test_counting_regimes(self, monkeypatch, density, hole, select, max_fused_cells, lb):
+        index = InvertedIndex.build(REGIME_CORPUS, load_balance=lb)
+        before, after = REGIME_QUERIES[density][:2], REGIME_QUERIES[density][2:]
+        queries = make_batch([*before, HOLES[hole], *after])
+        dense_tiles = []
+        count_rows = batch_scan._count_rows
+        monkeypatch.setattr(
+            batch_scan, "_count_rows", lambda tile, *rest: dense_tiles.append(tile.shape) or count_rows(tile, *rest)
+        )
+        scan = plan_batch_scan(index, queries, 3, max_fused_cells=max_fused_cells, select=select)
+        assert_scan_matches_reference(index, queries, 3, scan)
+        if max_fused_cells == 10**9:  # one tile, so the batch's density is the tile's
+            assert dense_tiles == ([(5, 16)] if density in ("one_past", "dense") else [])
+
+    @pytest.mark.parametrize("untouched", [1, 32_000], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("select", [False, True], ids=["gen_spq", "cpq"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_counts_far_above_the_object_count(self, k, select, untouched):
+        # One item of 5 000 keywords against objects holding all, half and
+        # none of them: the histogram is sized by the data, not the count.
+        keywords = list(range(5000))
+        index = InvertedIndex.build(Corpus([keywords, keywords[::2]] + [[5000]] * untouched))
+        queries = [Query(items=[keywords])]
+        scan = plan_batch_scan(index, queries, k, select=select)
+        assert scan.count_hist.size == 5001
+        assert np.flatnonzero(scan.count_hist).tolist() == [2500, 5000]
+        assert_scan_matches_reference(index, queries, k, scan)
 
 
 class TestPeakMemory:
@@ -234,6 +277,28 @@ class TestPeakMemory:
         assert scan.counts is None
         assert len(scan.results) == self.N_QUERIES
         assert peak < self.N_QUERIES * self.N_OBJECTS * 8 // 2
+
+    def test_dense_regime_never_holds_the_batch_stream(self):
+        # 256 queries x 32 hash functions over 8 buckets, 4 000 objects: every
+        # span is ~500 entries long and the batch's postings stream (16.4 MB as
+        # int32) is 4x the count matrix. Rows are gathered one at a time.
+        rng = np.random.default_rng(5)
+        first_bucket = np.arange(32) * 8
+        index = InvertedIndex.build(
+            Corpus(list(first_bucket + rng.integers(0, 8, size=(4000, 32))))
+        )
+        queries = [Query.from_keywords(row) for row in first_bucket + rng.integers(0, 8, size=(256, 32))]
+        index.list_array32
+        tracemalloc.start()
+        try:
+            scan = plan_batch_scan(index, queries, self.K, select=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(scan.updates.sum()) * 4 > 16_000_000
+        assert peak < int(scan.updates.sum()) * 4
+        # A result a caller keeps (a cache, a future) pins nothing tile-wide.
+        assert all(r.ids.base is None and r.counts.base is None for r in scan.results)
 
     def test_gen_spq_path_keeps_the_dense_counts(self):
         index, queries = self._workload()

@@ -1,6 +1,7 @@
 """Tests for the per-query planner (specification) and launch assembly."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +9,9 @@ from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import match_counts_all
 from repro.core.reference import plan_batch, plan_query_scan
-from repro.core.scan_kernel import build_match_launch, build_select_launch
+from repro.core.scan_kernel import CONTENTION_DILUTION, build_match_launch, build_select_launch
 from repro.core.types import Corpus, Query
-from repro.gpu.specs import TITAN_X
+from repro.gpu.specs import TITAN_X, DeviceSpec, small_device
 
 
 def _corpus():
@@ -59,6 +60,17 @@ class TestPlanQueryScan:
         assert np.array_equal(plan.counts, match_counts_all(query, corpus))
 
 
+def _per_query_conflicts(counts, warp_size):
+    """The atomic-conflict estimate summed the long way: one float sum per
+    query over its positive 32-bit counters, the per-query sums added up."""
+    total = 0
+    for row in counts:
+        hits = row[row > 0].astype(np.int32).astype(np.float64)
+        if hits.size:
+            total += float(np.sum(hits * (np.minimum(hits, warp_size) - 1.0) / warp_size))
+    return total / CONTENTION_DILUTION
+
+
 class TestLaunchAssembly:
     def _scan(self):
         index = InvertedIndex.build(_corpus())
@@ -82,3 +94,35 @@ class TestLaunchAssembly:
         launch = build_select_launch(2, ht_capacity=64, k=2, threads_per_block=128)
         assert launch.num_blocks == 2
         assert launch.total_items == 128
+
+    def test_count_hist_bins_the_positive_counters(self):
+        scan = self._scan()
+        positive = scan.counts[scan.counts > 0]
+        assert np.array_equal(scan.count_hist, np.bincount(positive))
+        assert scan.count_hist[0] == 0 and int(scan.count_hist.sum()) == positive.size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 9), max_size=8), min_size=1, max_size=80),
+        st.lists(st.lists(st.integers(0, 11), max_size=70), min_size=1, max_size=5),
+    )
+    def test_conflicts_from_count_hist_equal_the_per_query_sums(self, raw_objects, raw_queries):
+        """One item per keyword, repeats allowed, so counts pass the warp size;
+        the one-expression estimate over ``count_hist`` is the per-query sums
+        to the last bit."""
+        index = InvertedIndex.build(Corpus(raw_objects))
+        scan = plan_batch(index, [Query(items=[[kw] for kw in kws]) for kws in raw_queries], k=2)
+        for spec in (TITAN_X, small_device()):
+            launch = build_match_launch(scan, spec, 256, use_cpq=True)
+            assert launch.atomic_conflicts == _per_query_conflicts(scan.counts, spec.warp_size)
+
+    def test_conflicts_for_a_warp_size_that_is_no_power_of_two(self):
+        # Dividing once instead of per counter may move the last bit when the
+        # division is inexact; no shipped spec has such a warp size.
+        rng = np.random.default_rng(7)
+        index = InvertedIndex.build(Corpus([rng.integers(0, 6, size=5) for _ in range(300)]))
+        queries = [Query(items=[[kw] for kw in rng.integers(0, 6, size=90)]) for _ in range(12)]
+        scan = plan_batch(index, queries, k=3)
+        assert scan.count_hist.size > 24
+        launch = build_match_launch(scan, DeviceSpec(warp_size=24), 256, use_cpq=True)
+        assert launch.atomic_conflicts == pytest.approx(_per_query_conflicts(scan.counts, 24), rel=1e-12)

@@ -55,3 +55,12 @@ class TestConflictsFromHistogram:
         one = conflicts_from_histogram(np.array([2 * h], dtype=float), 32)
         two = conflicts_from_histogram(np.array([h, h], dtype=float), 32)
         assert one >= two
+
+    @given(st.lists(st.integers(0, 200), max_size=60), st.sampled_from([8, 32, 64]))
+    def test_binned_by_hit_count_equals_per_target(self, hits, warp_size):
+        # targets[h] addresses took h hits each: same estimate, to the last
+        # bit for a power-of-two warp (every term is a multiple of 1/warp).
+        hits_arr = np.asarray(hits, dtype=np.int64)
+        targets = np.bincount(hits_arr)
+        binned = conflicts_from_histogram(np.arange(targets.size), warp_size, targets)
+        assert binned == conflicts_from_histogram(hits_arr, warp_size)

@@ -1,5 +1,7 @@
 """Tests for the Device: launch timing, scheduling, staging, transfers."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,16 @@ from repro.gpu.specs import DeviceSpec
 
 def _launch(block_items, **kwargs):
     return KernelLaunch(name="t", block_items=np.asarray(block_items), **kwargs)
+
+
+def _pop_push_makespan(cycles, num_sms):
+    """The greedy schedule written out: pop the lightest SM, push it back loaded."""
+    if cycles.size <= num_sms:
+        return float(cycles.max())
+    loads = [0.0] * num_sms
+    for block in cycles:
+        heapq.heappush(loads, heapq.heappop(loads) + float(block))
+    return max(loads)
 
 
 class TestScheduler:
@@ -26,6 +38,14 @@ class TestScheduler:
     def test_one_giant_block_dominates(self):
         makespan = _schedule_blocks(np.array([100.0] + [1.0] * 50), 8)
         assert makespan == pytest.approx(100.0, rel=0.2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 257, 4000])
+    def test_equals_pop_push_formulation_to_the_last_bit(self, seed, size):
+        rng = np.random.default_rng([seed, size])
+        # Few distinct values: SM loads tie on most steps.
+        cycles = rng.choice([0.0, 6.0, 18.0, 1e-3, 7.25, 1e6 / 3], size=size) + rng.integers(0, 2, size) * 0.1
+        assert _schedule_blocks(cycles, 4) == _pop_push_makespan(cycles, 4)
 
 
 class TestLaunchTiming:
