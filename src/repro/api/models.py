@@ -6,8 +6,8 @@ into keyword sets. A :class:`MatchModel` captures exactly that seam:
 
 * ``encode_corpus(data)`` turns raw data items into a
   :class:`~repro.core.types.Corpus`,
-* ``encode_queries(data)`` turns raw queries into
-  :class:`~repro.core.types.Query` objects,
+* ``encode_queries(data)`` turns raw queries into one
+  :class:`~repro.core.types.QueryBatch`,
 * optional hooks adapt the engine configuration (``adapt_config``), widen
   the retrieval (``shortlist_k``) and verify/rerank the raw shortlist
   (``finalize``) — the sequence adapter uses the last two for Algorithm 2's
@@ -32,7 +32,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.engine import GenieConfig
-from repro.core.types import Corpus, Query
+from repro.core.types import Corpus, Query, QueryBatch, csr_offsets, ragged_slices
 from repro.errors import ConfigError, QueryError, ReproError
 from repro.gpu.host import HostCpu
 from repro.lsh.family import LshFamily
@@ -52,8 +52,17 @@ from repro.sa.sequence import (
 class MatchModel(Protocol):
     """The encoding contract every modality adapter satisfies.
 
-    Required: ``name``, ``encode_corpus`` and ``encode_queries``. Optional
-    hooks (provided with safe defaults by :class:`BaseMatchModel`):
+    Required: ``name``, ``encode_corpus`` and ``encode_queries``.
+    ``encode_queries`` returns a :class:`~repro.core.types.QueryBatch`
+    (every bundled model does) or a list of
+    :class:`~repro.core.types.Query` objects, which
+    :meth:`IndexHandle.encode_queries <repro.api.session.IndexHandle.encode_queries>`
+    converts with :meth:`QueryBatch.from_queries
+    <repro.core.types.QueryBatch.from_queries>` before anything else sees
+    it. The ``queries`` the hooks below receive are therefore always the
+    batch: read its arrays, or iterate / index it for per-query
+    :class:`~repro.core.types.Query` views. Optional hooks (provided with
+    safe defaults by :class:`BaseMatchModel`):
 
     * ``adapt_config(config) -> GenieConfig`` — per-model engine tweaks
       (the ANN model pins ``count_bound`` to ``m``),
@@ -69,7 +78,7 @@ class MatchModel(Protocol):
 
     def encode_corpus(self, data) -> Corpus: ...
 
-    def encode_queries(self, data) -> list[Query]: ...
+    def encode_queries(self, data) -> QueryBatch | list[Query]: ...
 
 
 class BaseMatchModel:
@@ -97,7 +106,7 @@ class BaseMatchModel:
         """Engine configuration this model needs; identity by default."""
         return config
 
-    def validate_queries(self, raw_queries, queries: list[Query]) -> None:
+    def validate_queries(self, raw_queries, queries: QueryBatch) -> None:
         """Reject raw queries the model cannot search; no-op by default."""
 
     def shortlist_k(self, k: int, **opts) -> int:
@@ -231,8 +240,16 @@ class RawModel(BaseMatchModel):
         # in the same keyword space as the base corpus by construction.
         return self.encode_corpus(data)
 
-    def encode_queries(self, data) -> list[Query]:
-        return [q if isinstance(q, Query) else Query.from_keywords(q) for q in data]
+    def encode_queries(self, data) -> QueryBatch:
+        return QueryBatch.from_queries(
+            [q if isinstance(q, Query) else Query.from_keywords(q) for q in data]
+        )
+
+
+def _one_item_per_keyword(keyword_arrays: list[np.ndarray]) -> QueryBatch:
+    """One query per id array, every id its own item (the SA shape)."""
+    sizes = [array.size for array in keyword_arrays]
+    return QueryBatch(np.concatenate(keyword_arrays) if sizes else (), None, csr_offsets(sizes))
 
 
 # ----------------------------------------------------------------------
@@ -300,29 +317,32 @@ class RelationalModel(BaseMatchModel):
         rows = np.column_stack([encoded[spec.name] for spec in self.schema])
         return Corpus(list(rows))
 
-    def _codes_for_range(self, name: str, lo, hi) -> np.ndarray:
+    def _code_range(self, name: str, lo, hi) -> tuple[int, int]:
+        """First keyword and keyword count of the item ``lo <= name <= hi``."""
         spec = self._attr(name)
-        domain = self._domain[name]
         if spec.kind == "numeric":
-            disc = self._discretizers[name]
-            lo_code = int(disc.transform(np.asarray([lo]))[0])
-            hi_code = int(disc.transform(np.asarray([hi]))[0])
+            lo_code, hi_code = self._discretizers[name].transform(np.asarray([lo, hi])).tolist()
         else:
             lo_code, hi_code = int(lo), int(hi)
-        lo_code = max(0, min(lo_code, domain - 1))
-        hi_code = max(0, min(hi_code, domain - 1))
+        top = self._domain[name] - 1
+        lo_code = max(0, min(lo_code, top))
+        hi_code = max(0, min(hi_code, top))
         if hi_code < lo_code:
             raise QueryError(f"empty range on {name}: [{lo}, {hi}]")
-        return np.arange(lo_code, hi_code + 1, dtype=np.int64) + self._offsets[name]
+        return lo_code + self._offsets[name], hi_code - lo_code + 1
 
-    def make_query(self, ranges: dict[str, tuple]) -> Query:
-        """Build a GENIE query from ``{attribute: (lo, hi)}`` ranges."""
-        if not ranges:
-            raise QueryError("query must constrain at least one attribute")
-        return Query(items=[self._codes_for_range(name, lo, hi) for name, (lo, hi) in ranges.items()])
-
-    def encode_queries(self, ranges_batch: list[dict[str, tuple]]) -> list[Query]:
-        return [self.make_query(ranges) for ranges in ranges_batch]
+    def encode_queries(self, ranges_batch: list[dict[str, tuple]]) -> QueryBatch:
+        """One query per ``{attribute: (lo, hi)}`` dict, one item per range."""
+        first, length, n_items = [], [], []
+        for ranges in ranges_batch:
+            if not ranges:
+                raise QueryError("query must constrain at least one attribute")
+            for name, (lo, hi) in ranges.items():
+                start, count = self._code_range(name, lo, hi)
+                first.append(start)
+                length.append(count)
+            n_items.append(len(ranges))
+        return QueryBatch(ragged_slices(first, length), csr_offsets(length), csr_offsets(n_items))
 
 
 # ----------------------------------------------------------------------
@@ -350,16 +370,15 @@ class DocumentModel(BaseMatchModel):
             [self.vocabulary.encode(tokenize(doc, self.stopwords), grow=True) for doc in self.documents]
         )
 
-    def encode_queries(self, texts: list[str]) -> list[Query]:
-        return [
-            Query.from_keywords(self.vocabulary.encode(tokenize(t, self.stopwords), grow=False))
-            for t in texts
-        ]
+    def encode_queries(self, texts: list[str]) -> QueryBatch:
+        return _one_item_per_keyword(
+            [self.vocabulary.encode(tokenize(t, self.stopwords), grow=False) for t in texts]
+        )
 
-    def validate_queries(self, raw_queries, queries: list[Query]) -> None:
-        empty = [i for i, q in enumerate(queries) if q.num_items == 0]
-        if empty:
-            raise QueryError(f"queries {empty} contain no indexed words")
+    def validate_queries(self, raw_queries, queries: QueryBatch) -> None:
+        sizes = queries.items_per_query
+        if not sizes.all():
+            raise QueryError(f"queries {np.flatnonzero(sizes == 0).tolist()} contain no indexed words")
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +408,8 @@ class NgramModel(BaseMatchModel):
         self.sequences = list(sequences)
         return Corpus([self.vocabulary.encode(s, grow=True) for s in self.sequences])
 
-    def encode_queries(self, sequences: list[str]) -> list[Query]:
-        return [Query.from_keywords(self.vocabulary.encode(s, grow=False)) for s in sequences]
+    def encode_queries(self, sequences: list[str]) -> QueryBatch:
+        return _one_item_per_keyword([self.vocabulary.encode(s, grow=False) for s in sequences])
 
 
 @register_model("sequence")
@@ -418,7 +437,7 @@ class SequenceModel(NgramModel):
     def finalize(
         self,
         raw_queries,
-        queries: list[Query],
+        queries: QueryBatch,
         results,
         *,
         k: int,
@@ -426,8 +445,8 @@ class SequenceModel(NgramModel):
         n_candidates: int = PAPER_K_CANDIDATES,
     ) -> list[SequenceSearchResult]:
         payload = []
-        for raw, query, result in zip(raw_queries, queries, results):
-            if query.num_items == 0:
+        for raw, n_items, result in zip(raw_queries, queries.items_per_query.tolist(), results):
+            if n_items == 0:
                 payload.append(SequenceSearchResult(shortlist_size=n_candidates))
             else:
                 payload.append(
@@ -547,7 +566,7 @@ class AnnModel(BaseMatchModel):
         self._points = points
         return self.transformer.to_corpus(points)
 
-    def encode_queries(self, points) -> list[Query]:
+    def encode_queries(self, points) -> QueryBatch:
         return self.transformer.to_queries(self._finite_points(points, QueryError))
 
     def finalize(self, raw_queries, queries, results, *, k: int, host: HostCpu) -> list[tuple]:

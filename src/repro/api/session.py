@@ -38,7 +38,7 @@ from repro.api.models import MatchModel, resolve_model, resolve_shortlist_k
 from repro.cluster.plan import Placement, ShardPlan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex
-from repro.core.types import ID_DTYPE, Corpus, Query, TopKResult
+from repro.core.types import ID_DTYPE, Corpus, Query, QueryBatch, TopKResult
 from repro.errors import ConfigError, GpuOutOfMemoryError, QueryError
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
@@ -50,6 +50,7 @@ from repro.plan.executor import execute_plan
 from repro.plan.nodes import PlanNode, RoutingSummary
 from repro.plan.planner import (
     ShardContext,
+    active_batch,
     compile_search,
     eligibility_needed,
     reprice_plan,
@@ -1223,7 +1224,7 @@ class IndexHandle:
         self.session._check_open()
         if not self._copies:
             raise QueryError("index must be fitted before searching")
-        if not queries:
+        if len(queries) == 0:
             raise QueryError("empty query batch")
         k = int(k if k is not None else self.config.k)
         if k < 1:
@@ -1272,16 +1273,19 @@ class IndexHandle:
         )
         return k, compiled, False
 
-    def encode_queries(self, raw_queries) -> list[Query]:
+    def encode_queries(self, raw_queries) -> QueryBatch:
         """Encode and validate raw queries without searching.
 
         The encode-once hook for serving layers: a server encodes each
         request at admission (to build exact-match cache keys and fail fast
         on malformed queries) and later passes the encoded queries to
         :meth:`search_encoded` so the coalesced batch pays no second encode.
+        Always one :class:`~repro.core.types.QueryBatch` (a third-party
+        model's ``list[Query]`` is converted here); iterate or index it
+        for per-query :class:`~repro.core.types.Query` views.
         """
         raw_queries = list(raw_queries)
-        queries = self.model.encode_queries(raw_queries)
+        queries = QueryBatch.from_queries(self.model.encode_queries(raw_queries))
         validate = getattr(self.model, "validate_queries", None)
         if validate is not None:
             validate(raw_queries, queries)
@@ -1290,7 +1294,7 @@ class IndexHandle:
     def search_encoded(
         self,
         raw_queries,
-        queries: list[Query],
+        queries: QueryBatch | list[Query],
         k: int | None = None,
         batch_size: int | None = None,
         route: str | None = None,
@@ -1300,8 +1304,10 @@ class IndexHandle:
     ) -> SearchResult:
         """Retrieve/merge/verify pre-encoded queries (see :meth:`search`).
 
-        ``raw_queries`` must align with ``queries`` (models' ``finalize``
-        hooks verify against the raw form, e.g. sequence edit distance).
+        ``queries`` is what :meth:`encode_queries` returned (a list of
+        :class:`~repro.core.types.Query` objects is converted on entry);
+        ``raw_queries`` must align with it (models' ``finalize`` hooks
+        verify against the raw form, e.g. sequence edit distance).
 
         This is the single execution surface: the batch is compiled by
         :func:`repro.plan.planner.compile_search` and run by
@@ -1309,10 +1315,11 @@ class IndexHandle:
         indexes alike (the serve layer's dispatch lands here too).
         """
         self.shard_profiles = ()
+        queries = QueryBatch.from_queries(queries)
         k, compiled, plan_cache_hit = self._compile(queries, k, route, plan, search_opts)
         if len(raw_queries) != len(queries):
             raise QueryError("raw_queries and queries must align")
-        active_queries = [queries[i] for i in compiled.active]
+        active_queries = active_batch(queries, compiled.active)
 
         span: Span | None = None
         if trace:
@@ -1340,7 +1347,7 @@ class IndexHandle:
         profile = StageTimings()
         shard_profiles: list[StageTimings] | None = None
         try:
-            if active_queries:
+            if len(active_queries):
                 merged, shard_profiles = execute_plan(
                     compiled, self, active_queries, batch_size, profile, trace=span
                 )

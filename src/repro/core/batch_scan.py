@@ -4,10 +4,12 @@ GENIE's match-count model lets thousands of queries share one scan
 infrastructure; this module is the host-side realization of that idea. The
 *whole batch* is processed as flat arrays:
 
-1. every query item's keywords are resolved to CSR keyword rows with one
-   fancy-indexed lookup (:meth:`InvertedIndex.keyword_rows`) and expanded
-   to span rows in ``(query, item, span)`` order; the batch's
-   ``block_sizes`` fall out of segmented reductions over that span stream,
+1. the :class:`~repro.core.types.QueryBatch`'s flat keyword array is
+   resolved to CSR keyword rows with one fancy-indexed lookup
+   (:meth:`InvertedIndex.keyword_rows`) and expanded to span rows in
+   ``(query, item, span)`` order, owners read off the batch's cached
+   keyword → item → query arrays; the batch's ``block_sizes`` fall out of
+   segmented reductions over that span stream,
 2. match counts are computed one tile of query rows at a time, in one of
    two regimes picked by the tile's density. **Dense** (postings stream
    above a quarter of the tile's cells): each row's List-Array spans are
@@ -45,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inverted_index import InvertedIndex, ragged_slices
-from repro.core.types import ID_DTYPE, Query, TopKResult
+from repro.core.inverted_index import InvertedIndex
+from repro.core.types import ID_DTYPE, QueryBatch, TopKResult, ragged_slices
 
 #: Count-matrix cells per tile — the pipeline's cache budget: 512k int32
 #: cells = 2 MB, so a tile's count rows stay resident while the candidate
@@ -84,7 +86,7 @@ class BatchScanPlan:
 
 def plan_batch_scan(
     index: InvertedIndex,
-    queries: list[Query],
+    queries: QueryBatch,
     k: int,
     max_fused_cells: int = DEFAULT_MAX_FUSED_CELLS,
     select: bool = False,
@@ -118,7 +120,7 @@ def plan_batch_scan(
 
 
 def _resolve_spans(
-    index: InvertedIndex, queries: list[Query]
+    index: InvertedIndex, queries: QueryBatch
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve every query item's keywords to one flat span stream.
 
@@ -129,31 +131,10 @@ def _resolve_spans(
         item, then the item's keyword order, then span order — the order
         :func:`repro.core.reference.plan_query_scan` visits spans.
     """
-    keyword_chunks: list[np.ndarray] = []
-    item_sizes: list[int] = []
-    item_query: list[int] = []
-    for qi, query in enumerate(queries):
-        for item in query.items:
-            keyword_chunks.append(item)
-            item_sizes.append(item.size)
-            item_query.append(qi)
-
-    empty = np.empty(0, dtype=ID_DTYPE)
-    if not keyword_chunks:
-        return empty, empty, empty
-
-    kw_flat = np.concatenate(keyword_chunks)
-    kw_item = np.repeat(
-        np.arange(len(item_sizes), dtype=ID_DTYPE), np.asarray(item_sizes, dtype=ID_DTYPE)
-    )
-    item_query_arr = np.asarray(item_query, dtype=ID_DTYPE)
-
-    rows, found = index.keyword_rows(kw_flat)
-    rows, kw_item = rows[found], kw_item[found]
-    span_rows, n_spans = index.span_rows_for_keyword_rows(rows)
-    span_item = np.repeat(kw_item, n_spans)
-    span_query = item_query_arr[span_item] if span_item.size else empty
-    return span_rows, span_query, span_item
+    rows, found = index.keyword_rows(queries.keywords)
+    span_rows, n_spans = index.span_rows_for_keyword_rows(rows[found])
+    span_item = np.repeat(queries.keyword_item[found], n_spans)
+    return span_rows, queries.item_query[span_item], span_item
 
 
 def _segmented_block_sizes(

@@ -40,7 +40,7 @@ from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.scan_kernel import build_match_launch, build_select_launch
 from repro.core.spq_select import spq_topk
-from repro.core.types import Corpus, Query, TopKResult
+from repro.core.types import Corpus, Query, QueryBatch, TopKResult
 from repro.errors import ConfigError, QueryError
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
@@ -169,10 +169,10 @@ class GenieEngine:
     # ------------------------------------------------------------------
     # sizing
 
-    def _count_bound(self, queries: list[Query]) -> int:
+    def _count_bound(self, queries: QueryBatch) -> int:
         if self.config.count_bound is not None:
             return max(1, int(self.config.count_bound))
-        return max(1, max((q.count_bound() for q in queries), default=1))
+        return max(1, int(queries.keywords_per_query.max(initial=1)))
 
     def per_query_bytes(self, count_bound: int | None = None, k: int | None = None) -> int:
         """Per-query device footprint under the current configuration."""
@@ -194,8 +194,11 @@ class GenieEngine:
     # ------------------------------------------------------------------
     # querying
 
-    def query(self, queries: list[Query], k: int | None = None) -> list[TopKResult]:
+    def query(self, queries: QueryBatch | list[Query], k: int | None = None) -> list[TopKResult]:
         """Run a batch of queries; returns one :class:`TopKResult` per query.
+
+        ``queries`` is a :class:`~repro.core.types.QueryBatch`; a list of
+        :class:`~repro.core.types.Query` objects is converted on entry.
 
         Raises:
             QueryError: If the engine is unfitted or the batch is empty.
@@ -204,8 +207,8 @@ class GenieEngine:
         """
         if self.index is None or self.corpus is None:
             raise QueryError("engine must be fitted before querying")
-        queries = list(queries)
-        if not queries:
+        queries = QueryBatch.from_queries(queries)
+        if len(queries) == 0:
             raise QueryError("empty query batch")
         k = int(k if k is not None else self.config.k)
         if k < 1:
@@ -228,8 +231,8 @@ class GenieEngine:
         self.last_profile.merge(timings_delta(host_before, self.host.timings))
         return results
 
-    def _run_batch(self, queries: list[Query], k: int, count_bound: int) -> list[TopKResult]:
-        query_bytes = sum(q.num_keywords for q in queries) * 4
+    def _run_batch(self, queries: QueryBatch, k: int, count_bound: int) -> list[TopKResult]:
+        query_bytes = queries.keywords.size * 4
         self.device.charge_seconds(query_bytes / self.device.spec.pcie_bandwidth, stage="query_transfer")
 
         scan = plan_batch_scan(self.index, queries, k, select=self.config.use_cpq)
@@ -266,7 +269,9 @@ class GenieEngine:
         self.device.charge_seconds(result_bytes / self.device.spec.pcie_bandwidth, stage="select")
         return results
 
-    def query_batched(self, queries: list[Query], k: int | None = None, batch_size: int | None = None) -> list[TopKResult]:
+    def query_batched(
+        self, queries: QueryBatch | list[Query], k: int | None = None, batch_size: int | None = None
+    ) -> list[TopKResult]:
         """Run an oversized workload as a sequence of device-sized batches.
 
         This is the paper's Fig.-11 protocol: GENIE answers tens of
@@ -286,8 +291,8 @@ class GenieEngine:
             ``last_profile`` holds the accumulated profile of the batches
             that completed, not the dangling profile of the failed one.
         """
-        queries = list(queries)
-        if not queries:
+        queries = QueryBatch.from_queries(queries)
+        if len(queries) == 0:
             raise QueryError("empty query batch")
         k = int(k if k is not None else self.config.k)
         if batch_size is None:
@@ -297,7 +302,8 @@ class GenieEngine:
         profile = StageTimings()
         try:
             for start in range(0, len(queries), batch_size):
-                results.extend(self.query(queries[start : start + batch_size], k=k))
+                stop = min(start + batch_size, len(queries))
+                results.extend(self.query(queries.take(np.arange(start, stop)), k=k))
                 profile.merge(self.last_profile)
         finally:
             self.last_profile = profile

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.posting import FlatPostings, build_postings
-from repro.core.types import ID_DTYPE, Corpus
+from repro.core.types import ID_DTYPE, Corpus, ragged_slices
 from repro.errors import IndexError_
 
 #: Bytes the position map costs per span entry (keyword + start + end).
@@ -270,28 +270,3 @@ class InvertedIndex:
             cursor = int(end)
         if cursor != self.total_entries:
             raise IndexError_(f"spans cover {cursor} of {self.total_entries} entries")
-
-
-def ragged_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices of the concatenation ``[arange(s, s + l) for s, l in ...]``.
-
-    The workhorse of the vectorized gather: expanding many variable-length
-    slices into one flat fancy-index array without a Python loop.
-
-    Args:
-        starts: Start of each slice.
-        lengths: Length of each slice (non-negative).
-
-    Returns:
-        A flat ``int64`` index array of ``lengths.sum()`` entries.
-    """
-    starts = np.asarray(starts, dtype=ID_DTYPE)
-    lengths = np.asarray(lengths, dtype=ID_DTYPE)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=ID_DTYPE)
-    # Each output position i belongs to segment s and should hold
-    # starts[s] + (i - first_output_of_s); fold the correction into repeat.
-    seg_offsets = np.zeros(lengths.size, dtype=ID_DTYPE)
-    np.cumsum(lengths[:-1], out=seg_offsets[1:])
-    return np.arange(total, dtype=ID_DTYPE) + np.repeat(starts - seg_offsets, lengths)

@@ -10,7 +10,6 @@ GENIE's tau-ANN search then targets.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import ConfigError, QueryError
 from repro.lsh.family import LshFamily
@@ -24,6 +23,8 @@ def psi_l2(distance: float, width: float) -> float:
     """
     if distance <= 0:
         return 1.0
+    from scipy.stats import norm  # here, not at the top: most of ``import repro``'s time
+
     ratio = width / distance
     term1 = 1.0 - 2.0 * norm.cdf(-ratio)
     term2 = (2.0 / (np.sqrt(2.0 * np.pi) * ratio)) * (1.0 - np.exp(-(ratio**2) / 2.0))

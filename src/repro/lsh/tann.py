@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.errors import ConfigError
 
@@ -47,6 +46,8 @@ def success_probability(s: float, m: int, eps: float = PAPER_EPS) -> float:
     hi = min(m, math.floor((s + eps) * m))
     if hi < lo:
         return 0.0
+    from scipy.stats import binom  # here, not at the top: most of ``import repro``'s time
+
     return float(binom.cdf(hi, m, s) - (binom.cdf(lo - 1, m, s) if lo > 0 else 0.0))
 
 

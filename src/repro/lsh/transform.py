@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.types import Corpus, Query
+from repro.core.types import Corpus, QueryBatch
 from repro.lsh.family import LshFamily
 from repro.lsh.rehash import ReHasher
 
@@ -44,6 +44,8 @@ class LshTransformer:
         """Transform data points into a GENIE corpus."""
         return Corpus(list(self.keyword_matrix(points)))
 
-    def to_queries(self, points) -> list[Query]:
-        """Transform query points into GENIE queries (one item per function)."""
-        return [Query.from_keywords(row) for row in self.keyword_matrix(points)]
+    def to_queries(self, points) -> QueryBatch:
+        """Transform query points into one batch (one item per function)."""
+        matrix = self.keyword_matrix(points)
+        n, m = matrix.shape
+        return QueryBatch(matrix.reshape(-1), None, np.arange(n + 1) * m)

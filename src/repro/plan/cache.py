@@ -18,7 +18,9 @@ function of:
   must miss), ``k`` / ``retrieval_k`` / sorted model options, and the
   normalized ``route``/``plan`` directives;
 * per query, its *eligibility bucket*: the exact bitmask of shards its
-  keywords appear in, memoized per keyword tuple in a second-level LRU.
+  keywords appear in, memoized per query identity
+  (:meth:`QueryBatch.key_bytes <repro.core.types.QueryBatch.key_bytes>`)
+  in a second-level LRU.
   Exact-by-construction — a coarser bucket (keyword bounds, hashes)
   could alias two batches whose plans route differently, and a reused
   wrong route would drop results. When any query's bucket is not
@@ -79,24 +81,19 @@ class PlanCache:
     # ------------------------------------------------------------------
     # signatures
 
-    @staticmethod
-    def _bucket_key(index: str, fit_epoch: int, query) -> tuple:
-        return (index, fit_epoch, tuple(int(kw) for kw in query.all_keywords()))
-
     def _signature(self, index, fit_epoch, needs_buckets, queries):
         """Per-query shape signature, or ``None`` if a bucket is cold."""
+        alive = (queries.items_per_query > 0).tolist()
+        if not needs_buckets:
+            return tuple((flag, None) for flag in alive)
         signature = []
-        for query in queries:
-            alive = query.num_items > 0
-            if not needs_buckets:
-                signature.append((alive, None))
-                continue
-            key = self._bucket_key(index, fit_epoch, query)
+        for i, flag in enumerate(alive):
+            key = (index, fit_epoch, queries.key_bytes(i))
             mask = self._buckets.get(key)
             if mask is None:
                 return None
             self._buckets.move_to_end(key)
-            signature.append((alive, mask))
+            signature.append((flag, mask))
         return tuple(signature)
 
     # ------------------------------------------------------------------
@@ -125,20 +122,18 @@ class PlanCache:
 
     def store(self, *, index, fit_epoch, shape, needs_buckets, queries, compiled) -> None:
         """Memoize a freshly compiled plan (and its query buckets)."""
+        masks: list = [None] * len(queries)
         if needs_buckets:
             if compiled.query_buckets is None:
                 return  # the planner computed no exact eligibility: uncacheable
-            signature = []
-            for query, mask in zip(queries, compiled.query_buckets):
-                key = self._bucket_key(index, fit_epoch, query)
+            masks = [int(mask) for mask in compiled.query_buckets]
+            for i, mask in enumerate(masks):
+                key = (index, fit_epoch, queries.key_bytes(i))
                 self._buckets.pop(key, None)
-                self._buckets[key] = int(mask)
-                signature.append((query.num_items > 0, int(mask)))
+                self._buckets[key] = mask
             while len(self._buckets) > self.bucket_capacity:
                 self._buckets.popitem(last=False)
-            signature = tuple(signature)
-        else:
-            signature = tuple((query.num_items > 0, None) for query in queries)
+        signature = tuple(zip((queries.items_per_query > 0).tolist(), masks))
         key = (index, fit_epoch, shape, signature)
         self._plans.pop(key, None)
         self._plans[key] = compiled

@@ -81,21 +81,26 @@ def postings_per_keyword(index) -> np.ndarray:
     return (cum[offsets[1:]] - cum[offsets[:-1]]).astype(np.float64)
 
 
-def postings_for_keywords(
+def _keyword_postings(
     keywords: np.ndarray, keyword_array: np.ndarray, counts: np.ndarray
-) -> float:
-    """Total postings the given query keywords touch in one shard/index.
+) -> np.ndarray:
+    """Per query keyword, the postings it touches in one shard/index.
 
     ``keyword_array`` is the sorted distinct keywords; ``counts`` the
     aligned per-keyword posting lengths. Keywords absent from the index
-    touch nothing.
+    touch nothing (``0.0``).
     """
     if keywords.size == 0 or keyword_array.size == 0:
-        return 0.0
-    pos = np.searchsorted(keyword_array, keywords)
-    clipped = np.minimum(pos, keyword_array.size - 1)
-    found = (pos < keyword_array.size) & (keyword_array[clipped] == keywords)
-    return float(counts[clipped[found]].sum())
+        return np.zeros(keywords.size, dtype=np.float64)
+    pos = np.minimum(np.searchsorted(keyword_array, keywords), keyword_array.size - 1)
+    return np.where(keyword_array[pos] == keywords, counts[pos], 0.0)
+
+
+def postings_for_keywords(
+    keywords: np.ndarray, keyword_array: np.ndarray, counts: np.ndarray
+) -> float:
+    """Total postings the given query keywords touch in one shard/index."""
+    return float(_keyword_postings(keywords, keyword_array, counts).sum())
 
 
 def shard_postings_matrix(queries, shard_keywords, shard_postings) -> np.ndarray:
@@ -103,13 +108,17 @@ def shard_postings_matrix(queries, shard_keywords, shard_postings) -> np.ndarray
 
     The planner's pricing features: column sums are each shard's batch
     scan work, and the column-share maximum is the batch's postings
-    *concentration* (see :meth:`CostModel.topup_fraction`).
+    *concentration* (see :meth:`CostModel.topup_fraction`). ``queries`` is
+    a :class:`~repro.core.types.QueryBatch`; one lookup of its flat
+    keyword array per shard.
     """
     matrix = np.zeros((len(queries), len(shard_keywords)), dtype=np.float64)
-    keyword_arrays = [q.all_keywords() for q in queries]
     for s, (kw, counts) in enumerate(zip(shard_keywords, shard_postings)):
-        for qi, q_kw in enumerate(keyword_arrays):
-            matrix[qi, s] = postings_for_keywords(q_kw, kw, counts)
+        matrix[:, s] = np.bincount(
+            queries.keyword_query,
+            weights=_keyword_postings(queries.keywords, kw, counts),
+            minlength=len(queries),
+        )
     return matrix
 
 
@@ -128,12 +137,9 @@ def shard_block_matrix(queries, shard_keywords, shard_postings) -> np.ndarray:
     """
     matrix = np.zeros((len(queries), len(shard_keywords)), dtype=np.float64)
     for s, (kw, counts) in enumerate(zip(shard_keywords, shard_postings)):
-        for qi, q in enumerate(queries):
-            matrix[qi, s] = sum(
-                1.0
-                for item in q.items
-                if postings_for_keywords(item, kw, counts) > 0.0
-            )
+        touched = _keyword_postings(queries.keywords, kw, counts) > 0.0
+        hit_items = np.unique(queries.keyword_item[touched])
+        matrix[:, s] = np.bincount(queries.item_query[hit_items], minlength=len(queries))
     return matrix
 
 
@@ -159,6 +165,20 @@ def serial_share(postings, blocks, num_sms: int):
     sms = float(max(1, num_sms))
     active = np.minimum(np.maximum(blocks, 1.0), sms)
     return postings * (1.0 / active - 1.0 / sms)
+
+
+def batch_features(queries, shard_keywords, shard_postings, num_sms: int):
+    """What the model prices a batch by, one lookup pass per shard table.
+
+    Returns:
+        ``(postings, hot, count_bound)``: per shard the postings the batch
+        touches and their :func:`serial_share`, and the batch's largest
+        per-query count bound.
+    """
+    postings = shard_postings_matrix(queries, shard_keywords, shard_postings).sum(axis=0)
+    blocks = shard_block_matrix(queries, shard_keywords, shard_postings).sum(axis=0)
+    hot = serial_share(postings, blocks, num_sms)
+    return postings, hot, int(queries.keywords_per_query.max())
 
 
 def concentration(shard_postings) -> float:
@@ -253,8 +273,8 @@ class CostModel:
         serially — the total-``postings`` term prices the amortized
         many-block regime, ``hot`` the serial one.
 
-        ``count_bound`` is the batch's maximum per-query
-        :meth:`~repro.core.types.Query.count_bound`: the select stage
+        ``count_bound`` is the batch's maximum per-query keyword count
+        (:attr:`~repro.core.types.QueryBatch.keywords_per_query`): the select stage
         walks one c-PQ hash table of ``O(width * count_bound)`` slots per
         query (:func:`repro.core.cpq.hash_table_capacity`), so the fetch
         term is trilinear in ``n_queries * width * count_bound`` — at a
@@ -507,23 +527,12 @@ def _fit_scan(scratch, seed: int) -> dict:
         index = handle._parts[0].index
         counts = postings_per_keyword(index)
         queries = handle.encode_queries(raw_queries)
-        per_query = [
-            postings_for_keywords(q.all_keywords(), index.keyword_array, counts)
-            for q in queries
-        ]
-        blocks = sum(
-            1.0
-            for q in queries
-            for item in q.items
-            if postings_for_keywords(item, index.keyword_array, counts) > 0.0
+        postings, hot, bound = batch_features(
+            queries, (index.keyword_array,), (counts,), scratch.device.spec.num_sms
         )
-        hot = float(
-            serial_share(sum(per_query), blocks, scratch.device.spec.num_sms)
-        )
-        keywords = float(sum(q.num_keywords for q in queries))
-        bound = max(q.count_bound() for q in queries)
+        total, hot = float(postings[0]), float(hot[0])
+        keywords = float(queries.keywords.size)
         nq = len(queries)
-        total = float(sum(per_query))
         rows.append(
             [1.0, float(nq), keywords, total, total * float(k) ** 0.5,
              float(hot), float(nq * k * bound)]
@@ -590,18 +599,11 @@ def _fit_scan(scratch, seed: int) -> dict:
         raw_queries = list(points[picks] + 0.01 * rng.normal(size=(nq, dim)))
         shards = handle._plan_shards()
         queries = handle.encode_queries(raw_queries)
-        shard_posts = shard_postings_matrix(
-            queries, shards.shard_keywords, shards.shard_postings
-        ).sum(axis=0)
-        shard_blocks = shard_block_matrix(
-            queries, shards.shard_keywords, shards.shard_postings
-        ).sum(axis=0)
-        shard_hot = serial_share(
-            shard_posts, shard_blocks, scratch.device.spec.num_sms
+        shard_posts, shard_hot, bound = batch_features(
+            queries, shards.shard_keywords, shards.shard_postings, scratch.device.spec.num_sms
         )
         critical = int(np.argmax(shard_posts))
-        keywords = float(sum(q.num_keywords for q in queries))
-        bound = max(q.count_bound() for q in queries)
+        keywords = float(queries.keywords.size)
         post = float(shard_posts[critical])
         for k in ks:
             result = handle.search(

@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.executor import critical_path_profile, merge_shard_results
-from repro.core.types import ID_DTYPE, Query, TopKResult
+from repro.core.types import ID_DTYPE, QueryBatch, TopKResult
 from repro.errors import AvailabilityError
 from repro.gpu.stats import StageTimings
 from repro.plan.planner import CompiledPlan
@@ -58,7 +58,7 @@ from repro.replica.faults import STATUS_DOWN, FailoverEvent
 def execute_plan(
     compiled: CompiledPlan,
     handle,
-    queries: list[Query],
+    queries: QueryBatch,
     batch_size: int | None,
     profile: StageTimings,
     trace=None,
@@ -68,7 +68,7 @@ def execute_plan(
     Args:
         compiled: The plan from :func:`~repro.plan.planner.compile_search`.
         handle: The session index handle owning the parts.
-        queries: The active (post-elision) encoded queries, aligned with
+        queries: The active (post-elision) encoded batch, aligned with
             ``compiled.active``.
         batch_size: Device sub-batch size (Fig. 11 protocol), or ``None``.
         profile: Stage profile the execution accumulates into; for shard
@@ -204,7 +204,7 @@ def _scan_round(
     sources: list,
     routes: list[np.ndarray],
     widths: list[int],
-    queries: list[Query],
+    queries: QueryBatch,
     batch_size: int | None,
     candidates: list[list[TopKResult | None]],
 ) -> list[StageTimings]:
@@ -220,10 +220,9 @@ def _scan_round(
     for s, (part, route, width) in enumerate(zip(sources, routes, widths)):
         if route.size == 0:
             continue
-        positions = route.tolist()
-        subset = queries if len(positions) == len(queries) else [queries[j] for j in positions]
+        subset = queries if route.size == len(queries) else queries.take(route)
         results, profiles[s] = _scan_one(handle, part, subset, width, batch_size)
-        for j, result in zip(positions, results):
+        for j, result in zip(route.tolist(), results):
             if result.ids.size and (ids := part.to_global(result.ids)) is not result.ids:
                 result = TopKResult(ids=ids, counts=result.counts)
             candidates[s][j] = result
@@ -233,7 +232,7 @@ def _scan_round(
 def _scan_one(
     handle,
     part,
-    subset: list[Query],
+    subset: QueryBatch,
     k: int,
     batch_size: int | None,
 ) -> tuple[list[TopKResult], StageTimings]:

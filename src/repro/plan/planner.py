@@ -59,15 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.types import Query
+from repro.core.types import QueryBatch
 from repro.errors import QueryError
-from repro.plan.cost import (
-    CostModel,
-    postings_for_keywords,
-    serial_share,
-    shard_block_matrix,
-    shard_postings_matrix,
-)
+from repro.plan.cost import CostModel, batch_features, postings_for_keywords
 from repro.plan.nodes import (
     DeltaScanNode,
     EncodeNode,
@@ -223,8 +217,13 @@ def eligibility_needed(route: str, strategy: str, costed: bool) -> bool:
     return route == "pruned" or (route == "auto" and (costed or strategy == "range"))
 
 
+def active_batch(queries: QueryBatch, active: list[int]) -> QueryBatch:
+    """The queries at the plan's ``active`` positions (the batch itself when all are)."""
+    return queries if len(active) == len(queries) else queries.take(active)
+
+
 def route_queries(
-    queries: list[Query], shard_keywords: tuple[np.ndarray, ...]
+    queries: QueryBatch, shard_keywords: tuple[np.ndarray, ...]
 ) -> list[np.ndarray]:
     """Which queries can match in which shards, by keyword bounds.
 
@@ -239,21 +238,14 @@ def route_queries(
     Returns:
         Per shard, the (ascending) positions of the queries eligible on it.
     """
-    if not queries:
-        return [np.empty(0, dtype=np.int64) for _ in shard_keywords]
-    keywords = [q.all_keywords() for q in queries]
-    flat = np.concatenate(keywords) if keywords else np.empty(0, dtype=np.int64)
-    owner = np.repeat(np.arange(len(queries)), [kw.size for kw in keywords])
+    flat, owner = queries.keywords, queries.keyword_query
     routes = []
     for shard_kw in shard_keywords:
         if flat.size == 0 or shard_kw.size == 0:
             routes.append(np.empty(0, dtype=np.int64))
             continue
-        pos = np.searchsorted(shard_kw, flat)
-        found = (pos < shard_kw.size) & (shard_kw[np.minimum(pos, shard_kw.size - 1)] == flat)
-        hit = np.zeros(len(queries), dtype=bool)
-        np.logical_or.at(hit, owner[found], True)
-        routes.append(np.nonzero(hit)[0].astype(np.int64))
+        pos = np.minimum(np.searchsorted(shard_kw, flat), shard_kw.size - 1)
+        routes.append(np.unique(owner[shard_kw[pos] == flat]))
     return routes
 
 
@@ -348,7 +340,7 @@ def _delta_node(
     )
 
 
-def reprice_plan(handle, compiled: CompiledPlan, queries: list[Query]) -> CompiledPlan:
+def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> CompiledPlan:
     """Re-extract cost features for ``queries`` against a cached plan.
 
     A :class:`~repro.plan.cache.PlanCache` hit reuses the plan *choice*
@@ -378,18 +370,12 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: list[Query]) -> Compil
     cost_model = _session_cost_model(handle)
     if cost_model is None:
         return compiled
-    active_queries = [queries[i] for i in compiled.active]
-    total_keywords = float(sum(q.num_keywords for q in active_queries))
-    batch_postings = shard_postings_matrix(
-        active_queries, shards.shard_keywords, shards.shard_postings
-    ).sum(axis=0)
-    batch_blocks = shard_block_matrix(
-        active_queries, shards.shard_keywords, shards.shard_postings
-    ).sum(axis=0)
-    batch_hot = serial_share(
-        batch_postings, batch_blocks, handle.session.device.spec.num_sms
+    active_queries = active_batch(queries, compiled.active)
+    total_keywords = float(active_queries.keywords.size)
+    batch_postings, batch_hot, batch_bound = batch_features(
+        active_queries, shards.shard_keywords, shards.shard_postings,
+        handle.session.device.spec.num_sms,
     )
-    batch_bound = max(q.count_bound() for q in active_queries)
     scanned = [s for s in range(shards.n_shards) if compiled.routes[s].size]
     price = cost_model.price(
         n_queries=len(active_queries),
@@ -405,17 +391,16 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: list[Query]) -> Compil
     predicted = price.critical_path
     stream = _dirty_stream(handle)
     if stream is not None:
-        flat = np.concatenate([q.all_keywords() for q in active_queries])
         predicted += _delta_scan_seconds(
             cost_model, stream, len(active_queries), total_keywords,
-            flat, compiled.retrieval_k, batch_bound,
+            active_queries.keywords, compiled.retrieval_k, batch_bound,
         )
     return dataclasses.replace(compiled, predicted_cost=predicted)
 
 
 def compile_search(
     handle,
-    queries: list[Query],
+    queries: QueryBatch,
     k: int,
     retrieval_k: int,
     route=None,
@@ -437,13 +422,14 @@ def compile_search(
 
     # Rule 1: skip elision.
     if getattr(handle.model, "skip_empty", False):
-        active = [i for i, q in enumerate(queries) if q.num_items > 0]
+        has_items = queries.items_per_query > 0
+        active = np.flatnonzero(has_items).tolist()
+        elided = tuple(np.flatnonzero(~has_items).tolist())
     else:
         active = list(range(len(queries)))
-    active_set = set(active)
-    elided = tuple(i for i in range(len(queries)) if i not in active_set)
+        elided = ()
     encode = EncodeNode(model=model_name, n_queries=len(queries), elided=elided)
-    active_queries = [queries[i] for i in active]
+    active_queries = active_batch(queries, active)
 
     if shards is None:
         scan = ScanNode(
@@ -484,7 +470,7 @@ def compile_search(
         everyone = np.arange(len(active), dtype=np.int64)
         cost_model = _session_cost_model(handle)
         costed = cost_model is not None and len(active) > 0
-        total_keywords = float(sum(q.num_keywords for q in active_queries))
+        total_keywords = float(active_queries.keywords.size)
         # One binary search per (query keyword, shard) into the shard's
         # keyword bounds — the host cost of a routing/feature pass.
         lookup_ops = total_keywords * sum(
@@ -507,17 +493,10 @@ def compile_search(
             # Feature extraction is a second lookup pass over the shard
             # keyword tables; the pricing decision is accounted like the
             # routing decision, not free.
-            matrix = shard_postings_matrix(
-                active_queries, shards.shard_keywords, shards.shard_postings
+            batch_postings, batch_hot, batch_bound = batch_features(
+                active_queries, shards.shard_keywords, shards.shard_postings,
+                handle.session.device.spec.num_sms,
             )
-            batch_postings = matrix.sum(axis=0)
-            batch_blocks = shard_block_matrix(
-                active_queries, shards.shard_keywords, shards.shard_postings
-            ).sum(axis=0)
-            batch_hot = serial_share(
-                batch_postings, batch_blocks, handle.session.device.spec.num_sms
-            )
-            batch_bound = max(q.count_bound() for q in active_queries)
             routing_ops += lookup_ops
             host = handle.session.host
             seconds_per_op = 1.0 / (host.spec.ops_per_second * host.cores)
@@ -611,10 +590,9 @@ def compile_search(
         )
         delta_seconds = None
         if stream is not None and costed:
-            flat = np.concatenate([q.all_keywords() for q in active_queries])
             delta_seconds = _delta_scan_seconds(
                 cost_model, stream, len(active), total_keywords,
-                flat, retrieval_k, batch_bound,
+                active_queries.keywords, retrieval_k, batch_bound,
             )
         merge_inputs: tuple[PlanNode, ...] = (scan,)
         if stream is not None:

@@ -80,4 +80,4 @@ class Discretizer:
         if not span > 0:  # constant column, or an unfitted degenerate range
             return np.zeros(values.shape, dtype=np.int64)
         raw = np.floor((values - self.lo) / span * self.bins).astype(np.int64)
-        return np.clip(raw, 0, self.bins - 1)
+        return np.minimum(np.maximum(raw, 0), self.bins - 1)

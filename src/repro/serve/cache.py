@@ -3,8 +3,10 @@
 Online traffic repeats itself (hot queries, retries, fan-out duplicates);
 GENIE's match kernel is deterministic for a fixed index, so an exact
 repeat can be answered without a device trip at all. The cache is a plain
-LRU keyed on the *encoded* query — ``(index, encoded items, k, options)``
-— so two raw queries that encode identically share an entry. Models
+LRU keyed on the *encoded* query — ``(index, encoded items, k, options)``,
+the items as :meth:`QueryBatch.key_bytes
+<repro.core.types.QueryBatch.key_bytes>` — so two raw queries that encode
+identically share an entry. Models
 whose ``finalize`` hook reads the raw query (``finalize_uses_raw``, e.g.
 sequence search verifying edit distance against the raw string) add the
 raw query to the key, because their encoding is not injective; when such
@@ -24,16 +26,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from repro.core.types import Query
+from repro.core.types import QueryBatch
 from repro.errors import ConfigError
 
 
-def make_cache_key(index: str, query: Query, k: int, opts_key: tuple, raw=None) -> tuple:
+def make_cache_key(index: str, query: QueryBatch, k: int, opts_key: tuple, raw=None) -> tuple:
     """The exact-match cache key for one encoded request.
 
     Args:
         index: Index name the request targets.
-        query: The *encoded* query (its items define the match).
+        query: The request's one-query batch (its items define the match).
         k: Results requested.
         opts_key: Canonicalized search options, e.g.
             ``(("n_candidates", 48),)`` — produced with
@@ -44,8 +46,7 @@ def make_cache_key(index: str, query: Query, k: int, opts_key: tuple, raw=None) 
             unseen grams — so two raw queries with equal encodings could
             otherwise be served each other's verified payload.
     """
-    items = tuple(tuple(int(kw) for kw in item) for item in query.items)
-    return (index, items, int(k), opts_key, raw)
+    return (index, query.key_bytes(0), int(k), opts_key, raw)
 
 
 class QueryResultCache:

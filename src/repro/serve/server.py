@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.api.models import resolve_shortlist_k
 from repro.api.session import GenieSession
+from repro.core.types import QueryBatch
 from repro.errors import AdmissionError, ConfigError, QueryError, ReproError
 from repro.gpu.stats import StageTimings
 from repro.obs.trace import Span, Tracer
@@ -326,7 +327,7 @@ class GenieServer:
             route, plan = self._resolve_directives(handle, route, plan)
             opts_key = tuple(sorted(opts.items()))
             resolve_shortlist_k(handle.model, k, opts)  # validates the options eagerly
-            query = handle.encode_queries([raw_query])[0]
+            query = handle.encode_queries([raw_query])  # the request's one-query batch
         except (ConfigError, QueryError) as error:
             self.metrics.record_rejection("bad_directive")
             logger.debug(
@@ -592,7 +593,7 @@ class GenieServer:
         now = self.clock.now()
         k, opts_key, route, plan = requests[0].lane
         raw = [r.raw for r in requests]
-        queries = [r.query for r in requests]
+        queries = QueryBatch.concat([r.query for r in requests])
         start = max(now, self._device_free)
         # One execution trace per batch, shared (copied) into every
         # sampled rider; a batch of unsampled requests records nothing.

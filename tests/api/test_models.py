@@ -110,7 +110,7 @@ class TestRawModel:
         model = RawModel()
         q = Query.from_keywords([1, 2])
         out = model.encode_queries([q, [3, 4]])
-        assert out[0] is q
+        assert [item.tolist() for item in out[0].items] == [[1], [2]]
         assert out[1].num_items == 2
 
 
@@ -250,3 +250,122 @@ class TestResolveShortlistK:
 
         with pytest.raises(QueryError, match="does not accept search options"):
             resolve_shortlist_k(RawModel(), 3, {"bogus": 1})
+
+
+class TestBatchEncoding:
+    """``encode_queries`` hands the search path one ``QueryBatch``, whatever the model."""
+
+    @staticmethod
+    def _session_with_every_model():
+        from repro.api import GenieSession
+
+        session = GenieSession()
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((30, 6))
+        cases = {
+            "raw": (session.create_index([[1, 2], [2, 3]], model="raw"), [[2], Query(items=[[3, 1]])]),
+            "document": (
+                session.create_index(["gpu index search", "cat dog"], model="document"),
+                ["gpu cat", "search"],
+            ),
+            "ngram": (session.create_index(["abcdef", "cdefgh"], model="ngram", n=3), ["abcd", "zzzz"]),
+            "sequence": (session.create_index(["abcdef", "cdefgh"], model="sequence", n=3), ["abcd", "defg"]),
+            "relational": (
+                session.create_index(
+                    {"age": np.arange(10.0), "sex": np.arange(10) % 2}, model="relational",
+                    schema=[AttributeSpec("age", bins=4), AttributeSpec("sex", "categorical")],
+                ),
+                [{"age": (2.0, 7.0), "sex": (1, 1)}, {"age": (0.0, 1.0)}],
+            ),
+            "ann-e2lsh": (
+                session.create_index(points, model="ann-e2lsh", num_functions=5, dim=6, width=4.0, domain=11),
+                points[:3],
+            ),
+        }
+        return session, cases
+
+    def test_every_bundled_model_returns_one_batch(self):
+        from repro.core.types import QueryBatch
+
+        _, cases = self._session_with_every_model()
+        for name, (handle, raw) in cases.items():
+            batch = handle.encode_queries(raw)
+            assert isinstance(batch, QueryBatch), name
+            assert isinstance(handle.model.encode_queries(list(raw)), QueryBatch), name
+            assert len(batch) == len(raw)
+            # The shapes the benchmark's oracle and model hooks read.
+            for query, _ in zip(batch, raw):
+                assert all(isinstance(item, np.ndarray) and item.ndim == 1 for item in query.items)
+            # Encoded batches search like the raw queries they came from.
+            direct = handle.search(raw, k=2)
+            encoded = handle.search_encoded(raw, batch, k=2)
+            listed = handle.search_encoded(raw, list(batch), k=2)  # the list[Query] door
+            for a, b, c in zip(direct.results, encoded.results, listed.results):
+                assert a.as_pairs() == b.as_pairs() == c.as_pairs()
+
+    def test_relational_items_are_whole_ranges(self):
+        _, cases = self._session_with_every_model()
+        handle, raw = cases["relational"]
+        batch = handle.encode_queries(raw)
+        assert [[item.tolist() for item in q.items] for q in batch] == [[[0, 1, 2, 3], [5]], [[0]]]
+        assert batch.keywords_per_query.tolist() == [5, 1]
+        with pytest.raises(QueryError, match="at least one attribute"):
+            handle.encode_queries([{}])
+
+    def test_zero_item_query_is_elided_for_ngram_and_rejected_for_document(self):
+        from repro.plan.nodes import EncodeNode
+
+        _, cases = self._session_with_every_model()
+        ngram, raw = cases["ngram"]
+        assert ngram.encode_queries(raw).items_per_query.tolist() == [2, 0]
+        result = ngram.search(raw, k=2)
+        assert len(result.results[0]) > 0 and len(result.results[1]) == 0
+        assert ngram.explain(raw, k=2).find(EncodeNode).elided == (1,)
+        document, _ = cases["document"]
+        with pytest.raises(QueryError, match=r"queries \[1\] contain no indexed words"):
+            document.encode_queries(["gpu", "unseen words only"])
+
+    def test_third_party_list_of_queries_is_converted_once(self):
+        from repro.api import GenieSession
+        from repro.core.types import QueryBatch
+
+        seen = []
+
+        class Listy:
+            name = "listy"
+
+            def encode_corpus(self, data):
+                return Corpus(data)
+
+            def encode_queries(self, data):
+                return [Query(items=[q, q[:1]]) for q in data]
+
+            def validate_queries(self, raw, queries):
+                seen.append(queries)
+
+        handle = GenieSession().create_index([[1, 2], [2, 3], [3]], model=Listy())
+        batch = handle.encode_queries([[3, 2]])
+        assert isinstance(batch, QueryBatch) and seen[0] is batch
+        assert [item.tolist() for item in batch[0].items] == [[2, 3], [3]]
+        assert handle.search([[3, 2]], k=1).results[0].as_pairs() == [(1, 3)]
+
+    def test_encoding_a_batch_retains_no_python_object_per_keyword(self):
+        import gc
+        import sys
+
+        from repro.api import GenieSession
+
+        rng = np.random.default_rng(3)
+        handle = GenieSession().create_index(
+            rng.standard_normal((200, 16)), model="ann-e2lsh", num_functions=64, dim=16,
+            width=4.0, domain=67,
+        )
+        points = rng.standard_normal((256, 16))
+        handle.encode_queries(points)  # first-call allocations (lazy caches) settle
+        gc.collect()
+        before = sys.getallocatedblocks()
+        batch = handle.encode_queries(points)  # 256 x 64 keywords
+        gc.collect()
+        retained = sys.getallocatedblocks() - before
+        assert batch.keywords.size == 256 * 64
+        assert retained < 200  # 17 421 when every keyword was its own array

@@ -134,13 +134,13 @@ class TestShardKeywords:
         assert full.keywords() is full.keywords()  # cached after first call
 
     def test_routes_like_the_session_planner(self):
-        from repro.core.types import Query
+        from repro.core.types import Query, QueryBatch
         from repro.plan import route_queries
 
         objects = [[0, 1], [1, 2], [4, 5], [5, 6]]
         plan = ShardPlan.build(objects, 2, strategy="range")
         routes = route_queries(
-            [Query.from_keywords([0]), Query.from_keywords([6])],
+            QueryBatch.from_queries([Query.from_keywords([0]), Query.from_keywords([6])]),
             tuple(shard.keywords() for shard in plan.shards),
         )
         assert routes[0].tolist() == [0]

@@ -23,7 +23,7 @@ from repro.core.match_count import match_counts_all
 from repro.core.posting import build_postings
 from repro.core import reference
 from repro.core.scan_kernel import build_match_launch
-from repro.core.types import Corpus, Query
+from repro.core.types import Corpus, Query, QueryBatch
 from repro.gpu.device import Device
 from repro.gpu.specs import TITAN_X
 
@@ -56,7 +56,7 @@ HOLES = {"empty_query": [], "all_miss_query": [[99], [98, 97]]}
 
 
 def make_batch(raw_queries):
-    return [Query(items=items) for items in raw_queries]
+    return QueryBatch.from_queries([Query(items=items) for items in raw_queries])
 
 
 def assert_scan_matches_reference(index, queries, k, scan):
@@ -184,7 +184,9 @@ class TestPlanEquivalence:
         index = InvertedIndex.build(
             Corpus([rng.integers(0, 30, size=8) for _ in range(50)])
         )
-        queries = [Query.from_keywords(rng.integers(0, 40, size=6)) for _ in range(9)]
+        queries = QueryBatch.from_queries(
+            [Query.from_keywords(rng.integers(0, 40, size=6)) for _ in range(9)]
+        )
         for select in (False, True):
             scan = plan_batch_scan(
                 index, queries, 3, max_fused_cells=max_fused_cells, select=select
@@ -195,7 +197,7 @@ class TestPlanEquivalence:
     def test_nothing_to_scan(self, objects):
         # No objects, no keywords, or no keyword hit: one 0 block per query.
         index = InvertedIndex.build(Corpus(objects))
-        queries = [Query(items=[[7], [8, 9]]), Query(items=[])]
+        queries = make_batch([[[7], [8, 9]], []])
         for select in (False, True):
             scan = plan_batch_scan(index, queries, 3, select=select)
             assert scan.block_sizes.tolist() == [0, 0]
@@ -207,7 +209,7 @@ class TestPlanEquivalence:
         # per-row bincount branch.
         corpus = Corpus([[1, 2, 3]] * 10)
         index = InvertedIndex.build(corpus)
-        queries = [Query(items=[[1], [2], [3]])] * 4
+        queries = make_batch([[[1], [2], [3]]] * 4)
         dense = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=False)
         assert dense.counts.tolist() == [[3] * 10] * 4
         scan = plan_batch_scan(index, queries, 2, max_fused_cells=20, select=True)
@@ -245,11 +247,71 @@ class TestPlanEquivalence:
         # none of them: the histogram is sized by the data, not the count.
         keywords = list(range(5000))
         index = InvertedIndex.build(Corpus([keywords, keywords[::2]] + [[5000]] * untouched))
-        queries = [Query(items=[keywords])]
+        queries = make_batch([[keywords]])
         scan = plan_batch_scan(index, queries, k, select=select)
         assert scan.count_hist.size == 5001
         assert np.flatnonzero(scan.count_hist).tolist() == [2500, 5000]
         assert_scan_matches_reference(index, queries, k, scan)
+
+
+class TestEveryConstructor:
+    """Block layout depends on in-item keyword order under load balancing:
+    every way of building a batch must scan like the ``Query`` list it equals."""
+
+    RAW = [
+        [[9, 1, 9, 4], [2]],          # unsorted, duplicated keywords in a ragged item
+        [],                           # zero-item query
+        [[], [15, 3, 0]],             # empty item
+        [[7], [7], [1]],              # repeats across items
+        [[30, 31]],                   # misses the index entirely
+        [[5, 4, 3, 2, 1, 0]],
+    ]
+
+    @staticmethod
+    def _flat(raw):
+        items = [item for query in raw for item in query]
+        return (
+            [kw for item in items for kw in item],
+            np.cumsum([0] + [len(item) for item in items]),
+            np.cumsum([0] + [len(query) for query in raw]),
+        )
+
+    def _builders(self):
+        raw = self.RAW
+        singles = [[[kw] for item in query for kw in item] for query in raw]
+        whole = make_batch(raw)
+        order = [4, 0, 5, 2, 1, 3]
+        return {
+            "from_queries": (raw, lambda: make_batch(raw)),
+            "flat_arrays": (raw, lambda: QueryBatch(*self._flat(raw))),
+            "one_item_per_keyword": (
+                singles,
+                lambda: QueryBatch(self._flat(raw)[0], None, np.cumsum([0] + [len(q) for q in singles])),
+            ),
+            "concat": (raw, lambda: QueryBatch.concat([make_batch([query]) for query in raw])),
+            "take_range": (raw[1:5], lambda: whole.take(np.arange(1, 5))),
+            "take_permutation": ([raw[i] for i in order], lambda: whole.take(order)),
+        }
+
+    @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
+    @pytest.mark.parametrize(
+        "name",
+        ["from_queries", "flat_arrays", "one_item_per_keyword", "concat", "take_range", "take_permutation"],
+    )
+    def test_scans_like_the_query_list(self, name, lb):
+        rng = np.random.default_rng(2)
+        index = InvertedIndex.build(
+            Corpus([rng.integers(0, 16, size=5) for _ in range(40)]), load_balance=lb
+        )
+        raw, build = self._builders()[name]
+        batch = build()
+        queries = [Query(items=items) for items in raw]
+        assert [[item.tolist() for item in q.items] for q in batch] == [
+            [item.tolist() for item in q.items] for q in queries
+        ]
+        for select in (False, True):
+            scan = plan_batch_scan(index, batch, 3, select=select)
+            assert_scan_matches_reference(index, queries, 3, scan)
 
 
 class TestPeakMemory:
@@ -262,8 +324,8 @@ class TestPeakMemory:
         index = InvertedIndex.build(
             Corpus([rng.integers(0, 500, size=4) for _ in range(self.N_OBJECTS)])
         )
-        queries = [Query.from_keywords(rng.integers(0, 500, size=3)) for _ in range(self.N_QUERIES)]
-        return index, queries
+        keywords = rng.integers(0, 500, size=(self.N_QUERIES, 3))
+        return index, QueryBatch(keywords.reshape(-1), None, np.arange(self.N_QUERIES + 1) * 3)
 
     def test_select_path_peaks_below_half_the_dense_matrix(self):
         index, queries = self._workload()
@@ -287,7 +349,9 @@ class TestPeakMemory:
         index = InvertedIndex.build(
             Corpus(list(first_bucket + rng.integers(0, 8, size=(4000, 32))))
         )
-        queries = [Query.from_keywords(row) for row in first_bucket + rng.integers(0, 8, size=(256, 32))]
+        queries = QueryBatch.from_queries(
+            [Query.from_keywords(row) for row in first_bucket + rng.integers(0, 8, size=(256, 32))]
+        )
         index.list_array32
         tracemalloc.start()
         try:
@@ -334,7 +398,7 @@ class TestEngineEquivalence:
         """
         corpus, engine = _engine(raw_objects, k, lb)
         queries = make_batch(raw_queries)
-        count_bound = max(1, max(q.count_bound() for q in queries))
+        count_bound = max(1, int(queries.keywords_per_query.max()))
         results_fast = engine.query(queries)
         results_slow = [
             reference.reference_query(engine.index, q, k, count_bound) for q in queries

@@ -65,7 +65,7 @@ class TestCorrectness:
         corpus = Corpus(raw_objects)
         query = Query.from_keywords(keywords)
         fast = GenieEngine(config=GenieConfig(k=k)).fit(corpus)
-        slow = reference_query(fast.index, query, k, query.count_bound())
+        slow = reference_query(fast.index, query, k, query.num_items)
         assert _counts(fast.query([query])[0]) == _counts(slow)
 
 

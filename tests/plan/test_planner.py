@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import GenieSession
-from repro.core.types import Query
+from repro.core.types import Query, QueryBatch
 from repro.errors import QueryError
 from repro.plan import (
     EncodeNode,
@@ -36,20 +36,21 @@ def compile_for(handle, raw_queries, k=2, **kwargs):
 
 class TestRouteQueries:
     def test_membership_routing(self):
-        queries = [Query.from_keywords([0]), Query.from_keywords([9]),
-                   Query.from_keywords([0, 5])]
+        queries = QueryBatch.from_queries(
+            [Query.from_keywords([0]), Query.from_keywords([9]), Query.from_keywords([0, 5])]
+        )
         shard_keywords = (np.array([0, 1, 2]), np.array([4, 5, 6]))
         routes = route_queries(queries, shard_keywords)
         assert routes[0].tolist() == [0, 2]
         assert routes[1].tolist() == [2]
 
     def test_empty_query_routes_nowhere(self):
-        routes = route_queries([Query(items=[])], (np.array([0, 1]),))
+        routes = route_queries(QueryBatch.from_queries([Query(items=[])]), (np.array([0, 1]),))
         assert routes[0].size == 0
 
     def test_empty_shard_gets_nothing(self):
         routes = route_queries(
-            [Query.from_keywords([0])], (np.empty(0, dtype=np.int64),)
+            QueryBatch.from_queries([Query.from_keywords([0])]), (np.empty(0, dtype=np.int64),)
         )
         assert routes[0].size == 0
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import GenieSession
 from repro.errors import ConfigError, QueryError
@@ -87,6 +89,54 @@ class TestDiscretizer:
         # Even rows match both attributes, odd rows only the constant one.
         for row_id, count in result.as_pairs():
             assert count == (2 if row_id % 2 == 0 else 1)
+
+
+def _parent_range_keywords(disc, domain, offset, lo, hi):
+    """``_codes_for_range`` as it stood before both bounds shared one transform."""
+
+    def transform(value):
+        values = np.asarray([value], dtype=np.float64)
+        span = disc.hi - disc.lo
+        if not span > 0:
+            return np.zeros(values.shape, dtype=np.int64)
+        raw = np.floor((values - disc.lo) / span * disc.bins).astype(np.int64)
+        return np.clip(raw, 0, disc.bins - 1)
+
+    lo_code = max(0, min(int(transform(lo)[0]), domain - 1))
+    hi_code = max(0, min(int(transform(hi)[0]), domain - 1))
+    if hi_code < lo_code:
+        return None
+    return (np.arange(lo_code, hi_code + 1, dtype=np.int64) + offset).tolist()
+
+
+bounds = st.floats(-1e12, 1e12, allow_nan=False) | st.integers(-50, 150)
+
+
+class TestRangeCodesUnchanged:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-100, 100, allow_nan=False), st.floats(1e-3, 200, allow_nan=False) | st.just(0.0),
+        st.integers(1, 40), bounds, bounds,
+    )
+    def test_same_codes_as_two_scalar_transforms(self, column_lo, width, bins, lo, hi):
+        from repro.api.models import RelationalModel
+
+        model = RelationalModel([AttributeSpec("pad", "categorical"), AttributeSpec("x", bins=bins)])
+        model.encode_corpus({"pad": np.asarray([0, 2]), "x": np.asarray([column_lo, column_lo + width])})
+        expected = _parent_range_keywords(model._discretizers["x"], bins, 3, lo, hi)
+        if expected is None:
+            with pytest.raises(QueryError, match="empty range on x"):
+                model.encode_queries([{"x": (lo, hi)}])
+        else:
+            (query,) = model.encode_queries([{"x": (lo, hi)}])
+            assert [item.tolist() for item in query.items] == [expected]
+
+    def test_transform_clamps_like_clip(self):
+        disc = Discretizer(7).fit(np.asarray([-3.0, 11.0]))
+        values = np.asarray([-1e9, -3.0, -2.999, 0.0, 10.999, 11.0, 1e9])
+        span = disc.hi - disc.lo
+        raw = np.floor((values - disc.lo) / span * disc.bins).astype(np.int64)
+        assert disc.transform(values).tolist() == np.clip(raw, 0, 6).tolist()
 
 
 class TestRelationalIndex:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import GenieSession
+from repro.core.types import Query
 from repro.errors import ConfigError
 from repro.serve import BatchPolicy, GenieServer, QueryResultCache, make_cache_key
 
@@ -154,9 +155,29 @@ class TestKeying:
     def test_key_covers_index_query_k_and_opts(self):
         session = GenieSession()
         handle = session.create_index(DOCS, model="document", name="tweets")
-        (query,) = handle.encode_queries([DOCS[0]])
+        query = handle.encode_queries([DOCS[0]])  # the request's one-query batch
         base = make_cache_key("tweets", query, 3, ())
         assert base == make_cache_key("tweets", query, 3, ())
         assert base != make_cache_key("other", query, 3, ())
         assert base != make_cache_key("tweets", query, 4, ())
         assert base != make_cache_key("tweets", query, 3, (("n_candidates", 8),))
+
+    def test_key_follows_the_encoded_items_not_the_raw_query(self):
+        session = GenieSession()
+        handle = session.create_index([[1, 2, 3]], model="raw", name="raw")
+
+        def key(items):
+            return make_cache_key("raw", handle.encode_queries([Query(items=items)]), 3, ())
+
+        shapes = ([[1, 2], [3]], [[1], [2, 3]], [[1], [2], [3]])
+        assert len({key(items) for items in shapes}) == 3  # item boundaries count
+        assert key([[2, 1, 2], [3]]) == key(shapes[0])  # an item is a set
+        hash(key(shapes[0]))
+
+    def test_raw_queries_with_equal_encodings_share_an_entry(self):
+        server = make_server()
+        first = server.submit("tweets", "gpu index search", k=3)
+        again = server.submit("tweets", "GPU, the index... SEARCH!", k=3)  # same words
+        assert again.metadata.cache_hit
+        assert again.result() is first.result()
+        assert server.snapshot()["cache"]["entries"] == 1

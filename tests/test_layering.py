@@ -87,3 +87,77 @@ def test_one_execution_loop_and_one_merge():
     assert sorters == ["cluster/executor.py"]
     merge_calls = list(_called_names(root / "cluster" / "executor.py"))
     assert merge_calls.count("lexsort") == 1
+
+
+def _search_path_modules(root: Path):
+    """The production modules a search crosses after the encoders."""
+    yield root / "core" / "batch_scan.py"
+    yield root / "core" / "engine.py"
+    yield root / "api" / "session.py"
+    for package in ("plan", "cluster", "stream", "serve"):
+        yield from sorted((root / package).rglob("*.py"))
+
+
+def _per_query_uses(path: Path):
+    """``(lineno, what)`` for every way a module could walk queries one by one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "items" and id(node) not in called:  # ``dict.items()`` is a call
+                yield node.lineno, "reads .items"
+            elif node.attr == "num_keywords":
+                yield node.lineno, "reads .num_keywords"
+            elif node.attr in ("all_keywords", "count_bound") and id(node) in called:
+                yield node.lineno, f"calls .{node.attr}()"
+        if isinstance(node, ast.Call):
+            func = node.func
+            owner = func.value if isinstance(func, ast.Attribute) else func
+            if isinstance(owner, ast.Name) and owner.id == "Query":
+                yield node.lineno, "constructs Query"
+
+
+def test_search_path_reads_batch_arrays_only():
+    """Behind the doors a batch is three arrays: no per-query, per-item walk.
+
+    ``QueryBatch`` is the only query representation on the search path; a
+    module there that reads ``query.items``, builds a ``Query`` or asks one
+    for its keywords has brought a re-flattening loop back.
+    """
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{lineno}: {what}"
+        for path in _search_path_modules(root)
+        for lineno, what in _per_query_uses(path)
+    ]
+    assert not offenders, "per-query walks on the search path:\n" + "\n".join(offenders)
+
+
+def test_only_the_doors_and_the_specification_construct_queries():
+    root = Path(repro.__file__).parent
+    allowed_files = {Path("core/types.py"), Path("core/reference.py"), Path("core/match_count.py"),
+                     Path("api/models.py")}
+    allowed_packages = ("baselines", "experiments")
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative in allowed_files or relative.parts[0] in allowed_packages:
+            continue
+        offenders += [f"{relative}:{lineno}" for lineno, what in _per_query_uses(path)
+                      if what == "constructs Query"]
+    assert not offenders, "Query built outside the doors:\n" + "\n".join(offenders)
+
+
+def test_importing_the_package_does_not_import_scipy():
+    """``scipy.stats`` was 0.9 s of a 1.1 s import; it loads where it is used."""
+    import os
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.api, repro.serve; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
