@@ -314,8 +314,7 @@ class RelationalModel(BaseMatchModel):
             encoded[spec.name] = codes + offset
             offset += domain
 
-        rows = np.column_stack([encoded[spec.name] for spec in self.schema])
-        return Corpus(list(rows))
+        return Corpus(np.column_stack([encoded[spec.name] for spec in self.schema]))
 
     def _code_range(self, name: str, lo, hi) -> tuple[int, int]:
         """First keyword and keyword count of the item ``lo <= name <= hi``."""

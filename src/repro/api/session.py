@@ -920,9 +920,9 @@ class IndexHandle:
             if self.part_size is None:
                 slices = [(corpus, 0, None, (0,))]
             else:
+                cuts = [*range(0, len(corpus), self.part_size), len(corpus)]
                 slices = [
-                    (Corpus(corpus.keyword_arrays[start : start + self.part_size]), start, None, (0,))
-                    for start in range(0, len(corpus), self.part_size)
+                    (corpus.take(np.arange(lo, hi)), lo, None, (0,)) for lo, hi in zip(cuts, cuts[1:])
                 ]
             pool = [session.device]
         built = []
@@ -931,12 +931,9 @@ class IndexHandle:
             session.host.charge_ops(index.build_ops, stage="index_build")
             if plan is not None:
                 # The built index materializes the shard's sorted distinct
-                # keywords; seed the slice's routing-bounds cache with the
-                # same array so the planner's table costs nothing extra. The
-                # per-keyword posting lengths (the cost model's work
-                # features) come from the same CSR arrays.
-                plan.shards[position]._keywords = index.keyword_array
-                plan.shards[position]._posting_counts = postings_per_keyword(index)
+                # keywords and, in its CSR arrays, the per-keyword posting
+                # lengths: the planner's tables cost no extra pass.
+                plan.shards[position].seed_tables(index.keyword_array, postings_per_keyword(index))
             built.append(index)
         self.evict()
         self.plan = plan

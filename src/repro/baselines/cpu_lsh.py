@@ -69,8 +69,7 @@ class CpuLsh:
         self._family = E2Lsh(self.num_functions, points.shape[1], self.width, p=self.p, seed=self.seed)
         self._rehasher = ReHasher(self.num_functions, self.domain, seed=self.seed + 1)
         keywords = self._rehasher.keywords(self._family.hash_points(points))
-        corpus = Corpus(list(keywords))
-        self._index = InvertedIndex.build(corpus)
+        self._index = InvertedIndex.build(Corpus(keywords))
         self.host.charge_ops(self._index.build_ops, stage="index_build")
         return self
 

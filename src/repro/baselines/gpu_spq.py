@@ -53,9 +53,8 @@ class GpuSpq:
         self._index = InvertedIndex.build(corpus)
         if self._data_darray is not None and self._data_darray.is_live:
             self._data_darray.free()
-        flat = np.concatenate([arr for arr in corpus.keyword_arrays if arr.size]) if len(corpus) else np.empty(0)
         self._data_darray = self.device.to_device(
-            flat.astype(np.int32), label="gpu_spq_data", stage="index_transfer"
+            corpus.keywords.astype(np.int32), label="gpu_spq_data", stage="index_transfer"
         )
         return self
 

@@ -138,11 +138,22 @@ class ShardSlice:
     position: int
     corpus: Corpus
     global_ids: np.ndarray
-    _keywords: np.ndarray | None = field(default=None, repr=False)
-    _posting_counts: np.ndarray | None = field(default=None, repr=False)
+    _tables: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.corpus)
+
+    def seed_tables(self, keywords: np.ndarray, posting_counts: np.ndarray) -> None:
+        """Adopt the fitted shard index's tables: no extra pass over the slice.
+
+        The index builds one posting per (object, keyword) pair of the
+        slice, so its keyword array and per-keyword posting lengths are
+        exactly what :attr:`Corpus.keyword_table` would compute.
+        """
+        self._tables = (keywords, posting_counts)
+
+    def _keyword_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._tables if self._tables is not None else self.corpus.keyword_table
 
     def keywords(self) -> np.ndarray:
         """Sorted distinct keywords present in this shard's slice.
@@ -151,39 +162,18 @@ class ShardSlice:
         query with no keyword in this set cannot produce a positive match
         count here, so the planner's shard-pruning rule may skip the
         shard without changing results (see
-        :func:`repro.plan.planner.route_queries`). Cached after the first
-        call; the fitted shard index exposes the same array as its
-        ``keyword_array``.
+        :func:`repro.plan.planner.route_queries`).
         """
-        if self._keywords is None:
-            arrays = [arr for arr in self.corpus.keyword_arrays if arr.size]
-            self._keywords = (
-                np.unique(np.concatenate(arrays))
-                if arrays
-                else np.empty(0, dtype=ID_DTYPE)
-            )
-        return self._keywords
+        return self._keyword_tables()[0]
 
     def posting_counts(self) -> np.ndarray:
         """Posting-list length per :meth:`keywords` entry, aligned.
 
         The cost model's per-shard work features: a query's postings
         touched in this shard is the sum of counts over its keywords
-        present here. Seeded from the fitted shard index (exact — the
-        index builds one posting per raw (object, keyword) pair, no
-        per-object dedup) and computed the same way when unfitted.
+        present here.
         """
-        if self._posting_counts is None:
-            keywords = self.keywords()
-            arrays = [arr for arr in self.corpus.keyword_arrays if arr.size]
-            if not arrays or keywords.size == 0:
-                self._posting_counts = np.zeros(keywords.size, dtype=np.float64)
-            else:
-                flat = np.concatenate(arrays)
-                self._posting_counts = np.bincount(
-                    np.searchsorted(keywords, flat), minlength=keywords.size
-                ).astype(np.float64)
-        return self._posting_counts
+        return self._keyword_tables()[1]
 
 
 class ShardPlan:
@@ -234,24 +224,20 @@ class ShardPlan:
         if not isinstance(corpus, Corpus):
             corpus = Corpus(corpus)
         n_shards = int(n_shards)
-        n = len(corpus)
         if strategy == "range":
-            bounds = np.linspace(0, n, n_shards + 1).astype(np.int64)
-            assignments = [np.arange(bounds[s], bounds[s + 1], dtype=ID_DTYPE) for s in range(n_shards)]
-        else:
-            shard_of = _hash_ids(np.arange(n, dtype=ID_DTYPE), seed) % np.uint64(n_shards)
-            assignments = [
-                np.nonzero(shard_of == np.uint64(s))[0].astype(ID_DTYPE) for s in range(n_shards)
-            ]
+            return cls.build_ranges(corpus, np.linspace(0, len(corpus), n_shards + 1).astype(np.int64))
+        shard_of = _hash_ids(np.arange(len(corpus), dtype=ID_DTYPE), seed) % np.uint64(n_shards)
+        assignments = [np.nonzero(shard_of == np.uint64(s))[0].astype(ID_DTYPE) for s in range(n_shards)]
+        return cls._cut(corpus, assignments, strategy)
+
+    @classmethod
+    def _cut(cls, corpus: Corpus, assignments: list[np.ndarray], strategy: str) -> "ShardPlan":
+        """One slice per global-id array: rows move by ``take``, nothing is re-derived."""
         shards = [
-            ShardSlice(
-                position=s,
-                corpus=Corpus([corpus.keyword_arrays[int(g)] for g in global_ids]),
-                global_ids=global_ids,
-            )
+            ShardSlice(position=s, corpus=corpus.take(global_ids), global_ids=global_ids)
             for s, global_ids in enumerate(assignments)
         ]
-        return cls(shards, strategy, n)
+        return cls(shards, strategy, len(corpus))
 
     @classmethod
     def build_ranges(cls, corpus: Corpus, bounds) -> "ShardPlan":
@@ -282,15 +268,9 @@ class ShardPlan:
             )
         if any(b > c for b, c in zip(bounds, bounds[1:])):
             raise ConfigError(f"range bounds must be non-decreasing: {bounds}")
-        shards = [
-            ShardSlice(
-                position=s,
-                corpus=Corpus(corpus.keyword_arrays[bounds[s] : bounds[s + 1]]),
-                global_ids=np.arange(bounds[s], bounds[s + 1], dtype=ID_DTYPE),
-            )
-            for s in range(len(bounds) - 1)
-        ]
-        return cls(shards, "range", n)
+        return cls._cut(
+            corpus, [np.arange(lo, hi, dtype=ID_DTYPE) for lo, hi in zip(bounds, bounds[1:])], "range"
+        )
 
     # ------------------------------------------------------------------
     # introspection
@@ -323,13 +303,10 @@ class ShardPlan:
         shard holds global id ``g``. Lets the rebalancer recut a fitted
         plan without the caller keeping the original corpus alive.
         """
-        arrays = [None] * self.n_objects
-        for shard in self.shards:
-            for local, g in enumerate(shard.global_ids):
-                arrays[int(g)] = shard.corpus.keyword_arrays[local]
-        if any(arr is None for arr in arrays):
-            raise ConfigError("cannot reassemble: plan does not cover the corpus")
-        return Corpus(arrays)
+        self.validate()
+        return Corpus.by_global_id(
+            [(shard.corpus, shard.global_ids) for shard in self.shards], self.n_objects
+        )
 
     @property
     def n_shards(self) -> int:

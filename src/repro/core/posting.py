@@ -96,16 +96,14 @@ def build_postings(corpus: Corpus) -> FlatPostings:
     Returns:
         The flattened postings structure.
     """
-    sizes = np.asarray([arr.size for arr in corpus.keyword_arrays], dtype=ID_DTYPE)
-    total = int(sizes.sum())
+    all_keywords = corpus.keywords
+    total = int(all_keywords.size)
     if total == 0:
         empty = np.empty(0, dtype=ID_DTYPE)
         return FlatPostings(
             keywords=empty, offsets=np.zeros(1, dtype=ID_DTYPE), list_array=empty, build_ops=1.0
         )
-
-    all_keywords = np.concatenate([arr for arr in corpus.keyword_arrays if arr.size])
-    all_objects = np.repeat(np.arange(len(corpus), dtype=ID_DTYPE), sizes)
+    all_objects = np.repeat(np.arange(len(corpus), dtype=ID_DTYPE), np.diff(corpus.offsets))
 
     order = np.argsort(all_keywords, kind="stable")
     sorted_keywords = all_keywords[order]

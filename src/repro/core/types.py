@@ -14,13 +14,25 @@ list of *items*, each item being the set of keywords it matches (a range
 item on a relational table expands to many keywords; an LSH item is a single
 keyword).
 
-The unit of work is the *batch*: :class:`QueryBatch` holds every query of a
-batch in three flat arrays (keywords, item offsets, query offsets) — the
-format the paper's device receives in its "query transfer" stage, what the
-encoders build straight from their keyword matrices and what the scan, the
-planner and the caches read. :class:`Query` is the per-query view of it:
-what users, model hooks, the specification (:mod:`repro.core.reference`)
-and the baselines handle, converted once at the public doors by
+One ragged container, two roles. Objects and query items are the same thing
+— sets of keywords (Definition 2.1) — and are stored the same way: one flat,
+owned, read-only ``keywords`` array plus CSR offsets, validated by
+:func:`as_keyword_array` and made ascending and distinct per set by
+:func:`canonical_segments`, once, where the data enters. :class:`Corpus` is
+that container for the build side (``offsets`` delimit objects);
+:class:`QueryBatch` is it for the search side, with the one thing only a
+query has — *items*, so two offset levels (``item_offsets`` delimit the sets,
+``query_offsets`` group them into queries). Both slice by ``take`` (a
+contiguous range shares storage), glue by ``concat`` and hand out read-only
+per-row views (``corpus[i]``, ``batch[i]``); every layer behind the public
+doors moves rows with those instead of re-deriving them.
+
+The unit of work is the *batch*: a :class:`QueryBatch` is the format the
+paper's device receives in its "query transfer" stage, what the encoders
+build straight from their keyword matrices and what the scan, the planner
+and the caches read. :class:`Query` is the per-query view of it: what users,
+model hooks, the specification (:mod:`repro.core.reference`) and the
+baselines handle, converted once at the public doors by
 :meth:`QueryBatch.from_queries`.
 """
 
@@ -37,36 +49,54 @@ from repro.errors import ConfigError, QueryError
 ID_DTYPE = np.int64
 
 
-def as_keyword_array(keywords) -> np.ndarray:
-    """Normalize raw keyword input to a validated int64 array.
+def _raw_array(values, what: str) -> np.ndarray:
+    """``values`` as numpy sees them: dtype and shape are judged by the caller."""
+    if isinstance(values, np.ndarray):
+        return values
+    try:
+        listed = list(values)
+        raw = np.asarray(listed)
+        # A string beside numbers promotes them all to text; keep the values as given.
+        return raw if raw.dtype.kind in "biufO" else np.asarray(listed, dtype=object)
+    except (TypeError, ValueError):  # not iterable, or ragged nesting
+        raise QueryError(f"{what} must be an iterable of integers; got {values!r}") from None
+
+
+def as_keyword_array(keywords, what: str = "keywords") -> np.ndarray:
+    """Normalize raw keyword (or object id) input to a validated int64 array.
 
     Args:
-        keywords: Any iterable of non-negative integers (``2.0`` counts as one).
+        keywords: Any iterable of non-negative integers (``2.0`` counts as
+            one, as do bools and every integer dtype).
+        what: The plural noun error messages use for the values.
 
     Returns:
         A 1-D ``int64`` array.
 
     Raises:
-        QueryError: Naming the first keyword that is negative, non-finite,
-            ``>= 2**63``, or a float with a fractional part (a cast would
-            silently match another element).
+        QueryError: Naming the input when it is not iterable, else the first
+            value that is not a number, is negative, non-finite, ``>= 2**63``,
+            or a float with a fractional part (a cast would silently name
+            another element).
     """
-    raw = np.asarray(keywords if isinstance(keywords, np.ndarray) else list(keywords))
+    raw = _raw_array(keywords, what)
     kind = raw.dtype.kind
-    bad = None
-    if kind == "f":
-        bad = ~(np.isfinite(raw) & (raw == np.trunc(raw)) & (raw < 2.0**63))
-    elif kind == "u":
-        bad = raw >= 2**63
-    elif kind == "O":  # python ints no fixed-width dtype holds
-        bad = np.asarray(
-            [not (isinstance(v, (int, np.integer)) and -(2**63) <= v < 2**63) for v in raw.flat]
-        ).reshape(raw.shape)
-    if bad is not None and bad.any():
-        raise QueryError(f"keywords must be integers below 2**63; got {raw[bad].tolist()[0]!r}")
+    if kind not in "bi":
+        if kind == "f":
+            bad = ~(np.isfinite(raw) & (raw == np.trunc(raw)) & (raw < 2.0**63))
+        elif kind == "u":
+            bad = raw >= 2**63
+        elif kind == "O":  # python ints no fixed-width dtype holds
+            bad = np.asarray(
+                [not (isinstance(v, (int, np.integer)) and -(2**63) <= v < 2**63) for v in raw.flat]
+            ).reshape(raw.shape)
+        else:  # text, bytes, complex, dates: numpy would cast some of them
+            bad = np.ones(raw.shape, dtype=bool)
+        if bad.any():
+            raise QueryError(f"{what} must be integers below 2**63; got {raw[bad].tolist()[0]!r}")
     arr = raw.astype(ID_DTYPE, copy=False).reshape(-1)
     if arr.size and arr.min() < 0:
-        raise QueryError(f"keywords must be non-negative integers; got {int(arr[arr < 0][0])}")
+        raise QueryError(f"{what} must be non-negative integers; got {int(arr[arr < 0][0])}")
     return arr
 
 
@@ -103,57 +133,216 @@ def csr_offsets(sizes) -> np.ndarray:
     return offsets
 
 
-class Corpus:
-    """An ordered collection of objects, each a set of keywords.
+def _joined(arrays) -> np.ndarray:
+    """``arrays`` end to end as fresh int64 storage — an empty array of it for none."""
+    return np.concatenate([np.empty(0, dtype=ID_DTYPE), *arrays])
+
+
+def stacked_offsets(offset_arrays) -> np.ndarray:
+    """One CSR offsets array for containers laid end to end, each given by its own."""
+    sizes = [offsets.size - 1 for offsets in offset_arrays]
+    stacked = np.concatenate([np.zeros(1, dtype=ID_DTYPE)] + [offsets[1:] for offsets in offset_arrays])
+    stacked[1:] += np.repeat(csr_offsets([offsets.item(-1) for offsets in offset_arrays])[:-1], sizes)
+    return stacked
+
+
+def take_segments(flat: np.ndarray, offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, offsets)`` of the segments at ``rows`` (valid, non-negative), in that order.
+
+    A contiguous ascending range is offset arithmetic over shared storage;
+    anything else gathers into fresh arrays.
+    """
+    if rows.size and (rows[1:] - rows[:-1] == 1).all():
+        bounds = offsets[rows[0] : rows[-1] + 2]
+        return flat[bounds[0] : bounds[-1]], bounds - bounds[0]
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    return flat[ragged_slices(starts, sizes)], csr_offsets(sizes)
+
+
+def canonical_segments(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Make every segment ``flat[offsets[i]:offsets[i + 1]]`` ascending and distinct.
+
+    The one canonicalization of ragged keyword sets — an object and a query
+    item are both *sets* of elements (Definition 2.1) — equal, segment for
+    segment, to ``np.unique`` of each. Input whose segments already ascend
+    strictly (LSH and relational rows, ranges laid out in keyword order,
+    one-keyword items) is returned as is; anything else takes one sort of
+    fused ``(segment, keyword)`` keys, or a ``lexsort`` when the fused key
+    would not fit 63 bits (keywords up to ``2**63 - 1`` are legal).
 
     Args:
-        objects: One iterable of keywords per object. Duplicate keywords
-            within an object are dropped (an object is a *set* of elements).
+        flat: Validated keywords (:func:`as_keyword_array`), segment after segment.
+        offsets: CSR offsets of the segments, rising from 0 to ``flat.size``.
+
+    Returns:
+        ``(flat, offsets)``: the inputs themselves when nothing had to move.
+    """
+    if flat.size < 2:
+        return flat, offsets
+    rising = flat[1:] > flat[:-1]
+    if rising.all():
+        return flat, offsets
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < flat.size)] - 1] = True  # across a boundary anything goes
+    if rising.all():
+        return flat, offsets
+    sizes = offsets[1:] - offsets[:-1]
+    segment = np.repeat(np.arange(sizes.size, dtype=ID_DTYPE), sizes)
+    bits = int(flat.max()).bit_length()
+    if (sizes.size - 1).bit_length() + bits <= 63:
+        fused = (segment << bits) | flat
+        fused.sort()
+        flat = fused & ((1 << bits) - 1)
+    else:
+        flat = flat[np.lexsort((flat, segment))]
+    fresh = np.ones(flat.size, dtype=bool)
+    fresh[1:] = (flat[1:] != flat[:-1]) | (segment[1:] != segment[:-1])
+    if not fresh.all():
+        flat = flat[fresh]
+        offsets = csr_offsets(np.bincount(segment[fresh], minlength=sizes.size))
+    return flat, offsets
+
+
+class Corpus:
+    """An ordered collection of objects, each a set of keywords, in CSR form.
+
+    Invariants, established once at construction: keywords are validated by
+    :func:`as_keyword_array`'s rules, every object's keywords are ascending
+    and distinct (:func:`canonical_segments`), and the storage is owned and
+    read-only — caller arrays are never aliased, and the per-object views
+    handed out cannot write through. :meth:`take`, :meth:`concat`,
+    :meth:`from_rows` and :meth:`by_global_id` move canonical rows between
+    corpora without looking at them again.
+
+    Args:
+        objects: One iterable of keywords per object, or an ``(n, m)`` keyword
+            matrix (row ``i`` is object ``i``). Duplicate keywords within an
+            object are dropped (an object is a *set* of elements).
 
     Attributes:
-        keyword_arrays: Per-object sorted, de-duplicated keyword arrays.
+        keywords: Every object's keywords, concatenated in object order.
+        offsets: Object ``i`` owns ``keywords[offsets[i]:offsets[i + 1]]``.
+
+    Raises:
+        QueryError: Invalid keywords, or an object that is not iterable.
     """
 
     def __init__(self, objects):
-        self.keyword_arrays: list[np.ndarray] = []
-        max_kw = -1
-        total = 0
-        max_size = 0
-        for obj in objects:
-            arr = np.unique(as_keyword_array(obj))
-            self.keyword_arrays.append(arr)
-            total += arr.size
-            if arr.size:
-                max_kw = max(max_kw, int(arr[-1]))
-                max_size = max(max_size, arr.size)
-        self._max_keyword = max_kw
-        # Sizes are fixed at construction; the engine asks for them on every
-        # batch (device-memory sizing), so they must not be O(n) generators.
-        self._total_entries = total
-        self._max_object_size = max_size
+        if isinstance(objects, np.ndarray) and objects.ndim == 2:
+            flat = as_keyword_array(objects)
+            offsets = np.arange(objects.shape[0] + 1, dtype=ID_DTYPE) * objects.shape[1]
+        else:
+            parts = [_raw_array(obj, "keywords") for obj in objects]
+            offsets = csr_offsets([part.size for part in parts])
+            parts = [part.reshape(-1) for part in parts if part.size]
+            if len({part.dtype for part in parts}) > 1:
+                # Validate before numpy promotes: int64 beside float64
+                # concatenates to float64, which rounds keywords above 2**53.
+                parts = [as_keyword_array(part) for part in parts]
+            flat = as_keyword_array(np.concatenate(parts) if parts else ())
+        flat, offsets = canonical_segments(flat, offsets)
+        if isinstance(objects, np.ndarray) and np.may_share_memory(flat, objects):
+            flat = flat.copy()
+        self._set(flat, offsets)
+
+    def _set(self, keywords: np.ndarray, offsets: np.ndarray) -> None:
+        keywords.flags.writeable = False
+        self.keywords = keywords
+        self.offsets = offsets
+
+    @classmethod
+    def _of(cls, keywords: np.ndarray, offsets: np.ndarray) -> "Corpus":
+        """A corpus over parts that already satisfy the invariants."""
+        corpus = object.__new__(cls)
+        corpus._set(keywords, offsets)
+        return corpus
+
+    @classmethod
+    def from_rows(cls, rows) -> "Corpus":
+        """A corpus of rows other corpora handed out (canonical already), copied."""
+        rows = list(rows)
+        return cls._of(_joined(rows), csr_offsets([row.size for row in rows]))
+
+    @classmethod
+    def concat(cls, corpora) -> "Corpus":
+        """The objects of ``corpora``, in order, as one corpus."""
+        corpora = list(corpora)
+        return cls._of(
+            _joined(corpus.keywords for corpus in corpora), stacked_offsets([corpus.offsets for corpus in corpora])
+        )
+
+    @classmethod
+    def by_global_id(cls, sources, n_objects: int) -> "Corpus":
+        """Rows gathered from several corpora into one global id space.
+
+        Args:
+            sources: ``(corpus, global_ids)`` pairs, applied in order: row
+                ``i`` of ``corpus`` becomes object ``global_ids[i]``,
+                replacing what an earlier source put there; ``corpus`` may
+                be ``None`` to empty the ids instead (tombstones).
+            n_objects: Size of the id space; ids no source names stay empty.
+        """
+        pool, row_of, n_rows = [], np.full(n_objects, -1, dtype=ID_DTYPE), 0
+        for corpus, global_ids in sources:
+            if corpus is None:
+                row_of[global_ids] = -1
+            else:
+                row_of[global_ids] = np.arange(n_rows, n_rows + len(corpus), dtype=ID_DTYPE)
+                n_rows += len(corpus)
+                pool.append(corpus)
+        row_of[row_of < 0] = n_rows  # the one empty row every dead slot points at
+        pool.append(cls._of(_joined(()), np.zeros(2, dtype=ID_DTYPE)))
+        return cls.concat(pool).take(row_of)
+
+    def take(self, ids) -> "Corpus":
+        """The objects at ``ids``, in that order (:func:`take_segments`: a range shares storage)."""
+        ids = np.asarray(ids, dtype=ID_DTYPE).reshape(-1)
+        return self._of(*take_segments(self.keywords, self.offsets, ids))
+
+    # ------------------------------------------------------------------
+    # per-object views
 
     def __len__(self) -> int:
-        return len(self.keyword_arrays)
+        return self.offsets.size - 1
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.keyword_arrays[i]
+        """Object ``i``'s keywords as a zero-copy (read-only) view."""
+        i = range(len(self))[i]
+        return self.keywords[self.offsets[i] : self.offsets[i + 1]]
 
     def __iter__(self):
         return iter(self.keyword_arrays)
 
+    @cached_property
+    def keyword_arrays(self) -> list[np.ndarray]:
+        """Per-object sorted, de-duplicated keyword arrays (views, built on first use)."""
+        bounds = self.offsets.tolist()
+        return [self.keywords[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted distinct keywords, postings per keyword)`` of this corpus.
+
+        What routing and the cost model ask of a corpus no index was built
+        for; the counts are float64, the cost model's feature dtype.
+        """
+        keywords, counts = np.unique(self.keywords, return_counts=True)
+        return keywords, counts.astype(np.float64)
+
     @property
     def max_keyword(self) -> int:
         """Largest keyword present (-1 for an empty corpus)."""
-        return self._max_keyword
+        return int(self.keywords.max()) if self.keywords.size else -1
 
     @property
     def total_entries(self) -> int:
         """Total number of (object, keyword) pairs — the index size."""
-        return self._total_entries
+        return int(self.keywords.size)
 
     def max_object_size(self) -> int:
         """Keywords in the largest object; a valid match-count bound."""
-        return self._max_object_size
+        return int(np.diff(self.offsets).max()) if len(self) else 0
 
 
 @dataclass
@@ -230,18 +419,7 @@ class QueryBatch:
             item_offsets = np.arange(flat.size + 1, dtype=ID_DTYPE)
         else:
             item_offsets = self._checked_offsets(item_offsets, flat.size, "item_offsets")
-            sizes = item_offsets[1:] - item_offsets[:-1]
-            # Already canonical: one-keyword items, or a batch ascending end to
-            # end (ranges laid out in keyword order). Else one segmented sort,
-            # (item, keyword) order, then drop repeats.
-            if sizes.size and sizes.max() > 1 and not (flat[1:] > flat[:-1]).all():
-                item_of = np.repeat(np.arange(sizes.size), sizes)
-                flat = flat[np.lexsort((flat, item_of))]
-                fresh = np.ones(flat.size, dtype=bool)
-                fresh[1:] = (flat[1:] != flat[:-1]) | (item_of[1:] != item_of[:-1])
-                if not fresh.all():
-                    flat = flat[fresh]
-                    item_offsets = csr_offsets(np.bincount(item_of[fresh], minlength=sizes.size))
+            flat, item_offsets = canonical_segments(flat, item_offsets)
         query_offsets = self._checked_offsets(query_offsets, item_offsets.size - 1, "query_offsets")
         if isinstance(keywords, np.ndarray) and np.may_share_memory(flat, keywords):
             flat = flat.copy()
@@ -297,39 +475,23 @@ class QueryBatch:
         batches = list(batches)
         if len(batches) == 1:
             return batches[0]
-        zero = np.zeros(1, dtype=ID_DTYPE)
-        n_items = np.asarray([b.num_items for b in batches], dtype=ID_DTYPE)
-        n_queries = [len(b) for b in batches]
-        keyword_base = csr_offsets([b.keywords.size for b in batches])[:-1]
-        item_base = csr_offsets(n_items)[:-1]
-        item_offsets = np.concatenate([zero] + [b.item_offsets[1:] for b in batches])
-        item_offsets[1:] += np.repeat(keyword_base, n_items)
-        query_offsets = np.concatenate([zero] + [b.query_offsets[1:] for b in batches])
-        query_offsets[1:] += np.repeat(item_base, n_queries)
-        keywords = np.concatenate([zero[:0]] + [b.keywords for b in batches])
-        return cls._of(keywords, item_offsets, query_offsets)
+        return cls._of(
+            _joined(b.keywords for b in batches),
+            stacked_offsets([b.item_offsets for b in batches]),
+            stacked_offsets([b.query_offsets for b in batches]),
+        )
 
     def take(self, positions) -> "QueryBatch":
         """The queries at ``positions`` (valid, non-negative), in that order.
 
-        A contiguous ascending range is offset arithmetic over shared
-        keyword storage; anything else gathers into fresh arrays.
+        A contiguous ascending range of queries is a contiguous range of
+        items, so :func:`take_segments` shares its keyword storage.
         """
         positions = np.asarray(positions, dtype=ID_DTYPE).reshape(-1)
-        if positions.size and (positions[1:] - positions[:-1] == 1).all():
-            items = self.query_offsets[positions[0] : positions[-1] + 2]
-            bounds = self.item_offsets[items[0] : items[-1] + 1]
-            return self._of(self.keywords[bounds[0] : bounds[-1]], bounds - bounds[0], items - items[0])
         first_item = self.query_offsets[positions]
         n_items = self.query_offsets[positions + 1] - first_item
         item_rows = ragged_slices(first_item, n_items)
-        first_keyword = self.item_offsets[item_rows]
-        n_keywords = self.item_offsets[item_rows + 1] - first_keyword
-        return self._of(
-            self.keywords[ragged_slices(first_keyword, n_keywords)],
-            csr_offsets(n_keywords),
-            csr_offsets(n_items),
-        )
+        return self._of(*take_segments(self.keywords, self.item_offsets, item_rows), csr_offsets(n_items))
 
     # ------------------------------------------------------------------
     # per-query views

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.types import Corpus
 from repro.lsh.family import LshFamily
 from repro.lsh.murmur import murmur3_int64
 
 _PRIME = (1 << 61) - 1
+#: Cells of the per-batch hash table held at once (32 MB of int64).
+_TABLE_CELLS = 1 << 22
 
 
 def jaccard(a, b) -> float:
@@ -52,8 +55,25 @@ class MinHash(LshFamily):
         return table.min(axis=0)
 
     def hash_points(self, points) -> np.ndarray:
-        """Signatures for a batch of sets (any iterable of iterables)."""
-        return np.vstack([self.hash_set(elements) for elements in points])
+        """Signatures for a batch of sets (any iterable of iterables).
+
+        :meth:`hash_set` per set, computed for the whole batch at once: the
+        sets are flattened and de-duplicated like any ragged keyword
+        container, hashed in one murmur pass and reduced per set.
+        """
+        sets = Corpus(points)
+        signatures = np.full((len(sets), self.num_functions), -1, dtype=np.int64)
+        if sets.keywords.size:
+            base = murmur3_int64(sets.keywords).astype(np.int64)[:, None]
+            filled = np.flatnonzero(np.diff(sets.offsets))
+            # A few functions at a time: the (elements x functions) table stays bounded.
+            width = max(1, _TABLE_CELLS // base.size)
+            for lo in range(0, self.num_functions, width):
+                cols = slice(lo, lo + width)
+                with np.errstate(over="ignore"):
+                    table = (base * self._alpha[cols] + self._beta[cols]) % _PRIME
+                signatures[filled, cols] = np.minimum.reduceat(table, sets.offsets[filled], axis=0)
+        return signatures
 
     def similarity(self, p, q) -> float:
         """Jaccard similarity."""

@@ -42,7 +42,7 @@ class LshTransformer:
 
     def to_corpus(self, points) -> Corpus:
         """Transform data points into a GENIE corpus."""
-        return Corpus(list(self.keyword_matrix(points)))
+        return Corpus(self.keyword_matrix(points))
 
     def to_queries(self, points) -> QueryBatch:
         """Transform query points into one batch (one item per function)."""

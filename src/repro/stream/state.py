@@ -7,7 +7,10 @@ lazily attaches on its first mutation. It owns the
 live id in exactly one scan source), materializes each delta segment as
 a device-swappable ``_IndexPart`` (small inverted index + engine, cached
 per segment version so untouched sealed segments never rebuild), and
-runs threshold-driven compaction back into a fresh CSR base.
+runs threshold-driven compaction back into a fresh CSR base. Rows reach
+a segment canonical (one :class:`~repro.core.types.Corpus` per mutation
+call) and are only moved after that — into the segment's scan corpus,
+into the compacted base — never sorted again.
 
 Cost accounting mirrors the batch path: building a segment's scan index
 charges the host's ``index_build`` stage, delta parts attach through the
@@ -19,11 +22,12 @@ the tombstone filter as host binary-search work.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.inverted_index import InvertedIndex
-from repro.core.types import ID_DTYPE, Corpus
+from repro.core.types import ID_DTYPE, Corpus, as_keyword_array
 from repro.errors import QueryError
 from repro.gpu.stats import timings_delta
 from repro.obs.trace import Span
@@ -31,6 +35,23 @@ from repro.stream.delta import DeltaSegment, StreamConfig
 from repro.stream.manifest import SegmentManifest
 
 logger = logging.getLogger("repro.stream")
+
+
+@dataclass
+class _SegmentView:
+    """One live segment's rows as a corpus, and the scan part built from it."""
+
+    segment: DeltaSegment  # held, so its id() cannot be reused while this entry lives
+    version: int = -1  # the segment.version ``corpus`` / ``global_ids`` were assembled at
+    corpus: Corpus | None = None
+    global_ids: np.ndarray | None = None
+    part: object = None  # the ``_IndexPart`` a search built, at ``part_version``
+    part_version: int = -1
+
+
+def _checked_ids(ids) -> list[int]:
+    """Mutation ids as python ints, validated (all of them) before any is applied."""
+    return as_keyword_array(ids if np.ndim(ids) else [ids], "object ids").tolist()
 
 
 class StreamState:
@@ -46,13 +67,11 @@ class StreamState:
         self.config = config if config is not None else StreamConfig()
         base_objects = sum(len(part.corpus) for part in handle._parts)
         self.manifest = SegmentManifest(base_objects)
-        # id(segment) -> (version, _IndexPart): sealed segments keep their
-        # scan index across mutations elsewhere; only edited segments
-        # rebuild (and re-pay index_build) on the next search.
-        self._part_cache: dict[int, tuple[int, object]] = {}
-        # id(segment) -> (version, keyword_array, posting_counts): the
-        # cost model's per-segment features, no index build needed.
-        self._feature_cache: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        # id(segment) -> view: sealed segments keep their corpus, its keyword
+        # table and their scan index across mutations elsewhere; an edited
+        # segment is re-assembled by whoever asks first and re-indexed
+        # (re-paying index_build) by the next search.
+        self._views: dict[int, _SegmentView] = {}
         self._tombstone_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -88,9 +107,9 @@ class StreamState:
         gids = np.arange(
             manifest.next_gid, manifest.next_gid + len(corpus), dtype=ID_DTYPE
         )
-        for gid, keywords in zip(gids, corpus.keyword_arrays):
+        for gid, keywords in zip(gids.tolist(), corpus):
             segment = self._active_segment()
-            segment.add(int(gid), keywords)
+            segment.add(gid, keywords)
             if len(segment) >= self.config.seal_objects:
                 segment.sealed = True
         manifest.next_gid += len(corpus)
@@ -99,7 +118,7 @@ class StreamState:
 
     def delete(self, ids) -> None:
         """Remove live objects by global id (all-or-nothing validation)."""
-        ids = [int(i) for i in np.atleast_1d(np.asarray(ids, dtype=ID_DTYPE))]
+        ids = _checked_ids(ids)
         if not ids:
             raise QueryError("empty delete batch")
         for gid in ids:
@@ -118,10 +137,10 @@ class StreamState:
 
     def update(self, gid: int, obj) -> None:
         """Replace one live object's keywords, keeping its global id."""
-        gid = int(gid)
+        (gid,) = _checked_ids([gid])
         if not self._is_live(gid):
             raise QueryError(f"cannot update id {gid}: not a live object")
-        keywords = self._encode([obj]).keyword_arrays[0]
+        keywords = self._encode([obj])[0]
         manifest = self.manifest
         for segment in manifest.segments:
             if gid in segment:
@@ -166,6 +185,18 @@ class StreamState:
             )
         return self._tombstone_array
 
+    def _view(self, segment: DeltaSegment) -> _SegmentView:
+        """The segment's cache entry, its corpus assembled at the current version."""
+        view = self._views.get(id(segment))
+        if view is None:
+            view = self._views[id(segment)] = _SegmentView(segment)
+        if view.version != segment.version:
+            gids = segment.ids()
+            view.corpus = Corpus.from_rows(segment.keywords(gid) for gid in gids)
+            view.global_ids = np.asarray(gids, dtype=ID_DTYPE)
+            view.version = segment.version
+        return view
+
     def delta_parts(self) -> list:
         """One ``_IndexPart`` per live segment, cache-fresh.
 
@@ -180,31 +211,24 @@ class StreamState:
         handle = self.handle
         session = handle.session
         parts = []
-        live = set()
-        base_positions = len(handle._parts)
-        for i, segment in enumerate(self.manifest.segments):
-            live.add(id(segment))
-            cached = self._part_cache.get(id(segment))
-            if cached is not None and cached[0] == segment.version:
-                cached[1].position = base_positions + i  # earlier segments may have emptied
-                parts.append(cached[1])
-                continue
-            if cached is not None:
-                self._evict(cached[1])
-            gids = np.asarray(segment.ids(), dtype=ID_DTYPE)
-            corpus = Corpus([segment.keywords(int(g)) for g in gids])
-            index = InvertedIndex.build(corpus, load_balance=handle.config.load_balance)
-            session.host.charge_ops(index.build_ops, stage="index_build")
-            engine = GenieEngine(
-                device=session.device, host=session.host, config=handle.config
-            )
-            part = _IndexPart(
-                handle, base_positions + i, engine, corpus, index,
-                offset=0, global_ids=gids,
-            )
-            self._part_cache[id(segment)] = (segment.version, part)
-            parts.append(part)
-        self._prune(self._part_cache, live, evict=True)
+        live = {}
+        for position, segment in enumerate(self.manifest.segments, start=len(handle._parts)):
+            view = live[id(segment)] = self._view(segment)
+            if view.part_version != view.version:
+                self._evict(view.part)
+                index = InvertedIndex.build(view.corpus, load_balance=handle.config.load_balance)
+                session.host.charge_ops(index.build_ops, stage="index_build")
+                engine = GenieEngine(device=session.device, host=session.host, config=handle.config)
+                view.part = _IndexPart(
+                    handle, position, engine, view.corpus, index, offset=0, global_ids=view.global_ids
+                )
+                view.part_version = view.version
+            view.part.position = position  # earlier segments may have emptied
+            parts.append(view.part)
+        for key, view in self._views.items():
+            if key not in live:
+                self._evict(view.part)
+        self._views = live
         return parts
 
     def delta_features(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -213,45 +237,21 @@ class StreamState:
         The planner prices the DeltaScan from these without building any
         index — ``explain()`` stays free of ``index_build`` charges.
         """
-        features = []
-        live = set()
-        for segment in self.manifest.segments:
-            live.add(id(segment))
-            cached = self._feature_cache.get(id(segment))
-            if cached is None or cached[0] != segment.version:
-                arrays = [segment.keywords(gid) for gid in segment.ids()]
-                flat = (
-                    np.concatenate(arrays)
-                    if arrays
-                    else np.empty(0, dtype=ID_DTYPE)
-                )
-                keywords, counts = np.unique(flat, return_counts=True)
-                cached = (segment.version, keywords, counts.astype(np.float64))
-                self._feature_cache[id(segment)] = cached
-            features.append((cached[1], cached[2]))
-        self._prune(self._feature_cache, live, evict=False)
-        return features
+        return [self._view(segment).corpus.keyword_table for segment in self.manifest.segments]
 
     def attached_parts(self) -> list:
         """Every cached delta part (for eviction / byte accounting)."""
-        return [part for _, part in self._part_cache.values()]
+        return [view.part for view in self._views.values() if view.part is not None]
 
     def _evict(self, part) -> None:
-        if part.resident:
+        if part is not None and part.resident:
             self.handle.session._evict_part(part)
 
-    def _prune(self, cache: dict, live: set, evict: bool) -> None:
-        for key in [k for k in cache if k not in live]:
-            if evict:
-                self._evict(cache[key][1])
-            del cache[key]
-
     def release(self) -> None:
-        """Evict and forget every cached delta part and feature table."""
+        """Evict and forget every cached segment view."""
         for part in self.attached_parts():
             self._evict(part)
-        self._part_cache.clear()
-        self._feature_cache.clear()
+        self._views.clear()
 
     # ------------------------------------------------------------------
     # compaction
@@ -266,23 +266,13 @@ class StreamState:
         indexing them changes no result while keeping every surviving id
         stable across compactions.
         """
-        manifest = self.manifest
-        slots: list = [None] * manifest.next_gid
-        for part in self.handle._parts:
-            arrays = part.corpus.keyword_arrays
-            gids = part.to_global(np.arange(len(arrays), dtype=ID_DTYPE))
-            for gid, keywords in zip(gids.tolist(), arrays):
-                slots[gid] = keywords
-        empty = np.empty(0, dtype=ID_DTYPE)
-        for gid in manifest.tombstones:
-            slots[gid] = empty
-        for segment in manifest.segments:
-            for gid in segment.ids():
-                slots[gid] = segment.keywords(gid)
-        for gid in range(manifest.base_objects, manifest.next_gid):
-            if slots[gid] is None:
-                slots[gid] = empty  # deleted delta insert: dead slot
-        return Corpus(slots)
+        sources = [
+            (part.corpus, part.to_global(np.arange(len(part.corpus), dtype=ID_DTYPE)))
+            for part in self.handle._parts
+        ]
+        sources.append((None, self.tombstone_array()))
+        sources += [(view.corpus, view.global_ids) for view in map(self._view, self.manifest.segments)]
+        return Corpus.by_global_id(sources, self.manifest.next_gid)
 
     def maybe_compact(self) -> bool:
         """Compact when delta pressure crosses the configured ratio."""

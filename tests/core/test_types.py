@@ -5,13 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import GenieSession
+from repro.cluster.plan import ShardPlan
 from repro.core.types import Corpus, Query, QueryBatch, TopKResult, as_keyword_array
 from repro.errors import QueryError
+from repro.stream import StreamConfig
 
 # One raw query = a list of items; items may be empty, unsorted and repeat keywords.
 raw_queries = st.lists(
     st.lists(st.lists(st.integers(0, 40), max_size=5), max_size=4), min_size=0, max_size=7
 )
+
+
+# Raw objects: ragged, possibly empty, unsorted, with repeats; a few huge keywords.
+raw_objects = st.lists(
+    st.lists(st.one_of(st.integers(0, 40), st.sampled_from([2**40, 2**63 - 1])), max_size=6),
+    max_size=9,
+)
+
+
+def per_object_unique(objects) -> list:
+    """The parent's canonicalization, written out: one ``np.unique`` per object."""
+    return [np.unique(as_keyword_array(obj)).tolist() for obj in objects]
+
+
+def rows(corpus) -> list:
+    return [row.tolist() for row in corpus.keyword_arrays]
 
 
 def as_lists(queries) -> list:
@@ -55,6 +74,36 @@ class TestKeywordArray:
         arr = np.array([3, 1, 2], dtype=np.int64)
         assert np.shares_memory(as_keyword_array(arr), arr)
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [("12", "'1'"), (["12"], "'12'"), ([b"7"], "b'7'"), ([1 + 2j], "(1+2j)"), ([None], "None"),
+         (np.asarray(["2020-01-01"], dtype="datetime64[D]"), "2020")],
+        ids=["string", "list_of_strings", "bytes", "complex", "none", "dates"],
+    )
+    def test_rejects_what_numpy_would_cast(self, bad, named):
+        # ``"12"`` used to be iterated into the keywords 1 and 2.
+        for build in (lambda: as_keyword_array(bad), lambda: Corpus([bad]), lambda: Query(items=[bad])):
+            with pytest.raises(QueryError, match="must be integers") as error:
+                build()
+            assert named in str(error.value)
+
+    @pytest.mark.parametrize("bad", [7, 7.0, None], ids=["int", "float", "none"])
+    def test_rejects_non_iterable_objects(self, bad):
+        for build in (lambda: as_keyword_array(bad), lambda: Corpus([[1], bad]), lambda: Query(items=[bad])):
+            with pytest.raises(QueryError, match=f"iterable of integers; got {bad!r}"):
+                build()
+        with pytest.raises(QueryError, match="iterable of integers"):
+            Corpus([[1, 2], [[3], [4, 5]]])  # ragged nesting inside one object
+
+    def test_every_integer_like_input_still_passes(self):
+        top = 2**63 - 1
+        assert as_keyword_array([True, False]).tolist() == [1, 0]
+        assert as_keyword_array([top]).tolist() == [top]
+        assert as_keyword_array(np.asarray([top], dtype=np.uint64)).tolist() == [top]
+        for dtype in (np.int8, np.int16, np.int32, np.uint16, np.uint32, np.float32, np.float64):
+            assert as_keyword_array(np.asarray([3, 4], dtype=dtype)).tolist() == [3, 4]
+        assert rows(Corpus([[5, 2.0], (4,), range(2), np.asarray([9], dtype=np.uint8)])) == [[2, 5], [4], [0, 1], [9]]
+
 
 class TestCorpus:
     def test_dedupes_and_sorts_object_keywords(self):
@@ -88,6 +137,194 @@ class TestCorpus:
     def test_iteration(self):
         corpus = Corpus([[1], [2]])
         assert [arr.tolist() for arr in corpus] == [[1], [2]]
+
+    @settings(max_examples=120, deadline=None)
+    @given(raw_objects)
+    def test_equals_one_unique_per_object(self, objects):
+        expected = per_object_unique(objects)
+        for corpus in (Corpus(objects), Corpus([np.asarray(obj, dtype=np.int64) for obj in objects])):
+            assert rows(corpus) == expected
+            assert [corpus[i].tolist() for i in range(len(corpus))] == expected
+            assert len(corpus) == len(objects)
+            assert corpus.offsets.tolist() == np.cumsum([0] + [len(row) for row in expected]).tolist()
+            assert corpus.keywords.dtype == np.int64 and corpus.keywords.size == corpus.total_entries
+            assert corpus.max_keyword == max((kw for row in expected for kw in row), default=-1)
+            assert corpus.max_object_size() == max((len(row) for row in expected), default=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3), max_size=6), st.booleans())
+    def test_a_matrix_is_its_rows(self, matrix, ascending):
+        matrix = np.asarray(matrix, dtype=np.int64).reshape(-1, 3)
+        if ascending:  # the LSH / relational shape: every row already canonical
+            matrix = matrix + np.arange(3) * 10
+        assert rows(Corpus(matrix)) == per_object_unique(matrix)
+        assert rows(Corpus(matrix)) == rows(Corpus(list(matrix)))
+        assert len(Corpus(np.empty((0, 3), dtype=np.int64))) == 0
+        assert rows(Corpus(np.empty((2, 0), dtype=np.int64))) == [[], []]
+
+    def test_huge_keyword_domain_takes_the_lexsort_fallback(self, monkeypatch):
+        top = 2**63 - 1
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        assert rows(Corpus([[5, 1, 5], [3, 2]])) == [[1, 5], [2, 3]] and not calls  # fused keys fit
+        assert rows(Corpus([[top, 0, top], [4, top, 4, 1]])) == [[0, top], [1, 4, top]] and calls
+        assert rows(Corpus([[top, 0, top]])) == [[0, top]] and len(calls) == 1  # one segment: 0 + 63 bits
+
+    def test_mixed_dtypes_do_not_round_through_float64(self):
+        big = 2**53 + 1  # float64 cannot hold it; numpy would promote int64 beside float64
+        assert rows(Corpus([[big], [2.0, 1.0], []])) == [[big], [1, 2], []]
+        with pytest.raises(QueryError, match="got 1.5"):
+            Corpus([[big], [1.5]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(raw_objects, st.randoms(use_true_random=False))
+    def test_take_and_concat_laws(self, objects, rnd):
+        corpus = Corpus(objects)
+        order = list(range(len(corpus)))
+        rnd.shuffle(order)
+        cuts = sorted(rnd.randint(0, len(order)) for _ in range(2))
+        partition = [order[: cuts[0]], order[cuts[0] : cuts[1]], order[cuts[1] :]]
+        glued = Corpus.concat([corpus.take(part) for part in partition])
+        assert rows(glued) == [rows(corpus)[i] for i in order]
+        back = glued.take(np.argsort(order))  # undo the permutation
+        assert np.array_equal(back.keywords, corpus.keywords)
+        assert np.array_equal(back.offsets, corpus.offsets)
+        assert rows(Corpus.from_rows(corpus.keyword_arrays)) == rows(corpus)
+        repeated = corpus.take(order + order)  # ids may repeat
+        assert rows(repeated) == [rows(corpus)[i] for i in order + order]
+
+    def test_take_shares_a_range_and_copies_a_permutation(self):
+        corpus = Corpus([[i, i + 1] for i in range(6)] + [[]])
+        middle = corpus.take(np.arange(2, 5))
+        assert rows(middle) == rows(corpus)[2:5] and middle.offsets[0] == 0
+        assert np.shares_memory(middle.keywords, corpus.keywords)
+        shuffled = corpus.take([4, 2, 3])
+        assert rows(shuffled) == [rows(corpus)[i] for i in (4, 2, 3)]
+        assert not np.shares_memory(shuffled.keywords, corpus.keywords)
+        assert len(corpus.take([])) == 0 and corpus.take([]).total_entries == 0
+        assert rows(corpus.take([6])) == [[]]
+        assert len(Corpus.concat([])) == 0 and rows(Corpus.concat([corpus])) == rows(corpus)
+
+    def test_caller_arrays_are_never_aliased_and_views_are_read_only(self):
+        ascending = np.asarray([[1, 2], [3, 4]], dtype=np.int64)  # canonical already: nothing moves
+        ragged = [np.asarray([1, 2], dtype=np.int64), np.asarray([3, 4], dtype=np.int64)]
+        for raw, corpus in ((ascending, Corpus(ascending)), (ragged[0], Corpus(ragged)), (ragged[0], Corpus(ragged[:1]))):
+            assert not np.shares_memory(corpus.keywords, raw)
+            raw[0] = 99
+            assert rows(corpus)[0] == [1, 2]
+        corpus = Corpus(ascending[:, :1])
+        for view in (corpus[0], corpus.keyword_arrays[1], next(iter(corpus)), corpus.take([0, 1])[1], corpus.keywords):
+            assert np.shares_memory(view, corpus.keywords)
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 7
+        assert corpus.keyword_arrays is corpus.keyword_arrays  # built once, on first use
+        with pytest.raises(IndexError):
+            corpus[2]
+        assert corpus[-1].tolist() == rows(corpus)[-1]
+
+    def test_keyword_table_is_distinct_keywords_and_posting_counts(self):
+        keywords, counts = Corpus([[4, 1], [1, 1, 9], [], [4, 1]]).keyword_table
+        assert keywords.tolist() == [1, 4, 9] and counts.tolist() == [3.0, 2.0, 1.0]
+        assert counts.dtype == np.float64
+        empty = Corpus([[]]).keyword_table
+        assert empty[0].size == empty[1].size == 0
+
+    def test_by_global_id_later_sources_win_and_unnamed_ids_stay_empty(self):
+        base, delta = Corpus([[1], [2], [3]]), Corpus([[7, 8]])
+        merged = Corpus.by_global_id(
+            [(base, np.asarray([0, 1, 2])), (None, np.asarray([1, 2])), (delta, np.asarray([2]))], 5
+        )
+        assert rows(merged) == [[1], [], [7, 8], [], []]
+        assert rows(Corpus.by_global_id([], 2)) == [[], []] and len(Corpus.by_global_id([], 0)) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_objects, st.sampled_from(["range", "hash"]), st.integers(1, 5), st.integers(0, 3))
+    def test_shard_plan_reassembles_row_for_row(self, objects, strategy, n_shards, seed):
+        corpus = Corpus(objects)
+        plan = ShardPlan.build(corpus, n_shards, strategy, seed)
+        rebuilt = plan.reassemble()
+        assert np.array_equal(rebuilt.keywords, corpus.keywords)
+        assert np.array_equal(rebuilt.offsets, corpus.offsets)
+        for shard in plan.shards:
+            assert rows(shard.corpus) == [rows(corpus)[g] for g in shard.global_ids.tolist()]
+
+
+    @pytest.mark.parametrize(
+        "layout",
+        [dict(shards=3, shard_strategy="range"), dict(shards=3, shard_strategy="hash", shard_seed=5),
+         dict(part_size=4), dict()],
+        ids=["range", "hash", "part_size", "one_part"],
+    )
+    def test_full_corpus_is_the_logical_corpus_row_for_row(self, layout):
+        rng = np.random.default_rng(11)
+        objects = [rng.integers(0, 30, size=rng.integers(0, 6)).tolist() for _ in range(14)]
+        session = GenieSession()
+        handle = session.create_index(
+            objects, model="raw", name="x", stream_config=StreamConfig(seal_objects=3, auto_compact=False), **layout
+        )
+        shadow = dict(enumerate(objects))
+        handle.delete([2, 9])  # tombstones
+        shadow[2] = shadow[9] = []
+        handle.update(5, [7, 7, 1])  # an updated base object: tombstone + delta under the same id
+        shadow[5] = [7, 7, 1]
+        inserted = handle.insert([[40, 3], [], [41], [42, 1], [43]]).tolist()  # seals one segment
+        shadow.update(zip(inserted, [[40, 3], [], [41], [42, 1], [43]]))
+        handle.delete([inserted[0], inserted[3]])  # deleted delta inserts: dead slots
+        shadow[inserted[0]] = shadow[inserted[3]] = []
+        handle.update(inserted[2], [44, 2])  # a delta object edited in place
+        shadow[inserted[2]] = [44, 2]
+        expected = per_object_unique(shadow[gid] for gid in range(len(shadow)))
+
+        state = handle._stream_state()
+        assert rows(state.full_corpus()) == expected
+        handle.search([[7, 1, 44]], k=3)  # builds the delta parts: same rows again
+        assert rows(state.full_corpus()) == expected
+        assert handle.compact()
+        if handle.plan is not None:
+            assert rows(handle.plan.reassemble()) == expected
+        assert [row for part in handle._parts for row in rows(part.corpus)] == (
+            expected if handle.plan is None else [expected[g] for part in handle._parts for g in part.global_ids]
+        )
+        assert [pair[0] for pair in handle.search([[44, 2]], k=1).results[0].as_pairs()] == [inserted[2]]
+        session.close()
+
+    @pytest.mark.parametrize("strategy", ["range", "hash"])
+    def test_every_object_is_canonicalized_once(self, strategy, monkeypatch):
+        """Rows are sorted where they enter and moved after that: counted, not estimated."""
+        canonicalized = []
+        init = Corpus.__init__
+
+        def counting_init(self, objects):
+            init(self, objects)
+            canonicalized.append(len(self))
+
+        monkeypatch.setattr(Corpus, "__init__", counting_init)
+        rng = np.random.default_rng(3)
+        objects = [rng.integers(0, 50, size=6).tolist() for _ in range(200)]
+        session = GenieSession()
+        handle = session.create_index(
+            objects, model="raw", name="x", shards=4, shard_strategy=strategy,
+            stream_config=StreamConfig(seal_objects=64, auto_compact=False),
+        )
+        assert sum(canonicalized) == len(objects)  # the parent: twice, encode then shard re-wrap
+
+        del canonicalized[:]
+        assert handle.rebalance([4.0, 1.0, 1.0, 1.0]) == (strategy == "range")
+        assert canonicalized == []  # a recut only moves rows
+        for step in range(10):
+            handle.insert([rng.integers(0, 50, size=6).tolist() for _ in range(8)])
+            handle.search([[1, 2, 3]], k=3)
+        handle.update(3, [1, 2])
+        handle.delete([0, 1, 205])
+        handle.search([[1, 2, 3]], k=3)
+        handle.explain([[1, 2, 3]], k=3)
+        assert sum(canonicalized) == 10 * 8 + 1  # O(inserted), not O(segment) per search
+
+        del canonicalized[:]
+        assert handle.compact()
+        assert canonicalized == []  # so does compaction (the parent: every slot, twice)
+        session.close()
 
 
 class TestQuery:

@@ -1,7 +1,11 @@
 """Tests for the MinHash (Jaccard) and SimHash (angular) families."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lsh.minhash import MinHash, jaccard
 from repro.lsh.simhash import SimHash, angular_similarity
@@ -39,6 +43,42 @@ class TestMinHash:
     def test_empty_set_sentinel(self):
         family = MinHash(4, seed=0)
         assert (family.hash_set([]) == -1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2**40), max_size=8), max_size=8), st.integers(1, 5))
+    def test_batch_signatures_equal_hash_set_per_set(self, sets, num_functions):
+        # Empty sets, duplicates and unsorted input included: hash_set is the specification.
+        family = MinHash(num_functions, seed=2)
+        batch = family.hash_points(sets)
+        assert batch.shape == (len(sets), num_functions) and batch.dtype == np.int64
+        for signature, elements in zip(batch, sets):
+            assert np.array_equal(signature, family.hash_set(elements))
+        as_arrays = family.hash_points([np.asarray(elements, dtype=np.int64) for elements in sets])
+        assert np.array_equal(as_arrays, batch)
+
+    def test_batch_signatures_golden_digest(self):
+        # Recorded from the per-set loop this batch pass replaced.
+        rng = np.random.default_rng(7)
+        sets = [rng.integers(0, 10_000, size=int(size)).tolist() for size in rng.integers(0, 40, size=64)]
+        sets[5] = []
+        signatures = MinHash(24, seed=9).hash_points(sets)
+        assert (signatures[5] == -1).all()
+        digest = hashlib.sha256(np.ascontiguousarray(signatures).tobytes()).hexdigest()
+        assert digest == "1c244ac8ba4c30e94ed9c8a703de7bfdf4833ec8aa24032c62d1543a680c50a9"
+
+    def test_batch_pass_hashes_all_sets_in_one_murmur_call(self, monkeypatch):
+        import repro.lsh.minhash as module
+
+        calls = []
+        murmur = module.murmur3_int64
+        monkeypatch.setattr(module, "murmur3_int64", lambda keys: calls.append(keys.size) or murmur(keys))
+        sets = [[1, 2, 2], [], [3], [9, 1]]
+        family = MinHash(4, seed=0)
+        whole = family.hash_points(sets)
+        assert calls == [5]  # the distinct elements of every set, once
+        monkeypatch.setattr(module, "_TABLE_CELLS", 7)  # one function per block of the table
+        assert np.array_equal(family.hash_points(sets), whole)
+        assert np.array_equal(whole, np.vstack([family.hash_set(elements) for elements in sets]))
 
 
 class TestAngularSimilarity:

@@ -115,6 +115,45 @@ class TestDelete:
             handle.delete([0])
         session.close()
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(1.5, "1.5"), ("3", "'3'"), (2**63, str(2**63)), (float("nan"), "nan"), (None, "None"), (2**70, str(2**70))],
+        ids=["fractional", "string", "2_63", "nan", "none", "python_int"],
+    )
+    def test_ids_are_validated_not_cast(self, bad, named):
+        # 1.5 used to tombstone object 1, "3" object 3; 2**63 and nan raised raw errors.
+        session = GenieSession()
+        handle = make(session)
+        (inserted,) = handle.insert([[42]])
+        epoch = handle.mutation_epoch
+        for ids in (bad, [bad], [0, bad], [inserted, bad]):
+            with pytest.raises(QueryError, match="object ids must be integers") as error:
+                handle.delete(ids)
+            # Beside other numbers numpy may spell the value differently (2**63 as a float).
+            assert named in str(error.value) or isinstance(ids, list) and len(ids) == 2
+        with pytest.raises(QueryError, match="object ids must be integers") as error:
+            handle.update(bad, [7])
+        assert named in str(error.value)
+        assert handle.mutation_epoch == epoch and not handle.manifest.tombstones  # nothing applied
+        assert handle.manifest.delta_objects == 1
+        assert handle.search([[1]], k=3).results[0].ids.size == 2
+        session.close()
+
+    def test_every_integer_spelling_of_an_id_still_works(self):
+        session = GenieSession()
+        handle = make(session)
+        handle.delete([2.0])
+        handle.delete(np.asarray([3], dtype=np.uint8))
+        handle.delete(np.int32(4))
+        handle.delete(5)
+        handle.delete([True])
+        handle.update(0.0, [9])
+        assert handle.manifest.tombstones == {0, 1, 2, 3, 4, 5}
+        assert np.array_equal(handle.search([[9]], k=2).results[0].ids, [0])
+        with pytest.raises(QueryError, match="non-negative integers; got -1"):
+            handle.delete([5, -1])
+        session.close()
+
 
 class TestUpdate:
     def test_base_update_keeps_the_id(self):
@@ -217,6 +256,22 @@ class TestEpochsAndInvalidation:
         assert handle.manifest is None
         assert handle.mutation_epoch == 0
         assert handle.search([[70]], k=2).results[0].ids.size == 0
+        session.close()
+
+    def test_a_new_segment_never_inherits_an_emptied_segments_scan_index(self):
+        # The per-segment cache is keyed by id(segment): a segment emptied by a
+        # delete was freed, the next insert's segment could reuse its address and
+        # reach the same version — and was served the dead one's index (whether
+        # the address is reused is the allocator's choice: about every other
+        # process before the cache entry held its segment).
+        session = GenieSession()
+        handle = make(session)
+        found = []
+        for keyword in range(100, 148):
+            (gid,) = handle.insert([[keyword]])
+            found.append((gid, handle.search([[keyword]], k=2).results[0].ids.tolist()))
+            handle.delete([gid])  # no search before the next insert: nothing prunes the cache
+        assert found == [(gid, [gid]) for gid, _ in found]
         session.close()
 
     def test_mutated_index_evicts_delta_parts(self):

@@ -148,6 +148,62 @@ def test_only_the_doors_and_the_specification_construct_queries():
     assert not offenders, "Query built outside the doors:\n" + "\n".join(offenders)
 
 
+def _corpus_rewraps(path: Path):
+    """``(lineno, what)`` for every ``Corpus(...)`` built from rows a corpus already holds."""
+    for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", "")) == "Corpus"):
+            continue
+        for argument in [*call.args, *(keyword.value for keyword in call.keywords)]:
+            for node in ast.walk(argument):
+                if isinstance(node, ast.Attribute) and node.attr == "keyword_arrays":
+                    yield call.lineno, "Corpus(... .keyword_arrays ...)"
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "keywords":
+                    yield call.lineno, "Corpus(... segment.keywords() ...)"
+                elif isinstance(node, ast.comprehension):
+                    names = {getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(node.iter)}
+                    if any(name.endswith(("corpus", "corpora", "slots")) for name in names):
+                        yield call.lineno, "Corpus(comprehension over corpus rows)"
+
+
+def test_canonical_rows_are_moved_not_rewrapped():
+    """One ragged container: rows are canonicalized where they enter, then moved.
+
+    Production layers slice, gather and glue corpora with ``take`` /
+    ``concat`` / ``from_rows`` / ``by_global_id``; a ``Corpus(...)`` over
+    rows another corpus handed out sorts them again, and a loop over
+    ``.keyword_arrays`` in the build path is a python object per object.
+    """
+    root = Path(repro.__file__).parent
+    allowed_files = {Path("core/types.py"), Path("core/reference.py"), Path("core/match_count.py")}
+    allowed_packages = ("baselines", "experiments")
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative in allowed_files or relative.parts[0] in allowed_packages:
+            continue
+        offenders += [f"{relative}:{lineno}: {what}" for lineno, what in _corpus_rewraps(path)]
+    for relative in ("core/posting.py", "cluster/plan.py", "stream/state.py", "api/session.py"):
+        tree = ast.parse((root / relative).read_text())
+        offenders += [
+            f"{relative}:{node.lineno}: reads .keyword_arrays"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "keyword_arrays"
+        ]
+    assert not offenders, "re-derived corpus rows:\n" + "\n".join(offenders)
+
+
+def test_both_containers_canonicalize_through_the_one_routine():
+    """``np.unique`` per object was 0.13 s of a 0.15 s fit; a second segmented sort is a fork."""
+    tree = ast.parse((Path(repro.__file__).parent / "core" / "types.py").read_text())
+    for container in ("Corpus", "QueryBatch"):
+        (cls,) = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == container]
+        (init,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+        called = {getattr(node.func, "attr", getattr(node.func, "id", ""))
+                  for node in ast.walk(init) if isinstance(node, ast.Call)}
+        assert "canonical_segments" in called, container
+        assert not called & {"unique", "sort", "lexsort", "argsort"}, container
+
+
 def test_importing_the_package_does_not_import_scipy():
     """``scipy.stats`` was 0.9 s of a 1.1 s import; it loads where it is used."""
     import os
