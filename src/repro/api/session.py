@@ -38,7 +38,7 @@ from repro.api.models import MatchModel, resolve_model, resolve_shortlist_k
 from repro.cluster.plan import Placement, ShardPlan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex
-from repro.core.types import ID_DTYPE, Corpus, Query, QueryBatch, TopKResult
+from repro.core.types import Corpus, Query, QueryBatch, TopKBatch, TopKResult
 from repro.errors import ConfigError, GpuOutOfMemoryError, QueryError
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
@@ -982,8 +982,10 @@ class IndexHandle:
         changing any answer, which the equivalence tests pin.
 
         Returns ``True`` if the partition changed. No-ops (``False``)
-        for unsharded, hash-partitioned or streaming handles, degenerate
-        weights, and cuts identical to the current bounds.
+        for unsharded or hash-partitioned handles, while mutations are
+        live (``compact()`` first — a compacted index recuts like a
+        freshly fitted one), for degenerate weights, and for cuts
+        identical to the current bounds.
 
         Raises:
             ConfigError: Called on an unfitted sharded handle.
@@ -996,7 +998,7 @@ class IndexHandle:
             raise ConfigError(f"cannot rebalance unfitted index {self.name!r}")
         if placement.strategy != "range" or placement.shards < 2:
             return False
-        if self._stream is not None:
+        if self._stream is not None and self._stream.dirty:
             # Live mutations would have to be re-routed mid-flight;
             # compaction folds them into the base first.
             return False
@@ -1349,7 +1351,7 @@ class IndexHandle:
                     compiled, self, active_queries, batch_size, profile, trace=span
                 )
             else:
-                merged = []
+                merged = TopKBatch.empty(0)
         finally:
             self.session._event_sinks.remove(events)
             self.session._failover_sinks.remove(failovers)
@@ -1367,7 +1369,8 @@ class IndexHandle:
                     attempt=ev.attempt,
                     permanent=ev.permanent,
                 )
-        results = self._scatter(merged, compiled.active, len(queries))
+        # The door: the one place a search's answers become per-query objects.
+        results = list(self._scatter(merged, compiled.active, len(queries)))
 
         payload = None
         finalize = getattr(self.model, "finalize", None)
@@ -1453,13 +1456,8 @@ class IndexHandle:
         ))
 
     @staticmethod
-    def _scatter(merged: list[TopKResult], active: list[int], total: int) -> list[TopKResult]:
+    def _scatter(merged: TopKBatch, active: list[int], total: int) -> TopKBatch:
+        """``merged`` back at the active queries' positions; elided queries answer nothing."""
         if len(active) == total:
             return merged
-        results = [
-            TopKResult(ids=np.empty(0, dtype=ID_DTYPE), counts=np.empty(0, dtype=ID_DTYPE))
-            for _ in range(total)
-        ]
-        for i, result in zip(active, merged):
-            results[i] = result
-        return results
+        return TopKBatch.empty(total).replace(active, merged)

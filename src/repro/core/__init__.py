@@ -22,13 +22,14 @@ from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import brute_force_topk, match_count, match_counts_all
 from repro.core.spq_select import spq_topk
-from repro.core.types import Corpus, Query, QueryBatch, TopKResult
+from repro.core.types import Corpus, Query, QueryBatch, TopKBatch, TopKResult
 from repro.core.zipper import Gate
 
 __all__ = [
     "Corpus",
     "Query",
     "QueryBatch",
+    "TopKBatch",
     "TopKResult",
     "GenieEngine",
     "GenieConfig",

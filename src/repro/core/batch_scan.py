@@ -26,7 +26,7 @@ infrastructure; this module is the host-side realization of that idea. The
    batch's ``count_hist`` for the launch's atomic-conflict estimate,
 4. with ``select=True`` the only sparse extraction is the cells at or above
    each row's threshold, and one segmented sort over them yields every
-   row's top-k.
+   row's top-k as one :class:`~repro.core.types.TopKBatch`.
 
 :class:`BatchScanPlan` carries what the engine and the launch builders of
 :mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. On
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.inverted_index import InvertedIndex
-from repro.core.types import ID_DTYPE, QueryBatch, TopKResult, ragged_slices
+from repro.core.types import ID_DTYPE, QueryBatch, TopKBatch, csr_offsets, ragged_slices
 
 #: Count-matrix cells per tile — the pipeline's cache budget: 512k int32
 #: cells = 2 MB, so a tile's count rows stay resident while the candidate
@@ -70,7 +70,10 @@ class BatchScanPlan:
         count_hist: Histogram of the batch's final counters: entry ``v`` is
             the number of ``(query, object)`` counters that ended at count
             ``v >= 1`` (entry 0 is 0; the last entry is the largest count).
-        results: Per-query top-k under ``select=True``, else ``None``.
+        results: Every query's top-k as one batch (``results[i]`` is query
+            ``i``'s :class:`~repro.core.types.TopKResult` view; the arrays
+            hold the answer entries only, at most ``n_queries * k``) under
+            ``select=True``, else ``None``.
         counts: Dense ``(n_queries, n_objects)`` match counts under
             ``select=False`` (GEN-SPQ), else ``None``.
     """
@@ -80,7 +83,7 @@ class BatchScanPlan:
     updates: np.ndarray
     gate_passes: np.ndarray
     count_hist: np.ndarray
-    results: list[TopKResult] | None = None
+    results: TopKBatch | None = None
     counts: np.ndarray | None = None
 
 
@@ -207,7 +210,7 @@ def _tiled_sweep(
     # Per tile: the count values that occur, and how many counters ended on each.
     hist_values = [np.empty(0, dtype=np.int64)]  # so an empty batch still concatenates
     hist_counters = [np.empty(0, dtype=np.int64)]
-    results: list[TopKResult] | None = [None] * n_queries if select else None  # type: ignore[list-item]
+    tile_results: list[TopKBatch] = []
 
     rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
     # GEN-SPQ keeps every row; the c-PQ path recounts into one tile buffer
@@ -251,7 +254,7 @@ def _tiled_sweep(
             else:
                 keys = np.flatnonzero(tile >= level.astype(tile.dtype)[:, None])
                 vals = tile.reshape(-1)[keys]
-            results[lo:hi] = _select_rows(keys, vals, kth, kk, n_objects)  # type: ignore[index]
+            tile_results.append(_select_rows(keys, vals, kth, kk, n_objects))
 
     return BatchScanPlan(
         n_queries=n_queries,
@@ -261,7 +264,7 @@ def _tiled_sweep(
         count_hist=np.bincount(
             np.concatenate(hist_values), weights=np.concatenate(hist_counters)
         ).astype(np.int64),
-        results=results,
+        results=TopKBatch.concat(tile_results) if select else None,
         counts=counts,
     )
 
@@ -357,7 +360,7 @@ def _row_statistics(
 
 def _select_rows(
     keys: np.ndarray, vals: np.ndarray, kth: np.ndarray, kk: int, n_objects: int
-) -> list[TopKResult]:
+) -> TopKBatch:
     """Every row's top-k from the tile's threshold-filtered candidates.
 
     ``keys`` / ``vals`` hold, in ascending flat-key (row, then id) order,
@@ -371,9 +374,8 @@ def _select_rows(
     order = np.lexsort((-vals, rows))  # rows are already ascending, so they stay in place
     ids, vals = ids[order], vals[order]
     first = np.searchsorted(rows, np.arange(kth.size + 1))
-    last = np.minimum(first[1:], first[:-1] + kk)
-    # Copies: a kept result must not pin the tile's candidate arrays.
-    return [
-        TopKResult(ids=ids[a:b].copy(), counts=vals[a:b].copy(), threshold=threshold)
-        for a, b, threshold in zip(first.tolist(), last.tolist(), kth.tolist())
-    ]
+    sizes = np.minimum(first[1:] - first[:-1], kk)
+    # A gather of the answer entries alone: a kept result view must not pin
+    # the tile's candidate arrays.
+    top = ragged_slices(first[:-1], sizes)
+    return TopKBatch(ids[top], vals[top], csr_offsets(sizes), kth)

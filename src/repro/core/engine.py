@@ -40,7 +40,7 @@ from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.scan_kernel import build_match_launch, build_select_launch
 from repro.core.spq_select import spq_topk
-from repro.core.types import Corpus, Query, QueryBatch, TopKResult
+from repro.core.types import Corpus, Query, QueryBatch, TopKBatch
 from repro.errors import ConfigError, QueryError
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
@@ -194,11 +194,15 @@ class GenieEngine:
     # ------------------------------------------------------------------
     # querying
 
-    def query(self, queries: QueryBatch | list[Query], k: int | None = None) -> list[TopKResult]:
+    def query(self, queries: QueryBatch | list[Query], k: int | None = None) -> TopKBatch:
         """Run a batch of queries; returns one :class:`TopKResult` per query.
 
         ``queries`` is a :class:`~repro.core.types.QueryBatch`; a list of
-        :class:`~repro.core.types.Query` objects is converted on entry.
+        :class:`~repro.core.types.Query` objects is converted on entry. The
+        answer is one :class:`~repro.core.types.TopKBatch` — a read-only
+        sequence that indexes, iterates and ``len`` s like a list of
+        :class:`~repro.core.types.TopKResult` (each a view of the batch's
+        flat ``ids`` / ``counts``).
 
         Raises:
             QueryError: If the engine is unfitted or the batch is empty.
@@ -231,7 +235,7 @@ class GenieEngine:
         self.last_profile.merge(timings_delta(host_before, self.host.timings))
         return results
 
-    def _run_batch(self, queries: QueryBatch, k: int, count_bound: int) -> list[TopKResult]:
+    def _run_batch(self, queries: QueryBatch, k: int, count_bound: int) -> TopKBatch:
         query_bytes = queries.keywords.size * 4
         self.device.charge_seconds(query_bytes / self.device.spec.pcie_bandwidth, stage="query_transfer")
 
@@ -264,6 +268,7 @@ class GenieEngine:
                     stage="select",
                 )
                 results.append(result)
+            results = TopKBatch.from_results(results)
 
         result_bytes = len(queries) * k * _RESULT_ENTRY_BYTES
         self.device.charge_seconds(result_bytes / self.device.spec.pcie_bandwidth, stage="select")
@@ -271,7 +276,7 @@ class GenieEngine:
 
     def query_batched(
         self, queries: QueryBatch | list[Query], k: int | None = None, batch_size: int | None = None
-    ) -> list[TopKResult]:
+    ) -> TopKBatch:
         """Run an oversized workload as a sequence of device-sized batches.
 
         This is the paper's Fig.-11 protocol: GENIE answers tens of
@@ -298,13 +303,13 @@ class GenieEngine:
         if batch_size is None:
             bound = self._count_bound(queries)
             batch_size = max(1, min(len(queries), self.max_batch_size(bound, k)))
-        results: list[TopKResult] = []
+        results: list[TopKBatch] = []
         profile = StageTimings()
         try:
             for start in range(0, len(queries), batch_size):
                 stop = min(start + batch_size, len(queries))
-                results.extend(self.query(queries.take(np.arange(start, stop)), k=k))
+                results.append(self.query(queries.take(np.arange(start, stop)), k=k))
                 profile.merge(self.last_profile)
         finally:
             self.last_profile = profile
-        return results
+        return TopKBatch.concat(results)

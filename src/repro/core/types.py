@@ -1,4 +1,4 @@
-"""Core data model: keywords, objects, corpora, query batches and results.
+"""Core data model: keywords, objects, corpora, query batches and result batches.
 
 GENIE's match-count model (Section II-A of the paper) is defined over a
 universe of *elements*; this implementation encodes every element as a
@@ -14,30 +14,36 @@ list of *items*, each item being the set of keywords it matches (a range
 item on a relational table expands to many keywords; an LSH item is a single
 keyword).
 
-One ragged container, two roles. Objects and query items are the same thing
-— sets of keywords (Definition 2.1) — and are stored the same way: one flat,
-owned, read-only ``keywords`` array plus CSR offsets, validated by
+One ragged container, three roles. Objects and query items are the same
+thing — sets of keywords (Definition 2.1) — and are stored the same way: one
+flat, owned, read-only ``keywords`` array plus CSR offsets, validated by
 :func:`as_keyword_array` and made ascending and distinct per set by
 :func:`canonical_segments`, once, where the data enters. :class:`Corpus` is
 that container for the build side (``offsets`` delimit objects);
 :class:`QueryBatch` is it for the search side, with the one thing only a
 query has — *items*, so two offset levels (``item_offsets`` delimit the sets,
-``query_offsets`` group them into queries). Both slice by ``take`` (a
-contiguous range shares storage), glue by ``concat`` and hand out read-only
-per-row views (``corpus[i]``, ``batch[i]``); every layer behind the public
-doors moves rows with those instead of re-deriving them.
+``query_offsets`` group them into queries). :class:`TopKBatch` is it for the
+answers: flat ``ids`` and ``counts`` whose ``offsets`` delimit each query's
+ranked candidates, plus one Theorem-3.1 threshold per query. All three slice
+by ``take`` (a contiguous range shares storage), glue by ``concat`` and hand
+out read-only per-row views (``corpus[i]``, ``batch[i]``); every layer behind
+the public doors moves rows with those instead of re-deriving them.
 
 The unit of work is the *batch*: a :class:`QueryBatch` is the format the
 paper's device receives in its "query transfer" stage, what the encoders
 build straight from their keyword matrices and what the scan, the planner
-and the caches read. :class:`Query` is the per-query view of it: what users,
-model hooks, the specification (:mod:`repro.core.reference`) and the
-baselines handle, converted once at the public doors by
-:meth:`QueryBatch.from_queries`.
+and the caches read; a :class:`TopKBatch` is what the selection step hands
+back for the whole batch and what scan sources, the tombstone strike and the
+host merge pass on. :class:`Query` and :class:`TopKResult` are the per-query
+views of them: what users, model hooks, the specification
+(:mod:`repro.core.reference`) and the baselines handle, converted at the
+public doors — once on the way in by :meth:`QueryBatch.from_queries`, once
+per answered query on the way out by iterating the final batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -211,9 +217,9 @@ class Corpus:
     :func:`as_keyword_array`'s rules, every object's keywords are ascending
     and distinct (:func:`canonical_segments`), and the storage is owned and
     read-only — caller arrays are never aliased, and the per-object views
-    handed out cannot write through. :meth:`take`, :meth:`concat`,
-    :meth:`from_rows` and :meth:`by_global_id` move canonical rows between
-    corpora without looking at them again.
+    handed out cannot write through. :meth:`take`, :meth:`concat` and
+    :meth:`by_global_id` move canonical rows between corpora without
+    looking at them again.
 
     Args:
         objects: One iterable of keywords per object, or an ``(n, m)`` keyword
@@ -257,12 +263,6 @@ class Corpus:
         corpus = object.__new__(cls)
         corpus._set(keywords, offsets)
         return corpus
-
-    @classmethod
-    def from_rows(cls, rows) -> "Corpus":
-        """A corpus of rows other corpora handed out (canonical already), copied."""
-        rows = list(rows)
-        return cls._of(_joined(rows), csr_offsets([row.size for row in rows]))
 
     @classmethod
     def concat(cls, corpora) -> "Corpus":
@@ -587,3 +587,96 @@ class TopKResult:
     def as_pairs(self) -> list[tuple[int, int]]:
         """``(object_id, count)`` pairs in rank order."""
         return [(int(i), int(c)) for i, c in zip(self.ids, self.counts)]
+
+
+class TopKBatch(Sequence):
+    """Ranked candidates of a batch of queries in CSR form: the search path's output.
+
+    A read-only sequence of :class:`TopKResult` views (``batch[i]``,
+    iteration, ``len``) over flat arrays; what the selection step returns,
+    what every scan source hands the merge and what the merge returns.
+
+    Attributes:
+        ids: Every query's object ids, concatenated in query order (int64).
+        counts: Match counts aligned with ``ids`` (int64).
+        offsets: Query ``i`` owns entries ``offsets[i]:offsets[i + 1]``,
+            ranked count-desc / id-asc.
+        thresholds: ``(n,)`` Theorem-3.1 thresholds (``AT - 1``).
+    """
+
+    def __init__(self, ids: np.ndarray, counts: np.ndarray, offsets: np.ndarray, thresholds: np.ndarray):
+        ids = np.asarray(ids, dtype=ID_DTYPE)
+        counts = np.asarray(counts, dtype=ID_DTYPE)
+        if ids.shape != counts.shape or offsets.size != thresholds.size + 1:
+            raise ConfigError("ids and counts must align, one threshold per segment")
+        ids.flags.writeable = False
+        counts.flags.writeable = False
+        self.ids = ids
+        self.counts = counts
+        self.offsets = offsets
+        self.thresholds = thresholds
+
+    @classmethod
+    def empty(cls, n: int) -> "TopKBatch":
+        """``n`` queries without a candidate (what an unrouted source holds)."""
+        nothing = np.empty(0, dtype=ID_DTYPE)
+        return cls(nothing, nothing, np.zeros(n + 1, dtype=ID_DTYPE), np.zeros(n, dtype=ID_DTYPE))
+
+    @classmethod
+    def from_results(cls, results) -> "TopKBatch":
+        """The batch of per-query results (``list(batch)`` is the way back)."""
+        results = list(results)
+        return cls(
+            _joined(result.ids for result in results),
+            _joined(result.counts for result in results),
+            csr_offsets([len(result) for result in results]),
+            np.asarray([result.threshold for result in results], dtype=ID_DTYPE),
+        )
+
+    @classmethod
+    def concat(cls, batches) -> "TopKBatch":
+        """The queries of ``batches``, in order, as one batch."""
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            _joined(b.ids for b in batches),
+            _joined(b.counts for b in batches),
+            stacked_offsets([b.offsets for b in batches]),
+            _joined(b.thresholds for b in batches),
+        )
+
+    def take(self, rows) -> "TopKBatch":
+        """The queries at ``rows`` (valid, non-negative), in that order."""
+        rows = np.asarray(rows, dtype=ID_DTYPE).reshape(-1)
+        ids, offsets = take_segments(self.ids, self.offsets, rows)
+        counts, _ = take_segments(self.counts, self.offsets, rows)
+        return TopKBatch(ids, counts, offsets, self.thresholds[rows])
+
+    def replace(self, rows, other: "TopKBatch") -> "TopKBatch":
+        """This batch with query ``rows[i]`` answered by ``other``'s query ``i`` instead."""
+        source = np.arange(len(self), dtype=ID_DTYPE)
+        source[np.asarray(rows, dtype=ID_DTYPE)] = np.arange(len(self), len(self) + len(other), dtype=ID_DTYPE)
+        return TopKBatch.concat([self, other]).take(source)
+
+    def compress(self, keep: np.ndarray) -> "TopKBatch":
+        """Only the entries whose ``keep`` flag is set, still grouped by query."""
+        kept_before = np.concatenate([np.zeros(1, dtype=ID_DTYPE), np.cumsum(keep, dtype=ID_DTYPE)])
+        return TopKBatch(self.ids[keep], self.counts[keep], kept_before[self.offsets], self.thresholds)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """``(n,)`` candidates per query."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    # ------------------------------------------------------------------
+    # per-query views
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> TopKResult:
+        """Query ``i``'s answer as a zero-copy (read-only) :class:`TopKResult` view."""
+        i = range(len(self))[i]
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return TopKResult(ids=self.ids[a:b], counts=self.counts[a:b], threshold=int(self.thresholds[i]))

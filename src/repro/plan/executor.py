@@ -10,15 +10,20 @@ top-k on the host). :func:`execute_plan` runs every plan
    device) plus one part per delta segment while mutations are live;
 2. run one :func:`_scan_round` over it (two for a TPUT plan), each scan
    through :func:`_scan_one` — fault check, replica choice, residency,
-   engine call, ``swap_parts`` eviction, profile — remapping ids to
-   global ids as results land;
-3. strike tombstoned base candidates;
+   engine call, ``swap_parts`` eviction, profile. Every source keeps one
+   query-aligned :class:`~repro.core.types.TopKBatch` (an empty segment
+   where it was not routed), its ids remapped to global ids with one
+   gather as the scan lands;
+3. strike tombstoned base candidates — one binary search per base source;
 4. fold the per-source profiles along the timeline: sources on their own
    devices run concurrently (the slowest is the critical path), sources
    sharing a device add up;
 5. finish with :func:`~repro.cluster.executor.merge_shard_results` —
    skipped only by the ``"direct"`` plan (one clean source), whose scan
-   results already are the answer.
+   batch already is the answer.
+
+Candidates cross all of it as flat arrays; nothing here walks queries or
+(source, query) pairs in python.
 
 Handle kind and stream state change the source list, never the loop, so
 the planner's contract — **every strategy returns bit-identical
@@ -47,8 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.executor import critical_path_profile, merge_shard_results
-from repro.core.types import ID_DTYPE, QueryBatch, TopKResult
+from repro.cluster.executor import critical_path_profile, merge_shard_results, pool_candidates
+from repro.core.types import ID_DTYPE, QueryBatch, TopKBatch
 from repro.errors import AvailabilityError
 from repro.gpu.stats import StageTimings
 from repro.plan.planner import CompiledPlan
@@ -62,7 +67,7 @@ def execute_plan(
     batch_size: int | None,
     profile: StageTimings,
     trace=None,
-) -> tuple[list[TopKResult], list[StageTimings] | None]:
+) -> tuple[TopKBatch, list[StageTimings] | None]:
     """Run a compiled plan over the *active* queries.
 
     Args:
@@ -79,8 +84,9 @@ def execute_plan(
             onto absolute simulated time. ``None`` records nothing.
 
     Returns:
-        ``(results, shard_profiles)``: one result per active query, and
-        per-shard base-scan profile slices (``None`` for serial plans).
+        ``(results, shard_profiles)``: one batch aligned with the active
+        queries, and per-shard base-scan profile slices (``None`` for
+        serial plans).
     """
     host = handle.session.host
     n_queries = len(queries)
@@ -107,9 +113,9 @@ def execute_plan(
     two_round = compiled.merge == "two-round-tput"
     base_k = compiled.first_round_k if two_round else k + int(tombstones.size)
 
-    # candidates[source][query]: the source's top-k for the query under
-    # global ids, None where the source was not scanned for it.
-    candidates: list[list[TopKResult | None]] = [[None] * n_queries for _ in sources]
+    # candidates[source]: the source's top-k per query under global ids,
+    # an empty segment where the source was not scanned for the query.
+    candidates = [TopKBatch.empty(n_queries) for _ in sources]
     scans = _scan_round(
         handle, sources, routes, [base_k] * n_base + [k] * len(deltas),
         queries, batch_size, candidates,
@@ -121,7 +127,7 @@ def execute_plan(
         topups = _scan_round(
             handle, base, topup_routes, [k] * n_base, queries, batch_size, candidates
         )
-    filter_seconds = _strike_tombstones(candidates[:n_base], tombstones, host)
+    candidates[:n_base], filter_seconds = _strike_tombstones(candidates[:n_base], tombstones, host)
 
     _fold(profile, scans[:n_base], concurrent=sharded)
     if two_round:
@@ -206,26 +212,25 @@ def _scan_round(
     widths: list[int],
     queries: QueryBatch,
     batch_size: int | None,
-    candidates: list[list[TopKResult | None]],
+    candidates: list[TopKBatch],
 ) -> list[StageTimings]:
     """Scan each source's routed query subset at its width.
 
-    Results land query-aligned in ``candidates`` with their ids remapped
-    to global ids (positions a source was not routed keep their previous
-    contents — ``None`` in round one, the round-one candidates in a TPUT
-    top-up round). Returns each source's stage profile for the round
-    (including any swap-in it forced); empty for an unscanned source.
+    Results land query-aligned in ``candidates[s]`` with their ids
+    remapped to global ids (positions a source was not routed keep their
+    previous contents — nothing in round one, the round-one candidates in
+    a TPUT top-up round). Returns each source's stage profile for the
+    round (including any swap-in it forced); empty for an unscanned source.
     """
     profiles = [StageTimings() for _ in sources]
     for s, (part, route, width) in enumerate(zip(sources, routes, widths)):
         if route.size == 0:
             continue
-        subset = queries if route.size == len(queries) else queries.take(route)
+        everyone = route.size == len(queries)
+        subset = queries if everyone else queries.take(route)
         results, profiles[s] = _scan_one(handle, part, subset, width, batch_size)
-        for j, result in zip(route.tolist(), results):
-            if result.ids.size and (ids := part.to_global(result.ids)) is not result.ids:
-                result = TopKResult(ids=ids, counts=result.counts)
-            candidates[s][j] = result
+        results = TopKBatch(part.to_global(results.ids), results.counts, results.offsets, results.thresholds)
+        candidates[s] = results if everyone else candidates[s].replace(route, results)
     return profiles
 
 
@@ -235,7 +240,7 @@ def _scan_one(
     subset: QueryBatch,
     k: int,
     batch_size: int | None,
-) -> tuple[list[TopKResult], StageTimings]:
+) -> tuple[TopKBatch, StageTimings]:
     """Scan one source's routed subset on the first live copy of it.
 
     The candidate order comes from ``handle._scan_candidates`` (every
@@ -311,32 +316,30 @@ def _scan_one(
 
 
 def _strike_tombstones(
-    base_candidates: list[list[TopKResult | None]], tombstones: np.ndarray, host
-) -> float:
-    """Drop tombstoned ids from the base candidates, in place.
+    base_candidates: list[TopKBatch], tombstones: np.ndarray, host
+) -> tuple[list[TopKBatch], float]:
+    """The base candidates without tombstoned ids.
 
     Runs before any top-k decision — a dead base copy must never outrank
     a live object (its replacement may sit in a delta segment under the
     same id). Charged to the host as one binary search per candidate
-    (stage ``tombstone_filter``); returns the charged seconds.
+    (stage ``tombstone_filter``), accumulated per (source, query) in
+    that order; returns the struck batches and the charged seconds.
     """
     if tombstones.size == 0:
-        return 0.0
-    filter_ops = 0.0
-    for results in base_candidates:
-        for qi, result in enumerate(results):
-            if result is None or result.ids.size == 0:
-                continue
-            filter_ops += result.ids.size * np.log2(max(tombstones.size, 2))
-            pos = np.searchsorted(tombstones, result.ids)
-            dead = tombstones[np.minimum(pos, tombstones.size - 1)] == result.ids
-            if dead.any():
-                results[qi] = TopKResult(ids=result.ids[~dead], counts=result.counts[~dead])
-    return host.charge_ops(filter_ops, stage="tombstone_filter") if filter_ops else 0.0
+        return base_candidates, 0.0
+    probe_ops = np.log2(max(tombstones.size, 2))
+    struck = []
+    for batch in base_candidates:
+        pos = np.searchsorted(tombstones, batch.ids)
+        dead = tombstones[np.minimum(pos, tombstones.size - 1)] == batch.ids
+        struck.append(batch.compress(~dead) if dead.any() else batch)
+    filter_ops = np.cumsum(np.concatenate([batch.sizes for batch in base_candidates]) * probe_ops)[-1]
+    return struck, host.charge_ops(float(filter_ops), stage="tombstone_filter") if filter_ops else 0.0
 
 
 def _tput_topup_routes(
-    candidates: list[list[TopKResult | None]],
+    candidates: list[TopKBatch],
     n_queries: int,
     retrieval_k: int,
     first_round_k: int,
@@ -364,25 +367,16 @@ def _tput_topup_routes(
         ``(topup_routes, seconds)``: per shard, the query positions to
         re-fetch at full width, and the charged host seconds.
     """
-    topup: list[list[int]] = [[] for _ in candidates]
-    fetched = 0
-    for qi in range(n_queries):
-        counts_parts = [
-            r.counts for shard_results in candidates
-            if (r := shard_results[qi]) is not None and r.counts.size
-        ]
-        pool = np.concatenate(counts_parts) if counts_parts else np.empty(0, dtype=ID_DTYPE)
-        fetched += int(pool.size)
-        if pool.size >= retrieval_k:
-            cutoff = int(np.partition(pool, pool.size - retrieval_k)[pool.size - retrieval_k])
-        else:
-            cutoff = 0  # pool too small: every incomplete shard must top up
-        for shard, shard_results in enumerate(candidates):
-            result = shard_results[qi]
-            if result is None or result.ids.size < first_round_k:
-                continue  # complete: nothing unfetched remains
-            if int(result.counts[-1]) >= cutoff:
-                topup[shard].append(qi)
-    ops = fetched * max(1.0, np.log2(max(len(candidates), 2)))
-    seconds = host.charge_ops(ops, stage="result_merge")
-    return [np.asarray(positions, dtype=np.int64) for positions in topup], seconds
+    pool = pool_candidates(candidates, n_queries)
+    # Pool too small: cutoff 0, so every incomplete shard must top up.
+    cutoff = np.zeros(n_queries, dtype=ID_DTYPE)
+    ranked = pool.sizes >= retrieval_k
+    cutoff[ranked] = pool.counts[pool.offsets[:-1][ranked] + (retrieval_k - 1)]
+    topup = []
+    for batch in candidates:
+        # Complete (nothing unfetched remains) below first_round_k candidates.
+        incomplete = np.flatnonzero(batch.sizes >= first_round_k)
+        lowest = batch.counts[batch.offsets[1:][incomplete] - 1]
+        topup.append(incomplete[lowest >= cutoff[incomplete]])
+    ops = int(pool.ids.size) * max(1.0, np.log2(max(len(candidates), 2)))
+    return topup, host.charge_ops(ops, stage="result_merge")

@@ -312,11 +312,13 @@ def _delta_scan_seconds(
     candidate's critical path identically — pricing them cannot flip the
     route x merge choice, but it keeps ``predicted_cost`` and the
     ``DeltaScan`` node's ``cost≈`` annotation honest against the
-    observed profile.
+    observed profile. Priced from each segment corpus's keyword table,
+    without building any index — ``explain()`` stays free of
+    ``index_build`` charges.
     """
     seconds = 0.0
-    for keywords, counts in stream.delta_features():
-        postings = postings_for_keywords(flat_keywords, keywords, counts)
+    for segment in stream.manifest.segments:
+        postings = postings_for_keywords(flat_keywords, *segment.corpus.keyword_table)
         seconds += cost_model.scan_seconds(
             n_queries, total_keywords, postings, retrieval_k,
             count_bound=count_bound,

@@ -4,7 +4,8 @@ GENIE's inverted index is fit-once — the CSR List Array is immutable by
 construction (Section III). Production corpora are not. This module adds
 the smallest structure that absorbs online mutations without refitting:
 
-* a :class:`DeltaSegment` — an append-friendly per-object posting store.
+* a :class:`DeltaSegment` — a small :class:`~repro.core.types.Corpus`
+  beside the ascending global ids of its rows, replaced whole by every edit.
   Inserts land in the *active* (unsealed) segment; once it holds
   ``seal_objects`` objects it seals and a fresh segment opens, exactly
   like an LSM memtable rotating into an immutable run. Deletes and
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.types import ID_DTYPE, Corpus
 from repro.errors import ConfigError
 
 
@@ -63,68 +65,72 @@ class StreamConfig:
 
 
 class DeltaSegment:
-    """One mutable run of objects: global id -> keyword array.
+    """One mutable run of objects: a corpus plus its rows' global ids.
 
     The segment is the unit of scan-time indexing (one small inverted
     index per segment) and of feature extraction (one keyword/postings
-    table for the cost model), so both caches key on :attr:`version` —
-    every in-place edit bumps it.
+    table for the cost model). Every edit installs a *new* ``corpus``
+    (``take`` / ``concat`` of canonical rows, never a re-sort), so what was
+    derived from a segment is current exactly while it still holds the
+    segment's corpus object.
 
     Attributes:
+        corpus: The live objects' keyword sets, in ``global_ids`` order.
+        global_ids: Ascending global id of each row (the scan part's
+            gather map).
         sealed: Whether new inserts may still land here. Sealing is
             advisory for inserts only; removes/replaces stay legal.
-        version: Monotonic edit counter for downstream caches.
     """
 
-    __slots__ = ("_objects", "_postings", "sealed", "version")
+    __slots__ = ("corpus", "global_ids", "sealed")
 
     def __init__(self):
-        self._objects: dict[int, np.ndarray] = {}
-        self._postings = 0
+        self.corpus = Corpus.concat(())
+        self.global_ids = np.empty(0, dtype=ID_DTYPE)
         self.sealed = False
-        self.version = 0
 
     def __len__(self) -> int:
-        return len(self._objects)
+        return int(self.global_ids.size)
 
     def __contains__(self, gid: int) -> bool:
-        return int(gid) in self._objects
+        return bool(self.rows_of(gid) >= 0)
 
     @property
     def postings(self) -> int:
         """Total (object, keyword) pairs held — the segment's index size."""
-        return self._postings
+        return self.corpus.total_entries
 
-    def ids(self) -> list[int]:
-        """Live global ids, ascending (the segment's gather map order)."""
-        return sorted(self._objects)
+    def rows_of(self, gids) -> np.ndarray:
+        """Row of each of ``gids`` here, ``-1`` where it does not live here (one binary search)."""
+        gids = np.asarray(gids, dtype=ID_DTYPE)
+        if not len(self):
+            return np.full(gids.shape, -1, dtype=ID_DTYPE)
+        rows = self.global_ids.searchsorted(gids)
+        return np.where(self.global_ids.take(rows, mode="clip") == gids, rows, -1)
 
-    def keywords(self, gid: int) -> np.ndarray:
-        """The stored keyword array of ``gid`` (must be present)."""
-        return self._objects[int(gid)]
+    def add(self, gids: np.ndarray, rows: Corpus) -> None:
+        """Insert ``rows`` as objects ``gids``, each at its sorted position.
 
-    def add(self, gid: int, keywords: np.ndarray) -> None:
-        """Insert a new object; the id must not already live here."""
-        gid = int(gid)
-        if gid in self._objects:
-            raise ConfigError(f"segment already holds object {gid}")
-        self._objects[gid] = keywords
-        self._postings += int(keywords.size)
-        self.version += 1
+        Raises:
+            ConfigError: If one of ``gids`` already lives here.
+        """
+        held = self.rows_of(gids) >= 0
+        if held.any():
+            raise ConfigError(f"segment already holds object {int(np.asarray(gids)[held][0])}")
+        merged = np.concatenate([self.global_ids, gids])
+        order = np.argsort(merged, kind="stable")  # fresh inserts append: a range, which shares storage
+        self.corpus = Corpus.concat([self.corpus, rows]).take(order)
+        self.global_ids = merged[order]
 
-    def remove(self, gid: int) -> bool:
-        """Drop ``gid`` if present; returns whether it was here."""
-        keywords = self._objects.pop(int(gid), None)
-        if keywords is None:
-            return False
-        self._postings -= int(keywords.size)
-        self.version += 1
-        return True
+    def remove(self, rows: np.ndarray) -> None:
+        """Drop the objects at ``rows`` (positions from :meth:`rows_of`)."""
+        keep = np.ones(len(self), dtype=bool)
+        keep[rows] = False
+        self.corpus = self.corpus.take(np.flatnonzero(keep))
+        self.global_ids = self.global_ids[keep]
 
-    def replace(self, gid: int, keywords: np.ndarray) -> None:
-        """Swap the keywords of a resident object in place."""
-        gid = int(gid)
-        old = self._objects[gid]
-        self._objects[gid] = keywords
-        self._postings += int(keywords.size) - int(old.size)
-        self.version += 1
+    def replace(self, row: int, new: Corpus) -> None:
+        """Swap the keywords of the object at ``row`` for the one row of ``new``."""
+        order = np.arange(len(self), dtype=ID_DTYPE)
+        order[row] = len(self)
+        self.corpus = Corpus.concat([self.corpus, new]).take(order)

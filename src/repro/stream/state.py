@@ -5,12 +5,13 @@ lazily attaches on its first mutation. It owns the
 :class:`~repro.stream.manifest.SegmentManifest`, applies
 ``insert``/``delete``/``update`` under the placement invariant (every
 live id in exactly one scan source), materializes each delta segment as
-a device-swappable ``_IndexPart`` (small inverted index + engine, cached
-per segment version so untouched sealed segments never rebuild), and
-runs threshold-driven compaction back into a fresh CSR base. Rows reach
-a segment canonical (one :class:`~repro.core.types.Corpus` per mutation
-call) and are only moved after that — into the segment's scan corpus,
-into the compacted base — never sorted again.
+a device-swappable ``_IndexPart`` (small inverted index + engine, kept
+while it still holds the segment's corpus so untouched sealed segments
+never rebuild), and runs threshold-driven compaction back into a fresh
+CSR base. Rows reach a segment canonical (one
+:class:`~repro.core.types.Corpus` per mutation call) and are only moved
+after that — ``concat`` into the segment's corpus, which *is* its scan
+corpus, then into the compacted base — never sorted again.
 
 Cost accounting mirrors the batch path: building a segment's scan index
 charges the host's ``index_build`` stage, delta parts attach through the
@@ -22,7 +23,6 @@ the tombstone filter as host binary-search work.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +37,9 @@ from repro.stream.manifest import SegmentManifest
 logger = logging.getLogger("repro.stream")
 
 
-@dataclass
-class _SegmentView:
-    """One live segment's rows as a corpus, and the scan part built from it."""
-
-    segment: DeltaSegment  # held, so its id() cannot be reused while this entry lives
-    version: int = -1  # the segment.version ``corpus`` / ``global_ids`` were assembled at
-    corpus: Corpus | None = None
-    global_ids: np.ndarray | None = None
-    part: object = None  # the ``_IndexPart`` a search built, at ``part_version``
-    part_version: int = -1
-
-
-def _checked_ids(ids) -> list[int]:
-    """Mutation ids as python ints, validated (all of them) before any is applied."""
-    return as_keyword_array(ids if np.ndim(ids) else [ids], "object ids").tolist()
+def _checked_ids(ids) -> np.ndarray:
+    """Mutation ids as an int64 array, validated (all of them) before any is applied."""
+    return as_keyword_array(ids if np.ndim(ids) else [ids], "object ids")
 
 
 class StreamState:
@@ -67,11 +55,11 @@ class StreamState:
         self.config = config if config is not None else StreamConfig()
         base_objects = sum(len(part.corpus) for part in handle._parts)
         self.manifest = SegmentManifest(base_objects)
-        # id(segment) -> view: sealed segments keep their corpus, its keyword
-        # table and their scan index across mutations elsewhere; an edited
-        # segment is re-assembled by whoever asks first and re-indexed
-        # (re-paying index_build) by the next search.
-        self._views: dict[int, _SegmentView] = {}
+        # segment -> the ``_IndexPart`` the last search scanned it through,
+        # stale once ``part.corpus is not segment.corpus``: sealed segments
+        # keep their scan index across mutations elsewhere; an edited one
+        # is re-indexed (re-paying index_build) by the next search.
+        self._parts: dict[DeltaSegment, object] = {}
         self._tombstone_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -91,11 +79,18 @@ class StreamState:
             corpus = Corpus(corpus)
         return corpus
 
-    def _active_segment(self) -> DeltaSegment:
+    def _land(self, gids: np.ndarray, rows: Corpus) -> None:
+        """Add ``rows`` to the active segment, sealing and rotating every ``seal_objects``."""
         segments = self.manifest.segments
-        if not segments or segments[-1].sealed:
-            segments.append(DeltaSegment())
-        return segments[-1]
+        start = 0
+        while start < len(rows):
+            if not segments or segments[-1].sealed:
+                segments.append(DeltaSegment())
+            segment = segments[-1]  # unsealed, so below seal_objects
+            stop = min(len(rows), start + self.config.seal_objects - len(segment))
+            segment.add(gids[start:stop], rows.take(np.arange(start, stop)))
+            segment.sealed = len(segment) >= self.config.seal_objects
+            start = stop
 
     def insert(self, objects) -> np.ndarray:
         """Append new objects; returns their assigned global ids."""
@@ -107,11 +102,7 @@ class StreamState:
         gids = np.arange(
             manifest.next_gid, manifest.next_gid + len(corpus), dtype=ID_DTYPE
         )
-        for gid, keywords in zip(gids.tolist(), corpus):
-            segment = self._active_segment()
-            segment.add(gid, keywords)
-            if len(segment) >= self.config.seal_objects:
-                segment.sealed = True
+        self._land(gids, corpus)
         manifest.next_gid += len(corpus)
         self._mutated()
         return gids
@@ -119,48 +110,55 @@ class StreamState:
     def delete(self, ids) -> None:
         """Remove live objects by global id (all-or-nothing validation)."""
         ids = _checked_ids(ids)
-        if not ids:
+        if not ids.size:
             raise QueryError("empty delete batch")
-        for gid in ids:
-            if not self._is_live(gid):
-                raise QueryError(f"cannot delete id {gid}: not a live object")
-        if len(set(ids)) != len(ids):
+        holder, rows = self._locate(ids)
+        live = self._is_live(ids, holder)
+        if not live.all():
+            raise QueryError(f"cannot delete id {int(ids[~live][0])}: not a live object")
+        if np.unique(ids).size != ids.size:
             raise QueryError("duplicate ids in delete batch")
         manifest = self.manifest
-        for gid in ids:
-            for segment in manifest.segments:
-                if segment.remove(gid):
-                    break
-            else:
-                manifest.tombstones.add(gid)
+        for s in np.unique(holder[holder >= 0]).tolist():
+            manifest.segments[s].remove(rows[holder == s])
+        manifest.tombstones.update(ids[holder < 0].tolist())
         self._mutated()
 
     def update(self, gid: int, obj) -> None:
         """Replace one live object's keywords, keeping its global id."""
-        (gid,) = _checked_ids([gid])
-        if not self._is_live(gid):
+        ids = _checked_ids([gid])
+        (gid,) = ids.tolist()
+        holder, rows = self._locate(ids)
+        if not self._is_live(ids, holder).all():
             raise QueryError(f"cannot update id {gid}: not a live object")
-        keywords = self._encode([obj])[0]
+        new = self._encode([obj])
         manifest = self.manifest
-        for segment in manifest.segments:
-            if gid in segment:
-                segment.replace(gid, keywords)
-                break
+        if holder[0] >= 0:
+            manifest.segments[holder[0]].replace(rows[0], new)
         else:
             # A base object cannot change in place: tombstone the base
             # copy and insert the replacement — same id — as a delta.
             manifest.tombstones.add(gid)
-            segment = self._active_segment()
-            segment.add(gid, keywords)
-            if len(segment) >= self.config.seal_objects:
-                segment.sealed = True
+            self._land(ids, new)
         self._mutated()
 
-    def _is_live(self, gid: int) -> bool:
+    def _locate(self, gids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per id, the live segment holding it (``-1``: none does) and its row there."""
+        holder = np.full(gids.size, -1, dtype=ID_DTYPE)
+        rows = holder.copy()
+        for s, segment in enumerate(self.manifest.segments):
+            at = segment.rows_of(gids)
+            here = at >= 0
+            holder[here], rows[here] = s, at[here]
+        return holder, rows
+
+    def _is_live(self, gids: np.ndarray, holder: np.ndarray) -> np.ndarray:
+        """Which of ``gids`` are live: held by a segment, or base ids not tombstoned."""
         manifest = self.manifest
-        if any(gid in segment for segment in manifest.segments):
-            return True
-        return 0 <= gid < manifest.base_objects and gid not in manifest.tombstones
+        tombstoned = np.fromiter(
+            (gid in manifest.tombstones for gid in gids.tolist()), dtype=bool, count=gids.size
+        )
+        return (holder >= 0) | ((gids < manifest.base_objects) & ~tombstoned)
 
     def _mutated(self) -> None:
         manifest = self.manifest
@@ -185,73 +183,52 @@ class StreamState:
             )
         return self._tombstone_array
 
-    def _view(self, segment: DeltaSegment) -> _SegmentView:
-        """The segment's cache entry, its corpus assembled at the current version."""
-        view = self._views.get(id(segment))
-        if view is None:
-            view = self._views[id(segment)] = _SegmentView(segment)
-        if view.version != segment.version:
-            gids = segment.ids()
-            view.corpus = Corpus.from_rows(segment.keywords(gid) for gid in gids)
-            view.global_ids = np.asarray(gids, dtype=ID_DTYPE)
-            view.version = segment.version
-        return view
-
     def delta_parts(self) -> list:
-        """One ``_IndexPart`` per live segment, cache-fresh.
+        """One ``_IndexPart`` per live segment, each over the segment's current corpus.
 
         Segments edited since their last build are re-indexed here (the
         host pays ``index_build`` for exactly the rebuilt segments);
-        stale cached parts are evicted before being dropped so the
-        session's residency accounting never leaks device bytes.
+        stale parts, then the parts of segments that emptied, are
+        evicted before being dropped so the session's residency
+        accounting never leaks device bytes.
         """
         from repro.api.session import _IndexPart
         from repro.core.engine import GenieEngine
 
         handle = self.handle
         session = handle.session
-        parts = []
         live = {}
         for position, segment in enumerate(self.manifest.segments, start=len(handle._parts)):
-            view = live[id(segment)] = self._view(segment)
-            if view.part_version != view.version:
-                self._evict(view.part)
-                index = InvertedIndex.build(view.corpus, load_balance=handle.config.load_balance)
+            part = self._parts.get(segment)
+            if part is None or part.corpus is not segment.corpus:
+                self._evict(part)
+                index = InvertedIndex.build(segment.corpus, load_balance=handle.config.load_balance)
                 session.host.charge_ops(index.build_ops, stage="index_build")
                 engine = GenieEngine(device=session.device, host=session.host, config=handle.config)
-                view.part = _IndexPart(
-                    handle, position, engine, view.corpus, index, offset=0, global_ids=view.global_ids
+                part = _IndexPart(
+                    handle, position, engine, segment.corpus, index, offset=0, global_ids=segment.global_ids
                 )
-                view.part_version = view.version
-            view.part.position = position  # earlier segments may have emptied
-            parts.append(view.part)
-        for key, view in self._views.items():
-            if key not in live:
-                self._evict(view.part)
-        self._views = live
-        return parts
-
-    def delta_features(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per live segment, ``(sorted keywords, posting counts)``.
-
-        The planner prices the DeltaScan from these without building any
-        index — ``explain()`` stays free of ``index_build`` charges.
-        """
-        return [self._view(segment).corpus.keyword_table for segment in self.manifest.segments]
+            part.position = position  # earlier segments may have emptied
+            live[segment] = part
+        for segment, part in self._parts.items():
+            if segment not in live:
+                self._evict(part)
+        self._parts = live
+        return list(live.values())
 
     def attached_parts(self) -> list:
         """Every cached delta part (for eviction / byte accounting)."""
-        return [view.part for view in self._views.values() if view.part is not None]
+        return list(self._parts.values())
 
     def _evict(self, part) -> None:
         if part is not None and part.resident:
             self.handle.session._evict_part(part)
 
     def release(self) -> None:
-        """Evict and forget every cached segment view."""
-        for part in self.attached_parts():
+        """Evict and forget every cached delta part."""
+        for part in self._parts.values():
             self._evict(part)
-        self._views.clear()
+        self._parts.clear()
 
     # ------------------------------------------------------------------
     # compaction
@@ -271,7 +248,7 @@ class StreamState:
             for part in self.handle._parts
         ]
         sources.append((None, self.tombstone_array()))
-        sources += [(view.corpus, view.global_ids) for view in map(self._view, self.manifest.segments)]
+        sources += [(segment.corpus, segment.global_ids) for segment in self.manifest.segments]
         return Corpus.by_global_id(sources, self.manifest.next_gid)
 
     def maybe_compact(self) -> bool:

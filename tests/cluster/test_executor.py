@@ -6,7 +6,7 @@ import pytest
 from repro.api import GenieSession
 from repro.cluster import critical_path_profile, merge_shard_results
 from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.types import Corpus, Query, TopKResult
+from repro.core.types import Corpus, Query, TopKBatch, TopKResult
 from repro.errors import ConfigError, QueryError
 from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings
@@ -112,8 +112,8 @@ class TestMergeHelpers:
     def test_merge_ties_break_on_global_id(self):
         host = HostCpu()
         # Two shards, both with count-3 candidates; global ids interleave.
-        shard_a = [TopKResult(ids=np.array([4, 9]), counts=np.array([3, 2]))]
-        shard_b = [TopKResult(ids=np.array([2, 7]), counts=np.array([3, 3]))]
+        shard_a = TopKBatch.from_results([TopKResult(ids=np.array([4, 9]), counts=np.array([3, 2]))])
+        shard_b = TopKBatch.from_results([TopKResult(ids=np.array([2, 7]), counts=np.array([3, 3]))])
         merged, seconds = merge_shard_results([shard_a, shard_b], 1, 3, host)
         assert merged[0].ids.tolist() == [2, 4, 7]
         assert merged[0].counts.tolist() == [3, 3, 3]
@@ -123,7 +123,7 @@ class TestMergeHelpers:
 
     def test_merge_fewer_than_k_has_zero_threshold(self):
         merged, _ = merge_shard_results(
-            [[TopKResult(ids=np.array([5]), counts=np.array([2]))], [None]],
+            [TopKBatch.from_results([TopKResult(ids=np.array([5]), counts=np.array([2]))]), TopKBatch.empty(1)],
             1,
             10,
             HostCpu(),

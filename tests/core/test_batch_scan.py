@@ -361,8 +361,11 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert int(scan.updates.sum()) * 4 > 16_000_000
         assert peak < int(scan.updates.sum()) * 4
-        # A result a caller keeps (a cache, a future) pins nothing tile-wide.
-        assert all(r.ids.base is None and r.counts.base is None for r in scan.results)
+        # A result a caller keeps (a cache, a future) pins nothing tile-wide: a
+        # view holds the batch's own answer entries, never a tile's candidates.
+        assert scan.results.ids.base is None and scan.results.counts.base is None
+        assert scan.results.ids.size <= len(queries) * self.K
+        assert all(r.ids.base is scan.results.ids for r in scan.results)
 
     def test_gen_spq_path_keeps_the_dense_counts(self):
         index, queries = self._workload()

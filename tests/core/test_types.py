@@ -1,4 +1,4 @@
-"""Tests for the core data model (Corpus, Query, QueryBatch, TopKResult)."""
+"""Tests for the core data model (Corpus, Query, QueryBatch, TopKBatch, TopKResult)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.api import GenieSession
 from repro.cluster.plan import ShardPlan
-from repro.core.types import Corpus, Query, QueryBatch, TopKResult, as_keyword_array
+from repro.core.types import Corpus, Query, QueryBatch, TopKBatch, TopKResult, as_keyword_array
 from repro.errors import QueryError
 from repro.stream import StreamConfig
 
@@ -190,7 +190,6 @@ class TestCorpus:
         back = glued.take(np.argsort(order))  # undo the permutation
         assert np.array_equal(back.keywords, corpus.keywords)
         assert np.array_equal(back.offsets, corpus.offsets)
-        assert rows(Corpus.from_rows(corpus.keyword_arrays)) == rows(corpus)
         repeated = corpus.take(order + order)  # ids may repeat
         assert rows(repeated) == [rows(corpus)[i] for i in order + order]
 
@@ -527,3 +526,144 @@ class TestTopKResult:
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
             TopKResult(ids=[1, 2], counts=[1])
+
+
+# One raw answer = ranked (id, count) pairs plus a threshold; some answers are empty.
+raw_answers = st.lists(
+    st.tuples(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 9)), max_size=5), st.integers(0, 9)),
+    max_size=7,
+)
+
+
+def as_results(raw) -> list:
+    return [
+        TopKResult(ids=[i for i, _ in pairs], counts=[c for _, c in pairs], threshold=threshold)
+        for pairs, threshold in raw
+    ]
+
+
+def as_triples(results) -> list:
+    """``[(ids, counts, threshold), ...]`` of a batch or of a list of results."""
+    return [(r.ids.tolist(), r.counts.tolist(), r.threshold) for r in results]
+
+
+class TestTopKBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_answers)
+    def test_round_trip_result_for_result(self, raw):
+        results = as_results(raw)
+        batch = TopKBatch.from_results(results)
+        assert len(batch) == len(results)
+        assert as_triples(list(batch)) == as_triples(results)
+        assert as_triples(TopKBatch.from_results(list(batch))) == as_triples(results)
+        assert batch.sizes.tolist() == [len(r) for r in results]
+        assert batch.ids.size == batch.counts.size == batch.offsets[-1] == sum(len(r) for r in results)
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_answers, st.randoms(use_true_random=False))
+    def test_take_and_concat_laws(self, raw, rnd):
+        batch = TopKBatch.from_results(as_results(raw))
+        order = list(range(len(batch)))
+        rnd.shuffle(order)
+        cuts = sorted(rnd.randint(0, len(order)) for _ in range(2))
+        partition = [order[: cuts[0]], order[cuts[0] : cuts[1]], order[cuts[1] :]]
+        glued = TopKBatch.concat([batch.take(part) for part in partition])
+        assert as_triples(glued) == [as_triples(batch)[i] for i in order]
+        back = glued.take(np.argsort(order))  # undo the permutation
+        for name in ("ids", "counts", "offsets", "thresholds"):
+            assert np.array_equal(getattr(back, name), getattr(batch, name))
+            assert getattr(back, name).dtype == np.int64
+
+    def test_take_shares_a_range_and_copies_a_permutation(self):
+        batch = TopKBatch.from_results([TopKResult(ids=[i, i + 10], counts=[2, 1], threshold=i) for i in range(6)])
+        middle = batch.take(np.arange(2, 5))
+        assert as_triples(middle) == as_triples(batch)[2:5]
+        assert np.shares_memory(middle.ids, batch.ids) and np.shares_memory(middle.counts, batch.counts)
+        assert middle.offsets[0] == 0
+        shuffled = batch.take([4, 2, 3])
+        assert as_triples(shuffled) == [as_triples(batch)[i] for i in (4, 2, 3)]
+        assert not np.shares_memory(shuffled.ids, batch.ids)
+        assert len(batch.take([])) == 0 and batch.take([]).ids.size == 0
+
+    def test_concat_of_nothing_and_of_one(self):
+        assert len(TopKBatch.concat([])) == 0
+        batch = TopKBatch.empty(2)
+        assert TopKBatch.concat([batch]) is batch
+        assert as_triples(batch) == [([], [], 0), ([], [], 0)]
+
+    def test_indexes_iterates_and_lens_like_the_list_it_replaces(self):
+        results = as_results([([(4, 3), (1, 3)], 3), ([], 0), ([(7, 1)], 1)])
+        batch = TopKBatch.from_results(results)
+        assert len(batch) == 3 and len(list(batch)) == 3
+        assert as_triples([batch[0], batch[-1]]) == as_triples([results[0], results[-1]])
+        assert all(isinstance(result, TopKResult) and isinstance(result.threshold, int) for result in batch)
+        assert batch[0].as_pairs() == [(4, 3), (1, 3)]
+        with pytest.raises(IndexError):
+            batch[3]
+
+    def test_views_are_zero_copy_read_only_int64(self):
+        batch = TopKBatch.from_results(as_results([([(4, 3), (1, 3)], 3), ([(7, 1)], 1)]))
+        view = batch[0]
+        assert np.shares_memory(view.ids, batch.ids) and np.shares_memory(view.counts, batch.counts)
+        assert view.ids.dtype == view.counts.dtype == np.int64
+        for array in (view.ids, view.counts, batch.ids, batch.counts):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        narrow = TopKBatch(np.asarray([3], dtype=np.int32), np.asarray([2], dtype=np.int32),
+                           np.asarray([0, 1]), np.asarray([2]))
+        assert narrow.ids.dtype == narrow.counts.dtype == narrow[0].ids.dtype == np.int64
+
+    def test_misaligned_rejected(self):
+        with pytest.raises(ValueError):
+            TopKBatch(np.asarray([1, 2]), np.asarray([1]), np.asarray([0, 2]), np.asarray([0]))
+        with pytest.raises(ValueError):
+            TopKBatch(np.asarray([1]), np.asarray([1]), np.asarray([0, 1]), np.asarray([0, 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_answers, raw_answers, st.randoms(use_true_random=False))
+    def test_replace_puts_answers_at_their_rows(self, raw, other, rnd):
+        batch, results = TopKBatch.from_results(as_results(raw)), as_results(raw)
+        rows = sorted(rnd.sample(range(len(results)), min(len(results), len(other))))
+        fresh = as_results(other)[: len(rows)]
+        for row, result in zip(rows, fresh):
+            results[row] = result
+        assert as_triples(batch.replace(rows, TopKBatch.from_results(fresh))) == as_triples(results)
+        assert as_triples(batch) == as_triples(as_results(raw))  # a new batch, not an edit
+
+    def test_a_gather_renames_and_compress_filters_in_place_of_a_loop(self):
+        batch = TopKBatch.from_results(as_results([([(0, 3), (2, 2)], 2), ([], 0), ([(1, 5)], 5)]))
+        renamed = TopKBatch(np.asarray([40, 10, 30])[batch.ids], batch.counts, batch.offsets, batch.thresholds)
+        assert as_triples(renamed) == [([40, 30], [3, 2], 2), ([], [], 0), ([10], [5], 5)]
+        kept = renamed.compress(renamed.ids != 40)
+        assert as_triples(kept) == [([30], [2], 2), ([], [], 0), ([10], [5], 5)]
+        assert as_triples(kept.compress(np.zeros(2, dtype=bool))) == [([], [], 2), ([], [], 0), ([], [], 5)]
+
+    def test_a_dirty_sharded_search_builds_one_result_object_per_query(self, monkeypatch):
+        """Candidates cross scan, remap, strike and merge as arrays: counted, not estimated."""
+        built = []
+        post_init = TopKResult.__post_init__
+
+        def counting_post_init(self):
+            post_init(self)
+            built.append(len(self))
+
+        rng = np.random.default_rng(3)
+        objects = [rng.integers(0, 50, size=6).tolist() for _ in range(200)]
+        session = GenieSession()
+        handle = session.create_index(
+            objects, model="raw", name="x", shards=4, shard_strategy="range",
+            stream_config=StreamConfig(seal_objects=8, auto_compact=False),
+        )
+        handle.insert([rng.integers(0, 50, size=6).tolist() for _ in range(20)])  # three segments
+        handle.delete([0, 60, 120, 180, 201])
+        handle.update(3, [1, 2])
+        queries = [rng.integers(0, 50, size=4).tolist() for _ in range(9)]
+        monkeypatch.setattr(TopKResult, "__post_init__", counting_post_init)
+        result = handle.search(queries, k=5)
+        assert len(built) == len(queries)  # the parent: one per (source, query) and step, ~17x
+        assert built == [len(answer) for answer in result.results]
+        assert "DeltaScan" in result.plan.render() and len(result.shard_profiles) == 4
+        del built[:]
+        handle.search(queries, k=5, plan="two-round")  # clean indexes only; dirty falls back to one round
+        assert len(built) == len(queries)
+        session.close()

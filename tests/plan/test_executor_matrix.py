@@ -152,3 +152,60 @@ def test_merge_profile_equals_the_host_charge_on_a_two_core_host():
     result = handle.search(QUERIES, k=K)
     assert result.profile.get("result_merge") > 0.0
     assert result.profile.get("result_merge") == host.timings.get("result_merge") - before
+
+
+def _check(handle, logical, ks=(K, 500)):
+    """Every answer — ids, counts, threshold — like brute force, at k below and above n."""
+    corpus = Corpus(logical)
+    for k in ks:
+        for query, got in zip(QUERIES, handle.search(QUERIES, k=k).results):
+            assert (got.ids.tolist(), got.counts.tolist(), got.threshold) == _expected(query, corpus, k)
+
+
+@pytest.mark.parametrize("kind", ["serial", "multi", "range", "hash-r2"])
+class TestMutationsThatCrossTheMerge:
+    """ROADMAP item 5(c): edge cases whose answer is decided in strike + merge."""
+
+    def test_a_segment_emptied_by_deletes_answers_like_its_dead_slots(self, kind):
+        handle, logical = _build(kind, dirty=False)
+        logical = [row.tolist() for row in logical]
+        fresh = _objects(4, seed=3)  # seal_objects=2: two full segments
+        gids = handle.insert(fresh).tolist()
+        logical += fresh
+        _check(handle, logical)
+        handle.delete(gids[:2])  # all of the first segment: it retires, its part is evicted
+        logical[gids[0]] = logical[gids[1]] = []
+        assert handle.manifest.describe()["segments"] == 1
+        _check(handle, logical)
+        handle.delete(gids[2:])  # and the rest: no segment left, still dirty (dead slots past the base)
+        logical[gids[2]] = logical[gids[3]] = []
+        assert handle.manifest.describe()["segments"] == 0 and handle._stream.dirty
+        _check(handle, logical)
+        assert handle.compact()
+        _check(handle, logical)
+
+    def test_a_base_object_updated_twice_then_deleted_never_answers(self, kind):
+        handle, logical = _build(kind, dirty=False)
+        logical = [row.tolist() for row in logical]
+        target = QUERIES[0].all_keywords().tolist()  # would rank first for the first query
+        for replacement in ([1, 2, 3], target):
+            handle.update(10, replacement)  # first: tombstone + delta copy; second: in the segment
+            logical[10] = replacement
+            _check(handle, logical)
+        assert handle.search(QUERIES[:1], k=1).results[0].ids.tolist() == [10]
+        handle.delete([10])  # the delta copy goes; the base copy must stay struck
+        logical[10] = []
+        assert 10 in handle.manifest.tombstones and handle.manifest.describe()["delta_objects"] == 0
+        _check(handle, logical)
+        assert handle.compact()
+        _check(handle, logical)
+
+    def test_k_above_the_corpus_on_every_tombstoned_base(self, kind):
+        handle, logical = _build(kind, dirty=True)
+        logical = [row.tolist() for row in logical]
+        survivors = [5, 64, int(len(logical) - 1)]
+        dead = [gid for gid in range(len(logical)) if gid not in survivors and logical[gid]]
+        handle.delete(dead)  # base widths grow to k + ~120 tombstones; almost every candidate is struck
+        for gid in dead:
+            logical[gid] = []
+        _check(handle, logical, ks=(2, 500))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.api import GenieSession
+from repro.core.match_count import brute_force_topk
+from repro.core.types import Corpus, Query
 from repro.errors import ConfigError
 from repro.replica import RebalancePolicy, balanced_range_bounds
 from repro.serve.metrics import ServeMetrics
+from repro.stream import StreamConfig
 
 K = 5
 
@@ -185,6 +188,41 @@ class TestOnlineRebalance:
             handle = self._build(session)
             handle.insert([np.array([3, 4, 5], dtype=np.int64)])
             assert not handle.rebalance([10.0, 1.0, 1.0, 1.0])
+
+    def test_compacted_index_rebalances_again(self):
+        """Only *live* mutations refuse: a mutated-then-compacted index recuts like a fresh fit."""
+        queries = self._queries(0, 400, count=6)
+
+        def check(handle, logical):
+            corpus = Corpus(logical)
+            for query, got in zip(queries, handle.search(queries, k=K).results):
+                assert got.as_pairs() == [
+                    pair for pair in brute_force_topk(Query.from_keywords(query), corpus, K) if pair[1]
+                ]
+
+        def mutate(handle, logical, fresh, dead):
+            logical += fresh
+            assert handle.insert(fresh).tolist() == list(range(len(logical) - len(fresh), len(logical)))
+            handle.delete(dead)
+            for gid in dead:
+                logical[gid] = []
+
+        with GenieSession() as session:
+            handle = self._build(session, stream_config=StreamConfig(auto_compact=False))
+            logical = list(narrow_band_rows())
+            mutate(handle, logical, [np.arange(3, 9), np.arange(100, 104)], [0, 7, 1200])
+            check(handle, logical)
+            assert not handle.rebalance([10.0, 1.0, 1.0, 1.0])  # dirty: refused
+            assert handle.compact()
+            before_sizes = [len(p.corpus) for p in handle._parts]
+            assert handle.rebalance([10.0, 1.0, 1.0, 1.0])  # the parent: False, forever
+            after_sizes = [len(p.corpus) for p in handle._parts]
+            assert after_sizes[0] < before_sizes[0] and sum(after_sizes) == sum(before_sizes) == len(logical)
+            check(handle, logical)
+            mutate(handle, logical, [np.arange(5, 11)], [3, 1201])
+            check(handle, logical)
+            assert handle.compact()
+            check(handle, logical)
 
     def test_unfitted_handle_raises(self):
         with GenieSession() as session:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.types import Corpus
 from repro.errors import ConfigError
 from repro.stream import DeltaSegment, SegmentManifest, StreamConfig
 
@@ -27,47 +28,62 @@ class TestStreamConfig:
             StreamConfig(compact_ratio=-1.0)
 
 
+def added(segment, gid, *keywords):
+    segment.add(kw(gid), Corpus([keywords]))
+    return segment
+
+
 class TestDeltaSegment:
     def test_add_and_introspect(self):
         segment = DeltaSegment()
-        segment.add(7, kw(1, 2, 3))
-        segment.add(3, kw(4))
+        added(segment, 7, 1, 2, 3)
+        added(segment, 3, 4)
         assert len(segment) == 2
         assert segment.postings == 4
-        assert segment.ids() == [3, 7]  # ascending gather-map order
+        assert segment.global_ids.tolist() == [3, 7]  # ascending gather-map order
         assert 7 in segment and 5 not in segment
-        assert np.array_equal(segment.keywords(7), kw(1, 2, 3))
+        assert segment.rows_of([7, 5, 3]).tolist() == [1, -1, 0]
+        assert np.array_equal(segment.corpus[1], kw(1, 2, 3))
 
     def test_duplicate_add_rejected(self):
-        segment = DeltaSegment()
-        segment.add(1, kw(0))
-        with pytest.raises(ConfigError, match="already holds"):
-            segment.add(1, kw(9))
+        segment = added(DeltaSegment(), 1, 0)
+        with pytest.raises(ConfigError, match="already holds object 1"):
+            added(segment, 1, 9)
 
     def test_remove(self):
-        segment = DeltaSegment()
-        segment.add(1, kw(5, 6))
-        assert segment.remove(1) is True
-        assert segment.remove(1) is False
+        segment = added(DeltaSegment(), 1, 5, 6)
+        assert segment.rows_of(kw(1, 2)).tolist() == [0, -1]
+        segment.remove(kw(0))
+        assert segment.rows_of(kw(1)).tolist() == [-1]
         assert len(segment) == 0 and segment.postings == 0
 
     def test_replace_adjusts_postings(self):
-        segment = DeltaSegment()
-        segment.add(1, kw(5, 6, 7))
-        segment.replace(1, kw(8))
-        assert segment.postings == 1
-        assert np.array_equal(segment.keywords(1), kw(8))
+        segment = added(added(DeltaSegment(), 1, 5, 6, 7), 2, 9)
+        segment.replace(int(segment.rows_of(1)), Corpus([[8]]))
+        assert segment.postings == 2
+        assert [row.tolist() for row in segment.corpus] == [[8], [9]]
 
     def test_every_edit_bumps_version(self):
+        """The corpus object is the version: whatever was built from an earlier one is stale."""
         segment = DeltaSegment()
-        versions = [segment.version]
-        segment.add(1, kw(0))
-        versions.append(segment.version)
-        segment.replace(1, kw(1))
-        versions.append(segment.version)
-        segment.remove(1)
-        versions.append(segment.version)
-        assert versions == sorted(set(versions))  # strictly increasing
+        versions = [segment.corpus]
+        added(segment, 1, 0)
+        versions.append(segment.corpus)
+        segment.replace(0, Corpus([[1]]))
+        versions.append(segment.corpus)
+        segment.remove(kw(0))
+        versions.append(segment.corpus)
+        assert len({id(corpus) for corpus in versions}) == len(versions)  # all held, all distinct
+
+    def test_rows_land_at_their_sorted_position_without_a_resort(self):
+        segment = DeltaSegment()
+        segment.add(kw(10, 11, 12), Corpus([[3, 1], [], [5]]))
+        added(segment, 4, 9, 8)  # an updated base object: a lower id than every insert
+        assert segment.global_ids.tolist() == [4, 10, 11, 12]
+        assert [row.tolist() for row in segment.corpus] == [[8, 9], [1, 3], [], [5]]
+        segment.remove(segment.rows_of(kw(11, 4)))
+        assert segment.global_ids.tolist() == [10, 12]
+        assert [row.tolist() for row in segment.corpus] == [[1, 3], [5]]
 
 
 class TestSegmentManifest:
@@ -79,9 +95,7 @@ class TestSegmentManifest:
 
     def test_dirty_on_segments_or_tombstones(self):
         manifest = SegmentManifest(10)
-        segment = DeltaSegment()
-        segment.add(10, kw(1))
-        manifest.segments.append(segment)
+        manifest.segments.append(added(DeltaSegment(), 10, 1))
         assert manifest.dirty
         manifest.segments.clear()
         manifest.tombstones.add(3)

@@ -72,21 +72,24 @@ def test_one_execution_loop_and_one_merge():
     """A second scan loop or top-k merge cannot come back unnoticed.
 
     Every scan goes through ``_scan_one``, the only place the executor
-    makes a part resident; every merge is ``merge_shard_results``, the
-    only ``lexsort`` in the plan and cluster layers.
+    makes a part resident; every regrouping of the sources' candidates —
+    the merge and the TPUT threshold — is ``pool_candidates``, the only
+    sort in the plan and cluster layers (fused keys, or its one
+    ``lexsort`` when they do not fit).
     """
     root = Path(repro.__file__).parent
     executor_calls = list(_called_names(root / "plan" / "executor.py"))
     assert executor_calls.count("_ensure_resident") == 1
+    assert executor_calls.count("pool_candidates") == 1
     sorters = [
         str(path.relative_to(root))
         for package in ("plan", "cluster")
         for path in sorted((root / package).rglob("*.py"))
-        if "lexsort" in _called_names(path)
+        if {"lexsort", "argsort"} & set(_called_names(path))
     ]
     assert sorters == ["cluster/executor.py"]
     merge_calls = list(_called_names(root / "cluster" / "executor.py"))
-    assert merge_calls.count("lexsort") == 1
+    assert merge_calls.count("lexsort") == merge_calls.count("argsort") == merge_calls.count("pool_candidates") == 1
 
 
 def _search_path_modules(root: Path):
@@ -133,6 +136,43 @@ def test_search_path_reads_batch_arrays_only():
     assert not offenders, "per-query walks on the search path:\n" + "\n".join(offenders)
 
 
+def test_search_path_moves_candidates_as_batches():
+    """Behind the doors answers are ``TopKBatch`` arrays: no result object per (source, query).
+
+    A ``TopKResult(...)`` built in the scan, the executor, the merge, the
+    stream or the serve layer is a per-query python loop come back; the
+    per-query views are made by ``TopKBatch.__getitem__`` alone, once per
+    answered query at ``search_encoded``. (GEN-SPQ's per-query bucket
+    selection lives in ``core/spq_select.py``, the specification and the
+    baselines are per-query systems.)
+    """
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in _search_path_modules(root)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", "")) == "TopKResult"
+    ]
+    assert not offenders, "TopKResult built on the search path:\n" + "\n".join(offenders)
+
+
+def test_stream_segments_hold_corpora_not_per_object_dicts():
+    """A delta segment is a ``Corpus`` plus its id array: no dict entry or row object per insert."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted((root / "stream").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.AnnAssign) and "dict" in ast.unparse(node.annotation) \
+                    and "ndarray" in ast.unparse(node.annotation):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(node.annotation)}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("from_rows", "keywords"):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}: re-assembles a corpus row by row")
+    assert not offenders, "per-object keyword storage in stream/:\n" + "\n".join(offenders)
+    from repro.stream import DeltaSegment
+
+    assert set(DeltaSegment.__slots__) == {"corpus", "global_ids", "sealed"}
+
+
 def test_only_the_doors_and_the_specification_construct_queries():
     root = Path(repro.__file__).parent
     allowed_files = {Path("core/types.py"), Path("core/reference.py"), Path("core/match_count.py"),
@@ -169,7 +209,7 @@ def test_canonical_rows_are_moved_not_rewrapped():
     """One ragged container: rows are canonicalized where they enter, then moved.
 
     Production layers slice, gather and glue corpora with ``take`` /
-    ``concat`` / ``from_rows`` / ``by_global_id``; a ``Corpus(...)`` over
+    ``concat`` / ``by_global_id``; a ``Corpus(...)`` over
     rows another corpus handed out sorts them again, and a loop over
     ``.keyword_arrays`` in the build path is a python object per object.
     """
