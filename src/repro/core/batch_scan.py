@@ -11,14 +11,24 @@ infrastructure; this module is the host-side realization of that idea. The
    keyword → item → query arrays; the batch's ``block_sizes`` fall out of
    segmented reductions over that span stream,
 2. match counts are computed one tile of query rows at a time, in one of
-   two regimes picked by the tile's density. **Dense** (postings stream
-   above a quarter of the tile's cells): each row's List-Array spans are
-   concatenated — a cache-sized stream, never the batch's — and counted
-   with one ``bincount`` straight into a reused **int32** tile, the
-   device's counter width. **Sparse**: ``np.unique`` of the fused
-   ``row * n_objects + object_id`` keys yields the positive cells and the
-   tile is never touched,
-3. either regime feeds one **per-row count histogram** (slot ``v`` = how
+   three regimes picked by one rule over what the span stream already says.
+   A tile whose postings stream is at most a quarter of its cells is
+   **sparse**: ``np.unique`` of the fused ``row * n_objects + object_id``
+   keys yields the positive cells and the tile is never touched. A dense
+   tile is **short-list** or **long-list**, by whether the batch's
+   references average a quarter of the objects a list
+   (``sum(span_lengths) * 4 >= n_references * n_objects``). Short lists:
+   each row's List-Array spans are concatenated — a cache-sized stream,
+   never the batch's — and counted with one ``bincount`` straight into a
+   reused **int32** tile, the device's counter width. Long lists: a batch
+   shares its lists (the paper's premise; an LSH re-hash domain makes a
+   few heavy buckets that every query hits), so each *distinct* referenced
+   list is scattered **once per batch** into a 0/1 byte row and a tile's
+   counts are sums of byte rows in a **uint8** tile — a count never
+   exceeds its row's references, so rows of more than 255, or byte rows
+   past ``MAX_BYTE_ROW_BYTES``, count as short lists instead (README,
+   "Three counting regimes", has the measured redundancy per workload),
+3. every regime feeds one **per-row count histogram** (slot ``v`` = how
    many of the row's objects ended at count ``v``; a count is bounded by
    the query size, the fact the paper's Bitmap Counter rests on). Every
    statistic is read off it: nonzero totals, the k-th largest count
@@ -197,7 +207,16 @@ def _tiled_sweep(
     max_fused_cells: int,
     select: bool,
 ) -> BatchScanPlan:
-    """Count, histogram, cost-derive and (optionally) select, one tile at a time."""
+    """Count, histogram, cost-derive and (optionally) select, one tile at a time.
+
+    A tile is counted sparse when its postings stream is at most a quarter
+    of its cells. Dense tiles take one regime per batch: long-list when
+    ``span_lengths.sum() * 4 >= span_rows.size * n_objects``, short-list
+    otherwise — and whenever a row has more than 255 references (a byte
+    counter would wrap) or the byte rows would pass their bound: one byte
+    per object per *distinct* span, at most ``MAX_BYTE_ROW_BYTES`` (16 MB)
+    for the life of this call, next to one byte tile of ``max_fused_cells``.
+    """
     n_objects = index.n_objects
     kk = min(k, n_objects)
     updates = np.bincount(
@@ -213,16 +232,19 @@ def _tiled_sweep(
     tile_results: list[TopKBatch] = []
 
     rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
-    # GEN-SPQ keeps every row; the c-PQ path recounts into one tile buffer
-    # at the device's counter width.
+    shared = _shared_byte_rows(index, span_rows, span_lengths, span_bounds)
+    # GEN-SPQ keeps every row; dense tiles of the c-PQ path are recounted
+    # into one buffer at the device's counter width. Byte rows add up in a
+    # byte tile under either.
     counts = None if select else np.empty((n_queries, n_objects), dtype=np.int64)
-    buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=np.int32) if select else None
+    if select or shared is not None:
+        counter = np.int32 if shared is None else np.uint8
+        buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=counter)
     for lo in range(0, n_queries, rows_per_tile):
         hi = min(lo + rows_per_tile, n_queries)
         n_rows = hi - lo
-        tile = buffer[:n_rows] if select else counts[lo:hi]
         spans = slice(span_bounds[lo], span_bounds[hi])
-        sparse = int(updates[lo:hi].sum()) * 4 <= tile.size
+        sparse = int(updates[lo:hi].sum()) * 4 <= n_rows * n_objects
         if sparse:
             keys, vals = _positive_cells(
                 index, span_starts[spans], span_lengths[spans], span_query[spans] - lo, n_rows
@@ -232,12 +254,20 @@ def _tiled_sweep(
             widths = updates[lo:hi] + 1
             hist = np.bincount((np.cumsum(widths) - widths)[key_row] + vals, minlength=int(widths.sum()))
             if not select:
-                tile[:] = 0
-                tile.reshape(-1)[keys] = vals
-        else:
-            widths, hist = _count_rows(
-                tile, index, span_starts[spans], span_lengths[spans], span_bounds[lo : hi + 1] - span_bounds[lo]
+                counts[lo:hi] = 0
+                counts[lo:hi].reshape(-1)[keys] = vals
+        elif shared is None:
+            tile = buffer[:n_rows] if select else counts[lo:hi]
+            row_bounds = span_bounds[lo : hi + 1] - span_bounds[lo]
+            widths, hist = _row_histograms(
+                _count_rows(tile, index, span_starts[spans], span_lengths[spans], row_bounds)
             )
+        else:
+            tile = buffer[:n_rows]
+            _add_byte_rows(tile, *shared, span_bounds[lo : hi + 1])
+            widths, hist = _row_histograms(tile)
+            if not select:
+                counts[lo:hi] = tile
 
         nonzero, kth, passes_high, value = _row_statistics(hist, widths, kk)
         gate_passes[lo:hi] = passes_high + np.minimum(nonzero, k) * kth
@@ -253,7 +283,7 @@ def _tiled_sweep(
                 keys, vals = keys[keep], vals[keep]
             else:
                 keys = np.flatnonzero(tile >= level.astype(tile.dtype)[:, None])
-                vals = tile.reshape(-1)[keys]
+                vals = tile.reshape(-1)[keys].astype(np.int64)  # off the counter width
             tile_results.append(_select_rows(keys, vals, kth, kk, n_objects))
 
     return BatchScanPlan(
@@ -300,25 +330,86 @@ def _count_rows(
     span_starts: np.ndarray,
     span_lengths: np.ndarray,
     row_bounds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense regime: fill ``tile`` row by row, one ``bincount`` per row.
+):
+    """Short-list dense regime: fill ``tile`` row by row, one ``bincount`` per row.
 
     A row's List-Array spans are concatenated (plain memcpy of a
-    cache-sized stream) and counted straight into the tile; the row's count
-    histogram is taken while the row is still hot.
-
-    Returns:
-        ``(widths, hist)``: the rows' histograms concatenated, row ``r``
-        owning ``widths[r]`` slots (see :func:`_row_statistics`).
+    cache-sized stream) and counted straight into the tile. Yields each row
+    as it is filled, so :func:`_row_histograms` reads it while it is hot.
     """
     list_array32 = index.list_array32
     n_objects = tile.shape[1]
     views = [list_array32[s : s + n] for s, n in zip(span_starts.tolist(), span_lengths.tolist())]
     bounds = row_bounds.tolist()
-    hists = []
     for ti, (a, b) in enumerate(zip(bounds, bounds[1:])):
         row = np.bincount(np.concatenate(views[a:b] or [list_array32[:0]]), minlength=n_objects)
         tile[ti] = row
+        yield row
+
+
+#: Byte rows of one batch may hold this many bytes — a memory bound, not a
+#: cache one (a row is gathered whole, so a cold one streams: 10.8 MB of
+#: rows still count 3.3x faster than per-row ``bincount``). 16 MB is what
+#: GEN-SPQ's count matrix weighs for one Fig. 9 batch (256 x 8 000 int64).
+MAX_BYTE_ROW_BYTES = 16 * 2**20
+
+
+def _shared_byte_rows(
+    index: InvertedIndex, span_rows: np.ndarray, span_lengths: np.ndarray, span_bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Long-list regime: each distinct referenced list once, as a 0/1 byte row.
+
+    Returns:
+        ``(byte_rows, ref_row)`` — one ``uint8`` row of ``n_objects`` per
+        distinct span and, per reference, the row of its span — or ``None``
+        when the batch's dense tiles count per row instead (the rule and
+        the bound are in :func:`_tiled_sweep`).
+    """
+    n_objects = index.n_objects
+    long_lists = 0 < span_rows.size * n_objects <= int(span_lengths.sum()) * 4
+    if not long_lists or np.diff(span_bounds).max() > np.iinfo(np.uint8).max:
+        return None
+    distinct, ref_row = np.unique(span_rows, return_inverse=True)
+    if distinct.size * n_objects > MAX_BYTE_ROW_BYTES:
+        return None
+    starts = index.span_starts[distinct]
+    lengths = index.span_ends[distinct] - starts
+    byte_rows = np.zeros((distinct.size, n_objects), dtype=np.uint8)
+    # An object is on a posting list once, so a list's count row is 0/1.
+    row_base = np.repeat(np.arange(distinct.size) * n_objects, lengths)
+    byte_rows.reshape(-1)[row_base + index.list_array32[ragged_slices(starts, lengths)]] = 1
+    return byte_rows, ref_row
+
+
+def _add_byte_rows(
+    tile: np.ndarray, byte_rows: np.ndarray, ref_row: np.ndarray, ref_bounds: np.ndarray
+) -> None:
+    """Long-list regime: a tile's counts as sums of its rows' byte rows.
+
+    Pass ``r`` adds every row's ``r``-th reference at once — one gather of
+    byte rows, one add — over the rows that have an ``r``-th reference
+    (``ref_bounds`` are the tile rows' bounds in ``ref_row``).
+    """
+    first, n_refs = ref_bounds[:-1], np.diff(ref_bounds)
+    every_row = int(n_refs.min())
+    tile[:] = 0
+    for r in range(int(n_refs.max())):
+        if r < every_row:
+            tile += byte_rows[ref_row[first + r]]
+        else:
+            rows = np.flatnonzero(n_refs > r)
+            tile[rows] += byte_rows[ref_row[first[rows] + r]]
+
+
+def _row_histograms(rows) -> tuple[np.ndarray, np.ndarray]:
+    """One count histogram per row of a dense tile (any counter width).
+
+    Returns:
+        ``(widths, hist)``: the rows' histograms concatenated, row ``r``
+        owning ``widths[r]`` slots (see :func:`_row_statistics`).
+    """
+    hists = []
+    for row in rows:
         hist = np.bincount(row)
         hist[0] = 0  # untouched objects are not positive counts
         hists.append(hist)

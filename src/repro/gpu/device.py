@@ -15,6 +15,7 @@ block-over-SM scheduler into one object with the lifecycle of a real device:
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -23,6 +24,9 @@ from repro.gpu.kernel import KernelLaunch
 from repro.gpu.memory import DeviceArray, MemoryManager
 from repro.gpu.specs import DEFAULT_COSTS, TITAN_X, CostModel, DeviceSpec
 from repro.gpu.stats import KernelStats, StageTimings
+
+#: Launch records ``Device.kernel_log`` retains.
+KERNEL_LOG_LIMIT = 256
 
 
 class Device:
@@ -39,7 +43,10 @@ class Device:
         self.costs = costs
         self.memory = MemoryManager(spec.global_mem_bytes)
         self.timings = StageTimings()
-        self.kernel_log: list[KernelStats] = []
+        # The newest launches only (a served index launches forever);
+        # ``launches`` counts every one since the last reset.
+        self.kernel_log: deque[KernelStats] = deque(maxlen=KERNEL_LOG_LIMIT)
+        self.launches = 0
         self._stage = "match"
 
     # ------------------------------------------------------------------
@@ -67,7 +74,8 @@ class Device:
     def reset_timings(self) -> None:
         """Zero all stage timers and the kernel log (memory state is kept)."""
         self.timings = StageTimings()
-        self.kernel_log = []
+        self.kernel_log.clear()
+        self.launches = 0
 
     # ------------------------------------------------------------------
     # memory and transfers
@@ -101,7 +109,9 @@ class Device:
         The launch is additionally bounded below by global-memory bandwidth.
 
         Returns:
-            A :class:`KernelStats` record, also appended to ``kernel_log``.
+            A :class:`KernelStats` record, also appended to ``kernel_log``
+            (which keeps the newest ``KERNEL_LOG_LIMIT``) and counted in
+            ``launches``.
         """
         # Vectorized block_cycles: passes = ceil(items / lanes), zero items
         # cost zero compute. Identical values to the scalar helper.
@@ -152,6 +162,7 @@ class Device:
             elapsed_seconds=elapsed,
         )
         self.kernel_log.append(stats)
+        self.launches += 1
         self.timings.add(stage or self._stage, elapsed)
         return stats
 

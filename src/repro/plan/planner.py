@@ -335,7 +335,7 @@ def _delta_node(
         segments=len(manifest.segments),
         n_objects=manifest.delta_objects,
         postings=manifest.delta_postings,
-        tombstones=len(manifest.tombstones),
+        tombstones=manifest.tombstones.size,
         n_queries=n_queries,
         k=retrieval_k,
         cost=cost,

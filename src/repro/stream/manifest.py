@@ -20,6 +20,9 @@ executor filters tombstones against base scan results only.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.core.types import ID_DTYPE
 from repro.stream.delta import DeltaSegment
 
 
@@ -36,7 +39,9 @@ class SegmentManifest:
             logical corpus size (``ids < next_gid``).
         segments: Live delta segments, oldest first; the last unsealed
             one (if any) is the active insert target.
-        tombstones: Base global ids whose base copy is dead.
+        tombstones: Base global ids whose base copy is dead, ascending
+            (the executor's filter probe table; grown by
+            :meth:`add_tombstones`, never edited in place).
         mutation_epoch: Bumped by every insert/delete/update — the
             serve-layer invalidation version.
         base_epoch: Bumped by every compaction (the plan cache keys on
@@ -49,10 +54,21 @@ class SegmentManifest:
         self.base_objects = int(base_objects)
         self.next_gid = int(base_objects)
         self.segments: list[DeltaSegment] = []
-        self.tombstones: set[int] = set()
+        self.tombstones = np.empty(0, dtype=ID_DTYPE)
         self.mutation_epoch = 0
         self.base_epoch = 0
         self.compactions = 0
+
+    def add_tombstones(self, gids: np.ndarray) -> None:
+        """Mark live base ids dead, each at its sorted position."""
+        gids = np.sort(gids)
+        self.tombstones = np.insert(self.tombstones, self.tombstones.searchsorted(gids), gids)
+
+    def is_tombstoned(self, gids: np.ndarray) -> np.ndarray:
+        """Which of ``gids`` are tombstoned base ids."""
+        if not self.tombstones.size:
+            return np.zeros(gids.shape, dtype=bool)
+        return self.tombstones.take(self.tombstones.searchsorted(gids), mode="clip") == gids
 
     @property
     def delta_objects(self) -> int:
@@ -81,7 +97,7 @@ class SegmentManifest:
         """
         return (
             bool(self.segments)
-            or bool(self.tombstones)
+            or bool(self.tombstones.size)
             or self.next_gid != self.base_objects
         )
 
@@ -93,7 +109,7 @@ class SegmentManifest:
             "segments": len(self.segments),
             "delta_objects": self.delta_objects,
             "delta_postings": self.delta_postings,
-            "tombstones": len(self.tombstones),
+            "tombstones": self.tombstones.size,
             "mutation_epoch": self.mutation_epoch,
             "base_epoch": self.base_epoch,
             "compactions": self.compactions,

@@ -60,7 +60,6 @@ class StreamState:
         # keep their scan index across mutations elsewhere; an edited one
         # is re-indexed (re-paying index_build) by the next search.
         self._parts: dict[DeltaSegment, object] = {}
-        self._tombstone_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -121,7 +120,7 @@ class StreamState:
         manifest = self.manifest
         for s in np.unique(holder[holder >= 0]).tolist():
             manifest.segments[s].remove(rows[holder == s])
-        manifest.tombstones.update(ids[holder < 0].tolist())
+        manifest.add_tombstones(ids[holder < 0])
         self._mutated()
 
     def update(self, gid: int, obj) -> None:
@@ -138,7 +137,7 @@ class StreamState:
         else:
             # A base object cannot change in place: tombstone the base
             # copy and insert the replacement — same id — as a delta.
-            manifest.tombstones.add(gid)
+            manifest.add_tombstones(ids)
             self._land(ids, new)
         self._mutated()
 
@@ -155,16 +154,12 @@ class StreamState:
     def _is_live(self, gids: np.ndarray, holder: np.ndarray) -> np.ndarray:
         """Which of ``gids`` are live: held by a segment, or base ids not tombstoned."""
         manifest = self.manifest
-        tombstoned = np.fromiter(
-            (gid in manifest.tombstones for gid in gids.tolist()), dtype=bool, count=gids.size
-        )
-        return (holder >= 0) | ((gids < manifest.base_objects) & ~tombstoned)
+        return (holder >= 0) | ((gids < manifest.base_objects) & ~manifest.is_tombstoned(gids))
 
     def _mutated(self) -> None:
         manifest = self.manifest
         manifest.mutation_epoch += 1
         manifest.segments = [s for s in manifest.segments if len(s)]
-        self._tombstone_array = None
         # A mutation stales this index's cached results *and* plans (the
         # plan must grow/update its DeltaScan); other indexes' caches are
         # untouched — that is the whole point of per-index hooks.
@@ -177,11 +172,7 @@ class StreamState:
 
     def tombstone_array(self) -> np.ndarray:
         """Sorted tombstoned base ids (the executor's filter probe table)."""
-        if self._tombstone_array is None:
-            self._tombstone_array = np.asarray(
-                sorted(self.manifest.tombstones), dtype=ID_DTYPE
-            )
-        return self._tombstone_array
+        return self.manifest.tombstones
 
     def delta_parts(self) -> list:
         """One ``_IndexPart`` per live segment, each over the segment's current corpus.
@@ -254,7 +245,7 @@ class StreamState:
     def maybe_compact(self) -> bool:
         """Compact when delta pressure crosses the configured ratio."""
         manifest = self.manifest
-        if not manifest.segments and not manifest.tombstones:
+        if not manifest.segments and not manifest.tombstones.size:
             return False
         base_entries = sum(
             int(part.corpus.total_entries) for part in self.handle._parts
@@ -262,7 +253,7 @@ class StreamState:
         ratio = self.config.compact_ratio
         if (
             manifest.delta_postings > ratio * max(1, base_entries)
-            or len(manifest.tombstones) > ratio * max(1, manifest.base_objects)
+            or manifest.tombstones.size > ratio * max(1, manifest.base_objects)
         ):
             return self.compact()
         return False
@@ -287,17 +278,16 @@ class StreamState:
         manifest = self.manifest
         folded_segments = len(manifest.segments)
         folded_postings = int(manifest.delta_postings)
-        folded_tombstones = len(manifest.tombstones)
+        folded_tombstones = manifest.tombstones.size
         host_before = session.host.timings.copy()
         corpus = self.full_corpus()
         self.release()
         self.handle._install(corpus)
         manifest.segments = []
-        manifest.tombstones = set()
+        manifest.tombstones = np.empty(0, dtype=ID_DTYPE)
         manifest.base_objects = manifest.next_gid
         manifest.base_epoch += 1
         manifest.compactions += 1
-        self._tombstone_array = None
         cache = session.plan_cache
         if cache is not None:
             cache.invalidate(self.handle.name)

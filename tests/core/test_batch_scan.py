@@ -44,19 +44,38 @@ lb_configs = st.sampled_from(LB_CONFIGS)
 
 # Keyword L sits in objects 0..L-1, so a query's postings stream is the sum of
 # its keywords. Four queries around a hole make 5 rows x 16 objects = 80 cells:
-# the regime boundary (stream * 4 == cells) is a stream of 20 entries.
-REGIME_CORPUS = Corpus([[kw for kw in (1, 2, 3, 4, 16) if obj < kw] for obj in range(16)])
+# a tile is sparse up to a stream of 20 entries (stream * 4 == cells), and a
+# dense batch is long-list when its references average a quarter of the
+# objects (4 entries a span). Each case's regime without load balancing:
 REGIME_QUERIES = {
     "sparse": ([[1]], [[2]], [[1]], [[1, 2]]),  # 7 entries
     "boundary": ([[16]], [[1]], [[2]], [[1]]),  # 20: the last sparse stream
-    "one_past": ([[16]], [[1]], [[2]], [[2]]),  # 21: the first dense stream
-    "dense": ([[16], [16, 4]], [[16, 3]], [[16], [16]], [[16, 4, 3, 2, 1]]),  # 127
+    "one_past": ([[3], [3]], [[3], [3]], [[3], [3]], [[3]]),  # 21 over 7 spans: the first dense stream
+    "short_lists": ([[3], [3, 2]], [[3, 3]], [[4], [3]], [[4, 3, 3, 2, 1]]),  # 40 over 14 spans
+    "quarter": ([[4], [4]], [[4], [4]], [[4]], [[4]]),  # 24 over 6 spans: the first long-list batch
+    "long_lists": ([[16], [16, 4]], [[16, 3]], [[16], [16]], [[16, 4, 3, 2, 1]]),  # 113 over 12 spans
 }
+REGIME_WITHOUT_LB = {
+    "sparse": "sparse", "boundary": "sparse", "one_past": "short", "short_lists": "short",
+    "quarter": "long", "long_lists": "long",
+}
+REGIME_CORPUS = Corpus([[kw for kw in (1, 2, 3, 4, 16) if obj < kw] for obj in range(16)])
 HOLES = {"empty_query": [], "all_miss_query": [[99], [98, 97]]}
 
 
 def make_batch(raw_queries):
     return QueryBatch.from_queries([Query(items=items) for items in raw_queries])
+
+
+def record_regimes(monkeypatch):
+    """The counting regime of every tile ``plan_batch_scan`` sweeps from here on, in order."""
+    taken = []
+    for regime, name in (("sparse", "_positive_cells"), ("short", "_count_rows"), ("long", "_add_byte_rows")):
+        def counted(*args, _regime=regime, _count=getattr(batch_scan, name)):
+            taken.append(_regime)
+            return _count(*args)
+        monkeypatch.setattr(batch_scan, name, counted)
+    return taken
 
 
 def assert_scan_matches_reference(index, queries, k, scan):
@@ -228,16 +247,61 @@ class TestPlanEquivalence:
     def test_counting_regimes(self, monkeypatch, density, hole, select, max_fused_cells, lb):
         index = InvertedIndex.build(REGIME_CORPUS, load_balance=lb)
         before, after = REGIME_QUERIES[density][:2], REGIME_QUERIES[density][2:]
-        queries = make_batch([*before, HOLES[hole], *after])
-        dense_tiles = []
-        count_rows = batch_scan._count_rows
-        monkeypatch.setattr(
-            batch_scan, "_count_rows", lambda tile, *rest: dense_tiles.append(tile.shape) or count_rows(tile, *rest)
-        )
+        raw = [*before, HOLES[hole], *after]
+        queries = make_batch(raw)
+        taken = record_regimes(monkeypatch)
         scan = plan_batch_scan(index, queries, 3, max_fused_cells=max_fused_cells, select=select)
         assert_scan_matches_reference(index, queries, 3, scan)
-        if max_fused_cells == 10**9:  # one tile, so the batch's density is the tile's
-            assert dense_tiles == ([(5, 16)] if density in ("one_past", "dense") else [])
+        # The rule, from the specification's numbers: a tile is sparse up to a
+        # quarter of its cells; dense tiles add byte rows when the batch's
+        # spans average a quarter of the objects, else count row by row.
+        spans = [sum(len(index.spans_for_keyword(kw)) for item in query for kw in item) for query in raw]
+        long_lists = int(scan.updates.sum()) * 4 >= sum(spans) * 16 and max(spans) <= 255
+        rows_per_tile = max(1, max_fused_cells // 16)
+        expected = [
+            "sparse" if int(scan.updates[lo : lo + rows_per_tile].sum()) * 4 <= len(raw[lo : lo + rows_per_tile]) * 16
+            else "long" if long_lists else "short"
+            for lo in range(0, 5, rows_per_tile)
+        ]
+        assert taken == expected
+        if max_fused_cells == 10**9 and lb is None:  # one tile, so the batch's density is the tile's
+            assert taken == [REGIME_WITHOUT_LB[density]]
+
+    @pytest.mark.parametrize("refs, regime", [(255, "long"), (256, "short")])
+    @pytest.mark.parametrize("select", [False, True], ids=["gen_spq", "cpq"])
+    def test_a_count_past_a_byte_falls_back(self, monkeypatch, select, refs, regime):
+        # Every object holds keyword 1: a row of 256 references ends at 256.
+        index = InvertedIndex.build(Corpus([[1, 2 + obj % 2] for obj in range(8)]))
+        queries = make_batch([[[2]], [[1]] * refs, [], [[3], [1]]])
+        taken = record_regimes(monkeypatch)
+        scan = plan_batch_scan(index, queries, 3, select=select)
+        assert taken == [regime] and scan.count_hist.size == refs + 1
+        assert_scan_matches_reference(index, queries, 3, scan)
+
+    def test_byte_rows_stay_within_their_budget(self, monkeypatch):
+        # 86 functions x 3 buckets of a third of 2 048 objects: every list is
+        # long, and the budget holds exactly 256 of the 258 as byte rows.
+        n, functions = 2048, 86
+        monkeypatch.setattr(batch_scan, "MAX_BYTE_ROW_BYTES", 256 * n)
+        rng = np.random.default_rng(4)
+        buckets = np.stack([rng.permutation(n) % 3 for _ in range(functions)], axis=1)
+        index = InvertedIndex.build(Corpus(buckets + np.arange(functions) * 3))
+        built = []
+        shared_byte_rows = batch_scan._shared_byte_rows
+        monkeypatch.setattr(
+            batch_scan, "_shared_byte_rows", lambda *args: built.append(shared_byte_rows(*args)) or built[-1]
+        )
+        taken = record_regimes(monkeypatch)
+        for n_lists, within in ((256, True), (257, False)):
+            queries = QueryBatch(np.arange(n_lists), None, np.minimum(np.arange(6) * 64, n_lists))
+            scan = plan_batch_scan(index, queries, 2, select=True)
+            assert_scan_matches_reference(index, queries, 2, scan)
+            assert taken.pop() == ("long" if within else "short") and not taken
+            if within:
+                byte_rows, _ = built[-1]
+                assert byte_rows.nbytes == batch_scan.MAX_BYTE_ROW_BYTES
+            else:
+                assert built[-1] is None
 
     @pytest.mark.parametrize("untouched", [1, 32_000], ids=["dense", "sparse"])
     @pytest.mark.parametrize("select", [False, True], ids=["gen_spq", "cpq"])
@@ -252,6 +316,43 @@ class TestPlanEquivalence:
         assert scan.count_hist.size == 5001
         assert np.flatnonzero(scan.count_hist).tolist() == [2500, 5000]
         assert_scan_matches_reference(index, queries, k, scan)
+
+
+class TestLongListRegime:
+    """Dense tiles as sums of shared byte rows equal the specification's plan."""
+
+    @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
+    @pytest.mark.parametrize("max_fused_cells", [1, 7, 64, 10**9])
+    def test_heavy_buckets_match_the_specification(self, monkeypatch, max_fused_cells, lb):
+        taken = record_regimes(monkeypatch)
+        long_tiles = 0
+        for seed in range(25):
+            rng = np.random.default_rng([seed, max_fused_cells])
+            # A span is at most a sublist long, and long lists average a quarter of the objects.
+            n = int(rng.integers(4, lb.max_sublist_len * 3 if lb else 60))
+            functions = int(rng.integers(2, 6))
+            # Per function, bucket 0 holds at least half the objects; keyword = 4 * function + bucket.
+            heavy = np.stack([rng.permutation(n) < rng.integers(-(-n // 2), n + 1) for _ in range(functions)], axis=1)
+            buckets = np.where(heavy, 0, rng.integers(1, 4, size=(n, functions)))
+            index = InvertedIndex.build(Corpus(buckets + np.arange(functions) * 4), load_balance=lb)
+
+            def row():
+                items = [
+                    (4 * rng.integers(0, functions, size=size) + (rng.random(size) < 0.2) * rng.integers(1, 4, size=size)).tolist()
+                    for size in rng.integers(1, 3, size=rng.integers(1, 7))
+                ]
+                return items + items[:1] * int(rng.integers(0, 3))  # the same spans again through another item
+
+            raw = [row(), [], row(), [[99], []]] + [row() if rng.random() < 0.7 else [] for _ in range(rng.integers(0, 6))]
+            queries = make_batch(raw)
+            k = int(rng.choice([1, 3, n + 5]))
+            for select in (False, True):
+                taken.clear()
+                scan = plan_batch_scan(index, queries, k, max_fused_cells=max_fused_cells, select=select)
+                assert_scan_matches_reference(index, queries, k, scan)
+                assert "short" not in taken or "long" not in taken  # one dense regime per batch
+                long_tiles += taken.count("long")
+        assert long_tiles >= 25
 
 
 class TestEveryConstructor:

@@ -5,7 +5,7 @@ import heapq
 import numpy as np
 import pytest
 
-from repro.gpu.device import Device, _schedule_blocks
+from repro.gpu.device import KERNEL_LOG_LIMIT, Device, _schedule_blocks
 from repro.gpu.kernel import KernelLaunch, uniform_launch
 from repro.gpu.specs import DeviceSpec
 
@@ -106,11 +106,12 @@ class TestLaunchTiming:
         ).elapsed_seconds
         assert contended > quiet
 
-    def test_kernel_log_grows(self):
+    def test_kernel_log_keeps_the_newest_and_counts_all(self):
         device = Device()
-        device.launch(_launch([10]))
-        device.launch(_launch([10]))
-        assert len(device.kernel_log) == 2
+        launched = [device.launch(_launch([10 + i])) for i in range(KERNEL_LOG_LIMIT + 3)]
+        assert device.launches == KERNEL_LOG_LIMIT + 3
+        assert list(device.kernel_log) == launched[3:]
+        assert device.kernel_log[-1] is launched[-1]
 
 
 class TestStaging:
@@ -146,7 +147,7 @@ class TestStaging:
         device.launch(_launch([100]))
         device.reset_timings()
         assert device.timings.total == 0.0
-        assert device.kernel_log == []
+        assert len(device.kernel_log) == 0 and device.launches == 0
 
     def test_slow_pcie_slows_transfer(self):
         fast = Device(DeviceSpec(pcie_bandwidth=16e9))

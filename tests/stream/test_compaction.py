@@ -38,7 +38,7 @@ class TestManualCompact:
         manifest = handle.manifest
         assert manifest.dirty is False
         assert manifest.base_objects == manifest.next_gid == 22
-        assert manifest.delta_postings == 0 and not manifest.tombstones
+        assert manifest.delta_postings == 0 and not manifest.tombstones.size
         assert manifest.base_epoch == 1 and manifest.compactions == 1
         after = handle.search([[50], [5], [52]], k=4)
         for a, b in zip(before.results, after.results):
@@ -102,7 +102,7 @@ class TestAutoCompact:
         assert handle.manifest.compactions == 0
         handle.delete([5])
         assert handle.manifest.compactions == 1
-        assert not handle.manifest.tombstones
+        assert not handle.manifest.tombstones.size
         session.close()
 
     def test_stays_put_below_threshold(self):

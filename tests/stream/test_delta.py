@@ -98,7 +98,7 @@ class TestSegmentManifest:
         manifest.segments.append(added(DeltaSegment(), 10, 1))
         assert manifest.dirty
         manifest.segments.clear()
-        manifest.tombstones.add(3)
+        manifest.add_tombstones(np.asarray([3]))
         assert manifest.dirty
 
     def test_dirty_on_dead_id_slots_past_the_base(self):

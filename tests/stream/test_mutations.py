@@ -91,7 +91,7 @@ class TestDelete:
         handle.delete([gid])
         manifest = handle.manifest
         assert manifest.delta_objects == 0
-        assert not manifest.tombstones  # segment edit, not a tombstone
+        assert not manifest.tombstones.size  # segment edit, not a tombstone
         assert handle.search([[42]], k=2).results[0].ids.size == 0
         session.close()
 
@@ -134,7 +134,7 @@ class TestDelete:
         with pytest.raises(QueryError, match="object ids must be integers") as error:
             handle.update(bad, [7])
         assert named in str(error.value)
-        assert handle.mutation_epoch == epoch and not handle.manifest.tombstones  # nothing applied
+        assert handle.mutation_epoch == epoch and not handle.manifest.tombstones.size  # nothing applied
         assert handle.manifest.delta_objects == 1
         assert handle.search([[1]], k=3).results[0].ids.size == 2
         session.close()
@@ -148,7 +148,7 @@ class TestDelete:
         handle.delete(5)
         handle.delete([True])
         handle.update(0.0, [9])
-        assert handle.manifest.tombstones == {0, 1, 2, 3, 4, 5}
+        assert handle.manifest.tombstones.tolist() == [0, 1, 2, 3, 4, 5]
         assert np.array_equal(handle.search([[9]], k=2).results[0].ids, [0])
         with pytest.raises(QueryError, match="non-negative integers; got -1"):
             handle.delete([5, -1])
@@ -172,7 +172,7 @@ class TestUpdate:
         (gid,) = handle.insert([[60]])
         handle.update(gid, [61])
         manifest = handle.manifest
-        assert not manifest.tombstones
+        assert not manifest.tombstones.size
         assert manifest.delta_objects == 1
         assert np.array_equal(handle.search([[61]], k=2).results[0].ids, [gid])
         session.close()
