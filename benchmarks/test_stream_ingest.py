@@ -1,11 +1,11 @@
-"""Bench: online ingest — delta segments vs refit-per-batch.
+"""Bench: online ingest — the delta run vs refit-per-batch.
 
 GENIE's index is built offline; the streaming layer's claim is that a
 trickle of inserts should not cost a full rebuild per batch. This
 harness replays the same seeded ingest workload — rounds of small
 insert batches interleaved with served queries — three ways:
 
-* ``stream`` — ``handle.insert`` into delta segments with the default
+* ``stream`` — ``handle.insert`` into the delta run with the default
   threshold-driven auto-compaction,
 * ``stream-nocompact`` — same, compaction disabled (delta growth
   baseline), and
@@ -118,7 +118,7 @@ def test_stream_ingest(benchmark, emit):
     truth_session.close()
 
     table = ResultTable(
-        title="Streaming ingest: delta segments vs refit-per-batch "
+        title="Streaming ingest: one delta run vs refit-per-batch "
               "(simulated seconds)",
         columns=["mode", "ingest_rounds", "served_queries", "sim_seconds",
                  "throughput_qps", "speedup_vs_refit", "delta_postings",
@@ -128,8 +128,9 @@ def test_stream_ingest(benchmark, emit):
             f"{QUERIES_PER_ROUND} queries/round at k={K}, {SHARDS} range "
             f"shards, seed {SEED}.",
             "sim_seconds includes index builds: the refit mode pays a full "
-            "rebuild per round, the stream modes only delta-part builds "
-            "(and, for `stream`, threshold-driven compactions).",
+            "rebuild per round, the stream modes only the merge of each round's "
+            "inserts into the delta run's index (and, for `stream`, "
+            "threshold-driven compactions).",
             "delta_postings is the manifest's final backlog: bounded by "
             "auto-compaction, unbounded without it.",
             "final-round answers asserted bit-identical to a from-scratch "

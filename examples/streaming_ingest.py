@@ -2,9 +2,10 @@
 
 Builds a sharded index, then inserts / updates / deletes objects through
 the handle while serving queries between every mutation. Shows the
-segment manifest growing, the plan tree sprouting a ``DeltaScan`` node
-(with the cost model pricing it), and a compaction folding the deltas
-back into a fresh base — all answer-preserving.
+manifest's one delta run growing (its index merged forward, never
+rebuilt), the plan tree sprouting a ``DeltaScan`` node (with the cost
+model pricing it), and a compaction folding the delta back into a fresh
+base — all answer-preserving.
 
 Run:  python examples/streaming_ingest.py
 """

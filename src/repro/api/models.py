@@ -32,7 +32,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.engine import GenieConfig
-from repro.core.types import Corpus, Query, QueryBatch, csr_offsets, ragged_slices
+from repro.core.types import Corpus, Query, QueryBatch, csr_offsets, flat_keyword_sets, ragged_slices
 from repro.errors import ConfigError, QueryError, ReproError
 from repro.gpu.host import HostCpu
 from repro.lsh.family import LshFamily
@@ -241,6 +241,11 @@ class RawModel(BaseMatchModel):
         return self.encode_corpus(data)
 
     def encode_queries(self, data) -> QueryBatch:
+        data = list(data)
+        if not any(isinstance(q, Query) for q in data):
+            # One flat array, no python object per query: every keyword its own item.
+            keywords, query_offsets = flat_keyword_sets(data)
+            return QueryBatch(keywords, None, query_offsets)
         return QueryBatch.from_queries(
             [q if isinstance(q, Query) else Query.from_keywords(q) for q in data]
         )

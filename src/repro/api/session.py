@@ -162,7 +162,7 @@ class SearchResult:
             the observed ``profile`` to audit the model.
         trace: Execution span tree (:class:`~repro.obs.trace.Span`) when
             the search was called with ``trace=True``: plan compile,
-            per-part/per-shard scans, delta scans, tombstone filter,
+            per-part/per-shard scans, the delta scan, tombstone filter,
             merge, finalize — on a timeline starting at 0.0 simulated
             seconds. ``None`` otherwise (untraced searches allocate no
             spans).
@@ -475,8 +475,8 @@ class GenieSession:
                 :mod:`repro.replica`).
             stream_config: :class:`~repro.stream.StreamConfig` governing
                 online ``insert``/``delete``/``update`` on the handle
-                (segment seal size, compaction thresholds); defaults
-                apply when omitted and the handle is mutated.
+                (compaction thresholds); defaults apply when omitted and
+                the handle is mutated.
             model_kwargs: Forwarded to the model factory for string specs.
 
         Returns:
@@ -772,8 +772,8 @@ class IndexHandle:
         # each its own residency unit.
         self._copies: list[list[_IndexPart]] = []
         # Online-mutation state (repro.stream), attached lazily on the
-        # first insert/delete/update; ``stream_config`` tunes its seal
-        # and compaction thresholds.
+        # first insert/delete/update; ``stream_config`` tunes its
+        # compaction thresholds.
         self.stream_config = None
         self._stream = None
         # The primary engine exists before fit so configuration is
@@ -837,10 +837,10 @@ class IndexHandle:
         return sum(part.device_bytes for part in self._all_parts())
 
     def _all_parts(self) -> list[_IndexPart]:
-        """Every copy of every part, plus any materialized delta-segment parts."""
+        """Every copy of every part, plus the materialized delta part (if any)."""
         parts = [part for copies in self._copies for part in copies]
-        if self._stream is not None:
-            parts.extend(self._stream.attached_parts())
+        if self._stream is not None and self._stream.part is not None:
+            parts.append(self._stream.part)
         return parts
 
     @property
@@ -956,7 +956,7 @@ class IndexHandle:
             session._ensure_resident(self._copies[0][0])
 
     def evict(self) -> None:
-        """Release every resident part of this index (delta parts too)."""
+        """Release every resident part of this index (the delta part too)."""
         for part in self._all_parts():
             if part.resident:
                 self.session._evict_part(part)
@@ -1079,7 +1079,7 @@ class IndexHandle:
     def insert(self, objects) -> np.ndarray:
         """Add objects online without refitting; returns their global ids.
 
-        The objects land in mutable delta segments composed with the base
+        The objects land in the mutable delta run composed with the base
         index at search time — results stay bit-identical to a
         from-scratch refit (see :mod:`repro.stream`). Only models whose
         encoders are corpus-stateless support this
@@ -1443,8 +1443,7 @@ class IndexHandle:
         slowed device accumulates stretched busy seconds and repels
         traffic. Replica choice deliberately stays *out* of the compiled
         plan: cached plans remain valid across failures and load shifts.
-        Delta-segment parts are not replicated and pass through as
-        themselves.
+        The delta part is not replicated and passes through as itself.
         """
         if part.position >= len(self._copies) or len(self._copies[part.position]) == 1:
             return (part,)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.posting import FlatPostings, build_postings
-from repro.core.types import ID_DTYPE, Corpus, ragged_slices
+from repro.core.types import ID_DTYPE, Corpus, csr_offsets, ragged_slices
 from repro.errors import IndexError_
 
 #: Bytes the position map costs per span entry (keyword + start + end).
@@ -37,6 +37,10 @@ _POSITION_MAP_ENTRY_BYTES = 24
 #: Build a dense keyword -> row table when the keyword universe is at most
 #: this many times larger than the number of distinct keywords.
 _DENSE_LOOKUP_OVERHEAD = 8
+
+#: Abstract CPU operations ``merged`` / ``without`` spend per postings entry they
+#: pass over: :func:`~repro.core.posting.build_postings`' linear passes, without its sort.
+_MERGE_OPS_PER_ENTRY = 4.0
 
 
 class InvertedIndex:
@@ -119,6 +123,65 @@ class InvertedIndex:
             build_ops=postings.build_ops,
         )
 
+    def merged(self, other: "InvertedIndex", positions: np.ndarray) -> "InvertedIndex":
+        """This index and ``other`` as one, without sorting either again.
+
+        A two-run merge of the keyword tables, then of the posting arrays on
+        fused ``(keyword row << 32) | local id`` keys — both runs already
+        ascend in that key. ``other``'s objects take the ascending local ids
+        ``positions``, this index's keep their order in the remaining slots
+        (``arange(n, n + m)`` appends). Array for array what :meth:`build`
+        makes of the resulting corpus, spans under ``self.load_balance``
+        included; ``build_ops`` is the merge's own price: ``other``'s build
+        plus a linear pass over both runs.
+
+        Raises:
+            IndexError_: ``positions`` does not name one distinct slot per object.
+        """
+        positions = np.asarray(positions, dtype=ID_DTYPE).reshape(-1)
+        if positions.size != other.n_objects or (positions[1:] <= positions[:-1]).any():
+            raise IndexError_("positions must ascend, one per merged-in object")
+        n_objects = self.n_objects + other.n_objects
+        own_ids = np.delete(np.arange(n_objects, dtype=ID_DTYPE), positions)
+        # Keyword tables: other's rows land among this index's; ``fresh`` ones are new keywords.
+        mine, theirs = self.keyword_array, other.keyword_array
+        at = mine.searchsorted(theirs)
+        fresh = np.ones(theirs.size, dtype=bool)
+        known = at < mine.size
+        fresh[known] = mine[at[known]] != theirs[known]
+        their_rows = at + np.cumsum(fresh) - fresh
+        keywords = np.insert(mine, at[fresh], theirs[fresh])
+        my_rows = np.delete(np.arange(keywords.size, dtype=ID_DTYPE), their_rows[fresh])
+        my_lengths, their_lengths = np.diff(self.list_offsets), np.diff(other.list_offsets)
+        lengths = np.zeros(keywords.size, dtype=ID_DTYPE)
+        lengths[my_rows] = my_lengths
+        lengths[their_rows] += their_lengths
+        my_keys = np.repeat(my_rows << 32, my_lengths) | own_ids[self.list_array]
+        their_keys = np.repeat(their_rows << 32, their_lengths) | positions[other.list_array]
+        keys = np.insert(my_keys, my_keys.searchsorted(their_keys), their_keys)
+        ops = other.build_ops + _MERGE_OPS_PER_ENTRY * keys.size
+        postings = FlatPostings(keywords, csr_offsets(lengths), keys & 0xFFFFFFFF, ops)
+        return self.from_postings(postings, n_objects, self.load_balance)
+
+    def without(self, ids: np.ndarray) -> "InvertedIndex":
+        """This index minus the objects at local ``ids``, the rest renumbered densely.
+
+        One ``compress`` of the dropped objects' postings; keywords left
+        without postings leave the table. Array for array what :meth:`build`
+        makes of the remaining corpus, for a linear pass (``build_ops``).
+        """
+        dropped = np.zeros(self.n_objects, dtype=bool)
+        dropped[ids] = True
+        new_ids = np.cumsum(~dropped) - 1
+        keep = ~dropped[self.list_array]
+        offsets = csr_offsets(keep)[self.list_offsets]
+        alive = offsets[1:] > offsets[:-1]
+        postings = FlatPostings(
+            self.keyword_array[alive], np.append(offsets[:-1][alive], offsets[-1]),
+            new_ids[self.list_array[keep]], _MERGE_OPS_PER_ENTRY * max(1, self.total_entries),
+        )
+        return self.from_postings(postings, self.n_objects - int(dropped.sum()), self.load_balance)
+
     @staticmethod
     def _build_dense_lookup(keywords: np.ndarray) -> np.ndarray | None:
         """A keyword -> row table, when the keyword universe is compact."""
@@ -178,6 +241,11 @@ class InvertedIndex:
         starts = self.span_starts[span_rows]
         lengths = self.span_ends[span_rows] - starts
         return self.list_array[ragged_slices(starts, lengths)]
+
+    @property
+    def list_offsets(self) -> np.ndarray:
+        """Keyword row ``i``'s whole list (sublists re-joined) is ``list_array[list_offsets[i]:list_offsets[i + 1]]``."""
+        return np.append(self.span_starts[self.kw_span_offsets[:-1]], self.total_entries)
 
     @property
     def list_array32(self) -> np.ndarray:

@@ -106,6 +106,21 @@ def as_keyword_array(keywords, what: str = "keywords") -> np.ndarray:
     return arr
 
 
+def flat_keyword_sets(sets) -> tuple[np.ndarray, np.ndarray]:
+    """``(keywords, offsets)`` of ragged keyword iterables laid end to end, validated once.
+
+    The flat door of :class:`Corpus` and of the one-keyword-per-item query models.
+    """
+    parts = [_raw_array(one, "keywords") for one in sets]
+    offsets = csr_offsets([part.size for part in parts])
+    parts = [part.reshape(-1) for part in parts if part.size]
+    if len({part.dtype for part in parts}) > 1:
+        # Validate before numpy promotes: int64 beside float64
+        # concatenates to float64, which rounds keywords above 2**53.
+        parts = [as_keyword_array(part) for part in parts]
+    return as_keyword_array(np.concatenate(parts) if parts else ()), offsets
+
+
 def ragged_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Indices of the concatenation ``[arange(s, s + l) for s, l in ...]``.
 
@@ -239,14 +254,7 @@ class Corpus:
             flat = as_keyword_array(objects)
             offsets = np.arange(objects.shape[0] + 1, dtype=ID_DTYPE) * objects.shape[1]
         else:
-            parts = [_raw_array(obj, "keywords") for obj in objects]
-            offsets = csr_offsets([part.size for part in parts])
-            parts = [part.reshape(-1) for part in parts if part.size]
-            if len({part.dtype for part in parts}) > 1:
-                # Validate before numpy promotes: int64 beside float64
-                # concatenates to float64, which rounds keywords above 2**53.
-                parts = [as_keyword_array(part) for part in parts]
-            flat = as_keyword_array(np.concatenate(parts) if parts else ())
+            flat, offsets = flat_keyword_sets(objects)
         flat, offsets = canonical_segments(flat, offsets)
         if isinstance(objects, np.ndarray) and np.may_share_memory(flat, objects):
             flat = flat.copy()

@@ -1,4 +1,4 @@
-"""Synthetic stand-ins for the paper's datasets (see DESIGN.md substitutions)."""
+"""Synthetic stand-ins for the paper's datasets (see README.md, "Repo map")."""
 
 from repro.datasets.documents import make_document_queries, make_tweets_like, make_vocabulary
 from repro.datasets.registry import REGISTRY, DatasetInfo, dataset_names, load

@@ -66,8 +66,8 @@ class AvailabilityError(ReproError):
     down does the search fail — with this error, never a hang or a
     silently partial result. Carries the index name, the source's part
     position (the shard, on a sharded index), the pool positions of the
-    devices that were tried, and — when the source was a delta segment
-    of a mutated index rather than a base part — the segment's number.
+    devices that were tried, and — when the source was the delta run of
+    a mutated index rather than a base part — ``segment`` 0 (``None`` otherwise).
     """
 
     def __init__(self, index, shard, devices, segment=None):
@@ -75,7 +75,7 @@ class AvailabilityError(ReproError):
         self.shard = int(shard)
         self.devices = tuple(int(d) for d in devices)
         self.segment = None if segment is None else int(segment)
-        source = f"shard {self.shard}" if segment is None else f"delta segment {self.segment}"
+        source = f"shard {self.shard}" if segment is None else "delta run"
         super().__init__(
             f"{source} of index {self.index!r} has no live replica "
             f"(pool devices {list(self.devices)} are down)"

@@ -1,4 +1,5 @@
-"""Ablations beyond the paper's figures, for the design choices in DESIGN.md.
+"""Ablations beyond the paper's figures, for the design choices in README.md
+("The batch match pipeline").
 
 * Bitmap-Counter width: memory versus the count bound it can serve.
 * Robin Hood expired-overwrite: probe counts with the modification on/off.

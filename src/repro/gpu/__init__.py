@@ -1,8 +1,8 @@
 """Simulated-GPU substrate: device model, memory, kernels, cost accounting.
 
 The paper runs on a real NVIDIA Titan X; this package provides the
-functional-plus-analytic simulator that stands in for it (see DESIGN.md for
-the substitution argument). Public entry points:
+functional-plus-analytic simulator that stands in for it (see the opening
+section of README.md, "GENIE reproduction", for the substitution argument). Public entry points:
 
 * :class:`~repro.gpu.device.Device` — the device itself,
 * :class:`~repro.gpu.host.HostCpu` — the paired host CPU,

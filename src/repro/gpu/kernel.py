@@ -5,7 +5,7 @@ counts plus aggregate traffic and contention counters. The device turns this
 into simulated time. Kernels in this package compute their *functional*
 results with numpy on the host and describe the *cost* of the equivalent GPU
 execution through this record — the "functional simulation, analytic timing"
-split described in DESIGN.md.
+split described in README.md ("GENIE reproduction").
 """
 
 from __future__ import annotations

@@ -71,14 +71,10 @@ COEFFICIENT_NAMES = (
 def postings_per_keyword(index) -> np.ndarray:
     """Posting-list length per keyword row of an ``InvertedIndex``.
 
-    Row ``i`` aligns with ``index.keyword_array[i]``. Computed from the
-    CSR span arrays (load-balanced sub-lists sum back to the full list),
-    one vectorized pass — no walk over the corpus.
+    Row ``i`` aligns with ``index.keyword_array[i]`` (load-balanced
+    sub-lists re-joined) — no walk over the corpus.
     """
-    span_len = (index.span_ends - index.span_starts).astype(np.int64)
-    cum = np.concatenate([[0], np.cumsum(span_len)])
-    offsets = index.kw_span_offsets.astype(np.int64)
-    return (cum[offsets[1:]] - cum[offsets[:-1]]).astype(np.float64)
+    return np.diff(index.list_offsets).astype(np.float64)
 
 
 def _keyword_postings(

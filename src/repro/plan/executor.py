@@ -7,7 +7,7 @@ top-k on the host). :func:`execute_plan` runs every plan
 
 1. build the **source list** — the index's base parts (one, or
    ``part_size`` slices sharing a device, or one shard slice per pool
-   device) plus one part per delta segment while mutations are live;
+   device) plus the delta run's part while it holds live mutations;
 2. run one :func:`_scan_round` over it (two for a TPUT plan), each scan
    through :func:`_scan_one` — fault check, replica choice, residency,
    engine call, ``swap_parts`` eviction, profile. Every source keeps one
@@ -42,10 +42,10 @@ Cost model notes:
 * Base parts of a mutated index scan at a width of ``retrieval_k +
   tombstones``: filtering strikes at most ``tombstones`` candidates from
   a part's list, so the widened fetch still contains the part's live
-  top-``retrieval_k``. Delta segments scan the whole batch (recent
-  writes obey no partition bounds) back to back on the primary device,
-  and the merge re-pins thresholds against the logical corpus size
-  exactly as a from-scratch refit would.
+  top-``retrieval_k``. The delta run scans the whole batch (recent
+  writes obey no partition bounds) on the primary device after the base
+  round, and the merge re-pins thresholds against the logical corpus
+  size exactly as a from-scratch refit would.
 """
 
 from __future__ import annotations
@@ -104,12 +104,13 @@ def execute_plan(
         host.charge_ops(compiled.routing_ops, stage="plan_route")
 
     base = handle._parts
-    deltas = stream.delta_parts() if dirty else []
+    delta = stream.delta_part() if dirty else None
+    deltas = [delta] if delta is not None else []
     sources = base + deltas
     n_base = len(base)
     everyone = np.arange(n_queries, dtype=np.int64)
     routes = (list(compiled.routes) if sharded else [everyone] * n_base) + [everyone] * len(deltas)
-    tombstones = stream.tombstone_array() if dirty else np.empty(0, dtype=ID_DTYPE)
+    tombstones = stream.manifest.tombstones if dirty else np.empty(0, dtype=ID_DTYPE)
     two_round = compiled.merge == "two-round-tput"
     base_k = compiled.first_round_k if two_round else k + int(tombstones.size)
 
@@ -309,9 +310,8 @@ def _scan_one(
             scan_profile.add("failover_retry", penalty)
         session.device_load.record(position, scan_profile.query_total())
         return results, scan_profile
-    segment = part.position - handle.num_parts
     raise AvailabilityError(
-        handle.name, part.position, tried, segment=segment if segment >= 0 else None
+        handle.name, part.position, tried, segment=0 if part.position >= handle.num_parts else None
     )
 
 
@@ -321,7 +321,7 @@ def _strike_tombstones(
     """The base candidates without tombstoned ids.
 
     Runs before any top-k decision — a dead base copy must never outrank
-    a live object (its replacement may sit in a delta segment under the
+    a live object (its replacement may sit in the delta run under the
     same id). Charged to the host as one binary search per candidate
     (stage ``tombstone_filter``), accumulated per (source, query) in
     that order; returns the struck batches and the charged seconds.

@@ -189,28 +189,26 @@ class ShardScanNode(PlanNode):
 
 @dataclass(frozen=True)
 class DeltaScanNode(PlanNode):
-    """Scan of a mutated index's delta segments (see :mod:`repro.stream`).
+    """Scan of a mutated index's delta run (see :mod:`repro.stream`).
 
     Emitted next to the base ``Scan``/``ShardScan`` whenever the handle
     carries live mutations; the parent merge composes base and delta
     candidates exactly, with the base candidates filtered against the
-    tombstone set first. Delta segments live on the session's primary
-    device and always scan the whole active batch — segment contents are
+    tombstone set first. The delta run lives on the session's primary
+    device and always scans the whole active batch — its contents are
     arbitrary recent writes, so no keyword-bound routing applies.
 
     Attributes:
         index: Index name.
-        segments: Live delta segments scanned (one small index each).
-        n_objects: Live objects across the segments.
+        n_objects: Live objects in the run.
         postings: Total delta (object, keyword) pairs — the extra scan
             work every query pays until the next compaction.
         tombstones: Dead base ids filtered out of the base candidates.
         n_queries: Queries scanned (after elision).
-        k: Per-segment retrieval width.
+        k: The run's retrieval width.
     """
 
     index: str
-    segments: int
     n_objects: int
     postings: int
     tombstones: int
@@ -219,8 +217,7 @@ class DeltaScanNode(PlanNode):
 
     def label(self) -> str:
         return (
-            f"DeltaScan(index={self.index!r}, segments={self.segments}, "
-            f"objects={self.n_objects}, postings={self.postings}, "
+            f"DeltaScan(index={self.index!r}, objects={self.n_objects}, postings={self.postings}, "
             f"tombstones={self.tombstones}, queries={self.n_queries}, k={self.k})"
         )
 

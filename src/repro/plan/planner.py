@@ -305,40 +305,20 @@ def _delta_scan_seconds(
     retrieval_k: int,
     count_bound: int,
 ) -> float:
-    """Predicted seconds the delta-segment scans add to a plan.
+    """Predicted seconds the delta-run scan adds to a plan.
 
-    The delta parts run sequentially on the session's primary device
-    after the base round, so their predicted seconds *add* to every
-    candidate's critical path identically — pricing them cannot flip the
-    route x merge choice, but it keeps ``predicted_cost`` and the
-    ``DeltaScan`` node's ``cost≈`` annotation honest against the
-    observed profile. Priced from each segment corpus's keyword table,
-    without building any index — ``explain()`` stays free of
-    ``index_build`` charges.
+    The delta part runs after the base round, so its seconds *add* to every
+    candidate's critical path alike — pricing it cannot flip the route x
+    merge choice, but keeps ``predicted_cost`` and the ``DeltaScan`` node's
+    ``cost≈`` honest. Priced from the run corpus's keyword table, not its
+    index — ``explain()`` stays free of ``index_build`` charges.
     """
-    seconds = 0.0
-    for segment in stream.manifest.segments:
-        postings = postings_for_keywords(flat_keywords, *segment.corpus.keyword_table)
-        seconds += cost_model.scan_seconds(
-            n_queries, total_keywords, postings, retrieval_k,
-            count_bound=count_bound,
-        )
-    return seconds
-
-
-def _delta_node(
-    handle, stream, n_queries: int, retrieval_k: int, cost: float | None
-) -> DeltaScanNode:
-    manifest = stream.manifest
-    return DeltaScanNode(
-        index=handle.name,
-        segments=len(manifest.segments),
-        n_objects=manifest.delta_objects,
-        postings=manifest.delta_postings,
-        tombstones=manifest.tombstones.size,
-        n_queries=n_queries,
-        k=retrieval_k,
-        cost=cost,
+    run = stream.manifest.delta
+    if not len(run):
+        return 0.0
+    postings = postings_for_keywords(flat_keywords, *run.corpus.keyword_table)
+    return cost_model.scan_seconds(
+        n_queries, total_keywords, postings, retrieval_k, count_bound=count_bound
     )
 
 
@@ -442,26 +422,11 @@ def compile_search(
             k=retrieval_k,
             inputs=(encode,),
         )
-        if stream is not None:
-            # A mutated serial index always merges: base part(s) plus the
-            # delta segments, tombstones filtered before the top-k.
-            merge = "one-round"
-            root: PlanNode = MergeNode(
-                strategy=merge, k=retrieval_k,
-                inputs=(scan, _delta_node(handle, stream, len(active), retrieval_k, None)),
-            )
-        else:
-            merge = "direct" if handle.num_parts <= 1 else "one-round"
-            root = scan
-            if merge != "direct":
-                root = MergeNode(strategy=merge, k=retrieval_k, inputs=(scan,))
-        routes = None
-        routing = None
-        first_k = None
+        # A mutated serial index always merges: base part(s) plus the
+        # delta run, tombstones filtered before the top-k.
+        merge = "direct" if handle.num_parts <= 1 and stream is None else "one-round"
+        routes = routing = first_k = chosen_price = query_buckets = delta_seconds = None
         routing_ops = 0.0
-        chosen_price = None
-        query_buckets = None
-        delta_seconds = None
     else:
         # Rule 2: shard pruning (range partitions by default), applied at
         # batch granularity: a shard eligible for any query scans the
@@ -506,7 +471,7 @@ def compile_search(
             if stream is not None:
                 # Delta composition merges every source one-round; the
                 # TPUT top-up protocol's per-shard thresholds do not
-                # extend to delta segments, so the lattice collapses.
+                # extend to the delta run, so the lattice collapses.
                 plan_opts = ("one-round",)
             elif plan == "auto":
                 plan_opts = ("one-round", "two-round")
@@ -566,7 +531,7 @@ def compile_search(
                 eligible = [everyone for _ in range(shards.n_shards)]
                 routes = list(eligible)
             # Rule 3: two-round TPUT merge (opt-in; exact by construction;
-            # unavailable while delta segments are live — see above).
+            # unavailable while the delta run is live — see above).
             first_k = None
             merge = "one-round"
             if plan == "two-round" and stream is None:
@@ -596,17 +561,22 @@ def compile_search(
                 cost_model, stream, len(active), total_keywords,
                 active_queries.keywords, retrieval_k, batch_bound,
             )
-        merge_inputs: tuple[PlanNode, ...] = (scan,)
+
+    root: PlanNode = scan
+    if merge != "direct":
+        inputs: tuple[PlanNode, ...] = (scan,)
         if stream is not None:
-            merge_inputs = (
-                scan,
-                _delta_node(handle, stream, len(active), retrieval_k, delta_seconds),
+            manifest = stream.manifest
+            delta = DeltaScanNode(
+                index=handle.name, n_objects=manifest.delta_objects, postings=manifest.delta_postings,
+                tombstones=manifest.tombstones.size, n_queries=len(active), k=retrieval_k, cost=delta_seconds,
             )
+            inputs = (scan, delta)
         root = MergeNode(
             strategy=merge,
             k=retrieval_k,
             first_round_k=first_k,
-            inputs=merge_inputs,
+            inputs=inputs,
             cost=chosen_price.merge_seconds if chosen_price is not None else None,
         )
 
@@ -615,8 +585,8 @@ def compile_search(
 
     predicted = chosen_price.critical_path if chosen_price is not None else None
     if predicted is not None and delta_seconds is not None:
-        # Delta parts run sequentially after the base round, so their
-        # predicted seconds add straight onto the critical path.
+        # The delta part runs after the base round, so its predicted
+        # seconds add straight onto the critical path.
         predicted += delta_seconds
     return CompiledPlan(
         root=root,

@@ -1,27 +1,22 @@
-"""Mutable delta segments: the LSM-style write path for GENIE indexes.
+"""The mutable delta run: the LSM-style write path for GENIE indexes.
 
-GENIE's inverted index is fit-once — the CSR List Array is immutable by
-construction (Section III). Production corpora are not. This module adds
-the smallest structure that absorbs online mutations without refitting:
+GENIE's inverted index is fit-once (Section III); production corpora are
+not. A :class:`DeltaRun` absorbs online mutations without refitting: one
+:class:`~repro.core.types.Corpus` beside the ascending global ids of its
+rows and the inverted index a search scans them through. Every edit
+installs a new corpus at once; the index lags and :meth:`DeltaRun.refresh`
+catches it up — one :meth:`~repro.core.inverted_index.InvertedIndex.without`
+of the rows dropped or replaced since, one ``merged`` of the rows added or
+replaced, never a re-sort of the run. Rows stay in global-id order, so
+local ids rank like the global ids the host merge breaks count ties on: a
+base object's replacement lands mid-run, where a refit would rank it.
 
-* a :class:`DeltaSegment` — a small :class:`~repro.core.types.Corpus`
-  beside the ascending global ids of its rows, replaced whole by every edit.
-  Inserts land in the *active* (unsealed) segment; once it holds
-  ``seal_objects`` objects it seals and a fresh segment opens, exactly
-  like an LSM memtable rotating into an immutable run. Deletes and
-  updates of a segment-resident object edit the segment *in place*
-  (sealing only gates where new inserts go — a sealed segment is small
-  enough that rewriting its scan-time index stays cheap).
-* a :class:`StreamConfig` — the seal and compaction thresholds.
-
-The base index's own objects cannot be edited in place; deleting one
-adds its global id to the manifest's *tombstone* set instead (see
-:mod:`repro.stream.manifest`), and updating one tombstones the base copy
-and inserts the live replacement — under the **same** global id — into
-the active segment. Query-time composition (base scan + delta scans +
-tombstone filter, merged exactly) lives in :mod:`repro.plan.executor`;
-rewriting everything back into a fresh CSR base is
-:meth:`repro.stream.state.StreamState.compact`.
+Base objects cannot be edited in place: deleting one tombstones its id
+(:mod:`repro.stream.manifest`), updating one tombstones the base copy and
+adds the replacement — same id — to the run. Query-time composition (base
+scan + delta scan + tombstone filter, merged exactly) lives in
+:mod:`repro.plan.executor`; folding everything back into a fresh CSR base
+is :meth:`repro.stream.state.StreamState.compact`.
 """
 
 from __future__ import annotations
@@ -30,19 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.inverted_index import InvertedIndex
+from repro.core.load_balance import LoadBalanceConfig
+from repro.core.posting import build_postings
 from repro.core.types import ID_DTYPE, Corpus
 from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Tuning knobs for one handle's mutable-segment machinery.
+    """Tuning knobs for one handle's mutable-delta machinery.
 
     Attributes:
-        seal_objects: Objects after which the active segment seals and a
-            fresh one opens. Smaller segments keep per-mutation index
-            rebuilds cheap; larger ones keep the query-time merge fan-in
-            low.
         compact_ratio: Compaction triggers when the delta postings exceed
             this fraction of the base index's postings, or the tombstones
             this fraction of the base objects. The classic LSM trade: a
@@ -53,52 +47,38 @@ class StreamConfig:
             :meth:`~repro.api.session.IndexHandle.compact` calls.
     """
 
-    seal_objects: int = 512
     compact_ratio: float = 0.25
     auto_compact: bool = True
 
     def __post_init__(self):
-        if int(self.seal_objects) < 1:
-            raise ConfigError("seal_objects must be >= 1")
         if not float(self.compact_ratio) > 0.0:
             raise ConfigError("compact_ratio must be positive")
 
 
-class DeltaSegment:
-    """One mutable run of objects: a corpus plus its rows' global ids.
+class DeltaRun:
+    """The live delta of one mutable index (``load_balance``: its list-splitting configuration).
 
-    The segment is the unit of scan-time indexing (one small inverted
-    index per segment) and of feature extraction (one keyword/postings
-    table for the cost model). Every edit installs a *new* ``corpus``
-    (``take`` / ``concat`` of canonical rows, never a re-sort), so what was
-    derived from a segment is current exactly while it still holds the
-    segment's corpus object.
+    Every edit installs a *new* ``corpus`` (``take`` / ``concat`` of
+    canonical rows, never a re-sort) and marks the rows ``index`` lacks.
 
     Attributes:
         corpus: The live objects' keyword sets, in ``global_ids`` order.
-        global_ids: Ascending global id of each row (the scan part's
-            gather map).
-        sealed: Whether new inserts may still land here. Sealing is
-            advisory for inserts only; removes/replaces stay legal.
+        global_ids: Ascending global id of each row (the scan part's gather map).
+        index: Inverted index over the rows as of the last :meth:`refresh` (local id = row).
     """
 
-    __slots__ = ("corpus", "global_ids", "sealed")
+    __slots__ = ("corpus", "global_ids", "index", "_indexed_ids", "_fresh")
 
-    def __init__(self):
+    def __init__(self, load_balance: LoadBalanceConfig | None = None):
         self.corpus = Corpus.concat(())
         self.global_ids = np.empty(0, dtype=ID_DTYPE)
-        self.sealed = False
+        self.index = _index_of(self.corpus, load_balance)
+        # ``index`` holds objects ``_indexed_ids``; ``_fresh`` marks the rows it lacks (as they are now).
+        self._indexed_ids = self.global_ids
+        self._fresh = np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
         return int(self.global_ids.size)
-
-    def __contains__(self, gid: int) -> bool:
-        return bool(self.rows_of(gid) >= 0)
-
-    @property
-    def postings(self) -> int:
-        """Total (object, keyword) pairs held — the segment's index size."""
-        return self.corpus.total_entries
 
     def rows_of(self, gids) -> np.ndarray:
         """Row of each of ``gids`` here, ``-1`` where it does not live here (one binary search)."""
@@ -116,11 +96,14 @@ class DeltaSegment:
         """
         held = self.rows_of(gids) >= 0
         if held.any():
-            raise ConfigError(f"segment already holds object {int(np.asarray(gids)[held][0])}")
+            raise ConfigError(f"delta run already holds object {int(np.asarray(gids)[held][0])}")
         merged = np.concatenate([self.global_ids, gids])
-        order = np.argsort(merged, kind="stable")  # fresh inserts append: a range, which shares storage
+        # Fresh inserts append (``order`` is a range, which shares storage);
+        # a base object's replacement lands mid-run.
+        order = np.argsort(merged, kind="stable")
         self.corpus = Corpus.concat([self.corpus, rows]).take(order)
         self.global_ids = merged[order]
+        self._fresh = np.concatenate([self._fresh, np.ones(len(rows), dtype=bool)])[order]
 
     def remove(self, rows: np.ndarray) -> None:
         """Drop the objects at ``rows`` (positions from :meth:`rows_of`)."""
@@ -128,9 +111,41 @@ class DeltaSegment:
         keep[rows] = False
         self.corpus = self.corpus.take(np.flatnonzero(keep))
         self.global_ids = self.global_ids[keep]
+        self._fresh = self._fresh[keep]
 
     def replace(self, row: int, new: Corpus) -> None:
         """Swap the keywords of the object at ``row`` for the one row of ``new``."""
         order = np.arange(len(self), dtype=ID_DTYPE)
         order[row] = len(self)
         self.corpus = Corpus.concat([self.corpus, new]).take(order)
+        self._fresh[row] = True
+
+    def refresh(self) -> float:
+        """Bring ``index`` up to date with the rows; returns the build ops spent.
+
+        ``0.0`` (and the same ``index`` object) when no edit happened since
+        the last call; else one ``without`` and one ``merged``, each skipped
+        when it has nothing to do.
+        """
+        if self._indexed_ids is self.global_ids and not self._fresh.any():
+            return 0.0
+        index, ops = self.index, 0.0
+        held = self.rows_of(self._indexed_ids)
+        stale = held < 0
+        stale[~stale] = self._fresh[held[~stale]]
+        if stale.any():
+            index = index.without(np.flatnonzero(stale))
+            ops += index.build_ops
+        positions = np.flatnonzero(self._fresh)
+        if positions.size:
+            index = index.merged(_index_of(self.corpus.take(positions), index.load_balance), positions)
+            ops += index.build_ops
+        self.index = index
+        self._indexed_ids = self.global_ids
+        self._fresh = np.zeros(len(self), dtype=bool)
+        return ops
+
+
+def _index_of(rows: Corpus, load_balance: LoadBalanceConfig | None) -> InvertedIndex:
+    """Index of a handful of incoming rows — the sorted run :meth:`InvertedIndex.merged` takes."""
+    return InvertedIndex.from_postings(build_postings(rows), len(rows), load_balance)

@@ -1,7 +1,7 @@
 """The segment manifest: one handle's mutable-index version vector.
 
 A :class:`SegmentManifest` describes everything a search over a mutated
-index must compose: the (immutable) CSR base, the live delta segments,
+index must compose: the (immutable) CSR base, the one live delta run,
 and the tombstoned base ids — plus the epochs that version them.
 ``mutation_epoch`` is deliberately separate from the handle's
 ``fit_epoch``: a refit replaces the *model* state (encoders, vocabulary)
@@ -12,9 +12,9 @@ which rewrite the base without changing any result.
 
 Placement invariant (enforced by :class:`~repro.stream.state.StreamState`):
 every live global id lives in exactly one scan source — the base (when
-not tombstoned) or one delta segment. The only id that appears twice is
+not tombstoned) or the delta run. The only id that appears twice is
 an *updated base object*: its base copy is tombstoned (dead) and its
-live replacement sits in a segment under the same id, which is why the
+live replacement sits in the run under the same id, which is why the
 executor filters tombstones against base scan results only.
 """
 
@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.load_balance import LoadBalanceConfig
 from repro.core.types import ID_DTYPE
-from repro.stream.delta import DeltaSegment
+from repro.stream.delta import DeltaRun
 
 
 class SegmentManifest:
-    """Versioned (base, deltas, tombstones) state of one mutable index.
+    """Versioned (base, delta, tombstones) state of one mutable index.
 
     Attributes:
         base_objects: Object slots covered by the current CSR base
@@ -37,8 +38,8 @@ class SegmentManifest:
             stable.
         next_gid: The next global id an insert will take; also the
             logical corpus size (``ids < next_gid``).
-        segments: Live delta segments, oldest first; the last unsealed
-            one (if any) is the active insert target.
+        delta: The live delta run (empty on a clean index; replaced by a
+            fresh one at each compaction).
         tombstones: Base global ids whose base copy is dead, ascending
             (the executor's filter probe table; grown by
             :meth:`add_tombstones`, never edited in place).
@@ -50,10 +51,10 @@ class SegmentManifest:
             version: surfaces in ``ServeMetrics.snapshot()``).
     """
 
-    def __init__(self, base_objects: int):
+    def __init__(self, base_objects: int, load_balance: LoadBalanceConfig | None = None):
         self.base_objects = int(base_objects)
         self.next_gid = int(base_objects)
-        self.segments: list[DeltaSegment] = []
+        self.delta = DeltaRun(load_balance)
         self.tombstones = np.empty(0, dtype=ID_DTYPE)
         self.mutation_epoch = 0
         self.base_epoch = 0
@@ -72,22 +73,18 @@ class SegmentManifest:
 
     @property
     def delta_objects(self) -> int:
-        """Live objects held in delta segments."""
-        return sum(len(segment) for segment in self.segments)
+        """Live objects held in the delta run."""
+        return len(self.delta)
 
     @property
     def delta_postings(self) -> int:
-        """Total (object, keyword) pairs across the delta segments.
-
-        The compaction trigger's pressure gauge, and a serve-layer
-        counter: this is how much extra scan work every query pays until
-        the next compaction folds it into the base.
-        """
-        return sum(segment.postings for segment in self.segments)
+        """Total (object, keyword) pairs in the delta run: the compaction trigger's
+        pressure gauge — the extra scan work every query pays until the next compaction."""
+        return self.delta.corpus.total_entries
 
     @property
     def dirty(self) -> bool:
-        """Whether a search must compose base + deltas + tombstones.
+        """Whether a search must compose base + delta + tombstones.
 
         True whenever the base alone cannot answer: live delta objects,
         tombstoned base ids, or dead id slots past the base (an inserted
@@ -96,7 +93,7 @@ class SegmentManifest:
         slot, so thresholds must be computed over ``next_gid`` objects).
         """
         return (
-            bool(self.segments)
+            bool(len(self.delta))
             or bool(self.tombstones.size)
             or self.next_gid != self.base_objects
         )
@@ -106,7 +103,6 @@ class SegmentManifest:
         return {
             "base_objects": self.base_objects,
             "next_gid": self.next_gid,
-            "segments": len(self.segments),
             "delta_objects": self.delta_objects,
             "delta_postings": self.delta_postings,
             "tombstones": self.tombstones.size,

@@ -113,6 +113,40 @@ class TestRawModel:
         assert [item.tolist() for item in out[0].items] == [[1], [2]]
         assert out[1].num_items == 2
 
+    def test_keyword_queries_take_the_flat_door_to_the_same_batch(self, monkeypatch):
+        """No ``Query`` in the list: one flat array, field for field the per-``Query`` batch."""
+        raw = [[3, 1, 3], np.asarray([7, 2**63 - 1]), (), np.asarray([[4, 5], [6, 4]]), [2.0, True], range(2)]
+        model = RawModel()
+        per_query = model.encode_queries([Query.from_keywords(q) for q in raw])  # every element a Query
+        mixed = model.encode_queries([Query.from_keywords(raw[0]), *raw[1:]])
+        built = []
+        monkeypatch.setattr(Query, "from_keywords", classmethod(lambda cls, keywords: built.append(keywords)))
+        flat = model.encode_queries(raw)
+        assert built == []  # no python object per query
+        for batch in (flat, mixed):
+            for field in ("keywords", "item_offsets", "query_offsets"):
+                ours, theirs = getattr(batch, field), getattr(per_query, field)
+                assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist(), field
+            assert not batch.keywords.flags.writeable
+        assert flat.items_per_query.tolist() == [3, 2, 0, 4, 2, 2]
+        assert len(model.encode_queries([])) == 0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([[1], [2, -4]], "non-negative integers; got -4"), ([[1.5]], "must be integers"),
+         ([[1], 5], "must be an iterable of integers; got 5"), ([[2**53 + 1], [2.0, 1.0]], None)],
+        ids=["negative", "fractional", "not_iterable", "mixed_dtypes_keep_precision"],
+    )
+    def test_flat_door_validates_like_the_per_query_one(self, bad, message):
+        model = RawModel()
+        if message is None:
+            assert model.encode_queries(bad).keywords.tolist() == [2**53 + 1, 2, 1]
+            return
+        with pytest.raises(QueryError, match=message):
+            model.encode_queries(bad)
+        with pytest.raises(QueryError, match=message):
+            model.encode_queries([Query.from_keywords(q) for q in bad])
+
 
 class TestAnnModel:
     def test_adapt_config_pins_count_bound(self):

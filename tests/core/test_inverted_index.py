@@ -1,12 +1,14 @@
 """Tests for the inverted index (List Array + Position Map)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.types import Corpus
+from repro.errors import IndexError_
 
 
 def _index(objects, lb=None):
@@ -110,3 +112,118 @@ def test_split_and_plain_agree_on_every_keyword(raw_objects, max_len):
     split.validate()
     for kw in range(21):
         assert np.array_equal(plain.postings_for_keyword(kw), split.postings_for_keyword(kw))
+
+
+# ----------------------------------------------------------------------
+# merged / without: the index kept current by merge, never re-sorted
+
+INDEX_ARRAYS = ("list_array", "keyword_array", "kw_span_offsets", "span_starts", "span_ends")
+
+#: Around the dense-lookup cutoff of a handful of small keywords (8 x n + 1024), far past it, and the top of int64.
+BIG_KEYWORDS = [1030, 1070, 1100, 5000, 2**40, 2**63 - 2, 2**63 - 1]
+
+
+def assert_same_index(got, expected):
+    """Array for array (dtype included) what ``InvertedIndex.build`` made — ``build_ops`` aside."""
+    for name in INDEX_ARRAYS:
+        ours, theirs = getattr(got, name), getattr(expected, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (name, ours, theirs)
+    assert got.n_objects == expected.n_objects and got.load_balance == expected.load_balance
+    assert (got._kw_lookup is None) == (expected._kw_lookup is None)
+    if got._kw_lookup is not None:
+        assert np.array_equal(got._kw_lookup, expected._kw_lookup)
+    assert np.array_equal(got.list_array32, expected.list_array32)
+    got.validate()
+
+
+@st.composite
+def index_cases(draw, max_objects=10):
+    """``(objects, load_balance)``: keywords all small (dense lookup) or mixed with huge ones (binary search)."""
+    small = st.integers(0, 12)
+    keyword = draw(st.sampled_from([small, st.one_of(small, st.sampled_from(BIG_KEYWORDS))]))
+    objects = draw(st.lists(st.lists(keyword, max_size=5), max_size=max_objects))
+    balance = draw(st.one_of(st.none(), st.integers(1, 4).map(lambda n: LoadBalanceConfig(max_sublist_len=n))))
+    return objects, balance
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_cases(), index_cases(max_objects=6), st.data())
+def test_merged_equals_a_build_of_the_resulting_corpus(mine, theirs, data):
+    (own, balance), (incoming, _) = mine, theirs
+    total = len(own) + len(incoming)
+    if data.draw(st.booleans(), label="appended"):
+        positions = list(range(len(own), total))
+    else:
+        positions = sorted(data.draw(st.permutations(range(total)), label="slots")[: len(incoming)])
+    resulting, kept = [None] * total, iter(own)
+    for position, obj in zip(positions, incoming):
+        resulting[position] = obj
+    resulting = [obj if obj is not None else next(kept) for obj in resulting]
+    merged = _index(own, balance).merged(_index(incoming, balance), np.asarray(positions, dtype=np.int64))
+    assert_same_index(merged, _index(resulting, balance))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_cases(max_objects=14), st.data())
+def test_without_equals_a_build_of_the_remaining_corpus(case, data):
+    objects, balance = case
+    dropped = data.draw(st.lists(st.integers(0, max(len(objects) - 1, 0)), unique=True, max_size=len(objects)))
+    remaining = [obj for i, obj in enumerate(objects) if i not in set(dropped)]
+    assert_same_index(_index(objects, balance).without(np.asarray(dropped, dtype=np.int64)), _index(remaining, balance))
+
+
+class TestMergedAndWithout:
+    def test_empty_operands(self):
+        empty, some = _index([]), _index([[3, 1], [], [1]])
+        nothing = np.empty(0, dtype=np.int64)
+        assert_same_index(empty.merged(empty, nothing), empty)
+        assert_same_index(some.merged(empty, nothing), some)
+        assert_same_index(empty.merged(some, np.arange(3)), some)
+        assert_same_index(some.without(nothing), some)
+        assert_same_index(some.without(np.arange(3)), empty)
+        assert_same_index(_index([[], []]).merged(_index([[]]), [1]), _index([[], [], []]))  # objects, no keywords
+
+    def test_mid_run_positions_renumber_the_old_objects(self):
+        merged = _index([[1], [1, 2], [2]]).merged(_index([[2, 9], [1]]), [0, 3])
+        assert_same_index(merged, _index([[2, 9], [1], [1, 2], [1], [2]]))
+        assert merged.postings_for_keyword(1).tolist() == [1, 2, 3]
+
+    def test_emptied_keywords_leave_the_table(self):
+        index = _index([[1, 5], [5], [7]]).without([0, 2])
+        assert index.keyword_array.tolist() == [5] and index.n_objects == 1
+
+    def test_crossing_the_dense_lookup_cutoff_both_ways(self):
+        dense = _index([[0, 1, 2], [3, 4, 5]])
+        assert dense._kw_lookup is not None
+        sparse = dense.merged(_index([[1100]]), [2])
+        assert sparse._kw_lookup is None and sparse.keyword_rows(np.asarray([1100, 1099]))[1].tolist() == [True, False]
+        assert_same_index(sparse, _index([[0, 1, 2], [3, 4, 5], [1100]]))
+        back = sparse.without([2])
+        assert back._kw_lookup is not None
+        assert_same_index(back, dense)
+        assert dense.merged(_index([[1070]]), [2])._kw_lookup is not None  # just inside: 1071 <= 8 * 7 + 1024
+
+    def test_largest_keyword(self):
+        big = 2**63 - 1
+        merged = _index([[big, 0], [5]]).merged(_index([[big], [big - 1]]), [1, 3])
+        assert_same_index(merged, _index([[big, 0], [big], [5], [big - 1]]))
+        assert merged.postings_for_keyword(big).tolist() == [0, 1]
+        assert_same_index(merged.without([0, 1]), _index([[5], [big - 1]]))
+
+    def test_positions_must_name_one_distinct_slot_per_object(self):
+        index, other = _index([[1], [2]]), _index([[3], [4]])
+        for positions in ([0], [1, 1], [2, 1], [0, 1, 2]):
+            with pytest.raises(IndexError_, match="positions must ascend"):
+                index.merged(other, positions)
+
+    def test_a_merge_is_priced_below_the_build_it_replaces(self):
+        """Linear in both runs plus the incoming rows' own sort — no ``n log n`` over the old run."""
+        rng = np.random.default_rng(0)
+        for old, new in [(4, 1), (8, 2), (40, 10), (400, 100), (2000, 40), (2000, 500)]:
+            mine = rng.integers(0, 50, size=(old, 1))  # one posting per object: sizes are exact
+            theirs = rng.integers(0, 50, size=(new, 1))
+            merged = _index(mine).merged(_index(theirs), np.arange(old, old + new))
+            built = InvertedIndex.build(Corpus(np.concatenate([mine, theirs])))
+            assert_same_index(merged, built)
+            assert merged.build_ops < built.build_ops, (old, new)
+        assert _index(mine).without([0]).build_ops < _index(mine).build_ops

@@ -260,14 +260,14 @@ class TestCorpus:
         objects = [rng.integers(0, 30, size=rng.integers(0, 6)).tolist() for _ in range(14)]
         session = GenieSession()
         handle = session.create_index(
-            objects, model="raw", name="x", stream_config=StreamConfig(seal_objects=3, auto_compact=False), **layout
+            objects, model="raw", name="x", stream_config=StreamConfig(auto_compact=False), **layout
         )
         shadow = dict(enumerate(objects))
         handle.delete([2, 9])  # tombstones
         shadow[2] = shadow[9] = []
         handle.update(5, [7, 7, 1])  # an updated base object: tombstone + delta under the same id
         shadow[5] = [7, 7, 1]
-        inserted = handle.insert([[40, 3], [], [41], [42, 1], [43]]).tolist()  # seals one segment
+        inserted = handle.insert([[40, 3], [], [41], [42, 1], [43]]).tolist()
         shadow.update(zip(inserted, [[40, 3], [], [41], [42, 1], [43]]))
         handle.delete([inserted[0], inserted[3]])  # deleted delta inserts: dead slots
         shadow[inserted[0]] = shadow[inserted[3]] = []
@@ -277,7 +277,7 @@ class TestCorpus:
 
         state = handle._stream_state()
         assert rows(state.full_corpus()) == expected
-        handle.search([[7, 1, 44]], k=3)  # builds the delta parts: same rows again
+        handle.search([[7, 1, 44]], k=3)  # catches the delta run's index up: same rows again
         assert rows(state.full_corpus()) == expected
         assert handle.compact()
         if handle.plan is not None:
@@ -304,7 +304,7 @@ class TestCorpus:
         session = GenieSession()
         handle = session.create_index(
             objects, model="raw", name="x", shards=4, shard_strategy=strategy,
-            stream_config=StreamConfig(seal_objects=64, auto_compact=False),
+            stream_config=StreamConfig(auto_compact=False),
         )
         assert sum(canonicalized) == len(objects)  # the parent: twice, encode then shard re-wrap
 
@@ -318,7 +318,7 @@ class TestCorpus:
         handle.delete([0, 1, 205])
         handle.search([[1, 2, 3]], k=3)
         handle.explain([[1, 2, 3]], k=3)
-        assert sum(canonicalized) == 10 * 8 + 1  # O(inserted), not O(segment) per search
+        assert sum(canonicalized) == 10 * 8 + 1  # O(inserted), not O(run) per search
 
         del canonicalized[:]
         assert handle.compact()
@@ -652,9 +652,9 @@ class TestTopKBatch:
         session = GenieSession()
         handle = session.create_index(
             objects, model="raw", name="x", shards=4, shard_strategy="range",
-            stream_config=StreamConfig(seal_objects=8, auto_compact=False),
+            stream_config=StreamConfig(auto_compact=False),
         )
-        handle.insert([rng.integers(0, 50, size=6).tolist() for _ in range(20)])  # three segments
+        handle.insert([rng.integers(0, 50, size=6).tolist() for _ in range(20)])
         handle.delete([0, 60, 120, 180, 201])
         handle.update(3, [1, 2])
         queries = [rng.integers(0, 50, size=4).tolist() for _ in range(9)]

@@ -58,7 +58,7 @@ def _build(kind, dirty, fault=None, host=None):
     logical = _objects(120, seed=0)
     handle = session.create_index(
         logical, model="raw", name="x",
-        stream_config=StreamConfig(auto_compact=False, seal_objects=2), **opts,
+        stream_config=StreamConfig(auto_compact=False), **opts,
     )
     if dirty:
         fresh = _objects(5, seed=2)
@@ -136,11 +136,11 @@ class TestOneFaultRule:
             )
 
 
-def test_unreplicated_delta_segment_is_named_when_its_device_is_down():
-    # Delta segments live on the primary device only: one insert makes a
+def test_unreplicated_delta_run_is_named_when_its_device_is_down():
+    # The delta run lives on the primary device only: one insert makes a
     # replicated index unavailable while device 0 is down (ROADMAP item 4).
     handle, _ = _build("hash-r2", dirty=True, fault=FaultEvent(device=0, start=0.0))
-    with pytest.raises(AvailabilityError, match="delta segment 0 of index 'x'") as err:
+    with pytest.raises(AvailabilityError, match="delta run of index 'x'") as err:
         handle.search(QUERIES, k=K)
     assert err.value.segment == 0
 
@@ -166,21 +166,23 @@ def _check(handle, logical, ks=(K, 500)):
 class TestMutationsThatCrossTheMerge:
     """ROADMAP item 5(c): edge cases whose answer is decided in strike + merge."""
 
-    def test_a_segment_emptied_by_deletes_answers_like_its_dead_slots(self, kind):
+    def test_a_run_emptied_by_deletes_answers_like_its_dead_slots(self, kind):
         handle, logical = _build(kind, dirty=False)
         logical = [row.tolist() for row in logical]
-        fresh = _objects(4, seed=3)  # seal_objects=2: two full segments
+        fresh = _objects(4, seed=3)
         gids = handle.insert(fresh).tolist()
         logical += fresh
         _check(handle, logical)
-        handle.delete(gids[:2])  # all of the first segment: it retires, its part is evicted
+        handle.delete(gids[:2])  # the head of the run: its index drops them, the rest renumber
         logical[gids[0]] = logical[gids[1]] = []
-        assert handle.manifest.describe()["segments"] == 1
+        assert handle.manifest.describe()["delta_objects"] == 2
         _check(handle, logical)
-        handle.delete(gids[2:])  # and the rest: no segment left, still dirty (dead slots past the base)
+        part = handle._stream.part
+        handle.delete(gids[2:])  # and the rest: nothing to scan, still dirty (dead slots past the base)
         logical[gids[2]] = logical[gids[3]] = []
-        assert handle.manifest.describe()["segments"] == 0 and handle._stream.dirty
+        assert handle.manifest.describe()["delta_objects"] == 0 and handle._stream.dirty
         _check(handle, logical)
+        assert handle._stream.part is None and not part.resident  # the emptied run's part was evicted
         assert handle.compact()
         _check(handle, logical)
 
@@ -189,7 +191,7 @@ class TestMutationsThatCrossTheMerge:
         logical = [row.tolist() for row in logical]
         target = QUERIES[0].all_keywords().tolist()  # would rank first for the first query
         for replacement in ([1, 2, 3], target):
-            handle.update(10, replacement)  # first: tombstone + delta copy; second: in the segment
+            handle.update(10, replacement)  # first: tombstone + delta copy; second: in the run
             logical[10] = replacement
             _check(handle, logical)
         assert handle.search(QUERIES[:1], k=1).results[0].ids.tolist() == [10]

@@ -245,9 +245,9 @@ class TestLoadSteering:
             assert devices[0].timings.get("match") == 0.0
             assert all(d.timings.get("match") > 0.0 for d in devices[1:])
 
-    def test_delta_parts_pass_through(self):
-        # Delta-segment parts are not replicated: a mutated replicated
-        # index scans them as themselves and answers like a plain one.
+    def test_the_delta_part_passes_through(self):
+        # The delta run's part is not replicated: a mutated replicated
+        # index scans it as itself and answers like a plain one.
         fresh = np.array([VOCAB + 1, VOCAB + 2], dtype=np.int64)
         queries = make_queries() + [fresh]
         with GenieSession() as a, GenieSession() as b:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import GenieSession
+from repro.core.inverted_index import InvertedIndex
 from repro.errors import ConfigError, QueryError
 from repro.plan.nodes import DeltaScanNode, MergeNode, ScanNode
 from repro.stream import StreamConfig
@@ -51,15 +52,53 @@ class TestInsert:
             handle.insert([])
         session.close()
 
-    def test_segments_seal_and_rotate(self):
+    def test_every_insert_lands_in_the_one_run(self):
         session = GenieSession()
-        handle = make(session, stream_config=StreamConfig(
-            seal_objects=2, auto_compact=False))
-        handle.insert([[1], [2], [3], [4], [5]])
+        handle = make(session)
+        handle.insert([[1], [2], [3]])
+        handle.update(2, [7])  # a base object's replacement: mid-run, by id
+        handle.insert([[4], [5]])
         manifest = handle.manifest
-        assert len(manifest.segments) == 3
-        assert [len(s) for s in manifest.segments] == [2, 2, 1]
-        assert [s.sealed for s in manifest.segments] == [True, True, False]
+        assert manifest.delta.global_ids.tolist() == [2, 6, 7, 8, 9, 10]
+        assert manifest.delta_objects == 6 and manifest.delta_postings == 6
+        trace = handle.search([[1]], k=2, trace=True).trace
+        spans = [span for _, span in trace.walk() if span.name == "delta_scan"]
+        assert len(spans) == 1  # however many mutation calls: one delta source
+        session.close()
+
+    def test_inserted_empty_object_takes_an_id_and_never_matches(self):
+        session = GenieSession()
+        handle = make(session)
+        assert handle.insert([[], [99]]).tolist() == [6, 7]
+        assert handle.manifest.delta_objects == 2 and handle.manifest.delta_postings == 1
+        assert handle.search([[99]], k=3).results[0].ids.tolist() == [7]
+        handle.compact()
+        assert handle.search([[99]], k=3).results[0].ids.tolist() == [7]
+        handle.update(6, [99])  # the empty slot is a live object like any other
+        assert handle.search([[99]], k=3).results[0].ids.tolist() == [6, 7]
+        session.close()
+
+    def test_insert_into_an_index_created_empty(self):
+        session = GenieSession()
+        handle = session.create_index([], model="raw", name="empty", stream_config=NO_COMPACT)
+        assert handle.search([[1]], k=2).results[0].ids.size == 0
+        assert handle.insert([[1, 2], [2]]).tolist() == [0, 1]
+        top = handle.search([[1, 2]], k=2).results[0]
+        assert top.ids.tolist() == [0, 1] and top.counts.tolist() == [2, 1]
+        handle.compact()
+        assert handle.search([[1, 2]], k=2).results[0].ids.tolist() == [0, 1]
+        session.close()
+
+    def test_largest_keyword_survives_a_compaction(self):
+        big = 2**63 - 1
+        session = GenieSession()
+        handle = make(session)
+        (gid,) = handle.insert([[big, 1]])
+        handle.update(0, [big])
+        for _ in range(2):  # streamed, then folded into the base
+            top = handle.search([[big]], k=3).results[0]
+            assert top.ids.tolist() == [0, gid] and top.counts.tolist() == [1, 1]
+            handle.compact()
         session.close()
 
     def test_stateful_model_refuses_online_ingest(self):
@@ -91,7 +130,7 @@ class TestDelete:
         handle.delete([gid])
         manifest = handle.manifest
         assert manifest.delta_objects == 0
-        assert not manifest.tombstones.size  # segment edit, not a tombstone
+        assert not manifest.tombstones.size  # an edit of the run, not a tombstone
         assert handle.search([[42]], k=2).results[0].ids.size == 0
         session.close()
 
@@ -113,6 +152,34 @@ class TestDelete:
         handle.delete([0])
         with pytest.raises(QueryError, match="not a live object"):
             handle.delete([0])
+        session.close()
+
+    def test_negative_duplicate_and_dead_ids_apply_nothing(self):
+        session = GenieSession()
+        handle = make(session)
+        (inserted,) = handle.insert([[42]])
+        handle.delete([1, inserted])  # one dead base id, one dead delta id
+        state = handle.manifest.describe()
+        for ids, message in [
+            ([-1], "non-negative integers; got -1"),
+            ([0, -3], "non-negative integers; got -3"),
+            ([2, 2], "duplicate ids"),
+            ([1], "cannot delete id 1: not a live object"),
+            ([0, inserted], f"cannot delete id {inserted}: not a live object"),
+            ([0, 99], "cannot delete id 99: not a live object"),
+        ]:
+            with pytest.raises(QueryError, match=message):
+                handle.delete(ids)
+        for gid, message in [
+            (-1, "non-negative integers; got -1"),
+            (1, "cannot update id 1: not a live object"),
+            (inserted, f"cannot update id {inserted}: not a live object"),
+            (99, "cannot update id 99: not a live object"),
+        ]:
+            with pytest.raises(QueryError, match=message):
+                handle.update(gid, [5])
+        assert handle.manifest.describe() == state
+        assert handle.search([[1]], k=3).results[0].ids.tolist() == [0]
         session.close()
 
     @pytest.mark.parametrize(
@@ -185,6 +252,42 @@ class TestUpdate:
         session.close()
 
 
+class TestIndexMaintenance:
+    def test_search_after_mutations_builds_no_index(self, monkeypatch):
+        """The run's index is merged forward; only a compaction sorts postings again."""
+        builds = []
+        build = InvertedIndex.build.__func__
+
+        def counting_build(cls, corpus, load_balance=None):
+            builds.append(len(corpus))
+            return build(cls, corpus, load_balance)
+
+        monkeypatch.setattr(InvertedIndex, "build", classmethod(counting_build))
+        rng = np.random.default_rng(5)
+        session = GenieSession()
+        handle = session.create_index(
+            [rng.integers(0, 40, size=5).tolist() for _ in range(60)], model="raw", name="x",
+            shards=3, shard_strategy="range", stream_config=NO_COMPACT,
+        )
+        assert len(builds) == 3  # the fit: one per shard
+        del builds[:]
+        spent = session.host.timings.get("index_build")
+        for step in range(6):
+            gids = handle.insert([rng.integers(0, 40, size=5).tolist() for _ in range(4)])
+            handle.delete([step, int(gids[0])])  # one base object, one delta object
+            handle.update(20 + step, [1, 2])  # a base object's replacement lands mid-run
+            handle.update(int(gids[1]), [3])  # a delta object edited in place
+            handle.search([[1, 2, 3]], k=3)
+            assert session.host.timings.get("index_build") > spent  # the merge is charged...
+            spent = session.host.timings.get("index_build")
+            handle.search([[1, 2, 3]], k=3)
+            assert session.host.timings.get("index_build") == spent  # ...once per edit, not per search
+        assert builds == []
+        assert handle.compact()
+        assert len(builds) == 3  # compaction rebuilds the base: one per shard
+        session.close()
+
+
 class TestPlans:
     def test_dirty_plan_grows_a_delta_scan(self):
         session = GenieSession()
@@ -196,12 +299,12 @@ class TestPlans:
         dirty = handle.explain([[1]], k=2)
         node = dirty.find(DeltaScanNode)
         assert node is not None
-        assert node.segments == 1 and node.n_objects == 2
+        assert node.n_objects == 2
         assert node.postings == 3 and node.tombstones == 1
         assert isinstance(dirty, MergeNode) and dirty.strategy == "one-round"
         assert dirty.find(ScanNode) is not None
         rendered = dirty.render()
-        assert "DeltaScan(index='x', segments=1" in rendered
+        assert "DeltaScan(index='x', objects=2, postings=3, tombstones=1, queries=1, k=2)" in rendered
         session.close()
 
     def test_sharded_dirty_plan_disables_two_round(self):
@@ -258,23 +361,21 @@ class TestEpochsAndInvalidation:
         assert handle.search([[70]], k=2).results[0].ids.size == 0
         session.close()
 
-    def test_a_new_segment_never_inherits_an_emptied_segments_scan_index(self):
-        # The per-segment cache is keyed by id(segment): a segment emptied by a
-        # delete was freed, the next insert's segment could reuse its address and
-        # reach the same version — and was served the dead one's index (whether
-        # the address is reused is the allocator's choice: about every other
-        # process before the cache entry held its segment).
+    def test_a_refilled_run_never_serves_the_emptied_runs_scan_index(self):
+        # Once a per-segment cache keyed by id(segment) served a freed
+        # segment's index to its successor; the one run keeps its part by the
+        # identity of the index it scans, and drops it when the run empties.
         session = GenieSession()
         handle = make(session)
         found = []
         for keyword in range(100, 148):
             (gid,) = handle.insert([[keyword]])
             found.append((gid, handle.search([[keyword]], k=2).results[0].ids.tolist()))
-            handle.delete([gid])  # no search before the next insert: nothing prunes the cache
+            handle.delete([gid])  # no search before the next insert: the part outlives the row
         assert found == [(gid, [gid]) for gid, _ in found]
         session.close()
 
-    def test_mutated_index_evicts_delta_parts(self):
+    def test_mutated_index_evicts_the_delta_part(self):
         session = GenieSession()
         handle = make(session)
         handle.insert([[80]])

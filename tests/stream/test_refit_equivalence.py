@@ -25,9 +25,16 @@ def random_corpus(rng, n_objects, vocab):
     ]
 
 
-def apply_random_ops(rng, handle, reference, vocab, n_ops):
-    """Mutate ``handle`` and the plain-state ``reference`` in lockstep."""
+def apply_random_ops(rng, handle, reference, vocab, n_ops, search_between=False):
+    """Mutate ``handle`` and the plain-state ``reference`` in lockstep.
+
+    ``search_between`` runs a search after every operation, so the delta
+    run's index is caught up edit by edit (one ``without`` + one ``merged``
+    each time) instead of once at the end.
+    """
     for _ in range(n_ops):
+        if search_between:
+            handle.search([[1, 2]], k=3)
         live = [gid for gid, kws in enumerate(reference) if kws is not None]
         op = rng.choice(["insert", "delete", "update", "compact"],
                         p=[0.45, 0.2, 0.25, 0.1])
@@ -69,19 +76,17 @@ def assert_bit_identical(streamed, refit, context):
 VOCAB = 30
 
 
-def run_trial(seed, shards, strategy, auto_compact):
+def run_trial(seed, shards, strategy, auto_compact, search_between=False):
     rng = np.random.default_rng(seed)
     corpus = random_corpus(rng, 120, VOCAB)
     reference = [list(kws) for kws in corpus]
-    stream_config = StreamConfig(
-        seal_objects=8, compact_ratio=0.5, auto_compact=auto_compact
-    )
+    stream_config = StreamConfig(compact_ratio=0.5, auto_compact=auto_compact)
     session = GenieSession()
     handle = session.create_index(
         corpus, model="raw", name="live", shards=shards,
         shard_strategy=strategy, stream_config=stream_config,
     )
-    apply_random_ops(rng, handle, reference, VOCAB, n_ops=30)
+    apply_random_ops(rng, handle, reference, VOCAB, n_ops=30, search_between=search_between)
 
     refit_session = GenieSession()
     refit_handle = refit_session.create_index(
@@ -125,6 +130,41 @@ class TestStreamedEqualsRefit:
         # must stay invisible to every answer.
         run_trial(seed + 30, shards=None, strategy="range", auto_compact=True)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shards, strategy", [(None, "range"), (3, "range"), (3, "hash")])
+    def test_with_a_search_after_every_mutation(self, seed, shards, strategy):
+        # The run's index is then merged forward edit by edit, never rebuilt.
+        run_trial(seed + 40, shards=shards, strategy=strategy, auto_compact=False, search_between=True)
+
+    @pytest.mark.parametrize("shards, strategy", [(None, "range"), (3, "range"), (3, "hash")])
+    def test_a_replacement_that_ties_the_kth_count_ranks_by_its_id(self, shards, strategy):
+        # Every object counts 1 for the query, so rank is id order alone. The
+        # replacement of base object 3 enters the run *after* five inserts with
+        # higher ids; were the run kept in arrival order its top-4 would be the
+        # inserts and object 3 would lose its tie against base objects 4, 5, ...
+        corpus = [[5, i + 10] for i in range(10)]
+        session = GenieSession()
+        handle = session.create_index(
+            corpus, model="raw", name="live", shards=shards, shard_strategy=strategy,
+            stream_config=StreamConfig(auto_compact=False),
+        )
+        fresh = [[5, 30 + i] for i in range(5)]
+        handle.insert(fresh)
+        handle.update(3, [5, 99])
+        assert handle.manifest.delta.global_ids.tolist() == [3, 10, 11, 12, 13, 14]
+        final = [*corpus, *fresh]
+        final[3] = [5, 99]
+        refit_session = GenieSession()
+        refit = refit_session.create_index(
+            final, model="raw", name="refit", shards=shards, shard_strategy=strategy
+        )
+        for k in (3, 4, 5, 11, 12):
+            streamed = handle.search([[5]], k=k)
+            assert streamed.results[0].ids.tolist() == list(range(k))
+            assert_bit_identical(streamed, refit.search([[5]], k=k), f"tie k={k} shards={shards} {strategy}")
+        session.close()
+        refit_session.close()
+
     @pytest.mark.parametrize("shards", [None, 2])
     def test_with_plan_cache_and_cost_model(self, shards):
         # The cached / costed planning paths must not bend results either.
@@ -134,7 +174,7 @@ class TestStreamedEqualsRefit:
         session = GenieSession()
         handle = session.create_index(
             corpus, model="raw", name="live", shards=shards,
-            stream_config=StreamConfig(seal_objects=8, auto_compact=False),
+            stream_config=StreamConfig(auto_compact=False),
         )
         session.cost_coefficients = {
             "scan.const": 1e-6, "scan.queries": 1e-7, "scan.keywords": 1e-7,

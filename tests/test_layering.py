@@ -156,8 +156,8 @@ def test_search_path_moves_candidates_as_batches():
     assert not offenders, "TopKResult built on the search path:\n" + "\n".join(offenders)
 
 
-def test_stream_segments_hold_corpora_not_per_object_dicts():
-    """A delta segment is a ``Corpus`` plus its id array: no dict entry or row object per insert."""
+def test_the_stream_delta_holds_a_corpus_not_per_object_dicts():
+    """The delta run is a ``Corpus``, its id array and its index: no dict entry or row object per insert."""
     root = Path(repro.__file__).parent
     offenders = []
     for path in sorted((root / "stream").rglob("*.py")):
@@ -168,9 +168,13 @@ def test_stream_segments_hold_corpora_not_per_object_dicts():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("from_rows", "keywords"):
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}: re-assembles a corpus row by row")
     assert not offenders, "per-object keyword storage in stream/:\n" + "\n".join(offenders)
-    from repro.stream import DeltaSegment
+    from repro.stream import DeltaRun, SegmentManifest, StreamConfig
 
-    assert set(DeltaSegment.__slots__) == {"corpus", "global_ids", "sealed"}
+    assert set(DeltaRun.__slots__) == {"corpus", "global_ids", "index", "_indexed_ids", "_fresh"}
+    # One run, not a list of them — and no knob that could make a second.
+    manifest = SegmentManifest(0)
+    assert isinstance(manifest.delta, DeltaRun) and not hasattr(manifest, "segments")
+    assert set(StreamConfig.__dataclass_fields__) == {"compact_ratio", "auto_compact"}
 
 
 def test_only_the_doors_and_the_specification_construct_queries():
