@@ -13,19 +13,15 @@ Run:  python examples/streaming_ingest.py
 import numpy as np
 
 from repro.api import GenieSession
+from repro.plan import COEFFICIENT_NAMES
 from repro.stream import StreamConfig
 
 VOCAB = 40
 K = 5
 
-# Hand-rolled stage-cost coefficients so explain() prices plans (a real
+# Hand-rolled match/top-up coefficients so explain() prices plans (a real
 # deployment would use session.calibrate_cost_model()).
-COEFFS = {
-    "scan.const": 1e-6, "scan.queries": 1e-7, "scan.keywords": 1e-7,
-    "scan.postings": 1e-8, "scan.gated": 1e-9, "scan.hot": 1e-7,
-    "scan.width": 1e-9, "merge.const": 1e-7, "merge.ops": 1e-9,
-    "topup.const": 1e-7, "topup.concentration": 1e-7,
-}
+COEFFS = {name: 1e-7 for name in COEFFICIENT_NAMES}
 
 
 def show(title, manifest):

@@ -260,9 +260,6 @@ class GenieSession:
             concurrently; defaults to the device's full global memory.
             Queries need headroom next to the indexes, so multi-tenant
             sessions should budget below capacity.
-        residency_log_limit: Number of recent residency events retained in
-            :attr:`residency_log` (its ``total_events`` counter keeps the
-            lifetime count regardless).
         plan_cache_size: Compiled plans the session's
             :class:`~repro.plan.cache.PlanCache` retains (repeated query
             shapes on sharded indexes skip planning and its
@@ -275,7 +272,6 @@ class GenieSession:
         host: HostCpu | None = None,
         config: GenieConfig | None = None,
         memory_budget: int | None = None,
-        residency_log_limit: int = 1024,
         plan_cache_size: int | None = 256,
     ):
         self.device = device if device is not None else Device()
@@ -291,7 +287,7 @@ class GenieSession:
         # and shard i of every sharded index lives on pool device i. The
         # memory budget bounds *aggregate* residency across the pool.
         self._device_pool: list[Device] = [self.device]
-        self.residency_log = ResidencyLog(limit=residency_log_limit)
+        self.residency_log = ResidencyLog()
         self._handles: dict[str, IndexHandle] = {}
         self._resident: dict[int, _IndexPart] = {}  # insertion order == LRU order
         self._auto_names = 0
@@ -344,11 +340,10 @@ class GenieSession:
 
         Runs :func:`repro.plan.cost.calibrate_session`: a scratch session
         with this session's device/host specs replays probe workloads and
-        least-squares-fits the per-stage coefficients, so this session's
-        own timings are untouched. Afterwards ``route``/``plan``
-        ``"auto"`` directives on sharded indexes price the candidate
-        lattice instead of following rules, and ``explain()`` shows
-        ``cost≈`` lines.
+        least-squares-fits the match and top-up coefficients, so this
+        session's own timings are untouched. Afterwards ``plan="auto"``
+        on sharded indexes prices one-round against two-round instead of
+        holding one-round, and ``explain()`` shows ``cost≈`` lines.
         """
         return calibrate_session(self, seed=seed)
 
@@ -1236,8 +1231,7 @@ class IndexHandle:
                 self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan
             ), False
         norm_route, norm_plan = validate_plan_args(route, plan, sharded=True)
-        costed = bool(self.session.cost_coefficients)
-        needs_buckets = eligibility_needed(norm_route, shards.strategy, costed)
+        needs_buckets = eligibility_needed(norm_route, shards.strategy)
         dirty = self._stream is not None and self._stream.dirty
         shape = (
             self.session._cost_epoch, shards.n_shards, shards.strategy,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ObjectIdError
 
 #: Bit widths a counter may use; must divide the 32-bit word.
 _ALLOWED_BITS = (1, 2, 4, 8, 16, 32)
@@ -72,7 +72,7 @@ class BitmapCounter:
 
     def _locate(self, obj_id: int) -> tuple[int, np.uint32]:
         if not 0 <= obj_id < self.n_objects:
-            raise IndexError(f"object id {obj_id} out of range [0, {self.n_objects})")
+            raise ObjectIdError(f"object id {obj_id} out of range [0, {self.n_objects})")
         word, slot = divmod(obj_id, self._per_word)
         return word, np.uint32(slot * self.bits)
 
@@ -99,7 +99,7 @@ class BitmapCounter:
         """Vectorized :meth:`get` over an id array."""
         ids = np.asarray(obj_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_objects):
-            raise IndexError("object id out of range")
+            raise ObjectIdError("object id out of range")
         words = self._words[ids // self._per_word]
         shifts = ((ids % self._per_word) * self.bits).astype(np.uint32)
         return ((words >> shifts) & self._mask).astype(np.int64)

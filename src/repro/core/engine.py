@@ -50,8 +50,11 @@ from repro.gpu.stats import StageTimings, timings_delta
 #: Modeled bytes per Hash-Table slot on the real device (4B key + 4B value).
 _HT_SLOT_BYTES = 8
 
+#: Bytes per query keyword sent to the device (a 32-bit keyword id).
+QUERY_KEYWORD_BYTES = 4
+
 #: Result bytes per query entry sent back to the host (id + count).
-_RESULT_ENTRY_BYTES = 8
+RESULT_ENTRY_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,17 @@ class GenieConfig:
                 f"valid fields: {', '.join(self.__dataclass_fields__)}"
             )
         return replace(self, **changes)
+
+
+def batch_count_bound(config: GenieConfig, queries: QueryBatch) -> int:
+    """The match-count bound a batch's c-PQ structures are sized for.
+
+    The configured bound when there is one, else the batch's largest
+    per-query keyword count (no object can match more keywords than that).
+    """
+    if config.count_bound is not None:
+        return max(1, int(config.count_bound))
+    return max(1, int(queries.keywords_per_query.max(initial=1)))
 
 
 def per_query_device_bytes(n_objects: int, k: int, count_bound: int, bits: int | None, use_cpq: bool) -> int:
@@ -151,8 +165,7 @@ class GenieEngine:
         self.index = index
         self.release()
         # The real List Array holds 32-bit ids; transfer that footprint.
-        device_view = index.list_array.astype(np.int32)
-        self._index_darray = self.device.to_device(device_view, label="list_array", stage="index_transfer")
+        self._index_darray = self.device.to_device(index.list_array32, label="list_array", stage="index_transfer")
         return self
 
     def release(self) -> None:
@@ -168,11 +181,6 @@ class GenieEngine:
 
     # ------------------------------------------------------------------
     # sizing
-
-    def _count_bound(self, queries: QueryBatch) -> int:
-        if self.config.count_bound is not None:
-            return max(1, int(self.config.count_bound))
-        return max(1, int(queries.keywords_per_query.max(initial=1)))
 
     def per_query_bytes(self, count_bound: int | None = None, k: int | None = None) -> int:
         """Per-query device footprint under the current configuration."""
@@ -217,7 +225,7 @@ class GenieEngine:
         k = int(k if k is not None else self.config.k)
         if k < 1:
             raise QueryError("k must be >= 1")
-        count_bound = self._count_bound(queries)
+        count_bound = batch_count_bound(self.config, queries)
 
         before = self.device.timings.copy()
         host_before = self.host.timings.copy()
@@ -236,7 +244,7 @@ class GenieEngine:
         return results
 
     def _run_batch(self, queries: QueryBatch, k: int, count_bound: int) -> TopKBatch:
-        query_bytes = queries.keywords.size * 4
+        query_bytes = queries.keywords.size * QUERY_KEYWORD_BYTES
         self.device.charge_seconds(query_bytes / self.device.spec.pcie_bandwidth, stage="query_transfer")
 
         scan = plan_batch_scan(self.index, queries, k, select=self.config.use_cpq)
@@ -270,7 +278,7 @@ class GenieEngine:
                 results.append(result)
             results = TopKBatch.from_results(results)
 
-        result_bytes = len(queries) * k * _RESULT_ENTRY_BYTES
+        result_bytes = len(queries) * k * RESULT_ENTRY_BYTES
         self.device.charge_seconds(result_bytes / self.device.spec.pcie_bandwidth, stage="select")
         return results
 
@@ -301,7 +309,7 @@ class GenieEngine:
             raise QueryError("empty query batch")
         k = int(k if k is not None else self.config.k)
         if batch_size is None:
-            bound = self._count_bound(queries)
+            bound = batch_count_bound(self.config, queries)
             batch_size = max(1, min(len(queries), self.max_batch_size(bound, k)))
         results: list[TopKBatch] = []
         profile = StageTimings()

@@ -27,9 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.load_balance import LoadBalanceConfig
-from repro.core.posting import FlatPostings, build_postings
 from repro.core.types import ID_DTYPE, Corpus, csr_offsets, ragged_slices
-from repro.errors import IndexError_
+from repro.errors import MalformedIndexError
 
 #: Bytes the position map costs per span entry (keyword + start + end).
 _POSITION_MAP_ENTRY_BYTES = 24
@@ -39,8 +38,71 @@ _POSITION_MAP_ENTRY_BYTES = 24
 _DENSE_LOOKUP_OVERHEAD = 8
 
 #: Abstract CPU operations ``merged`` / ``without`` spend per postings entry they
-#: pass over: :func:`~repro.core.posting.build_postings`' linear passes, without its sort.
+#: pass over: :func:`sort_postings`' linear passes, without its sort.
 _MERGE_OPS_PER_ENTRY = 4.0
+
+
+def sort_postings(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """A corpus's postings lists, flattened: the arrays an index is laid out over.
+
+    Sorts all ``(keyword, object)`` pairs by keyword (stable, so object ids
+    stay ascending within a list) and computes list boundaries.
+
+    Returns:
+        ``(keywords, offsets, list_array, build_ops)``: the sorted distinct
+        keywords, ``offsets[i]:offsets[i + 1]`` delimiting keyword ``i``'s
+        list inside ``list_array``, and the abstract CPU operation count of
+        the sort (what the engine charges to ``index_build``).
+    """
+    all_keywords = corpus.keywords
+    total = int(all_keywords.size)
+    if total == 0:
+        empty = np.empty(0, dtype=ID_DTYPE)
+        return empty, np.zeros(1, dtype=ID_DTYPE), empty, 1.0
+    all_objects = np.repeat(np.arange(len(corpus), dtype=ID_DTYPE), np.diff(corpus.offsets))
+
+    order = np.argsort(all_keywords, kind="stable")
+    sorted_keywords = all_keywords[order]
+    list_array = np.ascontiguousarray(all_objects[order])
+
+    keywords, starts = np.unique(sorted_keywords, return_index=True)
+    offsets = np.concatenate([starts, [total]]).astype(ID_DTYPE)
+
+    # A sort-dominated build: ~ n log n comparisons plus the linear passes.
+    build_ops = total * max(1.0, np.log2(total)) + 4.0 * total
+    return keywords.astype(ID_DTYPE), offsets, list_array, float(build_ops)
+
+
+def span_csr(offsets: np.ndarray, max_sublist_len: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR span layout of the position map over list ``offsets``, vectorized.
+
+    Every keyword's list is (optionally) split into sublists of at most
+    ``max_sublist_len`` entries, exactly like
+    :func:`repro.core.load_balance.split_span`, but for all keywords at
+    once with array arithmetic.
+
+    Returns:
+        ``(kw_span_offsets, span_starts, span_ends)`` where keyword row
+        ``i`` owns spans ``kw_span_offsets[i]:kw_span_offsets[i + 1]``
+        and span ``j`` covers ``list_array[span_starts[j]:span_ends[j]]``.
+    """
+    num_lists = offsets.size - 1
+    starts = offsets[:-1].astype(ID_DTYPE)
+    ends = offsets[1:].astype(ID_DTYPE)
+    if max_sublist_len is None:
+        return np.arange(num_lists + 1, dtype=ID_DTYPE), starts, ends
+    max_len = int(max_sublist_len)
+    # ceil((end - start) / max_len); degenerate empty lists keep one span,
+    # matching load_balance.split_span.
+    n_spans = np.maximum(-((starts - ends) // max_len), 1)
+    kw_span_offsets = np.zeros(num_lists + 1, dtype=ID_DTYPE)
+    np.cumsum(n_spans, out=kw_span_offsets[1:])
+    total = int(kw_span_offsets[-1])
+    # Within-keyword span rank: 0, 1, ... for each keyword's chunk run.
+    rank = np.arange(total, dtype=ID_DTYPE) - np.repeat(kw_span_offsets[:-1], n_spans)
+    span_starts = np.repeat(starts, n_spans) + rank * max_len
+    span_ends = np.minimum(span_starts + max_len, np.repeat(ends, n_spans))
+    return kw_span_offsets, span_starts, span_ends
 
 
 class InvertedIndex:
@@ -50,6 +112,11 @@ class InvertedIndex:
     :meth:`spans_for_keyword` / :meth:`spans_for_keywords` (scalar
     API) or :meth:`keyword_rows` + the CSR arrays (vectorized API), or hand
     the whole index to :class:`repro.core.engine.GenieEngine`.
+
+    The constructor takes flattened postings lists — what
+    :func:`sort_postings` returns — and lays the position map's spans out
+    over them under ``load_balance``; :meth:`build`, :meth:`merged` and
+    :meth:`without` all end in it.
 
     Attributes:
         list_array: All postings concatenated (object ids).
@@ -64,20 +131,19 @@ class InvertedIndex:
 
     def __init__(
         self,
-        list_array: np.ndarray,
         keyword_array: np.ndarray,
-        kw_span_offsets: np.ndarray,
-        span_starts: np.ndarray,
-        span_ends: np.ndarray,
-        n_objects: int,
-        load_balance: LoadBalanceConfig | None,
+        list_offsets: np.ndarray,
+        list_array: np.ndarray,
         build_ops: float,
+        n_objects: int,
+        load_balance: LoadBalanceConfig | None = None,
     ):
         self.list_array = np.asarray(list_array, dtype=ID_DTYPE)
         self.keyword_array = np.asarray(keyword_array, dtype=ID_DTYPE)
-        self.kw_span_offsets = np.asarray(kw_span_offsets, dtype=ID_DTYPE)
-        self.span_starts = np.asarray(span_starts, dtype=ID_DTYPE)
-        self.span_ends = np.asarray(span_ends, dtype=ID_DTYPE)
+        self.kw_span_offsets, self.span_starts, self.span_ends = span_csr(
+            np.asarray(list_offsets, dtype=ID_DTYPE),
+            None if load_balance is None else load_balance.max_sublist_len,
+        )
         self.n_objects = int(n_objects)
         self.load_balance = load_balance
         self.build_ops = float(build_ops)
@@ -99,29 +165,7 @@ class InvertedIndex:
         Returns:
             The built index.
         """
-        postings = build_postings(corpus)
-        return cls.from_postings(postings, len(corpus), load_balance)
-
-    @classmethod
-    def from_postings(
-        cls,
-        postings: FlatPostings,
-        n_objects: int,
-        load_balance: LoadBalanceConfig | None = None,
-    ) -> "InvertedIndex":
-        """Wrap pre-built flat postings in an index (CSR position map)."""
-        max_len = None if load_balance is None else load_balance.max_sublist_len
-        kw_span_offsets, span_starts, span_ends = postings.span_csr(max_len)
-        return cls(
-            list_array=postings.list_array,
-            keyword_array=postings.keywords,
-            kw_span_offsets=kw_span_offsets,
-            span_starts=span_starts,
-            span_ends=span_ends,
-            n_objects=n_objects,
-            load_balance=load_balance,
-            build_ops=postings.build_ops,
-        )
+        return cls(*sort_postings(corpus), len(corpus), load_balance)
 
     def merged(self, other: "InvertedIndex", positions: np.ndarray) -> "InvertedIndex":
         """This index and ``other`` as one, without sorting either again.
@@ -136,11 +180,11 @@ class InvertedIndex:
         plus a linear pass over both runs.
 
         Raises:
-            IndexError_: ``positions`` does not name one distinct slot per object.
+            MalformedIndexError: ``positions`` does not name one distinct slot per object.
         """
         positions = np.asarray(positions, dtype=ID_DTYPE).reshape(-1)
         if positions.size != other.n_objects or (positions[1:] <= positions[:-1]).any():
-            raise IndexError_("positions must ascend, one per merged-in object")
+            raise MalformedIndexError("positions must ascend, one per merged-in object")
         n_objects = self.n_objects + other.n_objects
         own_ids = np.delete(np.arange(n_objects, dtype=ID_DTYPE), positions)
         # Keyword tables: other's rows land among this index's; ``fresh`` ones are new keywords.
@@ -160,8 +204,7 @@ class InvertedIndex:
         their_keys = np.repeat(their_rows << 32, their_lengths) | positions[other.list_array]
         keys = np.insert(my_keys, my_keys.searchsorted(their_keys), their_keys)
         ops = other.build_ops + _MERGE_OPS_PER_ENTRY * keys.size
-        postings = FlatPostings(keywords, csr_offsets(lengths), keys & 0xFFFFFFFF, ops)
-        return self.from_postings(postings, n_objects, self.load_balance)
+        return InvertedIndex(keywords, csr_offsets(lengths), keys & 0xFFFFFFFF, ops, n_objects, self.load_balance)
 
     def without(self, ids: np.ndarray) -> "InvertedIndex":
         """This index minus the objects at local ``ids``, the rest renumbered densely.
@@ -176,11 +219,11 @@ class InvertedIndex:
         keep = ~dropped[self.list_array]
         offsets = csr_offsets(keep)[self.list_offsets]
         alive = offsets[1:] > offsets[:-1]
-        postings = FlatPostings(
+        return InvertedIndex(
             self.keyword_array[alive], np.append(offsets[:-1][alive], offsets[-1]),
             new_ids[self.list_array[keep]], _MERGE_OPS_PER_ENTRY * max(1, self.total_entries),
+            self.n_objects - int(dropped.sum()), self.load_balance,
         )
-        return self.from_postings(postings, self.n_objects - int(dropped.sum()), self.load_balance)
 
     @staticmethod
     def _build_dense_lookup(keywords: np.ndarray) -> np.ndarray | None:
@@ -319,22 +362,22 @@ class InvertedIndex:
         """Check structural invariants; raises on corruption.
 
         Raises:
-            IndexError_: If spans overlap, leave gaps, or point outside the
+            MalformedIndexError: If spans overlap, leave gaps, or point outside the
                 List Array, or if the CSR keyword rows are malformed.
         """
         if self.kw_span_offsets.size != self.keyword_array.size + 1:
-            raise IndexError_("kw_span_offsets does not cover the keyword rows")
+            raise MalformedIndexError("kw_span_offsets does not cover the keyword rows")
         if self.span_starts.size != self.span_ends.size:
-            raise IndexError_("span_starts and span_ends must align")
+            raise MalformedIndexError("span_starts and span_ends must align")
         if int(self.kw_span_offsets[-1]) != self.num_lists:
-            raise IndexError_("kw_span_offsets does not cover the span rows")
+            raise MalformedIndexError("kw_span_offsets does not cover the span rows")
         order = np.lexsort((self.span_ends, self.span_starts))
         starts = self.span_starts[order]
         ends = self.span_ends[order]
         cursor = 0
         for start, end in zip(starts, ends):
             if int(start) != cursor or end < start:
-                raise IndexError_(f"span ({start},{end}) breaks coverage at {cursor}")
+                raise MalformedIndexError(f"span ({start},{end}) breaks coverage at {cursor}")
             cursor = int(end)
         if cursor != self.total_entries:
-            raise IndexError_(f"spans cover {cursor} of {self.total_entries} entries")
+            raise MalformedIndexError(f"spans cover {cursor} of {self.total_entries} entries")

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 _TOPIC_WORDS = ["singapore", "city", "food", "restaurant", "joint", "travel", "coffee"]
 
 
 def make_vocabulary(size: int) -> list[str]:
     """A deterministic vocabulary: topic words first, then generated tokens."""
     if size < 1:
-        raise ValueError("vocabulary size must be >= 1")
+        raise ConfigError("vocabulary size must be >= 1")
     vocab = list(_TOPIC_WORDS[:size])
     i = 0
     while len(vocab) < size:
@@ -43,7 +45,7 @@ def make_tweets_like(
         seed: RNG seed.
     """
     if zipf_a <= 1.0:
-        raise ValueError("zipf_a must be > 1")
+        raise ConfigError("zipf_a must be > 1")
     rng = np.random.default_rng(seed)
     vocab = make_vocabulary(vocab_size)
     docs = []

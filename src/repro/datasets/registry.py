@@ -15,6 +15,7 @@ from repro.datasets.documents import make_tweets_like
 from repro.datasets.relational import make_adult_like
 from repro.datasets.sequences import make_dblp_like
 from repro.datasets.synthetic import make_ocr_like, make_sift_like
+from repro.errors import UnknownNameError
 
 
 @dataclass(frozen=True)
@@ -100,5 +101,5 @@ def load(name: str, n: int | None = None, seed: int = 0):
     """
     info = REGISTRY.get(name)
     if info is None:
-        raise KeyError(f"unknown dataset {name!r}; known: {dataset_names()}")
+        raise UnknownNameError(f"unknown dataset {name!r}; known: {dataset_names()}")
     return info.loader(n if n is not None else info.default_n, seed=seed)

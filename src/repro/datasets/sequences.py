@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 _TOPICS = [
     "query", "index", "graph", "stream", "parallel", "approximate", "nearest",
     "neighbor", "search", "learning", "database", "distributed", "efficient",
@@ -72,7 +74,7 @@ def modify_sequence(sequence: str, fraction: float, rng: np.random.Generator) ->
         The corrupted sequence.
     """
     if not 0 <= fraction <= 1:
-        raise ValueError("fraction must lie in [0, 1]")
+        raise ConfigError("fraction must lie in [0, 1]")
     chars = list(sequence)
     n_mods = int(round(len(chars) * fraction))
     if n_mods == 0:

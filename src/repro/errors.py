@@ -7,7 +7,8 @@ the simulated GPU device, index construction, and query execution.
 :class:`QueryError` and :class:`ConfigError` are also ``ValueError``s: a
 malformed query or an inconsistent configuration *is* a bad value, and
 code written against the seed-era modules (which raised the builtin)
-keeps catching them.
+keeps catching them; :class:`UnknownNameError` and :class:`ObjectIdError`
+are a ``KeyError`` and an ``IndexError`` on the same grounds.
 """
 
 
@@ -36,8 +37,8 @@ class GpuAllocationError(GpuError):
     """Raised on invalid allocation handling (double free, stale handle)."""
 
 
-class IndexError_(ReproError):
-    """Raised when an inverted index is built from or queried with bad input."""
+class MalformedIndexError(ReproError):
+    """Raised when an inverted index's arrays do not describe a valid index."""
 
 
 class QueryError(ReproError, ValueError):
@@ -46,6 +47,14 @@ class QueryError(ReproError, ValueError):
 
 class ConfigError(ReproError, ValueError):
     """Raised when an engine or structure is configured inconsistently."""
+
+
+class UnknownNameError(ReproError, KeyError):
+    """Raised when a dataset or table column is looked up by an unknown name."""
+
+
+class ObjectIdError(ReproError, IndexError):
+    """Raised when an object id falls outside a structure's ``[0, n_objects)``."""
 
 
 class InvariantError(ReproError):

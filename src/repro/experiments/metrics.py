@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 def approximation_ratio(
     reported: np.ndarray,
@@ -29,7 +31,7 @@ def approximation_ratio(
     reported = np.asarray(reported, dtype=np.float64)
     true = np.asarray(true, dtype=np.float64)
     if reported.shape != true.shape:
-        raise ValueError("reported and true distance arrays must align")
+        raise ConfigError("reported and true distance arrays must align")
     if reported.size == 0:
         return 1.0
     ratios = np.ones_like(reported)
@@ -51,7 +53,7 @@ def classification_report(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
-        raise ValueError("label arrays must align")
+        raise ConfigError("label arrays must align")
     classes = np.unique(np.concatenate([y_true, y_pred]))
     precisions, recalls, f1s = [], [], []
     for cls in classes:
@@ -84,7 +86,7 @@ def recall_at_k(reported_ids: np.ndarray, true_ids: np.ndarray) -> float:
 def top1_accuracy(predicted: list, truth: list) -> float:
     """Fraction of queries whose top-1 prediction matches the ground truth."""
     if len(predicted) != len(truth):
-        raise ValueError("prediction and truth lists must align")
+        raise ConfigError("prediction and truth lists must align")
     if not truth:
         return 1.0
     return sum(1 for p, t in zip(predicted, truth) if p == t) / len(truth)

@@ -23,7 +23,7 @@ from repro.datasets import registry
 from repro.datasets.documents import make_document_queries
 from repro.datasets.relational import adult_schema, make_range_queries
 from repro.datasets.sequences import make_query_set
-from repro.errors import GpuOutOfMemoryError
+from repro.errors import GpuOutOfMemoryError, UnknownNameError
 from repro.experiments.common import DEFAULT_DOMAIN, DEFAULT_K, DEFAULT_M, fit_genie_ocr, fit_genie_sift
 from repro.gpu.device import Device
 from repro.sa.document import WordVocabulary, tokenize
@@ -350,4 +350,4 @@ def systems_for(dataset_name: str, n: int | None = None, seed: int = 0, **kwargs
         return document_systems(n=n, seed=seed, **kwargs)
     if dataset_name == "adult":
         return relational_systems(n=n, seed=seed, **kwargs)
-    raise KeyError(f"unknown dataset {dataset_name!r}")
+    raise UnknownNameError(f"unknown dataset {dataset_name!r}")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import UnknownNameError
+
 
 @dataclass
 class ResultTable:
@@ -33,19 +35,19 @@ class ResultTable:
     def __post_init__(self):
         unknown = set(self.volatile) - set(self.columns)
         if unknown:
-            raise KeyError(f"volatile names unknown columns: {sorted(unknown)}")
+            raise UnknownNameError(f"volatile names unknown columns: {sorted(unknown)}")
 
     def add_row(self, **values) -> None:
         """Append a row; values are keyed by column name."""
         unknown = set(values) - set(self.columns)
         if unknown:
-            raise KeyError(f"row has unknown columns: {sorted(unknown)}")
+            raise UnknownNameError(f"row has unknown columns: {sorted(unknown)}")
         self.rows.append(values)
 
     def column(self, name: str) -> list:
         """All values of one column, in row order."""
         if name not in self.columns:
-            raise KeyError(f"unknown column: {name}")
+            raise UnknownNameError(f"unknown column: {name}")
         return [row.get(name) for row in self.rows]
 
     def where(self, **conditions) -> list[dict]:

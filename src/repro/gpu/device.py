@@ -5,9 +5,11 @@ block-over-SM scheduler into one object with the lifecycle of a real device:
 
 * ``to_device`` / ``to_host`` move numpy arrays across the (simulated) bus
   and charge transfer time,
-* ``launch`` schedules a :class:`~repro.gpu.kernel.KernelLaunch` over the
-  SMs and charges the slowest SM's makespan (or the bandwidth bound, if the
-  launch is memory-bound),
+* ``price`` schedules a :class:`~repro.gpu.kernel.KernelLaunch` over the
+  SMs and returns the slowest SM's makespan (or the bandwidth bound, if the
+  launch is memory-bound) without charging it — the one place the launch
+  arithmetic lives, which the planner's cost model calls too,
+* ``launch`` charges that price to a stage and records the launch,
 * ``stage(name)`` scopes all charges to a pipeline stage so experiments can
   reproduce Table I's per-stage profile.
 """
@@ -20,6 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.memory import DeviceArray, MemoryManager
 from repro.gpu.specs import DEFAULT_COSTS, TITAN_X, CostModel, DeviceSpec
@@ -101,23 +104,23 @@ class Device:
     # ------------------------------------------------------------------
     # kernel execution
 
-    def launch(self, launch: KernelLaunch, stage: str | None = None) -> KernelStats:
-        """Schedule a kernel launch and charge its simulated time.
+    def price(self, launch: KernelLaunch) -> float:
+        """Simulated seconds ``launch`` costs on this device; charges nothing.
 
         Blocks are assigned in order to the least-loaded SM (the hardware's
         greedy block scheduler); compute time is the slowest SM's makespan.
         The launch is additionally bounded below by global-memory bandwidth.
-
-        Returns:
-            A :class:`KernelStats` record, also appended to ``kernel_log``
-            (which keeps the newest ``KERNEL_LOG_LIMIT``) and counted in
-            ``launches``.
+        A pure function of the launch, the spec and the cycle costs: timers,
+        ``kernel_log``, ``launches`` and memory stay untouched, so a planner
+        can ask what a launch *would* cost. An empty grid costs nothing.
         """
+        if launch.num_blocks == 0:
+            return 0.0
         # Vectorized block_cycles: passes = ceil(items / lanes), zero items
         # cost zero compute. Identical values to the scalar helper.
         lanes = min(launch.threads_per_block, self.spec.cores_per_sm)
         if lanes <= 0:
-            raise ValueError("threads_per_block must be positive")
+            raise ConfigError("threads_per_block must be positive")
         passes = -(launch.block_items // -lanes)
         per_block = (
             np.where(launch.block_items > 0, passes.astype(np.float64), 0.0)
@@ -148,7 +151,17 @@ class Device:
         per_sm_bandwidth = self.spec.mem_bandwidth / self.spec.num_sms
         memory_seconds = max(memory_seconds, max_block_bytes / per_sm_bandwidth)
 
-        elapsed = max(compute_seconds, memory_seconds)
+        return max(compute_seconds, memory_seconds)
+
+    def launch(self, launch: KernelLaunch, stage: str | None = None) -> KernelStats:
+        """Charge :meth:`price` of ``launch`` to a stage and record it.
+
+        Returns:
+            A :class:`KernelStats` record, also appended to ``kernel_log``
+            (which keeps the newest ``KERNEL_LOG_LIMIT``) and counted in
+            ``launches``.
+        """
+        elapsed = self.price(launch)
         stats = KernelStats(
             name=launch.name,
             blocks=launch.num_blocks,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro.errors import ConfigError
 from repro.gpu.specs import I7_3820, HostSpec
 from repro.gpu.stats import StageTimings
 
@@ -24,7 +25,7 @@ class HostCpu:
 
     def __init__(self, spec: HostSpec = I7_3820, cores: int = 1):
         if cores < 1 or cores > spec.num_cores:
-            raise ValueError(f"cores must be in [1, {spec.num_cores}]")
+            raise ConfigError(f"cores must be in [1, {spec.num_cores}]")
         self.spec = spec
         self.cores = cores
         self.timings = StageTimings()
@@ -40,18 +41,22 @@ class HostCpu:
         finally:
             self._stage = previous
 
+    def price_ops(self, n_ops: float) -> float:
+        """Seconds ``n_ops`` simple operations take; charges nothing."""
+        if n_ops < 0:
+            raise ConfigError("negative op count")
+        return n_ops / (self.spec.ops_per_second * self.cores)
+
     def charge_ops(self, n_ops: float, stage: str | None = None) -> float:
         """Charge ``n_ops`` simple operations; returns the seconds added."""
-        if n_ops < 0:
-            raise ValueError("negative op count")
-        seconds = n_ops / (self.spec.ops_per_second * self.cores)
+        seconds = self.price_ops(n_ops)
         self.timings.add(stage or self._stage, seconds)
         return seconds
 
     def charge_bytes(self, nbytes: float, stage: str | None = None) -> float:
         """Charge a memory-bandwidth-bound pass over ``nbytes``."""
         if nbytes < 0:
-            raise ValueError("negative byte count")
+            raise ConfigError("negative byte count")
         seconds = nbytes / self.spec.mem_bandwidth
         self.timings.add(stage or self._stage, seconds)
         return seconds

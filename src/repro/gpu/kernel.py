@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 @dataclass
 class KernelLaunch:
@@ -50,9 +52,9 @@ class KernelLaunch:
     def __post_init__(self):
         self.block_items = np.asarray(self.block_items, dtype=np.int64)
         if self.block_items.ndim != 1:
-            raise ValueError("block_items must be one-dimensional")
+            raise ConfigError("block_items must be one-dimensional")
         if self.threads_per_block <= 0:
-            raise ValueError("threads_per_block must be positive")
+            raise ConfigError("threads_per_block must be positive")
 
     @property
     def num_blocks(self) -> int:

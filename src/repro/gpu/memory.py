@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import GpuAllocationError, GpuOutOfMemoryError
+from repro.errors import ConfigError, GpuAllocationError, GpuOutOfMemoryError
 
 
 @dataclass
@@ -38,7 +38,7 @@ class MemoryManager:
 
     def __init__(self, capacity: int):
         if capacity <= 0:
-            raise ValueError("memory capacity must be positive")
+            raise ConfigError("memory capacity must be positive")
         self.capacity = int(capacity)
         self._used = 0
         self._peak = 0

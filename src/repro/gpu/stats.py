@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
+
 #: Stage names used by the GENIE pipeline, in Table-I order.
 STAGES = ("index_build", "index_transfer", "query_transfer", "match", "select")
 
@@ -79,7 +81,7 @@ class StageTimings:
     def add(self, stage: str, seconds: float) -> None:
         """Charge ``seconds`` of simulated time to ``stage``."""
         if seconds < 0:
-            raise ValueError(f"negative stage time: {seconds}")
+            raise ConfigError(f"negative stage time: {seconds}")
         self.seconds[stage] = self.seconds.get(stage, 0.0) + float(seconds)
 
     def get(self, stage: str) -> float:
@@ -112,7 +114,7 @@ class StageTimings:
         occupies stretches.
         """
         if factor < 0:
-            raise ValueError(f"negative scale factor: {factor}")
+            raise ConfigError(f"negative scale factor: {factor}")
         for stage in self.seconds:
             self.seconds[stage] = self.seconds[stage] * float(factor)
 

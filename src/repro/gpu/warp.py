@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from repro.errors import ConfigError
 from repro.gpu.specs import CostModel, DeviceSpec
 
 
@@ -38,7 +39,7 @@ def block_cycles(
         return 0.0
     lanes = min(threads_per_block, spec.cores_per_sm)
     if lanes <= 0:
-        raise ValueError("threads_per_block must be positive")
+        raise ConfigError("threads_per_block must be positive")
     passes = math.ceil(n_items / lanes)
     return passes * cycles_per_item
 

@@ -10,16 +10,10 @@ still fails the run. Entries that stop matching anything are *stale*
 and fail ``python -m repro.lint --strict`` so the allowlist can only
 shrink over time.
 
-``DEFAULT_BASELINE`` is the repo's shipped allowlist. The bulk of it is
-REPRO002: the seed-era modules (``gpu``, ``core`` primitives,
-``datasets``, ``sa``, ``experiments``) validate arguments with builtin
-``ValueError``/``KeyError``/``IndexError``, and their tests pin those
-builtin types; migrating them onto the ``ReproError`` taxonomy is
-tracked in ROADMAP, not something to smuggle through a lint PR (``lsh``
-went first: ``ConfigError``/``QueryError`` are ``ValueError``s, so its
-pinned tests kept passing). Everything added since PR 2 (api/serve/cluster/plan/
-stream/obs) raises taxonomy errors only and is *not* baselined — the
-rule holds the line there.
+``DEFAULT_BASELINE`` is the repo's shipped allowlist: the REPRO001 entry
+of the report CLI, alone. The seed-era modules' builtin raises that once
+filled it are on the ``ReproError`` taxonomy (whose classes also subclass
+the builtin each module's tests pin), so REPRO002 holds everywhere.
 """
 
 from __future__ import annotations
@@ -66,11 +60,6 @@ class Baseline:
 #: No suppressions at all — what fixture tests and ``--no-baseline`` use.
 EMPTY_BASELINE = Baseline()
 
-_SEED_ERA_RAISES = (
-    "callers and tests pin the builtin exception type from the seed snapshot; "
-    "migrating this module onto the ReproError taxonomy is a tracked breaking change"
-)
-
 DEFAULT_BASELINE = Baseline(
     (
         # -- REPRO001: the one human-facing CLI that *should* measure wall
@@ -81,21 +70,5 @@ DEFAULT_BASELINE = Baseline(
             "the one-shot report CLI prints real wall-clock regeneration time "
             "for the human running it; no simulated path imports this module",
         ),
-        # -- REPRO002: seed-era builtin raises, per file.
-        BaselineEntry("repro/core/bitmap_counter.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/datasets/documents.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/datasets/registry.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/datasets/sequences.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/experiments/metrics.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/experiments/suite.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/experiments/table.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/gpu/device.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/gpu/host.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/gpu/kernel.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/gpu/memory.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/gpu/stats.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/gpu/warp.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/sa/edit_distance.py", "REPRO002", _SEED_ERA_RAISES),
-        BaselineEntry("repro/sa/ngram.py", "REPRO002", _SEED_ERA_RAISES),
     )
 )

@@ -19,7 +19,7 @@ and a rule-based planner with three result-preserving rules:
   instead of broadcasting to all N,
 * **two-round TPUT merge** — fetch ``ceil(2k/N)`` per shard first, top
   up only where a shard's round-one threshold proves it necessary
-  (opt-in via ``plan="two-round"``).
+  (opt-in via ``plan="two-round"``, or chosen by price — see below).
 
 Every plan is explainable and forceable::
 
@@ -31,13 +31,15 @@ Results are **bit-identical** across every strategy (ids, counts, tie
 order, thresholds — property-tested in ``tests/plan/``); the plan only
 changes how much simulated time the answer costs.
 
-PR 6 makes ``"auto"`` cost-based: after
+The route is always a rule. The merge is priced once
 :meth:`GenieSession.calibrate_cost_model
-<repro.api.session.GenieSession.calibrate_cost_model>` fits the
-:class:`~repro.plan.cost.CostModel`, the planner prices the full
-route x merge lattice and picks the cheapest candidate (``cost≈`` lines
-appear in ``explain()``), and the session's
-:class:`~repro.plan.cache.PlanCache` memoizes compiled plans so
+<repro.api.session.GenieSession.calibrate_cost_model>` has fitted the
+:class:`~repro.plan.cost.CostModel`'s match and top-up coefficients:
+``plan="auto"`` then picks the cheaper of one-round and two-round per
+batch — transfers, select and merge priced by the simulator itself
+(:meth:`Device.price <repro.gpu.device.Device.price>`), only the match
+stage by the fit (``cost≈`` lines appear in ``explain()``) — and the
+session's :class:`~repro.plan.cache.PlanCache` memoizes compiled plans so
 repeated query shapes skip planning — and its ``plan_route`` host
 charge — entirely.
 """

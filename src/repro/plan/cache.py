@@ -4,7 +4,7 @@ Steady-state serving traffic repeats shapes, not just exact queries: a
 different age-band value produces a different result (the query-result
 cache misses) but often the *same plan* — same directives, same ``k``,
 same per-query shard eligibility. Compiling that plan again re-runs the
-routing membership test and (when calibrated) the candidate pricing
+routing membership test and (when calibrated) the merge-pricing feature
 pass, host work charged to ``plan_route`` on every batch. This cache
 memoizes the finished :class:`~repro.plan.planner.CompiledPlan` so a
 warm lane pays **zero** compile or ``plan_route`` cost per batch.
@@ -25,12 +25,12 @@ function of:
   could alias two batches whose plans route differently, and a reused
   wrong route would drop results. When any query's bucket is not
   memoized yet the batch is a miss, the fresh compile provides the
-  buckets, and the shape is warm from then on. Plans whose directives
-  never consult eligibility (forced/uncalibrated broadcast) key on the
-  per-query elision flag alone.
+  buckets, and the shape is warm from then on. Plans whose route never
+  consults eligibility (broadcast: forced, or ruled on a hash partition)
+  key on the per-query elision flag alone.
 
-One deliberate staleness: cost-based choice also reads the batch's
-postings *totals*, which the bucket signature does not capture — two
+One deliberate staleness: the priced one-round / two-round choice reads
+the batch's postings *totals*, which the bucket signature does not capture — two
 batches with identical eligibility but different postings reuse one
 plan. Both plans are bit-identical in results (the planner's
 invariant), so a hit can only be cost-suboptimal, never wrong — the
@@ -52,22 +52,21 @@ from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.plan")
 
+#: Memoized per-query eligibility buckets a :class:`PlanCache` retains.
+BUCKET_CAPACITY = 8192
+
 
 class PlanCache:
     """A bounded LRU of compiled plans plus a query-bucket memo.
 
     Args:
         capacity: Maximum cached plans (batch-level entries).
-        bucket_capacity: Maximum memoized per-query eligibility buckets.
     """
 
-    def __init__(self, capacity: int = 256, bucket_capacity: int = 8192):
+    def __init__(self, capacity: int = 256):
         if int(capacity) < 1:
             raise ConfigError("plan cache capacity must be >= 1")
-        if int(bucket_capacity) < 1:
-            raise ConfigError("plan cache bucket capacity must be >= 1")
         self.capacity = int(capacity)
-        self.bucket_capacity = int(bucket_capacity)
         self._plans: OrderedDict[tuple, object] = OrderedDict()
         self._buckets: OrderedDict[tuple, int] = OrderedDict()
         self.hits = 0
@@ -131,7 +130,7 @@ class PlanCache:
                 key = (index, fit_epoch, queries.key_bytes(i))
                 self._buckets.pop(key, None)
                 self._buckets[key] = mask
-            while len(self._buckets) > self.bucket_capacity:
+            while len(self._buckets) > BUCKET_CAPACITY:
                 self._buckets.popitem(last=False)
         signature = tuple(zip((queries.items_per_query > 0).tolist(), masks))
         key = (index, fit_epoch, shape, signature)

@@ -1,34 +1,38 @@
-"""The calibrated stage-cost model: price candidate plans at compile time.
+"""The stage-cost model: price candidate plans at compile time.
 
-PR 5's planner picks strategies by *rules* (prune range partitions,
-never auto-select the two-round merge), which leaves throughput on the
-table: the TPUT merge is 1.63x on its even-spread home workload but
-0.82x on single-shard band traffic, so a rule that cannot tell the two
-apart must abstain. This module gives ``compile_search`` the missing
-signal — a :class:`CostModel` whose per-stage linear coefficients are
-*fitted* (least squares) against the simulated device/host by replaying
-a seeded probe workload, so the planner can price every candidate in
-the strategy lattice and pick the cheapest.
+The planner's rules cannot tell when the two-round TPUT merge pays: it is
+1.63x on its even-spread home workload and 0.82x on single-shard band
+traffic. This module gives ``compile_search`` the missing signal — a
+:class:`CostModel` that predicts the stages a sharded batch pays, so
+``plan="auto"`` can price one-round against two-round and pick the cheaper.
 
-The model prices the stages a sharded batch actually pays:
+Three of the four predicted stages are *defined* by the simulator, so the
+model asks it instead of fitting it:
 
-* **scan** (per shard, device): ``query_transfer + match + select`` of
-  one launch, modeled as affine in the observable features — batch size,
-  total query keywords, postings touched in the shard
-  (:meth:`~repro.cluster.plan.ShardSlice.posting_counts` makes these
-  exact, not estimated), and fetch width ``n_queries * k``.
-* **merge** (host): affine in ``candidates * log2(n_shards)``, the
-  S-way heap-merge charge of
-  :func:`repro.cluster.executor.merge_shard_results`.
+* **query_transfer** and **select** (per shard, device): the bytes
+  :class:`~repro.core.engine.GenieEngine` moves over PCIe and
+  :meth:`Device.price <repro.gpu.device.Device.price>` of the select launch
+  the engine itself would build — exact functions of the batch size, its
+  keyword count, the fetch width and the count bound.
+* **result_merge** (host): the ``candidates * max(1, log2 S)`` operations
+  :func:`repro.cluster.executor.merge_shard_results` charges, priced by
+  :meth:`HostCpu.price_ops <repro.gpu.host.HostCpu.price_ops>`.
+
+What only the data decides is fitted (least squares against a seeded probe
+replay on a scratch session), and nothing else is:
+
+* **match** (per shard, device): 78-98 % of a match launch's seconds come
+  from Gate passes and the count histogram — atomic ops, conflicts,
+  divergence, scattered Hash-Table writes — which exist only after the
+  scan. Modeled as affine in the postings the batch touches in the shard
+  (:class:`~repro.plan.planner.ShardContext` makes these exact), their
+  ``sqrt(width)`` Gate share and their :func:`serial_share`.
 * **top-up fraction** (two-round TPUT only): the fraction of the
   full-width round-two scan the exact threshold test actually triggers,
-  modeled as affine in the batch's postings *concentration* (the max
-  shard share): concentrated traffic (one busy shard) always tops up,
-  evenly-spread traffic almost never does. This single feature is what
-  lets a calibrated ``plan="auto"`` pick the two-round merge on the
-  even-spread workload and refuse it on band traffic.
+  affine in the batch's postings *concentration* (the max shard share):
+  concentrated traffic always tops up, evenly-spread traffic almost never.
 
-Coefficients live on the session as a plain ``dict[str, float]``
+The six coefficients live on the session as a plain ``dict[str, float]``
 (:attr:`GenieSession.cost_coefficients`) — inspectable, serializable,
 and overridable in tests (a deliberately *mis*-calibrated model must
 change only simulated time, never results; the equivalence suite pins
@@ -42,23 +46,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Stages whose sum the scan model predicts (one shard launch).
+from repro.core.cpq import hash_table_capacity
+from repro.core.engine import QUERY_KEYWORD_BYTES, RESULT_ENTRY_BYTES, batch_count_bound
+from repro.core.scan_kernel import build_select_launch
+
+#: Stages one shard launch pays; ``match`` is the fitted one.
 SCAN_STAGES = ("query_transfer", "match", "select")
 
 #: Stages a sharded batch's predicted critical path covers (scan + merge).
 PREDICTED_STAGES = SCAN_STAGES + ("result_merge",)
 
-#: Every coefficient a fully calibrated model carries.
+#: Every coefficient a calibrated model carries — the fitted terms only.
 COEFFICIENT_NAMES = (
-    "scan.const",
-    "scan.queries",
-    "scan.keywords",
-    "scan.postings",
-    "scan.gated",
-    "scan.hot",
-    "scan.width",
-    "merge.const",
-    "merge.ops",
+    "match.const",
+    "match.postings",
+    "match.gated",
+    "match.hot",
     "topup.const",
     "topup.concentration",
 )
@@ -125,7 +128,7 @@ def shard_block_matrix(queries, shard_keywords, shard_postings) -> np.ndarray:
     lists (:func:`repro.core.batch_scan.plan_batch_scan`'s ``block_sizes``,
     specified per query by :func:`repro.core.reference.plan_query_scan`); an item whose
     keywords miss the shard spawns no block. The per-shard block count is
-    what the ``scan.hot`` feature divides by: the device spreads the
+    what the ``match.hot`` feature divides by: the device spreads the
     launch's atomic work over ``min(blocks, num_sms)`` SMs, so a batch
     whose postings funnel into one block (a dense range predicate is ONE
     item, hence one block) pays them serially while an LSH batch (one
@@ -140,21 +143,21 @@ def shard_block_matrix(queries, shard_keywords, shard_postings) -> np.ndarray:
 
 
 def serial_share(postings, blocks, num_sms: int):
-    """The ``scan.hot`` feature: *excess* serial share of a shard's postings.
+    """The ``match.hot`` feature: *excess* serial share of a shard's postings.
 
     ``postings * (1/min(blocks, num_sms) - 1/num_sms)`` — how much of
     the match kernel's atomic counter work lands on one SM *beyond* the
     fully amortized share. The device charges that work at the block
-    granularity (see :meth:`repro.gpu.device.Device.launch`: the
+    granularity (see :meth:`repro.gpu.device.Device.price`: the
     conflict/gate penalty divides by *active* SMs, capped by the block
     count), so a batch whose postings funnel into one block (a dense
     range predicate is ONE item, hence one block) pays nearly all of
     them serially, while a saturated launch (``blocks >= num_sms``)
     has zero excess — the feature vanishes there by construction,
-    leaving the amortized work entirely to ``scan.postings``. Without
+    leaving the amortized work entirely to ``match.postings``. Without
     the subtraction the two features are collinear on every saturated
     row and the fit can only price their *sum*, driving
-    ``scan.postings`` negative.
+    ``match.postings`` negative.
     """
     postings = np.asarray(postings, dtype=np.float64)
     blocks = np.asarray(blocks, dtype=np.float64)
@@ -164,17 +167,15 @@ def serial_share(postings, blocks, num_sms: int):
 
 
 def batch_features(queries, shard_keywords, shard_postings, num_sms: int):
-    """What the model prices a batch by, one lookup pass per shard table.
+    """What the match term prices a batch by, one lookup pass per shard table.
 
     Returns:
-        ``(postings, hot, count_bound)``: per shard the postings the batch
-        touches and their :func:`serial_share`, and the batch's largest
-        per-query count bound.
+        ``(postings, hot)``: per shard the postings the batch touches and
+        their :func:`serial_share`.
     """
     postings = shard_postings_matrix(queries, shard_keywords, shard_postings).sum(axis=0)
     blocks = shard_block_matrix(queries, shard_keywords, shard_postings).sum(axis=0)
-    hot = serial_share(postings, blocks, num_sms)
-    return postings, hot, int(queries.keywords_per_query.max())
+    return postings, serial_share(postings, blocks, num_sms)
 
 
 def concentration(shard_postings) -> float:
@@ -208,21 +209,10 @@ class PlanPrice:
             the top-up round weighted by the predicted fraction).
         merge_seconds: Predicted host merge seconds (threshold merge +
             final merge for TPUT).
-        busy_seconds: Predicted *aggregate* device seconds across the
-            scanned shards. Not on the critical path, but the tie-break:
-            when candidates' critical paths are within tolerance, the
-            one occupying fewer device-seconds wins (it frees shards for
-            concurrent batches — exactly why routing beats broadcast on
-            band traffic even though a single batch's latency ties).
-        route_seconds: Predicted pre-dispatch host seconds the
-            candidate's routing work costs (0 for broadcast); joins the
-            tie-break on the same grounds.
     """
 
     scan_seconds: float
     merge_seconds: float
-    busy_seconds: float
-    route_seconds: float = 0.0
 
     @property
     def critical_path(self) -> float:
@@ -231,16 +221,21 @@ class PlanPrice:
 
 
 class CostModel:
-    """Linear per-stage cost predictions over a coefficient dict.
+    """Stage-cost predictions: the simulator's own prices plus a fitted match.
 
-    Missing coefficients read as ``0.0``, so any dict — including an
-    adversarially wrong one — produces a usable (if useless) model;
-    plan *choice* may degrade, plan *results* never can (every candidate
-    is exact by construction).
+    ``device``, ``host`` and the engine ``config`` are the ones the priced
+    searches run on; transfers, the select launch and the merge are priced
+    through them. Missing coefficients read as ``0.0``, so any dict —
+    including an adversarially wrong one — produces a usable (if useless)
+    model; plan *choice* may degrade, plan *results* never can (every
+    candidate is exact by construction).
     """
 
-    def __init__(self, coefficients: dict):
+    def __init__(self, coefficients: dict, device, host, config):
         self.coefficients = dict(coefficients)
+        self.device = device
+        self.host = host
+        self.config = config
 
     def _c(self, name: str) -> float:
         return float(self.coefficients.get(name, 0.0))
@@ -249,6 +244,60 @@ class CostModel:
     def calibrated(self) -> bool:
         """Whether every named coefficient is present."""
         return all(name in self.coefficients for name in COEFFICIENT_NAMES)
+
+    def count_bound_of(self, queries) -> int:
+        """The count bound the engine sizes ``queries``' c-PQ tables for."""
+        return batch_count_bound(self.config, queries)
+
+    def transfer_select_seconds(
+        self, n_queries: int, keywords: float, width: int, count_bound: int = 1
+    ) -> float:
+        """``query_transfer + select`` of one shard launch — exact.
+
+        What :class:`~repro.core.engine.GenieEngine` charges around the
+        match kernel: the batch's keywords over PCIe, the select launch it
+        builds (one block per query walking a c-PQ hash table of
+        :func:`~repro.core.cpq.hash_table_capacity` slots) and the
+        ``n_queries * width`` result entries back.
+        """
+        pcie = self.device.spec.pcie_bandwidth
+        select = build_select_launch(
+            n_queries, hash_table_capacity(width, count_bound), width,
+            self.config.threads_per_block,
+        )
+        return (
+            keywords * QUERY_KEYWORD_BYTES / pcie
+            + self.device.price(select)
+            + n_queries * width * RESULT_ENTRY_BYTES / pcie
+        )
+
+    def match_seconds(self, postings: float, width: int, hot: float = 0.0) -> float:
+        """Predicted ``match`` seconds of one shard launch — the fitted term.
+
+        ``hot`` is the shard's :func:`serial_share` — its postings
+        divided by the match blocks available to spread them over
+        (capped at the device's SM count). The device charges the match
+        kernel's atomic counter work per *active* SM, so concentrated
+        traffic (a dense range predicate = one block) pays its postings
+        serially — the total-``postings`` term prices the amortized
+        many-block regime, ``hot`` the serial one.
+
+        The ``match.gated`` term (``postings * sqrt(width)``) prices the
+        stage's *k-dependence*: with clustered posting counts the audit
+        threshold is the k-th best count, so a smaller fetch width
+        raises the threshold and shrinks the fraction of matched
+        postings that pays the atomic gate. This is what makes a TPUT
+        round one at ``first_round_k`` genuinely cheaper than a full
+        scan — without it the model thinks round one saves only select
+        work and would never choose the two-round merge.
+        """
+        return max(
+            0.0,
+            self._c("match.const")
+            + self._c("match.postings") * float(postings)
+            + self._c("match.gated") * float(postings) * float(width) ** 0.5
+            + self._c("match.hot") * float(hot),
+        )
 
     def scan_seconds(
         self,
@@ -259,58 +308,21 @@ class CostModel:
         hot: float = 0.0,
         count_bound: int = 1,
     ) -> float:
-        """Predicted seconds of one shard's scan launch at fetch ``width``.
-
-        ``hot`` is the shard's :func:`serial_share` — its postings
-        divided by the match blocks available to spread them over
-        (capped at the device's SM count). The device charges the match
-        kernel's atomic counter work per *active* SM, so concentrated
-        traffic (a dense range predicate = one block) pays its postings
-        serially — the total-``postings`` term prices the amortized
-        many-block regime, ``hot`` the serial one.
-
-        ``count_bound`` is the batch's maximum per-query keyword count
-        (:attr:`~repro.core.types.QueryBatch.keywords_per_query`): the select stage
-        walks one c-PQ hash table of ``O(width * count_bound)`` slots per
-        query (:func:`repro.core.cpq.hash_table_capacity`), so the fetch
-        term is trilinear in ``n_queries * width * count_bound`` — at a
-        fixed batch shape, select varies by an order of magnitude with
-        query width alone, and a model without this factor cannot price
-        an LSH batch (32 hash functions) and a band query (2 keywords)
-        with one coefficient.
-
-        The ``scan.gated`` term (``postings * sqrt(width)``) prices the
-        match stage's *k-dependence*: with clustered posting counts the
-        audit threshold is the k-th best count, so a smaller fetch width
-        raises the threshold and shrinks the fraction of matched
-        postings that pays the atomic gate. This is what makes a TPUT
-        round one at ``first_round_k`` genuinely cheaper than a full
-        scan — without it the model thinks round one saves only select
-        work and would never choose the two-round merge.
-        """
-        return max(
-            0.0,
-            self._c("scan.const")
-            + self._c("scan.queries") * float(n_queries)
-            + self._c("scan.keywords") * float(keywords)
-            + self._c("scan.postings") * float(postings)
-            + self._c("scan.gated") * float(postings) * float(width) ** 0.5
-            + self._c("scan.hot") * float(hot)
-            + self._c("scan.width")
-            * float(n_queries)
-            * float(width)
-            * float(max(1, count_bound)),
-        )
+        """Predicted seconds of one shard's scan launch at fetch ``width``."""
+        return self.transfer_select_seconds(
+            n_queries, keywords, width, count_bound
+        ) + self.match_seconds(postings, width, hot)
 
     def merge_seconds(self, candidates: float, n_shards: int) -> float:
-        """Predicted host seconds merging ``candidates`` over ``n_shards``.
+        """Host seconds merging ``candidates`` over ``n_shards`` — exact.
 
         ``n_shards`` is the plan's shard count (pruned shards contribute
         empty lists but the executor's heap-merge charge still uses the
         full fan-in) — mirror of ``merge_shard_results``.
         """
-        ops = float(candidates) * max(1.0, np.log2(max(int(n_shards), 2)))
-        return max(0.0, self._c("merge.const") + self._c("merge.ops") * ops)
+        return self.host.price_ops(
+            float(candidates) * max(1.0, np.log2(max(int(n_shards), 2)))
+        )
 
     def topup_fraction(self, chi: float) -> float:
         """Predicted fraction of the full-width round-two scan that runs."""
@@ -327,7 +339,6 @@ class CostModel:
         retrieval_k: int,
         merge: str,
         first_round_k: int | None = None,
-        route_seconds: float = 0.0,
         shard_hot=None,
         count_bound: int = 1,
     ) -> PlanPrice:
@@ -343,12 +354,9 @@ class CostModel:
             retrieval_k: Full fetch width.
             merge: ``"one-round"`` or ``"two-round-tput"``.
             first_round_k: TPUT round-one width (required for TPUT).
-            route_seconds: Host seconds the candidate's routing pass costs.
-            shard_hot: Per scanned shard, the largest single-query
-                postings load (aligned with ``shard_postings``; zeros
-                when unknown).
-            count_bound: Batch maximum per-query count bound (sizes the
-                select stage's c-PQ hash tables; see :meth:`scan_seconds`).
+            shard_hot: Per scanned shard, its :func:`serial_share` (aligned
+                with ``shard_postings``; zeros when unknown).
+            count_bound: The batch's :meth:`count_bound_of`.
         """
         postings = [float(p) for p in shard_postings]
         hot = (
@@ -358,18 +366,16 @@ class CostModel:
         )
         scanned = max(len(postings), 1)
 
-        def scan_round(width: int) -> tuple[float, float]:
-            per = [
-                self.scan_seconds(
-                    n_queries, keywords, p, width, hot=h, count_bound=count_bound
-                )
-                for p, h in zip(postings, hot)
-            ]
-            return (max(per), sum(per)) if per else (0.0, 0.0)
+        def scan_round(width: int) -> float:
+            # Transfer and select are the same launch on every scanned
+            # shard; only the match term tells shards apart.
+            if not postings:
+                return 0.0
+            return self.transfer_select_seconds(
+                n_queries, keywords, width, count_bound
+            ) + max(self.match_seconds(p, width, h) for p, h in zip(postings, hot))
 
         if merge == "two-round-tput":
-            cp1, busy1 = scan_round(int(first_round_k))
-            cp_full, busy_full = scan_round(int(retrieval_k))
             frac = self.topup_fraction(concentration(postings))
             round1_candidates = scanned * n_queries * int(first_round_k)
             full_candidates = scanned * n_queries * int(retrieval_k)
@@ -378,29 +384,23 @@ class CostModel:
                 round1_candidates + frac * full_candidates, n_shards
             )
             return PlanPrice(
-                scan_seconds=cp1 + frac * cp_full,
+                scan_seconds=scan_round(int(first_round_k)) + frac * scan_round(int(retrieval_k)),
                 merge_seconds=merge_s,
-                busy_seconds=busy1 + frac * busy_full,
-                route_seconds=route_seconds,
             )
-        cp, busy = scan_round(int(retrieval_k))
-        merge_s = self.merge_seconds(scanned * n_queries * int(retrieval_k), n_shards)
         return PlanPrice(
-            scan_seconds=cp,
-            merge_seconds=merge_s,
-            busy_seconds=busy,
-            route_seconds=route_seconds,
+            scan_seconds=scan_round(int(retrieval_k)),
+            merge_seconds=self.merge_seconds(scanned * n_queries * int(retrieval_k), n_shards),
         )
 
 
 # ----------------------------------------------------------------------
 # calibration: replay a seeded probe workload, least-squares the stages
 
-#: Scan probes: (n_objects, kw_per_object, keyword_domain, n_queries,
+#: Match probes: (n_objects, kw_per_object, keyword_domain, n_queries,
 #: kw_per_query, k). The grid spans both serving regimes the model must
 #: price: dense-postings few-query small-k batches (band traffic) and
 #: sparse-postings wide-batch large-k batches (ANN signatures).
-_SCAN_PROBES = (
+_MATCH_PROBES = (
     (400, 4, 64, 1, 2, 5),
     (400, 4, 64, 4, 3, 10),
     (1500, 4, 256, 1, 3, 10),
@@ -419,17 +419,6 @@ _SCAN_PROBES = (
     # LSH probes below measure, and no feature observable at planning
     # time separates the two. Calibration sides with the clustered
     # regime because that is what hash-sharded ANN traffic looks like.
-    # Width-dominated rows, in k-varying pairs: corpora so sparse the
-    # match stage is noise, leaving the select stage (nq * k *
-    # count_bound c-PQ table slots) as the whole observation. Each pair
-    # holds the query shape (same nq, same keywords) and moves only k,
-    # so ``scan.width`` decorrelates from ``scan.keywords`` — without
-    # the pairs, lstsq can push select cost into the keyword column
-    # (width/keywords is near-constant at fixed k).
-    (800, 2, 2048, 48, 32, 50),
-    (800, 2, 2048, 48, 32, 5),
-    (600, 2, 1024, 16, 16, 40),
-    (600, 2, 1024, 16, 16, 4),
 )
 
 #: Banded probes: (n_objects, n_bands, n_queries, k) on a banded corpus
@@ -447,7 +436,7 @@ _BAND_PROBES = (
 #: keyword queries against a huge band so ONE match block carries
 #: thousands of postings — the regime of a dense range predicate (one
 #: item = one block), where the launch cost is the serial block, not the
-#: batch totals. Without these rows the lstsq never sees ``scan.hot``
+#: batch totals. Without these rows the lstsq never sees ``match.hot``
 #: at the magnitude real band traffic has.
 _HOT_PROBES = (
     (2000, 2, 1, 10),
@@ -466,15 +455,11 @@ _HOT_PROBES = (
 #: traffic pays. Probing these *sharded* (feature row = the critical
 #: shard, like the planner prices) is deliberate: the serial variant
 #: keeps whole count clusters together and runs ~3x cheaper per
-#: posting, which would mis-anchor ``scan.postings``.
+#: posting, which would mis-anchor ``match.postings``.
 _ANN_PROBES = (
     (1500, 8, 16, 16, (20,), 4, 256),
     (8000, 16, 32, 64, (50, 13), 8, 1024),
 )
-
-#: Merge probes: (n_queries, k) over a dense 4-shard broadcast scan, so
-#: every shard returns exactly k candidates per query.
-_MERGE_PROBES = ((2, 5), (8, 10), (16, 25), (32, 50), (64, 50))
 
 
 def _probe_corpus(rng, n_objects: int, kw_per_object: int, domain: int):
@@ -515,38 +500,26 @@ def _relative_lstsq(rows, observed, weights=None) -> np.ndarray:
     return coef
 
 
-def _fit_scan(scratch, seed: int) -> dict:
+def _fit_match(scratch, seed: int) -> dict:
     rows, observed, weights = [], [], []
 
-    def probe_handle(handle, raw_queries, k):
+    def probe(name, corpus, raw_queries, k):
+        handle = scratch.create_index(corpus, model="raw", name=name)
         result = handle.search(raw_queries, k=k)
         index = handle._parts[0].index
-        counts = postings_per_keyword(index)
-        queries = handle.encode_queries(raw_queries)
-        postings, hot, bound = batch_features(
-            queries, (index.keyword_array,), (counts,), scratch.device.spec.num_sms
+        postings, hot = batch_features(
+            handle.encode_queries(raw_queries), (index.keyword_array,),
+            (postings_per_keyword(index),), scratch.device.spec.num_sms,
         )
-        total, hot = float(postings[0]), float(hot[0])
-        keywords = float(queries.keywords.size)
-        nq = len(queries)
-        rows.append(
-            [1.0, float(nq), keywords, total, total * float(k) ** 0.5,
-             float(hot), float(nq * k * bound)]
-        )
-        observed.append(_observed(result.profile, SCAN_STAGES))
+        total = float(postings[0])
+        rows.append([1.0, total, total * float(k) ** 0.5, float(hot[0])])
+        observed.append(result.profile.get("match"))
         weights.append(1.0)
-        scratch.drop(handle.name)
-
-    def probe(name, corpus, raw_queries, k):
-        probe_handle(
-            scratch.create_index(corpus, model="raw", name=name),
-            raw_queries,
-            k,
-        )
+        scratch.drop(name)
 
     # Random probes: postings spread over many queries/blocks (the
     # amortized regime — total postings dominate).
-    for i, (n_obj, kw_obj, domain, nq, kw_q, k) in enumerate(_SCAN_PROBES):
+    for i, (n_obj, kw_obj, domain, nq, kw_q, k) in enumerate(_MATCH_PROBES):
         rng = np.random.default_rng([seed, 1, i])
         probe(
             f"probe-scan-{i}",
@@ -556,7 +529,7 @@ def _fit_scan(scratch, seed: int) -> dict:
         )
     # Banded probes: every query hammers the same dense band, so one
     # block's postings dominate the launch (the concentrated regime the
-    # ``scan.hot`` feature prices — band traffic on sorted corpora).
+    # ``match.hot`` feature prices — band traffic on sorted corpora).
     for i, (n_obj, n_bands, nq, k) in enumerate(_BAND_PROBES):
         rng = np.random.default_rng([seed, 4, i])
         probe(
@@ -576,13 +549,13 @@ def _fit_scan(scratch, seed: int) -> dict:
             k,
         )
     # LSH probes: clustered posting counts split across hash shards, the
-    # amortized-gate regime of sharded ANN traffic. The observed scan is
+    # amortized-gate regime of sharded ANN traffic. The observed match is
     # the launch critical path, so the feature row is the heaviest
     # shard's — the same convention :meth:`CostModel.price` uses. Each
     # probe searches the same corpus at every k in its tuple: the
     # k-pair holds postings fixed and moves only the fetch width, which
-    # is what identifies ``scan.gated`` (match work that shrinks with
-    # k) separately from ``scan.postings`` (match work that does not).
+    # is what identifies ``match.gated`` (match work that shrinks with
+    # k) separately from ``match.postings`` (match work that does not).
     for i, (n_pts, dim, m, nq, ks, n_shards, domain) in enumerate(_ANN_PROBES):
         rng = np.random.default_rng([seed, 6, i])
         points = rng.normal(size=(n_pts, dim))
@@ -594,23 +567,18 @@ def _fit_scan(scratch, seed: int) -> dict:
         )
         raw_queries = list(points[picks] + 0.01 * rng.normal(size=(nq, dim)))
         shards = handle._plan_shards()
-        queries = handle.encode_queries(raw_queries)
-        shard_posts, shard_hot, bound = batch_features(
-            queries, shards.shard_keywords, shards.shard_postings, scratch.device.spec.num_sms
+        shard_posts, shard_hot = batch_features(
+            handle.encode_queries(raw_queries), shards.shard_keywords,
+            shards.shard_postings, scratch.device.spec.num_sms,
         )
         critical = int(np.argmax(shard_posts))
-        keywords = float(queries.keywords.size)
         post = float(shard_posts[critical])
         for k in ks:
             result = handle.search(
                 raw_queries, k=k, route="broadcast", plan="one-round"
             )
-            rows.append(
-                [1.0, float(len(queries)), keywords, post,
-                 post * float(k) ** 0.5, float(shard_hot[critical]),
-                 float(len(queries) * k * bound)]
-            )
-            observed.append(_observed(result.profile, SCAN_STAGES))
+            rows.append([1.0, post, post * float(k) ** 0.5, float(shard_hot[critical])])
+            observed.append(result.profile.get("match"))
             # LSH rows carry extra weight: they are the regime the
             # costed auto decision actually arbitrates (one-round vs
             # TPUT on hash-sharded ANN traffic), while the synthetic
@@ -619,34 +587,8 @@ def _fit_scan(scratch, seed: int) -> dict:
             weights.append(3.0)
         scratch.drop(handle.name)
     coef = _relative_lstsq(rows, observed, weights)
-    names = (
-        "scan.const", "scan.queries", "scan.keywords",
-        "scan.postings", "scan.gated", "scan.hot", "scan.width",
-    )
+    names = ("match.const", "match.postings", "match.gated", "match.hot")
     return dict(zip(names, (float(c) for c in coef)))
-
-
-def _fit_merge(scratch, seed: int) -> dict:
-    # One dense 4-shard corpus: every query matches well over k objects
-    # in every shard, so each shard returns exactly k candidates and the
-    # merge feature (candidates * log2 S) is exact, not an upper bound.
-    rng = np.random.default_rng([seed, 2])
-    handle = scratch.create_index(
-        _probe_corpus(rng, 1600, 6, 24), model="raw", name="probe-merge",
-        shards=4, shard_strategy="range",
-    )
-    rows, observed = [], []
-    for i, (nq, k) in enumerate(_MERGE_PROBES):
-        q_rng = np.random.default_rng([seed, 2, i])
-        result = handle.search(
-            _probe_queries(q_rng, nq, 4, 24), k=k, route="broadcast",
-            plan="one-round",
-        )
-        rows.append([1.0, 4.0 * nq * k * np.log2(4)])
-        observed.append(_observed(result.profile, ("result_merge",)))
-    scratch.drop(handle.name)
-    coef = _relative_lstsq(rows, observed)
-    return {"merge.const": float(coef[0]), "merge.ops": float(coef[1])}
 
 
 def _skewed_corpus(rng, n_objects: int):
@@ -793,8 +735,8 @@ def calibrate_coefficients(
     Builds a scratch :class:`~repro.api.session.GenieSession` on fresh
     device/host instances with the given specs (identical cost model,
     untouched timings), replays the seeded probe workloads, and
-    least-squares-fits each stage. Deterministic for a given
-    ``(specs, seed)``.
+    least-squares-fits the match stage and the top-up fraction.
+    Deterministic for a given ``(specs, seed)``.
     """
     from repro.api.session import GenieSession
     from repro.gpu.device import Device
@@ -805,8 +747,7 @@ def calibrate_coefficients(
         host=HostCpu(spec=host_spec, cores=host_cores),
     )
     try:
-        coefficients = _fit_scan(scratch, seed)
-        coefficients.update(_fit_merge(scratch, seed))
+        coefficients = _fit_match(scratch, seed)
         coefficients.update(_fit_topup(scratch, seed))
     finally:
         scratch.close()

@@ -2,7 +2,8 @@
 
 :func:`compile_search` is the single lowering point for the session
 layer's entry points (`IndexHandle.search` on serial and sharded
-indexes, and `GenieServer`'s batch dispatch). It applies three rules, each preserving bit-identical results:
+indexes, and `GenieServer`'s batch dispatch). It applies three rules, each
+preserving bit-identical results:
 
 1. **Skip elision** — queries a model marks unanswerable (``skip_empty``
    models with no indexed keywords) drop out of the scan node entirely;
@@ -36,20 +37,19 @@ The escape hatches ``route=`` (``"auto"`` / ``"pruned"`` /
 ``"broadcast"``) and ``plan=`` (``"auto"`` / ``"one-round"`` /
 ``"two-round"``) force a strategy instead of letting the rules choose.
 
-When the session carries calibrated cost coefficients
-(:meth:`GenieSession.calibrate_cost_model
-<repro.api.session.GenieSession.calibrate_cost_model>`), ``"auto"``
-directives stop being rules and become *prices*: the planner enumerates
-the legal strategy lattice (route ∈ pruned/broadcast × merge ∈
-one-round/two-round), prices each candidate's critical path with the
-:class:`~repro.plan.cost.CostModel`, and picks the cheapest —
-tie-breaking on aggregate device-seconds plus routing cost, so pruning
-wins ties on concentrated traffic (it frees shards for concurrent
-batches) and broadcast wins them on even spreads (it skips the routing
-pass). The chosen plan's nodes carry ``cost≈`` annotations, and every
-candidate is exact by construction: a wrong cost model can only pick a
-slower plan, never a wrong answer. Uncalibrated sessions fall back to
-the rules above, byte-for-byte.
+The route is always a rule (range partitions prune, hash partitions
+broadcast): a pruned plan scans a subset of the broadcast plan's shards
+with identical launches and merges fewer candidates, so its critical path
+is never longer and there is nothing for a price to decide. The merge is
+the one decision rules cannot make. When the session carries calibrated
+cost coefficients (:meth:`GenieSession.calibrate_cost_model
+<repro.api.session.GenieSession.calibrate_cost_model>`), ``plan="auto"``
+prices the ruled route's one-round and two-round candidates with the
+:class:`~repro.plan.cost.CostModel` and picks the shorter predicted
+critical path (one-round on an exact tie). The chosen plan's nodes carry
+``cost≈`` annotations, and both candidates are exact by construction: a
+wrong cost model can only pick a slower plan, never a wrong answer.
+Uncalibrated sessions keep rule 3 as stated — two-round is opt-in.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ ROUTE_CHOICES = ("auto", "pruned", "broadcast")
 
 #: Accepted values of the ``plan=`` (merge strategy) escape hatch.
 PLAN_CHOICES = ("auto", "one-round", "two-round")
-
-#: Candidates whose predicted critical paths are within this relative
-#: tolerance of the best are considered tied and fall to the tie-break
-#: (aggregate device-seconds + routing seconds). Absorbs coefficient
-#: noise on near-identical candidates so the choice stays stable.
-_PRICE_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -204,17 +198,16 @@ def validate_plan_args(route, plan, sharded: bool) -> tuple[str, str]:
     return route, plan
 
 
-def eligibility_needed(route: str, strategy: str, costed: bool) -> bool:
+def eligibility_needed(route: str, strategy: str) -> bool:
     """Whether compiling ``route`` computes exact per-query eligibility.
 
     The single source of truth shared by :func:`compile_search` and the
     plan cache's key construction: forced pruning always needs it, and
-    ``route="auto"`` needs it when the rules would prune (range
-    partitions) or when a calibrated cost model is about to price the
-    pruned candidate. Forced broadcast never does — which is also why
-    broadcast-only shapes can cache without the bucket memo.
+    ``route="auto"`` needs it where the rule prunes (range partitions).
+    Broadcast never does — which is also why broadcast-only shapes can
+    cache without the bucket memo.
     """
-    return route == "pruned" or (route == "auto" and (costed or strategy == "range"))
+    return route == "pruned" or (route == "auto" and strategy == "range")
 
 
 def active_batch(queries: QueryBatch, active: list[int]) -> QueryBatch:
@@ -282,10 +275,11 @@ def _merge_strategy(plan_choice: str, retrieval_k: int, n_shards: int):
 
 def _session_cost_model(handle) -> CostModel | None:
     """The handle's session cost model, or ``None`` when uncalibrated."""
-    coefficients = getattr(getattr(handle, "session", None), "cost_coefficients", None)
+    session = getattr(handle, "session", None)
+    coefficients = getattr(session, "cost_coefficients", None)
     if not coefficients:
         return None
-    return CostModel(coefficients)
+    return CostModel(coefficients, session.device, session.host, handle.config)
 
 
 def _dirty_stream(handle):
@@ -296,30 +290,50 @@ def _dirty_stream(handle):
     return None
 
 
-def _delta_scan_seconds(
-    cost_model: CostModel,
-    stream,
-    n_queries: int,
-    total_keywords: float,
-    flat_keywords: np.ndarray,
-    retrieval_k: int,
-    count_bound: int,
-) -> float:
+def _delta_scan_seconds(cost_model: CostModel, stream, queries: QueryBatch, retrieval_k: int) -> float:
     """Predicted seconds the delta-run scan adds to a plan.
 
     The delta part runs after the base round, so its seconds *add* to every
-    candidate's critical path alike — pricing it cannot flip the route x
-    merge choice, but keeps ``predicted_cost`` and the ``DeltaScan`` node's
+    candidate's critical path alike — pricing it cannot flip the merge
+    choice, but keeps ``predicted_cost`` and the ``DeltaScan`` node's
     ``cost≈`` honest. Priced from the run corpus's keyword table, not its
     index — ``explain()`` stays free of ``index_build`` charges.
     """
     run = stream.manifest.delta
     if not len(run):
         return 0.0
-    postings = postings_for_keywords(flat_keywords, *run.corpus.keyword_table)
+    postings = postings_for_keywords(queries.keywords, *run.corpus.keyword_table)
     return cost_model.scan_seconds(
-        n_queries, total_keywords, postings, retrieval_k, count_bound=count_bound
+        len(queries), float(queries.keywords.size), postings, retrieval_k,
+        count_bound=cost_model.count_bound_of(queries),
     )
+
+
+def _price_merges(cost_model: CostModel, shards, queries: QueryBatch, routes, retrieval_k: int, merges):
+    """Price each ``(merge, first_round_k)`` candidate of one routed batch.
+
+    One feature pass over the shard keyword tables serves every candidate:
+    they scan the same shards and differ in fetch widths and merges only.
+    """
+    postings, hot = batch_features(
+        queries, shards.shard_keywords, shards.shard_postings, cost_model.device.spec.num_sms
+    )
+    scanned = [s for s in range(shards.n_shards) if routes[s].size]
+    count_bound = cost_model.count_bound_of(queries)
+    return [
+        cost_model.price(
+            n_queries=len(queries),
+            keywords=float(queries.keywords.size),
+            shard_postings=postings[scanned],
+            n_shards=shards.n_shards,
+            retrieval_k=retrieval_k,
+            merge=merge,
+            first_round_k=first_k,
+            shard_hot=hot[scanned],
+            count_bound=count_bound,
+        )
+        for merge, first_k in merges
+    ]
 
 
 def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> CompiledPlan:
@@ -331,9 +345,9 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> Compile
     identical shard eligibility can touch very different postings
     volumes. This recomputes the chosen candidate's price from the new
     batch's features so warm-lane cost audits stay honest, without
-    re-running the pricing *decision* (the lattice enumeration stays
-    skipped, and nothing is charged to ``plan_route`` — like query
-    encoding, feature extraction is pre-dispatch admission work).
+    re-running the pricing *decision* (nothing is charged to
+    ``plan_route`` — like query encoding, feature extraction is
+    pre-dispatch admission work).
 
     The plan tree's per-node ``cost≈`` annotations keep the first
     compile's values (the tree is frozen and shared); only the
@@ -353,30 +367,14 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> Compile
     if cost_model is None:
         return compiled
     active_queries = active_batch(queries, compiled.active)
-    total_keywords = float(active_queries.keywords.size)
-    batch_postings, batch_hot, batch_bound = batch_features(
-        active_queries, shards.shard_keywords, shards.shard_postings,
-        handle.session.device.spec.num_sms,
-    )
-    scanned = [s for s in range(shards.n_shards) if compiled.routes[s].size]
-    price = cost_model.price(
-        n_queries=len(active_queries),
-        keywords=total_keywords,
-        shard_postings=[float(batch_postings[s]) for s in scanned],
-        n_shards=shards.n_shards,
-        retrieval_k=compiled.retrieval_k,
-        merge=compiled.merge,
-        first_round_k=compiled.first_round_k,
-        shard_hot=[float(batch_hot[s]) for s in scanned],
-        count_bound=batch_bound,
+    (price,) = _price_merges(
+        cost_model, shards, active_queries, compiled.routes, compiled.retrieval_k,
+        [(compiled.merge, compiled.first_round_k)],
     )
     predicted = price.critical_path
     stream = _dirty_stream(handle)
     if stream is not None:
-        predicted += _delta_scan_seconds(
-            cost_model, stream, len(active_queries), total_keywords,
-            active_queries.keywords, compiled.retrieval_k, batch_bound,
-        )
+        predicted += _delta_scan_seconds(cost_model, stream, active_queries, compiled.retrieval_k)
     return dataclasses.replace(compiled, predicted_cost=predicted)
 
 
@@ -431,111 +429,54 @@ def compile_search(
         # Rule 2: shard pruning (range partitions by default), applied at
         # batch granularity: a shard eligible for any query scans the
         # whole batch; a shard eligible for none is skipped entirely.
-        # With a calibrated cost model, "auto" directives instead price
-        # every candidate in the (route x merge) lattice and pick the
-        # cheapest — every candidate is exact, so pricing only moves cost.
         everyone = np.arange(len(active), dtype=np.int64)
-        cost_model = _session_cost_model(handle)
-        costed = cost_model is not None and len(active) > 0
-        total_keywords = float(active_queries.keywords.size)
         # One binary search per (query keyword, shard) into the shard's
         # keyword bounds — the host cost of a routing/feature pass.
-        lookup_ops = total_keywords * sum(
+        lookup_ops = float(active_queries.keywords.size) * sum(
             np.log2(max(kw.size, 2)) for kw in shards.shard_keywords
         )
         routing_ops = 0.0
-        exact_eligible = None
         query_buckets = None
-        if eligibility_needed(route, shards.strategy, costed):
-            exact_eligible = route_queries(active_queries, shards.shard_keywords)
+        if eligibility_needed(route, shards.strategy):
+            eligible = route_queries(active_queries, shards.shard_keywords)
             routing_ops += lookup_ops
             masks = [0] * len(queries)
-            for s, positions in enumerate(exact_eligible):
+            for s, positions in enumerate(eligible):
                 for j in positions:
                     masks[active[int(j)]] |= 1 << s
             query_buckets = tuple(masks)
-
-        chosen_price = None
-        if costed:
-            # Feature extraction is a second lookup pass over the shard
-            # keyword tables; the pricing decision is accounted like the
-            # routing decision, not free.
-            batch_postings, batch_hot, batch_bound = batch_features(
-                active_queries, shards.shard_keywords, shards.shard_postings,
-                handle.session.device.spec.num_sms,
-            )
-            routing_ops += lookup_ops
-            host = handle.session.host
-            seconds_per_op = 1.0 / (host.spec.ops_per_second * host.cores)
-            route_opts = ("pruned", "broadcast") if route == "auto" else (route,)
-            if stream is not None:
-                # Delta composition merges every source one-round; the
-                # TPUT top-up protocol's per-shard thresholds do not
-                # extend to the delta run, so the lattice collapses.
-                plan_opts = ("one-round",)
-            elif plan == "auto":
-                plan_opts = ("one-round", "two-round")
-            else:
-                plan_opts = (plan,)
-            candidates = []
-            for route_choice in route_opts:
-                if route_choice == "pruned":
-                    routes_c = [everyone if e.size else e for e in exact_eligible]
-                    route_seconds = lookup_ops * seconds_per_op
-                else:
-                    routes_c = [everyone for _ in range(shards.n_shards)]
-                    route_seconds = 0.0
-                scanned = [s for s in range(shards.n_shards) if routes_c[s].size]
-                scanned_postings = [float(batch_postings[s]) for s in scanned]
-                scanned_hot = [float(batch_hot[s]) for s in scanned]
-                seen_merges = set()
-                for plan_choice in plan_opts:
-                    merge_c, first_c = _merge_strategy(
-                        plan_choice, retrieval_k, shards.n_shards
-                    )
-                    if merge_c in seen_merges:
-                        continue  # two-round degenerated into one-round
-                    seen_merges.add(merge_c)
-                    price = cost_model.price(
-                        n_queries=len(active),
-                        keywords=total_keywords,
-                        shard_postings=scanned_postings,
-                        n_shards=shards.n_shards,
-                        retrieval_k=retrieval_k,
-                        merge=merge_c,
-                        first_round_k=first_c,
-                        route_seconds=route_seconds,
-                        shard_hot=scanned_hot,
-                        count_bound=batch_bound,
-                    )
-                    candidates.append((route_choice, merge_c, first_c, routes_c, price))
-            best_path = min(c[4].critical_path for c in candidates)
-            threshold = best_path * (1.0 + _PRICE_TOLERANCE) + 1e-15
-            viable = [c for c in candidates if c[4].critical_path <= threshold]
-            # min() is stable, so exact ties keep the enumeration order:
-            # pruned before broadcast, one-round before two-round.
-            route_choice, merge, first_k, routes, chosen_price = min(
-                viable, key=lambda c: c[4].busy_seconds + c[4].route_seconds
-            )
-            routes = list(routes)
-            if route_choice == "pruned":
-                eligible = exact_eligible
-            else:
-                eligible = [everyone for _ in range(shards.n_shards)]
+            routes = [everyone if e.size else e for e in eligible]
         else:
-            prune = exact_eligible is not None
-            if prune:
-                eligible = exact_eligible
-                routes = [everyone if e.size else e for e in eligible]
-            else:
-                eligible = [everyone for _ in range(shards.n_shards)]
-                routes = list(eligible)
-            # Rule 3: two-round TPUT merge (opt-in; exact by construction;
-            # unavailable while the delta run is live — see above).
-            first_k = None
-            merge = "one-round"
-            if plan == "two-round" and stream is None:
-                merge, first_k = _merge_strategy(plan, retrieval_k, shards.n_shards)
+            eligible = [everyone for _ in range(shards.n_shards)]
+            routes = list(eligible)
+
+        # Rule 3: two-round TPUT merge (exact by construction) — opt-in,
+        # or priced against one-round when ``plan="auto"`` has a cost
+        # model. Unavailable while the delta run is live: every source
+        # merges one-round, the top-up protocol's per-shard thresholds do
+        # not extend to the delta run.
+        cost_model = _session_cost_model(handle) if active else None
+        if stream is not None:
+            plans = ("one-round",)
+        elif plan == "auto":
+            plans = ("one-round", "two-round") if cost_model is not None else ("one-round",)
+        else:
+            plans = (plan,)
+        # A two-round request may degenerate into one-round: price it once.
+        merges = list(dict.fromkeys(_merge_strategy(p, retrieval_k, shards.n_shards) for p in plans))
+        chosen_price = delta_seconds = None
+        if cost_model is None:
+            ((merge, first_k),) = merges
+        else:
+            # Feature extraction is a lookup pass over the shard keyword
+            # tables; the pricing decision is accounted like the routing
+            # decision, not free.
+            routing_ops += lookup_ops
+            prices = _price_merges(cost_model, shards, active_queries, routes, retrieval_k, merges)
+            # min() is stable: one-round wins an exact tie.
+            chosen_price, (merge, first_k) = min(zip(prices, merges), key=lambda c: c[0].critical_path)
+            if stream is not None:
+                delta_seconds = _delta_scan_seconds(cost_model, stream, active_queries, retrieval_k)
         scanned_pairs = int(sum(r.size for r in routes))
         total_pairs = shards.n_shards * len(active)
         routing = RoutingSummary(
@@ -555,12 +496,6 @@ def compile_search(
             inputs=(encode,),
             cost=chosen_price.scan_seconds if chosen_price is not None else None,
         )
-        delta_seconds = None
-        if stream is not None and costed:
-            delta_seconds = _delta_scan_seconds(
-                cost_model, stream, len(active), total_keywords,
-                active_queries.keywords, retrieval_k, batch_bound,
-            )
 
     root: PlanNode = scan
     if merge != "direct":

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigError
+
 
 def edit_distance(a: str, b: str) -> int:
     """Exact Levenshtein distance by row-vectorized dynamic programming."""
@@ -53,7 +55,7 @@ def edit_distance_bounded(a: str, b: str, bound: int) -> int:
         than ``bound`` (specifically ``bound + 1``) otherwise.
     """
     if bound < 0:
-        raise ValueError("bound must be non-negative")
+        raise ConfigError("bound must be non-negative")
     if abs(len(a) - len(b)) > bound:
         return bound + 1
     if a == b:

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 
 from repro.core.types import ID_DTYPE
+from repro.errors import ConfigError
 
 
 def ordered_ngrams(sequence: str, n: int) -> list[tuple[str, int]]:
@@ -28,7 +29,7 @@ def ordered_ngrams(sequence: str, n: int) -> list[tuple[str, int]]:
         (Example 5.1). Sequences shorter than ``n`` give an empty list.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     seen: Counter[str] = Counter()
     grams: list[tuple[str, int]] = []
     for i in range(len(sequence) - n + 1):
@@ -62,7 +63,7 @@ class NgramVocabulary:
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise ConfigError("n must be >= 1")
         self.n = int(n)
         self._ids: dict[tuple[str, int], int] = {}
 

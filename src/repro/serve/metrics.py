@@ -27,7 +27,7 @@ __all__ = ["REPORTED_PERCENTILES", "ROLLING_SHARD_WINDOW", "ServeMetrics", "perc
 #: Percentiles reported by :meth:`ServeMetrics.snapshot`.
 REPORTED_PERCENTILES = (50.0, 95.0, 99.0)
 
-#: Sharded batches the rolling shard-imbalance window spans by default.
+#: Sharded batches the rolling shard-imbalance window spans.
 ROLLING_SHARD_WINDOW = 64
 
 #: Distinct batch sizes the histogram keeps exact before clamping new
@@ -90,7 +90,7 @@ class ServeMetrics:
             holding the typed primitives behind the scalar attributes.
     """
 
-    def __init__(self, rolling_shard_window: int = ROLLING_SHARD_WINDOW):
+    def __init__(self):
         registry = MetricsRegistry()
         for name in (
             "submitted", "completed", "rejected", "failed",
@@ -106,7 +106,7 @@ class ServeMetrics:
         self.shard_busy_seconds: dict[int, float] = {}
         # Per-batch shard-seconds vectors over a bounded recent window;
         # the rolling shard-imbalance rebalancing decisions consult.
-        self._rolling_shards: deque = deque(maxlen=int(rolling_shard_window))
+        self._rolling_shards: deque = deque(maxlen=ROLLING_SHARD_WINDOW)
         self._scanned_pairs = 0
         self._pruned_pairs = 0
         self.first_arrival: float | None = None

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.inverted_index import InvertedIndex
+from repro.core.inverted_index import InvertedIndex, sort_postings
 from repro.core.load_balance import LoadBalanceConfig
-from repro.core.posting import build_postings
 from repro.core.types import ID_DTYPE, Corpus
 from repro.errors import ConfigError
 
@@ -148,4 +147,4 @@ class DeltaRun:
 
 def _index_of(rows: Corpus, load_balance: LoadBalanceConfig | None) -> InvertedIndex:
     """Index of a handful of incoming rows — the sorted run :meth:`InvertedIndex.merged` takes."""
-    return InvertedIndex.from_postings(build_postings(rows), len(rows), load_balance)
+    return InvertedIndex(*sort_postings(rows), len(rows), load_balance)

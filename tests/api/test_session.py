@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import GenieSession
+from repro.api import GenieSession, ResidencyLog
 from repro.core.types import Query
 from repro.errors import ConfigError, QueryError
 from repro.sa.relational import AttributeSpec
@@ -155,7 +155,8 @@ class TestLifecycle:
 class TestResidencyLogBound:
     def test_log_is_bounded_with_total_counter(self):
         corpus = [[i % 11] for i in range(600)]
-        session = GenieSession(residency_log_limit=4)
+        session = GenieSession()
+        session.residency_log = ResidencyLog(limit=4)
         whole = session.create_index(corpus, model="raw", name="whole")
         session.memory_budget = max(whole.device_bytes // 2, 16)
         parted = session.create_index(corpus, model="raw", name="parted", part_size=150)
@@ -172,7 +173,8 @@ class TestResidencyLogBound:
         # SearchResult.swapped_in/evicted must count every event a search
         # caused, even when the bounded session log retains fewer.
         corpus = [[i % 11] for i in range(600)]
-        session = GenieSession(residency_log_limit=2)
+        session = GenieSession()
+        session.residency_log = ResidencyLog(limit=2)
         whole = session.create_index(corpus, model="raw", name="whole")
         session.memory_budget = max(whole.device_bytes // 2, 16)
         parted = session.create_index(corpus, model="raw", name="parted", part_size=150)
@@ -184,7 +186,8 @@ class TestResidencyLogBound:
         assert len(session.residency_log) <= 2
 
     def test_since_survives_dropped_events(self):
-        session = GenieSession(residency_log_limit=2)
+        session = GenieSession()
+        session.residency_log = ResidencyLog(limit=2)
         mark = session.residency_log.mark()
         session.create_index([[1]], model="raw", name="a")
         session.create_index([[2]], model="raw", name="b")
@@ -195,7 +198,7 @@ class TestResidencyLogBound:
 
     def test_bad_limit_rejected(self):
         with pytest.raises(ConfigError, match="limit"):
-            GenieSession(residency_log_limit=0)
+            ResidencyLog(limit=0)
 
     def test_search_events_unaffected_within_limit(self):
         session = GenieSession()  # default limit is generous

@@ -20,7 +20,6 @@ from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex, ragged_slices
 from repro.core.load_balance import LoadBalanceConfig, split_span
 from repro.core.match_count import match_counts_all
-from repro.core.posting import build_postings
 from repro.core import reference
 from repro.core.scan_kernel import build_match_launch
 from repro.core.types import Corpus, Query, QueryBatch
@@ -106,14 +105,13 @@ def assert_scan_matches_reference(index, queries, k, scan):
 class TestCsrLayout:
     def test_span_csr_matches_split_span(self):
         corpus = Corpus([[1, 2, 3], [1, 2], [1], [1], [1], [1], [1]])
-        postings = build_postings(corpus)
         for max_len in (1, 2, 3, 4096):
-            offsets, starts, ends = postings.span_csr(max_len)
+            index = InvertedIndex.build(corpus, LoadBalanceConfig(max_sublist_len=max_len))
+            offsets, starts, ends = index.kw_span_offsets, index.span_starts, index.span_ends
+            lists = index.list_offsets
             cursor = 0
-            for i in range(postings.num_lists):
-                expected = split_span(
-                    int(postings.offsets[i]), int(postings.offsets[i + 1]), max_len
-                )
+            for i in range(index.keyword_array.size):
+                expected = split_span(int(lists[i]), int(lists[i + 1]), max_len)
                 got = list(zip(starts[offsets[i] : offsets[i + 1]], ends[offsets[i] : offsets[i + 1]]))
                 assert [(int(s), int(e)) for s, e in got] == expected
                 cursor += len(expected)

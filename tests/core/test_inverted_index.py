@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.types import Corpus
-from repro.errors import IndexError_
+from repro.errors import MalformedIndexError
 
 
 def _index(objects, lb=None):
@@ -213,7 +213,7 @@ class TestMergedAndWithout:
     def test_positions_must_name_one_distinct_slot_per_object(self):
         index, other = _index([[1], [2]]), _index([[3], [4]])
         for positions in ([0], [1, 1], [2, 1], [0, 1, 2]):
-            with pytest.raises(IndexError_, match="positions must ascend"):
+            with pytest.raises(MalformedIndexError, match="positions must ascend"):
                 index.merged(other, positions)
 
     def test_a_merge_is_priced_below_the_build_it_replaces(self):

@@ -4,7 +4,10 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.scan_kernel import build_select_launch
 from repro.gpu.device import KERNEL_LOG_LIMIT, Device, _schedule_blocks
 from repro.gpu.kernel import KernelLaunch, uniform_launch
 from repro.gpu.specs import DeviceSpec
@@ -112,6 +115,47 @@ class TestLaunchTiming:
         assert device.launches == KERNEL_LOG_LIMIT + 3
         assert list(device.kernel_log) == launched[3:]
         assert device.kernel_log[-1] is launched[-1]
+
+
+class TestPrice:
+    """``price`` is what ``launch`` charges, minus every side effect."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block_items=st.lists(st.integers(0, 5000), min_size=0, max_size=60),
+        threads=st.sampled_from([1, 32, 100, 256, 1024]),
+        cycles=st.floats(0.0, 8.0),
+        traffic=st.tuples(*[st.floats(0.0, 1e7)] * 3),
+        contention=st.tuples(*[st.floats(0.0, 1e5)] * 3),
+    )
+    def test_price_is_the_launch_charge_and_touches_nothing(
+        self, block_items, threads, cycles, traffic, contention
+    ):
+        device = Device()
+        device.to_device(np.arange(8), label="resident")
+        device.launch(_launch([7]), stage="select")
+        launch = _launch(
+            block_items, threads_per_block=threads, cycles_per_item=cycles,
+            bytes_read=traffic[0], bytes_written=traffic[1], uncoalesced_bytes=traffic[2],
+            atomic_ops=contention[0], atomic_conflicts=contention[1], divergent_warps=contention[2],
+        )
+        timings, log, used = device.timings.copy(), list(device.kernel_log), device.memory.used
+        price = device.price(launch)
+        assert device.timings == timings
+        assert list(device.kernel_log) == log and device.launches == 1
+        assert device.memory.used == used
+        stats = device.launch(launch, stage="priced")
+        assert stats.elapsed_seconds == price
+        assert device.timings.get("priced") == price  # the only charge to this stage
+        assert device.launches == 2 and device.kernel_log[-1] is stats
+
+    def test_empty_grid_costs_nothing(self):
+        device = Device()
+        for launch in (_launch([], bytes_read=1e6), build_select_launch(0, 64, 10, 256)):
+            assert device.price(launch) == 0.0
+            stats = device.launch(launch)
+            assert stats.elapsed_seconds == 0.0 and stats.blocks == 0
+        assert device.timings.total == 0.0 and device.launches == 2
 
 
 class TestStaging:

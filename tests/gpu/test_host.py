@@ -13,6 +13,13 @@ class TestHostCpu:
         assert seconds == pytest.approx(1.0)
         assert host.timings.get("match") == pytest.approx(1.0)
 
+    def test_price_ops_is_the_charge_without_the_side_effect(self):
+        host = HostCpu(cores=2)
+        price = host.price_ops(12345.0)
+        assert host.timings.total == 0.0
+        assert host.charge_ops(12345.0, stage="result_merge") == price
+        assert host.timings.get("result_merge") == price
+
     def test_charge_bytes_time(self):
         host = HostCpu()
         seconds = host.charge_bytes(host.spec.mem_bandwidth / 2)

@@ -66,4 +66,5 @@ def test_malformed_input(name):
 
 def test_lsh_is_off_the_lint_baseline():
     assert not [e.path for e in DEFAULT_BASELINE.entries if e.path.startswith("repro/lsh/")]
-    assert len(DEFAULT_BASELINE) == 16
+    # ... and so is every other package: the report CLI's wall clock is all that is left.
+    assert [(e.path, e.rule_id) for e in DEFAULT_BASELINE.entries] == [("repro/experiments/report.py", "REPRO001")]

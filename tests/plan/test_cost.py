@@ -15,6 +15,9 @@ import pytest
 
 import repro.plan.cost as cost_mod
 from repro.api import GenieSession
+from repro.core.engine import GenieConfig
+from repro.gpu.device import Device
+from repro.gpu.host import HostCpu
 from repro.plan import (
     COEFFICIENT_NAMES,
     CostModel,
@@ -29,19 +32,19 @@ from repro.plan import (
 #: on the default device spec). Magnitudes mirror the simulated device's
 #: cycle costs; the exact values only matter in that they reproduce the
 #: calibrated planner's choices deterministically.
-CALIBRATED = {
-    "scan.const": 3.415766e-08,
-    "scan.queries": 1.671276e-07,
-    "scan.keywords": -5.056548e-09,
-    "scan.postings": -4.490359e-11,
-    "scan.gated": 2.739848e-11,
-    "scan.hot": 1.792756e-08,
-    "scan.width": 2.938658e-10,
-    "merge.const": 7.290849e-24,
-    "merge.ops": 5.000000e-10,
-    "topup.const": 1.886245e-01,
-    "topup.concentration": 9.583689e-01,
-}
+CALIBRATED = dict(zip(COEFFICIENT_NAMES, (
+    2.585834e-07,   # match.const
+    -5.436928e-11,  # match.postings
+    3.121391e-11,   # match.gated
+    1.643105e-08,   # match.hot
+    1.886245e-01,   # topup.const
+    9.583689e-01,   # topup.concentration
+)))
+
+
+def cost_model(coefficients) -> CostModel:
+    """A model over the default device, host and engine configuration."""
+    return CostModel(coefficients, Device(), HostCpu(), GenieConfig())
 
 
 def banded_corpus(n_objects=1600, n_bands=8, seed=0):
@@ -68,55 +71,102 @@ def lsh_handle(session, n_points=1200, dim=16, n_queries=16, seed=0):
 
 class TestCostModelMath:
     def test_missing_coefficients_read_zero(self):
-        model = CostModel({})
+        model = cost_model({})
         assert not model.calibrated
-        assert model.scan_seconds(4, 10.0, 1000.0, 10) == 0.0
-        assert model.merge_seconds(500.0, 4) == 0.0
+        assert model.match_seconds(1000.0, 10) == 0.0
         assert model.topup_fraction(0.5) == 0.0
+        # What the simulator defines is priced with no coefficient at all.
+        exact = model.transfer_select_seconds(4, 10.0, 10, count_bound=3)
+        assert exact > 0.0
+        assert model.scan_seconds(4, 10.0, 1000.0, 10, count_bound=3) == exact
+        assert model.merge_seconds(500.0, 4) == model.host.price_ops(1000.0)
 
     def test_calibrated_requires_every_name(self):
         full = {name: 1.0 for name in COEFFICIENT_NAMES}
-        assert CostModel(full).calibrated
+        assert cost_model(full).calibrated
         partial = dict(full)
-        del partial["scan.gated"]
-        assert not CostModel(partial).calibrated
+        del partial["match.gated"]
+        assert not cost_model(partial).calibrated
+        # A stale dict from before the exact terms contributes nothing.
+        stale = cost_model({"scan.width": 1.0, "scan.postings": 1.0, "merge.ops": 1.0})
+        assert not stale.calibrated
+        assert stale.match_seconds(1000.0, 10, hot=50.0) == 0.0
 
     def test_negative_predictions_clamp_to_zero(self):
-        model = CostModel({name: -1.0 for name in COEFFICIENT_NAMES})
-        assert model.scan_seconds(4, 10.0, 1000.0, 10) == 0.0
-        assert model.merge_seconds(500.0, 4) == 0.0
+        model = cost_model({name: -1.0 for name in COEFFICIENT_NAMES})
+        assert model.match_seconds(1000.0, 10, hot=50.0) == 0.0
+        assert model.scan_seconds(4, 10.0, 1000.0, 10) == model.transfer_select_seconds(4, 10.0, 10)
 
     def test_topup_fraction_clips_to_unit_interval(self):
-        model = CostModel({"topup.const": 0.2, "topup.concentration": 1.0})
+        model = cost_model({"topup.const": 0.2, "topup.concentration": 1.0})
         assert model.topup_fraction(0.5) == pytest.approx(0.7)
         assert model.topup_fraction(2.0) == 1.0
         assert model.topup_fraction(-1.0) == 0.0
 
     def test_two_round_price_combines_both_rounds(self):
-        # Width-only scan model + 50% top-up: price must be round one
-        # plus half a full round, and both TPUT merges must be charged.
-        model = CostModel({"scan.width": 1.0, "merge.ops": 1.0,
-                           "topup.const": 0.5})
-        price = model.price(
-            n_queries=1, keywords=0.0, shard_postings=[100.0, 100.0],
-            n_shards=2, retrieval_k=10, merge="two-round-tput",
-            first_round_k=2,
-        )
-        assert price.scan_seconds == pytest.approx(2.0 + 0.5 * 10.0)
-        # round-one merge: 2 shards * 1 query * k=2 candidates; round
-        # two adds the topped-up share of the full fan-in (fan-in log2).
-        assert price.merge_seconds == pytest.approx((4 + (4 + 0.5 * 20)) * 1.0)
-        one = model.price(
-            n_queries=1, keywords=0.0, shard_postings=[100.0, 100.0],
-            n_shards=2, retrieval_k=10, merge="one-round",
-        )
-        assert one.scan_seconds == pytest.approx(10.0)
-        assert one.merge_seconds == pytest.approx(20.0)
+        # Gate-only match (postings * sqrt(width)) + 50% top-up: the scan
+        # is round one plus half a full round — each the exact terms plus
+        # the heaviest shard's match — and both TPUT merges are charged.
+        model = cost_model({"match.gated": 1.0, "topup.const": 0.5})
+        args = dict(n_queries=1, keywords=3.0, shard_postings=[100.0, 400.0],
+                    n_shards=2, retrieval_k=16, count_bound=3)
+        price = model.price(merge="two-round-tput", first_round_k=4, **args)
+        round_one = model.transfer_select_seconds(1, 3.0, 4, 3) + 400.0 * 2.0
+        full = model.transfer_select_seconds(1, 3.0, 16, 3) + 400.0 * 4.0
+        assert price.scan_seconds == pytest.approx(round_one + 0.5 * full)
+        # round-one merge: 2 shards * 1 query * k=4 candidates; round
+        # two adds the topped-up share of the full fan-in (log2(2) = 1).
+        assert price.merge_seconds == pytest.approx(model.host.price_ops(8 + (8 + 0.5 * 32)))
+        one = model.price(merge="one-round", **args)
+        assert one.scan_seconds == pytest.approx(full)
+        assert one.merge_seconds == model.host.price_ops(32)
+        assert one.critical_path == one.scan_seconds + one.merge_seconds
 
     def test_merge_fan_in_has_log2_floor(self):
-        model = CostModel({"merge.ops": 1.0})
-        assert model.merge_seconds(8.0, 1) == pytest.approx(8.0)
-        assert model.merge_seconds(8.0, 8) == pytest.approx(24.0)
+        model = cost_model({})
+        assert model.merge_seconds(8.0, 1) == model.host.price_ops(8.0)
+        assert model.merge_seconds(8.0, 8) == model.host.price_ops(24.0)
+
+
+class TestExactTerms:
+    """Transfer, select and merge are the simulator's own prices, not fits."""
+
+    @staticmethod
+    def _check(session, handle, queries, k):
+        result = handle.search(queries, k=k, route="broadcast", plan="one-round")
+        batch = handle.encode_queries(queries)
+        model = CostModel({}, session.device, session.host, handle.config)
+        shards = handle._plan_shards()
+        width = result.plan.find(MergeNode).k
+        price = model.price(
+            n_queries=len(batch), keywords=float(batch.keywords.size),
+            shard_postings=[0.0] * shards.n_shards, n_shards=shards.n_shards,
+            retrieval_k=width, merge="one-round", count_bound=model.count_bound_of(batch),
+        )
+        observed = result.profile.get("query_transfer") + result.profile.get("select")
+        assert price.scan_seconds == pytest.approx(observed, rel=1e-12)
+        # Every shard holds >= k matches per query, so the merge's
+        # candidate count is the planner's, not an upper bound of it.
+        assert price.merge_seconds == result.profile.get("result_merge") > 0.0
+
+    @pytest.mark.parametrize("k", [1, 13, 50])
+    def test_range_index(self, k):
+        rng = np.random.default_rng(5)
+        corpus = [np.unique(rng.integers(0, 24, size=6)).tolist() for _ in range(1600)]
+        queries = [np.sort(rng.choice(24, size=4, replace=False)).tolist() for _ in range(8)]
+        session = GenieSession()
+        handle = session.create_index(
+            corpus, model="raw", name="dense", shards=4, shard_strategy="range",
+        )
+        self._check(session, handle, queries, k)
+        session.close()
+
+    @pytest.mark.parametrize("k", [1, 13, 50])
+    def test_e2lsh_index(self, k):
+        session = GenieSession()
+        handle, queries = lsh_handle(session)
+        self._check(session, handle, queries, k)
+        session.close()
 
 
 class TestFeatureHelpers:

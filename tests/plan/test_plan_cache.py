@@ -11,9 +11,10 @@ invalidate, never serve a stale plan.
 import numpy as np
 import pytest
 
+import repro.plan.cache as cache_mod
 from repro.api import GenieSession
 from repro.errors import ConfigError
-from repro.plan import PlanCache
+from repro.plan import COEFFICIENT_NAMES, PlanCache
 from repro.serve import BatchPolicy, GenieServer
 
 OBJECTS = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]
@@ -36,8 +37,6 @@ class TestCacheConstruction:
     def test_capacity_validated(self):
         with pytest.raises(ConfigError, match="capacity"):
             PlanCache(capacity=0)
-        with pytest.raises(ConfigError, match="bucket capacity"):
-            PlanCache(bucket_capacity=0)
 
     def test_stats_surface(self):
         cache = PlanCache(capacity=3)
@@ -104,6 +103,19 @@ class TestHitsAndMisses:
         assert session.plan_cache.stats()["hits"] == 1
         session.close()
 
+    def test_bucket_memo_is_bounded(self, monkeypatch):
+        # Past BUCKET_CAPACITY the oldest query's bucket is forgotten and
+        # its shape compiles again — never a stale route.
+        monkeypatch.setattr(cache_mod, "BUCKET_CAPACITY", 1)
+        session = GenieSession()
+        handle = make_sharded(session)
+        handle.search([[1, 2]], k=5)
+        handle.search([[5, 6]], k=5)   # evicts [1, 2]'s bucket
+        assert session.plan_cache.stats()["buckets"] == 1
+        handle.search([[1, 2]], k=5)   # cold again -> miss
+        assert session.plan_cache.stats()["hits"] == 0
+        session.close()
+
     def test_k_is_part_of_the_shape(self):
         session = GenieSession()
         handle = make_sharded(session)
@@ -155,12 +167,7 @@ class TestRepricedHits:
 
     # Hand-rolled coefficients: postings dominate, so batches touching
     # different posting volumes must price differently.
-    COEFFS = {
-        "scan.const": 1e-6, "scan.queries": 1e-7, "scan.keywords": 1e-7,
-        "scan.postings": 1e-8, "scan.gated": 1e-9, "scan.hot": 1e-7,
-        "scan.width": 1e-9, "merge.const": 1e-7, "merge.ops": 1e-9,
-        "topup.const": 1e-7, "topup.concentration": 1e-7,
-    }
+    COEFFS = {name: 1e-7 for name in COEFFICIENT_NAMES}
 
     def _costed_session(self):
         session = GenieSession()
@@ -258,7 +265,7 @@ class TestInvalidation:
         handle = make_sharded(session)
         handle.search([[1, 2]], k=5)
         assert len(session.plan_cache) == 1
-        session.cost_coefficients = {"merge.ops": 1e-9}
+        session.cost_coefficients = {"match.postings": 1e-9}
         assert len(session.plan_cache) == 0
         session.close()
 

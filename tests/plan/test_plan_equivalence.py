@@ -204,9 +204,9 @@ MISCALIBRATIONS = (
     {name: 1.0 for name in COEFFICIENT_NAMES},      # everything costs seconds
     {name: -1.0 for name in COEFFICIENT_NAMES},     # negative: clamps to free
     {name: 0.0 for name in COEFFICIENT_NAMES},      # all candidates tie
-    {"scan.hot": 5e3},                              # partial: missing keys read 0
+    {"match.hot": 5e3},                             # partial: missing keys read 0
     {"topup.const": -7.0, "topup.concentration": 99.0,
-     "scan.gated": 1e6, "merge.ops": -3.0},         # inconsistent mixture
+     "match.gated": 1e6, "match.postings": -3.0},   # inconsistent mixture
 )
 
 

@@ -7,6 +7,7 @@ from repro.api import GenieSession
 from repro.core.types import Query, QueryBatch
 from repro.errors import QueryError
 from repro.plan import (
+    COEFFICIENT_NAMES,
     EncodeNode,
     FinalizeNode,
     MergeNode,
@@ -55,32 +56,64 @@ class TestRouteQueries:
         assert routes[0].size == 0
 
 
+#: The sharded rules hold with and without a cost model on the session.
+either = pytest.mark.parametrize("calibrated", [False, True], ids=["ruled", "calibrated"])
+
+
+def compile_rule(calibrated, raw_queries, strategy="range", **kwargs):
+    """Compile on a toy sharded index; a calibrated session may move no query.
+
+    The route is a rule, so the cost model prices the merge of the *same*
+    routes: ``routes``, ``eligible`` and ``query_buckets`` must repeat.
+    """
+    ruled = compile_for(sharded_handle(strategy=strategy), raw_queries, **kwargs)
+    if not calibrated:
+        assert ruled.predicted_cost is None
+        return ruled
+    handle = sharded_handle(strategy=strategy)
+    handle.session.cost_coefficients = {name: 1e-7 for name in COEFFICIENT_NAMES}
+    priced = compile_for(handle, raw_queries, **kwargs)
+    assert [r.tolist() for r in priced.routes] == [r.tolist() for r in ruled.routes]
+    assert priced.root.find(ShardScanNode).eligible == ruled.root.find(ShardScanNode).eligible
+    assert priced.query_buckets == ruled.query_buckets
+    assert priced.routing == ruled.routing
+    assert priced.predicted_cost > 0.0
+    return priced
+
+
 class TestRules:
-    def test_range_partition_prunes_by_default(self):
-        compiled = compile_for(sharded_handle(), [[0], [5]])
+    @either
+    def test_range_partition_prunes_by_default(self, calibrated):
+        compiled = compile_rule(calibrated, [[0], [5]])
         assert compiled.routing.pruned_pairs > 0
         scan = compiled.root.find(ShardScanNode)
         assert not scan.broadcast
+        assert compiled.query_buckets is not None
 
-    def test_hash_partition_broadcasts_by_default(self):
-        compiled = compile_for(sharded_handle(strategy="hash"), [[0], [5]])
+    @either
+    def test_hash_partition_broadcasts_by_default(self, calibrated):
+        compiled = compile_rule(calibrated, [[0], [5]], strategy="hash")
         assert compiled.routing.broadcast
         assert all(r.size == 2 for r in compiled.routes)
+        assert compiled.query_buckets is None  # no membership test ran
 
-    def test_hash_partition_can_force_pruning(self):
+    @either
+    def test_hash_partition_can_force_pruning(self, calibrated):
         # Membership routing is exact for any strategy; forcing it on a
         # hash partition is allowed, it just rarely prunes.
-        compiled = compile_for(sharded_handle(strategy="hash"), [[0]], route="pruned")
+        compiled = compile_rule(calibrated, [[0]], strategy="hash", route="pruned")
         scanned = sum(r.size for r in compiled.routes)
         assert scanned <= compiled.routing.n_shards
 
-    def test_forced_broadcast_on_range(self):
-        compiled = compile_for(sharded_handle(), [[0]], route="broadcast")
+    @either
+    def test_forced_broadcast_on_range(self, calibrated):
+        compiled = compile_rule(calibrated, [[0]], route="broadcast")
         assert compiled.routing.broadcast
         assert compiled.root.find(ShardScanNode).broadcast
 
-    def test_two_round_merge_opt_in(self):
-        compiled = compile_for(sharded_handle(), [[0, 5]], k=2, plan="two-round")
+    @either
+    def test_two_round_merge_opt_in(self, calibrated):
+        compiled = compile_rule(calibrated, [[0, 5]], k=2, plan="two-round")
         assert compiled.merge == "two-round-tput"
         assert compiled.first_round_k == first_round_k_for(2, 3) == 1
         merge = compiled.root.find(MergeNode)
@@ -89,8 +122,9 @@ class TestRules:
         # The shard scan advertises the round-one width.
         assert compiled.root.find(ShardScanNode).k == 1
 
-    def test_two_round_falls_back_when_nothing_to_save(self):
-        compiled = compile_for(sharded_handle(), [[0]], k=1, plan="two-round")
+    @either
+    def test_two_round_falls_back_when_nothing_to_save(self, calibrated):
+        compiled = compile_rule(calibrated, [[0]], k=1, plan="two-round")
         assert compiled.merge == "one-round"  # ceil(1/3) == 1 == k
         assert compiled.first_round_k is None
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.serve.metrics as metrics_mod
 from repro.api import GenieSession
 from repro.errors import AdmissionError, ConfigError, QueryError
 from repro.serve import BatchPolicy, GenieServer, ServeMetrics, percentile_nearest_rank
@@ -210,8 +211,9 @@ class TestRollingShardWindow:
         metrics.record_batch(1, 1.0, 0, 0)
         assert metrics.rolling_window_batches == 0
 
-    def test_window_evicts_oldest_batches(self):
-        metrics = ServeMetrics(rolling_shard_window=2)
+    def test_window_evicts_oldest_batches(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "ROLLING_SHARD_WINDOW", 2)
+        metrics = ServeMetrics()
         metrics.record_batch(1, 9.0, 0, 0, shard_seconds=[9.0, 0.0])
         metrics.record_batch(1, 2.0, 0, 0, shard_seconds=[1.0, 1.0])
         metrics.record_batch(1, 2.0, 0, 0, shard_seconds=[1.0, 1.0])
@@ -219,8 +221,9 @@ class TestRollingShardWindow:
         assert metrics.rolling_shard_seconds() == [2.0, 2.0]
         assert metrics.rolling_shard_imbalance == pytest.approx(1.0)
 
-    def test_rolling_differs_from_lifetime_imbalance(self):
-        metrics = ServeMetrics(rolling_shard_window=2)
+    def test_rolling_differs_from_lifetime_imbalance(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "ROLLING_SHARD_WINDOW", 2)
+        metrics = ServeMetrics()
         metrics.record_batch(1, 9.0, 0, 0, shard_seconds=[9.0, 0.0])
         for _ in range(2):
             metrics.record_batch(1, 2.0, 0, 0, shard_seconds=[1.0, 1.0])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import GenieSession
+from repro.plan import COEFFICIENT_NAMES
 from repro.stream import StreamConfig
 
 
@@ -176,12 +177,7 @@ class TestStreamedEqualsRefit:
             corpus, model="raw", name="live", shards=shards,
             stream_config=StreamConfig(auto_compact=False),
         )
-        session.cost_coefficients = {
-            "scan.const": 1e-6, "scan.queries": 1e-7, "scan.keywords": 1e-7,
-            "scan.postings": 1e-8, "scan.gated": 1e-9, "scan.hot": 1e-7,
-            "scan.width": 1e-9, "merge.const": 1e-7, "merge.ops": 1e-9,
-            "topup.const": 1e-7, "topup.concentration": 1e-7,
-        }
+        session.cost_coefficients = {name: 1e-7 for name in COEFFICIENT_NAMES}
         apply_random_ops(rng, handle, reference, VOCAB, n_ops=20)
         refit_session = GenieSession()
         refit_handle = refit_session.create_index(
