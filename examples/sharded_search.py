@@ -36,7 +36,7 @@ def main():
     sharded = session.create_index(
         objects, model="raw", name="sharded", shards=4, shard_strategy="hash"
     )
-    print(f"shards: {sharded.num_shards}  (strategy {sharded.plan.strategy})")
+    print(f"shards: {sharded.n_shards}  (strategy {sharded.plan.strategy})")
     print(f"objects per shard: {sharded.plan.sizes()}")
     print(f"resident parts: {session.resident_parts()}")
 

@@ -8,15 +8,18 @@ residency. Indexes of any modality are created through one call::
     docs = session.create_index(texts, model="document", name="tweets")
     result = docs.search(["gpu similarity search"], k=10)
 
-Every index is one or more *parts* (a part is a corpus slice with its own
-inverted index, built once on the host). The session swaps parts through
-device memory on demand: attaching pays the paper's ``index_transfer``
-stage, and when the budget is exceeded the least-recently-used resident
-part is evicted. This generalizes the multi-loading strategy of
-Section III-D — one oversized index (``part_size=...``) and several small
-indexes of different modalities are the same residency problem — and is
-how the session serves multi-tenant traffic from a single card (Table IV's
-memory accounting bounds what fits next to the queries).
+Every index holds one partition (``handle.plan``, a
+:class:`~repro.cluster.plan.ShardPlan`): one or more *slices*, each a corpus
+slice with its own inverted index, built once on the host, and one
+:class:`~repro.cluster.plan.SliceCopy` per replica. The session swaps
+copies through device memory on demand: attaching pays the paper's
+``index_transfer`` stage, and when the budget is exceeded the
+least-recently-used resident copy is evicted. This generalizes the
+multi-loading strategy of Section III-D — one oversized index
+(``part_size=...``) and several small indexes of different modalities are
+the same residency problem — and is how the session serves multi-tenant
+traffic from a single card (Table IV's memory accounting bounds what fits
+next to the queries).
 
 Results come back as a :class:`SearchResult`: per-query top-k ids and
 counts, the per-stage :class:`~repro.gpu.stats.StageTimings` profile
@@ -35,7 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.api.models import MatchModel, resolve_model, resolve_shortlist_k
-from repro.cluster.plan import Placement, ShardPlan
+from repro.cluster.plan import Placement, ShardPlan, SliceCopy, part_bounds
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex
 from repro.core.types import Corpus, Query, QueryBatch, TopKBatch, TopKResult
@@ -45,11 +48,10 @@ from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings, timings_delta
 from repro.obs.trace import Span
 from repro.plan.cache import PlanCache
-from repro.plan.cost import calibrate_session, postings_per_keyword
+from repro.plan.cost import calibrate_session
 from repro.plan.executor import execute_plan
 from repro.plan.nodes import PlanNode, RoutingSummary
 from repro.plan.planner import (
-    ShardContext,
     active_batch,
     compile_search,
     eligibility_needed,
@@ -203,52 +205,6 @@ class SearchResult:
         return self.results[i]
 
 
-class _IndexPart:
-    """One device-swappable slice of an index: corpus + inverted index + engine.
-
-    ``offset`` remaps the part's local object ids back to global ids for
-    contiguous partitions (multi-loading parts); shard slices carry an
-    explicit ``global_ids`` gather map instead (hash partitions are not
-    contiguous) and leave ``offset`` at 0. ``replica`` distinguishes the
-    copies of one shard slice placed on distinct devices (each copy is
-    its own residency/LRU unit).
-    """
-
-    __slots__ = ("handle", "position", "engine", "corpus", "index", "offset",
-                 "global_ids", "device_bytes", "replica")
-
-    def __init__(self, handle: "IndexHandle", position: int, engine: GenieEngine,
-                 corpus: Corpus, index: InvertedIndex, offset: int,
-                 global_ids: np.ndarray | None = None, replica: int = 0):
-        self.handle = handle
-        self.position = position
-        self.engine = engine
-        self.corpus = corpus
-        self.index = index
-        self.offset = offset
-        self.global_ids = global_ids
-        self.replica = replica
-        # The device-resident List Array holds 32-bit ids (what
-        # GenieEngine.attach_index actually transfers and allocates).
-        self.device_bytes = 4 * int(index.list_array.size)
-
-    @property
-    def resident(self) -> bool:
-        return self.engine.index_resident
-
-    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
-        """Global object ids of this part's ``local_ids``.
-
-        Returns ``local_ids`` itself when the two coincide (an
-        unpartitioned index, the first multi-loading part).
-        """
-        if self.global_ids is not None:
-            return self.global_ids[local_ids]
-        if self.offset:
-            return local_ids + self.offset
-        return local_ids
-
-
 class GenieSession:
     """Shared device/host plus budgeted multi-index residency.
 
@@ -289,7 +245,7 @@ class GenieSession:
         self._device_pool: list[Device] = [self.device]
         self.residency_log = ResidencyLog()
         self._handles: dict[str, IndexHandle] = {}
-        self._resident: dict[int, _IndexPart] = {}  # insertion order == LRU order
+        self._resident: dict[int, SliceCopy] = {}  # insertion order == LRU order
         self._auto_names = 0
         self._closed = False
         self._invalidation_hooks: list[Callable[[str], None]] = []
@@ -637,7 +593,7 @@ class GenieSession:
         """``(index_name, part_position)`` pairs, LRU-first."""
         return [(p.handle.name, p.position) for p in self._resident.values()]
 
-    def _ensure_resident(self, part: _IndexPart) -> bool:
+    def _ensure_resident(self, part: SliceCopy) -> bool:
         """Make ``part`` device-resident; returns ``True`` if it transferred.
 
         Evicts LRU parts while the budget is exceeded, then attaches. If
@@ -655,9 +611,9 @@ class GenieSession:
             # error; at full capacity the attach below reports the
             # hardware-level GpuOutOfMemoryError, as the engine always has.
             advice = (
-                "raise shards= or the memory budget"
-                if part.global_ids is not None  # shard parts cannot take part_size
-                else "partition the index with part_size"
+                "partition the index with part_size"
+                if part.handle.placement is None  # shards cannot take part_size
+                else "raise shards= or the memory budget"
             )
             raise ConfigError(
                 f"index part of {part.device_bytes} bytes exceeds the session's "
@@ -699,7 +655,7 @@ class GenieSession:
         part = next(iter(self._resident.values()))
         self._evict_part(part)
 
-    def _evict_part(self, part: _IndexPart) -> None:
+    def _evict_part(self, part: SliceCopy) -> None:
         self._resident.pop(id(part), None)
         if part.engine.index_resident:
             part.engine.release()
@@ -717,12 +673,13 @@ class IndexHandle:
 
     Obtained from :meth:`GenieSession.create_index`; not constructed
     directly. The handle owns the model (encoders), the adapted engine
-    configuration, and the index parts the session swaps through device
-    memory.
+    configuration, and one partition of the corpus (``plan``) whose slice
+    copies the session swaps through device memory.
 
-    ``placement`` is what separates the two ways of outgrowing a device.
-    ``None`` is Section III-D multi-loading: ``part_size`` slices swap
-    through the session's one device and merge on the host. A
+    ``placement`` says where the copies live, and is what separates the
+    two ways of outgrowing a device. ``None`` is Section III-D
+    multi-loading: one slice, or ``part_size`` slices that swap through
+    the session's one device and merge on the host. A
     :class:`~repro.cluster.plan.Placement` (``create_index(...,
     shards=N[, replicas=R])``) is its space-multiplexed dual: every
     shard slice is its own residency unit on its own pool device — it
@@ -752,8 +709,9 @@ class IndexHandle:
         self.part_size = part_size
         self.swap_parts = bool(swap_parts)
         self.placement = placement
-        #: The fitted :class:`~repro.cluster.plan.ShardPlan` of a sharded
-        #: handle (``None`` when unsharded or unfitted).
+        #: The fitted partition: every slice's rows, global ids and index
+        #: (one slice when neither ``part_size`` nor ``shards`` cut the
+        #: corpus; ``None`` until fitted).
         self.plan: ShardPlan | None = None
         self.rebalance_epoch = 0
         #: Per-shard stage profiles of the last search, in shard order.
@@ -763,9 +721,9 @@ class IndexHandle:
         self.shard_profiles: tuple[StageTimings, ...] = ()
         self.last_result: SearchResult | None = None
         self.fit_epoch = 0
-        # _copies[i] holds every replica of part i (one when unsharded),
-        # each its own residency unit.
-        self._copies: list[list[_IndexPart]] = []
+        # _copies[i] holds every replica of plan.shards[i] (one when
+        # unsharded), each its own residency unit.
+        self._copies: list[list[SliceCopy]] = []
         # Online-mutation state (repro.stream), attached lazily on the
         # first insert/delete/update; ``stream_config`` tunes its
         # compaction thresholds.
@@ -786,7 +744,7 @@ class IndexHandle:
         return self._engine0
 
     @property
-    def _parts(self) -> list[_IndexPart]:
+    def _parts(self) -> list[SliceCopy]:
         """Replica 0 of every part: the copy plans and scans address it by."""
         return [copies[0] for copies in self._copies]
 
@@ -805,20 +763,9 @@ class IndexHandle:
         """Shards the corpus is partitioned into (``None`` when unsharded)."""
         return self.placement.shards if self.placement is not None else None
 
-    num_shards = n_shards
-
-    @property
-    def n_replicas(self) -> int | None:
-        """Copies of every shard slice (``None`` when unsharded)."""
-        return self.placement.replicas if self.placement is not None else None
-
     def shard_devices(self) -> list[Device]:
         """The pool devices this index's shards were dealt, in shard order."""
         return self.session.shard_devices(self.n_shards or 1)
-
-    def replica_devices(self, shard: int) -> list[int]:
-        """Pool positions currently hosting ``shard``'s replica group."""
-        return list(self.replica_layout()[int(shard)])
 
     def replica_layout(self) -> dict[int, tuple[int, ...]]:
         """Current shard → device-position placement (after any healing)."""
@@ -831,7 +778,7 @@ class IndexHandle:
         """Device bytes the whole index occupies when fully resident."""
         return sum(part.device_bytes for part in self._all_parts())
 
-    def _all_parts(self) -> list[_IndexPart]:
+    def _all_parts(self) -> list[SliceCopy]:
         """Every copy of every part, plus the materialized delta part (if any)."""
         parts = [part for copies in self._copies for part in copies]
         if self._stream is not None and self._stream.part is not None:
@@ -872,7 +819,7 @@ class IndexHandle:
             corpus = Corpus(corpus)
         self.evict()
         self._stream = None  # a refit abandons any live mutations
-        self._copies = []
+        self._copies, self.plan = [], None
         self._install(corpus)
         return self
 
@@ -883,72 +830,56 @@ class IndexHandle:
         return GenieEngine(device=device, host=self.session.host, config=self.config)
 
     def _install(self, corpus: Corpus, bounds=None) -> None:
-        """Slice ``corpus``, build every slice's index, swap the new parts in.
+        """Partition ``corpus``, build every slice's index, swap the new copies in.
 
-        The one rebuild routine behind :meth:`fit`, stream compaction
-        and :meth:`rebalance` (which passes explicit range ``bounds``):
-        every slice index is built on the host first (charging
-        ``index_build``), then the old parts are evicted and the new
-        ones placed and attached under the session's residency budget —
-        atomic to any observer, since no search runs mid-swap in the
-        synchronous session. Sharded slices go where
-        ``placement.layout`` says (each copy pays ``index_transfer`` on
-        its own link), so a copy healed off a failed device is not put
-        back by the next rebuild. No epoch bump or invalidation here:
-        compaction and rebalance leave results unchanged by
-        construction, and their callers handle plan staleness.
+        The one rebuild routine behind :meth:`fit`, stream compaction and
+        :meth:`rebalance`, and the one place the cut is chosen:
+        ``part_size`` parts on a multi-loading handle (a rule, not a
+        choice — parts must fit the device), else the range ``bounds`` a
+        caller hands in (``rebalance``'s new ones, compaction's carried
+        ones), else what ``placement`` asks for — one slice without one.
+        Every slice
+        index is built on the host first (charging ``index_build``), then
+        the old copies are evicted and the new ones placed and attached
+        under the session's residency budget — atomic to any observer,
+        since no search runs mid-swap in the synchronous session. Sharded
+        slices go where ``placement.layout`` says (each copy pays
+        ``index_transfer`` on its own link), so a copy healed off a failed
+        device is not put back by the next rebuild; everything else lives
+        on the session device. No epoch bump or invalidation here:
+        compaction and rebalance leave results unchanged by construction,
+        and their callers handle plan staleness.
         """
         session, placement = self.session, self.placement
-        if placement is not None:
-            plan = (
-                ShardPlan.build(corpus, placement.shards, placement.strategy, placement.seed)
-                if bounds is None
-                else ShardPlan.build_ranges(corpus, bounds)
-            )
-            slices = [
-                (shard.corpus, 0, shard.global_ids, devices)
-                for shard, devices in zip(plan.shards, placement.layout)
-            ]
-            pool = session.shard_devices(placement.pool_size)
+        if self.part_size is not None:
+            # Parts are sized to fit the device: recut at part_size on every rebuild.
+            bounds = part_bounds(len(corpus), self.part_size)
+        if bounds is not None:
+            plan = ShardPlan.build_ranges(corpus, bounds)
+        elif placement is not None:
+            plan = ShardPlan.build(corpus, placement.shards, placement.strategy, placement.seed)
         else:
-            plan = None
-            if self.part_size is None:
-                slices = [(corpus, 0, None, (0,))]
-            else:
-                cuts = [*range(0, len(corpus), self.part_size), len(corpus)]
-                slices = [
-                    (corpus.take(np.arange(lo, hi)), lo, None, (0,)) for lo, hi in zip(cuts, cuts[1:])
-                ]
-            pool = [session.device]
-        built = []
-        for position, part in enumerate(slices):
-            index = InvertedIndex.build(part[0], load_balance=self.config.load_balance)
-            session.host.charge_ops(index.build_ops, stage="index_build")
-            if plan is not None:
-                # The built index materializes the shard's sorted distinct
-                # keywords and, in its CSR arrays, the per-keyword posting
-                # lengths: the planner's tables cost no extra pass.
-                plan.shards[position].seed_tables(index.keyword_array, postings_per_keyword(index))
-            built.append(index)
+            plan = ShardPlan.build(corpus, 1)
+        for shard in plan.shards:
+            shard.index = InvertedIndex.build(shard.corpus, load_balance=self.config.load_balance)
+            session.host.charge_ops(shard.index.build_ops, stage="index_build")
         self.evict()
         self.plan = plan
+        pool = session.shard_devices(placement.pool_size if placement is not None else 1)
+        layout = placement.layout if placement is not None else ((0,),) * plan.n_shards
         self._copies = [
             [
-                _IndexPart(
-                    self, position, self._part_engine(position, replica, pool[device]),
-                    part_corpus, index, offset, global_ids, replica,
-                )
+                SliceCopy(self, shard, self._part_engine(shard.position, replica, pool[device]), replica)
                 for replica, device in enumerate(devices)
             ]
-            for position, ((part_corpus, offset, global_ids, devices), index)
-            in enumerate(zip(slices, built))
+            for shard, devices in zip(plan.shards, layout)
         ]
-        if placement is not None:
+        # Shards and an unpartitioned index attach now; multi-loading parts
+        # (and anything under swap_parts) wait for the search that scans them.
+        if placement is not None or (self.part_size is None and not self.swap_parts):
             for copies in self._copies:
                 for part in copies:
                     session._ensure_resident(part)
-        elif self.part_size is None and self._copies and not self.swap_parts:
-            session._ensure_resident(self._copies[0][0])
 
     def evict(self) -> None:
         """Release every resident part of this index (the delta part too)."""
@@ -997,13 +928,10 @@ class IndexHandle:
             # Live mutations would have to be re-routed mid-flight;
             # compaction folds them into the base first.
             return False
-        current = self.plan.range_bounds()
-        if current is None:
-            return False
         weights = [float(w) for w in shard_weights][: placement.shards]
         weights += [0.0] * (placement.shards - len(weights))
         bounds = balanced_range_bounds(self.plan.sizes(), weights)
-        if bounds is None or bounds == current:
+        if bounds is None or bounds == self.plan.bounds:
             return False
         self._install(self.plan.reassemble(), bounds)
         self.rebalance_epoch += 1
@@ -1029,7 +957,7 @@ class IndexHandle:
         """
         session = self.session
         faults = session.faults
-        if faults is None or self.plan is None:
+        if faults is None or self.placement is None or self.plan is None:
             return 0
         pool = session.shard_devices(self.placement.pool_size)
         load = session.device_load
@@ -1046,9 +974,8 @@ class IndexHandle:
                 if not candidates:
                     continue
                 target = min(candidates, key=lambda i: (load.load(i), i))
-                replacement = _IndexPart(
-                    self, shard, self._part_engine(shard, replica, pool[target]),
-                    part.corpus, part.index, 0, part.global_ids, replica,
+                replacement = SliceCopy(
+                    self, part.slice, self._part_engine(shard, replica, pool[target]), replica
                 )
                 if part.resident:
                     session._evict_part(part)
@@ -1224,17 +1151,16 @@ class IndexHandle:
         if k < 1:
             raise QueryError("k must be >= 1")
         retrieval_k = resolve_shortlist_k(self.model, k, search_opts)
-        cache = self.session.plan_cache
-        shards = self._plan_shards()
-        if cache is None or shards is None:
+        cache, placement = self.session.plan_cache, self.placement
+        if cache is None or placement is None:
             return k, compile_search(
                 self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan
             ), False
         norm_route, norm_plan = validate_plan_args(route, plan, sharded=True)
-        needs_buckets = eligibility_needed(norm_route, shards.strategy)
+        needs_buckets = eligibility_needed(norm_route, placement.strategy)
         dirty = self._stream is not None and self._stream.dirty
         shape = (
-            self.session._cost_epoch, shards.n_shards, shards.strategy,
+            self.session._cost_epoch, placement.shards, placement.strategy,
             k, retrieval_k, tuple(sorted(search_opts.items())),
             norm_route, norm_plan, dirty,
         )
@@ -1407,28 +1333,7 @@ class IndexHandle:
         self.shard_profiles = result.shard_profiles or ()
         return result
 
-    def _plan_shards(self) -> ShardContext | None:
-        """Shard context the query planner compiles against.
-
-        ``None`` for unsharded (serial) handles. The routing table is
-        each slice's keyword bounds (:meth:`ShardSlice.keywords
-        <repro.cluster.plan.ShardSlice.keywords>`), seeded at fit time
-        from the shard index's already-materialized ``keyword_array`` —
-        no extra pass over the corpus.
-        """
-        if self.plan is None or not self._copies:
-            return None
-        return ShardContext(
-            n_shards=self.placement.shards,
-            strategy=self.placement.strategy,
-            shard_keywords=tuple(shard.keywords() for shard in self.plan.shards),
-            n_objects=self.plan.n_objects,
-            shard_postings=tuple(
-                shard.posting_counts() for shard in self.plan.shards
-            ),
-        )
-
-    def _scan_candidates(self, part: "_IndexPart") -> tuple:
+    def _scan_candidates(self, part: "SliceCopy") -> tuple:
         """Copies of ``part``'s slice in dispatch order, least-loaded first.
 
         The plan executor dispatches each scan to the first live

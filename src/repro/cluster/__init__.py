@@ -5,8 +5,11 @@ one device fast (the vectorized batch pipeline), ``repro.serve`` made it
 serve a stream; this package partitions a corpus across **N simulated
 devices** and answers every query with an exact global top-k:
 
-* :class:`~repro.cluster.plan.ShardPlan` — object-range or seeded
-  hash partitioning into per-shard corpora with local↔global id maps,
+* :class:`~repro.cluster.plan.ShardPlan` — the one partition every
+  fitted index holds (``handle.plan``): object-range or seeded hash
+  slices, each a :class:`~repro.cluster.plan.ShardSlice` with its rows,
+  its local↔global id map and its inverted index; an unpartitioned index
+  is one slice, multi-loading parts are range slices sharing a device,
 * :class:`~repro.cluster.plan.Placement` — the value behind
   ``GenieSession.create_index(..., shards=N[, replicas=R])``: shards,
   replicas, partition strategy/seed and the current shard → pool-device
@@ -42,11 +45,12 @@ Quickstart::
 """
 
 from repro.cluster.executor import critical_path_profile, merge_shard_results
-from repro.cluster.plan import PARTITION_STRATEGIES, Placement, ShardPlan, ShardSlice
+from repro.cluster.plan import PARTITION_STRATEGIES, Placement, ShardPlan, ShardSlice, SliceCopy
 
 __all__ = [
     "ShardPlan",
     "ShardSlice",
+    "SliceCopy",
     "PARTITION_STRATEGIES",
     "Placement",
     "merge_shard_results",

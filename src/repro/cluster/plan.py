@@ -1,14 +1,17 @@
 """Shard planning: partition a corpus across simulated devices.
 
-The paper's multi-loading scheme (Section III-D) time-multiplexes one GPU
-over index parts; sharding is its space-multiplexed dual. A
-:class:`ShardPlan` splits a corpus into N disjoint slices — one per
-simulated device — with each slice keeping a *local* id space (0..m-1,
-what its inverted index and engine see) plus the map back to global
-object ids. Because the slices partition the objects, an object's match
-count is computed entirely within its shard and a candidate merge over
-the shards' top-k is exact (the same argument Fig. 6 makes for
-multi-loading parts).
+The paper has one way to outgrow a device (Section III-D, Fig. 6): split
+the objects into parts, index each, merge the parts' top-k. A
+:class:`ShardPlan` is that split — the one partition every fitted index
+holds. Each :class:`ShardSlice` keeps a *local* id space (0..m-1, what its
+inverted index and engine see), the map back to global object ids, and the
+index itself; a :class:`SliceCopy` is one device-resident copy of a slice.
+An unpartitioned index is a plan of one slice, multi-loading ``part_size``
+parts are range slices whose copies share one device (time-multiplexed),
+shards are slices on devices of their own (space-multiplexed), and the
+stream's delta run is scanned as one more slice. Because the slices
+partition the objects, an object's match count is computed entirely within
+its slice and a candidate merge over the slices' top-k is exact.
 
 Two partition strategies:
 
@@ -24,10 +27,11 @@ Two partition strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.inverted_index import InvertedIndex
 from repro.core.types import ID_DTYPE, Corpus
 from repro.errors import ConfigError
 
@@ -124,56 +128,92 @@ def _hash_ids(ids: np.ndarray, seed: int) -> np.ndarray:
 
 @dataclass
 class ShardSlice:
-    """One shard of a plan: a corpus slice in its own local id space.
+    """One slice of a partition: rows in their own local id space, and their index.
 
     Attributes:
-        position: Shard position within the plan (device index).
-        corpus: The shard's objects, locally numbered ``0..len-1``.
+        position: Slice position within the plan.
+        corpus: The slice's objects, locally numbered ``0..len-1``.
         global_ids: Map from local object id to global object id
             (``global_ids[local]``); sorted ascending, so local id order
-            preserves global id order and per-shard tie-breaks agree with
-            the unsharded index.
+            preserves global id order and per-slice tie-breaks agree with
+            the unpartitioned index.
+        index: The inverted index over ``corpus`` (``None`` on a plan
+            nobody fitted — partition tooling, tests).
     """
 
     position: int
     corpus: Corpus
     global_ids: np.ndarray
-    _tables: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    index: InvertedIndex | None = None
 
     def __len__(self) -> int:
         return len(self.corpus)
 
-    def seed_tables(self, keywords: np.ndarray, posting_counts: np.ndarray) -> None:
-        """Adopt the fitted shard index's tables: no extra pass over the slice.
-
-        The index builds one posting per (object, keyword) pair of the
-        slice, so its keyword array and per-keyword posting lengths are
-        exactly what :attr:`Corpus.keyword_table` would compute.
-        """
-        self._tables = (keywords, posting_counts)
-
-    def _keyword_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._tables if self._tables is not None else self.corpus.keyword_table
+    def _keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The index's table when there is one (its lists are the slice's keywords), else the corpus's."""
+        return (self.corpus if self.index is None else self.index).keyword_table
 
     def keywords(self) -> np.ndarray:
-        """Sorted distinct keywords present in this shard's slice.
+        """Sorted distinct keywords present in this slice.
 
-        These are the shard's *partition bounds* for query routing: a
+        These are the slice's *partition bounds* for query routing: a
         query with no keyword in this set cannot produce a positive match
         count here, so the planner's shard-pruning rule may skip the
-        shard without changing results (see
+        slice without changing results (see
         :func:`repro.plan.planner.route_queries`).
         """
-        return self._keyword_tables()[0]
+        return self._keyword_table()[0]
 
     def posting_counts(self) -> np.ndarray:
-        """Posting-list length per :meth:`keywords` entry, aligned.
+        """Posting-list length per :meth:`keywords` entry, aligned (float64).
 
-        The cost model's per-shard work features: a query's postings
-        touched in this shard is the sum of counts over its keywords
-        present here.
+        The cost model's per-slice work features: a query's postings
+        touched here is the sum of counts over its keywords present here.
         """
-        return self._keyword_tables()[1]
+        return self._keyword_table()[1]
+
+
+class SliceCopy:
+    """One device-resident copy of a slice: the session's residency / LRU unit.
+
+    Every slice has one copy per replica (one when unreplicated), each
+    with an engine on the device that hosts it; ``handle`` is the index
+    handle the slice belongs to (its ``name`` labels residency events).
+    """
+
+    __slots__ = ("handle", "slice", "engine", "replica", "device_bytes")
+
+    def __init__(self, handle, slice: ShardSlice, engine, replica: int = 0):
+        self.handle = handle
+        self.slice = slice
+        self.engine = engine
+        self.replica = replica
+        # The device-resident List Array holds 32-bit ids (what
+        # GenieEngine.attach_index actually transfers and allocates).
+        self.device_bytes = 4 * int(slice.index.list_array.size)
+
+    position = property(lambda self: self.slice.position)
+    corpus = property(lambda self: self.slice.corpus)
+    index = property(lambda self: self.slice.index)
+    global_ids = property(lambda self: self.slice.global_ids)
+
+    @property
+    def resident(self) -> bool:
+        return self.engine.index_resident
+
+    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
+        """Global object ids of this slice's ``local_ids`` (one gather)."""
+        return self.slice.global_ids[local_ids]
+
+
+def _equal_bounds(n_objects: int, n_shards: int) -> list[int]:
+    """Cut points of ``n_shards`` contiguous ranges of near-equal size."""
+    return np.linspace(0, n_objects, n_shards + 1).astype(np.int64).tolist()
+
+
+def part_bounds(n_objects: int, part_size: int) -> list[int]:
+    """Cut points of multi-loading parts: ``part_size`` objects each, the last one shorter."""
+    return [*range(0, n_objects, part_size), n_objects] if n_objects else [0, 0]
 
 
 class ShardPlan:
@@ -187,12 +227,17 @@ class ShardPlan:
         strategy: ``"range"`` or ``"hash"``.
         n_objects: Global corpus size the plan covers.
         shards: One :class:`ShardSlice` per shard, in position order.
+        bounds: The cut points of a range plan — shard ``s`` holds global
+            ids ``[bounds[s], bounds[s + 1])`` — and ``None`` for a hash plan.
     """
 
-    def __init__(self, shards: list[ShardSlice], strategy: str, n_objects: int):
+    def __init__(
+        self, shards: list[ShardSlice], strategy: str, n_objects: int, bounds: list[int] | None = None
+    ):
         self.shards = list(shards)
         self.strategy = strategy
         self.n_objects = int(n_objects)
+        self.bounds = bounds
 
     # ------------------------------------------------------------------
     # construction
@@ -225,19 +270,19 @@ class ShardPlan:
             corpus = Corpus(corpus)
         n_shards = int(n_shards)
         if strategy == "range":
-            return cls.build_ranges(corpus, np.linspace(0, len(corpus), n_shards + 1).astype(np.int64))
+            return cls.build_ranges(corpus, _equal_bounds(len(corpus), n_shards))
         shard_of = _hash_ids(np.arange(len(corpus), dtype=ID_DTYPE), seed) % np.uint64(n_shards)
         assignments = [np.nonzero(shard_of == np.uint64(s))[0].astype(ID_DTYPE) for s in range(n_shards)]
         return cls._cut(corpus, assignments, strategy)
 
     @classmethod
-    def _cut(cls, corpus: Corpus, assignments: list[np.ndarray], strategy: str) -> "ShardPlan":
+    def _cut(cls, corpus: Corpus, assignments: list[np.ndarray], strategy: str, bounds=None) -> "ShardPlan":
         """One slice per global-id array: rows move by ``take``, nothing is re-derived."""
         shards = [
             ShardSlice(position=s, corpus=corpus.take(global_ids), global_ids=global_ids)
             for s, global_ids in enumerate(assignments)
         ]
-        return cls(shards, strategy, len(corpus))
+        return cls(shards, strategy, len(corpus), bounds)
 
     @classmethod
     def build_ranges(cls, corpus: Corpus, bounds) -> "ShardPlan":
@@ -269,43 +314,43 @@ class ShardPlan:
         if any(b > c for b, c in zip(bounds, bounds[1:])):
             raise ConfigError(f"range bounds must be non-decreasing: {bounds}")
         return cls._cut(
-            corpus, [np.arange(lo, hi, dtype=ID_DTYPE) for lo, hi in zip(bounds, bounds[1:])], "range"
+            corpus, [np.arange(lo, hi, dtype=ID_DTYPE) for lo, hi in zip(bounds, bounds[1:])], "range", bounds
         )
 
     # ------------------------------------------------------------------
-    # introspection
+    # rebuilding and introspection
 
-    def range_bounds(self) -> list[int] | None:
-        """The cut points of a contiguous range partition, else ``None``.
+    def carried_bounds(self, n_objects: int) -> list[int] | None:
+        """The cuts a rebuild over ``n_objects`` objects keeps, if any.
 
-        A valid result ``b`` satisfies ``shard s == [b[s], b[s+1])``;
-        hash plans (and any non-contiguous layout) return ``None``.
+        Ranges somebody recut (``rebalance``) keep their interior cuts and
+        the last bound moves to the new corpus length — new ids join the
+        last shard until the next recut. ``None`` — the builder cuts again —
+        for a hash plan and for ranges still at :meth:`build`'s equal-size
+        cut, which stay equal-size as the corpus grows.
         """
-        bounds = [0]
-        for shard in self.shards:
-            ids = shard.global_ids
-            if ids.size and (
-                int(ids[0]) != bounds[-1]
-                or not np.array_equal(
-                    ids, np.arange(ids[0], ids[0] + ids.size, dtype=ID_DTYPE)
-                )
-            ):
-                return None
-            bounds.append(bounds[-1] + int(ids.size))
-        if bounds[-1] != self.n_objects:
+        if self.bounds is None or self.bounds == _equal_bounds(self.n_objects, self.n_shards):
             return None
-        return bounds
+        return [*self.bounds[:-1], int(n_objects)]
 
-    def reassemble(self) -> Corpus:
-        """The global corpus, rebuilt from the shard slices.
+    def reassemble(self, overlay=(), n_objects: int | None = None) -> Corpus:
+        """The global corpus, rebuilt from the slices — with ``overlay`` applied on top.
 
         Exact inverse of construction: object ``g`` comes from whichever
-        shard holds global id ``g``. Lets the rebalancer recut a fitted
-        plan without the caller keeping the original corpus alive.
+        slice holds global id ``g``, so a fitted plan can be recut without
+        the caller keeping the original corpus alive. ``overlay`` is more
+        :meth:`Corpus.by_global_id <repro.core.types.Corpus.by_global_id>`
+        sources over an id space of ``n_objects`` (default: this plan's) —
+        a mutated index's tombstones and delta run, which make this the
+        logical corpus a from-scratch refit would index: one slot per
+        assigned id, dead slots empty. Empty objects never match (zero
+        counts never enter a top-k), so indexing them changes no result
+        while every surviving id stays stable across compactions.
         """
         self.validate()
+        sources = [(shard.corpus, shard.global_ids) for shard in self.shards]
         return Corpus.by_global_id(
-            [(shard.corpus, shard.global_ids) for shard in self.shards], self.n_objects
+            [*sources, *overlay], self.n_objects if n_objects is None else n_objects
         )
 
     @property

@@ -24,6 +24,8 @@ functions over the same CSR arrays; there is no second copy of the map.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.core.load_balance import LoadBalanceConfig
@@ -289,6 +291,12 @@ class InvertedIndex:
     def list_offsets(self) -> np.ndarray:
         """Keyword row ``i``'s whole list (sublists re-joined) is ``list_array[list_offsets[i]:list_offsets[i + 1]]``."""
         return np.append(self.span_starts[self.kw_span_offsets[:-1]], self.total_entries)
+
+    @cached_property
+    def keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sorted distinct keywords, postings per keyword)``: the indexed corpus's
+        :attr:`~repro.core.types.Corpus.keyword_table`, read off the lists (no pass over the rows)."""
+        return self.keyword_array, np.diff(self.list_offsets).astype(np.float64)
 
     @property
     def list_array32(self) -> np.ndarray:

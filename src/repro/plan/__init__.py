@@ -54,7 +54,6 @@ from repro.plan.cost import (
     calibrate_session,
     concentration,
     postings_for_keywords,
-    postings_per_keyword,
     serial_share,
     shard_block_matrix,
     shard_postings_matrix,
@@ -73,7 +72,6 @@ from repro.plan.planner import (
     PLAN_CHOICES,
     ROUTE_CHOICES,
     CompiledPlan,
-    ShardContext,
     compile_search,
     eligibility_needed,
     first_round_k_for,
@@ -90,7 +88,6 @@ __all__ = [
     "FinalizeNode",
     "RoutingSummary",
     "CompiledPlan",
-    "ShardContext",
     "compile_search",
     "execute_plan",
     "route_queries",
@@ -105,7 +102,6 @@ __all__ = [
     "calibrate_coefficients",
     "calibrate_session",
     "concentration",
-    "postings_per_keyword",
     "postings_for_keywords",
     "serial_share",
     "shard_block_matrix",

@@ -25,7 +25,7 @@ replay on a scratch session), and nothing else is:
   from Gate passes and the count histogram — atomic ops, conflicts,
   divergence, scattered Hash-Table writes — which exist only after the
   scan. Modeled as affine in the postings the batch touches in the shard
-  (:class:`~repro.plan.planner.ShardContext` makes these exact), their
+  (each slice's keyword table makes these exact), their
   ``sqrt(width)`` Gate share and their :func:`serial_share`.
 * **top-up fraction** (two-round TPUT only): the fraction of the
   full-width round-two scan the exact threshold test actually triggers,
@@ -69,15 +69,6 @@ COEFFICIENT_NAMES = (
 
 # ----------------------------------------------------------------------
 # feature extraction (shared by calibration and the planner's pricing)
-
-
-def postings_per_keyword(index) -> np.ndarray:
-    """Posting-list length per keyword row of an ``InvertedIndex``.
-
-    Row ``i`` aligns with ``index.keyword_array[i]`` (load-balanced
-    sub-lists re-joined) — no walk over the corpus.
-    """
-    return np.diff(index.list_offsets).astype(np.float64)
 
 
 def _keyword_postings(
@@ -166,15 +157,24 @@ def serial_share(postings, blocks, num_sms: int):
     return postings * (1.0 / active - 1.0 / sms)
 
 
-def batch_features(queries, shard_keywords, shard_postings, num_sms: int):
-    """What the match term prices a batch by, one lookup pass per shard table.
+def slice_tables(slices) -> tuple[list, list]:
+    """Each slice's sorted distinct keywords and the aligned posting counts, read once."""
+    return [shard.keywords() for shard in slices], [shard.posting_counts() for shard in slices]
+
+
+def batch_features(queries, slices, num_sms: int):
+    """What the match term prices a batch by, one lookup pass per slice table.
+
+    ``slices`` are the partition's :class:`~repro.cluster.plan.ShardSlice`
+    objects (``handle.plan.shards``).
 
     Returns:
         ``(postings, hot)``: per shard the postings the batch touches and
         their :func:`serial_share`.
     """
-    postings = shard_postings_matrix(queries, shard_keywords, shard_postings).sum(axis=0)
-    blocks = shard_block_matrix(queries, shard_keywords, shard_postings).sum(axis=0)
+    tables = slice_tables(slices)
+    postings = shard_postings_matrix(queries, *tables).sum(axis=0)
+    blocks = shard_block_matrix(queries, *tables).sum(axis=0)
     return postings, serial_share(postings, blocks, num_sms)
 
 
@@ -506,10 +506,8 @@ def _fit_match(scratch, seed: int) -> dict:
     def probe(name, corpus, raw_queries, k):
         handle = scratch.create_index(corpus, model="raw", name=name)
         result = handle.search(raw_queries, k=k)
-        index = handle._parts[0].index
         postings, hot = batch_features(
-            handle.encode_queries(raw_queries), (index.keyword_array,),
-            (postings_per_keyword(index),), scratch.device.spec.num_sms,
+            handle.encode_queries(raw_queries), handle.plan.shards, scratch.device.spec.num_sms
         )
         total = float(postings[0])
         rows.append([1.0, total, total * float(k) ** 0.5, float(hot[0])])
@@ -566,10 +564,8 @@ def _fit_match(scratch, seed: int) -> dict:
             shards=n_shards, shard_strategy="hash",
         )
         raw_queries = list(points[picks] + 0.01 * rng.normal(size=(nq, dim)))
-        shards = handle._plan_shards()
         shard_posts, shard_hot = batch_features(
-            handle.encode_queries(raw_queries), shards.shard_keywords,
-            shards.shard_postings, scratch.device.spec.num_sms,
+            handle.encode_queries(raw_queries), handle.plan.shards, scratch.device.spec.num_sms
         )
         critical = int(np.argmax(shard_posts))
         post = float(shard_posts[critical])
@@ -681,12 +677,9 @@ def _fit_topup(scratch, seed: int) -> dict:
 
     rows, observed_frac, row_weights = [], [], []
     for handle, raw_queries, k, route, weight in probes:
-        shards = handle._plan_shards()
-        first_k = first_round_k_for(k, shards.n_shards)
+        first_k = first_round_k_for(k, handle.plan.n_shards)
         queries = handle.encode_queries(raw_queries)
-        matrix = shard_postings_matrix(
-            queries, shards.shard_keywords, shards.shard_postings
-        )
+        matrix = shard_postings_matrix(queries, *slice_tables(handle.plan.shards))
         totals = matrix.sum(axis=0)
         chi = concentration([t for t in totals if t > 0])
         two = handle.search(raw_queries, k=k, route=route, plan="two-round")

@@ -5,9 +5,10 @@ The paper has one retrieval step (scan postings → c-PQ top-k, Theorem
 top-k on the host). :func:`execute_plan` runs every plan
 :func:`repro.plan.planner.compile_search` produces in that shape:
 
-1. build the **source list** — the index's base parts (one, or
-   ``part_size`` slices sharing a device, or one shard slice per pool
-   device) plus the delta run's part while it holds live mutations;
+1. build the **source list** — replica 0 of every slice of the handle's
+   partition (one slice, ``part_size`` slices sharing a device, or one
+   shard slice per pool device) plus the delta run's slice while it holds
+   live mutations;
 2. run one :func:`_scan_round` over it (two for a TPUT plan), each scan
    through :func:`_scan_one` — fault check, replica choice, residency,
    engine call, ``swap_parts`` eviction, profile. Every source keeps one
@@ -140,7 +141,7 @@ def execute_plan(
     if compiled.merge == "direct":
         merged = candidates[0]
     else:
-        n_objects = stream.manifest.next_gid if dirty else sum(len(p.corpus) for p in base)
+        n_objects = stream.manifest.next_gid if dirty else handle.plan.n_objects
         merged, merge_seconds = merge_shard_results(
             candidates, n_queries, k, host, n_objects=n_objects
         )

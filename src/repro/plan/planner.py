@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster.plan import ShardPlan
 from repro.core.types import QueryBatch
 from repro.errors import QueryError
 from repro.plan.cost import CostModel, batch_features, postings_for_keywords
@@ -80,32 +81,6 @@ ROUTE_CHOICES = ("auto", "pruned", "broadcast")
 PLAN_CHOICES = ("auto", "one-round", "two-round")
 
 
-@dataclass(frozen=True)
-class ShardContext:
-    """What the planner needs to know about a sharded index.
-
-    Produced by ``IndexHandle._plan_shards()`` (``None`` for serial
-    indexes); the planner stays decoupled from :mod:`repro.cluster`.
-
-    Attributes:
-        n_shards: Number of shards (= parts = devices).
-        strategy: Partition strategy (``"range"`` / ``"hash"``).
-        shard_keywords: Per shard, the sorted distinct keywords its slice
-            of the corpus contains — the partition bounds routing tests
-            queries against.
-        n_objects: Global corpus size (threshold re-pinning in the merge).
-        shard_postings: Per shard, the posting-list length aligned with
-            each ``shard_keywords`` entry — the cost model's work
-            features.
-    """
-
-    n_shards: int
-    strategy: str
-    shard_keywords: tuple[np.ndarray, ...]
-    n_objects: int
-    shard_postings: tuple[np.ndarray, ...]
-
-
 @dataclass
 class CompiledPlan:
     """A compiled search: the logical plan tree plus physical annotations.
@@ -118,7 +93,9 @@ class CompiledPlan:
         n_queries: Raw queries entering the plan.
         active: Positions of the queries that reach the scan (skip
             elision removes the rest).
-        shards: Shard context, or ``None`` for a serial plan.
+        shards: The handle's partition (its
+            :class:`~repro.cluster.plan.ShardPlan`) when the index is
+            sharded, ``None`` for a serial plan.
         routes: Per shard, indices **into** ``active`` routed to it —
             the whole batch for eligible shards, empty for pruned ones
             (``None`` for serial plans).
@@ -152,7 +129,7 @@ class CompiledPlan:
     retrieval_k: int
     n_queries: int
     active: list[int]
-    shards: ShardContext | None
+    shards: ShardPlan | None
     routes: list[np.ndarray] | None
     merge: str
     first_round_k: int | None
@@ -312,12 +289,10 @@ def _delta_scan_seconds(cost_model: CostModel, stream, queries: QueryBatch, retr
 def _price_merges(cost_model: CostModel, shards, queries: QueryBatch, routes, retrieval_k: int, merges):
     """Price each ``(merge, first_round_k)`` candidate of one routed batch.
 
-    One feature pass over the shard keyword tables serves every candidate:
+    One feature pass over the slices' keyword tables serves every candidate:
     they scan the same shards and differ in fetch widths and merges only.
     """
-    postings, hot = batch_features(
-        queries, shards.shard_keywords, shards.shard_postings, cost_model.device.spec.num_sms
-    )
+    postings, hot = batch_features(queries, shards.shards, cost_model.device.spec.num_sms)
     scanned = [s for s in range(shards.n_shards) if routes[s].size]
     count_bound = cost_model.count_bound_of(queries)
     return [
@@ -389,13 +364,14 @@ def compile_search(
     """Compile one search over ``handle`` into a :class:`CompiledPlan`.
 
     ``handle`` is duck-typed: the planner reads ``name``, ``model``,
-    ``num_parts``, ``swap_parts`` and ``_plan_shards()`` (``None`` on a
-    handle without a placement).
+    ``num_parts``, ``swap_parts``, ``placement`` (``None`` on an unsharded
+    handle, which compiles a serial plan) and ``plan``, the partition whose
+    slices' keyword tables a sharded plan routes and prices against.
 
     Raises:
         QueryError: Invalid ``route=`` / ``plan=`` directives.
     """
-    shards: ShardContext | None = handle._plan_shards()
+    shards: ShardPlan | None = handle.plan if handle.placement is not None else None
     route, plan = validate_plan_args(route, plan, sharded=shards is not None)
     model_name = getattr(handle.model, "name", type(handle.model).__name__)
     stream = _dirty_stream(handle)
@@ -432,13 +408,14 @@ def compile_search(
         everyone = np.arange(len(active), dtype=np.int64)
         # One binary search per (query keyword, shard) into the shard's
         # keyword bounds — the host cost of a routing/feature pass.
+        shard_keywords = [shard.keywords() for shard in shards.shards]
         lookup_ops = float(active_queries.keywords.size) * sum(
-            np.log2(max(kw.size, 2)) for kw in shards.shard_keywords
+            np.log2(max(kw.size, 2)) for kw in shard_keywords
         )
         routing_ops = 0.0
         query_buckets = None
         if eligibility_needed(route, shards.strategy):
-            eligible = route_queries(active_queries, shards.shard_keywords)
+            eligible = route_queries(active_queries, shard_keywords)
             routing_ops += lookup_ops
             masks = [0] * len(queries)
             for s, positions in enumerate(eligible):

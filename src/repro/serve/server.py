@@ -611,20 +611,17 @@ class GenieServer:
                 raw, queries, k=k, route=route, plan=plan, trace=want_trace,
                 **dict(opts_key)
             )
-        except ReproError as error:
-            self.metrics.failed.inc(len(requests))
-            for request in requests:
-                request.future.metadata.dispatched = now
-                request.future._fail(error)
-            return
         except BaseException as error:
-            # Unexpected (non-Repro) errors propagate to the driver, but
-            # the requests were already popped from the scheduler — their
-            # futures must still resolve (with the error), never strand.
+            # The requests were already popped from the scheduler: every
+            # rider's future resolves with the error, never strands. A
+            # ReproError ends there; anything unexpected also propagates
+            # to the driver.
             self.metrics.failed.inc(len(requests))
             for request in requests:
                 request.future.metadata.dispatched = now
                 request.future._fail(error)
+            if isinstance(error, ReproError):
+                return
             raise
         # For a sharded index the profile is already the concurrent
         # critical path (slowest shard + merge), so the shard scans of one

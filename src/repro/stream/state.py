@@ -5,7 +5,7 @@ lazily attaches on its first mutation. It owns the
 :class:`~repro.stream.manifest.SegmentManifest`, applies
 ``insert``/``delete``/``update`` under the placement invariant (every
 live id in exactly one scan source), hands the executor the delta run as
-one device-swappable ``_IndexPart`` (kept until the next edit), and runs
+one more slice copy of the index (kept until the next edit), and runs
 threshold-driven compaction back into a fresh CSR base. Rows reach the run
 canonical (one :class:`~repro.core.types.Corpus` per mutation call) and
 are only moved after that; their postings are *merged* into the run's
@@ -24,6 +24,8 @@ import logging
 
 import numpy as np
 
+from repro.cluster.plan import ShardSlice, SliceCopy
+from repro.core.engine import GenieEngine
 from repro.core.types import ID_DTYPE, Corpus, as_keyword_array
 from repro.errors import QueryError
 from repro.gpu.stats import timings_delta
@@ -50,9 +52,8 @@ class StreamState:
     def __init__(self, handle, config: StreamConfig | None = None):
         self.handle = handle
         self.config = config if config is not None else StreamConfig()
-        base_objects = sum(len(part.corpus) for part in handle._parts)
-        self.manifest = SegmentManifest(base_objects, handle.config.load_balance)
-        # The ``_IndexPart`` the last search scanned the delta run through;
+        self.manifest = SegmentManifest(handle.plan.n_objects, handle.config.load_balance)
+        # The slice copy the last search scanned the delta run through;
         # stale once ``part.index is not manifest.delta.index``.
         self.part = None
 
@@ -146,9 +147,6 @@ class StreamState:
         previous index is evicted before it is dropped, so the session's
         residency accounting never leaks device bytes.
         """
-        from repro.api.session import _IndexPart
-        from repro.core.engine import GenieEngine
-
         run = self.manifest.delta
         if not len(run):
             self.release()
@@ -159,8 +157,8 @@ class StreamState:
             handle, session = self.handle, self.handle.session
             session.host.charge_ops(ops, stage="index_build")
             engine = GenieEngine(device=session.device, host=session.host, config=handle.config)
-            self.part = _IndexPart(
-                handle, handle.num_parts, engine, run.corpus, run.index, offset=0, global_ids=run.global_ids
+            self.part = SliceCopy(
+                handle, ShardSlice(handle.num_parts, run.corpus, run.global_ids, run.index), engine
             )
         return self.part
 
@@ -173,30 +171,12 @@ class StreamState:
     # ------------------------------------------------------------------
     # compaction
 
-    def full_corpus(self) -> Corpus:
-        """The logical corpus a from-scratch refit would index now.
-
-        One slot per assigned global id (``0 .. next_gid - 1``); dead
-        slots — tombstoned base ids without a live delta replacement,
-        and deleted delta inserts — hold empty keyword sets. Empty
-        objects never match (zero counts never enter a top-k), so
-        indexing them changes no result while keeping every surviving id
-        stable across compactions.
-        """
-        sources = [
-            (part.corpus, part.to_global(np.arange(len(part.corpus), dtype=ID_DTYPE)))
-            for part in self.handle._parts
-        ]
-        manifest = self.manifest
-        sources += [(None, manifest.tombstones), (manifest.delta.corpus, manifest.delta.global_ids)]
-        return Corpus.by_global_id(sources, manifest.next_gid)
-
     def maybe_compact(self) -> bool:
         """Compact when delta pressure crosses the configured ratio."""
         manifest = self.manifest
         if not len(manifest.delta) and not manifest.tombstones.size:
             return False
-        base_entries = sum(part.corpus.total_entries for part in self.handle._parts)
+        base_entries = sum(self.handle.plan.entries())
         ratio = self.config.compact_ratio
         if (
             manifest.delta_postings > ratio * max(1, base_entries)
@@ -208,7 +188,12 @@ class StreamState:
     def compact(self) -> bool:
         """Rewrite base + delta + tombstones into a fresh CSR base.
 
-        The new base is built host-side first, then swapped in under the
+        The new base indexes the logical corpus — the partition's slices
+        with the tombstones and the delta run laid over them
+        (:meth:`ShardPlan.reassemble <repro.cluster.plan.ShardPlan.reassemble>`)
+        — cut where the partition says a rebuild keeps its cuts
+        (``carried_bounds``: ranges ``rebalance()`` recut stay recut). It
+        is built host-side first, then swapped in under the
         session's residency budget (old parts and the delta part evicted,
         new parts attached — atomic from any observer's point of view:
         no search runs mid-swap in the synchronous session). Results are
@@ -226,9 +211,13 @@ class StreamState:
         folded_postings = int(manifest.delta_postings)
         folded_tombstones = manifest.tombstones.size
         host_before = session.host.timings.copy()
-        corpus = self.full_corpus()
+        plan = self.handle.plan
+        corpus = plan.reassemble(
+            [(None, manifest.tombstones), (manifest.delta.corpus, manifest.delta.global_ids)],
+            manifest.next_gid,
+        )
         self.release()
-        self.handle._install(corpus)
+        self.handle._install(corpus, plan.carried_bounds(len(corpus)))
         manifest.delta = DeltaRun(self.handle.config.load_balance)
         manifest.tombstones = np.empty(0, dtype=ID_DTYPE)
         manifest.base_objects = manifest.next_gid

@@ -71,6 +71,34 @@ class TestBuild:
         assert plan.n_objects == 2
 
 
+class TestBounds:
+    """Range cuts are a stored field of the plan, and what a rebuild keeps is decided here."""
+
+    def test_bounds_are_stored_not_rediscovered(self):
+        assert ShardPlan.build(_corpus(n=10), 4, strategy="range").bounds == [0, 2, 5, 7, 10]
+        assert ShardPlan.build(_corpus(n=10), 1).bounds == [0, 10]
+        assert ShardPlan.build(_corpus(n=10), 4, strategy="hash").bounds is None
+        plan = ShardPlan.build_ranges(_corpus(n=10), np.asarray([0, 1, 1, 10]))
+        assert plan.bounds == [0, 1, 1, 10] and plan.sizes() == [1, 0, 9]
+
+    def test_a_recut_partition_carries_its_interior_cuts(self):
+        recut = ShardPlan.build_ranges(_corpus(n=10), [0, 1, 3, 10])
+        assert recut.carried_bounds(14) == [0, 1, 3, 14]
+        ShardPlan.build_ranges(_corpus(n=14), recut.carried_bounds(14)).validate()
+
+    def test_an_equal_or_hash_partition_is_cut_again(self):
+        assert ShardPlan.build(_corpus(n=10), 4).carried_bounds(14) is None
+        assert ShardPlan.build(_corpus(n=10), 1).carried_bounds(14) is None
+        assert ShardPlan.build(_corpus(n=10), 4, strategy="hash").carried_bounds(14) is None
+
+    def test_part_bounds(self):
+        from repro.cluster.plan import part_bounds
+
+        assert part_bounds(10, 4) == [0, 4, 8, 10]
+        assert part_bounds(8, 4) == [0, 4, 8]
+        assert part_bounds(0, 4) == [0, 0]  # an empty corpus is one empty part
+
+
 class TestValidationAndStats:
     def test_bad_shard_count_rejected(self):
         with pytest.raises(ConfigError, match="n_shards"):
@@ -111,10 +139,11 @@ class TestValidationAndStats:
 class TestShardKeywords:
     """ShardSlice.keywords(): the plan-level routing bounds.
 
-    The planner routes against the *fitted* shard index's keyword_array
-    (IndexHandle._plan_shards); the plan-level view must stay
-    bit-identical to it — it is the same partition-bounds surface, usable
-    before any index is built (e.g. by rebalancing tooling).
+    The planner routes against each slice's keyword table — its fitted
+    index's ``keyword_array`` — and the table of a slice nobody indexed
+    (``Corpus.keyword_table``) must stay bit-identical to it: the same
+    partition-bounds surface, usable before any index is built (e.g. by
+    rebalancing tooling).
     """
 
     def test_matches_fitted_index_keyword_array(self):
@@ -125,6 +154,10 @@ class TestShardKeywords:
         for shard in plan.shards:
             index = InvertedIndex.build(shard.corpus)
             assert np.array_equal(shard.keywords(), index.keyword_array)
+            unindexed = shard.posting_counts()
+            shard.index = index  # what ``_install`` does: the tables are now the index's
+            assert shard.keywords() is index.keyword_array
+            assert np.array_equal(shard.posting_counts(), unindexed) and unindexed.dtype == np.float64
 
     def test_cached_and_empty_slice(self):
         plan = ShardPlan.build(Corpus([[1, 2]]), 2)  # second shard empty

@@ -29,7 +29,7 @@ class TestCreateIndex:
         handle = session.create_index(_objects(), model="raw", name="x", shards=4)
         assert handle.placement == Placement(shards=4)
         assert handle.placement.layout == ((0,), (1,), (2,), (3,))
-        assert handle.num_shards == 4
+        assert handle.n_shards == 4
         assert handle.num_parts == 4
         assert handle.plan.strategy == "range"
 

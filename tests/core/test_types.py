@@ -256,6 +256,8 @@ class TestCorpus:
         ids=["range", "hash", "part_size", "one_part"],
     )
     def test_full_corpus_is_the_logical_corpus_row_for_row(self, layout):
+        """What compaction indexes — ``plan.reassemble`` under the manifest's tombstones and
+        delta run, which replaced ``StreamState.full_corpus`` — for every handle kind."""
         rng = np.random.default_rng(11)
         objects = [rng.integers(0, 30, size=rng.integers(0, 6)).tolist() for _ in range(14)]
         session = GenieSession()
@@ -275,16 +277,19 @@ class TestCorpus:
         shadow[inserted[2]] = [44, 2]
         expected = per_object_unique(shadow[gid] for gid in range(len(shadow)))
 
-        state = handle._stream_state()
-        assert rows(state.full_corpus()) == expected
+        def full_corpus():
+            manifest = handle.manifest
+            overlay = [(None, manifest.tombstones), (manifest.delta.corpus, manifest.delta.global_ids)]
+            return handle.plan.reassemble(overlay, manifest.next_gid)
+
+        assert rows(full_corpus()) == expected
         handle.search([[7, 1, 44]], k=3)  # catches the delta run's index up: same rows again
-        assert rows(state.full_corpus()) == expected
+        assert rows(full_corpus()) == expected
         assert handle.compact()
-        if handle.plan is not None:
-            assert rows(handle.plan.reassemble()) == expected
-        assert [row for part in handle._parts for row in rows(part.corpus)] == (
-            expected if handle.plan is None else [expected[g] for part in handle._parts for g in part.global_ids]
-        )
+        assert rows(handle.plan.reassemble()) == rows(full_corpus()) == expected
+        assert [row for part in handle._parts for row in rows(part.corpus)] == [
+            expected[g] for part in handle._parts for g in part.global_ids
+        ]
         assert [pair[0] for pair in handle.search([[44, 2]], k=1).results[0].as_pairs()] == [inserted[2]]
         session.close()
 

@@ -136,7 +136,7 @@ class TestExactTerms:
         result = handle.search(queries, k=k, route="broadcast", plan="one-round")
         batch = handle.encode_queries(queries)
         model = CostModel({}, session.device, session.host, handle.config)
-        shards = handle._plan_shards()
+        shards = handle.plan
         width = result.plan.find(MergeNode).k
         price = model.price(
             n_queries=len(batch), keywords=float(batch.keywords.size),

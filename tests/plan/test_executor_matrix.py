@@ -51,8 +51,12 @@ def _objects(n, seed):
 QUERIES = [Query.from_keywords(keywords) for keywords in _objects(5, seed=1)]
 
 
-def _build(kind, dirty, fault=None, host=None):
-    """``(handle, logical)``: the index and the corpus a refit would see."""
+def _build(kind, dirty, fault=None, host=None, recut=False):
+    """``(handle, logical)``: the index and the corpus a refit would see.
+
+    ``recut`` is the third state of a range kind: rebalanced, then mutated,
+    then compacted — a clean base whose cuts are the rebalanced ones.
+    """
     opts = {"shards": 1} if kind == "shards-1" else KINDS[kind]
     session = GenieSession(host=host)
     logical = _objects(120, seed=0)
@@ -60,7 +64,10 @@ def _build(kind, dirty, fault=None, host=None):
         logical, model="raw", name="x",
         stream_config=StreamConfig(auto_compact=False), **opts,
     )
-    if dirty:
+    if recut:
+        assert handle.rebalance([10, 1, 1])
+        cuts = handle.plan.bounds
+    if dirty or recut:
         fresh = _objects(5, seed=2)
         gids = handle.insert(fresh)
         logical = logical + fresh
@@ -70,6 +77,8 @@ def _build(kind, dirty, fault=None, host=None):
         logical[10] = [1, 2, 3]
         for gid in dead:
             logical[gid] = []  # dead slots keep their id and match nothing
+    if recut:
+        assert handle.compact() and handle.plan.bounds == [*cuts[:-1], len(logical)]
     if fault is not None:
         session.inject_faults(FaultPlan([fault]))
     return handle, Corpus(logical)
@@ -84,22 +93,21 @@ def _expected(query, logical, k):
 
 
 def _cells():
-    for kind, dirty, plan, fault in itertools.product(
-        KINDS, (False, True), ("one-round", "two-round"), FAULTS
+    for kind, state, plan, fault in itertools.product(
+        KINDS, ("clean", "dirty", "recut"), ("one-round", "two-round"), FAULTS
     ):
         if plan == "two-round" and "shards" not in KINDS[kind]:
             continue  # the TPUT merge needs shards to trade width against
         if fault == "crash" and "replicas" not in KINDS[kind]:
             continue  # nothing survives a crash without a second copy
-        yield pytest.param(
-            kind, dirty, plan, fault,
-            id=f"{kind}-{'dirty' if dirty else 'clean'}-{plan}-{fault}",
-        )
+        if state == "recut" and kind != "range":
+            continue  # only a range partition has cuts to rebalance
+        yield pytest.param(kind, state, plan, fault, id=f"{kind}-{state}-{plan}-{fault}")
 
 
-@pytest.mark.parametrize("kind,dirty,plan,fault", _cells())
-def test_every_cell_answers_like_brute_force(kind, dirty, plan, fault):
-    handle, logical = _build(kind, dirty, FAULTS[fault])
+@pytest.mark.parametrize("kind,state,plan,fault", _cells())
+def test_every_cell_answers_like_brute_force(kind, state, plan, fault):
+    handle, logical = _build(kind, state == "dirty", FAULTS[fault], recut=state == "recut")
     for k in (K, 500):  # 500 > n: the threshold rank caps at the corpus size
         result = handle.search(QUERIES, k=k, plan=plan)
         for query, got in zip(QUERIES, result.results):

@@ -224,6 +224,48 @@ class TestOnlineRebalance:
             assert handle.compact()
             check(handle, logical)
 
+    @pytest.mark.parametrize("auto_compact", [False, True], ids=["manual", "auto_compact"])
+    def test_compaction_keeps_the_rebalanced_cuts(self, auto_compact):
+        """A recut survives the next rebuild (the parent recut to equal sizes at every compaction).
+
+        The interior cuts are handed back to ``_install`` and the last bound
+        moves to the new corpus length; answers equal a from-scratch refit,
+        and a second ``rebalance`` works from the carried cuts.
+        """
+        queries = self._queries(0, 400, count=6)
+        rows = narrow_band_rows()
+        with GenieSession() as session:
+            handle = self._build(session, stream_config=StreamConfig(auto_compact=auto_compact))
+            assert handle.rebalance([10.0, 1.0, 1.0, 1.0])
+            sizes = [len(p.corpus) for p in handle._parts]
+            assert sizes[0] < 300 and sum(sizes) == 1200
+            while handle.manifest is None or not handle.manifest.compactions:
+                fresh = [np.arange(3, 9), np.arange(100, 104)] * 40
+                rows += fresh
+                handle.insert(fresh)
+                if not auto_compact:
+                    assert handle.compact()
+            # The parent: equal quarters again. New ids join the last shard.
+            assert [len(p.corpus) for p in handle._parts] == [*sizes[:-1], sizes[-1] + len(rows) - 1200]
+            cuts = handle.plan.bounds
+            assert np.diff(cuts).tolist() == handle.plan.sizes() and cuts[-1] == len(rows)
+            refit = session.create_index(rows, model="raw", name="refit")
+            got, expected = handle.search(queries, k=K), refit.search(queries, k=K)
+            assert [r.as_pairs() for r in got.results] == [r.as_pairs() for r in expected.results]
+            assert [r.threshold for r in got.results] == [r.threshold for r in expected.results]
+            assert handle.rebalance([1.0, 1.0, 1.0, 10.0])  # and it recuts again from there
+            assert handle.plan.bounds[1] > cuts[1] and handle.plan.bounds[-1] == len(rows)
+            got = handle.search(queries, k=K)
+            assert [r.as_pairs() for r in got.results] == [r.as_pairs() for r in expected.results]
+
+    def test_an_unrecut_partition_stays_equal_size_across_compactions(self):
+        with GenieSession() as session:
+            handle = self._build(session, stream_config=StreamConfig(auto_compact=False))
+            handle.insert([np.arange(3, 9)] * 40)
+            assert handle.compact()
+            assert [len(p.corpus) for p in handle._parts] == [310, 310, 310, 310]
+            assert handle.plan.bounds == [0, 310, 620, 930, 1240]
+
     def test_unfitted_handle_raises(self):
         with GenieSession() as session:
             handle = session.declare_index(model="raw", name="idx", shards=4)

@@ -60,6 +60,55 @@ def test_only_baselines_and_experiments_import_the_specification():
     assert not offenders, "the specification leaked into production:\n" + "\n".join(offenders)
 
 
+def test_stream_and_cluster_never_import_the_session_layer():
+    """A slice copy lives next to the slice it copies: ``stream/`` builds the delta
+    run's from ``repro.cluster.plan``, not by reaching up into ``repro.api``."""
+    root = Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{lineno}: {module}"
+        for package in ("stream", "cluster")
+        for path in sorted((root / package).rglob("*.py"))
+        for lineno, module in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if module == "repro.api" or module.startswith("repro.api.")
+    ]
+    assert not offenders, "session-layer imports:\n" + "\n".join(offenders)
+
+
+def test_one_partition_cut_in_one_place():
+    """Cut points come from ``cluster/plan.py`` (equal ranges, ``part_size`` parts, carried
+    cuts) and ``balanced_range_bounds``; ``IndexHandle._install`` alone turns them into a plan.
+
+    A second ``linspace`` / stepped ``range`` in the session, stream, replica, plan or serve
+    layer is a second opinion about where slices end — how a compaction came to undo
+    ``rebalance()``.
+    """
+    root = Path(repro.__file__).parent
+    cutters, builders = [], []
+    for package in ("api", "stream", "replica", "plan", "serve", "cluster"):
+        for path in sorted((root / package).rglob("*.py")):
+            relative = str(path.relative_to(root))
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    if name == "linspace" or (name == "range" and len(node.args) == 3):
+                        cutters.append(f"{relative}::{function.name}")
+                    owner = getattr(getattr(node.func, "value", None), "id", "")
+                    if name == "build_ranges" or (name == "build" and owner in ("ShardPlan", "cls")):
+                        builders.append(f"{relative}::{function.name}")
+    assert sorted(set(cutters)) == ["cluster/plan.py::_equal_bounds", "cluster/plan.py::part_bounds"]
+    assert sorted(set(builders) - {"cluster/plan.py::build"}) == ["api/session.py::_install"]
+    from repro import plan
+    from repro.replica import rebalance
+
+    assert "ShardContext" not in plan.__all__ and not hasattr(plan, "ShardContext")
+    assert [name for name in vars(rebalance) if name.endswith("bounds")] == ["balanced_range_bounds"]
+
+
 def _called_names(path: Path):
     """Attribute / function names of every call expression in ``path``."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
