@@ -11,11 +11,12 @@
 
 The functional work of a batch has one path: a call to
 :func:`repro.core.batch_scan.plan_batch_scan` resolves every query's
-postings through the CSR position map, counts matches tile by tile (one
-``bincount`` per row where the postings stream is dense, ``np.unique`` of
-fused keys where it is sparse), and hands back batch arrays (block sizes,
-update and Gate-pass totals, the count histogram) plus either every query's
-top-k (c-PQ) or the dense count matrix GEN-SPQ's bucket selection reads.
+postings through the CSR position map, counts matches tile by tile
+(``np.unique`` of fused keys where the postings stream is sparse; per-row
+``bincount``, shared byte rows or bit planes where it is dense), and hands
+back batch arrays (block sizes, update and Gate-pass totals, the count
+histogram) plus either every query's top-k (c-PQ) or the dense count matrix
+GEN-SPQ's bucket selection reads.
 The per-query specification it is tested against, Algorithm-1 c-PQ run
 included, lives in :mod:`repro.core.reference`, which the engine never imports.
 

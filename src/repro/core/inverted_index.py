@@ -310,6 +310,27 @@ class InvertedIndex:
             self._list_array32 = self.list_array.astype(np.int32)
         return self._list_array32
 
+    @cached_property
+    def keyword_bitmaps(self) -> np.ndarray | None:
+        """Every keyword row's whole list as a packed bitmap, plus one all-zero row last.
+
+        Row ``i`` holds object ``o`` at bit ``o % 64`` of word ``o // 64``: the
+        bit-sliced scan's operands, kept on the host only (the device still
+        receives :attr:`list_array32`). Per keyword row, not per span, so load
+        balancing does not change them; ``None`` where they would outweigh
+        ``list_array32`` (as lists averaging under ``n_objects / 32`` do).
+        """
+        rows, words = self.keyword_array.size, -(-self.n_objects // 64)
+        if self.total_entries == 0 or (rows + 1) * words * 8 > 4 * self.total_entries:
+            return None
+        bitmaps = np.zeros((rows + 1, words), dtype=np.uint64)
+        # Lists ascend by (row, object), so the bits of one (row, word) cell are one run.
+        cell = np.repeat(np.arange(rows) * words, np.diff(self.list_offsets)) + (self.list_array >> 6)
+        first = np.flatnonzero(np.diff(cell, prepend=-1))
+        bits = np.left_shift(np.uint64(1), (self.list_array & 63).astype(np.uint64))
+        bitmaps.reshape(-1)[cell[first]] = np.bitwise_or.reduceat(bits, first)
+        return bitmaps
+
     # ------------------------------------------------------------------
     # scalar lookups (functions over the CSR arrays)
 

@@ -7,11 +7,12 @@ reference's own tie identity at the k-th count (Theorem 3.1 pins counts and
 threshold, not which tied id the Robin Hood table happens to retain).
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import batch_scan
@@ -22,7 +23,7 @@ from repro.core.load_balance import LoadBalanceConfig, split_span
 from repro.core.match_count import match_counts_all
 from repro.core import reference
 from repro.core.scan_kernel import build_match_launch
-from repro.core.types import Corpus, Query, QueryBatch
+from repro.core.types import Corpus, Query, QueryBatch, csr_offsets
 from repro.gpu.device import Device
 from repro.gpu.specs import TITAN_X
 
@@ -69,7 +70,8 @@ def make_batch(raw_queries):
 def record_regimes(monkeypatch):
     """The counting regime of every tile ``plan_batch_scan`` sweeps from here on, in order."""
     taken = []
-    for regime, name in (("sparse", "_positive_cells"), ("short", "_count_rows"), ("long", "_add_byte_rows")):
+    regimes = (("sparse", "_positive_cells"), ("short", "_count_rows"), ("long", "_add_byte_rows"), ("bits", "_add_bitmaps"))
+    for regime, name in regimes:
         def counted(*args, _regime=regime, _count=getattr(batch_scan, name)):
             taken.append(_regime)
             return _count(*args)
@@ -237,12 +239,15 @@ class TestPlanEquivalence:
         for got in (dense, scan):
             assert_scan_matches_reference(index, queries, 2, got)
 
+    @pytest.mark.parametrize("plane_floor", [None, 0], ids=["plane_floor", "no_plane_floor"])
     @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
     @pytest.mark.parametrize("max_fused_cells", [1, 7, 64, 10**9])
     @pytest.mark.parametrize("select", [False, True], ids=["gen_spq", "cpq"])
     @pytest.mark.parametrize("hole", list(HOLES))
     @pytest.mark.parametrize("density", list(REGIME_QUERIES))
-    def test_counting_regimes(self, monkeypatch, density, hole, select, max_fused_cells, lb):
+    def test_counting_regimes(self, monkeypatch, density, hole, select, max_fused_cells, lb, plane_floor):
+        if plane_floor is not None:  # so 16-object tiles may count as bit planes
+            monkeypatch.setattr(batch_scan, "MIN_PLANE_BYTES", plane_floor)
         index = InvertedIndex.build(REGIME_CORPUS, load_balance=lb)
         before, after = REGIME_QUERIES[density][:2], REGIME_QUERIES[density][2:]
         raw = [*before, HOLES[hole], *after]
@@ -252,18 +257,30 @@ class TestPlanEquivalence:
         assert_scan_matches_reference(index, queries, 3, scan)
         # The rule, from the specification's numbers: a tile is sparse up to a
         # quarter of its cells; dense tiles add byte rows when the batch's
-        # spans average a quarter of the objects, else count row by row.
+        # spans average a quarter of the objects, else count row by row — or,
+        # on the c-PQ path, as bit planes (one 8-byte word a row) when a plane
+        # reaches MIN_PLANE_BYTES, a row ripples at most three words per entry
+        # and the planes plus two scratch rows fit the tile's bytes.
         spans = [sum(len(index.spans_for_keyword(kw)) for item in query for kw in item) for query in raw]
+        refs = [sum(len(set(item) & set(index.keywords)) for item in query) for query in raw]
         long_lists = int(scan.updates.sum()) * 4 >= sum(spans) * 16 and max(spans) <= 255
         rows_per_tile = max(1, max_fused_cells // 16)
-        expected = [
-            "sparse" if int(scan.updates[lo : lo + rows_per_tile].sum()) * 4 <= len(raw[lo : lo + rows_per_tile]) * 16
-            else "long" if long_lists else "short"
-            for lo in range(0, 5, rows_per_tile)
-        ]
-        assert taken == expected
+
+        def regime(lo, hi):
+            entries, plane, most = int(scan.updates[lo:hi].sum()), (hi - lo) * 8, max(refs[lo:hi])
+            if entries * 4 <= (hi - lo) * 16:
+                return "sparse"
+            bits = plane >= batch_scan.MIN_PLANE_BYTES and (hi - lo) * most * most.bit_length() <= 3 * entries
+            if not long_lists and select and bits and (most.bit_length() + 2) * plane <= max_fused_cells * 4:
+                return "bits"
+            return "long" if long_lists else "short"
+
+        assert taken == [regime(lo, min(lo + rows_per_tile, 5)) for lo in range(0, 5, rows_per_tile)]
         if max_fused_cells == 10**9 and lb is None:  # one tile, so the batch's density is the tile's
-            assert taken == [REGIME_WITHOUT_LB[density]]
+            # Unfloored, "one_past" ripples 5 rows x 2 refs x 2 planes = 20 words
+            # for 21 entries and "short_lists" 5 x 4 x 3 = 60 for 28.
+            expected = REGIME_WITHOUT_LB[density]
+            assert taken == ["bits" if expected == "short" and select and plane_floor == 0 else expected]
 
     @pytest.mark.parametrize("refs, regime", [(255, "long"), (256, "short")])
     @pytest.mark.parametrize("select", [False, True], ids=["gen_spq", "cpq"])
@@ -351,6 +368,135 @@ class TestLongListRegime:
                 assert "short" not in taken or "long" not in taken  # one dense regime per batch
                 long_tiles += taken.count("long")
         assert long_tiles >= 25
+
+
+def record_planes(monkeypatch):
+    """The bit planes of every tile ``plan_batch_scan`` counts as planes from here on."""
+    planes = []
+    add_bitmaps = batch_scan._add_bitmaps
+    monkeypatch.setattr(batch_scan, "_add_bitmaps", lambda *args: planes.append(add_bitmaps(*args)) or planes[-1])
+    return planes
+
+
+def lsh_case(n, functions, buckets, rows, seed=0):
+    """An E2LSH-shaped index and batch: one keyword per hash function, uniform buckets."""
+    rng = np.random.default_rng(seed)
+    first = np.arange(functions) * buckets
+    index = InvertedIndex.build(Corpus(rng.integers(0, buckets, size=(n, functions)) + first))
+    keywords = rng.integers(0, buckets, size=(rows, functions)) + first
+    return index, QueryBatch(keywords.reshape(-1), None, np.arange(rows + 1) * functions)
+
+
+class TestBitSlicedRegime:
+    """Dense c-PQ tiles as bit planes of per-keyword bitmaps equal the specification's plan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 150),
+        st.lists(st.sampled_from([0, 1, 2, 5, 63, 64, 65]), min_size=1, max_size=5),
+        st.integers(1, 160),
+        lb_configs,
+        st.sampled_from([1, 300, 10**9]),
+        st.integers(0, 2**16),
+    )
+    def test_matches_the_specification(self, n, refs, k, lb, max_fused_cells, seed):
+        # Six keywords, each on about a third of the objects; a row names its
+        # keywords with repeats, one item each, so 64 references hit every
+        # keyword in several items. k may pass n; n need not be a multiple of 64.
+        rng = np.random.default_rng(seed)
+        index = InvertedIndex.build(Corpus([np.flatnonzero(rng.random(6) < 0.35) for _ in range(n)]), load_balance=lb)
+        assume(index.keyword_bitmaps is not None)
+        keywords = np.concatenate([rng.choice(index.keyword_array, size=r) for r in refs])
+        queries = QueryBatch(keywords, None, csr_offsets(refs))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_scan, "_bit_planes_pay", lambda *args: True)
+            patch.setattr(batch_scan, "_shared_byte_rows", lambda *args: None)
+            taken = record_regimes(patch)
+            scan = plan_batch_scan(index, queries, k, max_fused_cells=max_fused_cells, select=True)
+        assert set(taken) <= {"sparse", "bits"}
+        assert_scan_matches_reference(index, queries, k, scan)
+
+    @pytest.mark.parametrize("refs, n_planes", [(63, 6), (64, 7), (65, 7)])
+    def test_the_plane_count_follows_the_references(self, monkeypatch, refs, n_planes):
+        # Keyword 0 on every fifth object, keyword 1 on every tenth (lists under
+        # a quarter of the objects): rows 0 and 1 end at `refs` on their
+        # keyword's objects, row 2 is empty.
+        monkeypatch.setattr(batch_scan, "MIN_PLANE_BYTES", 0)
+        index = InvertedIndex.build(Corpus([[kw for kw, step in ((0, 5), (1, 10)) if obj % step == 0] for obj in range(100)]))
+        queries = QueryBatch([0] * refs + [1] * refs, None, [0, refs, 2 * refs, 2 * refs])
+        planes = record_planes(monkeypatch)
+        scan = plan_batch_scan(index, queries, 3, select=True)
+        assert [len(p) for p in planes] == [n_planes]
+        assert np.flatnonzero(scan.count_hist).tolist() == [refs]
+        assert_scan_matches_reference(index, queries, 3, scan)
+
+    # The rule, by input shape on both of its sides (the scan is what a
+    # workload of that shape would send; no workload is named).
+
+    def test_a_large_batch_of_long_e2lsh_lists_takes_bit_planes(self, monkeypatch):
+        # 256 queries x 64 references over 8 000 objects, lists ~ n / 9: every
+        # tile of 65 rows ripples 125 x 64 x 7 words a row for ~57 k entries.
+        index, queries = lsh_case(8000, 64, 9, 256)
+        taken = record_regimes(monkeypatch)
+        scan = plan_batch_scan(index, queries, 10, select=True)
+        assert taken == ["bits"] * 4
+        assert_scan_matches_reference(index, queries, 10, scan)
+
+    def test_short_lists_in_a_large_tile_count_row_by_row(self, monkeypatch):
+        # 65 rows x 128 references over lists ~ n / 30: 125 x 128 x 8 ripple
+        # words a row for ~34 k entries, 3.75 an entry.
+        index, queries = lsh_case(8000, 128, 30, 65)
+        assert index.keyword_bitmaps is not None
+        taken = record_regimes(monkeypatch)
+        plan_batch_scan(index, queries, 10, select=True)
+        assert taken == ["short"]
+
+    @pytest.mark.parametrize("rows", [1, 8, 32])
+    @pytest.mark.parametrize("items", ["one_keyword", "ranges"])
+    def test_small_batches_count_row_by_row(self, monkeypatch, rows, items):
+        # Over 4 000 objects a plane of 32 rows is 16 KB, under MIN_PLANE_BYTES.
+        if items == "one_keyword":  # 32 hash functions, lists ~ n / 18
+            index, queries = lsh_case(4000, 32, 18, rows)
+        else:  # 14 attributes of 10 values, each item a range of 3 to 5 of them
+            rng = np.random.default_rng(1)
+            first = np.arange(14) * 10
+            index = InvertedIndex.build(Corpus(rng.integers(0, 10, size=(4000, 14)) + first))
+            queries = QueryBatch.from_queries([
+                Query(items=[np.arange(lo, lo + rng.integers(3, 6)) + base for lo, base in zip(rng.integers(0, 6, size=14), first)])
+                for _ in range(rows)
+            ])
+        assert index.keyword_bitmaps is not None
+        taken = record_regimes(monkeypatch)
+        plan_batch_scan(index, queries, 10, select=True)
+        assert taken == ["short"]
+
+    def test_a_long_list_tile_keeps_its_byte_rows(self, monkeypatch):
+        # 64 rows x 16 references over 2 000 objects, lists ~ n / 3.
+        index, queries = lsh_case(2000, 16, 3, 64)
+        taken = record_regimes(monkeypatch)
+        plan_batch_scan(index, queries, 10, select=True)
+        assert taken == ["long"]
+
+    # Memory.
+
+    def test_bit_planes_stay_within_the_tile_budget(self, monkeypatch):
+        index, queries = lsh_case(8000, 64, 9, 256)
+        planes = record_planes(monkeypatch)
+        plan_batch_scan(index, queries, 10, select=True)
+        assert len(planes) == 4
+        for tile in planes:  # the planes plus a pass's two scratch rows
+            assert (len(tile) + 2) * tile[0].nbytes <= batch_scan.DEFAULT_MAX_FUSED_CELLS * 4
+
+    def test_a_scan_leaves_no_cycle_holding_its_planes(self):
+        index, queries = lsh_case(8000, 64, 9, 70)
+        plan_batch_scan(index, queries, 10, select=True)  # the index's lazy arrays, built outside
+        gc.collect()
+        gc.disable()
+        try:
+            plan_batch_scan(index, queries, 10, select=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEveryConstructor:

@@ -100,6 +100,38 @@ class TestSizes:
         assert split.host_bytes() > plain.host_bytes()
 
 
+class TestKeywordBitmaps:
+    """The bit-sliced scan's operands: one packed bitmap per keyword row, host only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 80), st.integers(0, 3), st.integers(0, 2**16))
+    def test_bitmaps_are_the_lists_and_never_outweigh_them(self, n, universe, per_object, seed):
+        rng = np.random.default_rng(seed)
+        corpus = Corpus(rng.integers(0, universe, size=(n, per_object)))
+        index = InvertedIndex.build(corpus)
+        bitmaps = index.keyword_bitmaps
+        rows, entries = index.keyword_array.size, index.total_entries
+        if entries * 32 < n * rows:  # lists average under n / 32
+            assert bitmaps is None
+        if bitmaps is None:
+            return
+        assert bitmaps.nbytes <= index.list_array32.nbytes
+        bits = (bitmaps[:, np.arange(n) // 64] >> (np.arange(n) % 64).astype(np.uint64)) & np.uint64(1)
+        for row, keyword in enumerate(index.keywords):
+            assert np.array_equal(np.flatnonzero(bits[row]), index.postings_for_keyword(keyword))
+        assert not bitmaps[-1].any() and bitmaps.shape == (rows + 1, -(-n // 64))
+        # Per keyword row, not per span: load balancing leaves them alone.
+        split = InvertedIndex.build(corpus, LoadBalanceConfig(max_sublist_len=3))
+        assert np.array_equal(split.keyword_bitmaps, bitmaps)
+
+    def test_no_bitmaps_below_a_mean_list_of_n_over_32(self):
+        # 640 objects over 21 keywords: lists of 30 and 31 against n / 32 = 20,
+        # then 33 keywords, lists of 19 and 20 (mean 19.4).
+        assert InvertedIndex.build(Corpus([[obj % 21] for obj in range(640)])).keyword_bitmaps is not None
+        assert InvertedIndex.build(Corpus([[obj % 33] for obj in range(640)])).keyword_bitmaps is None
+        assert InvertedIndex.build(Corpus([[], []])).keyword_bitmaps is None
+
+
 @settings(max_examples=30)
 @given(
     st.lists(st.lists(st.integers(0, 20), max_size=6), min_size=1, max_size=30),
