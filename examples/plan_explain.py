@@ -12,7 +12,7 @@ age, range-partitioned across four simulated shard devices — and shows:
 * cost-based ``auto``: after ``session.calibrate_cost_model()`` the
   planner prices the route x merge lattice per batch (``cost≈`` lines in
   ``explain()``), predicts each batch's device seconds, and the plan
-  cache answers repeated query shapes with zero planning cost.
+  cache answers repeated broadcast shapes with zero planning cost.
 
 Run with: PYTHONPATH=src python examples/plan_explain.py
 """
@@ -82,11 +82,14 @@ def main():
         f"predicted {costed.predicted_cost * 1e6:.2f}us, "
         f"observed {observed * 1e6:.2f}us (still bit-identical, asserted)"
     )
+    # A pruned plan reads the batch's keywords, so it compiles per batch;
+    # a broadcast plan reads only the batch's shape, so it is cached.
+    adult.search(band, k=K, route="broadcast")
     plan_route = session.host.timings.get("plan_route")
-    adult.search(band, k=K)  # same query shape: warm plan-cache lane
+    adult.search(band, k=K, route="broadcast")  # same shape: warm plan-cache lane
     assert session.host.timings.get("plan_route") == plan_route
     print(
-        "repeat of the same query shape hit the plan cache: "
+        "repeat of the same broadcast shape hit the plan cache: "
         f"zero additional plan_route seconds "
         f"(cache stats: {session.plan_cache.stats()})"
     )

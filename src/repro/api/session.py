@@ -217,9 +217,10 @@ class GenieSession:
             Queries need headroom next to the indexes, so multi-tenant
             sessions should budget below capacity.
         plan_cache_size: Compiled plans the session's
-            :class:`~repro.plan.cache.PlanCache` retains (repeated query
-            shapes on sharded indexes skip planning and its
-            ``plan_route`` charge). ``0`` or ``None`` disables the cache.
+            :class:`~repro.plan.cache.PlanCache` retains (repeated batch
+            shapes on clean sharded indexes with a broadcast route skip
+            planning and its ``plan_route`` charge). ``0`` or ``None``
+            disables the cache.
     """
 
     def __init__(
@@ -254,7 +255,6 @@ class GenieSession:
         self._event_sinks: list[list[ResidencyEvent]] = []
         self.plan_cache = PlanCache(capacity=plan_cache_size) if plan_cache_size else None
         self._cost_coefficients: dict | None = None
-        self._cost_epoch = 0
         # Serving layers attach a repro.obs.Tracer here; background work
         # (stream compaction) records standalone spans through it.
         self.tracer = None
@@ -277,17 +277,15 @@ class GenieSession:
 
         ``None`` until :meth:`calibrate_cost_model` runs (the planner
         then follows its rule-based fallbacks). Assigning a dict — the
-        calibration result or a hand-rolled one in tests — bumps the
-        session's cost epoch and flushes the plan cache, so previously
-        cached pricing decisions can never outlive the model that made
-        them.
+        calibration result or a hand-rolled one in tests — flushes the
+        plan cache, so previously cached pricing decisions can never
+        outlive the model that made them.
         """
         return self._cost_coefficients
 
     @cost_coefficients.setter
     def cost_coefficients(self, coefficients: dict | None) -> None:
         self._cost_coefficients = dict(coefficients) if coefficients is not None else None
-        self._cost_epoch += 1
         if self.plan_cache is not None:
             self.plan_cache.clear()
 
@@ -522,10 +520,12 @@ class GenieSession:
         self.index(name).evict()
 
     def drop(self, name: str) -> None:
-        """Evict and unregister the named index."""
+        """Evict and unregister the named index (its name may be reused)."""
         handle = self.index(name)
         handle.evict()
         del self._handles[name]
+        if self.plan_cache is not None:
+            self.plan_cache.invalidate(name)
         self._notify_invalidated(name)
 
     def evict_all(self) -> None:
@@ -569,15 +569,15 @@ class GenieSession:
     def add_invalidation_hook(self, hook: Callable[[str], None]) -> None:
         """Call ``hook(index_name)`` whenever an index's results go stale.
 
-        Fired by :meth:`drop` and by :meth:`IndexHandle.fit` (a refit
-        changes what every query would return). The serve layer's
-        query-result cache subscribes to drop exactly the stale entries.
+        Fired by :meth:`drop`, :meth:`IndexHandle.fit` (a refit changes
+        what every query would return) and every online mutation. The
+        serve layer's query-result cache subscribes to drop exactly the
+        stale entries. Compiled plans are not results: they go stale only
+        where the handle reinstalls its partition (``_install``).
         """
         self._invalidation_hooks.append(hook)
 
     def _notify_invalidated(self, name: str) -> None:
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate(name)
         for hook in self._invalidation_hooks:
             hook(name)
 
@@ -713,7 +713,6 @@ class IndexHandle:
         #: (one slice when neither ``part_size`` nor ``shards`` cut the
         #: corpus; ``None`` until fitted).
         self.plan: ShardPlan | None = None
-        self.rebalance_epoch = 0
         #: Per-shard stage profiles of the last search, in shard order.
         #: ``()`` until a sharded search succeeds — and again after a
         #: search *fails*, so a monitoring caller never reads a previous
@@ -846,11 +845,14 @@ class IndexHandle:
         slices go where ``placement.layout`` says (each copy pays
         ``index_transfer`` on its own link), so a copy healed off a failed
         device is not put back by the next rebuild; everything else lives
-        on the session device. No epoch bump or invalidation here:
-        compaction and rebalance leave results unchanged by construction,
-        and their callers handle plan staleness.
+        on the session device. This is the one place the index's compiled
+        plans go stale, so it invalidates them first; result caches are
+        the callers' business (a refit notifies them, compaction and
+        rebalance leave answers unchanged by construction).
         """
         session, placement = self.session, self.placement
+        if session.plan_cache is not None:
+            session.plan_cache.invalidate(self.name)
         if self.part_size is not None:
             # Parts are sized to fit the device: recut at part_size on every rebuild.
             bounds = part_bounds(len(corpus), self.part_size)
@@ -901,11 +903,11 @@ class IndexHandle:
         neighbours absorb the edges. The plan stays a range partition, so
         keyword-bounds routing (and shard pruning) keeps working.
 
-        Invalidation is scoped: the *plan* cache entries for this index
-        are dropped (the routing table changed) and ``rebalance_epoch``
-        joins the plan-cache key, but serve-layer *result* caches are
-        untouched — a rebalance moves objects between devices without
-        changing any answer, which the equivalence tests pin.
+        Invalidation is scoped: the recut goes through ``_install``, which
+        drops this index's cached *plans* (the routing table changed), but
+        serve-layer *result* caches are untouched — a rebalance moves
+        objects between devices without changing any answer, which the
+        equivalence tests pin.
 
         Returns ``True`` if the partition changed. No-ops (``False``)
         for unsharded or hash-partitioned handles, while mutations are
@@ -934,9 +936,6 @@ class IndexHandle:
         if bounds is None or bounds == self.plan.bounds:
             return False
         self._install(self.plan.reassemble(), bounds)
-        self.rebalance_epoch += 1
-        if self.session.plan_cache is not None:
-            self.session.plan_cache.invalidate(self.name)
         return True
 
     def re_replicate(self) -> int:
@@ -1133,10 +1132,12 @@ class IndexHandle:
 
         Both :meth:`search_encoded` and :meth:`explain` funnel through
         here, so an explained plan always reflects exactly what a search
-        with the same arguments would validate and execute. Sharded
-        compiles consult the session's :class:`~repro.plan.cache.PlanCache`
-        first: a hit skips planning entirely (and its ``plan_route``
-        charge — the decisions were paid at first compile).
+        with the same arguments would validate and execute. A compile
+        that reads only the batch's shape — a clean sharded index whose
+        route consults no per-query eligibility — consults the session's
+        :class:`~repro.plan.cache.PlanCache` first: a hit skips planning
+        entirely (and its ``plan_route`` charge — the decisions were paid
+        at first compile). Everything else compiles per batch.
 
         Returns:
             ``(k, compiled, cache_hit)`` — whether the plan came from the
@@ -1151,45 +1152,33 @@ class IndexHandle:
         if k < 1:
             raise QueryError("k must be >= 1")
         retrieval_k = resolve_shortlist_k(self.model, k, search_opts)
+
+        def compile_now():
+            return compile_search(self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan)
+
         cache, placement = self.session.plan_cache, self.placement
         if cache is None or placement is None:
-            return k, compile_search(
-                self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan
-            ), False
+            return k, compile_now(), False
         norm_route, norm_plan = validate_plan_args(route, plan, sharded=True)
-        needs_buckets = eligibility_needed(norm_route, placement.strategy)
-        dirty = self._stream is not None and self._stream.dirty
+        if eligibility_needed(norm_route, placement.strategy) or (
+            self._stream is not None and self._stream.dirty
+        ):
+            return k, compile_now(), False
         shape = (
-            self.session._cost_epoch, placement.shards, placement.strategy,
-            k, retrieval_k, tuple(sorted(search_opts.items())),
-            norm_route, norm_plan, dirty,
+            k, retrieval_k, tuple(sorted(search_opts.items())), norm_route, norm_plan,
+            tuple((queries.items_per_query > 0).tolist()),
         )
-        # Compaction and rebalance rewrite the shard keyword tables the
-        # planner routes against without touching the fit epoch (results
-        # are unchanged), so each contributes its own epoch component.
-        base_epoch = self._stream.manifest.base_epoch if self._stream is not None else 0
-        plan_epoch = (self.fit_epoch, base_epoch, self.rebalance_epoch)
         try:
-            hit = cache.fetch(
-                index=self.name, fit_epoch=plan_epoch, shape=shape,
-                needs_buckets=needs_buckets, queries=queries,
-            )
-        except TypeError:  # unhashable search-option values: bypass the cache
-            return k, compile_search(
-                self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan
-            ), False
+            hit = cache.fetch(self.name, shape)
+        except TypeError:  # an unhashable search-option value: compile uncached
+            return k, compile_now(), False
         if hit is not None:
             # Reuse the cached decision, but re-extract this batch's cost
             # features so the reported predicted_cost describes *these*
             # queries, not whichever batch compiled the plan first.
             return k, reprice_plan(self, hit, queries), True
-        compiled = compile_search(
-            self, queries, k=k, retrieval_k=retrieval_k, route=route, plan=plan
-        )
-        cache.store(
-            index=self.name, fit_epoch=plan_epoch, shape=shape,
-            needs_buckets=needs_buckets, queries=queries, compiled=compiled,
-        )
+        compiled = compile_now()
+        cache.store(self.name, shape, compiled)
         return k, compiled, False
 
     def encode_queries(self, raw_queries) -> QueryBatch:

@@ -9,6 +9,8 @@ GENIE's tau-ANN search then targets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigError, QueryError
@@ -19,14 +21,13 @@ def psi_l2(distance: float, width: float) -> float:
     """Collision probability of a Gaussian p-stable function at distance ``d``.
 
     Closed form of Eqn. 11 for p = 2:
-    ``1 - 2*Phi(-w/d) - (2d / (sqrt(2 pi) w)) * (1 - exp(-w^2 / (2 d^2)))``.
+    ``1 - 2*Phi(-w/d) - (2d / (sqrt(2 pi) w)) * (1 - exp(-w^2 / (2 d^2)))``,
+    where ``1 - 2*Phi(-r) = erf(r / sqrt(2))``.
     """
     if distance <= 0:
         return 1.0
-    from scipy.stats import norm  # here, not at the top: most of ``import repro``'s time
-
     ratio = width / distance
-    term1 = 1.0 - 2.0 * norm.cdf(-ratio)
+    term1 = math.erf(ratio / math.sqrt(2.0))
     term2 = (2.0 / (np.sqrt(2.0 * np.pi) * ratio)) * (1.0 - np.exp(-(ratio**2) / 2.0))
     return float(term1 - term2)
 

@@ -36,7 +36,8 @@ def success_probability(s: float, m: int, eps: float = PAPER_EPS) -> float:
     ``[ceil((s - eps) m), floor((s + eps) m)]``. (Eqn. 9's display writes
     looser floor/ceil limits, but those would make m = 1 trivially succeed;
     the strict limits reproduce the Fig. 8 curve: peak 234 at s = 0.5
-    versus the 237 the paper reads off its own simulation.)
+    versus the 237 the paper reads off its own simulation.) The tail is
+    summed exactly, one binomial term per count, each in log space.
     """
     if not 0 <= s <= 1:
         raise ConfigError("similarity s must lie in [0, 1]")
@@ -46,9 +47,14 @@ def success_probability(s: float, m: int, eps: float = PAPER_EPS) -> float:
     hi = min(m, math.floor((s + eps) * m))
     if hi < lo:
         return 0.0
-    from scipy.stats import binom  # here, not at the top: most of ``import repro``'s time
-
-    return float(binom.cdf(hi, m, s) - (binom.cdf(lo - 1, m, s) if lo > 0 else 0.0))
+    if s in (0.0, 1.0):
+        return 1.0  # all the mass sits on c = s * m, which [lo, hi] holds
+    log_s, log_rest, log_m = math.log(s), math.log1p(-s), math.lgamma(m + 1)
+    terms = (
+        math.exp(log_m - math.lgamma(c + 1) - math.lgamma(m - c + 1) + c * log_s + (m - c) * log_rest)
+        for c in range(lo, hi + 1)
+    )
+    return min(1.0, math.fsum(terms))
 
 
 def required_m(

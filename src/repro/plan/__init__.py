@@ -39,9 +39,9 @@ The route is always a rule. The merge is priced once
 batch — transfers, select and merge priced by the simulator itself
 (:meth:`Device.price <repro.gpu.device.Device.price>`), only the match
 stage by the fit (``cost≈`` lines appear in ``explain()``) — and the
-session's :class:`~repro.plan.cache.PlanCache` memoizes compiled plans so
-repeated query shapes skip planning — and its ``plan_route`` host
-charge — entirely.
+session's :class:`~repro.plan.cache.PlanCache` memoizes broadcast plans
+of clean sharded indexes so repeated batch shapes skip planning — and
+its ``plan_route`` host charge — entirely.
 """
 
 from repro.plan.cache import PlanCache

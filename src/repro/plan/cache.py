@@ -1,45 +1,28 @@
-"""The compiled-plan cache: repeated query *shapes* skip planning.
+"""The compiled-plan cache: repeated batch *shapes* skip planning.
 
-Steady-state serving traffic repeats shapes, not just exact queries: a
-different age-band value produces a different result (the query-result
-cache misses) but often the *same plan* — same directives, same ``k``,
-same per-query shard eligibility. Compiling that plan again re-runs the
-routing membership test and (when calibrated) the merge-pricing feature
-pass, host work charged to ``plan_route`` on every batch. This cache
-memoizes the finished :class:`~repro.plan.planner.CompiledPlan` so a
-warm lane pays **zero** compile or ``plan_route`` cost per batch.
-
-Correctness rests on the key being everything the planner's output is a
-function of:
-
-* the index name and its ``fit_epoch`` (a refit changes the shard
-  keyword tables), the session's cost epoch (recalibration changes the
-  pricing), shard count and partition strategy (a re-declared index
-  must miss), ``k`` / ``retrieval_k`` / sorted model options, and the
-  normalized ``route``/``plan`` directives;
-* per query, its *eligibility bucket*: the exact bitmask of shards its
-  keywords appear in, memoized per query identity
-  (:meth:`QueryBatch.key_bytes <repro.core.types.QueryBatch.key_bytes>`)
-  in a second-level LRU.
-  Exact-by-construction — a coarser bucket (keyword bounds, hashes)
-  could alias two batches whose plans route differently, and a reused
-  wrong route would drop results. When any query's bucket is not
-  memoized yet the batch is a miss, the fresh compile provides the
-  buckets, and the shape is warm from then on. Plans whose route never
-  consults eligibility (broadcast: forced, or ruled on a hash partition)
-  key on the per-query elision flag alone.
+Only plans whose compile reads nothing but the batch's shape are cached:
+a clean sharded index whose route does not consult per-query eligibility
+(:func:`~repro.plan.planner.eligibility_needed` is false — broadcast,
+forced or ruled on a hash partition). For those, the planner's output is
+a function of the index's partition, the session's cost coefficients and
+the key ``(index, k, retrieval_k, sorted model options, route, plan,
+per-query elision flags)``, so a warm lane pays **zero** compile or
+``plan_route`` cost per batch. Range ``auto`` / ``pruned`` routes and
+dirty (mutated) indexes compile per batch: their plans read the queries'
+keywords or the live delta run.
 
 One deliberate staleness: the priced one-round / two-round choice reads
-the batch's postings *totals*, which the bucket signature does not capture — two
-batches with identical eligibility but different postings reuse one
-plan. Both plans are bit-identical in results (the planner's
-invariant), so a hit can only be cost-suboptimal, never wrong — the
-standard prepared-plan trade, and the price of skipping the pricing
-pass entirely.
+the batch's postings *totals*, which the key does not capture — two
+batches of one shape reuse one plan. Both plans are bit-identical in
+results (the planner's invariant), so a hit can only be cost-suboptimal,
+never wrong — the standard prepared-plan trade.
 
-Invalidation is event-driven through the session's existing hook
-machinery (``fit``/``drop`` fire it), and residency is orthogonal: an
-evicted shard swaps back in during execution, the *plan* stays valid.
+Staleness has one rule each for the two things the key leaves out:
+:meth:`IndexHandle._install <repro.api.session.IndexHandle._install>`
+(fit, compaction, rebalance) and ``drop`` invalidate the index's plans,
+and assigning cost coefficients clears them all. Mutations and residency
+are orthogonal: a mutated index stops reading the cache until compaction
+reinstalls it, and an evicted shard swaps back in during execution.
 """
 
 from __future__ import annotations
@@ -52,15 +35,12 @@ from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.plan")
 
-#: Memoized per-query eligibility buckets a :class:`PlanCache` retains.
-BUCKET_CAPACITY = 8192
-
 
 class PlanCache:
-    """A bounded LRU of compiled plans plus a query-bucket memo.
+    """A bounded LRU of compiled plans.
 
     Args:
-        capacity: Maximum cached plans (batch-level entries).
+        capacity: Maximum cached plans.
     """
 
     def __init__(self, capacity: int = 256):
@@ -68,7 +48,6 @@ class PlanCache:
             raise ConfigError("plan cache capacity must be >= 1")
         self.capacity = int(capacity)
         self._plans: OrderedDict[tuple, object] = OrderedDict()
-        self._buckets: OrderedDict[tuple, int] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -77,39 +56,18 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    # ------------------------------------------------------------------
-    # signatures
-
-    def _signature(self, index, fit_epoch, needs_buckets, queries):
-        """Per-query shape signature, or ``None`` if a bucket is cold."""
-        alive = (queries.items_per_query > 0).tolist()
-        if not needs_buckets:
-            return tuple((flag, None) for flag in alive)
-        signature = []
-        for i, flag in enumerate(alive):
-            key = (index, fit_epoch, queries.key_bytes(i))
-            mask = self._buckets.get(key)
-            if mask is None:
-                return None
-            self._buckets.move_to_end(key)
-            signature.append((flag, mask))
-        return tuple(signature)
-
-    # ------------------------------------------------------------------
-    # lookup / store
-
-    def fetch(self, *, index, fit_epoch, shape, needs_buckets, queries):
-        """The cached plan for this batch shape, or ``None`` (a miss).
+    def fetch(self, index: str, shape: tuple):
+        """The cached plan of ``index`` for this batch shape, or ``None`` (a miss).
 
         A hit returns the plan with ``routing_ops`` zeroed: the routing
         and pricing decisions were paid when the plan was first
         compiled, so a reuse charges nothing to ``plan_route``.
+
+        Raises:
+            TypeError: ``shape`` holds an unhashable value (callers
+                compile such a batch uncached).
         """
-        signature = self._signature(index, fit_epoch, needs_buckets, queries)
-        if signature is None:
-            self.misses += 1
-            return None
-        key = (index, fit_epoch, shape, signature)
+        key = (index, shape)
         try:
             compiled = self._plans.pop(key)
         except KeyError:
@@ -119,56 +77,27 @@ class PlanCache:
         self.hits += 1
         return dataclasses.replace(compiled, routing_ops=0.0)
 
-    def store(self, *, index, fit_epoch, shape, needs_buckets, queries, compiled) -> None:
-        """Memoize a freshly compiled plan (and its query buckets)."""
-        masks: list = [None] * len(queries)
-        if needs_buckets:
-            if compiled.query_buckets is None:
-                return  # the planner computed no exact eligibility: uncacheable
-            masks = [int(mask) for mask in compiled.query_buckets]
-            for i, mask in enumerate(masks):
-                key = (index, fit_epoch, queries.key_bytes(i))
-                self._buckets.pop(key, None)
-                self._buckets[key] = mask
-            while len(self._buckets) > BUCKET_CAPACITY:
-                self._buckets.popitem(last=False)
-        signature = tuple(zip((queries.items_per_query > 0).tolist(), masks))
-        key = (index, fit_epoch, shape, signature)
-        self._plans.pop(key, None)
-        self._plans[key] = compiled
+    def store(self, index: str, shape: tuple, compiled) -> None:
+        """Memoize a freshly compiled plan."""
+        self._plans[(index, shape)] = compiled
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
             self.evictions += 1
 
-    # ------------------------------------------------------------------
-    # invalidation
-
     def invalidate(self, index: str) -> int:
-        """Drop every plan and bucket of ``index``; returns plans removed.
-
-        Wired to the session's invalidation hooks, so ``fit()`` (epoch
-        bump) and ``drop()`` both land here. The epoch is in the key too
-        — invalidation keeps the cache small, the epoch keeps it right.
-        """
+        """Drop every plan of ``index``; returns plans removed."""
         stale = [key for key in self._plans if key[0] == index]
         for key in stale:
             del self._plans[key]
-        stale_buckets = [key for key in self._buckets if key[0] == index]
-        for key in stale_buckets:
-            del self._buckets[key]
         self.invalidations += len(stale)
-        if stale or stale_buckets:
-            logger.debug(
-                "plan-cache invalidate index=%s plans=%d buckets=%d",
-                index, len(stale), len(stale_buckets),
-            )
+        if stale:
+            logger.debug("plan-cache invalidate index=%s plans=%d", index, len(stale))
         return len(stale)
 
     def clear(self) -> None:
-        """Drop all plans and buckets (counters are kept)."""
+        """Drop all plans (counters are kept)."""
         self.invalidations += len(self._plans)
         self._plans.clear()
-        self._buckets.clear()
 
     def stats(self) -> dict:
         """Counters snapshot (deterministic key order).
@@ -181,7 +110,6 @@ class PlanCache:
             "capacity": self.capacity,
             "entries": len(self._plans),
             "plan_cache_size": len(self._plans),
-            "buckets": len(self._buckets),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -114,13 +114,6 @@ class CompiledPlan:
         predicted_cost: The chosen candidate's predicted critical-path
             seconds when the session's cost model priced this plan
             (``None`` for serial plans and uncalibrated sessions).
-        query_buckets: Per raw query, the bitmask of shards its keywords
-            appear in (bit ``s`` = shard ``s``; ``0`` for elided
-            queries) — the :class:`~repro.plan.cache.PlanCache` shape
-            signature. Only set when the compile computed exact
-            eligibility; ``None`` otherwise (broadcast ``eligible`` is a
-            convention, not a membership result, and must not seed the
-            cache's bucket memo).
     """
 
     root: PlanNode
@@ -136,7 +129,6 @@ class CompiledPlan:
     routing: RoutingSummary | None
     routing_ops: float = 0.0
     predicted_cost: float | None = None
-    query_buckets: tuple[int, ...] | None = None
 
 
 def validate_plan_args(route, plan, sharded: bool) -> tuple[str, str]:
@@ -179,10 +171,10 @@ def eligibility_needed(route: str, strategy: str) -> bool:
     """Whether compiling ``route`` computes exact per-query eligibility.
 
     The single source of truth shared by :func:`compile_search` and the
-    plan cache's key construction: forced pruning always needs it, and
+    session's plan-cache gate: forced pruning always needs it, and
     ``route="auto"`` needs it where the rule prunes (range partitions).
-    Broadcast never does — which is also why broadcast-only shapes can
-    cache without the bucket memo.
+    Broadcast never does — which is why only broadcast plans, whose
+    compile reads the batch's shape alone, are cached.
     """
     return route == "pruned" or (route == "auto" and strategy == "range")
 
@@ -316,9 +308,9 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> Compile
 
     A :class:`~repro.plan.cache.PlanCache` hit reuses the plan *choice*
     — routes, merge strategy, node tree — but the first batch's
-    ``predicted_cost`` does not describe the new batch: two batches with
-    identical shard eligibility can touch very different postings
-    volumes. This recomputes the chosen candidate's price from the new
+    ``predicted_cost`` does not describe the new batch: two batches of
+    one shape can touch very different postings volumes. A cached plan is
+    never dirty, so there is no delta scan to price. This recomputes the chosen candidate's price from the new
     batch's features so warm-lane cost audits stay honest, without
     re-running the pricing *decision* (nothing is charged to
     ``plan_route`` — like query encoding, feature extraction is
@@ -346,11 +338,7 @@ def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> Compile
         cost_model, shards, active_queries, compiled.routes, compiled.retrieval_k,
         [(compiled.merge, compiled.first_round_k)],
     )
-    predicted = price.critical_path
-    stream = _dirty_stream(handle)
-    if stream is not None:
-        predicted += _delta_scan_seconds(cost_model, stream, active_queries, compiled.retrieval_k)
-    return dataclasses.replace(compiled, predicted_cost=predicted)
+    return dataclasses.replace(compiled, predicted_cost=price.critical_path)
 
 
 def compile_search(
@@ -399,7 +387,7 @@ def compile_search(
         # A mutated serial index always merges: base part(s) plus the
         # delta run, tombstones filtered before the top-k.
         merge = "direct" if handle.num_parts <= 1 and stream is None else "one-round"
-        routes = routing = first_k = chosen_price = query_buckets = delta_seconds = None
+        routes = routing = first_k = chosen_price = delta_seconds = None
         routing_ops = 0.0
     else:
         # Rule 2: shard pruning (range partitions by default), applied at
@@ -413,15 +401,9 @@ def compile_search(
             np.log2(max(kw.size, 2)) for kw in shard_keywords
         )
         routing_ops = 0.0
-        query_buckets = None
         if eligibility_needed(route, shards.strategy):
             eligible = route_queries(active_queries, shard_keywords)
             routing_ops += lookup_ops
-            masks = [0] * len(queries)
-            for s, positions in enumerate(eligible):
-                for j in positions:
-                    masks[active[int(j)]] |= 1 << s
-            query_buckets = tuple(masks)
             routes = [everyone if e.size else e for e in eligible]
         else:
             eligible = [everyone for _ in range(shards.n_shards)]
@@ -514,5 +496,4 @@ def compile_search(
         routing=routing,
         routing_ops=routing_ops,
         predicted_cost=predicted,
-        query_buckets=query_buckets,
     )

@@ -2,13 +2,13 @@
 
 A :class:`SegmentManifest` describes everything a search over a mutated
 index must compose: the (immutable) CSR base, the one live delta run,
-and the tombstoned base ids — plus the epochs that version them.
+and the tombstoned base ids — plus the epoch that versions them.
 ``mutation_epoch`` is deliberately separate from the handle's
 ``fit_epoch``: a refit replaces the *model* state (encoders, vocabulary)
 and must flush every downstream cache, while a mutation only changes
 *which objects* answer — the serve layer drops that index's stale
-results and plans, nothing else. ``base_epoch`` counts compactions,
-which rewrite the base without changing any result.
+results, nothing else. ``compactions`` counts the rewrites of the base,
+none of which changes any result.
 
 Placement invariant (enforced by :class:`~repro.stream.state.StreamState`):
 every live global id lives in exactly one scan source — the base (when
@@ -45,10 +45,8 @@ class SegmentManifest:
             :meth:`add_tombstones`, never edited in place).
         mutation_epoch: Bumped by every insert/delete/update — the
             serve-layer invalidation version.
-        base_epoch: Bumped by every compaction (the plan cache keys on
-            it: a compaction changes the shard keyword tables).
-        compactions: Lifetime compaction count (a counter, not a
-            version: surfaces in ``ServeMetrics.snapshot()``).
+        compactions: Lifetime compaction count (surfaces in
+            ``ServeMetrics.snapshot()``).
     """
 
     def __init__(self, base_objects: int, load_balance: LoadBalanceConfig | None = None):
@@ -57,7 +55,6 @@ class SegmentManifest:
         self.delta = DeltaRun(load_balance)
         self.tombstones = np.empty(0, dtype=ID_DTYPE)
         self.mutation_epoch = 0
-        self.base_epoch = 0
         self.compactions = 0
 
     def add_tombstones(self, gids: np.ndarray) -> None:
@@ -107,7 +104,6 @@ class SegmentManifest:
             "delta_postings": self.delta_postings,
             "tombstones": self.tombstones.size,
             "mutation_epoch": self.mutation_epoch,
-            "base_epoch": self.base_epoch,
             "compactions": self.compactions,
         }
 

@@ -129,9 +129,9 @@ class StreamState:
     def _mutated(self) -> None:
         manifest = self.manifest
         manifest.mutation_epoch += 1
-        # A mutation stales this index's cached results *and* plans (the
-        # plan must grow/update its DeltaScan); other indexes' caches are
-        # untouched — that is the whole point of per-index hooks.
+        # A mutation stales this index's cached results; other indexes'
+        # caches are untouched — that is the whole point of per-index
+        # hooks. Plans are not touched: a dirty index compiles per batch.
         self.handle.session._notify_invalidated(self.handle.name)
         if self.config.auto_compact:
             self.maybe_compact()
@@ -198,8 +198,8 @@ class StreamState:
         new parts attached — atomic from any observer's point of view:
         no search runs mid-swap in the synchronous session). Results are
         unchanged by construction, so cached query *results* stay valid;
-        the plan cache alone is invalidated (the shard keyword tables
-        the planner routes against did change).
+        only the index's cached plans go, dropped by ``_install`` (the
+        shard keyword tables the planner routes against did change).
 
         Returns:
             Whether anything was compacted (``False`` on a clean index).
@@ -221,15 +221,11 @@ class StreamState:
         manifest.delta = DeltaRun(self.handle.config.load_balance)
         manifest.tombstones = np.empty(0, dtype=ID_DTYPE)
         manifest.base_objects = manifest.next_gid
-        manifest.base_epoch += 1
         manifest.compactions += 1
-        cache = session.plan_cache
-        if cache is not None:
-            cache.invalidate(self.handle.name)
         spent = timings_delta(host_before, session.host.timings).total
         logger.debug(
-            "compact index=%s postings=%d tombstones=%d base_epoch=%d seconds=%.6g",
-            self.handle.name, folded_postings, folded_tombstones, manifest.base_epoch, spent,
+            "compact index=%s postings=%d tombstones=%d compactions=%d seconds=%.6g",
+            self.handle.name, folded_postings, folded_tombstones, manifest.compactions, spent,
         )
         tracer = getattr(session, "tracer", None)
         if tracer is not None:
@@ -237,6 +233,6 @@ class StreamState:
             tracer.record(Span(
                 "compaction", start=start, duration=spent,
                 index=self.handle.name, postings=folded_postings, tombstones=folded_tombstones,
-                base_epoch=manifest.base_epoch,
+                compactions=manifest.compactions,
             ))
         return True

@@ -1,23 +1,29 @@
-"""PlanCache: warm shapes skip planning; every world change invalidates.
+"""PlanCache: warm shapes skip planning; only a reinstall stales a plan.
 
-The cache's contract is twofold. Performance: a repeated query *shape*
-(same directives, ``k``, options, and per-query shard eligibility)
-reuses the compiled plan and pays zero further ``plan_route`` host
-work. Correctness: anything the planner's output is a function of —
-refits, drops, re-declared shard layouts, recalibration — must miss or
-invalidate, never serve a stale plan.
+The cache's contract is twofold. Performance: a repeated batch *shape*
+(same directives, ``k``, options and per-query elision flags) on a clean
+sharded index with a broadcast route reuses the compiled plan and pays
+zero further ``plan_route`` host work. Correctness: a compile that reads
+more than the shape (range pruning, a dirty index) never touches the
+cache, and anything else the planner's output is a function of — refits,
+compactions, rebalances, drops, recalibration — invalidates.
 """
 
 import numpy as np
 import pytest
 
-import repro.plan.cache as cache_mod
 from repro.api import GenieSession
+from repro.api.models import RawModel
 from repro.errors import ConfigError
 from repro.plan import COEFFICIENT_NAMES, PlanCache
 from repro.serve import BatchPolicy, GenieServer
+from repro.stream import StreamConfig
 
 OBJECTS = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]
+
+# Hand-rolled coefficients: postings dominate, so batches touching
+# different posting volumes must price differently.
+COEFFS = {name: 1e-7 for name in COEFFICIENT_NAMES}
 
 
 def banded_corpus(n_objects=800, n_bands=8, seed=0):
@@ -26,11 +32,19 @@ def banded_corpus(n_objects=800, n_bands=8, seed=0):
             for i in range(n_objects)]
 
 
-def make_sharded(session, name="band", shards=4, **kwargs):
+def make_sharded(session, name="band", shards=4, strategy="hash", **kwargs):
     return session.create_index(
         banded_corpus(), model="raw", name=name, shards=shards,
-        shard_strategy="range", **kwargs,
+        shard_strategy=strategy, **kwargs,
     )
+
+
+def costed_session():
+    """A hash-sharded index on a calibrated session: compiles charge ``plan_route``."""
+    session = GenieSession()
+    handle = make_sharded(session)
+    session.cost_coefficients = dict(COEFFS)
+    return session, handle
 
 
 class TestCacheConstruction:
@@ -41,7 +55,7 @@ class TestCacheConstruction:
     def test_stats_surface(self):
         cache = PlanCache(capacity=3)
         assert cache.stats() == {
-            "capacity": 3, "entries": 0, "plan_cache_size": 0, "buckets": 0,
+            "capacity": 3, "entries": 0, "plan_cache_size": 0,
             "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0,
         }
 
@@ -61,11 +75,16 @@ class TestCacheConstruction:
         assert GenieSession(plan_cache_size=0).plan_cache is None
         assert GenieSession(plan_cache_size=7).plan_cache.capacity == 7
 
+    def test_cache_holds_no_per_query_state(self):
+        cache = PlanCache()
+        assert set(vars(cache)) == {
+            "capacity", "_plans", "hits", "misses", "evictions", "invalidations",
+        }
+
 
 class TestHitsAndMisses:
     def test_repeated_shape_hits_and_pays_no_more_routing(self):
-        session = GenieSession()
-        handle = make_sharded(session)
+        session, handle = costed_session()
         cache = session.plan_cache
         handle.search([[1, 2]], k=5)
         assert cache.stats()["misses"] == 1
@@ -73,9 +92,9 @@ class TestHitsAndMisses:
         assert charged > 0.0
         again = handle.search([[1, 2]], k=5)
         assert cache.stats()["hits"] == 1
-        # The hit skipped the routing pass entirely: no new host charge.
+        # The hit skipped the pricing pass entirely: no new host charge.
         assert session.host.timings.get("plan_route") == charged
-        assert again.routing.pruned_pairs > 0  # the cached plan still prunes
+        assert again.routing.broadcast
         session.close()
 
     def test_hit_returns_identical_results(self):
@@ -89,31 +108,14 @@ class TestHitsAndMisses:
             assert np.array_equal(ref.counts, got.counts)
         session.close()
 
-    def test_cold_query_bucket_is_a_miss_then_warm(self):
-        # A never-seen keyword tuple has no memoized eligibility bucket:
-        # the batch must recompile (a wrong reused route would drop
-        # results), and the fresh compile warms the bucket.
+    def test_fresh_keywords_of_one_shape_hit(self):
+        # The key is the batch's shape, not its keywords.
         session = GenieSession()
         handle = make_sharded(session)
         handle.search([[1, 2]], k=5)
-        handle.search([[5, 6]], k=5)   # cold bucket -> miss
-        assert session.plan_cache.stats()["hits"] == 0
-        assert session.plan_cache.stats()["misses"] == 2
         handle.search([[5, 6]], k=5)
-        assert session.plan_cache.stats()["hits"] == 1
-        session.close()
-
-    def test_bucket_memo_is_bounded(self, monkeypatch):
-        # Past BUCKET_CAPACITY the oldest query's bucket is forgotten and
-        # its shape compiles again — never a stale route.
-        monkeypatch.setattr(cache_mod, "BUCKET_CAPACITY", 1)
-        session = GenieSession()
-        handle = make_sharded(session)
-        handle.search([[1, 2]], k=5)
-        handle.search([[5, 6]], k=5)   # evicts [1, 2]'s bucket
-        assert session.plan_cache.stats()["buckets"] == 1
-        handle.search([[1, 2]], k=5)   # cold again -> miss
-        assert session.plan_cache.stats()["hits"] == 0
+        stats = session.plan_cache.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
         session.close()
 
     def test_k_is_part_of_the_shape(self):
@@ -154,62 +156,90 @@ class TestHitsAndMisses:
         session.close()
 
 
+class TestUncachedShapes:
+    """Compiles that read more than the batch shape never touch the cache."""
+
+    @pytest.mark.parametrize("route", [None, "pruned"], ids=["auto", "pruned"])
+    def test_range_eligibility_routes_compile_per_batch(self, route):
+        session = GenieSession()
+        handle = make_sharded(session, strategy="range")
+        for _ in range(2):
+            result = handle.search([[1, 2]], k=5, route=route)
+        assert result.routing.pruned_pairs > 0  # still pruned, every batch
+        stats = session.plan_cache.stats()
+        assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+        session.close()
+
+    def test_dirty_plans_compile_per_batch(self):
+        session = GenieSession()
+        handle = make_sharded(session, stream_config=StreamConfig(auto_compact=False))
+        handle.insert([[1, 7]])
+        for _ in range(2):
+            handle.search([[1, 2]], k=5)
+        stats = session.plan_cache.stats()
+        assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+        session.close()
+
+    @pytest.mark.parametrize("strategy", ["range", "hash"])
+    def test_unhashable_option_compiles_uncached(self, strategy):
+        class Tagged(RawModel):
+            def shortlist_k(self, k, tag=None):
+                return k
+
+        session = GenieSession()
+        handle = session.create_index(
+            banded_corpus(), model=Tagged(), name="tagged", shards=4, shard_strategy=strategy,
+        )
+        expected = handle.search([[1, 2]], k=5)
+        got = handle.search([[1, 2]], k=5, tag=[1])
+        assert np.array_equal(got.results[0].ids, expected.results[0].ids)
+        assert np.array_equal(got.results[0].counts, expected.results[0].counts)
+        assert session.plan_cache.stats()["hits"] == 0
+        session.close()
+
+
 class TestRepricedHits:
     """A cache hit reuses the plan *choice*, not the first batch's price.
 
-    The cache key stores per-query ``(alive, shard-mask)`` signatures —
-    not the keywords themselves — so two batches with different work
-    volumes (e.g. ``[[0]]`` vs ``[[0, 1]]`` on the banded corpus: both
-    keywords live only in shard 0) collide on one entry. The hit must
-    re-extract the new batch's cost features so ``predicted_cost`` stays
-    honest, while still charging nothing to ``plan_route``.
+    The key holds per-query elision flags, not the keywords, so two
+    batches with different work volumes (``[[0]]`` vs ``[[0, 1]]``)
+    collide on one entry. The hit must re-extract the new batch's cost
+    features so ``predicted_cost`` stays honest, while still charging
+    nothing to ``plan_route``.
     """
 
-    # Hand-rolled coefficients: postings dominate, so batches touching
-    # different posting volumes must price differently.
-    COEFFS = {name: 1e-7 for name in COEFFICIENT_NAMES}
-
-    def _costed_session(self):
-        session = GenieSession()
-        handle = make_sharded(session)
-        session.cost_coefficients = dict(self.COEFFS)
-        return session, handle
-
     def test_colliding_batches_share_one_entry(self):
-        session, handle = self._costed_session()
+        session, handle = costed_session()
         handle.search([[0]], k=5)
-        handle.search([[0, 1]], k=5)  # cold bucket: miss, overwrites
+        handle.search([[0, 1]], k=5)
         stats = session.plan_cache.stats()
-        assert stats["misses"] == 2 and stats["entries"] == 1
+        assert stats["misses"] == 1 and stats["hits"] == 1 and stats["entries"] == 1
         session.close()
 
     def test_hit_reprices_for_the_new_batch(self):
-        session, handle = self._costed_session()
+        session, handle = costed_session()
         small = handle.search([[0]], k=5)
-        big = handle.search([[0, 1]], k=5)
+        big = handle.search([[0, 1]], k=5)  # a hit on small's plan
+        assert session.plan_cache.stats()["hits"] == 1
         assert small.predicted_cost is not None
         assert big.predicted_cost is not None
         assert small.predicted_cost != big.predicted_cost
-        # Both shapes now hit the single shared entry; each must report
-        # its *own* batch's predicted cost, not the stored plan's.
-        warm_small = handle.search([[0]], k=5)
-        warm_big = handle.search([[0, 1]], k=5)
-        assert session.plan_cache.stats()["hits"] == 2
-        assert warm_small.predicted_cost == pytest.approx(small.predicted_cost)
-        assert warm_big.predicted_cost == pytest.approx(big.predicted_cost)
+        # The hit reports its *own* batch's predicted cost: a fresh
+        # compile of the big batch on its own predicts the same.
+        session.plan_cache.clear()
+        assert handle.search([[0, 1]], k=5).predicted_cost == pytest.approx(big.predicted_cost)
         session.close()
 
     def test_repricing_charges_no_planning_host_work(self):
-        session, handle = self._costed_session()
+        session, handle = costed_session()
         handle.search([[0]], k=5)
-        handle.search([[0, 1]], k=5)
         charged = session.host.timings.get("plan_route")
-        handle.search([[0]], k=5)  # hit + reprice
+        handle.search([[0, 1]], k=5)  # hit + reprice
         assert session.host.timings.get("plan_route") == charged
         session.close()
 
     def test_hit_results_identical_under_repricing(self):
-        session, handle = self._costed_session()
+        session, handle = costed_session()
         first = handle.search([[0, 1]], k=5)
         handle.search([[0]], k=5)
         second = handle.search([[0, 1]], k=5)
@@ -225,12 +255,47 @@ class TestInvalidation:
         handle = make_sharded(session)
         handle.search([[1, 2]], k=5)
         assert len(session.plan_cache) == 1
-        handle.fit(banded_corpus(seed=1))  # epoch bump fires the hook
+        handle.fit(banded_corpus(seed=1))  # _install drops the index's plans
         assert len(session.plan_cache) == 0
         assert session.plan_cache.stats()["invalidations"] == 1
         handle.search([[1, 2]], k=5)
         stats = session.plan_cache.stats()
         assert stats["hits"] == 0 and stats["misses"] == 2
+        session.close()
+
+    def test_compact_empties_the_index_plans(self):
+        session = GenieSession()
+        handle = make_sharded(session, stream_config=StreamConfig(auto_compact=False))
+        make_sharded(session, name="other")
+        handle.search([[1, 2]], k=5)
+        session.index("other").search([[1, 2]], k=5)
+        handle.insert([[1, 7]])
+        assert handle.compact()
+        assert len(session.plan_cache) == 1  # only "other"'s plan is left
+        assert session.plan_cache.stats()["invalidations"] == 1
+        session.close()
+
+    def test_rebalance_empties_the_index_plans(self):
+        session = GenieSession()
+        handle = make_sharded(session, strategy="range")
+        handle.search([[1, 2]], k=5, route="broadcast")
+        assert len(session.plan_cache) == 1
+        assert handle.rebalance([10.0, 1.0, 1.0, 1.0])
+        assert len(session.plan_cache) == 0
+        handle.search([[1, 2]], k=5, route="broadcast")
+        stats = session.plan_cache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 2
+        session.close()
+
+    def test_mutations_leave_plans_alone(self):
+        session = GenieSession()
+        handle = make_sharded(session, stream_config=StreamConfig(auto_compact=False))
+        handle.search([[1, 2]], k=5)
+        handle.insert([[1, 7]])
+        handle.delete([0])
+        handle.update(1, [2, 9])
+        stats = session.plan_cache.stats()
+        assert stats["invalidations"] == 0 and stats["entries"] == 1
         session.close()
 
     def test_drop_invalidates_only_that_index(self):
@@ -322,6 +387,7 @@ class TestServedTraffic:
     def test_steady_state_lane_stops_paying_plan_route(self):
         server = self._band_server()
         session = server.session
+        session.cost_coefficients = dict(COEFFS)
         server.submit("adult", [1, 2], k=5)
         warm = session.host.timings.get("plan_route")
         assert warm > 0.0

@@ -137,17 +137,16 @@ class TestOnlineRebalance:
             ]
             assert got == expected
 
-    def test_rebalance_bumps_epoch_and_invalidates_plans(self):
+    def test_rebalance_invalidates_plans(self):
         with GenieSession() as session:
             handle = self._build(session)
             q = self._queries(0, 400, count=1)
-            handle.search(q, k=K)
-            handle.search(q, k=K)  # warm: served from the plan cache
+            handle.search(q, k=K, route="broadcast")
+            handle.search(q, k=K, route="broadcast")  # warm: served from the plan cache
             before = session.plan_cache.stats()
             assert before["hits"] == 1
             assert handle.rebalance([10.0, 1.0, 1.0, 1.0])
-            assert handle.rebalance_epoch == 1
-            handle.search(q, k=K)  # recompiles against the new cuts
+            handle.search(q, k=K, route="broadcast")  # recompiles against the new cuts
             after = session.plan_cache.stats()
             assert after["hits"] == before["hits"]
             assert after["misses"] == before["misses"] + 1
@@ -155,8 +154,9 @@ class TestOnlineRebalance:
     def test_identical_weights_are_a_no_op(self):
         with GenieSession() as session:
             handle = self._build(session)
+            plan = handle.plan
             assert not handle.rebalance([1.0, 1.0, 1.0, 1.0])
-            assert handle.rebalance_epoch == 0
+            assert handle.plan is plan
 
     def test_replicated_handle_rebalances_all_replicas(self):
         queries = self._queries(0, 400)

@@ -39,7 +39,7 @@ class TestManualCompact:
         assert manifest.dirty is False
         assert manifest.base_objects == manifest.next_gid == 22
         assert manifest.delta_postings == 0 and not manifest.tombstones.size
-        assert manifest.base_epoch == 1 and manifest.compactions == 1
+        assert manifest.compactions == 1
         after = handle.search([[50], [5], [52]], k=4)
         for a, b in zip(before.results, after.results):
             assert np.array_equal(a.ids, b.ids)
@@ -115,20 +115,22 @@ class TestAutoCompact:
 
 
 class TestCacheScoping:
-    # The plan cache only serves sharded compiles, so these use shards.
+    # The plan cache only serves clean sharded broadcast compiles, so
+    # these use shards and force the broadcast route.
 
     def test_compact_invalidates_plans_but_not_results(self):
         session = GenieSession()
         handle = make(session, shards=2)
+        handle.search([[50]], k=2, route="broadcast")  # caches the clean plan
         handle.insert([[50]])
-        handle.search([[50]], k=2)  # caches the dirty plan
+        handle.search([[50]], k=2, route="broadcast")  # dirty: compiled, not cached
         assert session.plan_cache.stats()["plan_cache_size"] == 1
         stale: list[str] = []
         session.add_invalidation_hook(stale.append)
         handle.compact()
         # Results stay valid (compaction is answer-preserving), so no
         # invalidation fires; the plan cache entry is dropped because the
-        # dirty plan's DeltaScan no longer applies.
+        # shards it routed over were rebuilt.
         assert stale == []
         assert session.plan_cache.stats()["plan_cache_size"] == 0
         session.close()
@@ -136,13 +138,14 @@ class TestCacheScoping:
     def test_plans_recompile_against_the_new_base(self):
         session = GenieSession()
         handle = make(session, shards=2)
+        handle.search([[50]], k=2, route="broadcast")
         handle.insert([[50]])
-        handle.search([[50]], k=2)
         misses = session.plan_cache.stats()["misses"]
         handle.compact()
-        handle.search([[50]], k=2)
+        result = handle.search([[50]], k=2, route="broadcast")
         stats = session.plan_cache.stats()
-        assert stats["misses"] == misses + 1  # epoch-keyed: no false hit
+        assert stats["misses"] == misses + 1 and stats["hits"] == 0  # no false hit
+        assert result.results[0].ids.tolist() == [20]
         session.close()
 
     def test_sharded_compact_rebuilds_every_shard(self):

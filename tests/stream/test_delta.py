@@ -197,6 +197,6 @@ class TestSegmentManifest:
         assert described == {
             "base_objects": 5, "next_gid": 5,
             "delta_objects": 0, "delta_postings": 0, "tombstones": 0,
-            "mutation_epoch": 0, "base_epoch": 0, "compactions": 0,
+            "mutation_epoch": 0, "compactions": 0,
         }
         assert "SegmentManifest(" in repr(manifest)

@@ -184,7 +184,7 @@ class TestStreamedEqualsRefit:
             final_corpus(reference), model="raw", name="refit", shards=shards,
         )
         queries = [[1, 2], [7], [12, 25, 3]]
-        for _ in range(2):  # second pass exercises plan-cache hits
+        for _ in range(2):  # the second pass searches the same shapes again
             streamed = handle.search(queries, k=5)
             refit = refit_handle.search(queries, k=5)
             assert_bit_identical(streamed, refit, f"costed shards={shards}")

@@ -297,16 +297,21 @@ def test_both_containers_canonicalize_through_the_one_routine():
         assert not called & {"unique", "sort", "lexsort", "argsort"}, container
 
 
-def test_importing_the_package_does_not_import_scipy():
-    """``scipy.stats`` was 0.9 s of a 1.1 s import; it loads where it is used."""
+def test_the_theory_functions_run_without_scipy():
+    """numpy is the only runtime dependency: the two closed forms that once used scipy run with it blocked."""
     import os
     import subprocess
     import sys
 
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro, repro.api, repro.serve; assert 'scipy' not in sys.modules"],
+         "import sys; sys.modules['scipy'] = None\n"
+         "from repro.lsh import psi_l2, success_probability\n"
+         "print(repr(psi_l2(1.0, 4.0)), repr(success_probability(0.5, 234)))"],
         env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    psi, success = map(float, done.stdout.split())
+    assert abs(psi - 0.80053) < 1e-5  # 1 - 2 Phi(-4) - (1 - e^-8) / (2 sqrt(2 pi))
+    assert 0.94 <= success < 0.95  # m = 234 is the first m past 1 - delta at s = 0.5
