@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -47,7 +47,7 @@ from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings, timings_delta
 from repro.obs.trace import Span
-from repro.plan.cache import PlanCache
+from repro.plan.cache import LruCache
 from repro.plan.cost import calibrate_session
 from repro.plan.executor import execute_plan
 from repro.plan.nodes import PlanNode, RoutingSummary
@@ -216,8 +216,8 @@ class GenieSession:
             concurrently; defaults to the device's full global memory.
             Queries need headroom next to the indexes, so multi-tenant
             sessions should budget below capacity.
-        plan_cache_size: Compiled plans the session's
-            :class:`~repro.plan.cache.PlanCache` retains (repeated batch
+        plan_cache_size: Compiled plans the session's plan cache (a
+            :class:`~repro.plan.cache.LruCache`) retains (repeated batch
             shapes on clean sharded indexes with a broadcast route skip
             planning and its ``plan_route`` charge). ``0`` or ``None``
             disables the cache.
@@ -253,7 +253,7 @@ class GenieSession:
         # Searches register a sink here to observe their own residency
         # events exactly, independent of the bounded log's retention.
         self._event_sinks: list[list[ResidencyEvent]] = []
-        self.plan_cache = PlanCache(capacity=plan_cache_size) if plan_cache_size else None
+        self.plan_cache = LruCache(plan_cache_size) if plan_cache_size else None
         self._cost_coefficients: dict | None = None
         # Serving layers attach a repro.obs.Tracer here; background work
         # (stream compaction) records standalone spans through it.
@@ -1135,9 +1135,9 @@ class IndexHandle:
         with the same arguments would validate and execute. A compile
         that reads only the batch's shape — a clean sharded index whose
         route consults no per-query eligibility — consults the session's
-        :class:`~repro.plan.cache.PlanCache` first: a hit skips planning
-        entirely (and its ``plan_route`` charge — the decisions were paid
-        at first compile). Everything else compiles per batch.
+        plan cache first: a hit skips planning entirely (and its
+        ``plan_route`` charge — the decisions were paid at first compile).
+        Everything else compiles per batch.
 
         Returns:
             ``(k, compiled, cache_hit)`` — whether the plan came from the
@@ -1164,21 +1164,22 @@ class IndexHandle:
             self._stream is not None and self._stream.dirty
         ):
             return k, compile_now(), False
-        shape = (
-            k, retrieval_k, tuple(sorted(search_opts.items())), norm_route, norm_plan,
+        key = (
+            self.name, k, retrieval_k, tuple(sorted(search_opts.items())), norm_route, norm_plan,
             tuple((queries.items_per_query > 0).tolist()),
         )
         try:
-            hit = cache.fetch(self.name, shape)
+            hit = cache.get(key)
         except TypeError:  # an unhashable search-option value: compile uncached
             return k, compile_now(), False
         if hit is not None:
-            # Reuse the cached decision, but re-extract this batch's cost
-            # features so the reported predicted_cost describes *these*
-            # queries, not whichever batch compiled the plan first.
-            return k, reprice_plan(self, hit, queries), True
+            # Reuse the cached decision (its routing was paid at first
+            # compile, so the reuse charges nothing to plan_route), but
+            # re-extract this batch's cost features so the reported
+            # predicted_cost describes *these* queries.
+            return k, reprice_plan(self, replace(hit, routing_ops=0.0), queries), True
         compiled = compile_now()
-        cache.store(self.name, shape, compiled)
+        cache.put(key, compiled)
         return k, compiled, False
 
     def encode_queries(self, raw_queries) -> QueryBatch:

@@ -39,12 +39,13 @@ The route is always a rule. The merge is priced once
 batch — transfers, select and merge priced by the simulator itself
 (:meth:`Device.price <repro.gpu.device.Device.price>`), only the match
 stage by the fit (``cost≈`` lines appear in ``explain()``) — and the
-session's :class:`~repro.plan.cache.PlanCache` memoizes broadcast plans
-of clean sharded indexes so repeated batch shapes skip planning — and
-its ``plan_route`` host charge — entirely.
+session's plan cache (a :class:`~repro.plan.cache.LruCache`, the same
+LRU the server keeps its results in) memoizes broadcast plans of clean
+sharded indexes so repeated batch shapes skip planning — and its
+``plan_route`` host charge — entirely.
 """
 
-from repro.plan.cache import PlanCache
+from repro.plan.cache import LruCache
 from repro.plan.cost import (
     COEFFICIENT_NAMES,
     PREDICTED_STAGES,
@@ -98,7 +99,7 @@ __all__ = [
     "PLAN_CHOICES",
     "CostModel",
     "PlanPrice",
-    "PlanCache",
+    "LruCache",
     "calibrate_coefficients",
     "calibrate_session",
     "concentration",

@@ -306,7 +306,7 @@ def _price_merges(cost_model: CostModel, shards, queries: QueryBatch, routes, re
 def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> CompiledPlan:
     """Re-extract cost features for ``queries`` against a cached plan.
 
-    A :class:`~repro.plan.cache.PlanCache` hit reuses the plan *choice*
+    A plan-cache hit reuses the plan *choice*
     — routes, merge strategy, node tree — but the first batch's
     ``predicted_cost`` does not describe the new batch: two batches of
     one shape can touch very different postings volumes. A cached plan is

@@ -6,20 +6,21 @@ concurrent queries (Fig. 9 / Fig. 11), but online traffic arrives one
 request at a time. ``repro.serve`` is the layer that converts a request
 stream back into the batches the kernel wants:
 
-* :class:`~repro.serve.server.GenieServer` — ``submit()`` /
-  ``submit_many()`` with futures, bounded-queue admission control
-  (explicit :class:`~repro.errors.AdmissionError` backpressure, never
-  silent drops), an exact-match result cache, graceful ``drain()`` /
-  ``close()``, and per-request metadata (queue time, batch ridden,
-  profile slice).
+* :class:`~repro.serve.server.GenieServer` — one admission routine,
+  ``submit_many()`` (``submit()`` is a burst of one), with futures,
+  all-or-nothing bounded-queue admission control (explicit
+  :class:`~repro.errors.AdmissionError` backpressure, never silent
+  drops), an exact-match result cache (a
+  :class:`~repro.plan.cache.LruCache` keyed by :func:`make_cache_key` on
+  the encoded query, invalidated through the session's hooks), graceful
+  ``drain()`` / ``close()``, and per-request metadata (queue time, batch
+  ridden, profile slice).
 * :class:`~repro.serve.scheduler.MicroBatchScheduler` +
   :class:`~repro.serve.scheduler.BatchPolicy` — dynamic micro-batching
   under a ``max_batch`` / ``max_wait`` envelope with fair round-robin
-  across indexes; ``BatchPolicy.fifo()`` is the one-request-per-kernel
-  baseline the benchmark compares against.
-* :class:`~repro.serve.cache.QueryResultCache` — exact-match LRU keyed on
-  the encoded query, invalidated through the session's ``fit()``/
-  ``drop()`` hooks.
+  across indexes; ``BatchPolicy.fifo()``, single-request batches in
+  global arrival order, is the one-request-per-kernel baseline the
+  benchmark compares against.
 * :class:`~repro.serve.metrics.ServeMetrics` — throughput, p50/p95/p99
   latency, batch-size histograms, cache/residency counters via
   ``snapshot()``.
@@ -45,11 +46,10 @@ Quickstart::
     server.snapshot()["throughput_qps"]
 """
 
-from repro.serve.cache import QueryResultCache, make_cache_key
 from repro.serve.clock import VirtualClock
 from repro.serve.metrics import ServeMetrics, percentile_nearest_rank
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
-from repro.serve.server import GenieServer, RequestFuture, RequestMetadata
+from repro.serve.server import GenieServer, RequestFuture, RequestMetadata, make_cache_key
 from repro.serve.traffic import (
     Arrival,
     TrafficSource,
@@ -64,7 +64,6 @@ __all__ = [
     "RequestMetadata",
     "BatchPolicy",
     "MicroBatchScheduler",
-    "QueryResultCache",
     "make_cache_key",
     "ServeMetrics",
     "percentile_nearest_rank",

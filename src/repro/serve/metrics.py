@@ -4,7 +4,9 @@ All times are *simulated seconds* from the server's virtual clock, so a
 seeded workload produces bit-identical numbers on every run — latency
 percentiles are CI-assertable, not flaky. Percentiles use the
 nearest-rank method (no interpolation): ``p50`` of a recorded population
-is always one of the recorded latencies.
+is always one of the recorded latencies. The population is the newest
+``LATENCY_WINDOW`` completions, so memory stays bounded however long a
+server runs; the ``completed`` counter keeps the lifetime count.
 
 Every scalar counter is a :class:`~repro.obs.registry.Counter` registered
 in one :class:`~repro.obs.registry.MetricsRegistry` and bound as a plain
@@ -22,13 +24,21 @@ from collections import deque
 from repro.obs.drift import DriftTracker
 from repro.obs.registry import Histogram, MetricsRegistry, percentile_nearest_rank
 
-__all__ = ["REPORTED_PERCENTILES", "ROLLING_SHARD_WINDOW", "ServeMetrics", "percentile_nearest_rank"]
+__all__ = [
+    "LATENCY_WINDOW", "REPORTED_PERCENTILES", "ROLLING_SHARD_WINDOW", "ServeMetrics",
+    "percentile_nearest_rank",
+]
 
 #: Percentiles reported by :meth:`ServeMetrics.snapshot`.
 REPORTED_PERCENTILES = (50.0, 95.0, 99.0)
 
 #: Sharded batches the rolling shard-imbalance window spans.
 ROLLING_SHARD_WINDOW = 64
+
+#: Newest completed requests the latency / queue-time percentiles cover
+#: (16 B each, so a long-running server holds at most 1 MiB of samples;
+#: older samples are overwritten in place).
+LATENCY_WINDOW = 1 << 16
 
 #: Distinct batch sizes the histogram keeps exact before clamping new
 #: values onto the nearest existing bin. Far above any realistic
@@ -76,8 +86,9 @@ class ServeMetrics:
         routed_batches: Sharded batches whose plan pruned at least one
             (query, shard) scan pair instead of broadcasting (see
             :class:`repro.plan.nodes.RoutingSummary`).
-        plan_cache: The session's :class:`~repro.plan.cache.PlanCache`
-            when the server wired one in (its hit/miss/invalidation
+        plan_cache: The session's plan cache (a
+            :class:`~repro.plan.cache.LruCache`) when the server wired
+            one in (its hit/miss/invalidation
             counters join :meth:`snapshot`); ``None`` reports zeros.
         delta_postings / compactions: Per mutable index (see
             :mod:`repro.stream`), the latest observed delta-posting gauge
@@ -111,7 +122,8 @@ class ServeMetrics:
         self._pruned_pairs = 0
         self.first_arrival: float | None = None
         self.last_completion: float | None = None
-        self._latencies = array("d")  # packed: one entry per completed request, never dropped
+        # Packed rings over the newest LATENCY_WINDOW completions.
+        self._latencies = array("d")
         self._queue_times = array("d")
         self.plan_cache = None
         self.delta_postings: dict[str, int] = {}
@@ -144,21 +156,27 @@ class ServeMetrics:
 
     def record_completion(self, latency: float, queue_time: float, completed_at: float) -> None:
         """Note one answered request with its latency components."""
+        slot = self.completed.value % LATENCY_WINDOW
         self.completed.inc()
-        self._latencies.append(latency)
-        self._queue_times.append(queue_time)
+        if slot == len(self._latencies):
+            self._latencies.append(latency)
+            self._queue_times.append(queue_time)
+        else:
+            self._latencies[slot] = latency
+            self._queue_times[slot] = queue_time
         if self.last_completion is None or completed_at > self.last_completion:
             self.last_completion = completed_at
 
-    def record_rejection(self, reason: str) -> None:
-        """Note one refused admission under its reason.
+    def record_rejection(self, reason: str, count: int = 1) -> None:
+        """Note ``count`` refused requests (one burst) under their reason.
 
         Reasons: ``"queue_full"`` (backpressure; also counted in
         ``rejected``), ``"closed"`` (server or session shut down), and
         ``"bad_directive"`` (invalid ``k``/``route``/``plan``/options or
         a malformed query failing at the door).
         """
-        self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
+        if count:
+            self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + count
 
     def record_batch(
         self,
@@ -318,11 +336,11 @@ class ServeMetrics:
         return self._pruned_pairs / total if total else 0.0
 
     def latency(self, p: float) -> float:
-        """Nearest-rank latency percentile over completed requests."""
+        """Nearest-rank latency percentile over the newest ``LATENCY_WINDOW`` completions."""
         return percentile_nearest_rank(self._latencies, p)
 
     def queue_time(self, p: float) -> float:
-        """Nearest-rank queue-time percentile over completed requests."""
+        """Nearest-rank queue-time percentile over the newest ``LATENCY_WINDOW`` completions."""
         return percentile_nearest_rank(self._queue_times, p)
 
     def snapshot(self) -> dict:

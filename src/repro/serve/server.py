@@ -1,10 +1,21 @@
 """`GenieServer`: the online front end over a `GenieSession`.
 
 The server is the layer between an online request stream and the batch
-kernel: requests are admitted one at a time (``submit``), encoded once at
-the door, answered from the exact-match cache when possible, and
-otherwise queued for the micro-batching scheduler, which drains them into
-coalesced :meth:`~repro.api.session.IndexHandle.search_encoded` calls.
+kernel. There is one way in: a burst of requests for one index
+(``submit_many``; ``submit`` is a burst of one) is validated and encoded
+once at the door, answered from the exact-match result cache when
+possible, and otherwise queued for the micro-batching scheduler, which
+drains requests into coalesced
+:meth:`~repro.api.session.IndexHandle.search_encoded` calls.
+
+The result cache is a :class:`~repro.plan.cache.LruCache` — the same
+bounded LRU the session keeps its compiled plans in — keyed on the
+*encoded* query (:func:`make_cache_key`). Invalidation is event-driven,
+not TTL-driven: the session fires an invalidation hook whenever an
+index's answers may change (a fit, a mutation, a drop;
+:meth:`repro.api.session.GenieSession.add_invalidation_hook`), which
+removes exactly that index's entries, so cached results are always
+bit-identical to what a direct search would return.
 
 Three serving guarantees:
 
@@ -21,7 +32,7 @@ Three serving guarantees:
   batch's stage-profile slice, and whether the cache answered it.
 
 Execution is synchronous under the hood (the simulated device needs no
-threads): ``submit()`` dispatches any batch its arrival makes ready,
+threads): an admission dispatches any batch its arrivals make ready,
 ``advance()``/``advance_to()`` move virtual time and fire ``max_wait``
 deadlines in order, and ``drain()``/``close()`` flush everything queued.
 """
@@ -37,14 +48,38 @@ from repro.core.types import QueryBatch
 from repro.errors import AdmissionError, ConfigError, QueryError, ReproError
 from repro.gpu.stats import StageTimings
 from repro.obs.trace import Span, Tracer
+from repro.plan.cache import LruCache
 from repro.plan.cost import PREDICTED_STAGES
 from repro.plan.planner import validate_plan_args
-from repro.serve.cache import QueryResultCache, make_cache_key
 from repro.serve.clock import VirtualClock
 from repro.serve.metrics import ServeMetrics
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
 
 logger = logging.getLogger("repro.serve")
+
+
+def make_cache_key(index: str, query: QueryBatch, k: int, opts_key: tuple, raw=None) -> tuple:
+    """The exact-match result-cache key for one encoded request.
+
+    Two raw queries that encode identically share an entry: the key holds
+    the *encoded* items, as :meth:`QueryBatch.key_bytes
+    <repro.core.types.QueryBatch.key_bytes>`.
+
+    Args:
+        index: Index name the request targets (first, so the cache can
+            drop one index's entries).
+        query: The request's one-query batch (its items define the match).
+        k: Results requested.
+        opts_key: Canonicalized search options, e.g.
+            ``(("n_candidates", 48),)`` — produced with
+            ``tuple(sorted(opts.items()))``.
+        raw: The raw query, included (and required hashable) when the
+            model's ``finalize`` reads it (``finalize_uses_raw``):
+            encoding is not injective — e.g. the n-gram encoder drops
+            unseen grams — so two raw queries with equal encodings could
+            otherwise be served each other's verified payload.
+    """
+    return (index, query.key_bytes(0), int(k), opts_key, raw)
 
 
 @dataclass
@@ -167,13 +202,10 @@ class RequestFuture:
 class _ServeRequest:
     """Internal queued request: what the scheduler and dispatcher see."""
 
-    __slots__ = ("seq", "index", "raw", "query", "lane", "arrival", "future",
-                 "cache_key", "trace")
+    __slots__ = ("seq", "raw", "query", "lane", "arrival", "future", "cache_key", "trace")
 
-    def __init__(self, seq, index, raw, query, lane, arrival, future, cache_key,
-                 trace=None):
+    def __init__(self, seq, raw, query, lane, arrival, future, cache_key, trace):
         self.seq = seq
-        self.index = index
         self.raw = raw
         self.query = query
         # (k, opts_key, route, plan): only lane-mates may share a batch,
@@ -195,8 +227,9 @@ class GenieServer:
         clock: Virtual clock; a fresh one starting at 0 when omitted.
         max_queue_depth: Bound on queued (not yet dispatched) requests;
             admission beyond it raises :class:`AdmissionError`.
-        cache_size: Entries in the exact-match result cache; ``0`` or
-            ``None`` disables caching.
+        cache_size: Entries in the exact-match result cache (an
+            :class:`~repro.plan.cache.LruCache`); ``0`` or ``None``
+            disables caching.
         route: Server-wide default for the planner's routing escape hatch
             (``"auto"`` / ``"pruned"`` / ``"broadcast"``); per-request
             ``submit(..., route=...)`` overrides it.
@@ -249,7 +282,7 @@ class GenieServer:
             raise ConfigError(f"bad server default: {error}") from None
         self.route = route
         self.plan = plan
-        self.cache = QueryResultCache(cache_size) if cache_size else None
+        self.cache = LruCache(cache_size) if cache_size else None
         if self.cache is not None:
             session.add_invalidation_hook(self.cache.invalidate)
         self.metrics = ServeMetrics()
@@ -284,103 +317,8 @@ class GenieServer:
         plan: str | None = None,
         **opts,
     ) -> RequestFuture:
-        """Admit one request; returns a future resolved when its batch runs.
-
-        The query is encoded immediately (malformed queries fail *here*,
-        not inside someone else's batch), and the planner directives are
-        validated immediately too (a bad ``route=`` fails the submitting
-        request, never a coalesced batch). A cache hit is answered at
-        once — even when the queue is full, a hit needs no queue slot. A
-        miss must find room in the bounded queue or admission fails.
-
-        Args:
-            index: Target index name.
-            raw_query: One query in the model's raw format.
-            k: Results requested (index default when omitted).
-            route: Planner routing directive (``"auto"``/``"pruned"``/
-                ``"broadcast"``); server default when omitted. Only
-                requests with matching directives share a batch.
-            plan: Planner merge directive (``"auto"``/``"one-round"``/
-                ``"two-round"``); server default when omitted.
-            opts: Model-specific search options.
-
-        Raises:
-            ConfigError: Closed server or session, or unknown index.
-            QueryError: Malformed query, bad ``k``, bad options, or a
-                shard-only ``route``/``plan`` on a serial index.
-            AdmissionError: Queue full (explicit backpressure).
-        """
-        try:
-            self._check_open()
-            self.session._check_open()
-        except ConfigError:
-            self.metrics.record_rejection("closed")
-            logger.debug("admission reject reason=closed index=%s", index)
-            raise
-        try:
-            handle = self.session.index(index)
-            k = int(k if k is not None else handle.config.k)
-            if k < 1:
-                raise QueryError("k must be >= 1")
-            # The normalized forms go into the lane so equivalent directives
-            # (None vs the explicit "auto") coalesce into one batch.
-            route, plan = self._resolve_directives(handle, route, plan)
-            opts_key = tuple(sorted(opts.items()))
-            resolve_shortlist_k(handle.model, k, opts)  # validates the options eagerly
-            query = handle.encode_queries([raw_query])  # the request's one-query batch
-        except (ConfigError, QueryError) as error:
-            self.metrics.record_rejection("bad_directive")
-            logger.debug(
-                "admission reject reason=bad_directive index=%s error=%s", index, error
-            )
-            raise
-
-        now = self.clock.now()
-        tracer = self.tracer
-        sampled = tracer is not None and tracer.sampled(self._seq)
-        cache_key = None
-        if self.cache is not None:
-            cache_key = self._cache_key(handle, index, raw_query, query, k, opts_key)
-        if cache_key is not None:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                self.metrics.cache_hits.inc()
-                future = self._answer_from_cache(index, k, cached, now)
-                if sampled:
-                    root = Span("request", start=now, seq=future.metadata.seq,
-                                index=index, k=k, cache_hit=True)
-                    root.child("admit", start=now)
-                    root.child("cache_lookup", start=now, hit=True)
-                    future.metadata.trace = root
-                    tracer.record(root)
-                return future
-            self.metrics.cache_misses.inc()
-
-        if self.scheduler.depth + 1 > self.max_queue_depth:
-            self.metrics.rejected.inc()
-            self.metrics.record_rejection("queue_full")
-            logger.debug(
-                "admission reject reason=queue_full index=%s depth=%d limit=%d",
-                index, self.scheduler.depth, self.max_queue_depth,
-            )
-            raise AdmissionError(self.scheduler.depth, self.max_queue_depth)
-
-        trace_span = None
-        if sampled:
-            trace_span = Span("request", start=now, seq=self._seq, index=index, k=k)
-            trace_span.child("admit", start=now)
-            if cache_key is not None:
-                trace_span.child("cache_lookup", start=now, hit=False)
-        future = RequestFuture(RequestMetadata(index=index, k=k, seq=self._seq, arrival=now))
-        request = _ServeRequest(
-            self._seq, index, raw_query, query, (k, opts_key, route, plan),
-            now, future, cache_key, trace=trace_span,
-        )
-        self._seq += 1
-        self.metrics.record_arrival(now)
-        self.scheduler.enqueue(index, request)
-        self.pump()
-        return future
+        """Admit one request: a burst of one (see :meth:`submit_many`)."""
+        return self.submit_many(index, (raw_query,), k, route, plan, **opts)[0]
 
     def submit_many(
         self,
@@ -393,25 +331,116 @@ class GenieServer:
     ) -> list[RequestFuture]:
         """Admit a burst of requests for one index, all-or-nothing.
 
-        Admission is checked for the whole burst up front (assuming every
-        request misses the cache), so a burst either fits or raises
-        :class:`AdmissionError` without enqueuing a partial prefix.
+        The burst is validated and encoded at once, in one
+        ``encode_queries`` call (malformed queries fail *here*, not inside
+        someone else's batch), and the planner directives are validated
+        too (a bad ``route=`` fails the submitting burst, never a coalesced
+        batch). Every request is then looked up in the result cache. Hits
+        need no queue slot — a burst of hits is answered even when the
+        queue is full — but the misses must fit into the bounded queue
+        together, or the whole burst is refused and nothing is admitted.
+        Futures of hits are resolved on return; misses resolve when their
+        batch runs.
+
+        Args:
+            index: Target index name.
+            raw_queries: Queries in the model's raw format.
+            k: Results requested (index default when omitted).
+            route: Planner routing directive (``"auto"``/``"pruned"``/
+                ``"broadcast"``); server default when omitted. Only
+                requests with matching directives share a batch.
+            plan: Planner merge directive (``"auto"``/``"one-round"``/
+                ``"two-round"``); server default when omitted.
+            opts: Model-specific search options.
+
+        Raises:
+            ConfigError: Closed server or session, or unknown index.
+            QueryError: Malformed query, bad ``k``, bad options, or a
+                shard-only ``route``/``plan`` on a serial index.
+            AdmissionError: The burst's misses do not fit into the queue
+                (explicit backpressure).
         """
-        self._check_open()
-        raw_queries = list(raw_queries)
-        if self.scheduler.depth + len(raw_queries) > self.max_queue_depth:
-            self.metrics.rejected.inc(len(raw_queries))
-            for _ in raw_queries:
-                self.metrics.record_rejection("queue_full")
-            logger.debug(
-                "admission reject reason=queue_full index=%s burst=%d depth=%d limit=%d",
-                index, len(raw_queries), self.scheduler.depth, self.max_queue_depth,
-            )
-            raise AdmissionError(self.scheduler.depth, self.max_queue_depth)
-        return [
-            self.submit(index, raw, k=k, route=route, plan=plan, **opts)
-            for raw in raw_queries
+        raws = list(raw_queries)
+        try:
+            self._check_open()
+            self.session._check_open()
+        except ConfigError:
+            self._reject("closed", index, len(raws))
+            raise
+        if not raws:
+            return []
+        try:
+            handle = self.session.index(index)
+            k = int(k if k is not None else handle.config.k)
+            if k < 1:
+                raise QueryError("k must be >= 1")
+            # The normalized forms go into the lane so equivalent directives
+            # (None vs the explicit "auto") coalesce into one batch.
+            route, plan = self._resolve_directives(handle, route, plan)
+            opts_key = tuple(sorted(opts.items()))
+            resolve_shortlist_k(handle.model, k, opts)  # validates the options eagerly
+            batch = handle.encode_queries(raws)
+        except (ConfigError, QueryError) as error:
+            self._reject("bad_directive", index, len(raws), error=error)
+            raise
+
+        # Each request rides with its own one-query batch.
+        queries = [batch] if len(raws) == 1 else [batch.take([i]) for i in range(len(raws))]
+        keys = [
+            None if self.cache is None else self._cache_key(handle, index, raw, query, k, opts_key)
+            for raw, query in zip(raws, queries)
         ]
+        # Peek, so a refused burst moves no cache counter and no LRU order.
+        misses = sum(key is None or key not in self.cache for key in keys)
+        if self.scheduler.depth + misses > self.max_queue_depth:
+            self.metrics.rejected.inc(len(raws))
+            self._reject("queue_full", index, len(raws),
+                         depth=self.scheduler.depth, limit=self.max_queue_depth)
+            raise AdmissionError(self.scheduler.depth, self.max_queue_depth)
+
+        now = self.clock.now()
+        lane = (k, opts_key, route, plan)
+        futures = []
+        for raw, query, key in zip(raws, queries, keys):
+            hit = None
+            if key is not None:
+                hit = self.cache.get(key)
+                (self.metrics.cache_misses if hit is None else self.metrics.cache_hits).inc()
+            seq = self._seq
+            self._seq += 1
+            self.metrics.record_arrival(now)
+            future = RequestFuture(RequestMetadata(index=index, k=k, seq=seq, arrival=now))
+            futures.append(future)
+            root = None
+            if self.tracer is not None and self.tracer.sampled(seq):
+                flag = {"cache_hit": True} if hit is not None else {}
+                root = Span("request", start=now, seq=seq, index=index, k=k, **flag)
+                root.child("admit", start=now)
+                if key is not None:
+                    root.child("cache_lookup", start=now, hit=hit is not None)
+            if hit is None:
+                self.scheduler.enqueue(
+                    index, _ServeRequest(seq, raw, query, lane, now, future, key, root))
+                continue
+            metadata = future.metadata
+            metadata.dispatched = metadata.started = metadata.completed = now
+            metadata.cache_hit = True
+            future._resolve(*hit)
+            self.metrics.record_completion(0.0, 0.0, now)
+            if root is not None:
+                metadata.trace = root
+                self.tracer.record(root)
+        if misses:
+            self.pump()
+        return futures
+
+    def _reject(self, reason: str, index: str, count: int, **detail) -> None:
+        """Count ``count`` refused requests under ``reason`` and log why."""
+        self.metrics.record_rejection(reason, count)
+        logger.debug(
+            "admission reject reason=%s index=%s requests=%d%s", reason, index, count,
+            "".join(f" {name}={value}" for name, value in detail.items()),
+        )
 
     def _resolve_directives(self, handle, route, plan) -> tuple[str, str]:
         """Resolve per-request ``route``/``plan`` against server defaults.
@@ -475,20 +504,6 @@ class GenieServer:
                 return None
             raw_part = raw_query
         return make_cache_key(index, query, k, opts_key, raw=raw_part)
-
-    def _answer_from_cache(self, index: str, k: int, cached, now: float) -> RequestFuture:
-        result, payload = cached
-        metadata = RequestMetadata(
-            index=index, k=k, seq=self._seq, arrival=now,
-            dispatched=now, started=now, completed=now,
-            batch_size=0, cache_hit=True,
-        )
-        self._seq += 1
-        future = RequestFuture(metadata)
-        future._resolve(result, payload)
-        self.metrics.record_arrival(now)
-        self.metrics.record_completion(0.0, 0.0, now)
-        return future
 
     # ------------------------------------------------------------------
     # time and dispatch

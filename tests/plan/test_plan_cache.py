@@ -1,4 +1,4 @@
-"""PlanCache: warm shapes skip planning; only a reinstall stales a plan.
+"""The plan cache: warm shapes skip planning; only a reinstall stales a plan.
 
 The cache's contract is twofold. Performance: a repeated batch *shape*
 (same directives, ``k``, options and per-query elision flags) on a clean
@@ -15,7 +15,7 @@ import pytest
 from repro.api import GenieSession
 from repro.api.models import RawModel
 from repro.errors import ConfigError
-from repro.plan import COEFFICIENT_NAMES, PlanCache
+from repro.plan import COEFFICIENT_NAMES, LruCache
 from repro.serve import BatchPolicy, GenieServer
 from repro.stream import StreamConfig
 
@@ -50,23 +50,24 @@ def costed_session():
 class TestCacheConstruction:
     def test_capacity_validated(self):
         with pytest.raises(ConfigError, match="capacity"):
-            PlanCache(capacity=0)
+            LruCache(capacity=0)
 
     def test_stats_surface(self):
-        cache = PlanCache(capacity=3)
+        cache = LruCache(capacity=3)
         assert cache.stats() == {
-            "capacity": 3, "entries": 0, "plan_cache_size": 0,
+            "capacity": 3, "entries": 0,
             "hits": 0, "misses": 0, "evictions": 0, "invalidations": 0,
         }
 
     def test_plan_cache_size_gauge_tracks_entries(self):
         session = GenieSession()
         handle = make_sharded(session)
-        assert session.plan_cache.stats()["plan_cache_size"] == 0
+        server = GenieServer(session, cache_size=None)
+        assert session.plan_cache.stats()["entries"] == 0
         handle.search([[1, 2]], k=5)
         handle.search([[1, 2]], k=6)
-        stats = session.plan_cache.stats()
-        assert stats["plan_cache_size"] == stats["entries"] == 2
+        assert session.plan_cache.stats()["entries"] == len(session.plan_cache) == 2
+        assert server.snapshot()["plan_cache_size"] == 2
         session.close()
 
     def test_session_toggle(self):
@@ -76,9 +77,9 @@ class TestCacheConstruction:
         assert GenieSession(plan_cache_size=7).plan_cache.capacity == 7
 
     def test_cache_holds_no_per_query_state(self):
-        cache = PlanCache()
+        cache = LruCache()
         assert set(vars(cache)) == {
-            "capacity", "_plans", "hits", "misses", "evictions", "invalidations",
+            "capacity", "_entries", "hits", "misses", "evictions", "invalidations",
         }
 
 

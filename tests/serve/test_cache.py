@@ -6,7 +6,8 @@ import pytest
 from repro.api import GenieSession
 from repro.core.types import Query
 from repro.errors import ConfigError
-from repro.serve import BatchPolicy, GenieServer, QueryResultCache, make_cache_key
+from repro.plan import LruCache
+from repro.serve import BatchPolicy, GenieServer, make_cache_key
 
 
 def _docs(n=30):
@@ -27,10 +28,10 @@ def make_server(cache_size=64, policy=None):
 class TestLruMechanics:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigError, match="capacity"):
-            QueryResultCache(0)
+            LruCache(0)
 
     def test_hit_and_miss_counters(self):
-        cache = QueryResultCache(4)
+        cache = LruCache(4)
         cache.put(("i", (), 1, ()), "v")
         assert cache.get(("i", (), 1, ())) == "v"
         assert cache.get(("i", (), 2, ())) is None
@@ -38,7 +39,7 @@ class TestLruMechanics:
         assert cache.stats()["misses"] == 1
 
     def test_lru_eviction_beyond_capacity(self):
-        cache = QueryResultCache(2)
+        cache = LruCache(2)
         cache.put(("i", (), 1, ()), "a")
         cache.put(("i", (), 2, ()), "b")
         cache.put(("i", (), 3, ()), "c")  # evicts key 1 (LRU)
@@ -47,7 +48,7 @@ class TestLruMechanics:
         assert cache.stats()["evictions"] == 1
 
     def test_get_bumps_to_mru(self):
-        cache = QueryResultCache(2)
+        cache = LruCache(2)
         cache.put(("i", (), 1, ()), "a")
         cache.put(("i", (), 2, ()), "b")
         cache.get(("i", (), 1, ()))  # 1 becomes MRU
@@ -56,7 +57,7 @@ class TestLruMechanics:
         assert ("i", (), 2, ()) not in cache
 
     def test_invalidate_removes_only_that_index(self):
-        cache = QueryResultCache(8)
+        cache = LruCache(8)
         cache.put(("a", (), 1, ()), "x")
         cache.put(("a", (), 2, ()), "y")
         cache.put(("b", (), 1, ()), "z")

@@ -52,6 +52,24 @@ class TestPercentileNearestRank:
             percentile_nearest_rank([], 200.0)
 
 
+class TestLatencyWindow:
+    def test_percentiles_cover_the_newest_completions_only(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "LATENCY_WINDOW", 4)
+        metrics = ServeMetrics()
+        for latency in (9.0, 9.0, 1.0, 2.0, 3.0, 4.0):
+            metrics.record_completion(latency, latency / 2, latency)
+        assert metrics.completed.value == 6  # the lifetime count
+        assert len(metrics._latencies) == len(metrics._queue_times) == 4
+        assert metrics.latency(100.0) == 4.0 and metrics.latency(25.0) == 1.0
+        assert metrics.queue_time(100.0) == 2.0
+
+    def test_samples_stay_bounded(self):
+        metrics = ServeMetrics()
+        for _ in range(metrics_mod.LATENCY_WINDOW + 10):
+            metrics.record_completion(1.0, 0.0, 1.0)
+        assert len(metrics._latencies) == metrics_mod.LATENCY_WINDOW
+
+
 class TestZeroLengthWindow:
     def test_single_instant_completion_reports_zero_throughput(self):
         # One request admitted and completed at the same simulated instant:
@@ -189,6 +207,18 @@ class TestRejectedByReason:
             server.submit_many("tweets", DOCS[:5], k=2)
         assert server.metrics.rejected_by_reason == {"queue_full": 5}
         server.close()
+
+    def test_a_refused_burst_counts_every_request_under_its_reason(self):
+        server = make_server(BatchPolicy.micro(max_batch=10, max_wait=100.0))
+        with pytest.raises(QueryError):
+            server.submit_many("tweets", DOCS[:2] + ["zzzz qqqq"], k=2)
+        server.close()
+        with pytest.raises(ConfigError, match="closed"):
+            server.submit_many("tweets", DOCS[:2], k=2)
+        with pytest.raises(ConfigError, match="closed"):
+            server.submit_many("tweets", [], k=2)  # an empty burst refuses nothing
+        assert server.metrics.rejected_by_reason == {"bad_directive": 3, "closed": 2}
+        assert server.snapshot()["submitted"] == 0
 
 
 class TestRollingShardWindow:

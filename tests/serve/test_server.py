@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import GenieSession
 from repro.errors import AdmissionError, ConfigError, QueryError
+from repro.plan import LruCache
 from repro.serve import BatchPolicy, GenieServer, VirtualClock
 
 
@@ -105,6 +106,133 @@ class TestSubmission:
         server = make_server(BatchPolicy.fifo())
         future = server.submit("tweets", DOCS[0])
         assert future.metadata.k == server.session.index("tweets").config.k
+
+
+def _count_encodes(server, index):
+    """Wrap ``index``'s ``encode_queries``; returns the list of burst sizes it saw."""
+    handle = server.session.index(index)
+    calls, encode = [], handle.encode_queries
+
+    def counted(raws):
+        calls.append(len(raws))
+        return encode(raws)
+
+    handle.encode_queries = counted
+    return calls
+
+
+class TestOneWayIn:
+    def test_a_burst_is_encoded_once(self):
+        server = make_server(BatchPolicy.micro(max_batch=8, max_wait=100.0))
+        calls = _count_encodes(server, "tweets")
+        server.submit_many("tweets", DOCS[:5], k=2)
+        server.submit("tweets", DOCS[5], k=2)
+        assert calls == [5, 1]
+
+    @pytest.mark.parametrize("cache_size", [None, 4])
+    def test_a_fifo_burst_is_its_requests_submitted_one_by_one(self, cache_size):
+        def run(admit):
+            session = GenieSession()
+            session.create_index(DOCS, model="document", name="a")
+            server = GenieServer(session, policy=BatchPolicy.fifo(),
+                                 cache_size=cache_size, trace_sample=2)
+            futures = []
+            for start in (0, 2, 4, 6):  # overlapping bursts: repeats hit the cache
+                server.advance(1e-6)
+                futures += admit(server, DOCS[start:start + 4])
+            answers = [(f.result().ids.tolist(), f.metadata.seq, f.metadata.completed,
+                        f.metadata.cache_hit) for f in futures]
+            traces = sorted((span.to_dict() for span in server.tracer.traces),
+                            key=lambda span: span["attrs"]["seq"])
+            return answers, server.snapshot(), traces
+
+        one_by_one = run(lambda server, docs: [server.submit("a", doc, k=3) for doc in docs])
+        burst = run(lambda server, docs: server.submit_many("a", docs, k=3))
+        assert one_by_one == burst
+
+    def test_served_fifo_matches_micro_batching_of_one(self):
+        def run(policy):
+            session = GenieSession()
+            session.create_index(DOCS, model="document", name="a")
+            session.create_index(DOCS[::-1], model="document", name="b")
+            server = GenieServer(session, policy=policy, cache_size=8)
+            for i, doc in enumerate(DOCS[:12] * 2):
+                server.advance(1e-6)
+                server.submit("ab"[i % 2], doc, k=3)
+            server.submit_many("a", DOCS[20:24], k=3)
+            server.drain()
+            snap = server.snapshot()
+            return snap.pop("policy"), snap
+
+        fifo_kind, fifo = run(BatchPolicy.fifo())
+        micro_kind, micro = run(BatchPolicy.micro(max_batch=1, max_wait=0.0))
+        assert fifo == micro and (fifo_kind, micro_kind) == ("fifo", "micro")
+        assert fifo["batch_size_histogram"] == {1: fifo["batches"]}
+        assert fifo["queue_depth"] == 0
+
+    def test_fifo_answers_indexes_in_global_arrival_order(self):
+        session = GenieSession()
+        session.create_index(DOCS, model="document", name="a")
+        session.create_index(DOCS[::-1], model="document", name="b")
+        server = GenieServer(session, policy=BatchPolicy.fifo(), cache_size=None)
+        # Every arrival is at t=0, so admission order breaks the ties.
+        futures = [server.submit("ab"[i % 2], doc, k=3) for i, doc in enumerate(DOCS[:6])]
+        futures += server.submit_many("b", DOCS[6:9], k=3)
+        futures.append(server.submit("a", DOCS[9], k=3))
+        assert [f.metadata.seq for f in futures] == list(range(10))
+        assert all(f.metadata.arrival == 0.0 and f.metadata.batch_size == 1 for f in futures)
+        starts = [f.metadata.started for f in futures]
+        assert starts == sorted(set(starts))
+
+    def test_a_due_burst_shares_batches(self):
+        server = make_server(BatchPolicy.micro(max_batch=4, max_wait=0.0))
+        futures = server.submit_many("tweets", DOCS[:6], k=2)
+        assert all(f.done() for f in futures)
+        assert [f.metadata.batch_size for f in futures] == [4, 4, 4, 4, 2, 2]
+
+    def test_a_malformed_member_refuses_the_whole_burst(self):
+        server = make_server(BatchPolicy.micro(max_batch=8, max_wait=100.0))
+        with pytest.raises(QueryError, match="no indexed words"):
+            server.submit_many("tweets", [DOCS[0], "zzzz qqqq", DOCS[1]], k=2)
+        assert server.depth == 0
+        assert server.snapshot()["submitted"] == 0
+
+    def test_burst_hits_need_no_queue_slot(self):
+        server = make_server(BatchPolicy.micro(max_batch=64, max_wait=100.0),
+                             max_queue_depth=1, cache_size=8)
+        for doc in DOCS[:2]:
+            server.submit("tweets", doc, k=3)
+            server.drain()
+        server.submit("tweets", DOCS[2], k=3)  # fills the queue
+        hits = server.submit_many("tweets", DOCS[:2], k=3)
+        assert all(f.done() and f.metadata.cache_hit for f in hits)
+        assert server.depth == 1
+
+    def test_burst_misses_must_fit_together(self):
+        server = make_server(BatchPolicy.micro(max_batch=64, max_wait=100.0),
+                             max_queue_depth=2, cache_size=8)
+        server.submit("tweets", DOCS[0], k=3)
+        server.drain()
+        server.submit("tweets", DOCS[5], k=3)  # one slot left
+        before = server.snapshot()
+        with pytest.raises(AdmissionError):
+            server.submit_many("tweets", DOCS[:3], k=3)  # one hit, two misses
+        after = server.snapshot()
+        # A refused burst serves nothing, so no cache counter moves.
+        for key in ("cache_hits", "cache_misses", "cache"):
+            assert after[key] == before[key]
+        hit, miss = server.submit_many("tweets", DOCS[:2], k=3)  # one hit, one miss
+        assert hit.metadata.cache_hit and not miss.done()
+        snap = server.snapshot()
+        assert snap["rejected"] == 3 and snap["submitted"] == 4 and server.depth == 2
+
+    def test_results_and_plans_share_one_lru(self):
+        server = make_server(cache_size=4)
+        assert type(server.cache) is type(server.session.plan_cache) is LruCache
+        assert server.snapshot()["cache"] == {
+            "capacity": 4, "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
+            "invalidations": 0,
+        }
 
 
 class TestAdmissionControl:

@@ -124,7 +124,7 @@ class TestCacheScoping:
         handle.search([[50]], k=2, route="broadcast")  # caches the clean plan
         handle.insert([[50]])
         handle.search([[50]], k=2, route="broadcast")  # dirty: compiled, not cached
-        assert session.plan_cache.stats()["plan_cache_size"] == 1
+        assert session.plan_cache.stats()["entries"] == 1
         stale: list[str] = []
         session.add_invalidation_hook(stale.append)
         handle.compact()
@@ -132,7 +132,7 @@ class TestCacheScoping:
         # invalidation fires; the plan cache entry is dropped because the
         # shards it routed over were rebuilt.
         assert stale == []
-        assert session.plan_cache.stats()["plan_cache_size"] == 0
+        assert session.plan_cache.stats()["entries"] == 0
         session.close()
 
     def test_plans_recompile_against_the_new_base(self):
