@@ -32,7 +32,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.engine import GenieConfig
-from repro.core.types import Corpus, Query, QueryBatch, csr_offsets, flat_keyword_sets, ragged_slices
+from repro.core.types import ID_DTYPE, Corpus, Query, QueryBatch, flat_keyword_sets
 from repro.errors import ConfigError, QueryError, ReproError
 from repro.gpu.host import HostCpu
 from repro.lsh.family import LshFamily
@@ -40,7 +40,7 @@ from repro.lsh.transform import DEFAULT_DOMAIN, LshTransformer
 from repro.sa.document import DEFAULT_STOPWORDS, WordVocabulary, tokenize
 from repro.sa.edit_distance import edit_distance, edit_distance_ops
 from repro.sa.ngram import NgramVocabulary
-from repro.sa.relational import AttributeSpec, Discretizer
+from repro.sa.relational import AttributeSpec, Discretizer, bin_code
 from repro.sa.sequence import (
     PAPER_K_CANDIDATES,
     SequenceMatch,
@@ -251,14 +251,25 @@ class RawModel(BaseMatchModel):
         )
 
 
-def _one_item_per_keyword(keyword_arrays: list[np.ndarray]) -> QueryBatch:
-    """One query per id array, every id its own item (the SA shape)."""
-    sizes = [array.size for array in keyword_arrays]
-    return QueryBatch(np.concatenate(keyword_arrays) if sizes else (), None, csr_offsets(sizes))
+def _one_item_per_keyword(id_lists) -> QueryBatch:
+    """One query per list of vocabulary ids, every id its own item (the SA shape).
+
+    Through the trusted door: ids are non-negative, a one-keyword item is a set.
+    """
+    ids, query_offsets = [], [0]
+    for query_ids in id_lists:
+        ids += query_ids
+        query_offsets.append(len(ids))
+    keywords = np.array(ids, dtype=ID_DTYPE)
+    item_offsets = np.arange(keywords.size + 1, dtype=ID_DTYPE)
+    return QueryBatch._of(keywords, item_offsets, np.array(query_offsets, dtype=ID_DTYPE))
 
 
 # ----------------------------------------------------------------------
 # relational tables (Section V-C)
+
+#: What a range bound may be: a real number.
+_REAL = (int, float, np.integer, np.floating)
 
 
 @register_model("relational")
@@ -268,7 +279,11 @@ class RelationalModel(BaseMatchModel):
     Numeric columns are discretized into equal-width bins at encode time;
     keyword ranges are laid out attribute after attribute (Fig. 1's
     ``(d, v)`` pair encoding). Raw queries are ``{attribute: (lo, hi)}``
-    range dictionaries; each range expands into one query item.
+    range dictionaries; each range expands into one query item. Bounds are
+    real numbers, ``-inf`` / ``inf`` for an open side, and clamp to the
+    column's domain. A malformed query or range (``None`` and NaN bounds
+    included) raises :class:`~repro.errors.QueryError` naming the query
+    position and the attribute.
 
     Args:
         schema: One :class:`~repro.sa.relational.AttributeSpec` per column.
@@ -280,16 +295,9 @@ class RelationalModel(BaseMatchModel):
         if not schema:
             raise ConfigError("schema must have at least one attribute")
         self.schema = list(schema)
-        self._discretizers: dict[str, Discretizer] = {}
-        self._offsets: dict[str, int] = {}
-        self._domain: dict[str, int] = {}
+        # name -> (keyword offset, top code, the discretizer's (lo, span, bins) or None if categorical)
+        self._attributes: dict[str, tuple] = {}
         self.n_rows = 0
-
-    def _attr(self, name: str) -> AttributeSpec:
-        for spec in self.schema:
-            if spec.name == name:
-                return spec
-        raise QueryError(f"unknown attribute: {name}")
 
     def encode_corpus(self, columns: dict[str, np.ndarray]) -> Corpus:
         missing = [spec.name for spec in self.schema if spec.name not in columns]
@@ -306,47 +314,68 @@ class RelationalModel(BaseMatchModel):
             values = np.asarray(columns[spec.name])
             if spec.kind == "numeric":
                 disc = Discretizer(spec.bins).fit(values)
-                self._discretizers[spec.name] = disc
                 codes = disc.transform(values)
-                domain = spec.bins
+                top, fit = spec.bins - 1, (disc.lo, disc.hi - disc.lo, spec.bins)
             else:
                 codes = np.asarray(values, dtype=np.int64)
                 if codes.size and codes.min() < 0:
                     raise ConfigError(f"categorical column {spec.name} has negative codes")
-                domain = int(codes.max()) + 1 if codes.size else 1
-            self._offsets[spec.name] = offset
-            self._domain[spec.name] = domain
+                top, fit = (int(codes.max()) if codes.size else 0), None
+            self._attributes[spec.name] = (offset, top, fit)
             encoded[spec.name] = codes + offset
-            offset += domain
+            offset += top + 1
 
         return Corpus(np.column_stack([encoded[spec.name] for spec in self.schema]))
 
-    def _code_range(self, name: str, lo, hi) -> tuple[int, int]:
-        """First keyword and keyword count of the item ``lo <= name <= hi``."""
-        spec = self._attr(name)
-        if spec.kind == "numeric":
-            lo_code, hi_code = self._discretizers[name].transform(np.asarray([lo, hi])).tolist()
+    def _code_range(self, position: int, name, bounds) -> tuple[int, int]:
+        """First keyword and keyword count of query ``position``'s item ``lo <= name <= hi``."""
+        attribute = self._attributes.get(name)
+        if attribute is None:
+            raise QueryError(f"query {position}: unknown attribute: {name}")
+        offset, top, fit = attribute
+        try:
+            lo, hi = bounds
+            valid = isinstance(lo, _REAL) and isinstance(hi, _REAL) and lo == lo and hi == hi  # NaN != NaN
+            if valid and fit is not None:
+                lo, hi = float(lo), float(hi)
+        except (TypeError, ValueError, OverflowError):  # not a pair; an int past float range
+            valid = False
+        if not valid:
+            raise QueryError(
+                f"query {position}, attribute {name!r}: a range is a (lo, hi) pair of numbers, "
+                f"-inf / inf for an open side; got {bounds!r}"
+            )
+        if fit is None:  # categorical: a bound is a code
+            lo_code, hi_code = int(min(max(lo, 0), top)), int(min(max(hi, 0), top))
         else:
-            lo_code, hi_code = int(lo), int(hi)
-        top = self._domain[name] - 1
-        lo_code = max(0, min(lo_code, top))
-        hi_code = max(0, min(hi_code, top))
+            lo_code, hi_code = bin_code(lo, *fit), bin_code(hi, *fit)
         if hi_code < lo_code:
-            raise QueryError(f"empty range on {name}: [{lo}, {hi}]")
-        return lo_code + self._offsets[name], hi_code - lo_code + 1
+            raise QueryError(f"query {position}: empty range on {name}: [{lo}, {hi}]")
+        return offset + lo_code, hi_code - lo_code + 1
 
     def encode_queries(self, ranges_batch: list[dict[str, tuple]]) -> QueryBatch:
-        """One query per ``{attribute: (lo, hi)}`` dict, one item per range."""
-        first, length, n_items = [], [], []
-        for ranges in ranges_batch:
+        """One query per ``{attribute: (lo, hi)}`` dict, one item per range.
+
+        Through the trusted door: an item is an ``arange`` of clamped codes
+        plus the attribute's offset, so it is ascending and distinct.
+        """
+        items, item_offsets, query_offsets = [], [0], [0]
+        for position, ranges in enumerate(ranges_batch):
+            if not isinstance(ranges, dict):
+                raise QueryError(
+                    f"query {position}: expected an {{attribute: (lo, hi)}} dict; got {type(ranges).__name__}"
+                )
             if not ranges:
-                raise QueryError("query must constrain at least one attribute")
-            for name, (lo, hi) in ranges.items():
-                start, count = self._code_range(name, lo, hi)
-                first.append(start)
-                length.append(count)
-            n_items.append(len(ranges))
-        return QueryBatch(ragged_slices(first, length), csr_offsets(length), csr_offsets(n_items))
+                raise QueryError(f"query {position} must constrain at least one attribute")
+            for name, bounds in ranges.items():
+                start, count = self._code_range(position, name, bounds)
+                items.append(np.arange(start, start + count, dtype=ID_DTYPE))
+                item_offsets.append(item_offsets[-1] + count)
+            query_offsets.append(len(items))
+        keywords = np.concatenate(items) if items else np.empty(0, dtype=ID_DTYPE)
+        return QueryBatch._of(
+            keywords, np.array(item_offsets, dtype=ID_DTYPE), np.array(query_offsets, dtype=ID_DTYPE)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -375,9 +404,12 @@ class DocumentModel(BaseMatchModel):
         )
 
     def encode_queries(self, texts: list[str]) -> QueryBatch:
-        return _one_item_per_keyword(
-            [self.vocabulary.encode(tokenize(t, self.stopwords), grow=False) for t in texts]
-        )
+        def ids(position, text):
+            if not isinstance(text, str):
+                raise QueryError(f"query {position}: a document query is a str; got {type(text).__name__}")
+            return self.vocabulary.lookup(tokenize(text, self.stopwords))
+
+        return _one_item_per_keyword(ids(position, text) for position, text in enumerate(texts))
 
     def validate_queries(self, raw_queries, queries: QueryBatch) -> None:
         sizes = queries.items_per_query
@@ -413,7 +445,7 @@ class NgramModel(BaseMatchModel):
         return Corpus([self.vocabulary.encode(s, grow=True) for s in self.sequences])
 
     def encode_queries(self, sequences: list[str]) -> QueryBatch:
-        return _one_item_per_keyword([self.vocabulary.encode(s, grow=False) for s in sequences])
+        return _one_item_per_keyword(map(self.vocabulary.lookup, sequences))
 
 
 @register_model("sequence")

@@ -38,12 +38,12 @@ class WordVocabulary:
 
     def encode(self, tokens: list[str], grow: bool = True) -> np.ndarray:
         """Keyword ids of distinct tokens (binary vector-space model)."""
-        keywords = []
-        for token in dict.fromkeys(tokens):  # preserves order, dedupes
-            kw = self._ids.get(token)
-            if kw is None and grow:
-                kw = len(self._ids)
-                self._ids[token] = kw
-            if kw is not None:
-                keywords.append(kw)
-        return np.asarray(keywords, dtype=np.int64)
+        if not grow:
+            return np.asarray(self.lookup(tokens), dtype=np.int64)
+        ids = self._ids  # an unseen token gets the next id
+        return np.asarray([ids.setdefault(token, len(ids)) for token in dict.fromkeys(tokens)], dtype=np.int64)
+
+    def lookup(self, tokens: list[str]) -> list[int]:
+        """Keyword ids of the distinct known tokens, in first-seen order; unseen ones are dropped."""
+        ids = self._ids
+        return [ids[token] for token in dict.fromkeys(tokens) if token in ids]

@@ -81,12 +81,13 @@ class NgramVocabulary:
         Returns:
             ``int64`` keyword array.
         """
-        keywords = []
-        for gram in ordered_ngrams(sequence, self.n):
-            kw = self._ids.get(gram)
-            if kw is None and grow:
-                kw = len(self._ids)
-                self._ids[gram] = kw
-            if kw is not None:
-                keywords.append(kw)
-        return np.asarray(keywords, dtype=ID_DTYPE)
+        if not grow:
+            return np.asarray(self.lookup(sequence), dtype=ID_DTYPE)
+        ids = self._ids  # an unseen gram gets the next id
+        grams = ordered_ngrams(sequence, self.n)
+        return np.asarray([ids.setdefault(gram, len(ids)) for gram in grams], dtype=ID_DTYPE)
+
+    def lookup(self, sequence: str) -> list[int]:
+        """Keyword ids of a sequence's known ordered n-grams; unseen ones are dropped."""
+        ids = self._ids
+        return [ids[gram] for gram in ordered_ngrams(sequence, self.n) if gram in ids]

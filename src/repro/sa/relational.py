@@ -74,10 +74,17 @@ class Discretizer:
         return self
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Bin ids in ``[0, bins)``; out-of-range values clamp to the edges."""
+        """Bin ids in ``[0, bins)``; out-of-range values, ``±inf`` too, clamp to the edges as floats."""
         values = np.asarray(values, dtype=np.float64)
         span = self.hi - self.lo
         if not span > 0:  # constant column, or an unfitted degenerate range
             return np.zeros(values.shape, dtype=np.int64)
-        raw = np.floor((values - self.lo) / span * self.bins).astype(np.int64)
-        return np.minimum(np.maximum(raw, 0), self.bins - 1)
+        raw = np.floor((values - self.lo) / span * self.bins)
+        return np.minimum(np.maximum(raw, 0), self.bins - 1).astype(np.int64)
+
+
+def bin_code(value: float, lo: float, span: float, bins: int) -> int:
+    """:meth:`Discretizer.transform` of one float: the same float64 operations in the same order."""
+    if not span > 0:
+        return 0
+    return int(min(max((value - lo) / span * bins, 0.0), bins - 1))  # on [0, bins - 1] truncation is the floor

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.models import (
     AnnModel,
@@ -403,3 +405,103 @@ class TestBatchEncoding:
         retained = sys.getallocatedblocks() - before
         assert batch.keywords.size == 256 * 64
         assert retained < 200  # 17 421 when every keyword was its own array
+
+
+def _assert_trusted(batch):
+    """``batch`` equals the validated constructor's batch built from the same parts."""
+    from repro.core.types import QueryBatch
+
+    validated = QueryBatch(batch.keywords, batch.item_offsets, batch.query_offsets)
+    for part in ("keywords", "item_offsets", "query_offsets"):
+        got, want = getattr(batch, part), getattr(validated, part)
+        assert got.dtype == np.int64 and want.dtype == np.int64, part
+        assert np.array_equal(got, want), part
+    assert not batch.keywords.flags.writeable
+
+
+_WORDS = ["gpu", "index", "search", "cat", "dog", "tree", "Gpu", "zebra", "quux", "the", "and", "a"]
+_documents = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+_sequences = st.text(alphabet="abcd", max_size=8)
+
+
+class TestTrustedDoor:
+    """The SA encoders build their batches with ``QueryBatch._of``; what they hand
+    over must be exactly what the validated constructor makes of the same parts."""
+
+    @staticmethod
+    def _handles():
+        from repro.api import GenieSession
+
+        session = GenieSession()
+        return {
+            "document": session.create_index(["gpu index search", "cat dog tree", "gpu cat"], model="document"),
+            "ngram": session.create_index(["abcab", "bcabc", "cccab"], model="ngram", n=2),
+            "sequence": session.create_index(["abcab", "bcabc", "cccab"], model="sequence", n=2),
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_documents, max_size=5), st.lists(_sequences, max_size=5))
+    def test_vocabulary_encoders(self, texts, sequences):
+        from repro.sa.document import tokenize
+
+        for name, handle in self._handles().items():
+            raw = texts if name == "document" else sequences
+            batch = handle.model.encode_queries(raw)
+            _assert_trusted(batch)
+            vocabulary = handle.model.vocabulary
+            expected = [
+                vocabulary.encode(tokenize(q) if name == "document" else q, grow=False).tolist() for q in raw
+            ]
+            assert [[int(item[0]) for item in query.items] for query in batch] == expected
+            assert all(len(item) == 1 for query in batch for item in query.items)
+            if name == "document" and not all(expected):
+                with pytest.raises(QueryError, match="contain no indexed words"):
+                    handle.encode_queries(raw)
+            else:
+                _assert_trusted(handle.encode_queries(raw))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.booleans(), st.integers(1, 16),
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(["x", "c"]),
+                st.tuples(
+                    st.floats(-50, 150, allow_nan=False) | st.sampled_from([-np.inf, np.inf, -1e300, 1e300]),
+                    st.floats(-50, 150, allow_nan=False) | st.sampled_from([-np.inf, np.inf, -1e300, 1e300]),
+                ).map(sorted),
+                min_size=1,
+            ),
+            max_size=5,
+        ),
+    )
+    def test_relational_encoder(self, constant, bins, ranges_batch):
+        from repro.api import GenieSession
+
+        column = np.full(6, 7.0) if constant else np.linspace(0.0, 100.0, 6)
+        handle = GenieSession().create_index(
+            {"x": column, "c": np.arange(6) % 3}, model="relational",
+            schema=[AttributeSpec("x", bins=bins), AttributeSpec("c", "categorical")],
+        )
+        batch = handle.encode_queries(ranges_batch)
+        _assert_trusted(batch)
+        assert batch.items_per_query.tolist() == [len(ranges) for ranges in ranges_batch]
+        for query, ranges in zip(batch, ranges_batch):
+            for item, name in zip(query.items, ranges):
+                offset, top = (0, bins - 1) if name == "x" else (bins, 2)
+                assert item[0] >= offset and item[-1] <= offset + top  # past the domain clamps
+                assert np.array_equal(item, np.arange(item[0], item[-1] + 1))
+
+    def test_empty_batch_is_as_before(self):
+        from repro.api import GenieSession
+
+        handles = self._handles()
+        handles["relational"] = GenieSession().create_index(
+            {"x": np.arange(4.0)}, model="relational", schema=[AttributeSpec("x", bins=4)]
+        )
+        for name, handle in handles.items():
+            batch = handle.encode_queries([])
+            _assert_trusted(batch)
+            assert batch.keywords.size == 0 and batch.item_offsets.tolist() == batch.query_offsets.tolist() == [0]
+            with pytest.raises(QueryError, match="empty query batch"):
+                handle.search([], k=1)

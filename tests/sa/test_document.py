@@ -39,6 +39,13 @@ class TestWordVocabulary:
         vocab.encode(["a"], grow=True)
         assert vocab.encode(["a", "z"], grow=False).tolist() == [0]
 
+    def test_lookup_is_the_frozen_encode_as_a_list(self):
+        vocab = WordVocabulary()
+        vocab.encode(["b", "a", "c"], grow=True)
+        tokens = ["c", "z", "b", "c", "a"]
+        assert vocab.lookup(tokens) == vocab.encode(tokens, grow=False).tolist() == [2, 0, 1]
+        assert len(vocab) == 3
+
 
 def _index():
     return GenieSession().create_index(DOCS, model="document")
@@ -68,6 +75,11 @@ class TestDocumentIndex:
     def test_unknown_words_raise(self):
         with pytest.raises(QueryError):
             _index().search(["zzz qqq"], k=1)
+
+    @pytest.mark.parametrize("bad, kind", [(None, "NoneType"), (42, "int"), (b"quick fox", "bytes")])
+    def test_a_query_that_is_not_a_str_names_its_position(self, bad, kind):
+        with pytest.raises(QueryError, match=f"query 1: a document query is a str; got {kind}"):
+            _index().search(["quick fox", bad], k=1)
 
     def test_query_before_fit(self):
         with pytest.raises(QueryError):

@@ -55,6 +55,13 @@ class TestVocabulary:
         second = vocab.encode("abab", grow=False)
         assert first.tolist() == second.tolist()
 
+    def test_lookup_is_the_frozen_encode_as_a_list(self):
+        vocab = NgramVocabulary(2)
+        vocab.encode("abab", grow=True)
+        assert vocab.lookup("abxab") == vocab.encode("abxab", grow=False).tolist() == [0, 2]
+        assert vocab.lookup("babab") == [1, 0, 2]  # ("ba", 1) is unseen
+        assert vocab.lookup("zzzz") == [] and len(vocab) == 3  # lookup never grows
+
 
 @settings(max_examples=60)
 @given(_text, _text)

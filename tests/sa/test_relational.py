@@ -1,5 +1,7 @@
 """Tests for relational top-k selection (Fig. 1's running example)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.api import GenieSession
 from repro.errors import ConfigError, QueryError
-from repro.sa.relational import AttributeSpec, Discretizer
+from repro.sa.relational import AttributeSpec, Discretizer, bin_code
 
 
 def _index(schema, columns):
@@ -121,9 +123,10 @@ class TestRangeCodesUnchanged:
     def test_same_codes_as_two_scalar_transforms(self, column_lo, width, bins, lo, hi):
         from repro.api.models import RelationalModel
 
+        column = np.asarray([column_lo, column_lo + width])
         model = RelationalModel([AttributeSpec("pad", "categorical"), AttributeSpec("x", bins=bins)])
-        model.encode_corpus({"pad": np.asarray([0, 2]), "x": np.asarray([column_lo, column_lo + width])})
-        expected = _parent_range_keywords(model._discretizers["x"], bins, 3, lo, hi)
+        model.encode_corpus({"pad": np.asarray([0, 2]), "x": column})
+        expected = _parent_range_keywords(Discretizer(bins).fit(column), bins, 3, lo, hi)
         if expected is None:
             with pytest.raises(QueryError, match="empty range on x"):
                 model.encode_queries([{"x": (lo, hi)}])
@@ -137,6 +140,56 @@ class TestRangeCodesUnchanged:
         span = disc.hi - disc.lo
         raw = np.floor((values - disc.lo) / span * disc.bins).astype(np.int64)
         assert disc.transform(values).tolist() == np.clip(raw, 0, 6).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-100, 100, allow_nan=False), st.floats(1e-3, 200, allow_nan=False) | st.just(0.0),
+        st.integers(1, 1024),
+        st.lists(
+            st.floats(allow_nan=False)
+            | st.sampled_from([1e300, -1e300, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308]),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_scalar_binning_is_transform_element_for_element(self, column_lo, width, bins, values):
+        disc = Discretizer(bins).fit(np.asarray([column_lo, column_lo + width]))
+        with np.errstate(over="ignore"):  # a huge value / a tiny span overflows to inf, as in python
+            expected = disc.transform(np.asarray(values)).tolist()
+        assert [bin_code(v, disc.lo, disc.hi - disc.lo, bins) for v in values] == expected
+
+
+class TestOpenBounds:
+    """``±inf`` and huge bounds clamp to the domain's edges (they used to wrap to bin 0)."""
+
+    AGES = np.asarray([18.0, 25.0, 40.0, 50.0, 61.0, 77.0, 90.0])
+
+    def _index(self):
+        return _index(
+            [AttributeSpec("age", bins=16), AttributeSpec("job", "categorical")],
+            {"age": self.AGES, "job": np.asarray([0, 1, 2, 0, 1, 2, 0])},
+        )
+
+    def _pairs(self, index, ranges):
+        return index.search([ranges], k=len(self.AGES))[0].as_pairs()
+
+    def test_transform_puts_huge_values_on_the_edges(self):
+        disc = Discretizer(16).fit(self.AGES)
+        assert disc.transform([1e300, np.inf, -1e300, -np.inf]).tolist() == [15, 15, 0, 0]
+        assert bin_code(1e300, disc.lo, disc.hi - disc.lo, 16) == 15
+
+    def test_open_range_is_the_whole_domain(self):
+        index = self._index()
+        whole = self._pairs(index, {"age": (self.AGES.min(), self.AGES.max())})
+        assert len(whole) == len(self.AGES)
+        assert self._pairs(index, {"age": (-np.inf, np.inf)}) == whole
+        assert self._pairs(index, {"age": (-1e300, 1e300)}) == whole
+        assert self._pairs(index, {"job": (-np.inf, np.inf)}) == self._pairs(index, {"job": (0, 2)})
+
+    def test_half_open_range_runs_to_the_column_edge(self):
+        index = self._index()
+        assert self._pairs(index, {"age": (50, np.inf)}) == self._pairs(index, {"age": (50, self.AGES.max())})
+        assert self._pairs(index, {"age": (-np.inf, 40)}) == self._pairs(index, {"age": (self.AGES.min(), 40)})
+        assert self._pairs(index, {"job": (1, np.inf)}) == self._pairs(index, {"job": (1, 2)})
 
 
 class TestRelationalIndex:
@@ -168,10 +221,10 @@ class TestRelationalIndex:
         with pytest.raises(QueryError):
             index.search([{"x": (0, 1)}], k=1)  # not fitted yet
         index.fit({"x": np.array([1.0, 2.0])})
-        with pytest.raises(QueryError):
+        with pytest.raises(QueryError, match="query 0: unknown attribute: y"):
             index.search([{"y": (0, 1)}], k=1)
-        with pytest.raises(QueryError):
-            index.search([{}], k=1)
+        with pytest.raises(QueryError, match="query 1 must constrain at least one attribute"):
+            index.search([{"x": (0, 1)}, {}], k=1)
 
     def test_ragged_columns_rejected(self):
         with pytest.raises(ConfigError):
@@ -179,6 +232,35 @@ class TestRelationalIndex:
                 [AttributeSpec("a", "categorical"), AttributeSpec("b", "categorical")],
                 {"a": np.array([0, 1]), "b": np.array([0])},
             )
+
+    @pytest.mark.parametrize(
+        "ranges, message",
+        [
+            ({"x": 30}, r"query 1, attribute 'x': a range is a \(lo, hi\) pair"),
+            ({"x": ("a", 40)}, "query 1, attribute 'x'"),
+            ({"x": (20, 30, 40)}, "query 1, attribute 'x'"),
+            ({"x": (None, 40)}, "query 1, attribute 'x'"),
+            ({"x": (20, float("nan"))}, "query 1, attribute 'x'"),
+            ({"x": (np.float32("nan"), 40)}, "query 1, attribute 'x'"),
+            ({"x": (0, 10**400)}, "query 1, attribute 'x'"),  # past float range
+            ({"j": (0, None)}, "query 1, attribute 'j'"),
+            ({"j": "01"}, "query 1, attribute 'j'"),
+            ([("x", (0, 1))], r"query 1: expected an \{attribute: \(lo, hi\)\} dict; got list"),
+            ("x", "query 1: expected .* got str"),
+            (None, "query 1: expected .* got NoneType"),
+        ],
+    )
+    def test_malformed_range_names_query_and_attribute(self, ranges, message):
+        index = _index([AttributeSpec("x", bins=8), AttributeSpec("j", "categorical")],
+                       {"x": np.array([1.0, 2.0]), "j": np.array([0, 3])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the error
+            with pytest.raises(QueryError, match=message):
+                index.encode_queries([{"x": (1, 2)}, ranges])
+
+    def test_huge_categorical_bound_clamps(self):
+        index = _index([AttributeSpec("j", "categorical")], {"j": np.array([0, 1, 2])})
+        assert index.search([{"j": (1, 10**400)}], k=3)[0].as_pairs() == [(1, 1), (2, 1)]
 
     def test_empty_range_rejected(self):
         index = _index([AttributeSpec("j", "categorical")], {"j": np.array([0, 1, 2])})

@@ -102,6 +102,48 @@ class TestSubmission:
         server.drain()
         assert queued.done() and int(queued.result().ids[0]) == 0
 
+    @pytest.mark.parametrize(
+        "index, bad, message",
+        [
+            ("adult", {"age": 30}, "query 0, attribute 'age'"),
+            ("adult", {"age": ("x", 40)}, "query 0, attribute 'age'"),
+            ("adult", {"age": (20, 30, 40)}, "query 0, attribute 'age'"),
+            ("adult", {"age": (None, 40)}, "query 0, attribute 'age'"),
+            ("adult", {"age": (20, np.nan)}, "query 0, attribute 'age'"),
+            ("adult", {"job": (0, None)}, "query 0, attribute 'job'"),
+            ("adult", [("age", (20, 40))], "query 0: expected an"),
+            ("adult", "age", "query 0: expected an"),
+            ("tweets", None, "query 0: a document query is a str"),
+            ("tweets", 42, "query 0: a document query is a str"),
+            ("tweets", b"gpu index", "query 0: a document query is a str"),
+        ],
+    )
+    def test_malformed_raw_query_is_a_query_error_at_submit(self, index, bad, message, recwarn):
+        """A malformed relational range or document fails its own submit with a
+        QueryError naming the query (and attribute), counted as bad_directive;
+        the queue is untouched and a queued lane-mate still resolves."""
+        from repro.sa.relational import AttributeSpec
+
+        session = GenieSession()
+        session.create_index(DOCS, model="document", name="tweets")
+        session.create_index(
+            {"age": np.array([20.0, 35.0, 50.0]), "job": np.array([0, 1, 0])}, model="relational",
+            schema=[AttributeSpec("age", bins=8), AttributeSpec("job", "categorical")], name="adult",
+        )
+        good = {"tweets": DOCS[0], "adult": {"age": (30.0, 60.0)}}[index]
+        with pytest.raises(QueryError, match=message):
+            session.index(index).search([bad], k=2)
+        server = GenieServer(session, policy=BatchPolicy.micro(max_batch=4, max_wait=100.0),
+                             cache_size=None)
+        queued = server.submit(index, good, k=2)
+        with pytest.raises(QueryError, match=message):
+            server.submit(index, bad, k=2)
+        assert server.depth == 1
+        assert server.snapshot()["rejected_by_reason"]["bad_directive"] == 1
+        server.drain()
+        assert queued.done() and len(queued.result()) > 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_default_k_comes_from_index_config(self):
         server = make_server(BatchPolicy.fifo())
         future = server.submit("tweets", DOCS[0])
