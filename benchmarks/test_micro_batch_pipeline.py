@@ -72,7 +72,7 @@ def _pipelines(corpus, queries):
         return [topk_from_counts(plan.counts, K) for plan in plans]
 
     def batch():
-        return plan_batch_scan(index, queries, K, select=True).results
+        return plan_batch_scan(index, queries, K).results
 
     # Warm both paths (lazy int32 cache), check they agree, then time.
     for a, b in zip(legacy(), batch()):
@@ -105,7 +105,7 @@ def test_batch_pipeline_speedup(benchmark, emit):
             f"fig9 OCR-style workload: m={M}, domain={DOMAIN}, "
             f"n={N_OBJECTS}, {N_QUERIES} queries, k={K}.",
             "per_query = plan_query_scan + topk_from_counts per query;"
-            " batch = plan_batch_scan(select=True) for the whole batch.",
+            " batch = plan_batch_scan for the whole batch.",
             "engine row: full GenieEngine.query wall time on the same batch"
             " (transfers + launch simulation included), for scale.",
             "heavy buckets: the first row's shape, per function one bucket holds 60 % of"

@@ -45,12 +45,13 @@ def sources() -> list[TrafficSource]:
 def compare_policies() -> None:
     trace = sample_trace(sources(), n_requests=192, rate=5e7, seed=7)
     print("192 requests, 70% tweets / 30% sift, offered at 5e7 req/s:\n")
-    for policy in (BatchPolicy.fifo(), BatchPolicy.micro(max_batch=32, max_wait=1e-4)):
+    for name, policy in (("fifo", BatchPolicy.fifo()),
+                         ("micro", BatchPolicy.micro(max_batch=32, max_wait=1e-4))):
         server = GenieServer(build_session(), policy=policy, cache_size=None,
                              max_queue_depth=1_000)
         run_open_loop(server, trace)
         snap = server.snapshot()
-        print(f"  {policy.kind:<6} throughput {snap['throughput_qps']:>12,.0f} q/s   "
+        print(f"  {name:<6} throughput {snap['throughput_qps']:>12,.0f} q/s   "
               f"p50 {snap['latency_p50']:.2e} s   p95 {snap['latency_p95']:.2e} s   "
               f"mean batch {snap['mean_batch_size']:.1f}")
 

@@ -28,7 +28,7 @@ infrastructure; this module is the host-side realization of that idea. The
    exceeds its row's references, so rows of more than 255, or byte rows
    past ``MAX_BYTE_ROW_BYTES``, count as short lists instead (README,
    "Four counting regimes", has the measured redundancy per workload).
-   On the c-PQ path a short-list tile may count as **bit planes** — the
+   A short-list tile may count as **bit planes** instead — the
    paper's Bitmap Counter (``bit_length(bound)`` bits an object) stored
    plane by plane: every keyword row's list is a cached bitmap
    (:attr:`InvertedIndex.keyword_bitmaps`), pass ``r`` ripples each row's
@@ -42,15 +42,13 @@ infrastructure; this module is the host-side realization of that idea. The
    statistic is read off it: nonzero totals, the k-th largest count
    (Theorem 3.1 pins ``AT - 1`` to it), the c-PQ Gate passes, and the
    batch's ``count_hist`` for the launch's atomic-conflict estimate,
-4. with ``select=True`` the only sparse extraction is the cells at or above
-   each row's threshold, and one segmented sort over them yields every
-   row's top-k as one :class:`~repro.core.types.TopKBatch`.
+4. the only sparse extraction is the cells at or above each row's
+   threshold, and one segmented sort over them yields every row's top-k as
+   one :class:`~repro.core.types.TopKBatch`.
 
 :class:`BatchScanPlan` carries what the engine and the launch builders of
-:mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. On
-the c-PQ path (``select=True``) no ``(n_queries, n_objects)`` array ever
-exists; the dense matrix is kept only for GEN-SPQ (``select=False``), whose
-bucket selection reads full rows.
+:mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. No
+``(n_queries, n_objects)`` array ever exists.
 
 The readable per-query specification lives in :mod:`repro.core.reference`;
 ``reference.plan_batch`` assembles the same struct one query at a time and
@@ -76,7 +74,7 @@ DEFAULT_MAX_FUSED_CELLS = 512 * 1024
 
 @dataclass
 class BatchScanPlan:
-    """Work layout (and optional results) of a whole batch's scan.
+    """Work layout and results of a whole batch's scan.
 
     Attributes:
         n_queries: Queries in the batch.
@@ -90,10 +88,7 @@ class BatchScanPlan:
             ``v >= 1`` (entry 0 is 0; the last entry is the largest count).
         results: Every query's top-k as one batch (``results[i]`` is query
             ``i``'s :class:`~repro.core.types.TopKResult` view; the arrays
-            hold the answer entries only, at most ``n_queries * k``) under
-            ``select=True``, else ``None``.
-        counts: Dense ``(n_queries, n_objects)`` match counts under
-            ``select=False`` (GEN-SPQ), else ``None``.
+            hold the answer entries only, at most ``n_queries * k``).
     """
 
     n_queries: int
@@ -101,8 +96,7 @@ class BatchScanPlan:
     updates: np.ndarray
     gate_passes: np.ndarray
     count_hist: np.ndarray
-    results: TopKBatch | None = None
-    counts: np.ndarray | None = None
+    results: TopKBatch
 
 
 def plan_batch_scan(
@@ -110,9 +104,8 @@ def plan_batch_scan(
     queries: QueryBatch,
     k: int,
     max_fused_cells: int = DEFAULT_MAX_FUSED_CELLS,
-    select: bool = False,
 ) -> BatchScanPlan:
-    """Lay out block structure and compute final counts for a whole batch.
+    """Lay out block structure, count and select top-k for a whole batch.
 
     Args:
         index: The fitted inverted index (CSR position map).
@@ -120,8 +113,6 @@ def plan_batch_scan(
         k: Result size (feeds the c-PQ cost derivation and selection).
         max_fused_cells: Upper bound on one tile's count-matrix cells (the
             tile size of the cache-resident pipeline).
-        select: Compute each query's top-k while tiles are cache-hot (the
-            c-PQ path) instead of keeping the dense count matrix.
 
     Returns:
         The batch plan, equal field by field to
@@ -133,7 +124,7 @@ def plan_batch_scan(
     block_sizes = _segmented_block_sizes(index, span_lengths, span_query, span_item, n_queries)
     references = keyword_rows, np.searchsorted(keyword_query, np.arange(n_queries + 1))
     return _tiled_sweep(
-        index, span_rows, span_lengths, span_query, references, block_sizes, n_queries, int(k), max_fused_cells, select
+        index, span_rows, span_lengths, span_query, references, block_sizes, n_queries, int(k), max_fused_cells
     )
 
 
@@ -218,9 +209,8 @@ def _tiled_sweep(
     n_queries: int,
     k: int,
     max_fused_cells: int,
-    select: bool,
 ) -> BatchScanPlan:
-    """Count, histogram, cost-derive and (optionally) select, one tile at a time.
+    """Count, histogram, cost-derive and select, one tile at a time.
 
     A tile is counted sparse when its postings stream is at most a quarter
     of its cells. Dense tiles take one regime per batch: long-list when
@@ -229,7 +219,7 @@ def _tiled_sweep(
     counter would wrap) or the byte rows would pass their bound: one byte
     per object per *distinct* span, at most ``MAX_BYTE_ROW_BYTES`` (16 MB)
     for the life of this call, next to one byte tile of ``max_fused_cells``.
-    On the c-PQ path a short-list tile counts as bit planes instead when
+    A short-list tile counts as bit planes instead when
     :func:`_bit_planes_pay` says so and the index caches keyword bitmaps.
     """
     n_objects = index.n_objects
@@ -248,13 +238,10 @@ def _tiled_sweep(
 
     rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
     shared = _shared_byte_rows(index, span_rows, span_lengths, span_bounds)
-    # GEN-SPQ keeps every row; dense tiles of the c-PQ path are recounted
-    # into one buffer at the device's counter width. Byte rows add up in a
-    # byte tile under either.
-    counts = None if select else np.empty((n_queries, n_objects), dtype=np.int64)
-    if select or shared is not None:
-        counter = np.int32 if shared is None else np.uint8
-        buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=counter)
+    # Dense tiles are recounted into one buffer at the device's counter
+    # width; byte rows add up in a byte tile.
+    counter = np.int32 if shared is None else np.uint8
+    buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=counter)
     keyword_rows, keyword_bounds = references
     for lo in range(0, n_queries, rows_per_tile):
         hi = min(lo + rows_per_tile, n_queries)
@@ -271,10 +258,7 @@ def _tiled_sweep(
             # A count never exceeds the entries its row scanned.
             widths = updates[lo:hi] + 1
             hist = np.bincount((np.cumsum(widths) - widths)[key_row] + vals, minlength=int(widths.sum()))
-            if not select:
-                counts[lo:hi] = 0
-                counts[lo:hi].reshape(-1)[keys] = vals
-        elif select and shared is None and _bit_planes_pay(
+        elif shared is None and _bit_planes_pay(
             n_rows, keyword_bounds[lo : hi + 1], n_objects, entries, max_fused_cells
         ) and index.keyword_bitmaps is not None:
             planes = _add_bitmaps(index.keyword_bitmaps, keyword_rows, keyword_bounds[lo : hi + 1])
@@ -282,7 +266,7 @@ def _tiled_sweep(
             hist = _plane_histograms(planes, most, max_fused_cells * 4).reshape(-1)
             widths = np.full(n_rows, most + 1)
         elif shared is None:
-            tile = buffer[:n_rows] if select else counts[lo:hi]
+            tile = buffer[:n_rows]
             row_bounds = span_bounds[lo : hi + 1] - span_bounds[lo]
             widths, hist = _row_histograms(
                 _count_rows(tile, index, span_starts[spans], span_lengths[spans], row_bounds)
@@ -291,8 +275,6 @@ def _tiled_sweep(
             tile = buffer[:n_rows]
             _add_byte_rows(tile, *shared, span_bounds[lo : hi + 1])
             widths, hist = _row_histograms(tile)
-            if not select:
-                counts[lo:hi] = tile
 
         nonzero, kth, passes_high, value = _row_statistics(hist, widths, kk)
         gate_passes[lo:hi] = passes_high + np.minimum(nonzero, k) * kth
@@ -300,18 +282,17 @@ def _tiled_sweep(
         hist_values.append(value[occurs])
         hist_counters.append(hist[occurs])
 
-        if select:
-            # Theorem 3.1: only counts at or above the k-th largest can win.
-            level = np.maximum(kth, 1)
-            if sparse:
-                keep = vals >= level[key_row]
-                keys, vals = keys[keep], vals[keep]
-            elif planes is not None:
-                keys, vals = _planes_at_least(planes, level, n_objects)
-            else:
-                keys = np.flatnonzero(tile >= level.astype(tile.dtype)[:, None])
-                vals = tile.reshape(-1)[keys].astype(np.int64)  # off the counter width
-            tile_results.append(_select_rows(keys, vals, kth, kk, n_objects))
+        # Theorem 3.1: only counts at or above the k-th largest can win.
+        level = np.maximum(kth, 1)
+        if sparse:
+            keep = vals >= level[key_row]
+            keys, vals = keys[keep], vals[keep]
+        elif planes is not None:
+            keys, vals = _planes_at_least(planes, level, n_objects)
+        else:
+            keys = np.flatnonzero(tile >= level.astype(tile.dtype)[:, None])
+            vals = tile.reshape(-1)[keys].astype(np.int64)  # off the counter width
+        tile_results.append(_select_rows(keys, vals, kth, kk, n_objects))
 
     return BatchScanPlan(
         n_queries=n_queries,
@@ -321,8 +302,7 @@ def _tiled_sweep(
         count_hist=np.bincount(
             np.concatenate(hist_values), weights=np.concatenate(hist_counters)
         ).astype(np.int64),
-        results=TopKBatch.concat(tile_results) if select else None,
-        counts=counts,
+        results=TopKBatch.concat(tile_results),
     )
 
 
@@ -377,7 +357,7 @@ def _count_rows(
 #: Byte rows of one batch may hold this many bytes — a memory bound, not a
 #: cache one (a row is gathered whole, so a cold one streams: 10.8 MB of
 #: rows still count 3.3x faster than per-row ``bincount``). 16 MB is what
-#: GEN-SPQ's count matrix weighs for one Fig. 9 batch (256 x 8 000 int64).
+#: a dense int64 count matrix weighs for one Fig. 9 batch (256 x 8 000).
 MAX_BYTE_ROW_BYTES = 16 * 2**20
 
 

@@ -6,8 +6,8 @@
 1. ``fit`` — build the inverted index on the host, transfer it to device
    global memory,
 2. ``query`` — per batch: transfer the queries, launch the match kernel
-   (postings scan into c-PQ or a plain Count Table), launch the selection
-   step, and transfer results back.
+   (postings scan into c-PQ), launch the c-PQ selection step, and transfer
+   results back.
 
 The functional work of a batch has one path: a call to
 :func:`repro.core.batch_scan.plan_batch_scan` resolves every query's
@@ -15,10 +15,11 @@ postings through the CSR position map, counts matches tile by tile
 (``np.unique`` of fused keys where the postings stream is sparse; per-row
 ``bincount``, shared byte rows or bit planes where it is dense), and hands
 back batch arrays (block sizes, update and Gate-pass totals, the count
-histogram) plus either every query's top-k (c-PQ) or the dense count matrix
-GEN-SPQ's bucket selection reads.
+histogram) plus every query's top-k.
 The per-query specification it is tested against, Algorithm-1 c-PQ run
-included, lives in :mod:`repro.core.reference`, which the engine never imports.
+included, lives in :mod:`repro.core.reference`, which the engine never imports;
+the GEN-SPQ ablation (plain Count Table + SPQ selection) is a baseline,
+:mod:`repro.baselines.gen_spq`, built on that specification.
 
 The engine is also the home of the memory accounting that reproduces
 Table IV: per-batch structures are really allocated on the simulated
@@ -36,16 +37,13 @@ import numpy as np
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.bitmap_counter import bits_for_bound
 from repro.core.cpq import hash_table_capacity
-from repro.core.count_table import COUNT_TABLE_ENTRY_BYTES, SPQ_WORKSPACE_BYTES
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.scan_kernel import build_match_launch, build_select_launch
-from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query, QueryBatch, TopKBatch
 from repro.errors import ConfigError, QueryError
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
-from repro.gpu.kernel import KernelLaunch
 from repro.gpu.stats import StageTimings, timings_delta
 
 #: Modeled bytes per Hash-Table slot on the real device (4B key + 4B value).
@@ -64,8 +62,6 @@ class GenieConfig:
 
     Attributes:
         k: Default result size.
-        use_cpq: ``True`` for GENIE proper; ``False`` gives the GEN-SPQ
-            variant (plain Count Table + bucket k-selection).
         bits: Bitmap-Counter width override (ablation knob).
         count_bound: Match-count upper bound; derived from each batch's
             queries when ``None``.
@@ -74,7 +70,6 @@ class GenieConfig:
     """
 
     k: int = 100
-    use_cpq: bool = True
     bits: int | None = None
     count_bound: int | None = None
     load_balance: LoadBalanceConfig | None = None
@@ -106,20 +101,17 @@ def batch_count_bound(config: GenieConfig, queries: QueryBatch) -> int:
     return max(1, int(queries.keywords_per_query.max(initial=1)))
 
 
-def per_query_device_bytes(n_objects: int, k: int, count_bound: int, bits: int | None, use_cpq: bool) -> int:
+def per_query_device_bytes(n_objects: int, k: int, count_bound: int, bits: int | None) -> int:
     """Device bytes one in-flight query occupies (Table IV's quantity).
 
-    GENIE: the bit-packed Bitmap Counter plus the ``O(k * count_bound)``
-    Hash Table and the ZipperArray. GEN-SPQ: a full 32-bit Count Table plus
-    the explicit id/scratch workspace its bucket selection requires.
+    The bit-packed Bitmap Counter plus the ``O(k * count_bound)`` Hash
+    Table and the ZipperArray.
     """
-    if use_cpq:
-        width = bits if bits is not None else bits_for_bound(count_bound)
-        bc_bytes = -(-n_objects * width // 8)  # ceil division
-        ht_bytes = hash_table_capacity(k, count_bound) * _HT_SLOT_BYTES
-        za_bytes = (count_bound + 2) * 4
-        return bc_bytes + ht_bytes + za_bytes
-    return n_objects * (COUNT_TABLE_ENTRY_BYTES + SPQ_WORKSPACE_BYTES)
+    width = bits if bits is not None else bits_for_bound(count_bound)
+    bc_bytes = -(-n_objects * width // 8)  # ceil division
+    ht_bytes = hash_table_capacity(k, count_bound) * _HT_SLOT_BYTES
+    za_bytes = (count_bound + 2) * 4
+    return bc_bytes + ht_bytes + za_bytes
 
 
 class GenieEngine:
@@ -193,7 +185,6 @@ class GenieEngine:
             int(k if k is not None else self.config.k),
             bound,
             self.config.bits,
-            self.config.use_cpq,
         )
 
     def max_batch_size(self, count_bound: int, k: int | None = None) -> int:
@@ -215,8 +206,8 @@ class GenieEngine:
 
         Raises:
             QueryError: If the engine is unfitted or the batch is empty.
-            GpuOutOfMemoryError: If the batch's c-PQ / Count-Table
-                structures do not fit in device memory.
+            GpuOutOfMemoryError: If the batch's c-PQ structures do not fit
+                in device memory.
         """
         if self.index is None or self.corpus is None:
             raise QueryError("engine must be fitted before querying")
@@ -231,12 +222,15 @@ class GenieEngine:
         before = self.device.timings.copy()
         host_before = self.host.timings.copy()
 
-        batch_bytes = len(queries) * per_query_device_bytes(
-            self.index.n_objects, k, count_bound, self.config.bits, self.config.use_cpq
-        )
+        batch_bytes = len(queries) * self.per_query_bytes(count_bound, k)
         batch_alloc = self.device.memory.alloc(batch_bytes, label="query_batch_state")
+        pcie = self.device.spec.pcie_bandwidth
         try:
-            results = self._run_batch(queries, k, count_bound)
+            query_bytes = queries.keywords.size * QUERY_KEYWORD_BYTES
+            self.device.charge_seconds(query_bytes / pcie, stage="query_transfer")
+            results = self._match_and_select(queries, k, count_bound)
+            result_bytes = len(queries) * k * RESULT_ENTRY_BYTES
+            self.device.charge_seconds(result_bytes / pcie, stage="select")
         finally:
             self.device.memory.release(batch_alloc)
 
@@ -244,44 +238,17 @@ class GenieEngine:
         self.last_profile.merge(timings_delta(host_before, self.host.timings))
         return results
 
-    def _run_batch(self, queries: QueryBatch, k: int, count_bound: int) -> TopKBatch:
-        query_bytes = queries.keywords.size * QUERY_KEYWORD_BYTES
-        self.device.charge_seconds(query_bytes / self.device.spec.pcie_bandwidth, stage="query_transfer")
-
-        scan = plan_batch_scan(self.index, queries, k, select=self.config.use_cpq)
-        match_launch = build_match_launch(
-            scan, self.device.spec, self.config.threads_per_block, self.config.use_cpq
+    def _match_and_select(self, queries: QueryBatch, k: int, count_bound: int) -> TopKBatch:
+        """The batch's match and c-PQ select launches; returns its answers."""
+        scan = plan_batch_scan(self.index, queries, k)
+        self.device.launch(
+            build_match_launch(scan, self.device.spec, self.config.threads_per_block), stage="match"
         )
-        self.device.launch(match_launch, stage="match")
-
-        if self.config.use_cpq:
-            results = scan.results
-            select_launch = build_select_launch(
-                len(queries), hash_table_capacity(k, count_bound), k, self.config.threads_per_block
-            )
-            self.device.launch(select_launch, stage="select")
-        else:
-            results = []
-            for counts in scan.counts:
-                result, trace = spq_topk(counts, k)
-                self.device.launch(
-                    KernelLaunch(
-                        name="spq_select",
-                        block_items=np.asarray([trace.elements_scanned or 1]),
-                        threads_per_block=self.config.threads_per_block,
-                        cycles_per_item=3.0,
-                        bytes_read=trace.elements_scanned * 8.0,
-                        bytes_written=trace.elements_scanned * 8.0,
-                        atomic_ops=float(trace.elements_scanned),
-                    ),
-                    stage="select",
-                )
-                results.append(result)
-            results = TopKBatch.from_results(results)
-
-        result_bytes = len(queries) * k * RESULT_ENTRY_BYTES
-        self.device.charge_seconds(result_bytes / self.device.spec.pcie_bandwidth, stage="select")
-        return results
+        select_launch = build_select_launch(
+            len(queries), hash_table_capacity(k, count_bound), k, self.config.threads_per_block
+        )
+        self.device.launch(select_launch, stage="select")
+        return scan.results
 
     def query_batched(
         self, queries: QueryBatch | list[Query], k: int | None = None, batch_size: int | None = None

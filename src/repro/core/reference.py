@@ -11,7 +11,9 @@ exact Algorithm-1 c-PQ, update by update.
 Only tests, experiments and the baselines import this module — never the
 engine (``tests/test_layering.py``). :func:`plan_batch` assembles the same
 :class:`~repro.core.batch_scan.BatchScanPlan` the production scan returns,
-so the two are compared field by field.
+so the two are compared field by field; the GEN-SPQ baseline
+(:mod:`repro.baselines.gen_spq`) reads its counts and launch statistics from
+the same per-query plans.
 """
 
 from __future__ import annotations
@@ -168,11 +170,12 @@ def plan_query_scan(index: InvertedIndex, query: Query, query_index: int, k: int
 
 
 def plan_batch(index: InvertedIndex, queries: list[Query], k: int) -> BatchScanPlan:
-    """The specification's :class:`BatchScanPlan`: one planner call per query.
+    """The specification's :class:`BatchScanPlan`: one planner call per query."""
+    return stack_plans([plan_query_scan(index, query, qi, k) for qi, query in enumerate(queries)], k)
 
-    Fills both ``results`` and the dense ``counts`` (either ``select``).
-    """
-    plans = [plan_query_scan(index, query, qi, k) for qi, query in enumerate(queries)]
+
+def stack_plans(plans: list[QueryScanPlan], k: int) -> BatchScanPlan:
+    """One :class:`BatchScanPlan` from a batch's per-query plans, in order."""
     positive = [plan.counts[plan.counts > 0] for plan in plans]
     return BatchScanPlan(
         n_queries=len(plans),
@@ -181,7 +184,6 @@ def plan_batch(index: InvertedIndex, queries: list[Query], k: int) -> BatchScanP
         gate_passes=np.asarray([plan.cpq_cost.gate_passes for plan in plans], dtype=np.float64),
         count_hist=np.bincount(np.concatenate(positive)),
         results=[topk_from_counts(plan.counts, k) for plan in plans],
-        counts=np.stack([plan.counts for plan in plans]),
     )
 
 

@@ -11,7 +11,8 @@ from that one :class:`~repro.core.batch_scan.BatchScanPlan` (which the
 per-query specification, :func:`repro.core.reference.plan_batch`, also
 builds): two sums over its per-query arrays, and the atomic-conflict estimate
 in one expression over ``count_hist``, the histogram of where the batch's
-counters ended.
+counters ended. The GEN-SPQ baseline's plain Count-Table scan is this launch
+without the Gate and the Hash-Table writes (:mod:`repro.baselines.gen_spq`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ def build_match_launch(
     scan: BatchScanPlan,
     spec: DeviceSpec,
     threads_per_block: int,
-    use_cpq: bool,
 ) -> KernelLaunch:
     """Assemble the batch's match kernel from its scan plan.
 
@@ -47,8 +47,6 @@ def build_match_launch(
         scan: The batch's work layout and count statistics.
         spec: Target device (for warp-size-dependent estimates).
         threads_per_block: Launch configuration.
-        use_cpq: Whether counters go through c-PQ (Gate branch + Hash-Table
-            writes) or a plain Count Table (GEN-SPQ path).
 
     Returns:
         A single :class:`KernelLaunch` covering all queries' blocks — the
@@ -64,34 +62,22 @@ def build_match_launch(
         / CONTENTION_DILUTION
     )
 
-    if use_cpq:
-        # Per update: list read + BC atomic increment + Gate check. Atomics
-        # execute inside the block's own timeline, so their base cost is
-        # folded into the per-item cycles; only ZA/HT promotions (rare) are
-        # charged as standalone contended atomics.
-        atomic_ops = 2.0 * gate_passes
-        taken = gate_passes / total_updates if total_updates else 0.0
-        divergent = divergence_events(int(total_updates), taken, spec.warp_size)
-        uncoalesced = gate_passes * HT_INSERT_BYTES
-        cycles_per_item = 6.0
-    else:
-        # Plain Count Table: list read + one atomic per update, no Gate.
-        atomic_ops = 0.0
-        divergent = 0.0
-        uncoalesced = 0.0
-        cycles_per_item = 5.0
-
+    # Per update: list read + BC atomic increment + Gate check. Atomics
+    # execute inside the block's own timeline, so their base cost is folded
+    # into the per-item cycles; only ZA/HT promotions (rare) are charged as
+    # standalone contended atomics.
+    taken = gate_passes / total_updates if total_updates else 0.0
     return KernelLaunch(
-        name="genie_match" if use_cpq else "genie_match_counttable",
+        name="genie_match",
         block_items=scan.block_sizes,
         threads_per_block=threads_per_block,
-        cycles_per_item=cycles_per_item,
+        cycles_per_item=6.0,
         bytes_read=float(scan.block_sizes.sum()) * POSTING_ENTRY_BYTES,
         bytes_written=0.0,
-        uncoalesced_bytes=uncoalesced,
-        atomic_ops=atomic_ops,
+        uncoalesced_bytes=gate_passes * HT_INSERT_BYTES,
+        atomic_ops=2.0 * gate_passes,
         atomic_conflicts=atomic_conflicts,
-        divergent_warps=divergent,
+        divergent_warps=divergence_events(int(total_updates), taken, spec.warp_size),
     )
 
 

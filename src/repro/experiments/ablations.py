@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.session import GenieSession
+from repro.core.count_table import count_table_batch_bytes
 from repro.core.cpq import CountPriorityQueue
 from repro.core.engine import GenieConfig, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig
@@ -35,8 +36,8 @@ def run_bitmap_width(
 
     for bound in bounds:
         bits = bits_for_bound(bound)
-        genie = per_query_device_bytes(n_objects, k, bound, bits=None, use_cpq=True)
-        gen_spq = per_query_device_bytes(n_objects, k, bound, bits=None, use_cpq=False)
+        genie = per_query_device_bytes(n_objects, k, bound, bits=None)
+        gen_spq = count_table_batch_bytes(n_objects, 1)
         table.add_row(
             count_bound=bound, bits=bits, genie_bytes=genie, gen_spq_bytes=gen_spq, ratio=gen_spq / genie
         )

@@ -8,6 +8,7 @@ of GEN-SPQ's per-query memory, which multiplies its feasible batch size.
 
 from __future__ import annotations
 
+from repro.core.count_table import count_table_batch_bytes
 from repro.core.engine import per_query_device_bytes
 from repro.experiments.common import DEFAULT_K, DEFAULT_M
 from repro.experiments.table import ResultTable
@@ -59,8 +60,8 @@ def run(
     for name in datasets:
         n_objects = n if n is not None else _PAPER_CARDINALITY[name]
         bound = _COUNT_BOUNDS[name]
-        genie = per_query_device_bytes(n_objects, k, bound, bits=None, use_cpq=True)
-        gen_spq = per_query_device_bytes(n_objects, k, bound, bits=None, use_cpq=False)
+        genie = per_query_device_bytes(n_objects, k, bound, bits=None)
+        gen_spq = count_table_batch_bytes(n_objects, 1)
         table.add_row(
             dataset=name,
             n_objects=n_objects,

@@ -9,16 +9,17 @@ block-over-SM scheduler into one object with the lifecycle of a real device:
   SMs and returns the slowest SM's makespan (or the bandwidth bound, if the
   launch is memory-bound) without charging it — the one place the launch
   arithmetic lives, which the planner's cost model calls too,
-* ``launch`` charges that price to a stage and records the launch,
-* ``stage(name)`` scopes all charges to a pipeline stage so experiments can
-  reproduce Table I's per-stage profile.
+* ``launch`` charges that price to a stage and records the launch.
+
+Every charge names its pipeline stage (``stage=`` is required; there is no
+ambient stage to fall back on), so experiments can reproduce Table I's
+per-stage profile and no work lands in a stage nobody chose.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,29 +51,13 @@ class Device:
         # ``launches`` counts every one since the last reset.
         self.kernel_log: deque[KernelStats] = deque(maxlen=KERNEL_LOG_LIMIT)
         self.launches = 0
-        self._stage = "match"
 
     # ------------------------------------------------------------------
     # staging
 
-    @contextmanager
-    def stage(self, name: str):
-        """Scope subsequent charges to pipeline stage ``name``."""
-        previous = self._stage
-        self._stage = name
-        try:
-            yield self
-        finally:
-            self._stage = previous
-
-    @property
-    def current_stage(self) -> str:
-        """Stage currently receiving charges."""
-        return self._stage
-
-    def charge_seconds(self, seconds: float, stage: str | None = None) -> None:
+    def charge_seconds(self, seconds: float, *, stage: str) -> None:
         """Add raw simulated seconds to a stage (device-side fixed costs)."""
-        self.timings.add(stage or self._stage, seconds)
+        self.timings.add(stage, seconds)
 
     def reset_timings(self) -> None:
         """Zero all stage timers and the kernel log (memory state is kept)."""
@@ -89,16 +74,16 @@ class Device:
         alloc = self.memory.alloc(data.nbytes, label=label)
         return DeviceArray(data, alloc, self.memory)
 
-    def to_device(self, array: np.ndarray, label: str = "", stage: str | None = None) -> DeviceArray:
+    def to_device(self, array: np.ndarray, label: str = "", *, stage: str) -> DeviceArray:
         """Copy a host array to the device, charging PCIe transfer time."""
         array = np.ascontiguousarray(array)
         alloc = self.memory.alloc(array.nbytes, label=label)
-        self.timings.add(stage or self._stage, array.nbytes / self.spec.pcie_bandwidth)
+        self.timings.add(stage, array.nbytes / self.spec.pcie_bandwidth)
         return DeviceArray(array.copy(), alloc, self.memory)
 
-    def to_host(self, darray: DeviceArray, stage: str | None = None) -> np.ndarray:
+    def to_host(self, darray: DeviceArray, *, stage: str) -> np.ndarray:
         """Copy a device array back to the host, charging transfer time."""
-        self.timings.add(stage or self._stage, darray.data.nbytes / self.spec.pcie_bandwidth)
+        self.timings.add(stage, darray.data.nbytes / self.spec.pcie_bandwidth)
         return darray.data.copy()
 
     # ------------------------------------------------------------------
@@ -153,7 +138,7 @@ class Device:
 
         return max(compute_seconds, memory_seconds)
 
-    def launch(self, launch: KernelLaunch, stage: str | None = None) -> KernelStats:
+    def launch(self, launch: KernelLaunch, *, stage: str) -> KernelStats:
         """Charge :meth:`price` of ``launch`` to a stage and record it.
 
         Returns:
@@ -176,7 +161,7 @@ class Device:
         )
         self.kernel_log.append(stats)
         self.launches += 1
-        self.timings.add(stage or self._stage, elapsed)
+        self.timings.add(stage, elapsed)
         return stats
 
 

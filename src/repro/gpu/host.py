@@ -3,11 +3,11 @@
 CPU competitors in the paper (CPU-Idx, CPU-LSH, AppGram) and GENIE's own
 host-side steps (index build, final merge in multi-loading) are charged
 against this model so all reported numbers live on one simulated clock.
+Every charge names its stage (``stage=`` is required, as on
+:class:`~repro.gpu.device.Device`).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.errors import ConfigError
 from repro.gpu.specs import I7_3820, HostSpec
@@ -29,17 +29,6 @@ class HostCpu:
         self.spec = spec
         self.cores = cores
         self.timings = StageTimings()
-        self._stage = "match"
-
-    @contextmanager
-    def stage(self, name: str):
-        """Scope subsequent charges to pipeline stage ``name``."""
-        previous = self._stage
-        self._stage = name
-        try:
-            yield self
-        finally:
-            self._stage = previous
 
     def price_ops(self, n_ops: float) -> float:
         """Seconds ``n_ops`` simple operations take; charges nothing."""
@@ -47,23 +36,23 @@ class HostCpu:
             raise ConfigError("negative op count")
         return n_ops / (self.spec.ops_per_second * self.cores)
 
-    def charge_ops(self, n_ops: float, stage: str | None = None) -> float:
+    def charge_ops(self, n_ops: float, *, stage: str) -> float:
         """Charge ``n_ops`` simple operations; returns the seconds added."""
         seconds = self.price_ops(n_ops)
-        self.timings.add(stage or self._stage, seconds)
+        self.timings.add(stage, seconds)
         return seconds
 
-    def charge_bytes(self, nbytes: float, stage: str | None = None) -> float:
+    def charge_bytes(self, nbytes: float, *, stage: str) -> float:
         """Charge a memory-bandwidth-bound pass over ``nbytes``."""
         if nbytes < 0:
             raise ConfigError("negative byte count")
         seconds = nbytes / self.spec.mem_bandwidth
-        self.timings.add(stage or self._stage, seconds)
+        self.timings.add(stage, seconds)
         return seconds
 
-    def charge_seconds(self, seconds: float, stage: str | None = None) -> None:
+    def charge_seconds(self, seconds: float, *, stage: str) -> None:
         """Charge raw simulated seconds."""
-        self.timings.add(stage or self._stage, seconds)
+        self.timings.add(stage, seconds)
 
     def reset_timings(self) -> None:
         """Zero all stage timers."""

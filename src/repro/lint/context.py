@@ -1,8 +1,8 @@
 """Per-file analysis context shared by every rule.
 
 One :class:`FileContext` wraps one parsed module: its display path, the
-AST, a parent map (rules ask "am I inside a ``with device.stage(...)``
-block?"), and the error-taxonomy name set computed for the whole lint
+AST, a parent map (rules ask "which function encloses this call?"), and
+the error-taxonomy name set computed for the whole lint
 run (``ReproError`` and everything that transitively subclasses it,
 including subclasses defined in the linted files themselves).
 """

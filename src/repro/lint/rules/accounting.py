@@ -1,19 +1,15 @@
 """REPRO003 — stage accounting: every charge lands in a *named* stage.
 
-All simulated work flows through six charging calls (``Device.launch``,
+All simulated work flows through seven charging calls (``Device.launch``,
 ``Device.charge_seconds``, ``Device.to_device``/``to_host``,
-``HostCpu.charge_ops``/``charge_bytes``/``charge_seconds``) that fall
-back to an *ambient* stage when no ``stage=`` is given. Ambient
-fallback is how PR 5's ``plan_route`` bug class happened: host work
-performed outside any scope got charged to whatever stage was last
-active, and the per-stage profile (Table I, the calibrated cost model,
-cost-drift tracking) silently lied. This rule requires every charging
-call to either
-
-* pass an explicit non-``None`` ``stage=`` keyword, or
-* sit lexically inside a ``with <obj>.stage(...)`` scope,
-
-so the reader — and the profile — always knows which stage pays.
+``HostCpu.charge_ops``/``charge_bytes``/``charge_seconds``), each of which
+requires a ``stage=`` keyword. An ambient fallback stage is how the
+``plan_route`` bug class happened: host work performed outside any scope got
+charged to whatever stage was last active, and the per-stage profile
+(Table I, the calibrated cost model, cost-drift tracking) silently lied.
+The calls raise ``TypeError`` without ``stage=``; this rule catches the
+omission (and an explicit ``stage=None``) before anything runs, so the
+reader — and the profile — always knows which stage pays.
 """
 
 from __future__ import annotations
@@ -37,26 +33,12 @@ def _has_explicit_stage(call: ast.Call) -> bool:
     return False
 
 
-def _inside_stage_scope(ctx, call: ast.Call) -> bool:
-    for ancestor in ctx.ancestors(call):
-        if isinstance(ancestor, (ast.With, ast.AsyncWith)):
-            for item in ancestor.items:
-                expr = item.context_expr
-                if (
-                    isinstance(expr, ast.Call)
-                    and isinstance(expr.func, ast.Attribute)
-                    and expr.func.attr == "stage"
-                ):
-                    return True
-    return False
-
-
 @register
 class AccountingRule(Rule):
     rule_id = "REPRO003"
     title = "stage-accounting"
     rationale = (
-        "charges that fall back to the ambient stage get misattributed "
+        "a charge without a named stage gets misattributed "
         "(the plan_route bug class); every charge names its stage"
     )
 
@@ -68,12 +50,11 @@ class AccountingRule(Rule):
                 and node.func.attr in CHARGING_METHODS
             ):
                 continue
-            if _has_explicit_stage(node) or _inside_stage_scope(ctx, node):
+            if _has_explicit_stage(node):
                 continue
             yield ctx.finding(
                 self,
                 node,
-                f"{node.func.attr}() without an explicit stage= (or an enclosing "
-                "with .stage(...) scope); unattributed work corrupts the per-stage "
-                "profile the cost model calibrates against",
+                f"{node.func.attr}() without an explicit stage=; unattributed work "
+                "corrupts the per-stage profile the cost model calibrates against",
             )

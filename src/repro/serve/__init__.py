@@ -18,9 +18,9 @@ stream back into the batches the kernel wants:
 * :class:`~repro.serve.scheduler.MicroBatchScheduler` +
   :class:`~repro.serve.scheduler.BatchPolicy` — dynamic micro-batching
   under a ``max_batch`` / ``max_wait`` envelope with fair round-robin
-  across indexes; ``BatchPolicy.fifo()``, single-request batches in
-  global arrival order, is the one-request-per-kernel baseline the
-  benchmark compares against.
+  across indexes; ``BatchPolicy.fifo()`` is that envelope at a batch of
+  one (``micro(max_batch=1, max_wait=0)``), the one-request-per-kernel
+  baseline the benchmark compares against.
 * :class:`~repro.serve.metrics.ServeMetrics` — throughput, p50/p95/p99
   latency, batch-size histograms, cache/residency counters via
   ``snapshot()``.

@@ -10,6 +10,8 @@ bit-identical latency percentiles — in CI as on any laptop.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigError
 
 
@@ -30,13 +32,15 @@ class VirtualClock:
     def advance(self, seconds: float) -> float:
         """Move forward by ``seconds`` (must be non-negative); returns now."""
         seconds = float(seconds)
-        if seconds < 0:
+        if not seconds >= 0:  # NaN too: a NaN clock never reaches a deadline
             raise ConfigError(f"cannot advance the clock by {seconds} s")
         self._now += seconds
         return self._now
 
     def advance_to(self, t: float) -> float:
         """Move forward to ``t``; times in the past are a no-op (monotonic)."""
+        if math.isnan(t):
+            raise ConfigError("cannot advance the clock to NaN")
         if t > self._now:
             self._now = float(t)
         return self._now

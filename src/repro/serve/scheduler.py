@@ -3,17 +3,18 @@
 GENIE's match kernel amortizes beautifully over large query batches
 (Fig. 9 / Fig. 11; PR 1's vectorized pipeline) — but an online request
 stream arrives one query at a time. The scheduler is the layer that turns
-the stream back into batches:
+the stream back into batches. Per-index queues drain into coalesced
+:meth:`~repro.api.session.IndexHandle.search` calls when a queue reaches
+``max_batch`` requests or its oldest request has waited ``max_wait``
+simulated seconds, whichever is first. Draining is fair round-robin across
+indexes, so one hot index cannot starve a session's other residents.
 
-* ``fifo`` — the baseline: every request is its own batch, served in
-  global arrival order. One kernel launch per request; the per-launch
-  overhead the paper's batching amortizes is paid in full.
-* ``micro`` — dynamic micro-batching: per-index queues drain into
-  coalesced :meth:`~repro.api.session.IndexHandle.search` calls when a
-  queue reaches ``max_batch`` requests or its oldest request has waited
-  ``max_wait`` simulated seconds, whichever is first. Draining is fair
-  round-robin across indexes, so one hot index cannot starve a session's
-  other residents.
+The one-request-per-kernel baseline, ``BatchPolicy.fifo()``, is that drain
+under a batch of one: ``micro(max_batch=1, max_wait=0)``. Every request is
+its own batch and the per-launch overhead the paper's batching amortizes is
+paid in full. A server pumps after each admission, so its queues are empty
+between admissions and it answers in arrival order; a scheduler driven
+directly with several queues drains them round-robin.
 
 Requests in one index's queue only coalesce when they share a *lane* —
 the ``(k, options, route, plan)`` signature a single ``search()`` call
@@ -32,6 +33,7 @@ keeps every batching decision deterministic.
 from __future__ import annotations
 
 import logging
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,51 +41,45 @@ from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.serve")
 
-#: Policy kinds understood by the scheduler.
-POLICY_KINDS = ("fifo", "micro")
-
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """How queued requests become batches.
+    """How queued requests become batches: a size / wait envelope.
 
     Attributes:
-        kind: ``"fifo"`` (single-request batches, global arrival order) or
-            ``"micro"`` (dynamic micro-batching).
-        max_batch: Largest coalesced batch (``micro`` only).
+        max_batch: Largest coalesced batch (an integer >= 1).
         max_wait: Longest simulated time a request may sit queued before
-            its batch is dispatched anyway (``micro`` only).
+            its batch is dispatched anyway (>= 0; ``inf`` waits for the
+            size trigger or a drain).
     """
 
-    kind: str = "micro"
     max_batch: int = 32
     max_wait: float = 1e-3
 
     def __post_init__(self):
-        if self.kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind {self.kind!r}; expected {POLICY_KINDS}")
-        if int(self.max_batch) < 1:
-            raise ConfigError("max_batch must be >= 1")
-        if float(self.max_wait) < 0:
-            raise ConfigError("max_wait must be >= 0")
+        # A NaN wait or a fractional size would never trigger (or trigger
+        # off by one), and a driver advancing to the deadline would spin.
+        if not (isinstance(self.max_batch, numbers.Integral) and self.max_batch >= 1):
+            raise ConfigError(f"max_batch must be an integer >= 1, got {self.max_batch!r}")
+        if not float(self.max_wait) >= 0:
+            raise ConfigError(f"max_wait must be >= 0, got {self.max_wait!r}")
 
     @classmethod
     def fifo(cls) -> "BatchPolicy":
-        """The single-request baseline policy."""
-        return cls(kind="fifo", max_batch=1, max_wait=0.0)
+        """The single-request baseline: micro-batching of one."""
+        return cls(max_batch=1, max_wait=0.0)
 
     @classmethod
     def micro(cls, max_batch: int = 32, max_wait: float = 1e-3) -> "BatchPolicy":
         """Dynamic micro-batching under a size/wait envelope."""
-        return cls(kind="micro", max_batch=max_batch, max_wait=max_wait)
+        return cls(max_batch=max_batch, max_wait=max_wait)
 
 
 class MicroBatchScheduler:
     """Per-index request queues drained under a :class:`BatchPolicy`.
 
     Queued items are duck-typed: the scheduler needs ``item.arrival``
-    (simulated submit time), ``item.seq`` (global admission order, the
-    deterministic tie-break) and ``item.lane`` (hashable coalescing
+    (simulated submit time) and ``item.lane`` (hashable coalescing
     signature — requests only share a batch when lanes match).
     """
 
@@ -116,20 +112,10 @@ class MicroBatchScheduler:
     def next_deadline(self) -> float | None:
         """Earliest time a queued request *must* be dispatched, or ``None``.
 
-        Under ``micro`` this is the oldest head's ``arrival + max_wait``;
-        under ``fifo`` a queued request is already due, so its arrival is
-        returned. Drivers advance the virtual clock to this time to fire
-        wait-triggered batches in order.
+        The oldest head's ``arrival + max_wait``. Drivers advance the
+        virtual clock to this time to fire wait-triggered batches in order.
         """
-        deadlines = []
-        for queue in self._queues.values():
-            if not queue:
-                continue
-            head = queue[0]
-            if self.policy.kind == "fifo":
-                deadlines.append(head.arrival)
-            else:
-                deadlines.append(head.arrival + self.policy.max_wait)
+        deadlines = [queue[0].arrival + self.policy.max_wait for queue in self._queues.values() if queue]
         return min(deadlines) if deadlines else None
 
     # ------------------------------------------------------------------
@@ -138,14 +124,11 @@ class MicroBatchScheduler:
     def pop_ready(self, now: float) -> list[tuple[str, list]]:
         """Drain every batch that is ready at simulated time ``now``.
 
-        Returns ``(index, requests)`` pairs in dispatch order: strict
-        global arrival order for ``fifo``; fair round-robin across indexes
-        for ``micro`` (one batch per ready index per sweep, sweeping until
-        nothing is ready).
+        Returns ``(index, requests)`` pairs in dispatch order: fair
+        round-robin across indexes (one batch per ready index per sweep,
+        sweeping until nothing is ready).
         """
-        if self.policy.kind == "fifo":
-            return self._pop_fifo(drain=False)
-        return self._pop_micro(now, drain=False)
+        return self._pop(now, drain=False)
 
     def pop_all(self, now: float = 0.0) -> list[tuple[str, list]]:
         """Drain everything queued, ignoring readiness (graceful shutdown).
@@ -153,31 +136,9 @@ class MicroBatchScheduler:
         Batches still respect ``max_batch`` and lane compatibility; the
         dispatch order matches :meth:`pop_ready`'s fairness rules.
         """
-        if self.policy.kind == "fifo":
-            return self._pop_fifo(drain=True)
-        return self._pop_micro(now, drain=True)
+        return self._pop(now, drain=True)
 
-    def _pop_fifo(self, drain: bool) -> list[tuple[str, list]]:
-        # fifo requests are always due; ``drain`` changes nothing beyond
-        # making the symmetry with the micro path explicit.
-        del drain
-        batches: list[tuple[str, list]] = []
-        while True:
-            best_name = None
-            best_key = None
-            for name, queue in self._queues.items():
-                if not queue:
-                    continue
-                key = (queue[0].arrival, queue[0].seq)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_name = name
-            if best_name is None:
-                return batches
-            batches.append((best_name, [self._queues[best_name].popleft()]))
-            logger.debug("dispatch index=%s batch=1 trigger=fifo", best_name)
-
-    def _pop_micro(self, now: float, drain: bool) -> list[tuple[str, list]]:
+    def _pop(self, now: float, drain: bool) -> list[tuple[str, list]]:
         batches: list[tuple[str, list]] = []
         progressed = True
         while progressed:

@@ -40,6 +40,7 @@ deadlines in order, and ``drain()``/``close()`` flush everything queued.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from repro.api.models import resolve_shortlist_k
@@ -230,16 +231,6 @@ class GenieServer:
         cache_size: Entries in the exact-match result cache (an
             :class:`~repro.plan.cache.LruCache`); ``0`` or ``None``
             disables caching.
-        route: Server-wide default for the planner's routing escape hatch
-            (``"auto"`` / ``"pruned"`` / ``"broadcast"``); per-request
-            ``submit(..., route=...)`` overrides it.
-        plan: Server-wide default merge strategy (``"auto"`` /
-            ``"one-round"`` / ``"two-round"``); per-request override as
-            above. Requests only coalesce with lane-mates sharing both
-            directives, so one batch always executes one strategy. Both
-            defaults are shard strategies and apply to sharded indexes
-            only; requests to serial indexes ignore them (an explicit
-            per-request directive is still validated strictly).
         trace_sample: Trace one request in this many through a
             :class:`~repro.obs.trace.Tracer` (``1`` traces everything;
             the choice is deterministic from the admission sequence
@@ -260,8 +251,6 @@ class GenieServer:
         clock: VirtualClock | None = None,
         max_queue_depth: int = 256,
         cache_size: int | None = 1024,
-        route: str | None = None,
-        plan: str | None = None,
         trace_sample: int | None = None,
         rebalance=None,
     ):
@@ -271,17 +260,6 @@ class GenieServer:
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = MicroBatchScheduler(policy)
         self.max_queue_depth = int(max_queue_depth)
-        # Fail a misconfigured server default here, not on the first
-        # innocent request to a sharded index (and not silently-never on
-        # a serial-only server, where the defaults are simply unused).
-        # Constructor misconfiguration is ConfigError, like every other
-        # constructor in the repo; QueryError stays per-request.
-        try:
-            validate_plan_args(route, plan, sharded=True)
-        except QueryError as error:
-            raise ConfigError(f"bad server default: {error}") from None
-        self.route = route
-        self.plan = plan
         self.cache = LruCache(cache_size) if cache_size else None
         if self.cache is not None:
             session.add_invalidation_hook(self.cache.invalidate)
@@ -347,10 +325,10 @@ class GenieServer:
             raw_queries: Queries in the model's raw format.
             k: Results requested (index default when omitted).
             route: Planner routing directive (``"auto"``/``"pruned"``/
-                ``"broadcast"``); server default when omitted. Only
-                requests with matching directives share a batch.
+                ``"broadcast"``; sharded indexes only). Only requests with
+                matching directives share a batch.
             plan: Planner merge directive (``"auto"``/``"one-round"``/
-                ``"two-round"``); server default when omitted.
+                ``"two-round"``; sharded indexes only).
             opts: Model-specific search options.
 
         Raises:
@@ -376,7 +354,7 @@ class GenieServer:
                 raise QueryError("k must be >= 1")
             # The normalized forms go into the lane so equivalent directives
             # (None vs the explicit "auto") coalesce into one batch.
-            route, plan = self._resolve_directives(handle, route, plan)
+            route, plan = validate_plan_args(route, plan, sharded=handle.placement is not None)
             opts_key = tuple(sorted(opts.items()))
             resolve_shortlist_k(handle.model, k, opts)  # validates the options eagerly
             batch = handle.encode_queries(raws)
@@ -442,23 +420,6 @@ class GenieServer:
             "".join(f" {name}={value}" for name, value in detail.items()),
         )
 
-    def _resolve_directives(self, handle, route, plan) -> tuple[str, str]:
-        """Resolve per-request ``route``/``plan`` against server defaults.
-
-        Server-wide defaults are shard strategies; a serial index on a
-        mixed-index server must stay servable, so it ignores them (an
-        explicit per-request directive is still validated strictly).
-        Shared by :meth:`submit` and :meth:`explain`, so an explained
-        plan always reflects what a submit with the same arguments would
-        execute.
-        """
-        sharded = handle.placement is not None
-        if route is None:
-            route = self.route if sharded else None
-        if plan is None:
-            plan = self.plan if sharded else None
-        return validate_plan_args(route, plan, sharded=sharded)
-
     def explain(
         self,
         index: str,
@@ -470,17 +431,13 @@ class GenieServer:
     ):
         """The plan a :meth:`submit` with these arguments would execute.
 
-        Directive resolution is shared with :meth:`submit` — server-wide
-        ``route``/``plan`` defaults apply to sharded indexes and
-        per-request overrides win — then delegates to
-        :meth:`IndexHandle.explain <repro.api.session.IndexHandle.explain>`.
-        Nothing is admitted, executed, or charged.
+        Delegates to :meth:`IndexHandle.explain
+        <repro.api.session.IndexHandle.explain>`. Nothing is admitted,
+        executed, or charged.
         """
         self._check_open()
         self.session._check_open()
-        handle = self.session.index(index)
-        route, plan = self._resolve_directives(handle, route, plan)
-        return handle.explain([raw_query], k=k, route=route, plan=plan, **opts)
+        return self.session.index(index).explain([raw_query], k=k, route=route, plan=plan, **opts)
 
     @staticmethod
     def _cache_key(handle, index, raw_query, query, k, opts_key):
@@ -550,6 +507,8 @@ class GenieServer:
         Deadlines within ``(now, t]`` dispatch *at their deadline time*,
         not at ``t`` — queue-time metrics stay exact.
         """
+        if math.isnan(t):  # before any dispatch: no deadline is ever past NaN
+            raise ConfigError("cannot advance the clock to NaN")
         while True:
             deadline = self.scheduler.next_deadline()
             if deadline is None or deadline > t:
@@ -761,7 +720,8 @@ class GenieServer:
         snap = self.metrics.snapshot()
         snap["queue_depth"] = self.scheduler.depth
         snap["queue_depths"] = self.scheduler.depths()
-        snap["policy"] = self.scheduler.policy.kind
+        policy = self.scheduler.policy
+        snap["policy"] = {"max_batch": policy.max_batch, "max_wait": policy.max_wait}
         snap["device_busy_until"] = self._device_free
         snap["closed"] = self._closed
         snap["cache"] = self.cache.stats() if self.cache is not None else None

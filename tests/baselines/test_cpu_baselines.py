@@ -7,7 +7,10 @@ from repro.baselines.appgram import AppGram
 from repro.baselines.cpu_idx import CpuIdx
 from repro.baselines.cpu_lsh import CpuLsh
 from repro.baselines.gen_spq import make_gen_spq
+from repro.core.count_table import count_table_batch_bytes
 from repro.core.engine import GenieConfig, GenieEngine
+from repro.gpu.device import Device
+from repro.gpu.specs import small_device
 from repro.core.match_count import brute_force_topk
 from repro.core.types import Corpus, Query
 from repro.errors import QueryError
@@ -97,9 +100,20 @@ class TestAppGram:
 
 
 class TestGenSpqFactory:
-    def test_configured_without_cpq(self):
-        engine = make_gen_spq()
-        assert not engine.config.use_cpq
+    def test_charges_a_count_table_and_spq_selection(self):
+        engine = make_gen_spq(config=GenieConfig(k=4)).fit(CORPUS)
+        engine.query([Query.from_keywords([0, 7]), Query.from_keywords([1])])
+        names = [stats.name for stats in engine.device.kernel_log]
+        assert names == ["genie_match_counttable", "spq_select", "spq_select"]
+        match = engine.device.kernel_log[0]
+        assert match.uncoalesced_bytes == match.atomic_ops == match.divergent_warps == 0
+        assert list(engine.last_profile.seconds) == ["query_transfer", "match", "select"]
+
+    def test_oom_batch_size_is_the_count_tables(self):
+        device = Device(small_device(16 * 1024))
+        engine = make_gen_spq(device=device, config=GenieConfig(k=4)).fit(CORPUS)
+        assert engine.per_query_bytes() == count_table_batch_bytes(len(CORPUS), 1)
+        assert engine.max_batch_size(count_bound=2) == device.memory.free // count_table_batch_bytes(len(CORPUS), 1)
 
     def test_results_agree_with_genie(self):
         query = Query.from_keywords([0, 7])

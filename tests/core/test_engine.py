@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.gen_spq import make_gen_spq
+from repro.core.count_table import count_table_batch_bytes
 from repro.core.engine import GenieConfig, GenieEngine, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import brute_force_topk
@@ -74,13 +76,13 @@ class TestGenSpqVariant:
         corpus = Corpus([[i % 7, (i * 3) % 7, 7 + i % 4] for i in range(40)])
         query = Query.from_keywords([0, 3, 8])
         genie = GenieEngine(config=GenieConfig(k=5)).fit(corpus)
-        gen_spq = GenieEngine(config=GenieConfig(k=5, use_cpq=False)).fit(corpus)
+        gen_spq = make_gen_spq(config=GenieConfig(k=5)).fit(corpus)
         assert _counts(genie.query([query])[0]) == _counts(gen_spq.query([query])[0])
 
     def test_gen_spq_needs_more_memory_per_query(self):
-        genie = per_query_device_bytes(10_000, 10, 16, None, use_cpq=True)
-        gen_spq = per_query_device_bytes(10_000, 10, 16, None, use_cpq=False)
-        assert gen_spq > genie
+        gen_spq = make_gen_spq(config=GenieConfig(k=10)).fit(Corpus([[i % 50] for i in range(10_000)]))
+        assert gen_spq.per_query_bytes(16) == count_table_batch_bytes(10_000, 1) == 10_000 * 12
+        assert gen_spq.per_query_bytes(16) > per_query_device_bytes(10_000, 10, 16, None)
 
 
 class TestLoadBalancedEngine:
@@ -104,8 +106,14 @@ class TestMemoryBehaviour:
 
     def test_oom_on_oversized_batch(self):
         corpus = Corpus([[i % 50] for i in range(5_000)])
-        device = Device(small_device(64 * 1024))
-        engine = GenieEngine(device=device, config=GenieConfig(k=10, use_cpq=False)).fit(corpus)
+        device = Device(small_device(1 << 20))
+        engine = make_gen_spq(device=device, config=GenieConfig(k=10)).fit(corpus)
+        fits = engine.max_batch_size(count_bound=1)
+        assert fits == device.memory.free // (5_000 * 12)
+        assert 0 < fits < 64
+        engine.query([Query.from_keywords([0])] * fits)
+        with pytest.raises(GpuOutOfMemoryError):
+            engine.query([Query.from_keywords([0])] * (fits + 1))
         with pytest.raises(GpuOutOfMemoryError):
             engine.query([Query.from_keywords([0])] * 64)
 
@@ -179,10 +187,10 @@ class TestErrors:
 
     def test_config_with_copies(self):
         config = GenieConfig(k=5)
-        other = config.with_(k=9, use_cpq=False)
+        other = config.with_(k=9, threads_per_block=128)
         assert config.k == 5
         assert other.k == 9
-        assert not other.use_cpq
+        assert other.threads_per_block == 128
 
     def test_config_with_rejects_unknown_fields(self):
         # Regression: typos must raise ConfigError naming the bad key, not

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import match_counts_all
-from repro.core.reference import plan_batch, plan_query_scan
+from repro.core.reference import match_counts, plan_batch, plan_query_scan
 from repro.core.scan_kernel import CONTENTION_DILUTION, build_match_launch, build_select_launch
 from repro.core.types import Corpus, Query
 from repro.gpu.specs import TITAN_X, DeviceSpec, small_device
@@ -71,24 +71,28 @@ def _per_query_conflicts(counts, warp_size):
     return total / CONTENTION_DILUTION
 
 
+def _counts(index, queries):
+    """The batch's dense match counts, one row per query."""
+    return np.stack([match_counts(index, query) for query in queries])
+
+
 class TestLaunchAssembly:
+    QUERIES = [Query(items=[[1], [3]]), Query(items=[[2, 4]])]
+
     def _scan(self):
-        index = InvertedIndex.build(_corpus())
-        return plan_batch(index, [Query(items=[[1], [3]]), Query(items=[[2, 4]])], k=2)
+        return plan_batch(InvertedIndex.build(_corpus()), self.QUERIES, k=2)
 
     def test_match_launch_covers_all_blocks(self):
         scan = self._scan()
-        launch = build_match_launch(scan, TITAN_X, 256, use_cpq=True)
+        launch = build_match_launch(scan, TITAN_X, 256)
         assert launch.num_blocks == scan.block_sizes.size == 3
         assert launch.total_items == int(scan.updates.sum())
 
     def test_cpq_launch_has_gate_traffic(self):
         scan = self._scan()
-        cpq = build_match_launch(scan, TITAN_X, 256, use_cpq=True)
-        table = build_match_launch(scan, TITAN_X, 256, use_cpq=False)
-        assert cpq.uncoalesced_bytes > 0
-        assert table.uncoalesced_bytes == 0
-        assert cpq.name != table.name
+        cpq = build_match_launch(scan, TITAN_X, 256)
+        assert cpq.uncoalesced_bytes > 0 and cpq.atomic_ops > 0
+        assert cpq.name == "genie_match"
 
     def test_select_launch_one_block_per_query(self):
         launch = build_select_launch(2, ht_capacity=64, k=2, threads_per_block=128)
@@ -97,7 +101,8 @@ class TestLaunchAssembly:
 
     def test_count_hist_bins_the_positive_counters(self):
         scan = self._scan()
-        positive = scan.counts[scan.counts > 0]
+        counts = _counts(InvertedIndex.build(_corpus()), self.QUERIES)
+        positive = counts[counts > 0]
         assert np.array_equal(scan.count_hist, np.bincount(positive))
         assert scan.count_hist[0] == 0 and int(scan.count_hist.sum()) == positive.size
 
@@ -111,10 +116,11 @@ class TestLaunchAssembly:
         the one-expression estimate over ``count_hist`` is the per-query sums
         to the last bit."""
         index = InvertedIndex.build(Corpus(raw_objects))
-        scan = plan_batch(index, [Query(items=[[kw] for kw in kws]) for kws in raw_queries], k=2)
+        queries = [Query(items=[[kw] for kw in kws]) for kws in raw_queries]
+        scan = plan_batch(index, queries, k=2)
         for spec in (TITAN_X, small_device()):
-            launch = build_match_launch(scan, spec, 256, use_cpq=True)
-            assert launch.atomic_conflicts == _per_query_conflicts(scan.counts, spec.warp_size)
+            launch = build_match_launch(scan, spec, 256)
+            assert launch.atomic_conflicts == _per_query_conflicts(_counts(index, queries), spec.warp_size)
 
     def test_conflicts_for_a_warp_size_that_is_no_power_of_two(self):
         # Dividing once instead of per counter may move the last bit when the
@@ -124,5 +130,5 @@ class TestLaunchAssembly:
         queries = [Query(items=[[kw] for kw in rng.integers(0, 6, size=90)]) for _ in range(12)]
         scan = plan_batch(index, queries, k=3)
         assert scan.count_hist.size > 24
-        launch = build_match_launch(scan, DeviceSpec(warp_size=24), 256, use_cpq=True)
-        assert launch.atomic_conflicts == pytest.approx(_per_query_conflicts(scan.counts, 24), rel=1e-12)
+        launch = build_match_launch(scan, DeviceSpec(warp_size=24), 256)
+        assert launch.atomic_conflicts == pytest.approx(_per_query_conflicts(_counts(index, queries), 24), rel=1e-12)

@@ -54,13 +54,13 @@ class TestScheduler:
 class TestLaunchTiming:
     def test_elapsed_positive(self):
         device = Device()
-        stats = device.launch(_launch([100, 100], bytes_read=800))
+        stats = device.launch(_launch([100, 100], bytes_read=800), stage="match")
         assert stats.elapsed_seconds > 0.0
 
     def test_more_work_more_time(self):
         device = Device()
-        small = device.launch(uniform_launch("a", 10_000, 256)).elapsed_seconds
-        large = device.launch(uniform_launch("b", 10_000_000, 256)).elapsed_seconds
+        small = device.launch(uniform_launch("a", 10_000, 256), stage="match").elapsed_seconds
+        large = device.launch(uniform_launch("b", 10_000_000, 256), stage="match").elapsed_seconds
         assert large > small
 
     def test_memory_bound_launch(self):
@@ -69,7 +69,7 @@ class TestLaunchTiming:
         gigabyte = 1024**3
         stats = device.launch(
             uniform_launch("mem", 1000, 10, cycles_per_item=0.001, bytes_read=gigabyte)
-        )
+        , stage="match")
         assert stats.elapsed_seconds >= gigabyte / device.spec.mem_bandwidth
 
     def test_single_block_capped_by_per_sm_bandwidth(self):
@@ -77,17 +77,17 @@ class TestLaunchTiming:
         nbytes = 10 * 1024**2
         one_block = device.launch(
             _launch([1_000_000], cycles_per_item=0.001, bytes_read=nbytes)
-        ).elapsed_seconds
+        , stage="match").elapsed_seconds
         per_sm = device.spec.mem_bandwidth / device.spec.num_sms
         assert one_block >= nbytes / per_sm
 
     def test_split_blocks_beat_one_giant_block(self):
         device = Device()
         total = 1_000_000
-        giant = device.launch(_launch([total], bytes_read=total * 4)).elapsed_seconds
+        giant = device.launch(_launch([total], bytes_read=total * 4), stage="match").elapsed_seconds
         split = device.launch(
             uniform_launch("s", total, 4096, bytes_read=total * 4)
-        ).elapsed_seconds
+        , stage="match").elapsed_seconds
         assert split < giant
 
     def test_uncoalesced_traffic_slower(self):
@@ -95,23 +95,23 @@ class TestLaunchTiming:
         nbytes = 4 * 1024**2
         coalesced = device.launch(
             uniform_launch("c", 1000, 100, bytes_read=nbytes)
-        ).elapsed_seconds
+        , stage="match").elapsed_seconds
         scattered = device.launch(
             uniform_launch("u", 1000, 100, uncoalesced_bytes=nbytes)
-        ).elapsed_seconds
+        , stage="match").elapsed_seconds
         assert scattered > coalesced
 
     def test_atomic_conflicts_add_time(self):
         device = Device()
-        quiet = device.launch(uniform_launch("q", 10_000, 256)).elapsed_seconds
+        quiet = device.launch(uniform_launch("q", 10_000, 256), stage="match").elapsed_seconds
         contended = device.launch(
             uniform_launch("a", 10_000, 256, atomic_conflicts=1e6)
-        ).elapsed_seconds
+        , stage="match").elapsed_seconds
         assert contended > quiet
 
     def test_kernel_log_keeps_the_newest_and_counts_all(self):
         device = Device()
-        launched = [device.launch(_launch([10 + i])) for i in range(KERNEL_LOG_LIMIT + 3)]
+        launched = [device.launch(_launch([10 + i]), stage="match") for i in range(KERNEL_LOG_LIMIT + 3)]
         assert device.launches == KERNEL_LOG_LIMIT + 3
         assert list(device.kernel_log) == launched[3:]
         assert device.kernel_log[-1] is launched[-1]
@@ -132,7 +132,7 @@ class TestPrice:
         self, block_items, threads, cycles, traffic, contention
     ):
         device = Device()
-        device.to_device(np.arange(8), label="resident")
+        device.to_device(np.arange(8), label="resident", stage="match")
         device.launch(_launch([7]), stage="select")
         launch = _launch(
             block_items, threads_per_block=threads, cycles_per_item=cycles,
@@ -153,26 +153,26 @@ class TestPrice:
         device = Device()
         for launch in (_launch([], bytes_read=1e6), build_select_launch(0, 64, 10, 256)):
             assert device.price(launch) == 0.0
-            stats = device.launch(launch)
+            stats = device.launch(launch, stage="match")
             assert stats.elapsed_seconds == 0.0 and stats.blocks == 0
         assert device.timings.total == 0.0 and device.launches == 2
 
 
 class TestStaging:
-    def test_stage_scoping(self):
+    def test_every_charge_names_its_stage(self):
         device = Device()
-        with device.stage("select"):
-            device.launch(_launch([100]))
-        assert device.timings.get("select") > 0.0
-        assert device.timings.get("match") == 0.0
-
-    def test_stage_nesting_restores(self):
-        device = Device()
-        with device.stage("a"):
-            with device.stage("b"):
-                pass
-            assert device.current_stage == "a"
-        assert device.current_stage == "match"
+        darray = device.to_device(np.arange(4), stage="index_transfer")
+        charges = (
+            lambda: device.launch(_launch([100])),
+            lambda: device.charge_seconds(1.0),
+            lambda: device.to_device(np.arange(4)),
+            lambda: device.to_host(darray),
+        )
+        for charge in charges:
+            with pytest.raises(TypeError, match="stage"):
+                charge()
+        assert list(device.timings.seconds) == ["index_transfer"] and device.launches == 0
+        assert not hasattr(device, "stage") and not hasattr(device, "current_stage")
 
     def test_explicit_stage_argument_wins(self):
         device = Device()
@@ -188,7 +188,7 @@ class TestStaging:
 
     def test_reset_timings(self):
         device = Device()
-        device.launch(_launch([100]))
+        device.launch(_launch([100]), stage="match")
         device.reset_timings()
         assert device.timings.total == 0.0
         assert len(device.kernel_log) == 0 and device.launches == 0
@@ -197,6 +197,6 @@ class TestStaging:
         fast = Device(DeviceSpec(pcie_bandwidth=16e9))
         slow = Device(DeviceSpec(pcie_bandwidth=1e9))
         arr = np.zeros(1_000_000, dtype=np.int64)
-        fast.to_device(arr)
-        slow.to_device(arr)
+        fast.to_device(arr, stage="match")
+        slow.to_device(arr, stage="match")
         assert slow.timings.total > fast.timings.total

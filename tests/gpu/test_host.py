@@ -9,7 +9,7 @@ from repro.gpu.specs import HostSpec
 class TestHostCpu:
     def test_charge_ops_time(self):
         host = HostCpu()
-        seconds = host.charge_ops(host.spec.ops_per_second)
+        seconds = host.charge_ops(host.spec.ops_per_second, stage="match")
         assert seconds == pytest.approx(1.0)
         assert host.timings.get("match") == pytest.approx(1.0)
 
@@ -22,13 +22,13 @@ class TestHostCpu:
 
     def test_charge_bytes_time(self):
         host = HostCpu()
-        seconds = host.charge_bytes(host.spec.mem_bandwidth / 2)
+        seconds = host.charge_bytes(host.spec.mem_bandwidth / 2, stage="match")
         assert seconds == pytest.approx(0.5)
 
     def test_multicore_speedup(self):
         single = HostCpu(cores=1)
         quad = HostCpu(cores=4)
-        assert quad.charge_ops(1e9) == pytest.approx(single.charge_ops(1e9) / 4)
+        assert quad.charge_ops(1e9, stage="match") == pytest.approx(single.charge_ops(1e9, stage="match") / 4)
 
     def test_invalid_cores_rejected(self):
         with pytest.raises(ValueError):
@@ -39,20 +39,19 @@ class TestHostCpu:
     def test_negative_charges_rejected(self):
         host = HostCpu()
         with pytest.raises(ValueError):
-            host.charge_ops(-1)
+            host.charge_ops(-1, stage="match")
         with pytest.raises(ValueError):
-            host.charge_bytes(-1)
+            host.charge_bytes(-1, stage="match")
 
-    def test_stage_scoping(self):
+    def test_every_charge_names_its_stage(self):
         host = HostCpu()
-        with host.stage("verify"):
-            host.charge_ops(100)
-        host.charge_ops(100)
-        assert host.timings.get("verify") > 0
-        assert host.timings.get("match") > 0
+        for charge in (host.charge_ops, host.charge_bytes, host.charge_seconds):
+            with pytest.raises(TypeError, match="stage"):
+                charge(100)
+        assert host.timings.total == 0.0 and not hasattr(host, "stage")
 
     def test_reset(self):
         host = HostCpu()
-        host.charge_ops(100)
+        host.charge_ops(100, stage="match")
         host.reset_timings()
         assert host.timings.total == 0.0

@@ -74,19 +74,19 @@ class TestDeviceArray:
     def test_to_device_roundtrip(self):
         device = Device()
         arr = np.arange(100, dtype=np.int32)
-        darr = device.to_device(arr)
-        assert np.array_equal(device.to_host(darr), arr)
+        darr = device.to_device(arr, stage="match")
+        assert np.array_equal(device.to_host(darr, stage="match"), arr)
 
     def test_to_device_copies(self):
         device = Device()
         arr = np.arange(10, dtype=np.int64)
-        darr = device.to_device(arr)
+        darr = device.to_device(arr, stage="match")
         arr[0] = 999
         assert darr.data[0] == 0
 
     def test_free_releases_device_memory(self):
         device = Device(small_device(10_000))
-        darr = device.to_device(np.zeros(1000, dtype=np.int64))
+        darr = device.to_device(np.zeros(1000, dtype=np.int64), stage="match")
         used = device.memory.used
         darr.free()
         assert device.memory.used == used - 8000
@@ -102,4 +102,4 @@ class TestDeviceArray:
     def test_oom_on_small_device(self):
         device = Device(small_device(1000))
         with pytest.raises(GpuOutOfMemoryError):
-            device.to_device(np.zeros(1000, dtype=np.int64))
+            device.to_device(np.zeros(1000, dtype=np.int64), stage="match")

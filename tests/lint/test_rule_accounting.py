@@ -45,7 +45,8 @@ class TestStageAccounting:
             """
         ) == []
 
-    def test_ambient_stage_scope_is_fine(self, rule_ids_for):
+    def test_a_stage_scope_excuses_nothing(self, rule_ids_for):
+        # There is no ambient stage to fall back on: the calls would raise.
         assert rule_ids_for(
             """
             def scan(dev, kernel, arr):
@@ -53,7 +54,7 @@ class TestStageAccounting:
                     dev.to_device(arr, label="queries")
                     dev.launch(kernel)
             """
-        ) == []
+        ) == ["REPRO003", "REPRO003"]
 
     def test_unrelated_launch_name_still_needs_stage(self, rule_ids_for):
         # The rule keys on method names, not receiver types: any .launch

@@ -24,32 +24,44 @@ class _Req:
 class TestBatchPolicy:
     def test_defaults_are_micro(self):
         policy = BatchPolicy()
-        assert policy.kind == "micro"
+        assert policy == BatchPolicy.micro()
         assert policy.max_batch >= 1
 
     def test_fifo_is_single_request(self):
-        policy = BatchPolicy.fifo()
-        assert policy.kind == "fifo"
-        assert policy.max_batch == 1
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="policy kind"):
-            BatchPolicy(kind="lifo")
+        assert BatchPolicy.fifo() == BatchPolicy.micro(max_batch=1, max_wait=0.0)
 
     def test_bad_max_batch_rejected(self):
         with pytest.raises(ConfigError, match="max_batch"):
             BatchPolicy.micro(max_batch=0)
 
+    @pytest.mark.parametrize("max_batch", [1.5, 2.0, "2", None])
+    def test_non_integral_max_batch_rejected(self, max_batch):
+        with pytest.raises(ConfigError, match="max_batch must be an integer"):
+            BatchPolicy.micro(max_batch=max_batch)
+
     def test_negative_max_wait_rejected(self):
         with pytest.raises(ConfigError, match="max_wait"):
             BatchPolicy.micro(max_wait=-1e-3)
 
+    def test_nan_max_wait_rejected(self):
+        with pytest.raises(ConfigError, match="max_wait"):
+            BatchPolicy.micro(max_wait=float("nan"))
+
+    def test_an_infinite_wait_is_flushed_by_a_drain(self):
+        sched = MicroBatchScheduler(BatchPolicy.micro(max_batch=4, max_wait=float("inf")))
+        request = _Req(arrival=0.0)
+        sched.enqueue("x", request)
+        assert sched.next_deadline() == float("inf") and sched.pop_ready(now=1e300) == []
+        assert sched.pop_all() == [("x", [request])]
+
 
 class TestFifo:
-    def test_global_arrival_order_across_indexes(self):
+    def test_queues_drain_round_robin_one_request_a_batch(self):
+        # Micro-batching of one: a scheduler holding several queues takes one
+        # request from each per sweep, not the globally oldest first.
         sched = MicroBatchScheduler(BatchPolicy.fifo())
         a = _Req(arrival=0.1)
-        b = _Req(arrival=0.2)
+        b = _Req(arrival=0.12)
         c = _Req(arrival=0.15)
         sched.enqueue("x", a)
         sched.enqueue("x", b)
@@ -58,16 +70,6 @@ class TestFifo:
         assert [(name, reqs[0]) for name, reqs in batches] == [("x", a), ("y", c), ("x", b)]
         assert all(len(reqs) == 1 for _, reqs in batches)
         assert sched.depth == 0
-
-    def test_arrival_tie_broken_by_seq(self):
-        sched = MicroBatchScheduler(BatchPolicy.fifo())
-        a = _Req(arrival=0.5)
-        b = _Req(arrival=0.5)
-        sched.enqueue("y", b)  # later seq enqueued first
-        sched.enqueue("x", a)
-        batches = sched.pop_ready(now=1.0)
-        first, second = [reqs[0] for _, reqs in batches]
-        assert (first, second) == ((a, b) if a.seq < b.seq else (b, a))
 
     def test_next_deadline_is_oldest_arrival(self):
         sched = MicroBatchScheduler(BatchPolicy.fifo())

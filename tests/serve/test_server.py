@@ -203,12 +203,11 @@ class TestOneWayIn:
                 server.submit("ab"[i % 2], doc, k=3)
             server.submit_many("a", DOCS[20:24], k=3)
             server.drain()
-            snap = server.snapshot()
-            return snap.pop("policy"), snap
+            return server.snapshot()
 
-        fifo_kind, fifo = run(BatchPolicy.fifo())
-        micro_kind, micro = run(BatchPolicy.micro(max_batch=1, max_wait=0.0))
-        assert fifo == micro and (fifo_kind, micro_kind) == ("fifo", "micro")
+        fifo = run(BatchPolicy.fifo())
+        assert fifo == run(BatchPolicy.micro(max_batch=1, max_wait=0.0))
+        assert fifo["policy"] == {"max_batch": 1, "max_wait": 0.0}
         assert fifo["batch_size_histogram"] == {1: fifo["batches"]}
         assert fifo["queue_depth"] == 0
 
@@ -351,6 +350,18 @@ class TestVirtualTime:
             meta.queue_time + (meta.started - meta.dispatched) + meta.service_time
         )
 
+    def test_a_nan_advance_is_refused_before_anything_dispatches(self):
+        clock = VirtualClock()
+        server = make_server(BatchPolicy.micro(max_batch=8, max_wait=0.5), clock=clock)
+        future = server.submit("tweets", DOCS[0], k=2)
+        # The clock first: a server advancing to NaN would spin if it accepted it.
+        for advance in (clock.advance, clock.advance_to, server.advance, server.advance_to):
+            with pytest.raises(ConfigError, match="(?i)nan"):
+                advance(float("nan"))
+        assert clock.now() == 0.0 and not future.done()
+        server.advance(1.0)
+        assert future.done() and future.metadata.dispatched == 0.5
+
     def test_profile_share_splits_batch_profile(self):
         server = make_server(BatchPolicy.micro(max_batch=2, max_wait=100.0))
         a = server.submit("tweets", DOCS[0], k=2)
@@ -470,15 +481,6 @@ class TestPlannerDirectives:
         kwargs.setdefault("cache_size", None)
         return GenieServer(session, policy=BatchPolicy.fifo(), **kwargs)
 
-    def test_server_defaults_do_not_poison_serial_indexes(self):
-        # Server-wide route/plan defaults are shard strategies; a serial
-        # index on a mixed-index server must stay servable.
-        server = self._mixed_server(route="broadcast", plan="two-round")
-        serial = server.submit("serial", DOCS[0], k=2)
-        sharded = server.submit("sharded", DOCS[0], k=2)
-        server.drain()
-        assert np.array_equal(serial.result().ids, sharded.result().ids)
-
     def test_explicit_directive_on_serial_index_still_rejected(self):
         server = self._mixed_server()
         with pytest.raises(QueryError, match="requires a sharded index"):
@@ -504,16 +506,6 @@ class TestPlannerDirectives:
         assert b.metadata.batch_size == 2
         assert c.metadata.batch_size == 1
 
-    def test_bad_server_default_fails_at_construction(self):
-        # Constructor misconfiguration is ConfigError (like every other
-        # constructor); QueryError stays for per-request problems.
-        session = GenieSession()
-        session.create_index(DOCS, model="document", name="tweets")
-        with pytest.raises(ConfigError, match="unknown route"):
-            GenieServer(session, route="prune")  # typo for "pruned"
-        with pytest.raises(ConfigError, match="unknown plan"):
-            GenieServer(session, plan="tput")
-
     def test_different_directives_never_share_a_batch(self):
         session = GenieSession()
         session.create_index(DOCS, model="document", name="sharded", shards=2)
@@ -529,38 +521,18 @@ class TestPlannerDirectives:
 
 
 class TestServerExplain:
-    def test_explain_resolves_server_defaults_like_submit(self):
-        session = GenieSession()
-        session.create_index(DOCS, model="document", name="sharded", shards=2)
-        server = GenieServer(
-            session, policy=BatchPolicy.fifo(), cache_size=None,
-            route="broadcast",
-        )
-        rendered = server.explain("sharded", DOCS[0], k=2).render()
-        assert "broadcast" in rendered
-
-    def test_per_request_directive_overrides_the_default(self):
-        session = GenieSession()
-        session.create_index(DOCS, model="document", name="sharded", shards=2)
-        server = GenieServer(
-            session, policy=BatchPolicy.fifo(), cache_size=None,
-            plan="two-round",
-        )
-        assert "two-round-tput" in server.explain("sharded", DOCS[0], k=4).render()
+    def test_explain_renders_the_per_request_directive(self):
+        server = self._mixed_server()
+        assert "broadcast" in server.explain("sharded", DOCS[0], k=2, route="broadcast").render()
+        assert "two-round-tput" in server.explain("sharded", DOCS[0], k=4, plan="two-round").render()
         rendered = server.explain("sharded", DOCS[0], k=4, plan="one-round").render()
         assert "Merge(one-round" in rendered
-
-    def test_explain_on_serial_index_ignores_shard_defaults(self):
-        # Same leniency as submit: server-wide directives are shard
-        # strategies and must not poison a serial index's explain.
-        server = self._mixed_server(route="broadcast", plan="two-round")
-        rendered = server.explain("serial", DOCS[0], k=2).render()
-        assert rendered.startswith("Scan(")
+        assert server.explain("serial", DOCS[0], k=2).render().startswith("Scan(")
 
     def test_explain_matches_what_submit_executes(self):
-        server = self._mixed_server(plan="two-round")
-        explained = server.explain("sharded", DOCS[0], k=4)
-        future = server.submit("sharded", DOCS[0], k=4)
+        server = self._mixed_server()
+        explained = server.explain("sharded", DOCS[0], k=4, plan="two-round")
+        future = server.submit("sharded", DOCS[0], k=4, plan="two-round")
         server.drain()
         assert future.done()
         executed = server.session.index("sharded").last_result

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import AnnModel, GenieSession
 from repro.baselines.cpu_idx import CpuIdx
+from repro.baselines.gen_spq import make_gen_spq
 from repro.baselines.gpu_spq import GpuSpq
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.load_balance import LoadBalanceConfig
@@ -36,7 +37,7 @@ class TestSystemsAgree:
     def test_four_way_agreement(self):
         k = 7
         genie = GenieEngine(config=GenieConfig(k=k)).fit(self.corpus)
-        gen_spq = GenieEngine(config=GenieConfig(k=k, use_cpq=False)).fit(self.corpus)
+        gen_spq = make_gen_spq(config=GenieConfig(k=k)).fit(self.corpus)
         gpu_spq = GpuSpq(device=Device()).fit(self.corpus)
         cpu_idx = CpuIdx().fit(self.corpus)
 

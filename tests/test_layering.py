@@ -60,6 +60,19 @@ def test_only_baselines_and_experiments_import_the_specification():
     assert not offenders, "the specification leaked into production:\n" + "\n".join(offenders)
 
 
+def test_the_scan_path_knows_no_count_table():
+    """GEN-SPQ (a plain Count Table + SPQ selection) is a baseline, not a mode of GENIE's scan."""
+    root = Path(repro.__file__).parent
+    banned = ("repro.core.spq_select", "repro.core.count_table")
+    offenders = [
+        f"core/{name}.py:{lineno}: {module}"
+        for name in ("engine", "batch_scan", "scan_kernel")
+        for lineno, module in _imported_modules(ast.parse((root / "core" / f"{name}.py").read_text()))
+        if any(module == b or module.startswith(b + ".") for b in banned)
+    ]
+    assert not offenders, "the scan path imports GEN-SPQ's structures:\n" + "\n".join(offenders)
+
+
 def test_stream_and_cluster_never_import_the_session_layer():
     """A slice copy lives next to the slice it copies: ``stream/`` builds the delta
     run's from ``repro.cluster.plan``, not by reaching up into ``repro.api``."""
@@ -191,9 +204,9 @@ def test_search_path_moves_candidates_as_batches():
     A ``TopKResult(...)`` built in the scan, the executor, the merge, the
     stream or the serve layer is a per-query python loop come back; the
     per-query views are made by ``TopKBatch.__getitem__`` alone, once per
-    answered query at ``search_encoded``. (GEN-SPQ's per-query bucket
-    selection lives in ``core/spq_select.py``, the specification and the
-    baselines are per-query systems.)
+    answered query at ``search_encoded``. (The SPQ bucket selection
+    lives in ``core/spq_select.py``; the specification and the baselines,
+    GEN-SPQ included, are per-query systems.)
     """
     root = Path(repro.__file__).parent
     offenders = [
