@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.gen_spq import make_gen_spq
 from repro.core import batch_scan
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.engine import GenieConfig, GenieEngine
@@ -227,9 +228,10 @@ class TestPlanEquivalence:
     @pytest.mark.parametrize("plane_floor", [None, 0], ids=["plane_floor", "no_plane_floor"])
     @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
     @pytest.mark.parametrize("max_fused_cells", [1, 7, 64, 10**9])
+    @pytest.mark.parametrize("k", [1, 3], ids=["k1", "k3"])
     @pytest.mark.parametrize("hole", list(HOLES))
     @pytest.mark.parametrize("density", list(REGIME_QUERIES))
-    def test_counting_regimes(self, monkeypatch, density, hole, max_fused_cells, lb, plane_floor):
+    def test_counting_regimes(self, monkeypatch, density, hole, k, max_fused_cells, lb, plane_floor):
         if plane_floor is not None:  # so 16-object tiles may count as bit planes
             monkeypatch.setattr(batch_scan, "MIN_PLANE_BYTES", plane_floor)
         index = InvertedIndex.build(REGIME_CORPUS, load_balance=lb)
@@ -237,8 +239,8 @@ class TestPlanEquivalence:
         raw = [*before, HOLES[hole], *after]
         queries = make_batch(raw)
         taken = record_regimes(monkeypatch)
-        scan = plan_batch_scan(index, queries, 3, max_fused_cells=max_fused_cells)
-        assert_scan_matches_reference(index, queries, 3, scan)
+        scan = plan_batch_scan(index, queries, k, max_fused_cells=max_fused_cells)
+        assert_scan_matches_reference(index, queries, k, scan)
         # The rule, from the specification's numbers: a tile is sparse up to a
         # quarter of its cells; dense tiles add byte rows when the batch's
         # spans average a quarter of the objects, else count row by row — or
@@ -265,6 +267,26 @@ class TestPlanEquivalence:
             # for 21 entries and "short_lists" 5 x 4 x 3 = 60 for 28.
             expected = REGIME_WITHOUT_LB[density]
             assert taken == ["bits" if expected == "short" and plane_floor == 0 else expected]
+
+    @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
+    @pytest.mark.parametrize("hole", list(HOLES))
+    @pytest.mark.parametrize("density", list(REGIME_QUERIES))
+    def test_gen_spq_answers_each_regime_case_like_the_scan(self, density, hole, lb):
+        # The GEN-SPQ baseline counts with the specification into a Count
+        # Table and selects by SPQ: on every regime's batch it returns the
+        # scan's answers and launches the scan's match blocks.
+        index = InvertedIndex.build(REGIME_CORPUS, load_balance=lb)
+        before, after = REGIME_QUERIES[density][:2], REGIME_QUERIES[density][2:]
+        queries = make_batch([*before, HOLES[hole], *after])
+        scan = plan_batch_scan(index, queries, 3)
+        engine = make_gen_spq(config=GenieConfig(k=3, load_balance=lb)).fit(REGIME_CORPUS)
+        answers = engine.query(list(queries))
+        assert [r.as_pairs() for r in answers] == [r.as_pairs() for r in scan.results]
+        match, *selects = engine.device.kernel_log
+        launch = build_match_launch(scan, engine.device.spec, engine.config.threads_per_block)
+        assert match.name == "genie_match_counttable"
+        assert (match.blocks, match.bytes_read) == (len(launch.block_items), launch.bytes_read)
+        assert [stats.name for stats in selects] == ["spq_select"] * len(queries)
 
     @pytest.mark.parametrize("refs, regime", [(255, "long"), (256, "short")])
     def test_a_count_past_a_byte_falls_back(self, monkeypatch, refs, regime):
