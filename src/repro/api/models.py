@@ -33,9 +33,9 @@ import numpy as np
 
 from repro.core.engine import GenieConfig
 from repro.core.types import ID_DTYPE, Corpus, Query, QueryBatch, flat_keyword_sets
-from repro.errors import ConfigError, QueryError, ReproError
+from repro.errors import ConfigError, QueryError
 from repro.gpu.host import HostCpu
-from repro.lsh.family import LshFamily
+from repro.lsh.family import LshFamily, finite_points
 from repro.lsh.transform import DEFAULT_DOMAIN, LshTransformer
 from repro.sa.document import DEFAULT_STOPWORDS, WordVocabulary, tokenize
 from repro.sa.edit_distance import edit_distance, edit_distance_ops
@@ -575,35 +575,15 @@ class AnnModel(BaseMatchModel):
     def adapt_config(self, config: GenieConfig) -> GenieConfig:
         return config.with_(count_bound=self.num_functions)
 
-    @staticmethod
-    def _finite_points(points, error: type[ReproError]) -> np.ndarray:
-        """``points`` as a 2-D array; ``error`` if a float coordinate is NaN/inf.
-
-        A non-finite coordinate has no LSH signature: the numeric families
-        would cast it to an arbitrary grid cell or sign bit and answer with
-        full confidence. Integer (set-valued MinHash) input is finite by
-        construction and passes through.
-        """
-        points = np.atleast_2d(np.asarray(points))
-        if points.dtype.kind == "f":
-            finite = np.isfinite(points)
-            if not finite.all():
-                first = int(np.argmin(finite.reshape(points.shape[0], -1).all(axis=1)))
-                raise error(
-                    f"point {first} has a non-finite coordinate (NaN or inf); "
-                    f"its LSH signature is undefined"
-                )
-        return points
-
     def encode_corpus(self, points) -> Corpus:
-        points = self._finite_points(points, ConfigError)
+        points = finite_points(points, error=ConfigError)
         if points.shape[0] == 0:
             raise ConfigError("cannot fit an empty point set")
         self._points = points
         return self.transformer.to_corpus(points)
 
     def encode_queries(self, points) -> QueryBatch:
-        return self.transformer.to_queries(self._finite_points(points, QueryError))
+        return self.transformer.to_queries(finite_points(points))
 
     def finalize(self, raw_queries, queries, results, *, k: int, host: HostCpu) -> list[tuple]:
         m = float(self.num_functions)

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from repro.errors import ConfigError, QueryError
-from repro.lsh.family import LshFamily
+from repro.errors import ConfigError
+from repro.lsh.family import LshFamily, finite_points
 
 
 def psi_l2(distance: float, width: float) -> float:
@@ -73,9 +73,7 @@ class E2Lsh(LshFamily):
 
     def hash_points(self, points: np.ndarray) -> np.ndarray:
         """Signatures ``floor((a.q + b)/w)`` for all points and functions."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.dim:
-            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
+        points = finite_points(np.asarray(points, dtype=np.float64), self.dim)
         projections = points @ self._a + self._b
         return np.floor(projections / self.width).astype(np.int64)
 

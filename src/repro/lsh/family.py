@@ -16,7 +16,24 @@ import abc
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, QueryError, ReproError
+
+
+def finite_points(points, dim: int | None = None, error: type[ReproError] = QueryError) -> np.ndarray:
+    """``points`` as a 2-D array: ``QueryError`` unless it has ``dim`` columns
+    (when given), ``error`` naming the first row with a NaN or inf coordinate.
+
+    A non-finite coordinate has no LSH signature: RBH and E2LSH would cast it
+    to the ``INT64_MIN`` cell, so all such points would collide on every
+    function. Integer (set-valued MinHash) input is finite by construction.
+    """
+    points = np.atleast_2d(np.asarray(points))
+    if dim is not None and points.shape[1] != dim:
+        raise QueryError(f"expected dim {dim}, got {points.shape[1]}")
+    if points.dtype.kind == "f" and not np.isfinite(points).all():
+        first = int(np.argmin(np.isfinite(points).reshape(points.shape[0], -1).all(axis=1)))
+        raise error(f"point {first} has a non-finite coordinate (NaN or inf); its LSH signature is undefined")
+    return points
 
 
 class LshFamily(abc.ABC):

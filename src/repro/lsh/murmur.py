@@ -7,10 +7,11 @@ the same algorithm so the two can be cross-checked.
 
 The vectorized functions are shape-agnostic: :func:`murmur3_int64` hashes
 an array of any shape under one seed or an array of per-element seeds, and
-:func:`hash_combine` folds the last axis of an N-d array. That is what lets
-an LSH signature batch — all ``m`` functions x ``d`` dimensions of every
-point — go through one hash pass instead of one numpy round-trip per
-function and dimension.
+:func:`hash_combine` folds the last axis of an N-d array. The fold,
+:func:`fold_components`, runs ``state = fmix(state * 31 + component)`` over
+component-major hashes as ten ``out=`` ufunc calls on preallocated
+``uint32`` constants per component; RBH feeds it lookups in a table of its
+batch's few distinct grid cells instead of murmuring each cell.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ _CHUNK_CELLS = 200_000
 
 _C1 = np.uint32(0xCC9E2D51)
 _C2 = np.uint32(0x1B873593)
+_F1 = np.uint32(0x85EBCA6B)
+_F2 = np.uint32(0xC2B2AE35)
+_U31 = np.uint32(31)
+_S13 = np.uint32(13)
+_S16 = np.uint32(16)
 _MASK = 0xFFFFFFFF
 
 
@@ -90,18 +96,6 @@ def _rotl32_vec(x: np.ndarray, r: int, scratch: np.ndarray) -> None:
     x |= scratch
 
 
-def _fmix32_vec(h: np.ndarray, scratch: np.ndarray) -> None:
-    """MurmurHash3's 32-bit finalizer over each element of ``h``, in place."""
-    np.right_shift(h, np.uint32(16), out=scratch)
-    h ^= scratch
-    h *= np.uint32(0x85EBCA6B)
-    np.right_shift(h, np.uint32(13), out=scratch)
-    h ^= scratch
-    h *= np.uint32(0xC2B2AE35)
-    np.right_shift(h, np.uint32(16), out=scratch)
-    h ^= scratch
-
-
 def _seed_state(seed: int | np.ndarray, shape: tuple) -> np.ndarray:
     """``seed`` (int or integer array) as a fresh ``uint32`` array of ``shape``."""
     seeds = np.asarray(seed)
@@ -155,8 +149,7 @@ def murmur3_int64(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
             h *= np.uint32(5)
             h += np.uint32(0xE6546B64)
         h ^= np.uint32(8)  # key length in bytes
-        _fmix32_vec(h, scratch)
-    return h.reshape(values.shape)
+    return fold_components(h[None], 0).reshape(values.shape)  # fmix32(0 * 31 + h)
 
 
 def hash_combine(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
@@ -187,14 +180,26 @@ def hash_combine(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[:, None]
-    state = _seed_state(seed, arr.shape[:-1])
-    scratch = np.empty_like(state)
     # The fold reads one component of every vector per step: lay the mixed
     # tensor out component-major once instead of striding through it d times.
-    mixed = np.ascontiguousarray(np.moveaxis(murmur3_int64(arr, seed=0), -1, 0))
-    with np.errstate(over="ignore"):
-        for component in mixed:
-            state *= np.uint32(31)
-            state += component
-            _fmix32_vec(state, scratch)
+    return fold_components(np.ascontiguousarray(np.moveaxis(murmur3_int64(arr), -1, 0)), seed)
+
+
+def fold_components(mixed: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
+    """:func:`hash_combine`'s fold of ``(d, ...)`` ``uint32`` hashes from
+    ``seed``, component ``mixed[j]`` at step ``j``; ``uint32`` of ``mixed.shape[1:]``."""
+    state = _seed_state(seed, mixed.shape[1:])
+    scratch = np.empty_like(state)
+    multiply, add, right_shift, xor = np.multiply, np.add, np.right_shift, np.bitwise_xor
+    for component in mixed:  # state = fmix32(state * 31 + component)
+        multiply(state, _U31, out=state)
+        add(state, component, out=state)
+        right_shift(state, _S16, out=scratch)
+        xor(state, scratch, out=state)
+        multiply(state, _F1, out=state)
+        right_shift(state, _S13, out=scratch)
+        xor(state, scratch, out=state)
+        multiply(state, _F2, out=state)
+        right_shift(state, _S16, out=scratch)
+        xor(state, scratch, out=state)
     return state

@@ -12,19 +12,26 @@ density works out to ``Gamma(shape=2, scale=sigma)``.
 
 The signature is a whole d-dimensional integer vector — the "huge signature
 space" that motivates the paper's re-hashing mechanism. This module hashes
-it to one integer per function (collision-free for practical purposes) —
-the ``(rows, m, d)`` cell tensor of a chunk of points goes through one
-:func:`~repro.lsh.murmur.hash_combine` pass, function ``j`` seeded with
-``j + 1``; :mod:`repro.lsh.rehash` then buckets it into ``[0, D)``.
+it to one integer per function, bit for bit
+:func:`~repro.lsh.murmur.hash_combine` of the grid coordinates with function
+``j`` seeded ``j + 1``; :mod:`repro.lsh.rehash` then buckets it into
+``[0, D)``. A batch's cells take few distinct values: ``floor((x - u) /
+delta)`` is monotone in ``x`` (``delta > 0``, IEEE rounding), so the batch's
+per-dimension ``min`` / ``max`` bound every cell, and that range is murmured
+once into a table. A (dimension, function) pair whose bounds meet — most of
+them — takes its one table entry for every point; the others are
+``np.take`` lookups of their cells. The component-major hashes then go
+through :func:`~repro.lsh.murmur.fold_components`. A range wider than the
+batch's cell count (a tiny ``sigma``, far-off data) murmurs every cell.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigError, QueryError
-from repro.lsh.family import LshFamily
-from repro.lsh.murmur import _CHUNK_CELLS, hash_combine
+from repro.errors import ConfigError
+from repro.lsh.family import LshFamily, finite_points
+from repro.lsh.murmur import _CHUNK_CELLS, fold_components, hash_combine, murmur3_int64
 
 
 def laplacian_kernel(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
@@ -76,33 +83,53 @@ class RandomBinningHash(LshFamily):
 
     def grid_coordinates(self, points: np.ndarray) -> np.ndarray:
         """Raw grid signatures: ``(n, m, d)`` integer coordinates (Eqn. 2)."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.dim:
-            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
+        points = finite_points(np.asarray(points, dtype=np.float64), self.dim)
         # (n, 1, d) against (m, d) broadcast to (n, m, d).
         cells = np.floor((points[:, None, :] - self._shift[None, :, :]) / self._pitch[None, :, :])
         return cells.astype(np.int64)
 
-    def hash_points(self, points: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def hash_points(self, points: np.ndarray) -> np.ndarray:
         """Signatures folded to one integer per (point, function).
 
         The d-dimensional coordinate vector is murmur-combined; equal grid
         cells always fold to equal integers, so LSH collisions survive.
-        Points are processed ``chunk`` rows at a time, each chunk's
-        ``(rows, m, d)`` cell tensor in a single hash pass; the result
-        does not depend on ``chunk``. By default a chunk holds a fixed
-        budget of cells (``murmur._CHUNK_CELLS``), which bounds the
-        intermediates whatever ``n``, ``m`` and ``d`` are.
+        Rows go through in chunks, and each chunk's dimensions in blocks,
+        of a fixed cell budget (``murmur._CHUNK_CELLS``), which bounds the
+        intermediates whatever ``n``, ``m`` and ``d`` are; no result
+        depends on the split. A NaN/inf coordinate is a ``QueryError``.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = points.shape[0]
-        if chunk is None:
-            chunk = max(1, _CHUNK_CELLS // max(1, self.num_functions * self.dim))
-        seeds = np.arange(1, self.num_functions + 1)
-        folded = np.empty((n, self.num_functions), dtype=np.int64)
-        for start in range(0, n, chunk):
-            cells = self.grid_coordinates(points[start : start + chunk])
-            folded[start : start + chunk] = hash_combine(cells, seed=seeds)
+        points = finite_points(np.asarray(points, dtype=np.float64), self.dim)
+        n, m, d = points.shape[0], self.num_functions, self.dim
+        folded = np.empty((n, m), dtype=np.int64)
+        if n == 0:
+            return folded
+        # Each (dimension, function)'s cells over the batch lie in [low, high].
+        low, high = (np.floor((v - self._shift) / self._pitch).T for v in (points.min(0), points.max(0)))
+        lo, hi = low.min(), high.max()
+        if not (hi - lo < n * m * d and -(2.0**63) <= lo and hi < 2.0**63):
+            rows = max(1, _CHUNK_CELLS // (m * d))  # a wide range: murmur every cell
+            for start in range(0, n, rows):
+                cells = self.grid_coordinates(points[start : start + rows])
+                folded[start : start + rows] = hash_combine(cells, seed=np.arange(1, m + 1))
+            return folded
+        # A pair whose whole batch shares one cell looks it up once; only
+        # the others are computed per point. cell - lo is exact (< 2**53).
+        table = murmur3_int64(np.arange(int(lo), int(hi) + 1))
+        shared = table.take((low - lo).astype(np.intp))
+        vary_j, vary_f = np.nonzero(low != high)
+        rows = max(1, _CHUNK_CELLS // m)
+        for start in range(0, n, rows):
+            chunk = points[start : start + rows]
+            state = np.arange(1, m + 1)
+            step = max(1, _CHUNK_CELLS // (len(chunk) * m))
+            for first in range(0, d, step):
+                mixed = np.repeat(shared[first : first + step, None, :], len(chunk), axis=1)
+                block = slice(*np.searchsorted(vary_j, [first, first + step]))
+                j, f = vary_j[block], vary_f[block]
+                cells = np.floor((chunk[:, j] - self._shift[f, j]) / self._pitch[f, j])
+                mixed[j - first, :, f] = table.take((cells - lo).astype(np.intp)).T
+                state = fold_components(mixed, state)
+            folded[start : start + rows] = state
         return folded
 
     def similarity(self, p: np.ndarray, q: np.ndarray) -> float:

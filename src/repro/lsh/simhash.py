@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import QueryError
-from repro.lsh.family import LshFamily
+from repro.lsh.family import LshFamily, finite_points
 
 
 def angular_similarity(p: np.ndarray, q: np.ndarray) -> float:
@@ -41,9 +40,7 @@ class SimHash(LshFamily):
 
     def hash_points(self, points: np.ndarray) -> np.ndarray:
         """Signatures in {0, 1}: the sign bit of each projection."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.dim:
-            raise QueryError(f"expected dim {self.dim}, got {points.shape[1]}")
+        points = finite_points(np.asarray(points, dtype=np.float64), self.dim)
         return (points @ self._a >= 0).astype(np.int64)
 
     def similarity(self, p: np.ndarray, q: np.ndarray) -> float:

@@ -21,6 +21,8 @@ from repro.api.models import (
 from repro.core.types import Corpus, Query
 from repro.errors import ConfigError, QueryError
 from repro.lsh.e2lsh import E2Lsh
+from repro.lsh.rbh import RandomBinningHash
+from repro.lsh.simhash import SimHash
 from repro.sa.relational import AttributeSpec
 
 
@@ -227,6 +229,28 @@ class TestNonFinitePoints:
         # Rejected up front: no cast warning, and the good index still answers.
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
         assert int(handle.search(points[:1], k=1).results[0].ids[0]) == 0
+
+
+@pytest.mark.parametrize(
+    "family",
+    [RandomBinningHash(8, dim=8, sigma=2.0), E2Lsh(8, dim=8, width=4.0), SimHash(8, dim=8)],
+    ids=["rbh", "e2lsh", "simhash"],
+)
+def test_family_instance_search_names_the_non_finite_row(family):
+    """``model="ann"`` over a family instance: a search with a NaN or inf
+    coordinate is a ``QueryError`` naming the row, and the families raise
+    the same one on their own (``hash_points``)."""
+    from repro.api import GenieSession
+
+    points = np.random.default_rng(1).standard_normal((20, 8))
+    handle = GenieSession().create_index(points, model="ann", family=family, domain=97)
+    query = points[:3].copy()
+    query[2] = [np.nan, np.inf, -np.inf, 0, 0, 0, 0, 0]
+    with pytest.raises(QueryError, match="point 2 has a non-finite coordinate"):
+        handle.search(query, k=2)
+    with pytest.raises(QueryError, match="point 2 has a non-finite coordinate"):
+        family.hash_points(query)
+    assert handle.search(query[:2], k=1).results[1].ids.tolist() == [1]
 
 
 def test_integer_set_input_is_exempt_from_the_finite_check():

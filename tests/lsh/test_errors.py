@@ -24,6 +24,13 @@ from repro.lsh import (
     success_probability,
 )
 
+
+def _with_row_1(value):
+    points = np.zeros((3, 4))
+    points[1, 2] = value
+    return points
+
+
 CONFIG_ERRORS = {
     "family-m": lambda: MinHash(0),
     "e2lsh-m": lambda: E2Lsh(0, dim=4, width=1.0),
@@ -46,6 +53,18 @@ QUERY_ERRORS = {
     "simhash-dim": lambda: SimHash(4, dim=4).hash_points(np.zeros((2, 7))),
     "rbh-dim": lambda: RandomBinningHash(4, dim=4, sigma=1.0).hash_points(np.zeros((2, 7))),
     "rehash-width": lambda: ReHasher(3, 50).rehash(np.zeros((4, 2), dtype=np.int64)),
+    # A non-finite coordinate has no signature; RBH and E2LSH used to cast it
+    # to the INT64_MIN cell, so all such points collided on every function.
+    "rbh-nan": lambda: RandomBinningHash(4, dim=4, sigma=1.0).hash_points(_with_row_1(np.nan)),
+    "e2lsh-inf": lambda: E2Lsh(4, dim=4, width=1.0).hash_points(_with_row_1(-np.inf)),
+    "simhash-nan": lambda: SimHash(4, dim=4).hash_points(_with_row_1(np.nan)),
+}
+
+EXPECTED = {
+    "rehash-width": "expected 3 signature columns, got 2",
+    "rbh-nan": "point 1 has a non-finite coordinate",
+    "e2lsh-inf": "point 1 has a non-finite coordinate",
+    "simhash-nan": "point 1 has a non-finite coordinate",
 }
 
 
@@ -58,8 +77,7 @@ def test_bad_configuration(name):
 
 @pytest.mark.parametrize("name", sorted(QUERY_ERRORS))
 def test_malformed_input(name):
-    expected = "expected 3 signature columns, got 2" if name == "rehash-width" else "expected dim 4, got 7"
-    with pytest.raises(QueryError, match=expected) as caught:
+    with pytest.raises(QueryError, match=EXPECTED.get(name, "expected dim 4, got 7")) as caught:
         QUERY_ERRORS[name]()
     assert isinstance(caught.value, ReproError) and isinstance(caught.value, ValueError)
 

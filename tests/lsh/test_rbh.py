@@ -1,8 +1,13 @@
 """Tests for Random Binning Hashing (Laplacian kernel)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.lsh import rbh
 from repro.lsh.murmur import _CHUNK_CELLS, hash_combine
 from repro.lsh.rbh import RandomBinningHash, estimate_kernel_width, laplacian_kernel
 
@@ -48,12 +53,15 @@ class TestRandomBinningHash:
         p = np.random.default_rng(0).standard_normal(4)
         assert family.empirical_collision_rate(p, p) == 1.0
 
-    def test_chunked_hashing_consistent(self):
+    @pytest.mark.parametrize("splits", [(1,), (7,), (3, 4, 19), (19,), (10, 11)])
+    def test_batch_split_invariance(self, splits):
+        """The cell table is built from each batch's own range, yet any
+        split of the points hashes to the rows of the whole batch."""
         family = RandomBinningHash(6, dim=4, sigma=2.0, seed=0)
         points = np.random.default_rng(1).standard_normal((20, 4))
-        assert np.array_equal(
-            family.hash_points(points, chunk=3), family.hash_points(points, chunk=512)
-        )
+        whole = family.hash_points(points)
+        for a, b in zip((0, *splits), (*splits, 20)):
+            assert np.array_equal(family.hash_points(points[a:b]), whole[a:b])
 
     @pytest.mark.parametrize("m, d", [(6, 4), (1, 4), (6, 1), (1, 1)])
     def test_matches_per_function_fold(self, m, d):
@@ -69,24 +77,42 @@ class TestRandomBinningHash:
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 19, 20, 21])
-    def test_n_not_a_multiple_of_the_chunk(self, chunk):
-        family = RandomBinningHash(6, dim=4, sigma=2.0, seed=0)
-        points = np.random.default_rng(1).standard_normal((20, 4))
-        assert np.array_equal(family.hash_points(points, chunk), family.hash_points(points))
-
-    def test_default_chunk_is_an_element_budget(self):
-        """More rows than one default chunk holds (and a ragged tail):
-        same signatures as one big chunk, and as row-at-a-time."""
+    def test_batches_past_the_cell_budget(self):
+        """More rows than one chunk holds (and a ragged tail): each slice
+        of rows hashes as a batch of its own does."""
         family = RandomBinningHash(40, dim=50, sigma=2.0, seed=0)
-        n = 2 * (_CHUNK_CELLS // (40 * 50)) + 3
+        n = 2 * (_CHUNK_CELLS // 40) + 3
         points = np.random.default_rng(3).standard_normal((n, 50))
-        default = family.hash_points(points)
-        assert np.array_equal(default, family.hash_points(points, chunk=n))
-        assert np.array_equal(default[:5], family.hash_points(points[:5], chunk=1))
-        # A single row wider than the whole budget still hashes (chunk >= 1).
+        whole = family.hash_points(points)
+        for rows in (slice(0, 5), slice(_CHUNK_CELLS // 40 - 2, _CHUNK_CELLS // 40 + 2), slice(n - 4, n)):
+            assert np.array_equal(family.hash_points(points[rows]), whole[rows])
+        # A single row wider than the whole budget still hashes.
         wide = RandomBinningHash(_CHUNK_CELLS // 4 + 1, dim=5, sigma=2.0, seed=0)
         assert wide.hash_points(np.zeros((2, 5))).shape == (2, _CHUNK_CELLS // 4 + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        d=st.integers(1, 6),
+        n=st.sampled_from([0, 1, 2]) | st.integers(0, 40),
+        sigma=st.sampled_from([1e-7, 1e-3]) | st.floats(0.05, 50.0),
+        offset=st.sampled_from([0.0, -3e9, 1e9]),
+        budget=st.integers(1, 120),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_fold_of_grid_coordinates(self, m, d, n, sigma, offset, budget, seed):
+        """The cell table (and, for a tiny ``sigma``, the wide-range branch
+        that murmurs the cells) is bit for bit ``hash_combine`` of the grid
+        coordinates, function ``j`` seeded with ``j + 1`` — under a cell
+        budget small enough that rows split into chunks and dimensions
+        into blocks."""
+        family = RandomBinningHash(m, dim=d, sigma=sigma, seed=seed)
+        points = np.random.default_rng(seed).standard_normal((n, d)) * 4.0 + offset
+        expected = hash_combine(family.grid_coordinates(points), seed=np.arange(1, m + 1))
+        with mock.patch.object(rbh, "_CHUNK_CELLS", budget):
+            got = family.hash_points(points)
+        assert got.shape == (n, m) and got.dtype == np.int64
+        assert np.array_equal(got, expected.reshape(n, m))
 
     def test_single_point_and_empty_batch(self):
         family = RandomBinningHash(6, dim=4, sigma=2.0, seed=0)

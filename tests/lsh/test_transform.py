@@ -141,22 +141,34 @@ def _count_murmur_calls(monkeypatch):
         return real(values, seed)
 
     # Callers resolve the name through their own module namespace.
-    for module in ("repro.lsh.murmur", "repro.lsh.rehash"):
+    for module in ("repro.lsh.murmur", "repro.lsh.rbh", "repro.lsh.rehash"):
         monkeypatch.setattr(f"{module}.murmur3_int64", counted)
     return calls
 
 
 class TestMurmurCallBudget:
-    """One hash pass per batch — the per-function/per-dimension loop must
-    not come back unnoticed (it cost 1552 calls per 64-point OCR batch)."""
+    """An RBH batch murmurs each distinct grid cell once, not its ``(n, m, d)``
+    cell tensor; a per-function/per-dimension loop (1552 calls per 64-point
+    OCR batch) must not come back unnoticed either."""
 
     @pytest.mark.parametrize("m, d", [(16, 96), (5, 7)])
     def test_rbh_batch_is_two_calls(self, monkeypatch, m, d):
-        tr = LshTransformer(RandomBinningHash(m, dim=d, sigma=40.0, seed=3), domain=1024)
+        family = RandomBinningHash(m, dim=d, sigma=40.0, seed=3)
+        points = _points(64, d, 0)
+        cells = family.grid_coordinates(points)
+        tr = LshTransformer(family, domain=1024)
         calls = _count_murmur_calls(monkeypatch)
-        tr.keyword_matrix(_points(64, d, 0))
-        # One over the (n, m, d) cell tensor, one re-hash of the (n, m) folds.
-        assert calls == [(64, m, d), (64, m)]
+        tr.keyword_matrix(points)
+        # One over the batch's cell range (the table), one re-hash of the folds.
+        assert calls == [(int(cells.max() - cells.min()) + 1,), (64, m)]
+
+    def test_rbh_wide_range_murmurs_the_cells(self, monkeypatch):
+        """A range wider than the batch's cell count is no table: the cell
+        tensor is murmured as it is."""
+        family = RandomBinningHash(5, dim=7, sigma=1e-6, seed=3)
+        calls = _count_murmur_calls(monkeypatch)
+        LshTransformer(family, domain=1024).keyword_matrix(_points(64, 7, 0))
+        assert calls == [(64, 5, 7), (64, 5)]
 
     @pytest.mark.parametrize("m, d", [(64, 128), (3, 5)])
     def test_e2lsh_batch_is_one_call(self, monkeypatch, m, d):
