@@ -20,13 +20,8 @@ from repro.errors import ConfigError, QueryError, ReproError
 
 
 def finite_points(points, dim: int | None = None, error: type[ReproError] = QueryError) -> np.ndarray:
-    """``points`` as a 2-D array: ``QueryError`` unless it has ``dim`` columns
-    (when given), ``error`` naming the first row with a NaN or inf coordinate.
-
-    A non-finite coordinate has no LSH signature: RBH and E2LSH would cast it
-    to the ``INT64_MIN`` cell, so all such points would collide on every
-    function. Integer (set-valued MinHash) input is finite by construction.
-    """
+    """``points`` as a 2-D array of ``dim`` columns (``QueryError``); ``error``
+    names the first row with a NaN or inf coordinate, which has no signature."""
     points = np.atleast_2d(np.asarray(points))
     if dim is not None and points.shape[1] != dim:
         raise QueryError(f"expected dim {dim}, got {points.shape[1]}")

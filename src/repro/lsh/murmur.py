@@ -7,11 +7,8 @@ the same algorithm so the two can be cross-checked.
 
 The vectorized functions are shape-agnostic: :func:`murmur3_int64` hashes
 an array of any shape under one seed or an array of per-element seeds, and
-:func:`hash_combine` folds the last axis of an N-d array. The fold,
-:func:`fold_components`, runs ``state = fmix(state * 31 + component)`` over
-component-major hashes as ten ``out=`` ufunc calls on preallocated
-``uint32`` constants per component; RBH feeds it lookups in a table of its
-batch's few distinct grid cells instead of murmuring each cell.
+:func:`hash_combine` folds the last axis of an N-d array with
+:func:`fold_components`, which RBH also feeds from a table of its batch's cells.
 """
 
 from __future__ import annotations
@@ -21,20 +18,15 @@ import numpy as np
 from repro.errors import ConfigError
 
 #: Elements the batch callers (:mod:`repro.lsh.rbh`, :mod:`repro.lsh.rehash`)
-#: hand to one hash pass. A pass holds a handful of temporaries of its
-#: input's size (state, scratch, the two key words; RBH adds the cell tensor
-#: itself), so this keeps each under ~2 MB — cache-resident and invisible in
-#: peak memory however large the batch — while a pass is still long enough
-#: that numpy's per-call overhead is noise.
+#: hand to one hash pass: its few temporaries of that size (state, scratch, key
+#: words; RBH's cell table and block of cells) stay under ~2 MB each, however
+#: large the batch, while a pass stays long enough that numpy's per-call overhead is noise.
 _CHUNK_CELLS = 200_000
 
 _C1 = np.uint32(0xCC9E2D51)
 _C2 = np.uint32(0x1B873593)
-_F1 = np.uint32(0x85EBCA6B)
-_F2 = np.uint32(0xC2B2AE35)
-_U31 = np.uint32(31)
-_S13 = np.uint32(13)
-_S16 = np.uint32(16)
+_F1, _F2 = np.uint32(0x85EBCA6B), np.uint32(0xC2B2AE35)
+_U31, _S13, _S16 = np.uint32(31), np.uint32(13), np.uint32(16)
 _MASK = 0xFFFFFFFF
 
 
@@ -96,6 +88,18 @@ def _rotl32_vec(x: np.ndarray, r: int, scratch: np.ndarray) -> None:
     x |= scratch
 
 
+def _fmix32_vec(h: np.ndarray, scratch: np.ndarray) -> None:
+    """MurmurHash3's 32-bit finalizer over each element of ``h``, in place."""
+    np.right_shift(h, _S16, out=scratch)
+    h ^= scratch
+    h *= _F1
+    np.right_shift(h, _S13, out=scratch)
+    h ^= scratch
+    h *= _F2
+    np.right_shift(h, _S16, out=scratch)
+    h ^= scratch
+
+
 def _seed_state(seed: int | np.ndarray, shape: tuple) -> np.ndarray:
     """``seed`` (int or integer array) as a fresh ``uint32`` array of ``shape``."""
     seeds = np.asarray(seed)
@@ -149,7 +153,8 @@ def murmur3_int64(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
             h *= np.uint32(5)
             h += np.uint32(0xE6546B64)
         h ^= np.uint32(8)  # key length in bytes
-    return fold_components(h[None], 0).reshape(values.shape)  # fmix32(0 * 31 + h)
+        _fmix32_vec(h, scratch)
+    return h.reshape(values.shape)
 
 
 def hash_combine(values: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
@@ -190,16 +195,8 @@ def fold_components(mixed: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray
     ``seed``, component ``mixed[j]`` at step ``j``; ``uint32`` of ``mixed.shape[1:]``."""
     state = _seed_state(seed, mixed.shape[1:])
     scratch = np.empty_like(state)
-    multiply, add, right_shift, xor = np.multiply, np.add, np.right_shift, np.bitwise_xor
     for component in mixed:  # state = fmix32(state * 31 + component)
-        multiply(state, _U31, out=state)
-        add(state, component, out=state)
-        right_shift(state, _S16, out=scratch)
-        xor(state, scratch, out=state)
-        multiply(state, _F1, out=state)
-        right_shift(state, _S13, out=scratch)
-        xor(state, scratch, out=state)
-        multiply(state, _F2, out=state)
-        right_shift(state, _S16, out=scratch)
-        xor(state, scratch, out=state)
+        state *= _U31
+        state += component
+        _fmix32_vec(state, scratch)
     return state

@@ -12,17 +12,9 @@ density works out to ``Gamma(shape=2, scale=sigma)``.
 
 The signature is a whole d-dimensional integer vector — the "huge signature
 space" that motivates the paper's re-hashing mechanism. This module hashes
-it to one integer per function, bit for bit
-:func:`~repro.lsh.murmur.hash_combine` of the grid coordinates with function
-``j`` seeded ``j + 1``; :mod:`repro.lsh.rehash` then buckets it into
-``[0, D)``. A batch's cells take few distinct values: ``floor((x - u) /
-delta)`` is monotone in ``x`` (``delta > 0``, IEEE rounding), so the batch's
-per-dimension ``min`` / ``max`` bound every cell, and that range is murmured
-once into a table. A (dimension, function) pair whose bounds meet — most of
-them — takes its one table entry for every point; the others are
-``np.take`` lookups of their cells. The component-major hashes then go
-through :func:`~repro.lsh.murmur.fold_components`. A range wider than the
-batch's cell count (a tiny ``sigma``, far-off data) murmurs every cell.
+it to one integer per function, bit for bit ``hash_combine`` of the cells
+with function ``j`` seeded ``j + 1``, murmuring each distinct cell of a
+batch once; :mod:`repro.lsh.rehash` then buckets it into ``[0, D)``.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.lsh.family import LshFamily, finite_points
-from repro.lsh.murmur import _CHUNK_CELLS, fold_components, hash_combine, murmur3_int64
+from repro.lsh.murmur import _CHUNK_CELLS, fold_components, murmur3_int64
 
 
 def laplacian_kernel(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
@@ -91,12 +83,9 @@ class RandomBinningHash(LshFamily):
     def hash_points(self, points: np.ndarray) -> np.ndarray:
         """Signatures folded to one integer per (point, function).
 
-        The d-dimensional coordinate vector is murmur-combined; equal grid
-        cells always fold to equal integers, so LSH collisions survive.
-        Rows go through in chunks, and each chunk's dimensions in blocks,
-        of a fixed cell budget (``murmur._CHUNK_CELLS``), which bounds the
-        intermediates whatever ``n``, ``m`` and ``d`` are; no result
-        depends on the split. A NaN/inf coordinate is a ``QueryError``.
+        ``floor((x - u) / delta)`` is monotone in ``x``: the batch's per-dimension ``min`` / ``max``
+        bound its cells. Their range is murmured once into a table or, if it is wider than
+        ``murmur._CHUNK_CELLS`` or the batch's cell count (a tiny ``sigma``), each cell is.
         """
         points = finite_points(np.asarray(points, dtype=np.float64), self.dim)
         n, m, d = points.shape[0], self.num_functions, self.dim
@@ -106,17 +95,12 @@ class RandomBinningHash(LshFamily):
         # Each (dimension, function)'s cells over the batch lie in [low, high].
         low, high = (np.floor((v - self._shift) / self._pitch).T for v in (points.min(0), points.max(0)))
         lo, hi = low.min(), high.max()
-        if not (hi - lo < n * m * d and -(2.0**63) <= lo and hi < 2.0**63):
-            rows = max(1, _CHUNK_CELLS // (m * d))  # a wide range: murmur every cell
-            for start in range(0, n, rows):
-                cells = self.grid_coordinates(points[start : start + rows])
-                folded[start : start + rows] = hash_combine(cells, seed=np.arange(1, m + 1))
-            return folded
-        # A pair whose whole batch shares one cell looks it up once; only
-        # the others are computed per point. cell - lo is exact (< 2**53).
-        table = murmur3_int64(np.arange(int(lo), int(hi) + 1))
-        shared = table.take((low - lo).astype(np.intp))
-        vary_j, vary_f = np.nonzero(low != high)
+        narrow = hi - lo < min(n * m * d, _CHUNK_CELLS) and -(2.0**63) <= lo and hi < 2.0**63
+        table = murmur3_int64(np.arange(int(lo), int(hi) + 1)) if narrow else None
+        def mix(cells: np.ndarray) -> np.ndarray:  # cell - lo is exact (< 2**53)
+            return table.take((cells - lo).astype(np.intp)) if narrow else murmur3_int64(cells.astype(np.int64))
+        # A pair whose whole batch shares one cell mixes it once; only the others are computed per point.
+        shared, (vary_j, vary_f) = mix(low), np.nonzero(low != high)
         rows = max(1, _CHUNK_CELLS // m)
         for start in range(0, n, rows):
             chunk = points[start : start + rows]
@@ -127,7 +111,7 @@ class RandomBinningHash(LshFamily):
                 block = slice(*np.searchsorted(vary_j, [first, first + step]))
                 j, f = vary_j[block], vary_f[block]
                 cells = np.floor((chunk[:, j] - self._shift[f, j]) / self._pitch[f, j])
-                mixed[j - first, :, f] = table.take((cells - lo).astype(np.intp)).T
+                mixed[j - first, :, f] = mix(cells).T
                 state = fold_components(mixed, state)
             folded[start : start + rows] = state
         return folded

@@ -4,11 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.lsh import rbh
-from repro.lsh.murmur import _CHUNK_CELLS, hash_combine
+from repro.lsh.murmur import _CHUNK_CELLS, hash_combine, murmur3_int64
 from repro.lsh.rbh import RandomBinningHash, estimate_kernel_width, laplacian_kernel
 
 
@@ -113,6 +113,36 @@ class TestRandomBinningHash:
             got = family.hash_points(points)
         assert got.shape == (n, m) and got.dtype == np.int64
         assert np.array_equal(got, expected.reshape(n, m))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        d=st.integers(1, 6),
+        n=st.integers(2, 40),
+        sigma=st.floats(0.5, 20.0),
+        fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_range_past_the_budget_murmurs_the_cells(self, m, d, n, sigma, fraction, seed):
+        """A cell range under the batch's cell count but at or past the cell
+        budget builds no table (every murmur call is 2-D) and still equals
+        ``hash_combine`` of the grid coordinates."""
+        family = RandomBinningHash(m, dim=d, sigma=sigma, seed=seed)
+        points = np.random.default_rng(seed).standard_normal((n, d)) * 4.0
+        cells = family.grid_coordinates(points)
+        span = int(cells.max() - cells.min())
+        assume(1 <= span < n * m * d)
+        budget = 1 + int(fraction * (span - 1))  # 1 <= budget <= span
+        calls = []
+
+        def counted(values, seed=0):
+            calls.append(np.shape(values))
+            return murmur3_int64(values, seed)
+
+        with mock.patch.object(rbh, "_CHUNK_CELLS", budget), mock.patch.object(rbh, "murmur3_int64", counted):
+            got = family.hash_points(points)
+        assert np.array_equal(got, hash_combine(cells, seed=np.arange(1, m + 1)))
+        assert calls and all(len(shape) == 2 for shape in calls)
 
     def test_single_point_and_empty_batch(self):
         family = RandomBinningHash(6, dim=4, sigma=2.0, seed=0)

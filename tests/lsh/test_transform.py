@@ -163,12 +163,13 @@ class TestMurmurCallBudget:
         assert calls == [(int(cells.max() - cells.min()) + 1,), (64, m)]
 
     def test_rbh_wide_range_murmurs_the_cells(self, monkeypatch):
-        """A range wider than the batch's cell count is no table: the cell
-        tensor is murmured as it is."""
+        """A range wider than the batch's cell count is no table: the
+        ``(d, m)`` lower bounds and the ``(n, m * d)`` cells that vary over
+        the batch are murmured as they are."""
         family = RandomBinningHash(5, dim=7, sigma=1e-6, seed=3)
         calls = _count_murmur_calls(monkeypatch)
         LshTransformer(family, domain=1024).keyword_matrix(_points(64, 7, 0))
-        assert calls == [(64, 5, 7), (64, 5)]
+        assert calls == [(7, 5), (64, 35), (64, 5)]
 
     @pytest.mark.parametrize("m, d", [(64, 128), (3, 5)])
     def test_e2lsh_batch_is_one_call(self, monkeypatch, m, d):
