@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.api.models import MatchModel, resolve_model, resolve_shortlist_k
 from repro.cluster.plan import Placement, ShardPlan, SliceCopy, part_bounds
-from repro.core.engine import GenieConfig, GenieEngine
+from repro.core.engine import GenieConfig, GenieEngine, resolve_k
 from repro.core.inverted_index import InvertedIndex
 from repro.core.types import Corpus, Query, QueryBatch, TopKBatch, TopKResult
 from repro.errors import ConfigError, GpuOutOfMemoryError, QueryError
@@ -1148,9 +1148,7 @@ class IndexHandle:
             raise QueryError("index must be fitted before searching")
         if len(queries) == 0:
             raise QueryError("empty query batch")
-        k = int(k if k is not None else self.config.k)
-        if k < 1:
-            raise QueryError("k must be >= 1")
+        k = resolve_k(k, self.config.k)
         retrieval_k = resolve_shortlist_k(self.model, k, search_opts)
 
         def compile_now():

@@ -14,7 +14,7 @@ The per-query specification the scan is tested against (``topk_from_counts``,
 
 from repro.core.batch_scan import BatchScanPlan, plan_batch_scan
 from repro.core.bitmap_counter import BitmapCounter, bits_for_bound
-from repro.core.count_table import CountTable, count_table_batch_bytes
+from repro.core.count_table import count_table_batch_bytes
 from repro.core.cpq import CountPriorityQueue, hash_table_capacity
 from repro.core.engine import GenieConfig, GenieEngine, per_query_device_bytes
 from repro.core.hash_table import RobinHoodHashTable
@@ -39,7 +39,6 @@ __all__ = [
     "BitmapCounter",
     "Gate",
     "RobinHoodHashTable",
-    "CountTable",
     "match_count",
     "match_counts_all",
     "brute_force_topk",

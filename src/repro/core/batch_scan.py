@@ -31,10 +31,11 @@ infrastructure; this module is the host-side realization of that idea. The
    A short-list tile may count as **bit planes** instead — the
    paper's Bitmap Counter (``bit_length(bound)`` bits an object) stored
    plane by plane: every keyword row's list is a cached bitmap
-   (:attr:`InvertedIndex.keyword_bitmaps`), pass ``r`` ripples each row's
-   ``r``-th bitmap into the planes 64 objects a word, an MSB-first split of
-   the planes under ``np.bitwise_count`` is the row histogram and a
-   bit-sliced comparison yields the candidates. :func:`_bit_planes_pay`
+   (:attr:`InvertedIndex.keyword_bitmaps`), a pass adds each row's next two
+   bitmaps into the planes 64 objects a word with a carry-save full adder,
+   the planes above the tile's largest count are dropped, an MSB-first
+   split of the rest under ``np.bitwise_count`` is the row histogram up to
+   that count and a bit-sliced comparison yields the candidates. :func:`_bit_planes_pay`
    picks it from the tile's rows, references, objects and postings,
 3. every regime feeds one **per-row count histogram** (slot ``v`` = how
    many of the row's objects ended at count ``v``; a count is bounded by
@@ -262,7 +263,8 @@ def _tiled_sweep(
             n_rows, keyword_bounds[lo : hi + 1], n_objects, entries, max_fused_cells
         ) and index.keyword_bitmaps is not None:
             planes = _add_bitmaps(index.keyword_bitmaps, keyword_rows, keyword_bounds[lo : hi + 1])
-            most = int(np.diff(keyword_bounds[lo : hi + 1]).max())
+            most = _largest_count(planes)  # >= 1: a dense tile has a posting
+            planes = planes[: most.bit_length()]  # the ones above are zero
             hist = _plane_histograms(planes, most, max_fused_cells * 4).reshape(-1)
             widths = np.full(n_rows, most + 1)
         elif shared is None:
@@ -438,38 +440,62 @@ def _bit_planes_pay(n_rows: int, ref_bounds: np.ndarray, n_objects: int, entries
 
 
 def _add_bitmaps(bitmaps: np.ndarray, keyword_rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Bit-sliced regime: a tile's counts as bit planes, one reference per pass.
+    """Bit-sliced regime: a tile's counts as bit planes, two references per pass.
 
     Plane ``p`` holds bit ``p`` of every counter, 64 objects a word. Pass
-    ``r`` gathers every row's ``r``-th referenced bitmap (``bounds`` are the
-    tile rows' bounds in ``keyword_rows``; the all-zero last bitmap once a
-    row runs out) and ripples it through the ``bit_length(r + 1)`` planes a
-    count of ``r + 1`` reaches — a carry never leaves the top one.
+    ``r`` (even) gathers every row's ``r``-th and ``r + 1``-th referenced
+    bitmaps (``bounds`` are the tile rows' bounds in ``keyword_rows``; the
+    all-zero last bitmap once a row runs out) into plane 0 with one full
+    adder and ripples the weight-2 carry through the planes a count of
+    ``min(r + 2, R)`` reaches — a carry never leaves the top one. Plane 0
+    rotates through the pass's three rows, so two scratch rows suffice.
     """
     n_refs = np.diff(bounds)
-    refs = np.full((int(n_refs.max()), n_refs.size), len(bitmaps) - 1, dtype=np.intp)
+    n_counts = int(n_refs.max())
+    refs = np.full((n_counts + n_counts % 2, n_refs.size), len(bitmaps) - 1, dtype=np.intp)
     rank = np.arange(bounds[-1] - bounds[0]) - np.repeat(bounds[:-1] - bounds[0], n_refs)
     refs[rank, np.repeat(np.arange(n_refs.size), n_refs)] = keyword_rows[bounds[0] : bounds[-1]]
-    planes = np.zeros((len(refs).bit_length(), n_refs.size, bitmaps.shape[1]), dtype=np.uint64)
-    carry, spare = np.empty_like(planes[0]), np.empty_like(planes[0])
-    for r, rows in enumerate(refs):
-        np.take(bitmaps, rows, axis=0, out=carry, mode="clip")
-        top = (r + 1).bit_length() - 1
-        for plane in planes[:top]:
+    planes = np.zeros((n_counts.bit_length(), n_refs.size, bitmaps.shape[1]), dtype=np.uint64)
+    low, a, b = planes[0], np.empty_like(planes[0]), np.empty_like(planes[0])
+    for r in range(0, len(refs), 2):
+        np.take(bitmaps, refs[r], axis=0, out=a, mode="clip")
+        np.take(bitmaps, refs[r + 1], axis=0, out=b, mode="clip")
+        # Full adder: b <- low ^ a ^ b (the new plane 0), a <- majority (the carry).
+        np.bitwise_xor(a, low, out=a)
+        np.bitwise_xor(low, b, out=low)
+        np.bitwise_xor(b, a, out=b)
+        np.bitwise_or(a, low, out=a)
+        np.bitwise_xor(a, b, out=a)
+        low, carry, spare = b, a, low
+        top = min(r + 2, n_counts).bit_length() - 1
+        for plane in planes[1:top]:
             np.bitwise_and(plane, carry, out=spare)
             np.bitwise_xor(plane, carry, out=plane)
             carry, spare = spare, carry
-        np.bitwise_or(planes[top], carry, out=planes[top])
+        if top:
+            np.bitwise_or(planes[top], carry, out=planes[top])
+        a, b = carry, spare
+    planes[0] = low  # plane 0 may have ended in a scratch row
     return planes
+
+
+def _largest_count(planes: np.ndarray) -> int:
+    """The tile's largest count, read MSB-first off its planes (one ``&`` and ``.any()`` a plane)."""
+    most, reach = 0, np.full_like(planes[0], ~np.uint64(0))
+    for p in range(len(planes) - 1, -1, -1):
+        if (hit := reach & planes[p]).any():
+            most, reach = most | 1 << p, hit
+    return most
 
 
 def _plane_histograms(planes: np.ndarray, most: int, max_bytes: int) -> np.ndarray:
     """``(n_rows, most + 1)`` per-row count histograms of a bit-plane tile, slot 0 zeroed.
 
-    An MSB-first split: plane by plane, every count prefix's object mask is
-    cut into its 0- and 1-extensions, dropping prefixes past ``most``; the
-    leaves' popcounts are the histogram. Rows are split a few at a time, so
-    the leaves stay within ``max_bytes``.
+    ``most`` is the tile's largest count and ``planes`` its ``bit_length``
+    planes. An MSB-first split: plane by plane, every count prefix's object
+    mask is cut into its 0- and 1-extensions, dropping prefixes past
+    ``most``; the leaves' popcounts are the histogram. Rows are split a few
+    at a time, so the leaves stay within ``max_bytes``.
     """
     n_rows, words = planes.shape[1:]
     step = max(1, max_bytes // ((most + 1) * words * 8))

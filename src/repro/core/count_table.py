@@ -8,48 +8,12 @@ selection must then run over the full table.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import ConfigError
-
 #: Bytes per counter in the plain table.
 COUNT_TABLE_ENTRY_BYTES = 4
 
 #: Extra per-object workspace SPQ selection needs (explicit ids + a scratch
 #: copy of counts, 4 bytes each) — see Appendix A of the paper.
 SPQ_WORKSPACE_BYTES = 8
-
-
-class CountTable:
-    """One query's full per-object count array.
-
-    Args:
-        n_objects: Number of objects (counters).
-    """
-
-    def __init__(self, n_objects: int):
-        if n_objects < 0:
-            raise ConfigError("n_objects must be non-negative")
-        self.n_objects = int(n_objects)
-        self.counts = np.zeros(self.n_objects, dtype=np.int32)
-
-    @property
-    def nbytes(self) -> int:
-        """Device footprint of the table itself."""
-        return int(self.counts.nbytes)
-
-    def increment(self, obj_id: int) -> int:
-        """Add one to an object's counter; returns the new value."""
-        self.counts[obj_id] += 1
-        return int(self.counts[obj_id])
-
-    def increment_many(self, obj_ids: np.ndarray) -> None:
-        """Vectorized increments (duplicate ids accumulate)."""
-        np.add.at(self.counts, np.asarray(obj_ids, dtype=np.int64), 1)
-
-    def to_array(self) -> np.ndarray:
-        """The counts as ``int64``."""
-        return self.counts.astype(np.int64)
 
 
 def count_table_batch_bytes(n_objects: int, n_queries: int, with_spq_workspace: bool = True) -> int:

@@ -90,6 +90,21 @@ class GenieConfig:
         return replace(self, **changes)
 
 
+def resolve_k(k, default: int) -> int:
+    """``k`` (``default`` when ``None``) as an ``int``; integers and integral floats pass.
+
+    Raises:
+        QueryError: Naming ``k``: a bool, NaN, ±inf, fractional, non-numeric or < 1 value.
+    """
+    k = default if k is None else k
+    whole = isinstance(k, (int, np.integer)) or isinstance(k, (float, np.floating)) and float(k).is_integer()
+    if isinstance(k, bool) or not whole:
+        raise QueryError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise QueryError("k must be >= 1")
+    return int(k)
+
+
 def batch_count_bound(config: GenieConfig, queries: QueryBatch) -> int:
     """The match-count bound a batch's c-PQ structures are sized for.
 
@@ -214,9 +229,7 @@ class GenieEngine:
         queries = QueryBatch.from_queries(queries)
         if len(queries) == 0:
             raise QueryError("empty query batch")
-        k = int(k if k is not None else self.config.k)
-        if k < 1:
-            raise QueryError("k must be >= 1")
+        k = resolve_k(k, self.config.k)
         count_bound = batch_count_bound(self.config, queries)
 
         before = self.device.timings.copy()

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 from repro.api.models import resolve_shortlist_k
 from repro.api.session import GenieSession
+from repro.core.engine import resolve_k
 from repro.core.types import QueryBatch
 from repro.errors import AdmissionError, ConfigError, QueryError, ReproError
 from repro.gpu.stats import StageTimings
@@ -349,9 +350,7 @@ class GenieServer:
             return []
         try:
             handle = self.session.index(index)
-            k = int(k if k is not None else handle.config.k)
-            if k < 1:
-                raise QueryError("k must be >= 1")
+            k = resolve_k(k, handle.config.k)
             # The normalized forms go into the lane so equivalent directives
             # (None vs the explicit "auto") coalesce into one batch.
             route, plan = validate_plan_args(route, plan, sharded=handle.placement is not None)

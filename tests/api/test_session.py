@@ -55,11 +55,18 @@ class TestSessionBasics:
         with pytest.raises(QueryError, match="empty query batch"):
             handle.search([], k=1)
 
-    def test_bad_k_rejected(self):
+    @pytest.mark.parametrize("k", [0, -1, float("nan"), float("inf"), -float("inf"), 1.5, True, "3", np.float64(0.5)])
+    def test_bad_k_rejected(self, k):
         session = GenieSession()
         handle = session.create_index(_docs(), model="document")
         with pytest.raises(QueryError, match="k must be"):
-            handle.search(["gpu index"], k=0)
+            handle.search(["gpu index"], k=k)
+
+    @pytest.mark.parametrize("k", [2, np.int64(2), np.int32(2), 2.0, np.float64(2.0)])
+    def test_integral_k_accepted(self, k):
+        session = GenieSession()
+        handle = session.create_index(_docs(), model="document")
+        assert handle.search(["gpu index"], k=k).results[0].as_pairs() == handle.search(["gpu index"], k=2).results[0].as_pairs()
 
     def test_unsupported_search_option_rejected(self):
         session = GenieSession()

@@ -396,7 +396,7 @@ class TestBitSlicedRegime:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 150),
-        st.lists(st.sampled_from([0, 1, 2, 5, 63, 64, 65]), min_size=1, max_size=5),
+        st.lists(st.sampled_from([0, 1, 2, 3, 5, 63, 64, 65, 128]), min_size=1, max_size=5),
         st.integers(1, 160),
         lb_configs,
         st.sampled_from([1, 300, 10**9]),
@@ -431,6 +431,24 @@ class TestBitSlicedRegime:
         scan = plan_batch_scan(index, queries, 3)
         assert [len(p) for p in planes] == [n_planes]
         assert np.flatnonzero(scan.count_hist).tolist() == [refs]
+        assert_scan_matches_reference(index, queries, 3, scan)
+
+    def test_the_histogram_stops_at_the_largest_count(self, monkeypatch):
+        # Keyword 0 on every fifth object, keyword 1 on the objects after them:
+        # both rows make 64 references (7 planes), but no object is on both
+        # lists, so the tile's largest count is 40 (6 planes, 41 slots a row).
+        monkeypatch.setattr(batch_scan, "MIN_PLANE_BYTES", 0)
+        index = InvertedIndex.build(Corpus([[kw for kw in (0, 1) if obj % 5 == kw] for obj in range(100)]))
+        queries = QueryBatch([0] * 40 + [1] * 24 + [1] * 30 + [0] * 34, None, [0, 64, 128])
+        planes, widths, compared = record_planes(monkeypatch), [], []
+        row_statistics, planes_at_least = batch_scan._row_statistics, batch_scan._planes_at_least
+        monkeypatch.setattr(batch_scan, "_row_statistics", lambda hist, w, kk: widths.append(w.tolist()) or row_statistics(hist, w, kk))
+        monkeypatch.setattr(batch_scan, "_planes_at_least", lambda p, *args: compared.append(len(p)) or planes_at_least(p, *args))
+        scan = plan_batch_scan(index, queries, 3)
+        assert [len(p) for p in planes] == [7]
+        assert widths == [[41, 41]]
+        assert compared == [6]
+        assert np.flatnonzero(scan.count_hist).tolist() == [24, 30, 34, 40]
         assert_scan_matches_reference(index, queries, 3, scan)
 
     # The rule, by input shape on both of its sides (the scan is what a

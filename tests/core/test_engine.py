@@ -180,10 +180,16 @@ class TestErrors:
         with pytest.raises(QueryError):
             engine.query([])
 
-    def test_bad_k(self):
+    @pytest.mark.parametrize("k", [0, -1, float("nan"), float("inf"), -float("inf"), 1.5, True, np.bool_(True), "3", object()])
+    def test_bad_k(self, k):
         engine = GenieEngine(config=GenieConfig(k=1)).fit(FIG1)
-        with pytest.raises(QueryError):
-            engine.query([Q1], k=0)
+        with pytest.raises(QueryError, match="k must be"):
+            engine.query([Q1], k=k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), 2.0, np.float32(2.0)])
+    def test_integral_k(self, k):
+        engine = GenieEngine(config=GenieConfig(k=1)).fit(FIG1)
+        assert engine.query([Q1], k=k)[0].as_pairs() == engine.query([Q1], k=2)[0].as_pairs()
 
     def test_config_with_copies(self):
         config = GenieConfig(k=5)

@@ -65,10 +65,14 @@ class TestSubmission:
         with pytest.raises(ConfigError, match="no index named"):
             server.submit("nope", DOCS[0])
 
-    def test_bad_k_rejected(self):
+    @pytest.mark.parametrize("k", [0, float("nan"), float("inf"), 1.5, True, "3"])
+    def test_bad_k_rejected(self, k):
         server = make_server()
         with pytest.raises(QueryError, match="k must be"):
-            server.submit("tweets", DOCS[0], k=0)
+            server.submit("tweets", DOCS[0], k=k)
+        with pytest.raises(QueryError, match="k must be"):
+            server.submit_many("tweets", DOCS[:2], k=k)
+        assert server.snapshot()["rejected_by_reason"]["bad_directive"] == 3
 
     def test_unknown_option_rejected_at_submit(self):
         server = make_server()
