@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.api.models import MatchModel, resolve_model, resolve_shortlist_k
 from repro.cluster.plan import Placement, ShardPlan, SliceCopy, part_bounds
-from repro.core.engine import GenieConfig, GenieEngine, resolve_k
+from repro.core.engine import GenieConfig, GenieEngine, count_option, listed, resolve_k
 from repro.core.inverted_index import InvertedIndex
 from repro.core.types import Corpus, Query, QueryBatch, TopKBatch, TopKResult
 from repro.errors import ConfigError, GpuOutOfMemoryError, QueryError
@@ -236,9 +236,7 @@ class GenieSession:
         self.config = config if config is not None else GenieConfig()
         if memory_budget is None:
             memory_budget = self.device.memory.capacity
-        if int(memory_budget) <= 0:
-            raise ConfigError("memory_budget must be positive")
-        self.memory_budget = int(memory_budget)
+        self.memory_budget = count_option(memory_budget, "memory_budget", ConfigError)
         # Shard devices: pool position 0 is the session's primary device;
         # sharded indexes extend the pool on demand (same spec/cost model)
         # and shard i of every sharded index lives on pool device i. The
@@ -699,8 +697,8 @@ class IndexHandle:
         swap_parts: bool = False,
         placement: Placement | None = None,
     ):
-        if part_size is not None and part_size < 1:
-            raise ConfigError("part_size must be >= 1")
+        if part_size is not None:
+            part_size = count_option(part_size, "part_size", ConfigError)
         self.session = session
         self.name = name
         self.model = model
@@ -906,8 +904,8 @@ class IndexHandle:
         Invalidation is scoped: the recut goes through ``_install``, which
         drops this index's cached *plans* (the routing table changed), but
         serve-layer *result* caches are untouched — a rebalance moves
-        objects between devices without changing any answer, which the
-        equivalence tests pin.
+        objects between devices without changing any answer, which
+        ``tests/test_oracle.py`` checks.
 
         Returns ``True`` if the partition changed. No-ops (``False``)
         for unsharded or hash-partitioned handles, while mutations are
@@ -1092,7 +1090,7 @@ class IndexHandle:
         self.session._check_open()
         if not self._copies:
             raise QueryError("index must be fitted before searching")
-        raw_queries = list(raw_queries)
+        raw_queries = listed(raw_queries, "raw_queries")
         if not raw_queries:
             raise QueryError("empty query batch")
         queries = self.encode_queries(raw_queries)
@@ -1222,6 +1220,8 @@ class IndexHandle:
         indexes alike (the serve layer's dispatch lands here too).
         """
         self.shard_profiles = ()
+        if batch_size is not None:
+            batch_size = count_option(batch_size, "batch_size")
         queries = QueryBatch.from_queries(queries)
         k, compiled, plan_cache_hit = self._compile(queries, k, route, plan, search_opts)
         if len(raw_queries) != len(queries):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.engine import count_option
 from repro.core.inverted_index import InvertedIndex
 from repro.core.types import ID_DTYPE, Corpus
 from repro.errors import ConfigError
@@ -88,10 +89,8 @@ class Placement:
     layout: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if int(self.shards) < 1:
-            raise ConfigError("shards must be >= 1")
-        if int(self.replicas) < 1:
-            raise ConfigError("replicas must be >= 1")
+        for name in ("shards", "replicas"):
+            object.__setattr__(self, name, count_option(getattr(self, name), name, ConfigError))
         check_partition_args(self.strategy, self.seed)
         if not self.layout:
             pool = self.pool_size

@@ -90,19 +90,36 @@ class GenieConfig:
         return replace(self, **changes)
 
 
-def resolve_k(k, default: int) -> int:
-    """``k`` (``default`` when ``None``) as an ``int``; integers and integral floats pass.
+def count_option(value, name: str, error: type = QueryError) -> int:
+    """A count option as an ``int`` >= 1; integers and integral floats pass.
+
+    The one check behind ``k``, ``batch_size`` (per search: ``QueryError``)
+    and constructor counts such as ``shards`` or ``memory_budget``
+    (``ConfigError``), run before the value reaches any residency event
+    or charge.
 
     Raises:
-        QueryError: Naming ``k``: a bool, NaN, ±inf, fractional, non-numeric or < 1 value.
+        error: Naming ``name``: a bool, NaN, ±inf, fractional, non-numeric or < 1 value.
     """
-    k = default if k is None else k
-    whole = isinstance(k, (int, np.integer)) or isinstance(k, (float, np.floating)) and float(k).is_integer()
-    if isinstance(k, bool) or not whole:
-        raise QueryError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise QueryError("k must be >= 1")
-    return int(k)
+    whole = isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if isinstance(value, bool) or not whole:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be >= 1")
+    return int(value)
+
+
+def listed(values, name: str) -> list:
+    """``values`` as a list; a non-iterable such as ``None`` raises ``QueryError`` naming ``name``."""
+    try:
+        return list(values)
+    except TypeError:
+        raise QueryError(f"{name} must be iterable, got {type(values).__name__}") from None
+
+
+def resolve_k(k, default: int) -> int:
+    """``k`` (``default`` when ``None``) as an ``int`` (see :func:`count_option`)."""
+    return count_option(default if k is None else k, "k")
 
 
 def batch_count_bound(config: GenieConfig, queries: QueryBatch) -> int:
@@ -288,10 +305,11 @@ class GenieEngine:
         queries = QueryBatch.from_queries(queries)
         if len(queries) == 0:
             raise QueryError("empty query batch")
-        k = int(k if k is not None else self.config.k)
+        k = resolve_k(k, self.config.k)
         if batch_size is None:
             bound = batch_count_bound(self.config, queries)
             batch_size = max(1, min(len(queries), self.max_batch_size(bound, k)))
+        batch_size = count_option(batch_size, "batch_size")
         results: list[TopKBatch] = []
         profile = StageTimings()
         try:

@@ -35,8 +35,8 @@ replay on a scratch session), and nothing else is:
 The six coefficients live on the session as a plain ``dict[str, float]``
 (:attr:`GenieSession.cost_coefficients`) — inspectable, serializable,
 and overridable in tests (a deliberately *mis*-calibrated model must
-change only simulated time, never results; the equivalence suite pins
-this). Calibration runs in a *scratch* session built from the same
+change only simulated time, never results; ``tests/test_oracle.py``
+pins this). Calibration runs in a *scratch* session built from the same
 device/host specs, so probing never pollutes the caller's timings.
 """
 

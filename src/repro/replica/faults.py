@@ -28,6 +28,7 @@ counters and re-replication trigger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +67,21 @@ class FaultEvent:
     def __post_init__(self):
         if self.device < 0:
             raise ConfigError(f"fault device must be >= 0, got {self.device}")
-        if self.start < 0:
-            raise ConfigError(f"fault start must be >= 0, got {self.start}")
-        if self.end is not None and self.end <= self.start:
+        # NaN fails every comparison, so each value is checked to lie inside its range.
+        if not 0 <= self.start < math.inf:
+            raise ConfigError(f"fault start must be finite and >= 0, got {self.start}")
+        if self.end is not None and not self.start < self.end < math.inf:
             raise ConfigError(
-                f"fault end ({self.end}) must be after start ({self.start})"
+                f"fault end ({self.end}) must be finite and after start ({self.start}); "
+                "None makes the outage permanent"
             )
         if self.kind not in FAULT_KINDS:
             raise ConfigError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.kind == "slow" and self.factor < 1.0:
+        if self.kind == "slow" and not 1.0 <= self.factor < math.inf:
             raise ConfigError(
-                f"slowdown factor must be >= 1, got {self.factor}"
+                f"slowdown factor must be finite and >= 1, got {self.factor}"
             )
 
     def active(self, now: float) -> bool:

@@ -12,7 +12,7 @@ dataclasses that the session's ``"sequence"``, ``"document"`` and
 """
 
 from repro.sa.document import DEFAULT_STOPWORDS, WordVocabulary, tokenize
-from repro.sa.edit_distance import edit_distance, edit_distance_bounded, edit_distance_ops
+from repro.sa.edit_distance import edit_distance, edit_distance_ops
 from repro.sa.ngram import NgramVocabulary, common_gram_count, count_filter_bound, ordered_ngrams
 from repro.sa.relational import PAPER_NUM_BINS, AttributeSpec, Discretizer
 from repro.sa.sequence import (
@@ -28,7 +28,6 @@ __all__ = [
     "count_filter_bound",
     "NgramVocabulary",
     "edit_distance",
-    "edit_distance_bounded",
     "edit_distance_ops",
     "SequenceMatch",
     "SequenceSearchResult",

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from repro.api.models import resolve_shortlist_k
 from repro.api.session import GenieSession
-from repro.core.engine import resolve_k
+from repro.core.engine import count_option, listed, resolve_k
 from repro.core.types import QueryBatch
 from repro.errors import AdmissionError, ConfigError, QueryError, ReproError
 from repro.gpu.stats import StageTimings
@@ -255,12 +255,10 @@ class GenieServer:
         trace_sample: int | None = None,
         rebalance=None,
     ):
-        if int(max_queue_depth) < 1:
-            raise ConfigError("max_queue_depth must be >= 1")
+        self.max_queue_depth = count_option(max_queue_depth, "max_queue_depth", ConfigError)
         self.session = session
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = MicroBatchScheduler(policy)
-        self.max_queue_depth = int(max_queue_depth)
         self.cache = LruCache(cache_size) if cache_size else None
         if self.cache is not None:
             session.add_invalidation_hook(self.cache.invalidate)
@@ -339,7 +337,7 @@ class GenieServer:
             AdmissionError: The burst's misses do not fit into the queue
                 (explicit backpressure).
         """
-        raws = list(raw_queries)
+        raws = listed(raw_queries, "raw_queries")
         try:
             self._check_open()
             self.session._check_open()

@@ -27,6 +27,13 @@ from repro.core.types import ID_DTYPE
 from repro.stream.delta import DeltaRun
 
 
+def _members(table: np.ndarray, gids: np.ndarray) -> np.ndarray:
+    """Which of ``gids`` the ascending ``table`` holds."""
+    if not table.size:
+        return np.zeros(gids.shape, dtype=bool)
+    return table.take(table.searchsorted(gids), mode="clip") == gids
+
+
 class SegmentManifest:
     """Versioned (base, delta, tombstones) state of one mutable index.
 
@@ -43,6 +50,8 @@ class SegmentManifest:
         tombstones: Base global ids whose base copy is dead, ascending
             (the executor's filter probe table; grown by
             :meth:`add_tombstones`, never edited in place).
+        retired: Ids that were dead at the last compaction, ascending:
+            their base slots are empty objects, and they stay dead.
         mutation_epoch: Bumped by every insert/delete/update — the
             serve-layer invalidation version.
         compactions: Lifetime compaction count (surfaces in
@@ -54,6 +63,7 @@ class SegmentManifest:
         self.next_gid = int(base_objects)
         self.delta = DeltaRun(load_balance)
         self.tombstones = np.empty(0, dtype=ID_DTYPE)
+        self.retired = np.empty(0, dtype=ID_DTYPE)
         self.mutation_epoch = 0
         self.compactions = 0
 
@@ -64,9 +74,11 @@ class SegmentManifest:
 
     def is_tombstoned(self, gids: np.ndarray) -> np.ndarray:
         """Which of ``gids`` are tombstoned base ids."""
-        if not self.tombstones.size:
-            return np.zeros(gids.shape, dtype=bool)
-        return self.tombstones.take(self.tombstones.searchsorted(gids), mode="clip") == gids
+        return _members(self.tombstones, gids)
+
+    def is_retired(self, gids: np.ndarray) -> np.ndarray:
+        """Which of ``gids`` were dead at the last compaction."""
+        return _members(self.retired, gids)
 
     @property
     def delta_objects(self) -> int:

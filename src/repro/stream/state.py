@@ -25,7 +25,7 @@ import logging
 import numpy as np
 
 from repro.cluster.plan import ShardSlice, SliceCopy
-from repro.core.engine import GenieEngine
+from repro.core.engine import GenieEngine, listed
 from repro.core.types import ID_DTYPE, Corpus, as_keyword_array
 from repro.errors import QueryError
 from repro.gpu.stats import timings_delta
@@ -74,7 +74,7 @@ class StreamState:
 
     def insert(self, objects) -> np.ndarray:
         """Append new objects; returns their assigned global ids."""
-        objects = list(objects)
+        objects = listed(objects, "objects")
         if not objects:
             raise QueryError("empty insert batch")
         corpus = self._encode(objects)
@@ -122,9 +122,10 @@ class StreamState:
         self._mutated()
 
     def _is_live(self, gids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Which of ``gids`` are live: in the delta run (at ``rows``), or base ids not tombstoned."""
+        """Which of ``gids`` are live: in the delta run (at ``rows``), or base ids neither tombstoned nor retired."""
         manifest = self.manifest
-        return (rows >= 0) | ((gids < manifest.base_objects) & ~manifest.is_tombstoned(gids))
+        base = (gids < manifest.base_objects) & ~manifest.is_tombstoned(gids) & ~manifest.is_retired(gids)
+        return (rows >= 0) | base
 
     def _mutated(self) -> None:
         manifest = self.manifest
@@ -216,6 +217,9 @@ class StreamState:
             [(None, manifest.tombstones), (manifest.delta.corpus, manifest.delta.global_ids)],
             manifest.next_gid,
         )
+        # The dead keep their ids as empty base objects, and stay dead.
+        ids = np.arange(manifest.next_gid, dtype=ID_DTYPE)
+        manifest.retired = ids[~self._is_live(ids, manifest.delta.rows_of(ids))]
         self.release()
         self.handle._install(corpus, plan.carried_bounds(len(corpus)))
         manifest.delta = DeltaRun(self.handle.config.load_balance)

@@ -40,8 +40,10 @@ class TestSessionBasics:
             GenieSession().index("missing")
 
     def test_bad_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            GenieSession(memory_budget=0)
+        for budget in (0, float("nan"), 1.5, True):
+            with pytest.raises(ConfigError, match="memory_budget"):
+                GenieSession(memory_budget=budget)
+
 
     def test_search_before_fit_raises(self):
         session = GenieSession()
@@ -54,13 +56,16 @@ class TestSessionBasics:
         handle = session.create_index(_docs(), model="document")
         with pytest.raises(QueryError, match="empty query batch"):
             handle.search([], k=1)
+        with pytest.raises(QueryError, match="raw_queries must be iterable"):
+            handle.search(None, k=1)
 
-    @pytest.mark.parametrize("k", [0, -1, float("nan"), float("inf"), -float("inf"), 1.5, True, "3", np.float64(0.5)])
-    def test_bad_k_rejected(self, k):
+    @pytest.mark.parametrize("option", ["k", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), float("inf"), -float("inf"), 1.5, True, "3", np.float64(0.5)])
+    def test_bad_k_rejected(self, value, option):
         session = GenieSession()
         handle = session.create_index(_docs(), model="document")
-        with pytest.raises(QueryError, match="k must be"):
-            handle.search(["gpu index"], k=k)
+        with pytest.raises(QueryError, match=f"{option} must be"):
+            handle.search(["gpu index"], **{option: value})
 
     @pytest.mark.parametrize("k", [2, np.int64(2), np.int32(2), 2.0, np.float64(2.0)])
     def test_integral_k_accepted(self, k):

@@ -57,8 +57,12 @@ class TestCreateIndex:
 
     def test_bad_shard_count_rejected(self):
         session = GenieSession()
-        with pytest.raises(ConfigError, match="shards must be"):
-            session.create_index(_objects(), model="raw", shards=0)
+        for shards in (0, 2.5, float("nan"), True):
+            with pytest.raises(ConfigError, match="shards must be"):
+                session.create_index(_objects(), model="raw", name="x", shards=shards)
+            assert "x" not in session.indexes
+        with pytest.raises(ConfigError, match="replicas must be"):
+            session.create_index(_objects(), model="raw", shards=2, replicas=1.5)
 
     def test_shard_options_without_shards_rejected(self):
         # A forgotten shards=N must not silently build an unsharded index.

@@ -185,6 +185,14 @@ class TestErrors:
         engine = GenieEngine(config=GenieConfig(k=1)).fit(FIG1)
         with pytest.raises(QueryError, match="k must be"):
             engine.query([Q1], k=k)
+        with pytest.raises(QueryError, match="k must be"):  # 1.5 and True once ran as 1
+            engine.query_batched([Q1], k=k)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, float("nan"), 1.5, True, "3"])
+    def test_bad_batch_size(self, batch_size):
+        engine = GenieEngine(config=GenieConfig(k=1)).fit(FIG1)
+        with pytest.raises(QueryError, match="batch_size must be"):
+            engine.query_batched([Q1], k=1, batch_size=batch_size)
 
     @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), 2.0, np.float32(2.0)])
     def test_integral_k(self, k):

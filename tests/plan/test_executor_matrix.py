@@ -1,16 +1,10 @@
-"""The executor matrix: one loop, every handle kind × state × plan × fault.
+"""The executor across handle kinds: the single-copy fault rule, the merge's price, strike + merge edge cases.
 
-Every cell builds a fresh index, optionally mutates it, optionally
-injects a fault, searches, and compares every answer — ids, counts and
-the Theorem 3.1 threshold — with brute-force match counting
-(:mod:`repro.core.match_count`) over the logical corpus. The cross-feature
-seams the four separate loops used to disagree on (``swap_parts`` after a
-mutation, faults on unsharded handles, the multi-loading merge's price
-and threshold) are cells and assertions of this grid, not files of their
-own.
+Answers are compared — ids, counts and the Theorem 3.1 threshold — with
+brute-force match counting (:mod:`repro.core.match_count`) over the
+logical corpus; random sequences of mutations, faults and directives are
+``tests/test_oracle.py``'s.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -28,19 +22,12 @@ SLOW = 4.0
 
 KINDS = {
     "serial": {},
+    "shards-1": {"shards": 1},
     "multi": {"part_size": 40},
-    "multi-swap": {"part_size": 40, "swap_parts": True},
     "range": {"shards": 3},
     "hash-r2": {"shards": 3, "shard_strategy": "hash", "replicas": 2},
 }
 UNREPLICATED = ("serial", "shards-1", "multi")
-FAULTS = {
-    "none": None,
-    "slow": FaultEvent(device=0, start=0.0, kind="slow", factor=SLOW),
-    # Device 1 holds one copy each of hash shards 0 and 1; both survive
-    # on devices 0 and 2.
-    "crash": FaultEvent(device=1, start=0.0),
-}
 
 
 def _objects(n, seed):
@@ -51,23 +38,15 @@ def _objects(n, seed):
 QUERIES = [Query.from_keywords(keywords) for keywords in _objects(5, seed=1)]
 
 
-def _build(kind, dirty, fault=None, host=None, recut=False):
-    """``(handle, logical)``: the index and the corpus a refit would see.
-
-    ``recut`` is the third state of a range kind: rebalanced, then mutated,
-    then compacted — a clean base whose cuts are the rebalanced ones.
-    """
-    opts = {"shards": 1} if kind == "shards-1" else KINDS[kind]
+def _build(kind, dirty, fault=None, host=None):
+    """``(handle, logical)``: the index and the corpus a refit would see."""
     session = GenieSession(host=host)
     logical = _objects(120, seed=0)
     handle = session.create_index(
         logical, model="raw", name="x",
-        stream_config=StreamConfig(auto_compact=False), **opts,
+        stream_config=StreamConfig(auto_compact=False), **KINDS[kind],
     )
-    if recut:
-        assert handle.rebalance([10, 1, 1])
-        cuts = handle.plan.bounds
-    if dirty or recut:
+    if dirty:
         fresh = _objects(5, seed=2)
         gids = handle.insert(fresh)
         logical = logical + fresh
@@ -77,8 +56,6 @@ def _build(kind, dirty, fault=None, host=None, recut=False):
         logical[10] = [1, 2, 3]
         for gid in dead:
             logical[gid] = []  # dead slots keep their id and match nothing
-    if recut:
-        assert handle.compact() and handle.plan.bounds == [*cuts[:-1], len(logical)]
     if fault is not None:
         session.inject_faults(FaultPlan([fault]))
     return handle, Corpus(logical)
@@ -90,38 +67,6 @@ def _expected(query, logical, k):
     # brute_force_topk lists min(k, n) objects, zero counts included, so
     # its last count is the k-th count — 0 when positives ran out.
     return [i for i, _ in found], [c for _, c in found], top[-1][1]
-
-
-def _cells():
-    for kind, state, plan, fault in itertools.product(
-        KINDS, ("clean", "dirty", "recut"), ("one-round", "two-round"), FAULTS
-    ):
-        if plan == "two-round" and "shards" not in KINDS[kind]:
-            continue  # the TPUT merge needs shards to trade width against
-        if fault == "crash" and "replicas" not in KINDS[kind]:
-            continue  # nothing survives a crash without a second copy
-        if state == "recut" and kind != "range":
-            continue  # only a range partition has cuts to rebalance
-        yield pytest.param(kind, state, plan, fault, id=f"{kind}-{state}-{plan}-{fault}")
-
-
-@pytest.mark.parametrize("kind,state,plan,fault", _cells())
-def test_every_cell_answers_like_brute_force(kind, state, plan, fault):
-    handle, logical = _build(kind, state == "dirty", FAULTS[fault], recut=state == "recut")
-    for k in (K, 500):  # 500 > n: the threshold rank caps at the corpus size
-        result = handle.search(QUERIES, k=k, plan=plan)
-        for query, got in zip(QUERIES, result.results):
-            assert (got.ids.tolist(), got.counts.tolist(), got.threshold) == _expected(
-                query, logical, k
-            )
-        if handle.swap_parts:
-            # The multi-loading protocol holds for what actually ran:
-            # every base part swapped in for its scan and out again.
-            assert "swap_parts" in result.plan.render()
-            assert handle.resident_parts == 0
-            assert result.swapped_in >= handle.num_parts
-        if fault == "crash":
-            assert result.failovers
 
 
 @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
@@ -137,7 +82,7 @@ class TestOneFaultRule:
 
     def test_slowed_device_stretches_the_scan(self, kind, dirty):
         healthy, _ = _build(kind, dirty)
-        slowed, _ = _build(kind, dirty, FAULTS["slow"])
+        slowed, _ = _build(kind, dirty, FaultEvent(device=0, start=0.0, kind="slow", factor=SLOW))
         for stage in ("match", "select"):
             assert slowed.search(QUERIES, k=K).profile.get(stage) == pytest.approx(
                 SLOW * healthy.search(QUERIES, k=K).profile.get(stage)

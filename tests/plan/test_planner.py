@@ -18,6 +18,7 @@ from repro.plan import (
     route_queries,
     validate_plan_args,
 )
+from repro.sa.relational import AttributeSpec
 
 OBJECTS = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]
 
@@ -220,3 +221,36 @@ class TestRoutingAccounting:
         handle = sharded_handle()
         handle.explain([[0]], k=2)
         assert handle.session.host.timings.get("plan_route") == 0.0
+
+
+def test_routing_actually_prunes_on_sorted_range_data():
+    # The oracle (tests/test_oracle.py) proves every route answers exactly;
+    # this pins that a range-sharded relational table really exercises the
+    # pruning rule (a vacuous broadcast-everything equivalence would prove
+    # nothing). Pruning is batch-granular, so it shows on band-local
+    # batches — the serving shape — not on one mixed batch spanning every
+    # age band.
+    rng = np.random.default_rng(7)
+    data = {"age": np.sort(rng.uniform(18, 90, size=80)), "job": rng.integers(0, 4, size=80)}
+    schema = [AttributeSpec("age", "numeric", bins=24), AttributeSpec("job", "categorical")]
+    queries = [{"age": (a, a + 4.0)} for a in rng.uniform(18, 85, size=8)]
+    handle = GenieSession().create_index(data, model="relational", name="adult", shards=4, schema=schema)
+    mixed = handle.search(queries, k=5)
+    assert mixed.routing.broadcast  # bands cover every shard together
+
+    pruned_total = 0
+    routed_busy = broadcast_busy = 0.0
+    for query in queries:
+        routed = handle.search([query], k=5)
+        broadcast = handle.search([query], k=5, route="broadcast")
+        assert broadcast.routing.pruned_pairs == 0
+        pruned_total += routed.routing.pruned_pairs
+        # A scanned shard's launch is identical to its broadcast launch,
+        # so the critical path can only shrink (up to float accumulation
+        # noise in the device's running stage totals); pruned shards stop
+        # paying their scan entirely (aggregate device seconds drop).
+        routed_busy += sum(p.query_total() for p in routed.shard_profiles)
+        broadcast_busy += sum(p.query_total() for p in broadcast.shard_profiles)
+        assert routed.profile.query_total() <= broadcast.profile.query_total() * (1 + 1e-9)
+    assert pruned_total > 0
+    assert routed_busy < broadcast_busy

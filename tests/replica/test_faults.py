@@ -1,9 +1,12 @@
 """FaultPlan/FaultInjector: seeded schedules, status math, retry pricing."""
 
+from math import inf, nan
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.api import GenieSession
+from repro.errors import AvailabilityError, ConfigError
 from repro.replica import (
     FaultEvent,
     FaultInjector,
@@ -12,6 +15,7 @@ from repro.replica import (
     STATUS_SLOW,
     STATUS_UP,
 )
+from repro.serve import BatchPolicy, GenieServer
 
 
 class TestFaultEvent:
@@ -37,6 +41,12 @@ class TestFaultEvent:
             FaultEvent(device=0, start=0.0, kind="meltdown")
         with pytest.raises(ConfigError):
             FaultEvent(device=0, start=0.0, kind="slow", factor=0.5)
+        # NaN would start an outage that never ends or a slowdown that never
+        # slows; an infinite end is never "permanent", so never healed.
+        for bad in ({"start": nan}, {"start": inf}, {"start": 0.0, "end": nan}, {"start": 0.0, "end": inf},
+                    {"start": 0.0, "kind": "slow", "factor": nan}, {"start": 0.0, "kind": "slow", "factor": inf}):
+            with pytest.raises(ConfigError, match="finite"):
+                FaultEvent(device=0, **bad)
 
 
 class TestFaultPlanState:
@@ -124,3 +134,52 @@ class TestInjector:
     def test_negative_device_is_always_up(self):
         inj = FaultInjector(FaultPlan([FaultEvent(device=0, start=0.0)]))
         assert inj.state(-1) == (STATUS_UP, 1.0)
+
+
+K = 5
+VOCAB = 240
+
+
+def make_data(n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    return [np.unique(rng.choice(VOCAB, size=9, replace=False)).astype(np.int64) for _ in range(n)]
+
+
+class TestSingleReplicaFailsClean:
+    """With one copy, a dead device surfaces as an AvailabilityError — never a hang or a drop."""
+
+    @pytest.mark.parametrize("victim", [0, 1, 3])
+    def test_availability_error_names_the_dead_group(self, victim):
+        with GenieSession() as session:
+            handle = session.create_index(make_data(), model="raw", name="idx", shards=4, replicas=1)
+            session.inject_faults(FaultPlan([FaultEvent(device=victim, start=0.0)]))
+            broad = np.arange(VOCAB, dtype=np.int64)
+            with pytest.raises(AvailabilityError) as err:
+                handle.search([broad], k=K)
+            assert err.value.shard == victim  # range shard s on device s
+            assert err.value.devices == (victim,)
+
+    def test_served_single_replica_failure_is_a_failed_future_not_a_hang(self):
+        with GenieSession() as session:
+            session.create_index(make_data(), model="raw", name="idx", shards=4, replicas=1)
+            session.inject_faults(FaultPlan([FaultEvent(device=2, start=0.0)]))
+            server = GenieServer(session, policy=BatchPolicy.fifo())
+            broad = np.arange(VOCAB, dtype=np.int64)
+            future = server.submit("idx", broad, k=K)
+            server.drain()
+            with pytest.raises(AvailabilityError):
+                future.result()
+            server.close()
+
+    def test_pruned_shards_keep_serving_around_a_dead_one(self):
+        # Range routing elides the dead shard for queries whose keywords
+        # cannot live there — those still answer.
+        rng = np.random.default_rng(0)
+        base = np.sort(rng.integers(0, 1000, size=1000))
+        rows = [np.unique(rng.integers(b, b + 25, size=8)).astype(np.int64) for b in base]
+        with GenieSession() as session:
+            handle = session.create_index(rows, model="raw", name="idx", shards=4, replicas=1)
+            session.inject_faults(FaultPlan([FaultEvent(device=3, start=0.0)]))
+            low = np.arange(40, dtype=np.int64)  # far from shard 3's range
+            result = handle.search([low], k=K)
+            assert np.asarray(result.ids).size

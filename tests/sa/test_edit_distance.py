@@ -1,10 +1,9 @@
 """Tests for the edit-distance implementations."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sa.edit_distance import edit_distance, edit_distance_bounded, edit_distance_ops
+from repro.sa.edit_distance import edit_distance, edit_distance_ops
 
 _text = st.text(alphabet="abcd", max_size=15)
 
@@ -57,26 +56,7 @@ def test_triangle_inequality(a, b, c):
     assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
-class TestBounded:
-    @settings(max_examples=100)
-    @given(_text, _text, st.integers(0, 10))
-    def test_consistent_with_exact(self, a, b, bound):
-        exact = edit_distance(a, b)
-        result = edit_distance_bounded(a, b, bound)
-        if exact <= bound:
-            assert result == exact
-        else:
-            assert result > bound
-
-    def test_length_prefilter(self):
-        assert edit_distance_bounded("a", "abcdefgh", 3) == 4
-
-    def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            edit_distance_bounded("a", "b", -1)
-
-
 class TestOpsModel:
-    def test_full_vs_banded(self):
+    def test_counts_dp_cells(self):
         assert edit_distance_ops(100, 100) == 10_000
-        assert edit_distance_ops(100, 100, bound=3) < 10_000
+        assert edit_distance_ops(3, 7) == 21

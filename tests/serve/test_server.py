@@ -309,8 +309,9 @@ class TestAdmissionControl:
 
     def test_bad_queue_depth_rejected(self):
         session = GenieSession()
-        with pytest.raises(ConfigError, match="max_queue_depth"):
-            GenieServer(session, max_queue_depth=0)
+        for depth in (0, float("nan"), 2.5):
+            with pytest.raises(ConfigError, match="max_queue_depth"):
+                GenieServer(session, max_queue_depth=depth)
 
 
 class TestVirtualTime:

@@ -50,6 +50,8 @@ class TestInsert:
         handle = make(session)
         with pytest.raises(QueryError, match="empty insert"):
             handle.insert([])
+        with pytest.raises(QueryError, match="objects must be iterable"):
+            handle.insert(None)
         session.close()
 
     def test_every_insert_lands_in_the_one_run(self):
@@ -152,6 +154,11 @@ class TestDelete:
         handle.delete([0])
         with pytest.raises(QueryError, match="not a live object"):
             handle.delete([0])
+        assert handle.compact()  # the slot stays in the rebuilt base, empty and dead
+        with pytest.raises(QueryError, match="not a live object"):
+            handle.delete([0])
+        with pytest.raises(QueryError, match="not a live object"):
+            handle.update(0, [7])
         session.close()
 
     def test_negative_duplicate_and_dead_ids_apply_nothing(self):
