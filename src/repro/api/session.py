@@ -92,9 +92,7 @@ class ResidencyLog:
     """
 
     def __init__(self, limit: int = 1024):
-        if int(limit) < 1:
-            raise ConfigError("residency log limit must be >= 1")
-        self.limit = int(limit)
+        self.limit = count_option(limit, "residency log limit", ConfigError)
         self.total_events = 0
         self._events: deque[ResidencyEvent] = deque(maxlen=self.limit)
 
@@ -310,11 +308,10 @@ class GenieSession:
         maps to pool device ``i``, so two 4-shard indexes contend for the
         same four devices — multi-tenancy over one fixed cluster.
         """
-        if int(n) < 1:
-            raise ConfigError("need at least one shard device")
-        while len(self._device_pool) < int(n):
+        n = count_option(n, "shard device count", ConfigError)
+        while len(self._device_pool) < n:
             self._device_pool.append(Device(spec=self.device.spec, costs=self.device.costs))
-        return self._device_pool[: int(n)]
+        return self._device_pool[:n]
 
     def device_position(self, device: Device) -> int:
         """Pool position of ``device`` (identity match), or ``-1``.
@@ -1121,7 +1118,7 @@ class IndexHandle:
         self.session._check_open()
         if not self._copies:
             raise QueryError("index must be fitted before searching")
-        queries = self.encode_queries(list(raw_queries))
+        queries = self.encode_queries(listed(raw_queries, "raw_queries"))
         _, compiled, _ = self._compile(queries, k, route, plan, search_opts)
         return compiled.root
 

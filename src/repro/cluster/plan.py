@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.engine import count_option
+from repro.core.engine import count_option, integer_option
 from repro.core.inverted_index import InvertedIndex
 from repro.core.types import ID_DTYPE, Corpus
 from repro.errors import ConfigError
@@ -55,7 +55,7 @@ def check_partition_args(strategy: str, seed: int) -> None:
         raise ConfigError(
             f"unknown shard strategy {strategy!r}; expected one of {PARTITION_STRATEGIES}"
         )
-    if not 0 <= int(seed) < 2**64:
+    if not 0 <= integer_option(seed, "shard seed", ConfigError) < 2**64:
         raise ConfigError("shard seed must fit in 64 bits (0 <= seed < 2**64)")
 
 

@@ -90,23 +90,33 @@ class GenieConfig:
         return replace(self, **changes)
 
 
-def count_option(value, name: str, error: type = QueryError) -> int:
-    """A count option as an ``int`` >= 1; integers and integral floats pass.
-
-    The one check behind ``k``, ``batch_size`` (per search: ``QueryError``)
-    and constructor counts such as ``shards`` or ``memory_budget``
-    (``ConfigError``), run before the value reaches any residency event
-    or charge.
+def integer_option(value, name: str, error: type = QueryError) -> int:
+    """An integer option as an ``int``; integers and integral floats pass.
 
     Raises:
-        error: Naming ``name``: a bool, NaN, ±inf, fractional, non-numeric or < 1 value.
+        error: Naming ``name``: a bool, NaN, ±inf, fractional or non-numeric value.
     """
     whole = isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and float(value).is_integer()
     if isinstance(value, bool) or not whole:
         raise error(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(f"{name} must be >= 1")
     return int(value)
+
+
+def count_option(value, name: str, error: type = QueryError) -> int:
+    """A count option as an ``int`` >= 1 (see :func:`integer_option`).
+
+    The one check behind ``k``, ``batch_size`` (per search: ``QueryError``)
+    and constructor counts such as ``shards``, ``memory_budget`` or a
+    cache's capacity (``ConfigError``), run before the value reaches any
+    residency event or charge.
+
+    Raises:
+        error: Naming ``name``: not an integer, or < 1.
+    """
+    count = integer_option(value, name, error)
+    if count < 1:
+        raise error(f"{name} must be >= 1")
+    return count
 
 
 def listed(values, name: str) -> list:

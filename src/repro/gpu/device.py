@@ -12,8 +12,9 @@ block-over-SM scheduler into one object with the lifecycle of a real device:
 * ``launch`` charges that price to a stage and records the launch.
 
 Every charge names its pipeline stage (``stage=`` is required; there is no
-ambient stage to fall back on), so experiments can reproduce Table I's
-per-stage profile and no work lands in a stage nobody chose.
+ambient stage to fall back on) from :data:`~repro.gpu.stats.CHARGED_STAGES`,
+so experiments can reproduce Table I's per-stage profile and no work lands
+in a stage nobody chose.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.errors import ConfigError
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.memory import DeviceArray, MemoryManager
 from repro.gpu.specs import DEFAULT_COSTS, TITAN_X, CostModel, DeviceSpec
-from repro.gpu.stats import KernelStats, StageTimings
+from repro.gpu.stats import KernelStats, StageTimings, check_stage
 
 #: Launch records ``Device.kernel_log`` retains.
 KERNEL_LOG_LIMIT = 256
@@ -57,6 +58,7 @@ class Device:
 
     def charge_seconds(self, seconds: float, *, stage: str) -> None:
         """Add raw simulated seconds to a stage (device-side fixed costs)."""
+        check_stage(stage)
         self.timings.add(stage, seconds)
 
     def reset_timings(self) -> None:
@@ -76,6 +78,7 @@ class Device:
 
     def to_device(self, array: np.ndarray, label: str = "", *, stage: str) -> DeviceArray:
         """Copy a host array to the device, charging PCIe transfer time."""
+        check_stage(stage)
         array = np.ascontiguousarray(array)
         alloc = self.memory.alloc(array.nbytes, label=label)
         self.timings.add(stage, array.nbytes / self.spec.pcie_bandwidth)
@@ -83,6 +86,7 @@ class Device:
 
     def to_host(self, darray: DeviceArray, *, stage: str) -> np.ndarray:
         """Copy a device array back to the host, charging transfer time."""
+        check_stage(stage)
         self.timings.add(stage, darray.data.nbytes / self.spec.pcie_bandwidth)
         return darray.data.copy()
 
@@ -146,6 +150,7 @@ class Device:
             (which keeps the newest ``KERNEL_LOG_LIMIT``) and counted in
             ``launches``.
         """
+        check_stage(stage)
         elapsed = self.price(launch)
         stats = KernelStats(
             name=launch.name,

@@ -3,15 +3,15 @@
 CPU competitors in the paper (CPU-Idx, CPU-LSH, AppGram) and GENIE's own
 host-side steps (index build, final merge in multi-loading) are charged
 against this model so all reported numbers live on one simulated clock.
-Every charge names its stage (``stage=`` is required, as on
-:class:`~repro.gpu.device.Device`).
+Every charge names its stage (``stage=`` is required and must be one of
+:data:`~repro.gpu.stats.CHARGED_STAGES`, as on :class:`~repro.gpu.device.Device`).
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigError
 from repro.gpu.specs import I7_3820, HostSpec
-from repro.gpu.stats import StageTimings
+from repro.gpu.stats import StageTimings, check_stage
 
 
 class HostCpu:
@@ -38,12 +38,14 @@ class HostCpu:
 
     def charge_ops(self, n_ops: float, *, stage: str) -> float:
         """Charge ``n_ops`` simple operations; returns the seconds added."""
+        check_stage(stage)
         seconds = self.price_ops(n_ops)
         self.timings.add(stage, seconds)
         return seconds
 
     def charge_bytes(self, nbytes: float, *, stage: str) -> float:
         """Charge a memory-bandwidth-bound pass over ``nbytes``."""
+        check_stage(stage)
         if nbytes < 0:
             raise ConfigError("negative byte count")
         seconds = nbytes / self.spec.mem_bandwidth
@@ -52,6 +54,7 @@ class HostCpu:
 
     def charge_seconds(self, seconds: float, *, stage: str) -> None:
         """Charge raw simulated seconds."""
+        check_stage(stage)
         self.timings.add(stage, seconds)
 
     def reset_timings(self) -> None:

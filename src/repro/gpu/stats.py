@@ -18,6 +18,22 @@ from repro.errors import ConfigError
 #: Stage names used by the GENIE pipeline, in Table-I order.
 STAGES = ("index_build", "index_transfer", "query_transfer", "match", "select")
 
+#: Every stage a charging call (``Device.launch`` / ``charge_seconds`` /
+#: ``to_device`` / ``to_host``, ``HostCpu.charge_*``) accepts: Table I's
+#: five, then the shard merge, route planning, the stream's tombstone
+#: filter and the sequence model's verification.
+CHARGED_STAGES = STAGES + ("result_merge", "plan_route", "tombstone_filter", "verify")
+
+
+def check_stage(stage) -> None:
+    """Reject a charge to a stage outside :data:`CHARGED_STAGES`.
+
+    Raises:
+        ConfigError: A misspelt, computed or ``None`` stage name.
+    """
+    if stage not in CHARGED_STAGES:
+        raise ConfigError(f"undeclared stage {stage!r}; charges go to one of {CHARGED_STAGES}")
+
 
 @dataclass
 class KernelStats:
@@ -71,9 +87,9 @@ class KernelStats:
 class StageTimings:
     """Simulated seconds spent in each pipeline stage.
 
-    The mapping mirrors Table I of the paper; unknown stage names are
-    allowed so experiments can add their own (e.g. ``verify`` for the
-    DBLP edit-distance verification).
+    The mapping mirrors Table I of the paper. The charging calls only
+    take :data:`CHARGED_STAGES`; :meth:`add` itself takes any name, so a
+    merged profile can carry its own (``failover_retry``).
     """
 
     seconds: dict = field(default_factory=dict)

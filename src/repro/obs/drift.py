@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.core.engine import count_option
 from repro.errors import ConfigError
 from repro.obs.registry import percentile_nearest_rank
 
@@ -31,9 +32,7 @@ class DriftTracker:
     """
 
     def __init__(self, window: int = 256):
-        if int(window) < 1:
-            raise ConfigError("drift window must be >= 1")
-        self.errors: deque = deque(maxlen=int(window))
+        self.errors: deque = deque(maxlen=count_option(window, "drift window", ConfigError))
         self.samples = 0
         self.skipped = 0
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import count_option
 from repro.errors import ConfigError
 
 
@@ -122,10 +123,8 @@ class Histogram:
     __slots__ = ("name", "max_bins", "bins", "total", "count", "clamped")
 
     def __init__(self, name: str, max_bins: int = 128):
-        if int(max_bins) < 1:
-            raise ConfigError("histogram max_bins must be >= 1")
         self.name = name
-        self.max_bins = int(max_bins)
+        self.max_bins = count_option(max_bins, "histogram max_bins", ConfigError)
         self.bins: dict = {}
         self.total = 0.0
         self.count = 0

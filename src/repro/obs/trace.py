@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections import deque
 
+from repro.core.engine import count_option
 from repro.errors import ConfigError
 
 _MICROS = 1e6  # Chrome trace events count microseconds.
@@ -150,13 +151,9 @@ class Tracer:
     """
 
     def __init__(self, sample_every: int = 1, keep: int = 256, clock=None):
-        if int(sample_every) < 1:
-            raise ConfigError("sample_every must be >= 1")
-        if int(keep) < 1:
-            raise ConfigError("keep must be >= 1")
-        self.sample_every = int(sample_every)
+        self.sample_every = count_option(sample_every, "sample_every", ConfigError)
         self.clock = clock
-        self.traces: deque = deque(maxlen=int(keep))
+        self.traces: deque = deque(maxlen=count_option(keep, "keep", ConfigError))
         self.total_traces = 0
 
     def sampled(self, seq: int) -> bool:

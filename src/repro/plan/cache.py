@@ -35,6 +35,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 
+from repro.core.engine import count_option
 from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.plan")
@@ -49,9 +50,7 @@ class LruCache:
     """
 
     def __init__(self, capacity: int = 256):
-        if int(capacity) < 1:
-            raise ConfigError("cache capacity must be >= 1")
-        self.capacity = int(capacity)
+        self.capacity = count_option(capacity, "cache capacity", ConfigError)
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -20,8 +20,11 @@ is full, the threshold is crossed, and the cooldown has elapsed.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from repro.core.engine import count_option, integer_option
 from repro.errors import ConfigError
 
 #: Fraction of the mean shard weight used to floor cold shards' weights,
@@ -116,15 +119,13 @@ class RebalancePolicy:
         min_window: int = 16,
         cooldown: int = 32,
     ):
-        if threshold < 1.0:
-            raise ConfigError(f"rebalance threshold must be >= 1, got {threshold}")
-        if min_window < 1:
-            raise ConfigError(f"min_window must be >= 1, got {min_window}")
-        if cooldown < 0:
-            raise ConfigError(f"cooldown must be >= 0, got {cooldown}")
+        if not (isinstance(threshold, numbers.Real) and threshold >= 1.0):
+            raise ConfigError(f"rebalance threshold must be >= 1, got {threshold!r}")
         self.threshold = float(threshold)
-        self.min_window = int(min_window)
-        self.cooldown = int(cooldown)
+        self.min_window = count_option(min_window, "min_window", ConfigError)
+        self.cooldown = integer_option(cooldown, "cooldown", ConfigError)
+        if self.cooldown < 0:
+            raise ConfigError(f"cooldown must be >= 0, got {cooldown}")
         self._last_fire: int | None = None
 
     def should_rebalance(self, metrics) -> bool:

@@ -21,6 +21,7 @@ is :meth:`repro.stream.state.StreamState.compact`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class StreamConfig:
     auto_compact: bool = True
 
     def __post_init__(self):
-        if not float(self.compact_ratio) > 0.0:
-            raise ConfigError("compact_ratio must be positive")
+        if not (isinstance(self.compact_ratio, numbers.Real) and self.compact_ratio > 0.0):
+            raise ConfigError(f"compact_ratio must be positive, got {self.compact_ratio!r}")
 
 
 class DeltaRun:

@@ -209,8 +209,9 @@ class TestResidencyLogBound:
         assert [e.index for e in recent] == ["b", "c"]
 
     def test_bad_limit_rejected(self):
-        with pytest.raises(ConfigError, match="limit"):
-            ResidencyLog(limit=0)
+        for bad in (0, float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="limit"):
+                ResidencyLog(limit=bad)
 
     def test_search_events_unaffected_within_limit(self):
         session = GenieSession()  # default limit is generous

@@ -108,6 +108,14 @@ class TestValidationAndStats:
         with pytest.raises(ConfigError, match="unknown shard strategy"):
             ShardPlan.build(_corpus(), 2, strategy="modulo")
 
+    @pytest.mark.parametrize("seed", [float("nan"), 1.5, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="shard seed must be an integer"):
+            ShardPlan.build(_corpus(), 2, strategy="hash", seed=seed)
+
+    def test_zero_seed_accepted(self):
+        ShardPlan.build(_corpus(), 2, strategy="hash", seed=0).validate()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_rejected(self, seed):
         # np.uint64(seed) would raise a raw OverflowError deep in the mix.

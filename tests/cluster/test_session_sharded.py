@@ -86,6 +86,10 @@ class TestCreateIndex:
         with pytest.raises(ConfigError, match="seed must fit in 64 bits"):
             session.create_index(_objects(), model="raw", name="x",
                                  shards=2, shard_strategy="hash", shard_seed=-1)
+        for seed in (float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="shard seed must be an integer"):
+                session.create_index(_objects(), model="raw", name="x",
+                                     shards=2, shard_strategy="hash", shard_seed=seed)
         assert "x" not in session.indexes
 
     def test_device_pool_reused_across_indexes(self):
@@ -96,6 +100,12 @@ class TestCreateIndex:
         assert b.shard_devices()[0] is session.device
         assert a.shard_devices()[1] is b.shard_devices()[1]
         assert len(session.shard_devices(3)) == 3
+
+    def test_bad_shard_device_count_rejected(self):
+        session = GenieSession()
+        for bad in (0, float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="shard device count"):
+                session.shard_devices(bad)
 
 
 @pytest.mark.parametrize("crash", [False, True])

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scan_kernel import build_select_launch
+from repro.errors import ConfigError
 from repro.gpu.device import KERNEL_LOG_LIMIT, Device, _schedule_blocks
+from repro.gpu.host import HostCpu
 from repro.gpu.kernel import KernelLaunch, uniform_launch
 from repro.gpu.specs import DeviceSpec
+from repro.gpu.stats import STAGES
 
 
 def _launch(block_items, **kwargs):
@@ -144,9 +147,9 @@ class TestPrice:
         assert device.timings == timings
         assert list(device.kernel_log) == log and device.launches == 1
         assert device.memory.used == used
-        stats = device.launch(launch, stage="priced")
+        stats = device.launch(launch, stage="verify")
         assert stats.elapsed_seconds == price
-        assert device.timings.get("priced") == price  # the only charge to this stage
+        assert device.timings.get("verify") == price  # the only charge to this stage
         assert device.launches == 2 and device.kernel_log[-1] is stats
 
     def test_empty_grid_costs_nothing(self):
@@ -156,6 +159,18 @@ class TestPrice:
             stats = device.launch(launch, stage="match")
             assert stats.elapsed_seconds == 0.0 and stats.blocks == 0
         assert device.timings.total == 0.0 and device.launches == 2
+
+
+#: The seven charging calls, each as ``(device, host, device array, stage) -> None``.
+CHARGING_CALLS = {
+    "Device.launch": lambda device, host, darray, stage: device.launch(_launch([100]), stage=stage),
+    "Device.charge_seconds": lambda device, host, darray, stage: device.charge_seconds(1.0, stage=stage),
+    "Device.to_device": lambda device, host, darray, stage: device.to_device(np.arange(4), stage=stage),
+    "Device.to_host": lambda device, host, darray, stage: device.to_host(darray, stage=stage),
+    "HostCpu.charge_ops": lambda device, host, darray, stage: host.charge_ops(10.0, stage=stage),
+    "HostCpu.charge_bytes": lambda device, host, darray, stage: host.charge_bytes(64.0, stage=stage),
+    "HostCpu.charge_seconds": lambda device, host, darray, stage: host.charge_seconds(1.0, stage=stage),
+}
 
 
 class TestStaging:
@@ -173,6 +188,16 @@ class TestStaging:
                 charge()
         assert list(device.timings.seconds) == ["index_transfer"] and device.launches == 0
         assert not hasattr(device, "stage") and not hasattr(device, "current_stage")
+
+    @pytest.mark.parametrize("call", sorted(CHARGING_CALLS))
+    @pytest.mark.parametrize("stage", ["mach", f"{STAGES[3]}_{2}"], ids=["misspelt", "computed"])
+    def test_undeclared_stage_rejected(self, call, stage):
+        device, host = Device(), HostCpu()
+        darray = device.to_device(np.arange(4), stage="index_transfer")
+        before = (device.timings.copy(), device.launches, device.memory.used, host.timings.copy())
+        with pytest.raises(ConfigError, match=f"undeclared stage {stage!r}"):
+            CHARGING_CALLS[call](device, host, darray, stage)
+        assert (device.timings, device.launches, device.memory.used, host.timings) == before
 
     def test_explicit_stage_argument_wins(self):
         device = Device()

@@ -1,10 +1,10 @@
-"""Shared helpers for the repro.lint suites: lint in-memory fixtures."""
+"""Shared helpers for the tools.lint suites: lint in-memory fixtures."""
 
 import textwrap
 
 import pytest
 
-from repro.lint import lint_sources
+from tools.lint import lint_sources
 
 
 @pytest.fixture

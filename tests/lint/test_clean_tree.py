@@ -1,8 +1,8 @@
-"""Tier-1 gate: src/ lints clean, and the report is byte-deterministic.
+"""Tier-1 gate: src/repro and the linter lint clean, and the report is byte-deterministic.
 
 These are the tests that make the checker *enforcing*: seeding a
-violation anywhere under ``src/repro`` (or letting a baseline entry go
-stale) fails the suite, and two CLI runs must emit identical bytes.
+violation anywhere under ``src/repro`` fails the suite (nothing is
+allowlisted), and two CLI runs must emit identical bytes.
 """
 
 import os
@@ -10,7 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import DEFAULT_BASELINE, lint_paths
+from tools.lint import lint_paths
+from tools.lint.engine import DEFAULT_PATHS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -20,9 +21,9 @@ BAD_SNIPPET = "import time\n\n\ndef elapsed():\n    return time.time()\n"
 
 def _cli(*args, cwd=REPO_ROOT):
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(REPO_ROOT), env.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
+        [sys.executable, "-m", "tools.lint", *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -30,20 +31,13 @@ def _cli(*args, cwd=REPO_ROOT):
 
 
 class TestCleanTree:
-    def test_src_is_clean_under_shipped_baseline(self):
-        report = lint_paths([SRC])
+    def test_package_and_linter_are_clean(self):
+        report = lint_paths(DEFAULT_PATHS)
         assert report.findings == [], "\n" + report.render()
-
-    def test_no_stale_baseline_entries(self):
-        # Strict mode is the allowlist ratchet: every shipped entry must
-        # still suppress at least one real finding.
-        report = lint_paths([SRC])
-        assert report.stale == []
-        assert report.exit_code(strict=True) == 0
-
-    def test_every_baseline_entry_carries_a_reason(self):
-        for entry in DEFAULT_BASELINE.entries:
-            assert entry.reason.strip(), entry
+        package = len(list((SRC / "repro").rglob("*.py")))
+        linter = len(list((REPO_ROOT / "tools" / "lint").rglob("*.py")))
+        assert report.files == package + linter
+        assert [rule.rule_id for rule in report.rules] == [f"REPRO00{i}" for i in range(1, 8)]
 
 
 class TestSeededViolation:
@@ -57,30 +51,34 @@ class TestSeededViolation:
         )
 
     def test_cli_exits_nonzero_on_violation(self, tmp_path):
-        scratch = tmp_path / "scratch.py"
+        # No allowlist: a wall clock in any repro module fails, the
+        # experiments package included.
+        scratch = tmp_path / "src" / "repro" / "experiments" / "clocked.py"
+        scratch.parent.mkdir(parents=True)
         scratch.write_text(BAD_SNIPPET, encoding="utf-8")
         proc = _cli(str(scratch))
         assert proc.returncode == 1
-        assert b"REPRO001" in proc.stdout
+        assert b"repro/experiments/clocked.py:5:11: REPRO001" in proc.stdout
 
 
 class TestCli:
-    def test_strict_run_passes_and_is_byte_identical(self):
-        first = _cli("--strict")
-        second = _cli("--strict")
+    def test_default_run_passes_and_is_byte_identical(self, tmp_path):
+        first = _cli()
+        second = _cli(cwd=tmp_path)  # the default paths do not depend on the working directory
         assert first.returncode == 0, first.stdout.decode()
         assert second.returncode == 0
         assert first.stdout == second.stdout
+        assert b"findings (0): none" in first.stdout
         assert first.stdout.rstrip().endswith(b"result: PASS")
 
     def test_output_file_matches_stdout(self, tmp_path):
         out = tmp_path / "lint-report.txt"
-        proc = _cli("--strict", "--output", str(out))
+        proc = _cli("--output", str(out))
         assert proc.returncode == 0
         assert out.read_bytes() == proc.stdout.rstrip(b"\n") + b"\n"
 
     def test_list_rules(self):
         proc = _cli("--list-rules")
         assert proc.returncode == 0
-        for i in range(1, 7):
+        for i in range(1, 8):
             assert f"REPRO00{i}".encode() in proc.stdout

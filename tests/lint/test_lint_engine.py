@@ -1,13 +1,12 @@
-"""Engine, registry, and baseline behavior for repro.lint."""
+"""Engine and registry behavior for tools.lint."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.lint import (
-    Baseline,
-    BaselineEntry,
+from tools.lint import (
     Finding,
     PARSE_RULE_ID,
     all_rules,
@@ -84,53 +83,6 @@ class TestParseFailures:
         assert report.files == 2
 
 
-class TestBaseline:
-    def test_matching_entry_suppresses_and_counts(self):
-        entry = BaselineEntry("repro/core/fixture.py", "REPRO002", "fixture reason")
-        report = lint_sources(
-            {"repro/core/fixture.py": BAD_ASSERT + "\nassert True\n"},
-            baseline=Baseline((entry,)),
-        )
-        assert report.findings == []
-        assert report.suppressed == [(entry, 2)]
-        assert report.suppressed_total == 2
-        assert report.stale == []
-        assert report.exit_code(strict=True) == 0
-
-    def test_entry_only_covers_its_own_rule(self):
-        # A baselined file is not a free-fire zone: a different rule id
-        # in the same file still fails.
-        entry = BaselineEntry("repro/core/fixture.py", "REPRO002", "fixture reason")
-        report = lint_sources(
-            {"repro/core/fixture.py": BAD_ASSERT + "\ndef f(b=[]):\n    return b\n"},
-            baseline=Baseline((entry,)),
-        )
-        assert [f.rule_id for f in report.findings] == ["REPRO005"]
-        assert report.exit_code() == 1
-
-    def test_stale_entry_fails_only_under_strict(self):
-        entry = BaselineEntry("repro/core/fixture.py", "REPRO002", "no longer true")
-        report = lint_sources({"repro/core/fixture.py": CLEAN}, baseline=Baseline((entry,)))
-        assert report.findings == []
-        assert report.stale == [entry]
-        assert report.exit_code() == 0
-        assert report.exit_code(strict=True) == 1
-        assert "stale baseline entries (1):" in report.render(strict=True)
-
-    def test_reason_is_mandatory(self):
-        with pytest.raises(ConfigError):
-            Baseline((BaselineEntry("repro/x.py", "REPRO001", "   "),))
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError):
-            Baseline(
-                (
-                    BaselineEntry("repro/x.py", "REPRO001", "first"),
-                    BaselineEntry("repro/x.py", "REPRO001", "second"),
-                )
-            )
-
-
 class TestTaxonomyClosure:
     def test_subclass_chain_across_files(self):
         # mid.py subclasses the taxonomy; leaf.py subclasses mid.py's
@@ -175,3 +127,7 @@ class TestPaths:
             (pkg / name).write_text(CLEAN, encoding="utf-8")
         files = collect_files([tmp_path / "src", pkg / "b.py"])
         assert [display_path(f) for f in files] == ["repro/a.py", "repro/b.py"]
+
+    def test_display_path_of_the_linter_is_repo_relative(self):
+        engine = Path(__file__).resolve().parents[2] / "tools" / "lint" / "engine.py"
+        assert display_path(engine) == "tools/lint/engine.py"

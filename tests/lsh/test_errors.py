@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, QueryError, ReproError
-from repro.lint.baseline import DEFAULT_BASELINE
 from repro.lsh import (
     E2Lsh,
     MinHash,
@@ -80,9 +79,3 @@ def test_malformed_input(name):
     with pytest.raises(QueryError, match=EXPECTED.get(name, "expected dim 4, got 7")) as caught:
         QUERY_ERRORS[name]()
     assert isinstance(caught.value, ReproError) and isinstance(caught.value, ValueError)
-
-
-def test_lsh_is_off_the_lint_baseline():
-    assert not [e.path for e in DEFAULT_BASELINE.entries if e.path.startswith("repro/lsh/")]
-    # ... and so is every other package: the report CLI's wall clock is all that is left.
-    assert [(e.path, e.rule_id) for e in DEFAULT_BASELINE.entries] == [("repro/experiments/report.py", "REPRO001")]

@@ -41,8 +41,9 @@ class TestWindow:
         assert drift.samples == 3  # lifetime count keeps going
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ConfigError):
-            DriftTracker(window=0)
+        for bad in (0, float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="window"):
+                DriftTracker(window=bad)
 
 
 class TestPercentiles:

@@ -69,8 +69,9 @@ class TestHistogram:
         assert hist.percentile(100.0) == 8
 
     def test_rejects_bad_max_bins(self):
-        with pytest.raises(ConfigError):
-            Histogram("sizes", max_bins=0)
+        for bad in (0, float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="max_bins"):
+                Histogram("sizes", max_bins=bad)
 
 
 class TestMetricsRegistry:

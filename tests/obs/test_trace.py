@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.api import GenieSession
 from repro.errors import ConfigError
 from repro.obs import Span, Tracer
+from repro.serve import GenieServer
 
 
 def _sample_tree():
@@ -77,10 +79,13 @@ class TestTracerSampling:
         assert picks == [True, False, False, True, False, False, True]
 
     def test_rejects_bad_config(self):
-        with pytest.raises(ConfigError):
-            Tracer(sample_every=0)
-        with pytest.raises(ConfigError):
-            Tracer(keep=0)
+        for bad in (0, float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="sample_every"):
+                Tracer(sample_every=bad)
+            with pytest.raises(ConfigError, match="keep"):
+                Tracer(keep=bad)
+            with pytest.raises(ConfigError, match="sample_every"):
+                GenieServer(GenieSession(), trace_sample=bad)
 
 
 class TestTracerStore:

@@ -98,6 +98,9 @@ def test_explain_validates_like_search():
     handle = session.create_index(OBJECTS, model="raw", name="toy")
     with pytest.raises(QueryError, match="empty query batch"):
         handle.explain([], k=1)
+    for call in (handle.explain, handle.search):
+        with pytest.raises(QueryError, match="raw_queries must be iterable, got NoneType"):
+            call(None, k=1)
     with pytest.raises(QueryError, match="k must be >= 1"):
         handle.explain([[0]], k=0)
     with pytest.raises(QueryError, match="requires a sharded index"):

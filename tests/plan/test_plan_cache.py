@@ -51,6 +51,9 @@ class TestCacheConstruction:
     def test_capacity_validated(self):
         with pytest.raises(ConfigError, match="capacity"):
             LruCache(capacity=0)
+        for size in (float("nan"), 1.5, -1):
+            with pytest.raises(ConfigError, match="capacity"):
+                GenieSession(plan_cache_size=size)
 
     def test_stats_surface(self):
         cache = LruCache(capacity=3)

@@ -85,12 +85,16 @@ class TestRebalancePolicy:
         assert policy.should_rebalance(metrics)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RebalancePolicy(threshold=0.9)
-        with pytest.raises(ConfigError):
-            RebalancePolicy(min_window=0)
-        with pytest.raises(ConfigError):
-            RebalancePolicy(cooldown=-1)
+        for bad in (0.9, float("nan"), "a"):
+            with pytest.raises(ConfigError, match="threshold"):
+                RebalancePolicy(threshold=bad)
+        for bad in (0, float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="min_window"):
+                RebalancePolicy(min_window=bad)
+        for bad in (-1, float("nan"), 0.5):
+            with pytest.raises(ConfigError, match="cooldown"):
+                RebalancePolicy(cooldown=bad)
+        assert RebalancePolicy(cooldown=0).cooldown == 0
 
 
 def narrow_band_rows(n=1200, span=30, seed=0):

@@ -27,8 +27,12 @@ def make_server(cache_size=64, policy=None):
 
 class TestLruMechanics:
     def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigError, match="capacity"):
-            LruCache(0)
+        for capacity in (0, float("nan"), 1.5, True):
+            with pytest.raises(ConfigError, match="capacity"):
+                LruCache(capacity)
+        for cache_size in (float("nan"), 1.5):
+            with pytest.raises(ConfigError, match="capacity"):
+                GenieServer(GenieSession(), cache_size=cache_size)
 
     def test_hit_and_miss_counters(self):
         cache = LruCache(4)

@@ -26,8 +26,9 @@ class TestStreamConfig:
             StreamConfig(seal_objects=0)
         with pytest.raises(ConfigError, match="compact_ratio"):
             StreamConfig(compact_ratio=0.0)
-        with pytest.raises(ConfigError, match="compact_ratio"):
-            StreamConfig(compact_ratio=-1.0)
+        for bad in (-1.0, float("nan"), "a", None):
+            with pytest.raises(ConfigError, match="compact_ratio"):
+                StreamConfig(compact_ratio=bad)
 
 
 def added(run, gid, *keywords):

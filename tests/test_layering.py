@@ -328,3 +328,35 @@ def test_the_theory_functions_run_without_scipy():
     psi, success = map(float, done.stdout.split())
     assert abs(psi - 0.80053) < 1e-5  # 1 - 2 Phi(-4) - (1 - e^-8) / (2 sqrt(2 pi))
     assert 0.94 <= success < 0.95  # m = 234 is the first m past 1 - delta at s = 0.5
+
+
+def test_the_package_holds_no_linter_and_imports_no_repo_tool():
+    """The checker is a repository tool (``tools/lint``), not part of the installed system."""
+    root = Path(repro.__file__).parent
+    assert not (root / "lint").exists()
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, module in _imported_modules(tree):
+            if module == "tools" or module.startswith("tools."):
+                offenders.append(f"{path.relative_to(root)}:{lineno}: {module}")
+    assert not offenders, "repo-tool imports:\n" + "\n".join(offenders)
+
+
+def test_the_serving_system_loads_no_harness_package():
+    """``import repro, repro.api, repro.serve`` loads no experiment runner or baseline."""
+    import os
+    import subprocess
+    import sys
+
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import repro, repro.api, repro.serve\n"
+         "print(' '.join(sorted(m for m in sys.modules\n"
+         "    if m.split('.')[:2] in (['repro', 'experiments'], ['repro', 'baselines']))))"],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -1,20 +1,21 @@
-"""repro.lint — AST-based static enforcement of this repo's invariants.
+"""tools.lint — AST-based static enforcement of this repo's invariants.
 
 Every guarantee the reproduction ships — bit-identical results across
 plan strategies, byte-identical traces across seeded runs, honest stage
 accounting behind the calibrated cost model — is otherwise enforced
 only dynamically, by tests that must think to exercise the violation.
 This package makes the whole *class* of regressions checkable at commit
-time: a rule registry with stable ids, AST visitors over ``src/``, a
-per-file allowlist baseline for accepted legacy findings, and a
-deterministic report (byte-identical across runs) wired into tier-1 and
-CI.
+time: a rule registry with stable ids, AST visitors over ``src/repro``
+and this tool itself, and a deterministic report (byte-identical across
+runs) wired into tier-1 and CI. Every finding fails; nothing is
+allowlisted.
 
-Run it::
+It is a repository tool, not part of the installed ``repro`` package.
+Run it from the repository root (it imports ``repro.errors`` for the
+error taxonomy, so the package must be importable)::
 
-    PYTHONPATH=src python -m repro.lint            # lint the package tree
-    PYTHONPATH=src python -m repro.lint --strict   # also fail on stale baseline
-    PYTHONPATH=src python -m repro.lint --list-rules
+    PYTHONPATH=src python -m tools.lint            # lint src/repro and tools/lint
+    PYTHONPATH=src python -m tools.lint --list-rules
 
 Shipped rules:
 
@@ -32,25 +33,17 @@ REPRO004 metrics-discipline metric names register once; snapshot keys
 REPRO005 mutable-defaults   no mutable default arguments
 REPRO006 seed-hygiene       an accepted ``seed=`` is threaded, never
                             ignored or re-derived
+REPRO007 retry-hygiene      retry loops are bounded; retry jitter comes
+                            from an explicitly seeded generator
 ======== ================== ==========================================
 """
 
-from repro.lint.baseline import (
-    Baseline,
-    BaselineEntry,
-    DEFAULT_BASELINE,
-    EMPTY_BASELINE,
-)
-from repro.lint.context import FileContext
-from repro.lint.engine import Report, collect_files, display_path, lint_paths, lint_sources
-from repro.lint.findings import Finding, PARSE_RULE_ID
-from repro.lint.registry import Rule, all_rules, get_rule, register
+from tools.lint.context import FileContext
+from tools.lint.engine import Report, collect_files, display_path, lint_paths, lint_sources
+from tools.lint.findings import Finding, PARSE_RULE_ID
+from tools.lint.registry import Rule, all_rules, get_rule, register
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "DEFAULT_BASELINE",
-    "EMPTY_BASELINE",
     "FileContext",
     "Finding",
     "PARSE_RULE_ID",

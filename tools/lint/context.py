@@ -12,8 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule
+from tools.lint.findings import Finding
+from tools.lint.registry import Rule
 
 
 class FileContext:

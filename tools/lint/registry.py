@@ -2,9 +2,8 @@
 
 Every rule is a singleton registered under a stable ``REPRO0XX`` id via
 the :func:`register` decorator; :func:`all_rules` returns them in id
-order. Ids are part of the baseline contract (a baseline entry names a
-file and a rule id), so they must never be renumbered — retire a rule by
-deleting it and leaving its id unused.
+order. Ids are what reports, docs and tests cite, so they must never be
+renumbered — retire a rule by deleting it and leaving its id unused.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
-from repro.lint.findings import Finding
+from tools.lint.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.lint.context import FileContext
+    from tools.lint.context import FileContext
 
 _RULES: dict[str, "Rule"] = {}
 
@@ -58,7 +57,7 @@ def register(rule_cls: type) -> type:
 
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, in stable id order."""
-    import repro.lint.rules  # noqa: F401  (importing registers the rules)
+    import tools.lint.rules  # noqa: F401  (importing registers the rules)
 
     return tuple(_RULES[rule_id] for rule_id in sorted(_RULES))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import Rule, register
+from tools.lint.registry import Rule, register
 
 #: Method names that charge simulated seconds against a stage.
 CHARGING_METHODS = frozenset(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import Rule, register
+from tools.lint.registry import Rule, register
 
 _MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 

@@ -16,17 +16,17 @@ byte-identical across runs. One ``time.time()`` in a costed path or one
   a seed.
 
 Seeded ``default_rng(seed)`` / ``Generator`` / ``SeedSequence`` /
-explicit bit generators are the sanctioned spellings. The one
-legitimate wall-clock user (the human-facing experiments report CLI) is
-baseline-allowlisted rather than special-cased in the rule.
+explicit bit generators are the sanctioned spellings. There is no
+allowlist: wall-clock measurement belongs to the benchmark harness,
+outside the package.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.astutil import call_path, import_map
-from repro.lint.registry import Rule, register
+from tools.lint.astutil import call_path, import_map
+from tools.lint.registry import Rule, register
 
 #: Canonical dotted paths that read (or block on) the wall clock.
 WALL_CLOCK_CALLS = frozenset(

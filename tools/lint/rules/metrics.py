@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.registry import Rule, register
+from tools.lint.registry import Rule, register
 
 #: MetricsRegistry constructor methods whose first argument names a metric.
 REGISTRATION_METHODS = frozenset({"counter", "gauge", "histogram"})

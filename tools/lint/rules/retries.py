@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.astutil import call_path, import_map
-from repro.lint.registry import Rule, register
+from tools.lint.astutil import call_path, import_map
+from tools.lint.registry import Rule, register
 
 #: Handler-terminating statements that escape the loop rather than
 #: resume it — a handler ending in one of these is not a retry.

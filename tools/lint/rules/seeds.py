@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.astutil import call_path, import_map, names_in
-from repro.lint.registry import Rule, register
+from tools.lint.astutil import call_path, import_map, names_in
+from tools.lint.registry import Rule, register
 
 
 def _seed_params(node) -> list[str]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import builtins
 
-from repro.lint.registry import Rule, register
+from tools.lint.registry import Rule, register
 
 _BUILTIN_EXCEPTIONS = frozenset(
     name
