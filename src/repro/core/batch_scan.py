@@ -15,23 +15,24 @@ infrastructure; this module is the host-side realization of that idea. The
    A tile whose postings stream is at most a quarter of its cells is
    **sparse**: ``np.unique`` of the fused ``row * n_objects + object_id``
    keys yields the positive cells and the tile is never touched. A dense
-   tile is **short-list** or **long-list**, by whether the batch's
+   tile is **short-list** or **long-list**, by whether the batch's keyword
    references average a quarter of the objects a list
-   (``sum(span_lengths) * 4 >= n_references * n_objects``). Short lists:
+   (``sum(list_lengths) * 4 >= n_references * n_objects``). Short lists:
    each row's List-Array spans are concatenated — a cache-sized stream,
    never the batch's — and counted with one ``bincount`` straight into a
    reused **int32** tile, the device's counter width. Long lists: a batch
    shares its lists (the paper's premise; an LSH re-hash domain makes a
    few heavy buckets that every query hits), so each *distinct* referenced
-   list is scattered **once per batch** into a 0/1 byte row and a tile's
-   counts are sums of byte rows in a **uint8** tile — a count never
-   exceeds its row's references, so rows of more than 255, or byte rows
-   past ``MAX_BYTE_ROW_BYTES``, count as short lists instead (README,
-   "Four counting regimes", has the measured redundancy per workload).
+   keyword list becomes a 0/1 byte row **once per batch** — its cached
+   bitmap (:attr:`InvertedIndex.keyword_bitmaps`) unpacked, its postings
+   scattered where the index keeps none — and a tile's counts are sums of
+   byte rows in a **uint8** tile. A count never exceeds its row's
+   references, so rows of more than 255, or byte rows past
+   ``MAX_BYTE_ROW_BYTES``, count as short lists instead (README, "Four
+   counting regimes", has the measured redundancy per workload).
    A short-list tile may count as **bit planes** instead — the
    paper's Bitmap Counter (``bit_length(bound)`` bits an object) stored
-   plane by plane: every keyword row's list is a cached bitmap
-   (:attr:`InvertedIndex.keyword_bitmaps`), a pass adds each row's next two
+   plane by plane: a pass adds each row's next two
    bitmaps into the planes 64 objects a word with a carry-save full adder,
    the planes above the tile's largest count are dropped, an MSB-first
    split of the rest under ``np.bitwise_count`` is the row histogram up to
@@ -123,9 +124,10 @@ def plan_batch_scan(
     span_rows, span_query, span_item, keyword_rows, keyword_query = _resolve_spans(index, queries)
     span_lengths = index.span_ends[span_rows] - index.span_starts[span_rows]
     block_sizes = _segmented_block_sizes(index, span_lengths, span_query, span_item, n_queries)
-    references = keyword_rows, np.searchsorted(keyword_query, np.arange(n_queries + 1))
+    keyword_bounds = np.searchsorted(keyword_query, np.arange(n_queries + 1))
     return _tiled_sweep(
-        index, span_rows, span_lengths, span_query, references, block_sizes, n_queries, int(k), max_fused_cells
+        index, span_rows, span_lengths, span_query, keyword_rows, keyword_bounds, block_sizes, n_queries, int(k),
+        max_fused_cells,
     )
 
 
@@ -201,25 +203,19 @@ def _segmented_block_sizes(
 
 
 def _tiled_sweep(
-    index: InvertedIndex,
-    span_rows: np.ndarray,
-    span_lengths: np.ndarray,
-    span_query: np.ndarray,
-    references: tuple[np.ndarray, np.ndarray],
-    block_sizes: np.ndarray,
-    n_queries: int,
-    k: int,
+    index: InvertedIndex, span_rows: np.ndarray, span_lengths: np.ndarray, span_query: np.ndarray,
+    keyword_rows: np.ndarray, keyword_bounds: np.ndarray, block_sizes: np.ndarray, n_queries: int, k: int,
     max_fused_cells: int,
 ) -> BatchScanPlan:
     """Count, histogram, cost-derive and select, one tile at a time.
 
     A tile is counted sparse when its postings stream is at most a quarter
     of its cells. Dense tiles take one regime per batch: long-list when
-    ``span_lengths.sum() * 4 >= span_rows.size * n_objects``, short-list
-    otherwise — and whenever a row has more than 255 references (a byte
-    counter would wrap) or the byte rows would pass their bound: one byte
-    per object per *distinct* span, at most ``MAX_BYTE_ROW_BYTES`` (16 MB)
-    for the life of this call, next to one byte tile of ``max_fused_cells``.
+    ``span_lengths.sum() * 4 >= keyword_rows.size * n_objects``, short-list
+    otherwise — and whenever a row has more than 255 keyword references (a
+    byte counter would wrap) or the byte rows would pass their bound: one
+    byte per object per *distinct* keyword row, at most ``MAX_BYTE_ROW_BYTES``
+    (16 MB) for the life of this call, next to one byte tile of ``max_fused_cells``.
     A short-list tile counts as bit planes instead when
     :func:`_bit_planes_pay` says so and the index caches keyword bitmaps.
     """
@@ -238,19 +234,18 @@ def _tiled_sweep(
     tile_results: list[TopKBatch] = []
 
     rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
-    shared = _shared_byte_rows(index, span_rows, span_lengths, span_bounds)
+    shared = _shared_byte_rows(index, keyword_rows, keyword_bounds, int(updates.sum()))
     # Dense tiles are recounted into one buffer at the device's counter
     # width; byte rows add up in a byte tile.
     counter = np.int32 if shared is None else np.uint8
     buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=counter)
-    keyword_rows, keyword_bounds = references
     for lo in range(0, n_queries, rows_per_tile):
         hi = min(lo + rows_per_tile, n_queries)
         n_rows = hi - lo
         spans = slice(span_bounds[lo], span_bounds[hi])
         entries = int(updates[lo:hi].sum())
         sparse = entries * 4 <= n_rows * n_objects
-        planes = None
+        planes, tile = None, buffer[:n_rows]
         if sparse:
             keys, vals = _positive_cells(
                 index, span_starts[spans], span_lengths[spans], span_query[spans] - lo, n_rows
@@ -268,14 +263,12 @@ def _tiled_sweep(
             hist = _plane_histograms(planes, most, max_fused_cells * 4).reshape(-1)
             widths = np.full(n_rows, most + 1)
         elif shared is None:
-            tile = buffer[:n_rows]
             row_bounds = span_bounds[lo : hi + 1] - span_bounds[lo]
             widths, hist = _row_histograms(
                 _count_rows(tile, index, span_starts[spans], span_lengths[spans], row_bounds)
             )
         else:
-            tile = buffer[:n_rows]
-            _add_byte_rows(tile, *shared, span_bounds[lo : hi + 1])
+            _add_byte_rows(tile, *shared, keyword_bounds[lo : hi + 1])
             widths, hist = _row_histograms(tile)
 
         nonzero, kth, passes_high, value = _row_statistics(hist, widths, kk)
@@ -356,37 +349,42 @@ def _count_rows(
         yield row
 
 
-#: Byte rows of one batch may hold this many bytes — a memory bound, not a
-#: cache one (a row is gathered whole, so a cold one streams: 10.8 MB of
-#: rows still count 3.3x faster than per-row ``bincount``). 16 MB is what
-#: a dense int64 count matrix weighs for one Fig. 9 batch (256 x 8 000).
+#: Byte rows of one batch may hold this many bytes (one per object per distinct
+#: keyword row, unpacked from bitmaps an eighth their size) — a memory bound,
+#: not a cache one (a row is gathered whole, so a cold one streams: 10.8 MB of
+#: rows still count 3.3x faster than per-row ``bincount``). 16 MB is what a
+#: dense int64 count matrix weighs for one Fig. 9 batch (256 x 8 000).
 MAX_BYTE_ROW_BYTES = 16 * 2**20
 
 
 def _shared_byte_rows(
-    index: InvertedIndex, span_rows: np.ndarray, span_lengths: np.ndarray, span_bounds: np.ndarray
+    index: InvertedIndex, keyword_rows: np.ndarray, keyword_bounds: np.ndarray, entries: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Long-list regime: each distinct referenced list once, as a 0/1 byte row.
+    """Long-list regime: each distinct referenced keyword list once, as a 0/1 byte row.
+
+    One ``unpackbits`` of the index's cached keyword bitmaps; an index that
+    keeps none scatters the lists' postings into zeroed rows instead.
 
     Returns:
         ``(byte_rows, ref_row)`` — one ``uint8`` row of ``n_objects`` per
-        distinct span and, per reference, the row of its span — or ``None``
-        when the batch's dense tiles count per row instead (the rule and
-        the bound are in :func:`_tiled_sweep`).
+        distinct keyword row and, per keyword reference, its byte row — or
+        ``None`` when the batch's dense tiles count per row instead (the rule
+        and the bound are in :func:`_tiled_sweep`).
     """
     n_objects = index.n_objects
-    long_lists = 0 < span_rows.size * n_objects <= int(span_lengths.sum()) * 4
-    if not long_lists or np.diff(span_bounds).max() > np.iinfo(np.uint8).max:
+    if not 0 < keyword_rows.size * n_objects <= entries * 4 or np.diff(keyword_bounds).max() > np.iinfo(np.uint8).max:
         return None
-    distinct, ref_row = np.unique(span_rows, return_inverse=True)
+    distinct, ref_row = np.unique(keyword_rows, return_inverse=True)
     if distinct.size * n_objects > MAX_BYTE_ROW_BYTES:
         return None
-    starts = index.span_starts[distinct]
-    lengths = index.span_ends[distinct] - starts
+    if (bitmaps := index.keyword_bitmaps) is not None:
+        words = bitmaps[distinct].astype("<u8", copy=False).view(np.uint8)  # object o at bit o % 8 of byte o // 8
+        return np.unpackbits(words, axis=1, count=n_objects, bitorder="little"), ref_row
+    offsets = index.list_offsets
+    lengths = offsets[distinct + 1] - offsets[distinct]
     byte_rows = np.zeros((distinct.size, n_objects), dtype=np.uint8)
     # An object is on a posting list once, so a list's count row is 0/1.
-    row_base = np.repeat(np.arange(distinct.size) * n_objects, lengths)
-    byte_rows.reshape(-1)[row_base + index.list_array32[ragged_slices(starts, lengths)]] = 1
+    byte_rows[np.repeat(np.arange(distinct.size), lengths), index.list_array32[ragged_slices(offsets[distinct], lengths)]] = 1
     return byte_rows, ref_row
 
 
@@ -397,7 +395,7 @@ def _add_byte_rows(
 
     Pass ``r`` adds every row's ``r``-th reference at once — one gather of
     byte rows, one add — over the rows that have an ``r``-th reference
-    (``ref_bounds`` are the tile rows' bounds in ``ref_row``).
+    (``ref_bounds`` are the tile rows' bounds in the keyword references).
     """
     first, n_refs = ref_bounds[:-1], np.diff(ref_bounds)
     every_row = int(n_refs.min())

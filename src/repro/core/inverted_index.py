@@ -315,10 +315,10 @@ class InvertedIndex:
         """Every keyword row's whole list as a packed bitmap, plus one all-zero row last.
 
         Row ``i`` holds object ``o`` at bit ``o % 64`` of word ``o // 64``: the
-        bit-sliced scan's operands, kept on the host only (the device still
-        receives :attr:`list_array32`). Per keyword row, not per span, so load
-        balancing does not change them; ``None`` where they would outweigh
-        ``list_array32`` (as lists averaging under ``n_objects / 32`` do).
+        operand of both shared dense regimes of the scan (bit planes add them,
+        long-list byte rows unpack them), kept on the host only (the device
+        still receives :attr:`list_array32`). Per keyword row, not per span; ``None``
+        where they would outweigh ``list_array32`` (lists averaging under ``n_objects / 32``).
         """
         rows, words = self.keyword_array.size, -(-self.n_objects // 64)
         if self.total_entries == 0 or (rows + 1) * words * 8 > 4 * self.total_entries:

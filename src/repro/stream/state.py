@@ -106,6 +106,8 @@ class StreamState:
     def update(self, gid: int, obj) -> None:
         """Replace one live object's keywords, keeping its global id."""
         ids = _checked_ids([gid])
+        if np.ndim(gid):
+            raise QueryError(f"update takes one object id; got {gid!r}")
         (gid,) = ids.tolist()
         manifest = self.manifest
         rows = manifest.delta.rows_of(ids)

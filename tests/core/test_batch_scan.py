@@ -243,13 +243,12 @@ class TestPlanEquivalence:
         assert_scan_matches_reference(index, queries, k, scan)
         # The rule, from the specification's numbers: a tile is sparse up to a
         # quarter of its cells; dense tiles add byte rows when the batch's
-        # spans average a quarter of the objects, else count row by row — or
-        # as bit planes (one 8-byte word a row) when a plane
+        # keyword lists (not their sublists) average a quarter of the objects,
+        # else count row by row — or as bit planes (one 8-byte word a row) when a plane
         # reaches MIN_PLANE_BYTES, a row ripples at most three words per entry
         # and the planes plus two scratch rows fit the tile's bytes.
-        spans = [sum(len(index.spans_for_keyword(kw)) for item in query for kw in item) for query in raw]
         refs = [sum(len(set(item) & set(index.keywords)) for item in query) for query in raw]
-        long_lists = int(scan.updates.sum()) * 4 >= sum(spans) * 16 and max(spans) <= 255
+        long_lists = int(scan.updates.sum()) * 4 >= sum(refs) * 16 and max(refs) <= 255
         rows_per_tile = max(1, max_fused_cells // 16)
 
         def regime(lo, hi):
@@ -306,12 +305,7 @@ class TestPlanEquivalence:
         rng = np.random.default_rng(4)
         buckets = np.stack([rng.permutation(n) % 3 for _ in range(functions)], axis=1)
         index = InvertedIndex.build(Corpus(buckets + np.arange(functions) * 3))
-        built = []
-        shared_byte_rows = batch_scan._shared_byte_rows
-        monkeypatch.setattr(
-            batch_scan, "_shared_byte_rows", lambda *args: built.append(shared_byte_rows(*args)) or built[-1]
-        )
-        taken = record_regimes(monkeypatch)
+        built, taken = record_byte_rows(monkeypatch), record_regimes(monkeypatch)
         for n_lists, within in ((256, True), (257, False)):
             queries = QueryBatch(np.arange(n_lists), None, np.minimum(np.arange(6) * 64, n_lists))
             scan = plan_batch_scan(index, queries, 2)
@@ -337,14 +331,75 @@ class TestPlanEquivalence:
         assert_scan_matches_reference(index, queries, k, scan)
 
 
+def membership_rows(index, keyword_rows):
+    """One 0/1 row per keyword row: its whole list, set one posting at a time."""
+    rows = np.zeros((len(keyword_rows), index.n_objects), dtype=np.uint8)
+    for i, row in enumerate(keyword_rows):
+        rows[i, index.postings_for_keyword(int(index.keyword_array[row]))] = 1
+    return rows
+
+
+def record_byte_rows(monkeypatch):
+    """What ``_shared_byte_rows`` returns to every scan from here on."""
+    built = []
+    shared_byte_rows = batch_scan._shared_byte_rows
+    monkeypatch.setattr(batch_scan, "_shared_byte_rows", lambda *args: built.append(shared_byte_rows(*args)) or built[-1])
+    return built
+
+
+def tweets_case(n=4000, n_keywords=2136, seed=0):
+    """A document-shaped index too sparse for bitmaps, and 64 rows naming its few heavy keywords."""
+    rng = np.random.default_rng(seed)
+    heavy = rng.random((n, 8)) < 0.5  # keywords 0-7, each on about half the objects
+    index = InvertedIndex.build(Corpus([
+        np.concatenate([np.flatnonzero(common), rng.choice(np.arange(8, n_keywords), size=4, replace=False)])
+        for common in heavy
+    ]))
+    rows = [[[kw] for kw in rng.choice(8, size=6, replace=False)] + [[kw] for kw in rng.integers(8, n_keywords, size=2)] for _ in range(64)]
+    return index, make_batch(rows)
+
+
 class TestLongListRegime:
     """Dense tiles as sums of shared byte rows equal the specification's plan."""
+
+    @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
+    def test_byte_rows_are_the_unpacked_bitmaps(self, monkeypatch, lb):
+        # 64 rows x 16 references over 2 000 objects, lists ~ n / 3 (split into
+        # hundreds of spans under load balancing): one byte row per distinct
+        # keyword row, its whole list, and the postings are never gathered.
+        rng = np.random.default_rng(5)
+        index = InvertedIndex.build(Corpus(rng.integers(0, 3, size=(2000, 16)) + np.arange(16) * 3), load_balance=lb)
+        queries = QueryBatch((rng.integers(0, 3, size=(64, 16)) + np.arange(16) * 3).reshape(-1), None, np.arange(65) * 16)
+        assert index.keyword_bitmaps is not None
+        built, taken = record_byte_rows(monkeypatch), record_regimes(monkeypatch)
+        monkeypatch.setattr(InvertedIndex, "list_array32", property(lambda self: pytest.fail("gathered the postings")))
+        scan = plan_batch_scan(index, queries, 10)
+        assert taken == ["long"]
+        byte_rows, ref_row = built[-1]
+        rows, _ = index.keyword_rows(queries.keywords)
+        assert len(byte_rows) == np.unique(rows).size
+        assert np.array_equal(byte_rows[ref_row], membership_rows(index, rows))
+        monkeypatch.undo()
+        assert_scan_matches_reference(index, queries, 10, scan)
+
+    def test_an_index_without_bitmaps_scatters_its_lists(self, monkeypatch):
+        # 2 136 keywords over 4 000 objects, eight of them on half the objects:
+        # bitmaps would outweigh the postings, yet the rows name heavy lists.
+        index, queries = tweets_case()
+        assert index.keyword_bitmaps is None
+        built, taken = record_byte_rows(monkeypatch), record_regimes(monkeypatch)
+        scan = plan_batch_scan(index, queries, 10)
+        assert taken == ["long"]
+        byte_rows, ref_row = built[-1]
+        rows, found = index.keyword_rows(queries.keywords)
+        assert np.array_equal(byte_rows[ref_row], membership_rows(index, rows[found]))
+        assert_scan_matches_reference(index, queries, 10, scan)
 
     @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
     @pytest.mark.parametrize("max_fused_cells", [1, 7, 64, 10**9])
     def test_heavy_buckets_match_the_specification(self, monkeypatch, max_fused_cells, lb):
         taken = record_regimes(monkeypatch)
-        long_tiles = 0
+        long_tiles = split_batches = 0
         for seed in range(25):
             rng = np.random.default_rng([seed, max_fused_cells])
             # A span is at most a sublist long, and long lists average a quarter of the objects.
@@ -365,12 +420,18 @@ class TestLongListRegime:
             raw = [row(), [], row(), [[99], []]] + [row() if rng.random() < 0.7 else [] for _ in range(rng.integers(0, 6))]
             queries = make_batch(raw)
             k = int(rng.choice([1, 3, n + 5]))
-            taken.clear()
-            scan = plan_batch_scan(index, queries, k, max_fused_cells=max_fused_cells)
-            assert_scan_matches_reference(index, queries, k, scan)
-            assert "short" not in taken or "long" not in taken  # one dense regime per batch
-            long_tiles += taken.count("long")
-        assert long_tiles >= 13
+            for operand in ("bitmaps", "lists"):
+                if operand == "lists":  # byte rows scattered from the postings, as without bitmaps
+                    index.__dict__["keyword_bitmaps"] = None
+                taken.clear()
+                scan = plan_batch_scan(index, queries, k, max_fused_cells=max_fused_cells)
+                assert_scan_matches_reference(index, queries, k, scan)
+                assert "short" not in taken or "long" not in taken  # one dense regime per batch
+                long_tiles += taken.count("long")
+            rows, found = index.keyword_rows(queries.keywords)
+            split_batches += "long" in taken and bool((index.span_rows_for_keyword_rows(rows[found])[1] > 1).any())
+        assert long_tiles >= 2 * 13
+        assert split_batches >= (15 if lb else 0)  # byte rows of whole lists that the spans split
 
 
 def record_planes(monkeypatch):

@@ -258,6 +258,18 @@ class TestUpdate:
             handle.update(17, [1])
         session.close()
 
+    @pytest.mark.parametrize("ids", [[], [0], [0, 1], np.array([0, 1]), np.array([0])], ids=["empty", "one", "two", "array", "one_array"])
+    def test_update_takes_one_id(self, ids):
+        session = GenieSession()
+        handle = make(session)
+        handle.insert([[42]])
+        state, epoch = handle.manifest.describe(), handle.mutation_epoch
+        with pytest.raises(QueryError, match=r"update takes one object id; got (\[|array)"):
+            handle.update(ids, [7])
+        assert handle.manifest.describe() == state and handle.mutation_epoch == epoch  # nothing applied
+        assert handle.search([[7]], k=3).results[0].ids.size == 0
+        session.close()
+
 
 class TestIndexMaintenance:
     def test_search_after_mutations_builds_no_index(self, monkeypatch):
