@@ -412,9 +412,10 @@ class DocumentModel(BaseMatchModel):
         return _one_item_per_keyword(ids(position, text) for position, text in enumerate(texts))
 
     def validate_queries(self, raw_queries, queries: QueryBatch) -> None:
-        sizes = queries.items_per_query
-        if not sizes.all():
-            raise QueryError(f"queries {np.flatnonzero(sizes == 0).tolist()} contain no indexed words")
+        offsets = queries.query_offsets
+        empty = offsets[1:] == offsets[:-1]
+        if np.count_nonzero(empty):
+            raise QueryError(f"queries {np.flatnonzero(empty).tolist()} contain no indexed words")
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ events (evictions / swap-ins) the search caused.
 from __future__ import annotations
 
 import logging
+import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable
@@ -245,7 +246,7 @@ class GenieSession:
         self._resident: dict[int, SliceCopy] = {}  # insertion order == LRU order
         self._auto_names = 0
         self._closed = False
-        self._invalidation_hooks: list[Callable[[str], None]] = []
+        self._invalidation_hooks: list[Callable[[], Callable[[str], None] | None]] = []
         # Searches register a sink here to observe their own residency
         # events exactly, independent of the bounded log's retention.
         self._event_sinks: list[list[ResidencyEvent]] = []
@@ -569,12 +570,20 @@ class GenieSession:
         serve layer's query-result cache subscribes to drop exactly the
         stale entries. Compiled plans are not results: they go stale only
         where the handle reinstalls its partition (``_install``).
+
+        A bound method is held weakly (it leaves with its owner, so no
+        server is kept alive here); any other callable is held as given.
         """
-        self._invalidation_hooks.append(hook)
+        hooks = self._invalidation_hooks
+        try:
+            hooks.append(weakref.WeakMethod(hook, hooks.remove))  # leaves when collected
+        except TypeError:  # not a bound method
+            hooks.append(lambda: hook)
 
     def _notify_invalidated(self, name: str) -> None:
-        for hook in self._invalidation_hooks:
-            hook(name)
+        for hook in [ref() for ref in self._invalidation_hooks]:
+            if hook is not None:
+                hook(name)
 
     # ------------------------------------------------------------------
     # residency
@@ -1186,7 +1195,8 @@ class IndexHandle:
         model's ``list[Query]`` is converted here); iterate or index it
         for per-query :class:`~repro.core.types.Query` views.
         """
-        raw_queries = list(raw_queries)
+        if not isinstance(raw_queries, list):
+            raw_queries = list(raw_queries)
         queries = QueryBatch.from_queries(self.model.encode_queries(raw_queries))
         validate = getattr(self.model, "validate_queries", None)
         if validate is not None:

@@ -516,15 +516,15 @@ class QueryBatch:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def key_bytes(self, i: int) -> bytes:
-        """Hashable identity of query ``i``: its keywords, then its item boundaries.
+    def key_bytes(self) -> bytes:
+        """Hashable identity of the batch: its keywords, then its item and query boundaries.
 
-        Two queries share a key exactly when they have the same items in
-        the same order (``[[1, 2], [3]]``, ``[[1], [2, 3]]`` and
-        ``[[1], [2], [3]]`` are three keys).
+        Two batches share a key exactly when their queries have the same
+        items in the same order (``[[1, 2], [3]]``, ``[[1], [2, 3]]`` and
+        ``[[1], [2], [3]]`` are three keys). Query ``i``'s own key is
+        ``batch.take([i]).key_bytes()``: offsets start at 0 in every batch.
         """
-        bounds = self.item_offsets[self.query_offsets[i] : self.query_offsets[i + 1] + 1]
-        return self.keywords[bounds[0] : bounds[-1]].tobytes() + (bounds - bounds[0]).tobytes()
+        return self.keywords.tobytes() + self.item_offsets.tobytes() + self.query_offsets.tobytes()
 
     # ------------------------------------------------------------------
     # batch arrays

@@ -81,20 +81,21 @@ class MicroBatchScheduler:
     Queued items are duck-typed: the scheduler needs ``item.arrival``
     (simulated submit time) and ``item.lane`` (hashable coalescing
     signature — requests only share a batch when lanes match).
+
+    Attributes:
+        depth: Total queued requests across all indexes, a counter the
+            enqueue and the drains keep (reading it costs nothing).
     """
 
     def __init__(self, policy: BatchPolicy | None = None):
         self.policy = policy if policy is not None else BatchPolicy()
+        # Dict order is the round-robin order: every sweep visits each
+        # queue once, in the order its index was first queued.
         self._queues: dict[str, deque] = {}
-        self._rotation: deque[str] = deque()
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # queue state
-
-    @property
-    def depth(self) -> int:
-        """Total queued requests across all indexes."""
-        return sum(len(q) for q in self._queues.values())
 
     def depths(self) -> dict[str, int]:
         """Queued requests per index (nonempty queues only)."""
@@ -105,9 +106,16 @@ class MicroBatchScheduler:
         queue = self._queues.get(index)
         if queue is None:
             queue = self._queues[index] = deque()
-        if index not in self._rotation:
-            self._rotation.append(index)
         queue.append(request)
+        self.depth += 1
+
+    def forget(self, index: str) -> None:
+        """Drop ``index``'s queue if it is empty (its index was dropped).
+
+        A name queued again afterwards joins the end of the round-robin order.
+        """
+        if not self._queues.get(index, True):
+            del self._queues[index]
 
     def next_deadline(self) -> float | None:
         """Earliest time a queued request *must* be dispatched, or ``None``.
@@ -115,8 +123,14 @@ class MicroBatchScheduler:
         The oldest head's ``arrival + max_wait``. Drivers advance the
         virtual clock to this time to fire wait-triggered batches in order.
         """
-        deadlines = [queue[0].arrival + self.policy.max_wait for queue in self._queues.values() if queue]
-        return min(deadlines) if deadlines else None
+        wait = self.policy.max_wait
+        earliest = None
+        for queue in self._queues.values():
+            if queue:
+                deadline = queue[0].arrival + wait
+                if earliest is None or deadline < earliest:
+                    earliest = deadline
+        return earliest
 
     # ------------------------------------------------------------------
     # draining
@@ -126,7 +140,8 @@ class MicroBatchScheduler:
 
         Returns ``(index, requests)`` pairs in dispatch order: fair
         round-robin across indexes (one batch per ready index per sweep,
-        sweeping until nothing is ready).
+        sweeping until nothing is ready). When nothing is ready the first
+        sweep is the whole cost: one readiness test per queue.
         """
         return self._pop(now, drain=False)
 
@@ -139,25 +154,32 @@ class MicroBatchScheduler:
         return self._pop(now, drain=True)
 
     def _pop(self, now: float, drain: bool) -> list[tuple[str, list]]:
+        max_batch, max_wait = self.policy.max_batch, self.policy.max_wait
         batches: list[tuple[str, list]] = []
         progressed = True
         while progressed:
             progressed = False
-            for _ in range(len(self._rotation)):
-                name = self._rotation[0]
-                self._rotation.rotate(-1)
-                queue = self._queues.get(name)
+            for name, queue in self._queues.items():
                 if not queue:
-                    continue
-                if not (drain or self._ready(queue, now)):
                     continue
                 if drain:
                     trigger = "drain"
-                elif len(queue) >= self.policy.max_batch:
+                elif len(queue) >= max_batch:
                     trigger = "size"
-                else:
+                # The same float expression next_deadline() reports, or a
+                # driver advancing exactly to the deadline could spin.
+                elif now >= queue[0].arrival + max_wait:
                     trigger = "wait"
-                batch = self._gather(queue)
+                else:
+                    continue
+                # The head's lane, up to max_batch: requests in other lanes
+                # keep their places and arrival order, for later batches.
+                lane, batch, kept = queue[0].lane, [], []
+                while queue and len(batch) < max_batch:
+                    request = queue.popleft()
+                    (batch if request.lane == lane else kept).append(request)
+                queue.extendleft(reversed(kept))
+                self.depth -= len(batch)
                 batches.append((name, batch))
                 progressed = True
                 logger.debug(
@@ -165,31 +187,3 @@ class MicroBatchScheduler:
                     name, len(batch), trigger, len(queue),
                 )
         return batches
-
-    def _ready(self, queue: deque, now: float) -> bool:
-        # The wait test must be the same float expression next_deadline()
-        # reports (``arrival + max_wait``), or a driver advancing exactly
-        # to the deadline could find the queue not ready and spin.
-        return (
-            len(queue) >= self.policy.max_batch
-            or now >= queue[0].arrival + self.policy.max_wait
-        )
-
-    def _gather(self, queue: deque) -> list:
-        """Take the head's lane-compatible prefix, up to ``max_batch``.
-
-        Requests in other lanes keep their positions (and their arrival
-        order within each lane); they form later batches.
-        """
-        lane = queue[0].lane
-        batch = []
-        kept = []
-        while queue and len(batch) < self.policy.max_batch:
-            request = queue.popleft()
-            if request.lane == lane:
-                batch.append(request)
-            else:
-                kept.append(request)
-        for request in reversed(kept):
-            queue.appendleft(request)
-        return batch

@@ -35,6 +35,8 @@ Execution is synchronous under the hood (the simulated device needs no
 threads): an admission dispatches any batch its arrivals make ready,
 ``advance()``/``advance_to()`` move virtual time and fire ``max_wait``
 deadlines in order, and ``drain()``/``close()`` flush everything queued.
+
+Traced shares of the per-request calls (µs each) read high: the tracer wraps each one.
 """
 
 from __future__ import annotations
@@ -75,16 +77,25 @@ def make_cache_key(index: str, query: QueryBatch, k: int, opts_key: tuple, raw=N
         opts_key: Canonicalized search options, e.g.
             ``(("n_candidates", 48),)`` — produced with
             ``tuple(sorted(opts.items()))``.
-        raw: The raw query, included (and required hashable) when the
-            model's ``finalize`` reads it (``finalize_uses_raw``):
-            encoding is not injective — e.g. the n-gram encoder drops
-            unseen grams — so two raw queries with equal encodings could
-            otherwise be served each other's verified payload.
+        raw: The raw query, included when the model's ``finalize`` reads
+            it (``finalize_uses_raw``): encoding is not injective — e.g.
+            the n-gram encoder drops unseen grams — so two raw queries with
+            equal encodings could otherwise be served each other's verified
+            payload. An unhashable raw query gets no key (``None``): the
+            request skips the cache instead of guessing.
+
+    The planner directives (``route``/``plan``) are deliberately not part
+    of the key: every strategy returns bit-identical results.
     """
-    return (index, query.key_bytes(0), int(k), opts_key, raw)
+    if raw is not None:
+        try:
+            hash(raw)
+        except TypeError:
+            return None
+    return (index, query.key_bytes(), int(k), opts_key, raw)
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestMetadata:
     """Per-request serving observability, in simulated seconds.
 
@@ -260,8 +271,7 @@ class GenieServer:
         self.clock = clock if clock is not None else VirtualClock()
         self.scheduler = MicroBatchScheduler(policy)
         self.cache = LruCache(cache_size) if cache_size else None
-        if self.cache is not None:
-            session.add_invalidation_hook(self.cache.invalidate)
+        session.add_invalidation_hook(self._invalidated)
         self.metrics = ServeMetrics()
         # Surface the session's plan-cache counters in snapshot(): warm
         # lanes skipping compilation is a serving property worth watching.
@@ -338,16 +348,17 @@ class GenieServer:
                 (explicit backpressure).
         """
         raws = listed(raw_queries, "raw_queries")
+        session = self.session
         try:
             self._check_open()
-            self.session._check_open()
+            session._check_open()
         except ConfigError:
             self._reject("closed", index, len(raws))
             raise
         if not raws:
             return []
         try:
-            handle = self.session.index(index)
+            handle = session.index(index)
             k = resolve_k(k, handle.config.k)
             # The normalized forms go into the lane so equivalent directives
             # (None vs the explicit "auto") coalesce into one batch.
@@ -360,52 +371,60 @@ class GenieServer:
             raise
 
         # Each request rides with its own one-query batch.
-        queries = [batch] if len(raws) == 1 else [batch.take([i]) for i in range(len(raws))]
-        keys = [
-            None if self.cache is None else self._cache_key(handle, index, raw, query, k, opts_key)
-            for raw, query in zip(raws, queries)
-        ]
-        # Peek, so a refused burst moves no cache counter and no LRU order.
-        misses = sum(key is None or key not in self.cache for key in keys)
-        if self.scheduler.depth + misses > self.max_queue_depth:
-            self.metrics.rejected.inc(len(raws))
-            self._reject("queue_full", index, len(raws),
-                         depth=self.scheduler.depth, limit=self.max_queue_depth)
-            raise AdmissionError(self.scheduler.depth, self.max_queue_depth)
+        count = len(raws)
+        queries = [batch] if count == 1 else [batch.take([i]) for i in range(count)]
+        cache = self.cache
+        if cache is None:
+            keys = [None] * count
+        else:
+            raw_keyed = getattr(handle.model, "finalize_uses_raw", False)
+            keys = [make_cache_key(index, query, k, opts_key, raw if raw_keyed else None)
+                    for raw, query in zip(raws, queries)]
+        scheduler = self.scheduler
+        depth = scheduler.depth
+        if depth + count > self.max_queue_depth:
+            # Only a burst that could overflow peeks, so a refused one moves no
+            # cache counter or LRU order; otherwise each get() is the one probe.
+            misses = sum(key is None or key not in cache for key in keys)
+            if depth + misses > self.max_queue_depth:
+                self.metrics.rejected.inc(count)
+                self._reject("queue_full", index, count, depth=depth, limit=self.max_queue_depth)
+                raise AdmissionError(depth, self.max_queue_depth)
 
         now = self.clock.now()
         lane = (k, opts_key, route, plan)
+        metrics, tracer = self.metrics, self.tracer
+        seq = self._seq
         futures = []
         for raw, query, key in zip(raws, queries, keys):
             hit = None
             if key is not None:
-                hit = self.cache.get(key)
-                (self.metrics.cache_misses if hit is None else self.metrics.cache_hits).inc()
-            seq = self._seq
-            self._seq += 1
-            self.metrics.record_arrival(now)
-            future = RequestFuture(RequestMetadata(index=index, k=k, seq=seq, arrival=now))
+                hit = cache.get(key)
+                (metrics.cache_misses if hit is None else metrics.cache_hits).inc()
+            metrics.record_arrival(now)
+            metadata = RequestMetadata(index, k, seq, now)
+            future = RequestFuture(metadata)
             futures.append(future)
             root = None
-            if self.tracer is not None and self.tracer.sampled(seq):
+            if tracer is not None and tracer.sampled(seq):
                 flag = {"cache_hit": True} if hit is not None else {}
                 root = Span("request", start=now, seq=seq, index=index, k=k, **flag)
                 root.child("admit", start=now)
                 if key is not None:
                     root.child("cache_lookup", start=now, hit=hit is not None)
             if hit is None:
-                self.scheduler.enqueue(
-                    index, _ServeRequest(seq, raw, query, lane, now, future, key, root))
-                continue
-            metadata = future.metadata
-            metadata.dispatched = metadata.started = metadata.completed = now
-            metadata.cache_hit = True
-            future._resolve(*hit)
-            self.metrics.record_completion(0.0, 0.0, now)
-            if root is not None:
-                metadata.trace = root
-                self.tracer.record(root)
-        if misses:
+                scheduler.enqueue(index, _ServeRequest(seq, raw, query, lane, now, future, key, root))
+            else:
+                metadata.dispatched = metadata.started = metadata.completed = now
+                metadata.cache_hit = True
+                future._resolve(*hit)
+                metrics.record_completion(0.0, 0.0, now)
+                if root is not None:
+                    metadata.trace = root
+                    tracer.record(root)
+            seq += 1
+        self._seq = seq
+        if scheduler.depth > depth:
             self.pump()
         return futures
 
@@ -436,36 +455,14 @@ class GenieServer:
         self.session._check_open()
         return self.session.index(index).explain([raw_query], k=k, route=route, plan=plan, **opts)
 
-    @staticmethod
-    def _cache_key(handle, index, raw_query, query, k, opts_key):
-        """The request's cache key, or ``None`` when caching is unsafe.
-
-        Models whose ``finalize`` reads the raw query (sequence search)
-        get the raw query added to the key — their encoding is not
-        injective, so the encoded items alone could conflate two raw
-        queries with different verified payloads. An unhashable raw query
-        then disables caching for the request instead of guessing.
-
-        The planner directives (``route``/``plan``) are deliberately
-        *not* part of the key: every strategy returns bit-identical
-        results, so a cached answer is valid for all of them.
-        """
-        raw_part = None
-        if getattr(handle.model, "finalize_uses_raw", False):
-            try:
-                hash(raw_query)
-            except TypeError:
-                return None
-            raw_part = raw_query
-        return make_cache_key(index, query, k, opts_key, raw=raw_part)
-
     # ------------------------------------------------------------------
     # time and dispatch
 
     def pump(self) -> int:
         """Dispatch every batch that is ready now; returns batches run."""
         batches = self.scheduler.pop_ready(self.clock.now())
-        self._dispatch_all(batches)
+        if batches:
+            self._dispatch_all(batches)
         return len(batches)
 
     def _dispatch_all(self, batches) -> None:
@@ -550,6 +547,13 @@ class GenieServer:
         if self._closed:
             raise ConfigError("server is closed")
 
+    def _invalidated(self, index: str) -> None:
+        """The session hook: drop ``index``'s cached results, and its empty queue if it was dropped."""
+        if self.cache is not None:
+            self.cache.invalidate(index)
+        if index not in self.session._handles:
+            self.scheduler.forget(index)
+
     def __enter__(self) -> "GenieServer":
         self._check_open()
         return self
@@ -591,6 +595,8 @@ class GenieServer:
             for request in requests:
                 request.future.metadata.dispatched = now
                 request.future._fail(error)
+            if index not in self.session._handles:
+                self.scheduler.forget(index)  # dropped while these were queued
             if isinstance(error, ReproError):
                 return
             raise
@@ -628,20 +634,23 @@ class GenieServer:
         if self.rebalance_policy is not None and shard_profiles:
             self._maybe_rebalance(handle)
         payload_list = result.payload if isinstance(result.payload, list) else None
+        results, profile, size = result.results, result.profile, len(requests)
+        cache, record_completion = self.cache, self.metrics.record_completion
         for i, request in enumerate(requests):
+            answer = results[i]
             payload_i = payload_list[i] if payload_list is not None else None
             metadata = request.future.metadata
             metadata.dispatched = now
             metadata.started = start
             metadata.completed = completed
-            metadata.batch_size = len(requests)
-            metadata.profile = result.profile
+            metadata.batch_size = size
+            metadata.profile = profile
             if request.trace is not None:
                 root = request.trace
                 root.child("queue_wait", start=request.arrival,
                            duration=now - request.arrival)
                 batch_span = root.child("batch", start=start, duration=service,
-                                        batch_size=len(requests))
+                                        batch_size=size)
                 if result.trace is not None:
                     # The execution subtree is on the search's own 0-based
                     # timeline and shared by every rider: shift a copy
@@ -650,10 +659,10 @@ class GenieServer:
                 root.duration = completed - root.start
                 metadata.trace = root
                 self.tracer.record(root)
-            request.future._resolve(result.results[i], payload_i)
-            self.metrics.record_completion(completed - request.arrival, now - request.arrival, completed)
-            if self.cache is not None and request.cache_key is not None:
-                self.cache.put(request.cache_key, (result.results[i], payload_i))
+            request.future._resolve(answer, payload_i)
+            record_completion(completed - request.arrival, now - request.arrival, completed)
+            if cache is not None and request.cache_key is not None:
+                cache.put(request.cache_key, (answer, payload_i))
 
     # ------------------------------------------------------------------
     # self-healing (repro.replica)

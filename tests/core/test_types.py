@@ -510,12 +510,16 @@ class TestQueryBatch:
     def test_key_bytes_separates_item_boundaries(self):
         shapes = ([[1, 2], [3]], [[1], [2, 3]], [[1], [2], [3]], [[1, 2, 3]], [[1, 2], [3], []])
         batch = QueryBatch.from_queries([Query(items=items) for items in shapes])
-        keys = [batch.key_bytes(i) for i in range(len(batch))]
+        keys = [batch.take([i]).key_bytes() for i in range(len(batch))]
         assert len(set(keys)) == len(shapes)
         # Equal queries share a key wherever they sit in whichever batch.
         again = QueryBatch.from_queries([Query(items=[[7]]), Query(items=[[3], [2, 1]])])
-        assert again.key_bytes(1) != keys[0]
-        assert QueryBatch.from_queries([Query(items=[[9]]), Query(items=[[2, 1], [3]])]).key_bytes(1) == keys[0]
+        assert again.take([1]).key_bytes() != keys[0]
+        assert QueryBatch.from_queries([Query(items=[[9]]), Query(items=[[2, 1], [3]])]).take([1]).key_bytes() == keys[0]
+        assert QueryBatch.from_queries([Query(items=[[2, 1], [3]])]).key_bytes() == keys[0]
+        # A batch's key also separates its query boundaries.
+        two = QueryBatch.from_queries([Query(items=[[1]]), Query(items=[[2]])])
+        assert two.key_bytes() != QueryBatch.from_queries([Query(items=[[1], [2]])]).key_bytes()
 
     def test_from_queries_rejects_non_queries(self):
         with pytest.raises(QueryError, match="Query objects"):

@@ -1,6 +1,10 @@
 """Tests for BatchPolicy and MicroBatchScheduler: triggers, fairness, lanes."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.serve.scheduler import BatchPolicy, MicroBatchScheduler
@@ -156,3 +160,102 @@ class TestMicro:
         sched.enqueue("y", _Req())
         assert sched.depths() == {"x": 2, "y": 1}
         assert sched.depth == 3
+
+
+class _ReferenceSweep:
+    """The scheduler's specification: a rotation deque, one full sweep a pass.
+
+    Every sweep rotates the whole rotation and sweeps again until nothing
+    is ready — no early exit, no depth counter. A dropped index's empty
+    queue leaves the rotation, as the scheduler forgets it.
+    """
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.queues = {}
+        self.rotation = deque()
+
+    def enqueue(self, index, request):
+        self.queues.setdefault(index, deque()).append(request)
+        if index not in self.rotation:
+            self.rotation.append(index)
+
+    def forget(self, index):
+        if index in self.queues and not self.queues[index]:
+            del self.queues[index]
+            self.rotation.remove(index)
+
+    def pop(self, now, drain):
+        batches, progressed = [], True
+        while progressed:
+            progressed = False
+            for _ in range(len(self.rotation)):
+                name = self.rotation[0]
+                self.rotation.rotate(-1)
+                queue = self.queues[name]
+                ready = queue and (
+                    drain or len(queue) >= self.policy.max_batch
+                    or now >= queue[0].arrival + self.policy.max_wait
+                )
+                if not ready:
+                    continue
+                lane, batch, kept = queue[0].lane, [], []
+                while queue and len(batch) < self.policy.max_batch:
+                    request = queue.popleft()
+                    (batch if request.lane == lane else kept).append(request)
+                queue.extendleft(reversed(kept))
+                batches.append((name, batch))
+                progressed = True
+        return batches
+
+
+_TIMES = st.integers(0, 12).map(lambda quarter: quarter / 4)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.sampled_from("xyz"), st.sampled_from([(10, ()), (5, ())]), _TIMES),
+        st.tuples(st.just("pop_ready"), _TIMES),
+        st.tuples(st.just("pop_all"), _TIMES),
+        st.tuples(st.just("drop"), st.sampled_from("xyz")),
+    ),
+    max_size=60,
+)
+
+
+class TestAgainstTheFullSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        max_batch=st.integers(1, 4),
+        max_wait=st.sampled_from([0.0, 0.5, 1.25, float("inf")]),
+        steps=_STEPS,
+    )
+    def test_every_step_matches_the_reference(self, max_batch, max_wait, steps):
+        policy = BatchPolicy.micro(max_batch=max_batch, max_wait=max_wait)
+        sched, ref = MicroBatchScheduler(policy), _ReferenceSweep(policy)
+        for step in steps:
+            if step[0] == "enqueue":
+                _, name, lane, arrival = step
+                request = _Req(arrival=arrival, lane=lane)
+                sched.enqueue(name, request)
+                ref.enqueue(name, request)
+            elif step[0] == "pop_ready":
+                assert sched.pop_ready(step[1]) == ref.pop(step[1], drain=False)
+            elif step[0] == "pop_all":
+                assert sched.pop_all(step[1]) == ref.pop(step[1], drain=True)
+            else:
+                sched.forget(step[1])
+                ref.forget(step[1])
+            assert sched.depth == sum(len(q) for q in ref.queues.values())
+            assert sched.depths() == {name: len(q) for name, q in ref.queues.items() if q}
+            heads = [q[0].arrival + max_wait for q in ref.queues.values() if q]
+            assert sched.next_deadline() == (min(heads) if heads else None)
+
+    def test_forget_keeps_a_queue_that_still_holds_requests(self):
+        sched = MicroBatchScheduler(BatchPolicy.micro(max_batch=4, max_wait=100.0))
+        request = _Req()
+        sched.enqueue("x", request)
+        sched.forget("x")
+        sched.forget("never-queued")
+        assert sched.depths() == {"x": 1}
+        assert sched.pop_all() == [("x", [request])]
+        sched.forget("x")
+        assert sched._queues == {}
