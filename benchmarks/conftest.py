@@ -23,24 +23,6 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
-@pytest.fixture(scope="session")
-def cost_coefficients() -> dict:
-    """Calibrated stage-cost coefficients for the default device spec.
-
-    Calibration replays a probe workload on a scratch session and is the
-    expensive step (it builds a production-scale LSH index), so the
-    benchmarks that price plans share one run. Deterministic for the
-    default ``(device spec, seed)``, like every other simulated number.
-    """
-    from repro.api import GenieSession
-
-    session = GenieSession()
-    try:
-        return session.calibrate_cost_model(seed=0)
-    finally:
-        session.close()
-
-
 @pytest.fixture
 def emit(results_dir, request):
     """Emit one or more ResultTables for the current benchmark.

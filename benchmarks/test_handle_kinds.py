@@ -12,8 +12,7 @@ a refactor of the partition / residency / stream path must not move: the
 answers' sha256, the k-th-count thresholds, the search profile's stage
 seconds (exact ``repr``), attach / evict / failover counts, the host's
 ``index_build`` seconds and the session's residency events so far (what the
-legs' installs charged), the base slice sizes and a digest of the ``explain()`` tree (priced: the session carries the
-calibrated cost model, so the planner reads every slice's keyword table).
+legs' installs charged), the base slice sizes and a digest of the ``explain()`` tree.
 
 Everything is simulated seconds and counts — no wall-clock column, nothing
 masked. The test itself asserts what the rows only record: every kind gives
@@ -104,7 +103,7 @@ def _answers(result):
     return _digest(*(r.ids for r in result.results), *(r.counts for r in result.results))
 
 
-def test_handle_kinds(benchmark, emit, cost_coefficients):
+def test_handle_kinds(benchmark, emit):
     rng = np.random.default_rng(SEED)
     corpus = _objects(rng, N_OBJECTS, long_until=100)
     queries = [rng.integers(0, DOMAIN, size=4).tolist() for _ in range(6)]
@@ -130,7 +129,6 @@ def test_handle_kinds(benchmark, emit, cost_coefficients):
         by_leg: dict[int, set] = {}
         for kind, index_opts, session_opts in KINDS:
             session = GenieSession(**session_opts)
-            session.cost_coefficients = cost_coefficients
             handle = session.create_index(corpus, model="raw", name=kind, **index_opts)
             if index_opts.get("replicas"):
                 session.inject_faults(FaultPlan([FaultEvent(device=1, start=0.0)]))

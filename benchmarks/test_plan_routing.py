@@ -22,13 +22,13 @@ fetches ``ceil(2k/N)`` candidates per shard and the top-up round only
 fires where a shard's round-one threshold proves it necessary. On
 single-shard band traffic the one busy shard always tops up (its
 round-one pool cannot reach ``k``), so TPUT loses there. The fourth row
-is the calibrated cost-based ``auto`` (PR 6): the planner prices the
-route x merge lattice per batch and must land on the pruned one-round
-plan by itself. The second table shows the workload two-round is *for*:
-an evenly-spread (hash-sharded) ANN batch at larger ``k``, where the
+is ``auto``, no directive at all: the planner's rules (range partitions
+prune, the merge is one-round) must land on the pruned one-round plan by
+themselves. The second table shows the workload two-round is *for*: an
+evenly-spread (hash-sharded) ANN batch at larger ``k``, where the
 round-one pool's cutoff lets most shards skip the top-up and the smaller
-per-shard fetch width wins (``benchmarks/test_cost_model.py`` shows the
-costed auto discovering that merge unprompted).
+per-shard fetch width wins — which is why two-round is a directive a
+caller opts into, not a rule.
 """
 
 import numpy as np
@@ -43,15 +43,14 @@ N_SHARDS = 4
 K = 10
 SEED = 0
 
-# The session is calibrated (PR 6), so bare directives would enumerate
-# and price the lattice; the comparison rows force their strategies and
-# the last row is the costed "auto" — the plan the calibrated planner
-# picks on its own, which must match the best forced row here.
+# The comparison rows force their strategies; the last row is "auto" —
+# the plan the rules pick on their own, which must match the best forced
+# row here.
 STRATEGY_ROWS = (
     ("broadcast", {"route": "broadcast", "plan": "one-round"}),
     ("routed", {"route": "pruned", "plan": "one-round"}),
     ("routed+tput", {"route": "pruned", "plan": "two-round"}),
-    ("auto (costed)", {}),
+    ("auto", {}),
 )
 
 
@@ -155,12 +154,11 @@ def _tput_table():
     return table, one_s / two_s
 
 
-def test_plan_routing(benchmark, emit, cost_coefficients):
+def test_plan_routing(benchmark, emit):
     columns = _sorted_adult()
     queries = _age_band_queries(columns)
 
     session = GenieSession()
-    session.cost_coefficients = cost_coefficients
     handle = session.create_index(
         columns, model="relational", schema=adult_schema(), name="adult",
         shards=N_SHARDS,
@@ -222,7 +220,7 @@ def test_plan_routing(benchmark, emit, cost_coefficients):
     assert tput_speedup >= 1.3, (
         f"two-round merge only {tput_speedup:.2f}x on its even-spread workload"
     )
-    assert speedups["auto (costed)"] >= 0.95 * speedups["routed"], (
-        "costed auto must stay within 5% of the best forced strategy "
-        f"({speedups['auto (costed)']:.2f}x vs {speedups['routed']:.2f}x)"
+    assert speedups["auto"] >= 0.95 * speedups["routed"], (
+        "auto must stay within 5% of the best forced strategy "
+        f"({speedups['auto']:.2f}x vs {speedups['routed']:.2f}x)"
     )

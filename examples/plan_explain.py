@@ -8,11 +8,9 @@ age, range-partitioned across four simulated shard devices — and shows:
   ``route="broadcast"`` plan,
 * that routed and broadcast execution return bit-identical results while
   the routed plan leaves the pruned shards untouched,
-* the ``plan="two-round"`` TPUT merge escape hatch,
-* cost-based ``auto``: after ``session.calibrate_cost_model()`` the
-  planner prices the route x merge lattice per batch (``cost≈`` lines in
-  ``explain()``), predicts each batch's device seconds, and the plan
-  cache answers repeated broadcast shapes with zero planning cost.
+* the ``plan="two-round"`` TPUT merge escape hatch (``plan="auto"`` is
+  the one-round merge: two-round is a directive, never chosen for you),
+* the plan cache answering repeated broadcast shapes without planning.
 
 Run with: PYTHONPATH=src python examples/plan_explain.py
 """
@@ -68,20 +66,6 @@ def main():
     print("still bit-identical (asserted)")
     print()
 
-    print("calibrating the cost model against the simulated device…")
-    session.calibrate_cost_model(seed=0)
-    print("costed auto plan (priced, cost≈ lines):")
-    print(adult.explain(band, k=K).render())
-    costed = adult.search(band, k=K)
-    observed = sum(
-        costed.profile.get(stage)
-        for stage in ("query_transfer", "match", "select", "result_merge")
-    )
-    assert np.array_equal(routed.results[0].ids, costed.results[0].ids)
-    print(
-        f"predicted {costed.predicted_cost * 1e6:.2f}us, "
-        f"observed {observed * 1e6:.2f}us (still bit-identical, asserted)"
-    )
     # A pruned plan reads the batch's keywords, so it compiles per batch;
     # a broadcast plan reads only the batch's shape, so it is cached.
     adult.search(band, k=K, route="broadcast")

@@ -3,9 +3,8 @@
 Builds a sharded index, then inserts / updates / deletes objects through
 the handle while serving queries between every mutation. Shows the
 manifest's one delta run growing (its index merged forward, never
-rebuilt), the plan tree sprouting a ``DeltaScan`` node (with the cost
-model pricing it), and a compaction folding the delta back into a fresh
-base — all answer-preserving.
+rebuilt), the plan tree sprouting a ``DeltaScan`` node, and a compaction
+folding the delta back into a fresh base — all answer-preserving.
 
 Run:  python examples/streaming_ingest.py
 """
@@ -13,15 +12,10 @@ Run:  python examples/streaming_ingest.py
 import numpy as np
 
 from repro.api import GenieSession
-from repro.plan import COEFFICIENT_NAMES
 from repro.stream import StreamConfig
 
 VOCAB = 40
 K = 5
-
-# Hand-rolled match/top-up coefficients so explain() prices plans (a real
-# deployment would use session.calibrate_cost_model()).
-COEFFS = {name: 1e-7 for name in COEFFICIENT_NAMES}
 
 
 def show(title, manifest):
@@ -37,7 +31,6 @@ def main():
         for _ in range(400)
     ]
     session = GenieSession()
-    session.cost_coefficients = COEFFS
     handle = session.create_index(
         corpus, model="raw", name="live", shards=2,
         stream_config=StreamConfig(compact_ratio=0.25, auto_compact=False),
@@ -54,7 +47,7 @@ def main():
           "two deletes tombstoned, one base object rewritten in place.")
     show("manifest after 4 mutations", handle.manifest)
 
-    print("\nDirty plan: the base Scan gains a costed DeltaScan sibling:")
+    print("\nDirty plan: the base Scan gains a DeltaScan sibling:")
     print(handle.explain(queries, k=K).render())
 
     streamed = handle.search(queries, k=K)

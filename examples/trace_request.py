@@ -42,17 +42,11 @@ def main():
     print(root.render())
 
     plan = root.find("plan")
-    print(f"\nplanner predicted {plan.attrs.get('predicted_cost', 'n/a')} s "
-          f"for this batch (cache_hit={plan.attrs['cache_hit']})")
+    print(f"\nplan: {plan.attrs['merge']} merge (cache_hit={plan.attrs['cache_hit']})")
 
     server.tracer.export_chrome_trace(OUT)
     print(f"\n{server.tracer.total_traces} traces exported to {OUT}")
     print("open chrome://tracing or https://ui.perfetto.dev and load the file")
-
-    snapshot = server.snapshot()
-    print(f"\ncost drift p50={snapshot['cost_drift_p50']:.3f} "
-          f"p90={snapshot['cost_drift_p90']:.3f} "
-          f"({snapshot['cost_drift_samples']} samples)")
     server.close()
 
 

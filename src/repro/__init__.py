@@ -12,7 +12,7 @@ GPU" (ICDE 2018). Subpackages:
 * :mod:`repro.plan` — the query planner every search lowers through
   (explainable plan IR, shard pruning, two-round TPUT merge, elision),
 * :mod:`repro.obs` — observability (deterministic request traces on the
-  virtual clock, typed metric primitives, cost-drift tracking),
+  virtual clock, typed metric primitives),
 * :mod:`repro.gpu` — the simulated GPU/CPU substrate,
 * :mod:`repro.core` — match-count model, inverted index, c-PQ, engine,
 * :mod:`repro.lsh` — LSH families, re-hashing, the points-to-keywords

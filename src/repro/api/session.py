@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import weakref
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -49,7 +49,6 @@ from repro.gpu.host import HostCpu
 from repro.gpu.stats import StageTimings, timings_delta
 from repro.obs.trace import Span
 from repro.plan.cache import LruCache
-from repro.plan.cost import calibrate_session
 from repro.plan.executor import execute_plan
 from repro.plan.nodes import PlanNode, RoutingSummary
 from repro.plan.planner import (
@@ -157,10 +156,6 @@ class SearchResult:
         routing: Scan/prune pair accounting for sharded plans
             (:class:`~repro.plan.nodes.RoutingSummary`); ``None`` for
             serial plans.
-        predicted_cost: The planner's predicted critical-path seconds
-            when the session's cost model priced this plan (``None`` for
-            serial plans and uncalibrated sessions) — compare against
-            the observed ``profile`` to audit the model.
         trace: Execution span tree (:class:`~repro.obs.trace.Span`) when
             the search was called with ``trace=True``: plan compile,
             per-part/per-shard scans, the delta scan, tombstone filter,
@@ -183,7 +178,6 @@ class SearchResult:
     shard_profiles: tuple[StageTimings, ...] | None = None
     plan: PlanNode | None = None
     routing: RoutingSummary | None = None
-    predicted_cost: float | None = None
     trace: Span | None = None
     failovers: tuple = ()
 
@@ -251,7 +245,6 @@ class GenieSession:
         # events exactly, independent of the bounded log's retention.
         self._event_sinks: list[list[ResidencyEvent]] = []
         self.plan_cache = LruCache(plan_cache_size) if plan_cache_size else None
-        self._cost_coefficients: dict | None = None
         # Serving layers attach a repro.obs.Tracer here; background work
         # (stream compaction) records standalone spans through it.
         self.tracer = None
@@ -264,39 +257,6 @@ class GenieSession:
         # Searches register a sink here to collect the failover events
         # their own shard scans emitted (mirrors _event_sinks).
         self._failover_sinks: list[list] = []
-
-    # ------------------------------------------------------------------
-    # cost model
-
-    @property
-    def cost_coefficients(self) -> dict | None:
-        """Fitted :class:`~repro.plan.cost.CostModel` coefficients.
-
-        ``None`` until :meth:`calibrate_cost_model` runs (the planner
-        then follows its rule-based fallbacks). Assigning a dict — the
-        calibration result or a hand-rolled one in tests — flushes the
-        plan cache, so previously cached pricing decisions can never
-        outlive the model that made them.
-        """
-        return self._cost_coefficients
-
-    @cost_coefficients.setter
-    def cost_coefficients(self, coefficients: dict | None) -> None:
-        self._cost_coefficients = dict(coefficients) if coefficients is not None else None
-        if self.plan_cache is not None:
-            self.plan_cache.clear()
-
-    def calibrate_cost_model(self, seed: int = 0) -> dict:
-        """Fit the session's cost model from a seeded probe replay.
-
-        Runs :func:`repro.plan.cost.calibrate_session`: a scratch session
-        with this session's device/host specs replays probe workloads and
-        least-squares-fits the match and top-up coefficients, so this
-        session's own timings are untouched. Afterwards ``plan="auto"``
-        on sharded indexes prices one-round against two-round instead of
-        holding one-round, and ``explain()`` shows ``cost≈`` lines.
-        """
-        return calibrate_session(self, seed=seed)
 
     # ------------------------------------------------------------------
     # devices
@@ -1139,9 +1099,8 @@ class IndexHandle:
         with the same arguments would validate and execute. A compile
         that reads only the batch's shape — a clean sharded index whose
         route consults no per-query eligibility — consults the session's
-        plan cache first: a hit skips planning entirely (and its
-        ``plan_route`` charge — the decisions were paid at first compile).
-        Everything else compiles per batch.
+        plan cache first: a hit skips planning entirely. Everything else
+        compiles per batch.
 
         Returns:
             ``(k, compiled, cache_hit)`` — whether the plan came from the
@@ -1175,11 +1134,7 @@ class IndexHandle:
         except TypeError:  # an unhashable search-option value: compile uncached
             return k, compile_now(), False
         if hit is not None:
-            # Reuse the cached decision (its routing was paid at first
-            # compile, so the reuse charges nothing to plan_route), but
-            # re-extract this batch's cost features so the reported
-            # predicted_cost describes *these* queries.
-            return k, reprice_plan(self, replace(hit, routing_ops=0.0), queries), True
+            return k, reprice_plan(hit), True
         compiled = compile_now()
         cache.put(key, compiled)
         return k, compiled, False
@@ -1241,14 +1196,12 @@ class IndexHandle:
             # Plan routing is pre-dispatch host work, off the batch's
             # critical path (it overlaps device execution under pipelined
             # dispatch) — the span sits at t=0 alongside the first scan.
-            plan_attrs = {"cache_hit": plan_cache_hit, "merge": compiled.merge}
-            if compiled.predicted_cost is not None:
-                plan_attrs["predicted_cost"] = compiled.predicted_cost
             host = self.session.host
             span.child(
                 "plan",
                 duration=compiled.routing_ops / (host.spec.ops_per_second * host.cores),
-                **plan_attrs,
+                cache_hit=plan_cache_hit,
+                merge=compiled.merge,
             )
 
         # A private sink observes this search's residency events exactly;
@@ -1320,7 +1273,6 @@ class IndexHandle:
             shard_profiles=tuple(shard_profiles) if shard_profiles is not None else None,
             plan=compiled.root,
             routing=compiled.routing,
-            predicted_cost=compiled.predicted_cost,
             trace=span,
             failovers=tuple(failovers),
         )

@@ -148,10 +148,6 @@ class ShardSlice:
     def __len__(self) -> int:
         return len(self.corpus)
 
-    def _keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The index's table when there is one (its lists are the slice's keywords), else the corpus's."""
-        return (self.corpus if self.index is None else self.index).keyword_table
-
     def keywords(self) -> np.ndarray:
         """Sorted distinct keywords present in this slice.
 
@@ -159,17 +155,10 @@ class ShardSlice:
         query with no keyword in this set cannot produce a positive match
         count here, so the planner's shard-pruning rule may skip the
         slice without changing results (see
-        :func:`repro.plan.planner.route_queries`).
+        :func:`repro.plan.planner.route_queries`). Read off the index's
+        keyword table when there is one, else the corpus's.
         """
-        return self._keyword_table()[0]
-
-    def posting_counts(self) -> np.ndarray:
-        """Posting-list length per :meth:`keywords` entry, aligned (float64).
-
-        The cost model's per-slice work features: a query's postings
-        touched here is the sum of counts over its keywords present here.
-        """
-        return self._keyword_table()[1]
+        return (self.corpus if self.index is None else self.index).keyword_table[0]
 
 
 class SliceCopy:

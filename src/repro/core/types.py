@@ -332,8 +332,8 @@ class Corpus:
     def keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
         """``(sorted distinct keywords, postings per keyword)`` of this corpus.
 
-        What routing and the cost model ask of a corpus no index was built
-        for; the counts are float64, the cost model's feature dtype.
+        What routing asks of a corpus no index was built for (the counts
+        are float64).
         """
         keywords, counts = np.unique(self.keywords, return_counts=True)
         return keywords, counts.astype(np.float64)

@@ -8,7 +8,7 @@ block-over-SM scheduler into one object with the lifecycle of a real device:
 * ``price`` schedules a :class:`~repro.gpu.kernel.KernelLaunch` over the
   SMs and returns the slowest SM's makespan (or the bandwidth bound, if the
   launch is memory-bound) without charging it — the one place the launch
-  arithmetic lives, which the planner's cost model calls too,
+  arithmetic lives,
 * ``launch`` charges that price to a stage and records the launch.
 
 Every charge names its pipeline stage (``stage=`` is required; there is no

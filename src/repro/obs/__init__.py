@@ -1,17 +1,14 @@
 """repro.obs — observability for the simulated serving stack.
 
-Three pieces, all deterministic because the whole system runs on
+Two pieces, both deterministic because the whole system runs on
 simulated time:
 
 * :mod:`repro.obs.trace` — per-request span trees on the virtual
   clock, 1-in-N sampling, Chrome trace-event export (Perfetto).
 * :mod:`repro.obs.registry` — typed ``Counter``/``Gauge``/``Histogram``
   primitives and the registry ``ServeMetrics`` is built on.
-* :mod:`repro.obs.drift` — rolling predicted-vs-observed cost error,
-  the hook online cost-model recalibration needs.
 """
 
-from repro.obs.drift import DriftTracker
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -23,7 +20,6 @@ from repro.obs.trace import Span, Tracer
 
 __all__ = [
     "Counter",
-    "DriftTracker",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -19,7 +19,7 @@ and a rule-based planner with three result-preserving rules:
   instead of broadcasting to all N,
 * **two-round TPUT merge** — fetch ``ceil(2k/N)`` per shard first, top
   up only where a shard's round-one threshold proves it necessary
-  (opt-in via ``plan="two-round"``, or chosen by price — see below).
+  (opt-in via ``plan="two-round"``; ``plan="auto"`` is one-round).
 
 Every plan is explainable and forceable::
 
@@ -31,34 +31,13 @@ Results are **bit-identical** across every strategy (ids, counts, tie
 order, thresholds — property-tested in ``tests/plan/``); the plan only
 changes how much simulated time the answer costs.
 
-The route is always a rule. The merge is priced once
-:meth:`GenieSession.calibrate_cost_model
-<repro.api.session.GenieSession.calibrate_cost_model>` has fitted the
-:class:`~repro.plan.cost.CostModel`'s match and top-up coefficients:
-``plan="auto"`` then picks the cheaper of one-round and two-round per
-batch — transfers, select and merge priced by the simulator itself
-(:meth:`Device.price <repro.gpu.device.Device.price>`), only the match
-stage by the fit (``cost≈`` lines appear in ``explain()``) — and the
-session's plan cache (a :class:`~repro.plan.cache.LruCache`, the same
-LRU the server keeps its results in) memoizes broadcast plans of clean
-sharded indexes so repeated batch shapes skip planning — and its
-``plan_route`` host charge — entirely.
+Nothing is priced: the route and the merge are the rules above. The
+session's plan cache (a :class:`~repro.plan.cache.LruCache`, the same LRU
+the server keeps its results in) memoizes broadcast plans of clean sharded
+indexes so repeated batch shapes skip planning.
 """
 
 from repro.plan.cache import LruCache
-from repro.plan.cost import (
-    COEFFICIENT_NAMES,
-    PREDICTED_STAGES,
-    CostModel,
-    PlanPrice,
-    calibrate_coefficients,
-    calibrate_session,
-    concentration,
-    postings_for_keywords,
-    serial_share,
-    shard_block_matrix,
-    shard_postings_matrix,
-)
 from repro.plan.executor import execute_plan
 from repro.plan.nodes import (
     EncodeNode,
@@ -97,16 +76,5 @@ __all__ = [
     "validate_plan_args",
     "ROUTE_CHOICES",
     "PLAN_CHOICES",
-    "CostModel",
-    "PlanPrice",
     "LruCache",
-    "calibrate_coefficients",
-    "calibrate_session",
-    "concentration",
-    "postings_for_keywords",
-    "serial_share",
-    "shard_block_matrix",
-    "shard_postings_matrix",
-    "COEFFICIENT_NAMES",
-    "PREDICTED_STAGES",
 ]

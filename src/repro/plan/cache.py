@@ -8,21 +8,14 @@ name, so :meth:`LruCache.invalidate` drops exactly one index's entries:
   the batch's shape are cached: a clean sharded index whose route does not
   consult per-query eligibility (:func:`~repro.plan.planner.eligibility_needed`
   is false — broadcast, forced or ruled on a hash partition). For those,
-  the planner's output is a function of the index's partition, the
-  session's cost coefficients and the key ``(index, k, retrieval_k, sorted
-  model options, route, plan, per-query elision flags)``, so a warm lane
-  pays **zero** compile or ``plan_route`` cost per batch. Range ``auto`` /
+  the planner's output is a function of the index's partition and the key
+  ``(index, k, retrieval_k, sorted model options, route, plan, per-query
+  elision flags)``, so a warm lane skips the compile. Range ``auto`` /
   ``pruned`` routes and dirty (mutated) indexes compile per batch: their
   plans read the queries' keywords or the live delta run.
 
-  One deliberate staleness: the priced one-round / two-round choice reads
-  the batch's postings *totals*, which the key does not capture. Both
-  plans are bit-identical in results (the planner's invariant), so a hit
-  can only be cost-suboptimal, never wrong — the standard prepared-plan
-  trade. :meth:`IndexHandle._install
-  <repro.api.session.IndexHandle._install>` (fit, compaction, rebalance)
-  and ``drop`` invalidate the index's plans, and assigning cost
-  coefficients clears them all.
+  :meth:`IndexHandle._install <repro.api.session.IndexHandle._install>`
+  (fit, compaction, rebalance) and ``drop`` invalidate the index's plans.
 * The server's **result cache** (``GenieServer.cache``): an exact repeat
   of an encoded query is answered without a device trip (key:
   :func:`repro.serve.server.make_cache_key`). The session's invalidation

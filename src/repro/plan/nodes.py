@@ -28,16 +28,9 @@ _MAX_LISTED_QUERIES = 8
 
 @dataclass(frozen=True)
 class PlanNode:
-    """Base plan node: a label, optional annotations, and input nodes.
-
-    ``cost`` carries the planner's *predicted* simulated seconds for the
-    node's step when the session's cost model is calibrated (see
-    :mod:`repro.plan.cost`); ``None`` — the uncalibrated default —
-    renders nothing, keeping the rule-based plan text unchanged.
-    """
+    """Base plan node: a label, optional annotations, and input nodes."""
 
     inputs: tuple["PlanNode", ...] = field(default=(), kw_only=True)
-    cost: float | None = field(default=None, kw_only=True)
 
     def label(self) -> str:
         """One-line description of this node (no newlines)."""
@@ -54,8 +47,6 @@ class PlanNode:
     def _render_lines(self, prefix: str, connector: str) -> list[str]:
         lines = [f"{prefix}{connector}{self.label()}"]
         child_prefix = prefix if not connector else prefix + "   "
-        if self.cost is not None:
-            lines.append(f"{child_prefix}· cost≈{self.cost * 1e6:.1f}us")
         for note in self.annotations():
             lines.append(f"{child_prefix}· {note}")
         for node in self.inputs:

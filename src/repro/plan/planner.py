@@ -37,19 +37,12 @@ The escape hatches ``route=`` (``"auto"`` / ``"pruned"`` /
 ``"broadcast"``) and ``plan=`` (``"auto"`` / ``"one-round"`` /
 ``"two-round"``) force a strategy instead of letting the rules choose.
 
-The route is always a rule (range partitions prune, hash partitions
-broadcast): a pruned plan scans a subset of the broadcast plan's shards
-with identical launches and merges fewer candidates, so its critical path
-is never longer and there is nothing for a price to decide. The merge is
-the one decision rules cannot make. When the session carries calibrated
-cost coefficients (:meth:`GenieSession.calibrate_cost_model
-<repro.api.session.GenieSession.calibrate_cost_model>`), ``plan="auto"``
-prices the ruled route's one-round and two-round candidates with the
-:class:`~repro.plan.cost.CostModel` and picks the shorter predicted
-critical path (one-round on an exact tie). The chosen plan's nodes carry
-``cost≈`` annotations, and both candidates are exact by construction: a
-wrong cost model can only pick a slower plan, never a wrong answer.
-Uncalibrated sessions keep rule 3 as stated — two-round is opt-in.
+Nothing is priced. The route is a rule (range partitions prune, hash
+partitions broadcast): a pruned plan scans a subset of the broadcast
+plan's shards with identical launches and merges fewer candidates, so its
+critical path is never longer. The merge is rule 3: one-round unless the
+request says ``plan="two-round"``, so ``plan="auto"`` is ``"one-round"``
+(:func:`validate_plan_args` canonicalizes it).
 """
 
 from __future__ import annotations
@@ -62,7 +55,6 @@ import numpy as np
 from repro.cluster.plan import ShardPlan
 from repro.core.types import QueryBatch
 from repro.errors import QueryError
-from repro.plan.cost import CostModel, batch_features, postings_for_keywords
 from repro.plan.nodes import (
     DeltaScanNode,
     EncodeNode,
@@ -111,9 +103,6 @@ class CompiledPlan:
             overlaps device execution, so it does not join the batch's
             critical-path profile. ``0.0`` when no pruning was computed;
             ``explain()`` compiles without executing and never pays it.
-        predicted_cost: The chosen candidate's predicted critical-path
-            seconds when the session's cost model priced this plan
-            (``None`` for serial plans and uncalibrated sessions).
     """
 
     root: PlanNode
@@ -128,7 +117,6 @@ class CompiledPlan:
     first_round_k: int | None
     routing: RoutingSummary | None
     routing_ops: float = 0.0
-    predicted_cost: float | None = None
 
 
 def validate_plan_args(route, plan, sharded: bool) -> tuple[str, str]:
@@ -137,11 +125,11 @@ def validate_plan_args(route, plan, sharded: bool) -> tuple[str, str]:
     Called eagerly by the server at admission so a bad directive fails
     the submitting request, not a coalesced batch. The returned forms
     are canonical: directives that compile to the same strategy compare
-    equal, so the server's coalescing lanes never split semantically
-    identical requests. Both ``"auto"`` forms stay distinct from the
-    explicit choices because their meaning is contextual — ``route``
-    depends on the partition strategy and ``plan`` on the session's cost
-    calibration — so forcing a strategy and letting the planner choose
+    equal, so the server's coalescing lanes and the plan cache never split
+    semantically identical requests. ``plan="auto"`` is ``"one-round"``
+    (two-round is opt-in). ``route="auto"`` stays distinct from the
+    explicit choices because its meaning is contextual — it depends on the
+    partition strategy — so forcing a route and letting the planner choose
     it must land in different lanes.
 
     Raises:
@@ -149,7 +137,7 @@ def validate_plan_args(route, plan, sharded: bool) -> tuple[str, str]:
             serial index.
     """
     route = "auto" if route is None else str(route)
-    plan = "auto" if plan is None else str(plan)
+    plan = "one-round" if plan is None else str(plan)
     if route not in ROUTE_CHOICES:
         raise QueryError(f"unknown route {route!r}; expected one of {ROUTE_CHOICES}")
     if plan not in PLAN_CHOICES:
@@ -164,7 +152,7 @@ def validate_plan_args(route, plan, sharded: bool) -> tuple[str, str]:
                 "plan='two-round' requires a sharded index (the two-round "
                 "merge trades shard fetch width against a top-up round)"
             )
-    return route, plan
+    return route, "one-round" if plan == "auto" else plan
 
 
 def eligibility_needed(route: str, strategy: str) -> bool:
@@ -233,22 +221,13 @@ def _merge_strategy(plan_choice: str, retrieval_k: int, n_shards: int):
 
     A ``"two-round"`` request degenerates to one-round when there is a
     single shard or the round-one width cannot undercut ``retrieval_k``
-    (nothing to save) — same guard the rule-based path applies.
+    (nothing to save).
     """
     if plan_choice == "two-round":
         first_k = first_round_k_for(retrieval_k, n_shards)
         if n_shards > 1 and first_k < retrieval_k:
             return "two-round-tput", first_k
     return "one-round", None
-
-
-def _session_cost_model(handle) -> CostModel | None:
-    """The handle's session cost model, or ``None`` when uncalibrated."""
-    session = getattr(handle, "session", None)
-    coefficients = getattr(session, "cost_coefficients", None)
-    if not coefficients:
-        return None
-    return CostModel(coefficients, session.device, session.host, handle.config)
 
 
 def _dirty_stream(handle):
@@ -259,86 +238,10 @@ def _dirty_stream(handle):
     return None
 
 
-def _delta_scan_seconds(cost_model: CostModel, stream, queries: QueryBatch, retrieval_k: int) -> float:
-    """Predicted seconds the delta-run scan adds to a plan.
-
-    The delta part runs after the base round, so its seconds *add* to every
-    candidate's critical path alike — pricing it cannot flip the merge
-    choice, but keeps ``predicted_cost`` and the ``DeltaScan`` node's
-    ``cost≈`` honest. Priced from the run corpus's keyword table, not its
-    index — ``explain()`` stays free of ``index_build`` charges.
-    """
-    run = stream.manifest.delta
-    if not len(run):
-        return 0.0
-    postings = postings_for_keywords(queries.keywords, *run.corpus.keyword_table)
-    return cost_model.scan_seconds(
-        len(queries), float(queries.keywords.size), postings, retrieval_k,
-        count_bound=cost_model.count_bound_of(queries),
-    )
-
-
-def _price_merges(cost_model: CostModel, shards, queries: QueryBatch, routes, retrieval_k: int, merges):
-    """Price each ``(merge, first_round_k)`` candidate of one routed batch.
-
-    One feature pass over the slices' keyword tables serves every candidate:
-    they scan the same shards and differ in fetch widths and merges only.
-    """
-    postings, hot = batch_features(queries, shards.shards, cost_model.device.spec.num_sms)
-    scanned = [s for s in range(shards.n_shards) if routes[s].size]
-    count_bound = cost_model.count_bound_of(queries)
-    return [
-        cost_model.price(
-            n_queries=len(queries),
-            keywords=float(queries.keywords.size),
-            shard_postings=postings[scanned],
-            n_shards=shards.n_shards,
-            retrieval_k=retrieval_k,
-            merge=merge,
-            first_round_k=first_k,
-            shard_hot=hot[scanned],
-            count_bound=count_bound,
-        )
-        for merge, first_k in merges
-    ]
-
-
-def reprice_plan(handle, compiled: CompiledPlan, queries: QueryBatch) -> CompiledPlan:
-    """Re-extract cost features for ``queries`` against a cached plan.
-
-    A plan-cache hit reuses the plan *choice*
-    — routes, merge strategy, node tree — but the first batch's
-    ``predicted_cost`` does not describe the new batch: two batches of
-    one shape can touch very different postings volumes. A cached plan is
-    never dirty, so there is no delta scan to price. This recomputes the chosen candidate's price from the new
-    batch's features so warm-lane cost audits stay honest, without
-    re-running the pricing *decision* (nothing is charged to
-    ``plan_route`` — like query encoding, feature extraction is
-    pre-dispatch admission work).
-
-    The plan tree's per-node ``cost≈`` annotations keep the first
-    compile's values (the tree is frozen and shared); only the
-    result-level ``predicted_cost`` is refreshed.
-
-    Returns ``compiled`` unchanged for plans that were never priced.
-    """
-    shards = compiled.shards
-    if (
-        compiled.predicted_cost is None
-        or shards is None
-        or compiled.routes is None
-        or not compiled.active
-    ):
-        return compiled
-    cost_model = _session_cost_model(handle)
-    if cost_model is None:
-        return compiled
-    active_queries = active_batch(queries, compiled.active)
-    (price,) = _price_merges(
-        cost_model, shards, active_queries, compiled.routes, compiled.retrieval_k,
-        [(compiled.merge, compiled.first_round_k)],
-    )
-    return dataclasses.replace(compiled, predicted_cost=price.critical_path)
+def reprice_plan(compiled: CompiledPlan) -> CompiledPlan:
+    """A plan-cache hit: the cached plan, whose routing was paid at first compile."""
+    # A name the wall-clock harness wraps ("plan.compile" in benchmarks/wallclock/trace.py); goes with the plan cache.
+    return dataclasses.replace(compiled, routing_ops=0.0)
 
 
 def compile_search(
@@ -354,7 +257,7 @@ def compile_search(
     ``handle`` is duck-typed: the planner reads ``name``, ``model``,
     ``num_parts``, ``swap_parts``, ``placement`` (``None`` on an unsharded
     handle, which compiles a serial plan) and ``plan``, the partition whose
-    slices' keyword tables a sharded plan routes and prices against.
+    slices' keyword tables a sharded plan routes against.
 
     Raises:
         QueryError: Invalid ``route=`` / ``plan=`` directives.
@@ -375,6 +278,8 @@ def compile_search(
     encode = EncodeNode(model=model_name, n_queries=len(queries), elided=elided)
     active_queries = active_batch(queries, active)
 
+    routes = routing = first_k = None
+    routing_ops = 0.0
     if shards is None:
         scan = ScanNode(
             index=handle.name,
@@ -387,55 +292,31 @@ def compile_search(
         # A mutated serial index always merges: base part(s) plus the
         # delta run, tombstones filtered before the top-k.
         merge = "direct" if handle.num_parts <= 1 and stream is None else "one-round"
-        routes = routing = first_k = chosen_price = delta_seconds = None
-        routing_ops = 0.0
     else:
         # Rule 2: shard pruning (range partitions by default), applied at
         # batch granularity: a shard eligible for any query scans the
         # whole batch; a shard eligible for none is skipped entirely.
         everyone = np.arange(len(active), dtype=np.int64)
-        # One binary search per (query keyword, shard) into the shard's
-        # keyword bounds — the host cost of a routing/feature pass.
-        shard_keywords = [shard.keywords() for shard in shards.shards]
-        lookup_ops = float(active_queries.keywords.size) * sum(
-            np.log2(max(kw.size, 2)) for kw in shard_keywords
-        )
-        routing_ops = 0.0
         if eligibility_needed(route, shards.strategy):
+            # One binary search per (query keyword, shard) into the shard's
+            # keyword bounds — the host cost of the routing decision.
+            shard_keywords = [shard.keywords() for shard in shards.shards]
+            routing_ops = float(active_queries.keywords.size) * sum(
+                np.log2(max(kw.size, 2)) for kw in shard_keywords
+            )
             eligible = route_queries(active_queries, shard_keywords)
-            routing_ops += lookup_ops
             routes = [everyone if e.size else e for e in eligible]
         else:
             eligible = [everyone for _ in range(shards.n_shards)]
             routes = list(eligible)
 
-        # Rule 3: two-round TPUT merge (exact by construction) — opt-in,
-        # or priced against one-round when ``plan="auto"`` has a cost
-        # model. Unavailable while the delta run is live: every source
-        # merges one-round, the top-up protocol's per-shard thresholds do
-        # not extend to the delta run.
-        cost_model = _session_cost_model(handle) if active else None
-        if stream is not None:
-            plans = ("one-round",)
-        elif plan == "auto":
-            plans = ("one-round", "two-round") if cost_model is not None else ("one-round",)
-        else:
-            plans = (plan,)
-        # A two-round request may degenerate into one-round: price it once.
-        merges = list(dict.fromkeys(_merge_strategy(p, retrieval_k, shards.n_shards) for p in plans))
-        chosen_price = delta_seconds = None
-        if cost_model is None:
-            ((merge, first_k),) = merges
-        else:
-            # Feature extraction is a lookup pass over the shard keyword
-            # tables; the pricing decision is accounted like the routing
-            # decision, not free.
-            routing_ops += lookup_ops
-            prices = _price_merges(cost_model, shards, active_queries, routes, retrieval_k, merges)
-            # min() is stable: one-round wins an exact tie.
-            chosen_price, (merge, first_k) = min(zip(prices, merges), key=lambda c: c[0].critical_path)
-            if stream is not None:
-                delta_seconds = _delta_scan_seconds(cost_model, stream, active_queries, retrieval_k)
+        # Rule 3: two-round TPUT merge (exact by construction), opt-in.
+        # Unavailable while the delta run is live: every source merges
+        # one-round, the top-up protocol's per-shard thresholds do not
+        # extend to the delta run.
+        merge, first_k = _merge_strategy(
+            "one-round" if stream is not None else plan, retrieval_k, shards.n_shards
+        )
         scanned_pairs = int(sum(r.size for r in routes))
         total_pairs = shards.n_shards * len(active)
         routing = RoutingSummary(
@@ -453,7 +334,6 @@ def compile_search(
             eligible=tuple(tuple(int(active[j]) for j in e) for e in eligible),
             broadcast=routing.broadcast,
             inputs=(encode,),
-            cost=chosen_price.scan_seconds if chosen_price is not None else None,
         )
 
     root: PlanNode = scan
@@ -463,7 +343,7 @@ def compile_search(
             manifest = stream.manifest
             delta = DeltaScanNode(
                 index=handle.name, n_objects=manifest.delta_objects, postings=manifest.delta_postings,
-                tombstones=manifest.tombstones.size, n_queries=len(active), k=retrieval_k, cost=delta_seconds,
+                tombstones=manifest.tombstones.size, n_queries=len(active), k=retrieval_k,
             )
             inputs = (scan, delta)
         root = MergeNode(
@@ -471,17 +351,11 @@ def compile_search(
             k=retrieval_k,
             first_round_k=first_k,
             inputs=inputs,
-            cost=chosen_price.merge_seconds if chosen_price is not None else None,
         )
 
     if getattr(handle.model, "finalize", None) is not None:
         root = FinalizeNode(model=model_name, k=k, inputs=(root,))
 
-    predicted = chosen_price.critical_path if chosen_price is not None else None
-    if predicted is not None and delta_seconds is not None:
-        # The delta part runs after the base round, so its predicted
-        # seconds add straight onto the critical path.
-        predicted += delta_seconds
     return CompiledPlan(
         root=root,
         index=handle.name,
@@ -495,5 +369,4 @@ def compile_search(
         first_round_k=first_k,
         routing=routing,
         routing_ops=routing_ops,
-        predicted_cost=predicted,
     )

@@ -3,8 +3,7 @@
 Replica choice is least-loaded-first: before each shard scan the
 executor orders a shard's replica group by how many simulated seconds
 each replica's device spent scanning over a recent window. The window
-is bounded (a deque per device, same shape as ``DriftTracker``'s rolling
-percentiles) so a long-lived server tracks *current* load, not lifetime
+is bounded (a deque per device) so a long-lived server tracks *current* load, not lifetime
 totals — a device that was hot an hour ago and idle since should not
 repel traffic forever.
 """

@@ -21,7 +21,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 
-from repro.obs.drift import DriftTracker
 from repro.obs.registry import Histogram, MetricsRegistry, percentile_nearest_rank
 
 __all__ = [
@@ -90,13 +89,11 @@ class ServeMetrics:
             :class:`~repro.plan.cache.LruCache`) when the server wired
             one in (its hit/miss/invalidation
             counters join :meth:`snapshot`); ``None`` reports zeros.
-        delta_postings / compactions: Per mutable index (see
+        delta_postings / compactions: Per live mutable index (see
             :mod:`repro.stream`), the latest observed delta-posting gauge
             and lifetime compaction count — how much un-compacted write
-            pressure each streamed index carries.
-        drift: :class:`~repro.obs.drift.DriftTracker` of per-batch
-            predicted-vs-observed cost relative error; ``snapshot()``
-            reports its rolling ``cost_drift_p50`` / ``cost_drift_p90``.
+            pressure each streamed index carries. A dropped index leaves
+            both; its compactions stay in the snapshot's lifetime total.
         registry: The :class:`~repro.obs.registry.MetricsRegistry`
             holding the typed primitives behind the scalar attributes.
     """
@@ -128,7 +125,7 @@ class ServeMetrics:
         self.plan_cache = None
         self.delta_postings: dict[str, int] = {}
         self.compactions: dict[str, int] = {}
-        self.drift = DriftTracker()
+        self._dropped_compactions = 0
 
     @property
     def registry(self) -> MetricsRegistry:
@@ -186,8 +183,6 @@ class ServeMetrics:
         evictions: int,
         shard_seconds: list[float] | None = None,
         routing=None,
-        predicted_cost: float | None = None,
-        observed_seconds: float | None = None,
     ) -> None:
         """Note one dispatched batch and its residency side effects.
 
@@ -202,11 +197,6 @@ class ServeMetrics:
                 :class:`~repro.plan.nodes.RoutingSummary` when it ran on
                 a sharded index (``None`` otherwise) — feeds the
                 routed-vs-broadcast counters.
-            predicted_cost: The planner's predicted seconds over the
-                costed stages, when the plan was priced.
-            observed_seconds: The observed seconds over those same
-                stages; with ``predicted_cost`` it feeds the rolling
-                cost-drift gauges.
         """
         self.batches.inc()
         self._batch_hist.observe(int(size))
@@ -225,8 +215,6 @@ class ServeMetrics:
             self._pruned_pairs += int(routing.pruned_pairs)
             if not routing.broadcast:
                 self.routed_batches.inc()
-        if predicted_cost is not None:
-            self.drift.record(predicted_cost, observed_seconds)
 
     def record_stream(self, index: str, delta_postings: int, compactions: int) -> None:
         """Note a mutable index's stream gauges after a dispatched batch.
@@ -236,6 +224,11 @@ class ServeMetrics:
         """
         self.delta_postings[index] = int(delta_postings)
         self.compactions[index] = int(compactions)
+
+    def record_drop(self, index: str) -> None:
+        """Forget a dropped index's stream gauges, keeping its compactions in the lifetime total."""
+        self.delta_postings.pop(index, None)
+        self._dropped_compactions += self.compactions.pop(index, 0)
 
     # ------------------------------------------------------------------
     # derived views
@@ -351,7 +344,7 @@ class ServeMetrics:
         that existed before the registry refactor is still exported with
         an identical value (enforced by the back-compat test); the
         additions are ``rejected_by_reason`` and the ``cost_drift_*``
-        gauges.
+        gauges, which read zero since nothing prices a plan.
         """
         snap = {
             "submitted": self.submitted.value,
@@ -387,11 +380,11 @@ class ServeMetrics:
             ),
             "plan_cache_size": len(self.plan_cache) if self.plan_cache is not None else 0,
             "delta_postings": sum(self.delta_postings.values()),
-            "compactions": sum(self.compactions.values()),
+            "compactions": self._dropped_compactions + sum(self.compactions.values()),
             "rejected_by_reason": dict(sorted(self.rejected_by_reason.items())),
-            "cost_drift_p50": self.drift.p50,
-            "cost_drift_p90": self.drift.p90,
-            "cost_drift_samples": self.drift.samples,
+            "cost_drift_p50": 0.0,
+            "cost_drift_p90": 0.0,
+            "cost_drift_samples": 0,
         }
         for p in REPORTED_PERCENTILES:
             snap[f"latency_p{p:g}"] = self.latency(p)

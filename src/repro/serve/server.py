@@ -53,7 +53,6 @@ from repro.errors import AdmissionError, ConfigError, QueryError, ReproError
 from repro.gpu.stats import StageTimings
 from repro.obs.trace import Span, Tracer
 from repro.plan.cache import LruCache
-from repro.plan.cost import PREDICTED_STAGES
 from repro.plan.planner import validate_plan_args
 from repro.serve.clock import VirtualClock
 from repro.serve.metrics import ServeMetrics
@@ -548,11 +547,12 @@ class GenieServer:
             raise ConfigError("server is closed")
 
     def _invalidated(self, index: str) -> None:
-        """The session hook: drop ``index``'s cached results, and its empty queue if it was dropped."""
+        """The session hook: drop ``index``'s cached results, and its empty queue and stream gauges if it was dropped."""
         if self.cache is not None:
             self.cache.invalidate(index)
         if index not in self.session._handles:
             self.scheduler.forget(index)
+            self.metrics.record_drop(index)
 
     def __enter__(self) -> "GenieServer":
         self._check_open()
@@ -608,21 +608,12 @@ class GenieServer:
         completed = start + service
         self._device_free = completed
         shard_profiles = result.shard_profiles
-        observed_cost = None
-        if result.predicted_cost is not None:
-            # Observed seconds over exactly the stages the model prices —
-            # the same convention the calibration replay audits against.
-            observed_cost = sum(
-                result.profile.get(stage) for stage in PREDICTED_STAGES
-            )
         self.metrics.record_batch(
             len(requests), service, result.swapped_in, len(result.evicted),
             shard_seconds=[p.query_total() for p in shard_profiles]
             if shard_profiles
             else None,
             routing=result.routing,
-            predicted_cost=result.predicted_cost,
-            observed_seconds=observed_cost,
         )
         manifest = getattr(handle, "manifest", None)
         if manifest is not None:

@@ -78,9 +78,9 @@ class TestServedSnapshotValues:
         assert snapshot["batches"] == 2
         assert snapshot["batch_size_histogram"] == {4: 2}
         assert snapshot["mean_batch_size"] == 4.0
-        # Calibrated planning is off by default here, so drift has no
-        # predictions to compare — samples stay 0, gauges stay 0.0.
-        assert snapshot["cost_drift_samples"] >= 0
+        # Nothing prices a plan, so the drift keys are constant zeros.
+        assert snapshot["cost_drift_samples"] == 0
+        assert snapshot["cost_drift_p50"] == snapshot["cost_drift_p90"] == 0.0
         assert isinstance(snapshot["rejected_by_reason"], dict)
         server.close()
 

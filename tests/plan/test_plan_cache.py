@@ -6,7 +6,7 @@ sharded index with a broadcast route reuses the compiled plan and pays
 zero further ``plan_route`` host work. Correctness: a compile that reads
 more than the shape (range pruning, a dirty index) never touches the
 cache, and anything else the planner's output is a function of — refits,
-compactions, rebalances, drops, recalibration — invalidates.
+compactions, rebalances, drops — invalidates.
 """
 
 import numpy as np
@@ -15,16 +15,11 @@ import pytest
 from repro.api import GenieSession
 from repro.api.models import RawModel
 from repro.errors import ConfigError
-from repro.plan import COEFFICIENT_NAMES, LruCache
+from repro.plan import LruCache, MergeNode
 from repro.serve import BatchPolicy, GenieServer
 from repro.stream import StreamConfig
 
 OBJECTS = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6]]
-
-# Hand-rolled coefficients: postings dominate, so batches touching
-# different posting volumes must price differently.
-COEFFS = {name: 1e-7 for name in COEFFICIENT_NAMES}
-
 
 def banded_corpus(n_objects=800, n_bands=8, seed=0):
     rng = np.random.default_rng(seed)
@@ -37,14 +32,6 @@ def make_sharded(session, name="band", shards=4, strategy="hash", **kwargs):
         banded_corpus(), model="raw", name=name, shards=shards,
         shard_strategy=strategy, **kwargs,
     )
-
-
-def costed_session():
-    """A hash-sharded index on a calibrated session: compiles charge ``plan_route``."""
-    session = GenieSession()
-    handle = make_sharded(session)
-    session.cost_coefficients = dict(COEFFS)
-    return session, handle
 
 
 class TestCacheConstruction:
@@ -88,16 +75,18 @@ class TestCacheConstruction:
 
 class TestHitsAndMisses:
     def test_repeated_shape_hits_and_pays_no_more_routing(self):
-        session, handle = costed_session()
+        session = GenieSession()
+        handle = make_sharded(session)
         cache = session.plan_cache
-        handle.search([[1, 2]], k=5)
+        first = handle.search([[1, 2]], k=5, plan="two-round")
         assert cache.stats()["misses"] == 1
         charged = session.host.timings.get("plan_route")
-        assert charged > 0.0
-        again = handle.search([[1, 2]], k=5)
+        again = handle.search([[1, 2]], k=5, plan="two-round")
         assert cache.stats()["hits"] == 1
-        # The hit skipped the pricing pass entirely: no new host charge.
+        # The hit reuses the two-round plan and charges no host planning.
         assert session.host.timings.get("plan_route") == charged
+        assert again.plan == first.plan
+        assert again.plan.find(MergeNode).strategy == "two-round-tput"
         assert again.routing.broadcast
         session.close()
 
@@ -202,51 +191,32 @@ class TestUncachedShapes:
         session.close()
 
 
-class TestRepricedHits:
-    """A cache hit reuses the plan *choice*, not the first batch's price.
+class TestCollidingHits:
+    """A cache hit reuses the plan, which depends on the batch's shape alone.
 
     The key holds per-query elision flags, not the keywords, so two
     batches with different work volumes (``[[0]]`` vs ``[[0, 1]]``)
-    collide on one entry. The hit must re-extract the new batch's cost
-    features so ``predicted_cost`` stays honest, while still charging
-    nothing to ``plan_route``.
+    collide on one entry, and the hit must answer like a fresh compile.
     """
 
     def test_colliding_batches_share_one_entry(self):
-        session, handle = costed_session()
-        handle.search([[0]], k=5)
-        handle.search([[0, 1]], k=5)
+        session = GenieSession()
+        handle = make_sharded(session)
+        handle.search([[0]], k=5, plan="two-round")
+        handle.search([[0, 1]], k=5, plan="two-round")
         stats = session.plan_cache.stats()
         assert stats["misses"] == 1 and stats["hits"] == 1 and stats["entries"] == 1
         session.close()
 
-    def test_hit_reprices_for_the_new_batch(self):
-        session, handle = costed_session()
-        small = handle.search([[0]], k=5)
-        big = handle.search([[0, 1]], k=5)  # a hit on small's plan
-        assert session.plan_cache.stats()["hits"] == 1
-        assert small.predicted_cost is not None
-        assert big.predicted_cost is not None
-        assert small.predicted_cost != big.predicted_cost
-        # The hit reports its *own* batch's predicted cost: a fresh
-        # compile of the big batch on its own predicts the same.
+    def test_colliding_hit_answers_like_a_fresh_compile(self):
+        session = GenieSession()
+        handle = make_sharded(session)
+        first = handle.search([[0, 1]], k=5, plan="two-round")
+        handle.search([[0]], k=5, plan="two-round")
         session.plan_cache.clear()
-        assert handle.search([[0, 1]], k=5).predicted_cost == pytest.approx(big.predicted_cost)
-        session.close()
-
-    def test_repricing_charges_no_planning_host_work(self):
-        session, handle = costed_session()
-        handle.search([[0]], k=5)
-        charged = session.host.timings.get("plan_route")
-        handle.search([[0, 1]], k=5)  # hit + reprice
-        assert session.host.timings.get("plan_route") == charged
-        session.close()
-
-    def test_hit_results_identical_under_repricing(self):
-        session, handle = costed_session()
-        first = handle.search([[0, 1]], k=5)
-        handle.search([[0]], k=5)
-        second = handle.search([[0, 1]], k=5)
+        handle.search([[0]], k=5, plan="two-round")
+        second = handle.search([[0, 1]], k=5, plan="two-round")  # a hit on [[0]]'s plan
+        assert session.plan_cache.stats()["hits"] == 2
         for ref, got in zip(first.results, second.results):
             assert np.array_equal(ref.ids, got.ids)
             assert np.array_equal(ref.counts, got.counts)
@@ -329,15 +299,6 @@ class TestInvalidation:
         assert session.plan_cache.stats()["hits"] == 0
         session.close()
 
-    def test_recalibration_flushes_every_plan(self):
-        session = GenieSession()
-        handle = make_sharded(session)
-        handle.search([[1, 2]], k=5)
-        assert len(session.plan_cache) == 1
-        session.cost_coefficients = {"match.postings": 1e-9}
-        assert len(session.plan_cache) == 0
-        session.close()
-
     def test_residency_eviction_keeps_plans_valid(self):
         # Eviction moves parts off the device; the *plan* is unchanged.
         # The evicted shard swaps back in during execution and the warm
@@ -391,12 +352,10 @@ class TestServedTraffic:
     def test_steady_state_lane_stops_paying_plan_route(self):
         server = self._band_server()
         session = server.session
-        session.cost_coefficients = dict(COEFFS)
-        server.submit("adult", [1, 2], k=5)
+        server.submit("adult", [1, 2], k=5, plan="two-round")
         warm = session.host.timings.get("plan_route")
-        assert warm > 0.0
         for _ in range(5):
-            server.submit("adult", [1, 2], k=5)
+            server.submit("adult", [1, 2], k=5, plan="two-round")
         server.drain()
         # Five warm batches, zero additional host planning seconds.
         assert session.host.timings.get("plan_route") == warm

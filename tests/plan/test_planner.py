@@ -7,7 +7,6 @@ from repro.api import GenieSession
 from repro.core.types import Query, QueryBatch
 from repro.errors import QueryError
 from repro.plan import (
-    COEFFICIENT_NAMES,
     EncodeNode,
     FinalizeNode,
     MergeNode,
@@ -57,64 +56,39 @@ class TestRouteQueries:
         assert routes[0].size == 0
 
 
-#: The sharded rules hold with and without a cost model on the session.
-either = pytest.mark.parametrize("calibrated", [False, True], ids=["ruled", "calibrated"])
-
-
-def compile_rule(calibrated, raw_queries, strategy="range", **kwargs):
-    """Compile on a toy sharded index; a calibrated session may move no query.
-
-    The route is a rule, so the cost model prices the merge of the *same*
-    routes: ``routes`` and ``eligible`` must repeat.
-    """
-    ruled = compile_for(sharded_handle(strategy=strategy), raw_queries, **kwargs)
-    if not calibrated:
-        assert ruled.predicted_cost is None
-        return ruled
-    handle = sharded_handle(strategy=strategy)
-    handle.session.cost_coefficients = {name: 1e-7 for name in COEFFICIENT_NAMES}
-    priced = compile_for(handle, raw_queries, **kwargs)
-    assert [r.tolist() for r in priced.routes] == [r.tolist() for r in ruled.routes]
-    assert priced.root.find(ShardScanNode).eligible == ruled.root.find(ShardScanNode).eligible
-    assert priced.routing == ruled.routing
-    assert priced.predicted_cost > 0.0
-    return priced
+def compile_rule(raw_queries, strategy="range", **kwargs):
+    """Compile on a toy sharded index."""
+    return compile_for(sharded_handle(strategy=strategy), raw_queries, **kwargs)
 
 
 class TestRules:
-    @either
-    def test_range_partition_prunes_by_default(self, calibrated):
-        compiled = compile_rule(calibrated, [[0], [5]])
+    def test_range_partition_prunes_by_default(self):
+        compiled = compile_rule([[0], [5]])
         assert compiled.routing.pruned_pairs > 0
         scan = compiled.root.find(ShardScanNode)
         assert not scan.broadcast
         assert compiled.routing_ops > 0.0  # the membership test ran
 
-    @either
-    def test_hash_partition_broadcasts_by_default(self, calibrated):
-        compiled = compile_rule(calibrated, [[0], [5]], strategy="hash")
+    def test_hash_partition_broadcasts_by_default(self):
+        compiled = compile_rule([[0], [5]], strategy="hash")
         assert compiled.routing.broadcast
         assert all(r.size == 2 for r in compiled.routes)
-        if not calibrated:
-            assert compiled.routing_ops == 0.0  # no membership test ran
+        assert compiled.routing_ops == 0.0  # no membership test ran
 
-    @either
-    def test_hash_partition_can_force_pruning(self, calibrated):
+    def test_hash_partition_can_force_pruning(self):
         # Membership routing is exact for any strategy; forcing it on a
         # hash partition is allowed, it just rarely prunes.
-        compiled = compile_rule(calibrated, [[0]], strategy="hash", route="pruned")
+        compiled = compile_rule([[0]], strategy="hash", route="pruned")
         scanned = sum(r.size for r in compiled.routes)
         assert scanned <= compiled.routing.n_shards
 
-    @either
-    def test_forced_broadcast_on_range(self, calibrated):
-        compiled = compile_rule(calibrated, [[0]], route="broadcast")
+    def test_forced_broadcast_on_range(self):
+        compiled = compile_rule([[0]], route="broadcast")
         assert compiled.routing.broadcast
         assert compiled.root.find(ShardScanNode).broadcast
 
-    @either
-    def test_two_round_merge_opt_in(self, calibrated):
-        compiled = compile_rule(calibrated, [[0, 5]], k=2, plan="two-round")
+    def test_two_round_merge_opt_in(self):
+        compiled = compile_rule([[0, 5]], k=2, plan="two-round")
         assert compiled.merge == "two-round-tput"
         assert compiled.first_round_k == first_round_k_for(2, 3) == 1
         merge = compiled.root.find(MergeNode)
@@ -123,9 +97,8 @@ class TestRules:
         # The shard scan advertises the round-one width.
         assert compiled.root.find(ShardScanNode).k == 1
 
-    @either
-    def test_two_round_falls_back_when_nothing_to_save(self, calibrated):
-        compiled = compile_rule(calibrated, [[0]], k=1, plan="two-round")
+    def test_two_round_falls_back_when_nothing_to_save(self):
+        compiled = compile_rule([[0]], k=1, plan="two-round")
         assert compiled.merge == "one-round"  # ceil(1/3) == 1 == k
         assert compiled.first_round_k is None
 
@@ -178,16 +151,30 @@ class TestEscapeHatchValidation:
             validate_plan_args(None, "two-round", sharded=False)
 
     def test_auto_accepted_and_canonicalized(self):
-        # plan="auto" stays "auto" after validation — a calibrated
-        # session resolves it per batch (the choice depends on the query
-        # shape), so it cannot canonicalize to a fixed merge. Explicit
-        # directives normalize to themselves, and distinct directives
-        # stay distinct so the server's coalescing lanes never mix a
-        # forced plan with a costed one.
-        assert validate_plan_args(None, None, sharded=False) == ("auto", "auto")
-        assert validate_plan_args("auto", "auto", sharded=False) == ("auto", "auto")
+        # plan="auto" is one-round (two-round is opt-in), so it
+        # canonicalizes to "one-round": the server's coalescing lanes and
+        # the plan cache key both forms alike. route="auto" stays "auto" —
+        # its meaning depends on the partition strategy.
+        assert validate_plan_args(None, None, sharded=False) == ("auto", "one-round")
+        assert validate_plan_args("auto", "auto", sharded=False) == ("auto", "one-round")
         assert validate_plan_args("auto", "one-round", sharded=False) == ("auto", "one-round")
         assert validate_plan_args(None, "two-round", sharded=True) == ("auto", "two-round")
+
+    @pytest.mark.parametrize(
+        "route, plan, sharded, canonical",
+        [
+            (None, None, False, ("auto", "one-round")),
+            ("auto", "auto", False, ("auto", "one-round")),
+            (None, "one-round", False, ("auto", "one-round")),
+            (None, "auto", True, ("auto", "one-round")),
+            ("broadcast", None, True, ("broadcast", "one-round")),
+            ("pruned", "auto", True, ("pruned", "one-round")),
+            ("auto", "two-round", True, ("auto", "two-round")),
+            ("pruned", "two-round", True, ("pruned", "two-round")),
+        ],
+    )
+    def test_canonical_forms(self, route, plan, sharded, canonical):
+        assert validate_plan_args(route, plan, sharded=sharded) == canonical
 
     def test_search_surface_rejects_bad_directives(self):
         session = GenieSession()

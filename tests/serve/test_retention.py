@@ -18,6 +18,7 @@ from repro.api.session import ResidencyLog
 from repro.gpu.device import KERNEL_LOG_LIMIT
 from repro.serve import BatchPolicy, GenieServer
 from repro.serve.metrics import LATENCY_WINDOW
+from repro.stream import StreamConfig
 
 WORDS = ["gpu", "index", "search", "fast", "cat", "dog", "tree", "blue",
          "red", "green", "warp", "batch", "queue", "cache", "merge", "scan"]
@@ -170,3 +171,34 @@ class TestSteadyState:
         growth = _retained_growth(run, n, session)
         assert server.snapshot()["failed"] == 0
         assert growth <= SLACK_BYTES + _ring_growth(3 * n), growth
+
+    def test_stream_mutations_with_compaction(self):
+        # Each name is created, mutated, compacted, served and dropped
+        # twice, so the serve metrics see both reused and retired names.
+        session = GenieSession()
+        server = GenieServer(session, policy=BatchPolicy.micro(max_batch=4, max_wait=1e-4))
+        metrics = server.metrics
+        objects = [[i % 16, 16 + (7 * i) % 16] for i in range(40)]
+        n = 12
+
+        def run(start, stop):
+            for i in range(start, stop):
+                name = f"s{i // 2}"
+                handle = session.create_index(objects, model="raw", name=name,
+                                              stream_config=StreamConfig(auto_compact=False))
+                handle.insert([[i % 16, 40]])
+                assert handle.compact()
+                handle.insert([[41, 42]])  # a backlog the serve observes
+                server.submit(name, [i % 16, 41], k=3)
+                server.drain()
+                assert server.snapshot()["delta_postings"] > 0
+                session.drop(name)
+
+        run(0, n)
+        sizes = (len(metrics.delta_postings), len(metrics.compactions))
+        run(n, 4 * n)
+        snapshot = server.snapshot()
+        assert snapshot["failed"] == 0
+        assert snapshot["compactions"] == 4 * n  # lifetime: one compaction a cycle
+        assert snapshot["delta_postings"] == 0  # no index is live
+        assert (len(metrics.delta_postings), len(metrics.compactions)) == sizes == (0, 0)

@@ -7,6 +7,7 @@ import repro.serve.metrics as metrics_mod
 from repro.api import GenieSession
 from repro.errors import AdmissionError, ConfigError, QueryError
 from repro.serve import BatchPolicy, GenieServer, ServeMetrics, percentile_nearest_rank
+from repro.stream import StreamConfig
 
 
 def _docs(n=40):
@@ -283,3 +284,63 @@ class TestRollingShardWindow:
         assert snap["replica_failovers"] == 0
         assert snap["replica_rebalances"] == 0
         assert snap["replica_re_replications"] == 0
+
+
+class TestStreamGauges:
+    def test_record_stream_keeps_the_latest_gauge(self):
+        metrics = ServeMetrics()
+        metrics.record_stream("a", delta_postings=7, compactions=1)
+        metrics.record_stream("a", delta_postings=2, compactions=2)
+        metrics.record_stream("b", delta_postings=3, compactions=0)
+        snap = metrics.snapshot()
+        assert snap["delta_postings"] == 5
+        assert snap["compactions"] == 2
+
+    def test_drop_forgets_the_gauge(self):
+        metrics = ServeMetrics()
+        metrics.record_stream("a", delta_postings=7, compactions=1)
+        metrics.record_drop("a")
+        assert metrics.delta_postings == {} and metrics.compactions == {}
+        assert metrics.snapshot()["delta_postings"] == 0
+
+    def test_drop_keeps_compactions_in_the_lifetime_total(self):
+        metrics = ServeMetrics()
+        metrics.record_stream("a", delta_postings=0, compactions=2)
+        metrics.record_drop("a")
+        assert metrics.snapshot()["compactions"] == 2
+
+    def test_reused_name_adds_to_its_predecessor(self):
+        metrics = ServeMetrics()
+        metrics.record_stream("a", delta_postings=1, compactions=1)
+        metrics.record_drop("a")
+        metrics.record_stream("a", delta_postings=4, compactions=1)
+        snap = metrics.snapshot()
+        assert snap["compactions"] == 2
+        assert snap["delta_postings"] == 4
+
+    def test_dropping_an_unrecorded_index_is_a_no_op(self):
+        metrics = ServeMetrics()
+        metrics.record_stream("a", delta_postings=3, compactions=1)
+        metrics.record_drop("never-served")
+        snap = metrics.snapshot()
+        assert (snap["delta_postings"], snap["compactions"]) == (3, 1)
+
+    def test_server_drop_retires_the_served_index(self):
+        session = GenieSession()
+        objects = [[i % 8, 8 + i % 5] for i in range(24)]
+        handle = session.create_index(objects, model="raw", name="live",
+                                      stream_config=StreamConfig(auto_compact=False))
+        server = GenieServer(session, cache_size=None)
+        handle.insert([[1, 20]])
+        assert handle.compact()
+        handle.insert([[21, 22]])
+        server.submit("live", [1, 21], k=2)
+        server.drain()
+        before = server.snapshot()
+        assert before["delta_postings"] > 0 and before["compactions"] == 1
+        session.drop("live")
+        after = server.snapshot()
+        assert after["delta_postings"] == 0
+        assert after["compactions"] == 1
+        assert "live" not in server.metrics.delta_postings
+        session.close()

@@ -492,11 +492,9 @@ class TestPlannerDirectives:
             server.submit("serial", DOCS[0], k=2, route="broadcast")
 
     def test_normalized_directives_share_a_lane(self):
-        # None and the explicit "auto" normalize identically, so they
-        # must coalesce into one batch. A forced plan="one-round" is a
-        # *different* directive — on a calibrated session auto may
-        # resolve per batch, so the lanes must not mix a forced merge
-        # with a costed one.
+        # None, the explicit "auto" and plan="one-round" normalize
+        # identically (auto is the one-round merge), so they must
+        # coalesce into one batch.
         session = GenieSession()
         session.create_index(DOCS, model="document", name="sharded", shards=2)
         server = GenieServer(
@@ -507,9 +505,9 @@ class TestPlannerDirectives:
         b = server.submit("sharded", DOCS[1], k=2, route="auto", plan="auto")
         c = server.submit("sharded", DOCS[2], k=2, plan="one-round")
         server.drain()
-        assert a.metadata.batch_size == 2
-        assert b.metadata.batch_size == 2
-        assert c.metadata.batch_size == 1
+        assert a.metadata.batch_size == 3
+        assert b.metadata.batch_size == 3
+        assert c.metadata.batch_size == 3
 
     def test_different_directives_never_share_a_batch(self):
         session = GenieSession()

@@ -28,7 +28,6 @@ from repro.api.models import resolve_model
 from repro.core.match_count import brute_force_topk
 from repro.core.types import Corpus
 from repro.errors import AvailabilityError, ConfigError, QueryError, ReproError
-from repro.plan import COEFFICIENT_NAMES
 from repro.replica import FaultEvent, FaultPlan
 from repro.sa.relational import AttributeSpec
 from repro.serve import BatchPolicy, GenieServer
@@ -39,18 +38,6 @@ HUGE = 2**63 - 1  # the largest keyword an int64 posting holds
 INF = math.inf
 NAN = math.nan
 WORDS = ("gpu", "index", "fox", "dog", "honey", "park", "query", "batch", "shard", "plan", "merge", "cache")
-
-#: Deliberately wrong cost-model coefficients. Pricing only ever *selects
-#: among exact candidates*, so no calibration — absurd, negative,
-#: degenerate or partial — may change an answer.
-MISCALIBRATIONS = (
-    {name: 1.0 for name in COEFFICIENT_NAMES},      # everything costs seconds
-    {name: -1.0 for name in COEFFICIENT_NAMES},     # negative: clamps to free
-    {name: 0.0 for name in COEFFICIENT_NAMES},      # all candidates tie
-    {"match.hot": 5e3},                             # partial: missing keys read 0
-    {"topup.const": -7.0, "topup.concentration": 99.0,
-     "match.gated": 1e6, "match.postings": -3.0},   # inconsistent mixture
-)
 
 KINDS = {
     "serial": {},
@@ -410,10 +397,6 @@ class OracleMachine(RuleBasedStateMachine):
             kind = "slow"  # never more than replicas - 1 = 1 device down
         self.events.append(FaultEvent(device, now, None if length is None else now + length, kind))
         self.session.inject_faults(FaultPlan(self.events), clock=self.server.clock)
-
-    @step(coefficients=st.sampled_from([None, *MISCALIBRATIONS]))
-    def calibrate(self, coefficients):
-        self.session.cost_coefficients = coefficients
 
     @step(checks=True, data=st.data(), k=KS, batch_size=st.sampled_from([None, 1, 3]), route=ROUTES, plan=PLANS)
     def search(self, data, k, batch_size, route, plan):

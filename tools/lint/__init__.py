@@ -2,7 +2,7 @@
 
 Every guarantee the reproduction ships — bit-identical results across
 plan strategies, byte-identical traces across seeded runs, honest stage
-accounting behind the calibrated cost model — is otherwise enforced
+accounting behind Table I's per-stage profile — is otherwise enforced
 only dynamically, by tests that must think to exercise the violation.
 This package makes the whole *class* of regressions checkable at commit
 time: a rule registry with stable ids, AST visitors over ``src/repro``

@@ -6,7 +6,7 @@ All simulated work flows through seven charging calls (``Device.launch``,
 requires a ``stage=`` keyword. An ambient fallback stage is how the
 ``plan_route`` bug class happened: host work performed outside any scope got
 charged to whatever stage was last active, and the per-stage profile
-(Table I, the calibrated cost model, cost-drift tracking) silently lied.
+(Table I, the per-stage traces and serve metrics) silently lied.
 The calls raise ``TypeError`` without ``stage=``; this rule catches the
 omission (and an explicit ``stage=None``) before anything runs, so the
 reader — and the profile — always knows which stage pays.
@@ -56,5 +56,5 @@ class AccountingRule(Rule):
                 self,
                 node,
                 f"{node.func.attr}() without an explicit stage=; unattributed work "
-                "corrupts the per-stage profile the cost model calibrates against",
+                "corrupts the per-stage profile (Table I)",
             )
