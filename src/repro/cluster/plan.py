@@ -131,7 +131,7 @@ class ShardSlice:
 
     Attributes:
         position: Slice position within the plan.
-        corpus: The slice's objects, locally numbered ``0..len-1``.
+        corpus: The slice's objects, locally numbered ``0..len-1`` (``None`` for the delta run).
         global_ids: Map from local object id to global object id
             (``global_ids[local]``); sorted ascending, so local id order
             preserves global id order and per-slice tie-breaks agree with
@@ -146,7 +146,7 @@ class ShardSlice:
     index: InvertedIndex | None = None
 
     def __len__(self) -> int:
-        return len(self.corpus)
+        return int(self.global_ids.size)
 
     def keywords(self) -> np.ndarray:
         """Sorted distinct keywords present in this slice.
@@ -156,9 +156,9 @@ class ShardSlice:
         count here, so the planner's shard-pruning rule may skip the
         slice without changing results (see
         :func:`repro.plan.planner.route_queries`). Read off the index's
-        keyword table when there is one, else the corpus's.
+        keyword table when there is one, else the corpus.
         """
-        return (self.corpus if self.index is None else self.index).keyword_table[0]
+        return self.corpus.distinct_keywords if self.index is None else self.index.keyword_array
 
 
 class SliceCopy:

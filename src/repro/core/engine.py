@@ -190,7 +190,7 @@ class GenieEngine:
         self.host.charge_ops(index.build_ops, stage="index_build")
         return self.attach_index(index, corpus)
 
-    def attach_index(self, index: InvertedIndex, corpus: Corpus) -> "GenieEngine":
+    def attach_index(self, index: InvertedIndex, corpus: Corpus | None) -> "GenieEngine":
         """Adopt a pre-built index: transfer it to the device without rebuilding.
 
         The multi-loading path uses this to swap offline-built part indexes
@@ -251,7 +251,7 @@ class GenieEngine:
             GpuOutOfMemoryError: If the batch's c-PQ structures do not fit
                 in device memory.
         """
-        if self.index is None or self.corpus is None:
+        if self.index is None:
             raise QueryError("engine must be fitted before querying")
         queries = QueryBatch.from_queries(queries)
         if len(queries) == 0:

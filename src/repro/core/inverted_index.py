@@ -39,8 +39,8 @@ _POSITION_MAP_ENTRY_BYTES = 24
 #: this many times larger than the number of distinct keywords.
 _DENSE_LOOKUP_OVERHEAD = 8
 
-#: Abstract CPU operations ``merged`` / ``without`` spend per postings entry they
-#: pass over: :func:`sort_postings`' linear passes, without its sort.
+#: Abstract CPU operations :meth:`InvertedIndex.spliced` spends per postings entry
+#: a pass goes over: :func:`sort_postings`' linear passes, without its sort.
 _MERGE_OPS_PER_ENTRY = 4.0
 
 
@@ -58,21 +58,24 @@ def sort_postings(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     """
     all_keywords = corpus.keywords
     total = int(all_keywords.size)
-    if total == 0:
-        empty = np.empty(0, dtype=ID_DTYPE)
-        return empty, np.zeros(1, dtype=ID_DTYPE), empty, 1.0
     all_objects = np.repeat(np.arange(len(corpus), dtype=ID_DTYPE), np.diff(corpus.offsets))
 
     order = np.argsort(all_keywords, kind="stable")
     sorted_keywords = all_keywords[order]
     list_array = np.ascontiguousarray(all_objects[order])
 
-    keywords, starts = np.unique(sorted_keywords, return_index=True)
-    offsets = np.concatenate([starts, [total]]).astype(ID_DTYPE)
+    starts = _firsts(sorted_keywords)
+    return sorted_keywords[starts], np.append(starts, total), list_array, _sort_ops(total)
 
-    # A sort-dominated build: ~ n log n comparisons plus the linear passes.
-    build_ops = total * max(1.0, np.log2(total)) + 4.0 * total
-    return keywords.astype(ID_DTYPE), offsets, list_array, float(build_ops)
+
+def _firsts(ascending: np.ndarray) -> np.ndarray:
+    """Where each distinct value of the ascending (non-negative) keywords first occurs."""
+    return np.flatnonzero(np.diff(ascending, prepend=-1))
+
+
+def _sort_ops(total: int) -> float:
+    """The price of a sort-dominated build of ``total`` postings: ~ n log n comparisons plus the linear passes."""
+    return float(total * max(1.0, np.log2(total)) + 4.0 * total) if total else 1.0
 
 
 def span_csr(offsets: np.ndarray, max_sublist_len: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,8 +120,8 @@ class InvertedIndex:
 
     The constructor takes flattened postings lists — what
     :func:`sort_postings` returns — and lays the position map's spans out
-    over them under ``load_balance``; :meth:`build`, :meth:`merged` and
-    :meth:`without` all end in it.
+    over them under ``load_balance``; :meth:`build` and :meth:`spliced`
+    both end in it.
 
     Attributes:
         list_array: All postings concatenated (object ids).
@@ -169,63 +172,48 @@ class InvertedIndex:
         """
         return cls(*sort_postings(corpus), len(corpus), load_balance)
 
-    def merged(self, other: "InvertedIndex", positions: np.ndarray) -> "InvertedIndex":
-        """This index and ``other`` as one, without sorting either again.
+    def spliced(self, dropped, rows: Corpus, positions) -> "InvertedIndex":
+        """This index minus its objects at local ``dropped``, plus ``rows`` at local ids ``positions``, in one pass.
 
-        A two-run merge of the keyword tables, then of the posting arrays on
-        fused ``(keyword row << 32) | local id`` keys — both runs already
-        ascend in that key. ``other``'s objects take the ascending local ids
-        ``positions``, this index's keep their order in the remaining slots
-        (``arange(n, n + m)`` appends). Array for array what :meth:`build`
-        makes of the resulting corpus, spans under ``self.load_balance``
-        included; ``build_ops`` is the merge's own price: ``other``'s build
-        plus a linear pass over both runs.
+        Kept objects fill the other slots in their old order. Postings travel as fused
+        ``(keyword row << 32) | local id`` keys over the union keyword table; the kept ones
+        still ascend, so the stable sort is timsort's merge of a long run and a short one.
+        Array for array what :meth:`build` makes of the result. ``build_ops`` prices a drop
+        pass when anything is dropped, then a merge pass when anything is added.
 
         Raises:
-            MalformedIndexError: ``positions`` does not name one distinct slot per object.
+            MalformedIndexError: ``positions`` does not name one distinct slot per incoming object.
         """
         positions = np.asarray(positions, dtype=ID_DTYPE).reshape(-1)
-        if positions.size != other.n_objects or (positions[1:] <= positions[:-1]).any():
+        if positions.size != len(rows) or (positions[1:] <= positions[:-1]).any():
             raise MalformedIndexError("positions must ascend, one per merged-in object")
-        n_objects = self.n_objects + other.n_objects
-        own_ids = np.delete(np.arange(n_objects, dtype=ID_DTYPE), positions)
-        # Keyword tables: other's rows land among this index's; ``fresh`` ones are new keywords.
-        mine, theirs = self.keyword_array, other.keyword_array
-        at = mine.searchsorted(theirs)
-        fresh = np.ones(theirs.size, dtype=bool)
-        known = at < mine.size
-        fresh[known] = mine[at[known]] != theirs[known]
-        their_rows = at + np.cumsum(fresh) - fresh
-        keywords = np.insert(mine, at[fresh], theirs[fresh])
-        my_rows = np.delete(np.arange(keywords.size, dtype=ID_DTYPE), their_rows[fresh])
-        my_lengths, their_lengths = np.diff(self.list_offsets), np.diff(other.list_offsets)
-        lengths = np.zeros(keywords.size, dtype=ID_DTYPE)
-        lengths[my_rows] = my_lengths
-        lengths[their_rows] += their_lengths
-        my_keys = np.repeat(my_rows << 32, my_lengths) | own_ids[self.list_array]
-        their_keys = np.repeat(their_rows << 32, their_lengths) | positions[other.list_array]
-        keys = np.insert(my_keys, my_keys.searchsorted(their_keys), their_keys)
-        ops = other.build_ops + _MERGE_OPS_PER_ENTRY * keys.size
-        return InvertedIndex(keywords, csr_offsets(lengths), keys & 0xFFFFFFFF, ops, n_objects, self.load_balance)
-
-    def without(self, ids: np.ndarray) -> "InvertedIndex":
-        """This index minus the objects at local ``ids``, the rest renumbered densely.
-
-        One ``compress`` of the dropped objects' postings; keywords left
-        without postings leave the table. Array for array what :meth:`build`
-        makes of the remaining corpus, for a linear pass (``build_ops``).
-        """
-        dropped = np.zeros(self.n_objects, dtype=bool)
-        dropped[ids] = True
-        new_ids = np.cumsum(~dropped) - 1
-        keep = ~dropped[self.list_array]
-        offsets = csr_offsets(keep)[self.list_offsets]
-        alive = offsets[1:] > offsets[:-1]
+        keep = np.ones(self.n_objects, dtype=bool)
+        keep[dropped] = False
+        n_objects = int(keep.sum()) + len(rows)
+        renumber = np.zeros(self.n_objects, dtype=ID_DTYPE)
+        renumber[keep] = np.delete(np.arange(n_objects, dtype=ID_DTYPE), positions)
+        kept, offsets = keep[self.list_array], self.list_offsets
+        keywords = np.sort(np.concatenate([self.keyword_array, rows.keywords]), kind="stable")
+        keywords = keywords[_firsts(keywords)]
+        my_rows, their_rows = keywords.searchsorted(self.keyword_array), keywords.searchsorted(rows.keywords)
+        lengths = np.bincount(their_rows, minlength=keywords.size)
+        lengths[my_rows] += np.add.reduceat(kept, offsets[:-1], dtype=ID_DTYPE)
+        my_keys = np.repeat(my_rows << 32, np.diff(offsets))
+        my_keys |= renumber[self.list_array]
+        their_keys = (their_rows << 32) | np.repeat(positions, np.diff(rows.offsets))
+        keys = np.sort(np.concatenate([my_keys[kept], their_keys]), kind="stable")
+        ops = 0.0 if keep.all() else _MERGE_OPS_PER_ENTRY * max(1, self.total_entries)
+        ops += _sort_ops(rows.total_entries) + _MERGE_OPS_PER_ENTRY * keys.size if positions.size else 0.0
         return InvertedIndex(
-            self.keyword_array[alive], np.append(offsets[:-1][alive], offsets[-1]),
-            new_ids[self.list_array[keep]], _MERGE_OPS_PER_ENTRY * max(1, self.total_entries),
-            self.n_objects - int(dropped.sum()), self.load_balance,
+            keywords[lengths > 0], csr_offsets(lengths[lengths > 0]), keys & 0xFFFFFFFF, ops, n_objects,
+            self.load_balance,
         )
+
+    def corpus(self) -> Corpus:
+        """The indexed objects, row for row: the inverse of :meth:`build` (one stable sort by object)."""
+        order = np.argsort(self.list_array, kind="stable")
+        keywords = np.repeat(self.keyword_array, np.diff(self.list_offsets))[order]
+        return Corpus._of(keywords, csr_offsets(np.bincount(self.list_array, minlength=self.n_objects)))
 
     @staticmethod
     def _build_dense_lookup(keywords: np.ndarray) -> np.ndarray | None:
@@ -291,12 +279,6 @@ class InvertedIndex:
     def list_offsets(self) -> np.ndarray:
         """Keyword row ``i``'s whole list (sublists re-joined) is ``list_array[list_offsets[i]:list_offsets[i + 1]]``."""
         return np.append(self.span_starts[self.kw_span_offsets[:-1]], self.total_entries)
-
-    @cached_property
-    def keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted distinct keywords, postings per keyword)``: the indexed corpus's
-        :attr:`~repro.core.types.Corpus.keyword_table`, read off the lists (no pass over the rows)."""
-        return self.keyword_array, np.diff(self.list_offsets).astype(np.float64)
 
     @property
     def list_array32(self) -> np.ndarray:

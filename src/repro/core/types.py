@@ -329,14 +329,10 @@ class Corpus:
         return [self.keywords[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
-    def keyword_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted distinct keywords, postings per keyword)`` of this corpus.
-
-        What routing asks of a corpus no index was built for (the counts
-        are float64).
-        """
-        keywords, counts = np.unique(self.keywords, return_counts=True)
-        return keywords, counts.astype(np.float64)
+    def distinct_keywords(self) -> np.ndarray:
+        """The sorted distinct keywords of this corpus: what routing asks of a corpus no index was built for."""
+        keywords = np.sort(self.keywords)
+        return keywords[np.flatnonzero(np.diff(keywords, prepend=-1))]
 
     @property
     def max_keyword(self) -> int:

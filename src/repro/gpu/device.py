@@ -176,12 +176,18 @@ def _schedule_blocks(per_block_cycles: np.ndarray, num_sms: int) -> float:
     Blocks are dispatched in launch order to the SM that frees up first,
     which is how the hardware's block scheduler behaves to a first
     approximation. A single huge block therefore dominates the makespan —
-    exactly the imbalance GENIE's list-splitting fixes (Fig. 12).
+    exactly the imbalance GENIE's list-splitting fixes (Fig. 12). Equal costs skip
+    the heap: the busiest SM adds the one cost ``ceil(blocks / num_sms)`` times, in order.
     """
     if per_block_cycles.size == 0:
         return 0.0
     if per_block_cycles.size <= num_sms:
         return float(per_block_cycles.max())
+    if (per_block_cycles == per_block_cycles[0]).all():
+        busiest, cost = 0.0, float(per_block_cycles[0])
+        for _ in range(-(-per_block_cycles.size // num_sms)):
+            busiest += cost
+        return busiest
     loads = [0.0] * num_sms
     heapq.heapify(loads)
     for cycles in per_block_cycles.tolist():

@@ -15,7 +15,7 @@ top-k on the host). :func:`execute_plan` runs every plan
    query-aligned :class:`~repro.core.types.TopKBatch` (an empty segment
    where it was not routed), its ids remapped to global ids with one
    gather as the scan lands;
-3. strike tombstoned base candidates — one binary search per base source;
+3. strike tombstoned base candidates — one gather of per-id marks;
 4. fold the per-source profiles along the timeline: sources on their own
    devices run concurrently (the slowest is the critical path), sources
    sharing a device add up;
@@ -129,7 +129,7 @@ def execute_plan(
         topups = _scan_round(
             handle, base, topup_routes, [k] * n_base, queries, batch_size, candidates
         )
-    candidates[:n_base], filter_seconds = _strike_tombstones(candidates[:n_base], tombstones, host)
+    candidates[:n_base], filter_seconds = _strike_tombstones(candidates[:n_base], stream.manifest if dirty else None, host)
 
     _fold(profile, scans[:n_base], concurrent=sharded)
     if two_round:
@@ -317,24 +317,23 @@ def _scan_one(
 
 
 def _strike_tombstones(
-    base_candidates: list[TopKBatch], tombstones: np.ndarray, host
+    base_candidates: list[TopKBatch], manifest, host
 ) -> tuple[list[TopKBatch], float]:
-    """The base candidates without tombstoned ids.
+    """The base candidates without the ids ``manifest`` (``None`` on a clean index) tombstoned.
 
     Runs before any top-k decision — a dead base copy must never outrank
     a live object (its replacement may sit in the delta run under the
-    same id). Charged to the host as one binary search per candidate
-    (stage ``tombstone_filter``), accumulated per (source, query) in
-    that order; returns the struck batches and the charged seconds.
+    same id). One gather of the manifest's per-id marks covers every
+    source. Charged to the host as one binary search per candidate (stage
+    ``tombstone_filter``), accumulated per (source, query) in that order;
+    returns the struck batches and the charged seconds.
     """
-    if tombstones.size == 0:
+    if manifest is None or not manifest.tombstones.size:
         return base_candidates, 0.0
-    probe_ops = np.log2(max(tombstones.size, 2))
-    struck = []
-    for batch in base_candidates:
-        pos = np.searchsorted(tombstones, batch.ids)
-        dead = tombstones[np.minimum(pos, tombstones.size - 1)] == batch.ids
-        struck.append(batch.compress(~dead) if dead.any() else batch)
+    dead = manifest.is_tombstoned(np.concatenate([batch.ids for batch in base_candidates]))
+    dead = np.split(dead, np.cumsum([batch.ids.size for batch in base_candidates[:-1]]))
+    struck = [batch.compress(~gone) if gone.any() else batch for batch, gone in zip(base_candidates, dead)]
+    probe_ops = np.log2(max(manifest.tombstones.size, 2))
     filter_ops = np.cumsum(np.concatenate([batch.sizes for batch in base_candidates]) * probe_ops)[-1]
     return struck, host.charge_ops(float(filter_ops), stage="tombstone_filter") if filter_ops else 0.0
 

@@ -27,11 +27,8 @@ from repro.core.types import ID_DTYPE
 from repro.stream.delta import DeltaRun
 
 
-def _members(table: np.ndarray, gids: np.ndarray) -> np.ndarray:
-    """Which of ``gids`` the ascending ``table`` holds."""
-    if not table.size:
-        return np.zeros(gids.shape, dtype=bool)
-    return table.take(table.searchsorted(gids), mode="clip") == gids
+#: Per-id marks of :attr:`SegmentManifest.marks` (0: nothing to say).
+TOMBSTONED, RETIRED = 1, 2
 
 
 class SegmentManifest:
@@ -48,10 +45,10 @@ class SegmentManifest:
         delta: The live delta run (empty on a clean index; replaced by a
             fresh one at each compaction).
         tombstones: Base global ids whose base copy is dead, ascending
-            (the executor's filter probe table; grown by
+            (what compaction folds and the filter is priced on; grown by
             :meth:`add_tombstones`, never edited in place).
-        retired: Ids that were dead at the last compaction, ascending:
-            their base slots are empty objects, and they stay dead.
+        marks: One byte per base id and a zero byte past them (read for any later id):
+            ``TOMBSTONED``, or ``RETIRED`` (dead at the last compaction; stays dead).
         mutation_epoch: Bumped by every insert/delete/update — the
             serve-layer invalidation version.
         compactions: Lifetime compaction count (surfaces in
@@ -63,7 +60,7 @@ class SegmentManifest:
         self.next_gid = int(base_objects)
         self.delta = DeltaRun(load_balance)
         self.tombstones = np.empty(0, dtype=ID_DTYPE)
-        self.retired = np.empty(0, dtype=ID_DTYPE)
+        self.marks = np.zeros(self.base_objects + 1, dtype=np.uint8)
         self.mutation_epoch = 0
         self.compactions = 0
 
@@ -71,14 +68,19 @@ class SegmentManifest:
         """Mark live base ids dead, each at its sorted position."""
         gids = np.sort(gids)
         self.tombstones = np.insert(self.tombstones, self.tombstones.searchsorted(gids), gids)
+        self.marks[gids] = TOMBSTONED
 
     def is_tombstoned(self, gids: np.ndarray) -> np.ndarray:
-        """Which of ``gids`` are tombstoned base ids."""
-        return _members(self.tombstones, gids)
+        """Which of ``gids`` are tombstoned base ids (one gather)."""
+        return self.marks.take(gids, mode="clip") == TOMBSTONED
 
-    def is_retired(self, gids: np.ndarray) -> np.ndarray:
-        """Which of ``gids`` were dead at the last compaction."""
-        return _members(self.retired, gids)
+    def base_alive(self, gids: np.ndarray) -> np.ndarray:
+        """Which of ``gids`` are base ids neither tombstoned nor retired (one gather)."""
+        return (gids < self.base_objects) & (self.marks.take(gids, mode="clip") == 0)
+
+    def retire(self, dead: np.ndarray) -> None:
+        """Retire the ids ``dead`` flags (a mask over ``[0, next_gid)``), unmark the rest: what a compaction leaves."""
+        self.marks = np.append(dead, False).astype(np.uint8) * RETIRED
 
     @property
     def delta_objects(self) -> int:
@@ -89,7 +91,7 @@ class SegmentManifest:
     def delta_postings(self) -> int:
         """Total (object, keyword) pairs in the delta run: the compaction trigger's
         pressure gauge — the extra scan work every query pays until the next compaction."""
-        return self.delta.corpus.total_entries
+        return self.delta.postings
 
     @property
     def dirty(self) -> bool:

@@ -8,14 +8,14 @@ live id in exactly one scan source), hands the executor the delta run as
 one more slice copy of the index (kept until the next edit), and runs
 threshold-driven compaction back into a fresh CSR base. Rows reach the run
 canonical (one :class:`~repro.core.types.Corpus` per mutation call) and
-are only moved after that; their postings are *merged* into the run's
-index — postings are sorted again only when a compaction builds the base.
+wait in its edit log; the next search *splices* them into the run's index
+in one pass — postings are sorted again only when a compaction builds the base.
 
 Cost accounting mirrors the batch path: catching the run's index up
 charges the host's ``index_build`` stage what the merge costs, the delta
 part attaches through the session's residency machinery (``index_transfer``,
 the memory budget) like any base part, and the executor charges the
-tombstone filter as host binary-search work.
+tombstone filter as host binary-search work (done as one gather).
 """
 
 from __future__ import annotations
@@ -125,9 +125,7 @@ class StreamState:
 
     def _is_live(self, gids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Which of ``gids`` are live: in the delta run (at ``rows``), or base ids neither tombstoned nor retired."""
-        manifest = self.manifest
-        base = (gids < manifest.base_objects) & ~manifest.is_tombstoned(gids) & ~manifest.is_retired(gids)
-        return (rows >= 0) | base
+        return (rows >= 0) | self.manifest.base_alive(gids)
 
     def _mutated(self) -> None:
         manifest = self.manifest
@@ -146,7 +144,7 @@ class StreamState:
         """The delta run as one scan source, or ``None`` while it holds nothing.
 
         Catches the run's index up with the edits since the last search (the
-        host pays ``index_build`` for that merge); the part that scanned the
+        host pays ``index_build`` for that splice); the part that scanned the
         previous index is evicted before it is dropped, so the session's
         residency accounting never leaks device bytes.
         """
@@ -161,7 +159,7 @@ class StreamState:
             session.host.charge_ops(ops, stage="index_build")
             engine = GenieEngine(device=session.device, host=session.host, config=handle.config)
             self.part = SliceCopy(
-                handle, ShardSlice(handle.num_parts, run.corpus, run.global_ids, run.index), engine
+                handle, ShardSlice(handle.num_parts, None, run.global_ids, run.index), engine
             )
         return self.part
 
@@ -221,7 +219,7 @@ class StreamState:
         )
         # The dead keep their ids as empty base objects, and stay dead.
         ids = np.arange(manifest.next_gid, dtype=ID_DTYPE)
-        manifest.retired = ids[~self._is_live(ids, manifest.delta.rows_of(ids))]
+        manifest.retire(~self._is_live(ids, manifest.delta.rows_of(ids)))
         self.release()
         self.handle._install(corpus, plan.carried_bounds(len(corpus)))
         manifest.delta = DeltaRun(self.handle.config.load_balance)

@@ -149,7 +149,7 @@ class TestShardKeywords:
 
     The planner routes against each slice's keyword table — its fitted
     index's ``keyword_array`` — and the table of a slice nobody indexed
-    (``Corpus.keyword_table``) must stay bit-identical to it: the same
+    (``Corpus.distinct_keywords``) must stay bit-identical to it: the same
     partition-bounds surface, usable before any index is built (e.g. by
     rebalancing tooling).
     """

@@ -147,12 +147,14 @@ def test_split_and_plain_agree_on_every_keyword(raw_objects, max_len):
 
 
 # ----------------------------------------------------------------------
-# merged / without: the index kept current by merge, never re-sorted
+# spliced: the index kept current by one drop-and-merge pass, never re-sorted
 
 INDEX_ARRAYS = ("list_array", "keyword_array", "kw_span_offsets", "span_starts", "span_ends")
 
 #: Around the dense-lookup cutoff of a handful of small keywords (8 x n + 1024), far past it, and the top of int64.
 BIG_KEYWORDS = [1030, 1070, 1100, 5000, 2**40, 2**63 - 2, 2**63 - 1]
+
+NOTHING = np.empty(0, dtype=np.int64)
 
 
 def assert_same_index(got, expected):
@@ -168,6 +170,18 @@ def assert_same_index(got, expected):
     got.validate()
 
 
+def two_pass_price(index, dropped, incoming, result):
+    """What a drop pass then a merge pass charged: ``0.0``, plus a linear pass over ``index``
+    when anything is dropped, plus the build of ``incoming`` and a linear pass over ``result``
+    when anything is added — added in that order, so the float is the same to the last bit."""
+    ops = 0.0
+    if len(dropped):
+        ops += 4.0 * max(1, index.total_entries)
+    if incoming:
+        ops += _index(incoming).build_ops + 4.0 * result.total_entries
+    return ops
+
+
 @st.composite
 def index_cases(draw, max_objects=10):
     """``(objects, load_balance)``: keywords all small (dense lookup) or mixed with huge ones (binary search)."""
@@ -178,84 +192,92 @@ def index_cases(draw, max_objects=10):
     return objects, balance
 
 
-@settings(max_examples=150, deadline=None)
-@given(index_cases(), index_cases(max_objects=6), st.data())
-def test_merged_equals_a_build_of_the_resulting_corpus(mine, theirs, data):
+@settings(max_examples=250, deadline=None)
+@given(index_cases(max_objects=12), index_cases(max_objects=6), st.data())
+def test_spliced_equals_a_build_of_the_resulting_corpus(mine, theirs, data):
     (own, balance), (incoming, _) = mine, theirs
-    total = len(own) + len(incoming)
+    dropped = sorted(data.draw(st.sets(st.integers(0, max(len(own) - 1, 0)), max_size=len(own)), label="dropped"))
+    kept = [obj for i, obj in enumerate(own) if i not in dropped]
+    total = len(kept) + len(incoming)
     if data.draw(st.booleans(), label="appended"):
-        positions = list(range(len(own), total))
+        positions = list(range(len(kept), total))
     else:
         positions = sorted(data.draw(st.permutations(range(total)), label="slots")[: len(incoming)])
-    resulting, kept = [None] * total, iter(own)
+    resulting, rest = [None] * total, iter(kept)
     for position, obj in zip(positions, incoming):
         resulting[position] = obj
-    resulting = [obj if obj is not None else next(kept) for obj in resulting]
-    merged = _index(own, balance).merged(_index(incoming, balance), np.asarray(positions, dtype=np.int64))
-    assert_same_index(merged, _index(resulting, balance))
+    resulting = [obj if obj is not None else next(rest) for obj in resulting]
+    index = _index(own, balance)
+    spliced = index.spliced(np.asarray(dropped, dtype=np.int64), Corpus(incoming), np.asarray(positions))
+    assert_same_index(spliced, _index(resulting, balance))
+    assert spliced.build_ops == two_pass_price(index, dropped, incoming, spliced)
 
 
-@settings(max_examples=150, deadline=None)
-@given(index_cases(max_objects=14), st.data())
-def test_without_equals_a_build_of_the_remaining_corpus(case, data):
+@settings(max_examples=100, deadline=None)
+@given(index_cases(max_objects=14))
+def test_corpus_reads_the_indexed_rows_back(case):
     objects, balance = case
-    dropped = data.draw(st.lists(st.integers(0, max(len(objects) - 1, 0)), unique=True, max_size=len(objects)))
-    remaining = [obj for i, obj in enumerate(objects) if i not in set(dropped)]
-    assert_same_index(_index(objects, balance).without(np.asarray(dropped, dtype=np.int64)), _index(remaining, balance))
+    corpus = Corpus(objects)
+    back = InvertedIndex.build(corpus, balance).corpus()
+    assert np.array_equal(back.keywords, corpus.keywords) and np.array_equal(back.offsets, corpus.offsets)
+    assert not back.keywords.flags.writeable
 
 
-class TestMergedAndWithout:
+class TestSpliced:
     def test_empty_operands(self):
         empty, some = _index([]), _index([[3, 1], [], [1]])
-        nothing = np.empty(0, dtype=np.int64)
-        assert_same_index(empty.merged(empty, nothing), empty)
-        assert_same_index(some.merged(empty, nothing), some)
-        assert_same_index(empty.merged(some, np.arange(3)), some)
-        assert_same_index(some.without(nothing), some)
-        assert_same_index(some.without(np.arange(3)), empty)
-        assert_same_index(_index([[], []]).merged(_index([[]]), [1]), _index([[], [], []]))  # objects, no keywords
+        assert_same_index(empty.spliced(NOTHING, Corpus([]), NOTHING), empty)
+        assert_same_index(some.spliced(NOTHING, Corpus([]), NOTHING), some)
+        assert_same_index(empty.spliced(NOTHING, Corpus([[3, 1], [], [1]]), np.arange(3)), some)
+        assert_same_index(some.spliced(np.arange(3), Corpus([]), NOTHING), empty)
+        assert_same_index(some.spliced(np.arange(3), Corpus([[3, 1], [], [1]]), np.arange(3)), some)
+        assert_same_index(_index([[], []]).spliced(NOTHING, Corpus([[]]), [1]), _index([[], [], []]))  # no keywords
 
     def test_mid_run_positions_renumber_the_old_objects(self):
-        merged = _index([[1], [1, 2], [2]]).merged(_index([[2, 9], [1]]), [0, 3])
-        assert_same_index(merged, _index([[2, 9], [1], [1, 2], [1], [2]]))
-        assert merged.postings_for_keyword(1).tolist() == [1, 2, 3]
+        spliced = _index([[1], [1, 2], [2]]).spliced(NOTHING, Corpus([[2, 9], [1]]), [0, 3])
+        assert_same_index(spliced, _index([[2, 9], [1], [1, 2], [1], [2]]))
+        assert spliced.postings_for_keyword(1).tolist() == [1, 2, 3]
+
+    def test_a_replaced_object_is_dropped_and_merged_back_in_its_slot(self):
+        spliced = _index([[1], [1, 2], [2]]).spliced([1], Corpus([[9]]), [1])
+        assert_same_index(spliced, _index([[1], [9], [2]]))
 
     def test_emptied_keywords_leave_the_table(self):
-        index = _index([[1, 5], [5], [7]]).without([0, 2])
+        index = _index([[1, 5], [5], [7]]).spliced([0, 2], Corpus([]), NOTHING)
         assert index.keyword_array.tolist() == [5] and index.n_objects == 1
 
     def test_crossing_the_dense_lookup_cutoff_both_ways(self):
         dense = _index([[0, 1, 2], [3, 4, 5]])
         assert dense._kw_lookup is not None
-        sparse = dense.merged(_index([[1100]]), [2])
+        sparse = dense.spliced(NOTHING, Corpus([[1100]]), [2])
         assert sparse._kw_lookup is None and sparse.keyword_rows(np.asarray([1100, 1099]))[1].tolist() == [True, False]
         assert_same_index(sparse, _index([[0, 1, 2], [3, 4, 5], [1100]]))
-        back = sparse.without([2])
+        back = sparse.spliced([2], Corpus([]), NOTHING)
         assert back._kw_lookup is not None
         assert_same_index(back, dense)
-        assert dense.merged(_index([[1070]]), [2])._kw_lookup is not None  # just inside: 1071 <= 8 * 7 + 1024
+        assert dense.spliced(NOTHING, Corpus([[1070]]), [2])._kw_lookup is not None  # just inside: 1071 <= 8 * 7 + 1024
 
     def test_largest_keyword(self):
         big = 2**63 - 1
-        merged = _index([[big, 0], [5]]).merged(_index([[big], [big - 1]]), [1, 3])
-        assert_same_index(merged, _index([[big, 0], [big], [5], [big - 1]]))
-        assert merged.postings_for_keyword(big).tolist() == [0, 1]
-        assert_same_index(merged.without([0, 1]), _index([[5], [big - 1]]))
+        spliced = _index([[big, 0], [5]]).spliced(NOTHING, Corpus([[big], [big - 1]]), [1, 3])
+        assert_same_index(spliced, _index([[big, 0], [big], [5], [big - 1]]))
+        assert spliced.postings_for_keyword(big).tolist() == [0, 1]
+        assert_same_index(spliced.spliced([0, 1], Corpus([]), NOTHING), _index([[5], [big - 1]]))
 
     def test_positions_must_name_one_distinct_slot_per_object(self):
-        index, other = _index([[1], [2]]), _index([[3], [4]])
+        index, other = _index([[1], [2]]), Corpus([[3], [4]])
         for positions in ([0], [1, 1], [2, 1], [0, 1, 2]):
             with pytest.raises(MalformedIndexError, match="positions must ascend"):
-                index.merged(other, positions)
+                index.spliced(NOTHING, other, positions)
 
-    def test_a_merge_is_priced_below_the_build_it_replaces(self):
+    def test_a_splice_is_priced_below_the_build_it_replaces(self):
         """Linear in both runs plus the incoming rows' own sort — no ``n log n`` over the old run."""
         rng = np.random.default_rng(0)
         for old, new in [(4, 1), (8, 2), (40, 10), (400, 100), (2000, 40), (2000, 500)]:
             mine = rng.integers(0, 50, size=(old, 1))  # one posting per object: sizes are exact
             theirs = rng.integers(0, 50, size=(new, 1))
-            merged = _index(mine).merged(_index(theirs), np.arange(old, old + new))
+            spliced = _index(mine).spliced(NOTHING, Corpus(theirs), np.arange(old, old + new))
             built = InvertedIndex.build(Corpus(np.concatenate([mine, theirs])))
-            assert_same_index(merged, built)
-            assert merged.build_ops < built.build_ops, (old, new)
-        assert _index(mine).without([0]).build_ops < _index(mine).build_ops
+            assert_same_index(spliced, built)
+            assert spliced.build_ops < built.build_ops, (old, new)
+        assert _index(mine).spliced([0], Corpus([]), NOTHING).build_ops < _index(mine).build_ops

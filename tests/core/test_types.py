@@ -222,12 +222,11 @@ class TestCorpus:
             corpus[2]
         assert corpus[-1].tolist() == rows(corpus)[-1]
 
-    def test_keyword_table_is_distinct_keywords_and_posting_counts(self):
-        keywords, counts = Corpus([[4, 1], [1, 1, 9], [], [4, 1]]).keyword_table
-        assert keywords.tolist() == [1, 4, 9] and counts.tolist() == [3.0, 2.0, 1.0]
-        assert counts.dtype == np.float64
-        empty = Corpus([[]]).keyword_table
-        assert empty[0].size == empty[1].size == 0
+    def test_distinct_keywords_are_sorted_and_unique(self):
+        corpus = Corpus([[4, 1], [1, 1, 9], [], [4, 1]])
+        assert corpus.distinct_keywords.tolist() == [1, 4, 9] and corpus.distinct_keywords.dtype == np.int64
+        assert corpus.distinct_keywords is corpus.distinct_keywords  # computed once
+        assert Corpus([[]]).distinct_keywords.size == 0
 
     def test_by_global_id_later_sources_win_and_unnamed_ids_stay_empty(self):
         base, delta = Corpus([[1], [2], [3]]), Corpus([[7, 8]])

@@ -53,6 +53,28 @@ class TestScheduler:
         cycles = rng.choice([0.0, 6.0, 18.0, 1e-3, 7.25, 1e6 / 3], size=size) + rng.integers(0, 2, size) * 0.1
         assert _schedule_blocks(cycles, 4) == _pop_push_makespan(cycles, 4)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 2000),
+        st.integers(1, 64),
+        st.one_of(
+            st.floats(0.0, 1e-300), st.floats(1e-3, 1e3), st.floats(1e290, 1e308),
+            st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 7.25, 2.0**53 + 2, 1e308]),
+        ),
+    )
+    def test_equal_cost_blocks_skip_the_heap_to_the_last_bit(self, n, num_sms, cost):
+        """One cost on every block: ``ceil(n / num_sms)`` sequential additions, tiny and huge costs, ``n``
+        on both sides of the SM count (a huge cost may overflow to ``inf`` — on both sides alike)."""
+        cycles = np.full(n, cost)
+        got = _schedule_blocks(cycles, num_sms)
+        assert type(got) is float
+        assert got == _pop_push_makespan(cycles, num_sms)
+
+    def test_equal_cost_blocks_add_up_rather_than_multiply(self):
+        """Ten additions of 0.1 are not 0.1 * 10: the shortcut must add, as the heap does."""
+        assert _schedule_blocks(np.full(40, 0.1), 4) == _pop_push_makespan(np.full(40, 0.1), 4) == 0.9999999999999999
+        assert 0.1 * 10 == 1.0
+
 
 class TestLaunchTiming:
     def test_elapsed_positive(self):

@@ -17,6 +17,7 @@ from repro.cluster import merge_shard_results
 from repro.core.types import ID_DTYPE, TopKBatch, TopKResult
 from repro.gpu.host import HostCpu
 from repro.plan.executor import _strike_tombstones, _tput_topup_routes
+from repro.stream import SegmentManifest
 
 # ----------------------------------------------------------------------
 # the reference: the parent's loops
@@ -53,6 +54,13 @@ def reference_strike(base_candidates, tombstones, host):
             if dead.any():
                 results[qi] = TopKResult(ids=result.ids[~dead], counts=result.counts[~dead])
     return host.charge_ops(filter_ops, stage="tombstone_filter") if filter_ops else 0.0
+
+
+def tombstoned(dead, n_objects=31):
+    """A manifest over ``n_objects`` base ids with ``dead`` tombstoned: what the strike gathers from."""
+    manifest = SegmentManifest(n_objects)
+    manifest.add_tombstones(np.asarray(dead, dtype=ID_DTYPE))
+    return manifest
 
 
 def reference_topup_routes(candidates, n_queries, retrieval_k, first_round_k, host):
@@ -150,7 +158,7 @@ def test_strike_equals_the_per_cell_loop(drawn, dead):
     slow_host, fast_host = HostCpu(), HostCpu()
     batches = as_batches(cells)
     want_seconds = reference_strike(cells, tombstones, slow_host)  # edits ``cells`` in place
-    struck, got_seconds = _strike_tombstones(batches, tombstones, fast_host)
+    struck, got_seconds = _strike_tombstones(batches, tombstoned(tombstones), fast_host)
     for batch, source in zip(struck, cells):
         for got, want in zip(batch, source):
             want = TopKResult(ids=[], counts=[]) if want is None else want
@@ -161,9 +169,9 @@ def test_strike_equals_the_per_cell_loop(drawn, dead):
 
 def test_strike_of_every_candidate_leaves_empty_segments():
     batches = as_batches([[TopKResult(ids=[4, 2], counts=[3, 3]), None], [TopKResult(ids=[9], counts=[1])] * 2])
-    struck, seconds = _strike_tombstones(batches, np.asarray([2, 4, 9]), HostCpu())
+    struck, seconds = _strike_tombstones(batches, tombstoned([2, 4, 9]), HostCpu())
     assert [batch.sizes.tolist() for batch in struck] == [[0, 0], [0, 0]] and seconds > 0.0
-    untouched, seconds = _strike_tombstones(batches, np.empty(0, dtype=ID_DTYPE), HostCpu())
+    untouched, seconds = _strike_tombstones(batches, tombstoned([]), HostCpu())
     assert untouched is batches and seconds == 0.0
 
 

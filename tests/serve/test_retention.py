@@ -16,6 +16,7 @@ import numpy as np
 from repro.api import GenieSession
 from repro.api.session import ResidencyLog
 from repro.gpu.device import KERNEL_LOG_LIMIT
+from repro.replica import FaultEvent, FaultPlan
 from repro.serve import BatchPolicy, GenieServer
 from repro.serve.metrics import LATENCY_WINDOW
 from repro.stream import StreamConfig
@@ -27,6 +28,9 @@ DOCS = [" ".join(_RNG.choice(WORDS, size=4, replace=False)) for _ in range(40)]
 #: 120 distinct queries: more than any cache below holds.
 QUERIES = list(dict.fromkeys(" ".join(_RNG.choice(WORDS, size=3, replace=False)) for _ in range(400)))[:120]
 HOT = QUERIES[:8]
+#: Keyword sets for the ``raw`` model, the one that ingests online.
+OBJECTS = [[i % 16, 16 + (7 * i) % 16] for i in range(40)]
+RAW_QUERIES = [[i % 16, 16 + (3 * i) % 16] for i in range(48)]
 #: What a growth within the slack may be: allocator and interning noise.
 SLACK_BYTES = 32 * 1024
 #: The metrics' latency ring keeps two doubles a completion until it holds
@@ -48,13 +52,13 @@ def _retained_growth(run, n, session):
 
     Tracing starts before the first iteration, so an entry a bounded ring
     replaces is counted out as it is counted in. The first ``n`` must fill
-    the session device's kernel log (the newest ``KERNEL_LOG_LIMIT``
+    every pool device's kernel log (the newest ``KERNEL_LOG_LIMIT``
     launches), whose growth is bounded, not a leak.
     """
     tracemalloc.start()
     try:
         run(0, n)
-        assert session.device.launches >= KERNEL_LOG_LIMIT
+        assert min(device.launches for device in session._device_pool) >= KERNEL_LOG_LIMIT
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         run(n, 4 * n)
@@ -62,6 +66,13 @@ def _retained_growth(run, n, session):
         return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def fill_kernel_logs(session, handle, queries=QUERIES):
+    """Search until every pool device has logged ``KERNEL_LOG_LIMIT`` launches: full rings, whose growth is
+    bounded. Called inside the first N, so the entries the rings keep are traced ones."""
+    while min(device.launches for device in session._device_pool) < KERNEL_LOG_LIMIT:
+        handle.search([queries[session.device.launches % len(queries)]], k=3)
 
 
 class TestNothingOutlivesItsOwner:
@@ -172,13 +183,113 @@ class TestSteadyState:
         assert server.snapshot()["failed"] == 0
         assert growth <= SLACK_BYTES + _ring_growth(3 * n), growth
 
+    def test_fault_windows_with_failover(self):
+        """Crash windows that alternate between the devices of a 2 x 2 index, never overlapping,
+        so every scan that meets a crashed copy fails over to its group's survivor. Allowance:
+        the slack and the latency ring, as for the other serve loops; the first N fills both
+        kernel logs before the windows start. The 3N extra requests stay under the slack only
+        while one retains under ~50 B."""
+        session = GenieSession()
+        handle = session.create_index(DOCS, model="document", name="tweets", shards=2, replicas=2)
+        server = GenieServer(session, policy=BatchPolicy.fifo(), cache_size=None)
+        n = self.N // 4
+        # Each iteration advances 2e-5 s: a window opens every 50 iterations and lasts 25.
+        period = 1e-3
+        windows = FaultPlan([
+            FaultEvent(device=w % 2, start=w * period, end=(w + 0.5) * period)
+            for w in range(int(4 * n * 2e-5 / period) + 1)
+        ])
+        failovers = []
+
+        def run(start, stop):
+            if start == 0:
+                fill_kernel_logs(session, handle)
+                session.inject_faults(windows, clock=server.clock)
+            before = server.snapshot()["replica_failovers"]
+            for i in range(start, stop):
+                server.advance(2e-5)
+                server.submit("tweets", QUERIES[i % len(QUERIES)], k=3)
+            server.drain()
+            failovers.append(server.snapshot()["replica_failovers"] - before)
+
+        growth = _retained_growth(run, n, session)
+        assert server.snapshot()["failed"] == 0 and min(failovers) > 0, failovers
+        assert growth <= SLACK_BYTES + _ring_growth(n), growth
+
+    def test_rebalance_with_re_replication(self):
+        """Every iteration loses one device of a 3 x 2 range index for good, re-replicates the
+        copies it held onto the survivors, heals, recuts the ranges and serves two searches.
+        Allowance: the slack and the latency ring; the residency log is kept small, and the
+        first N fills every kernel log. An iteration rebuilds the index, so the 3N extra
+        iterations stay under the slack only while one retains under ~700 B."""
+        session = GenieSession()
+        session.residency_log = ResidencyLog(limit=16)
+        handle = session.create_index(DOCS, model="document", name="tweets", shards=3, replicas=2)
+        server = GenieServer(session, policy=BatchPolicy.micro(max_batch=2, max_wait=1e-4), cache_size=None)
+        weights = ([3.0, 1.0, 1.0], [1.0, 1.0, 3.0])
+        n = self.N // 60
+
+        def run(start, stop):
+            if start == 0:
+                fill_kernel_logs(session, handle)
+            for i in range(start, stop):
+                session.inject_faults(FaultPlan([FaultEvent(device=i % 3, start=0.0)]))
+                assert handle.re_replicate() > 0
+                session.inject_faults(None)
+                assert handle.rebalance(weights[i % 2])
+                server.submit_many("tweets", QUERIES[i % 40 : i % 40 + 4], k=3)
+                server.drain()
+
+        growth = _retained_growth(run, n, session)
+        assert server.snapshot()["failed"] == 0
+        assert growth <= SLACK_BYTES + _ring_growth(4 * n), growth
+
+    def test_insert_delete_search_churn(self):
+        """Every iteration inserts three objects, deletes them and searches: the run is empty at each
+        search, nothing is ever tombstoned and no compaction runs, so only the run's own bound on its
+        edit log keeps memory flat. Allowance: the slack alone; the 3N extra iterations stay under it
+        only while one retains under ~10 B."""
+        session = GenieSession()
+        handle = session.create_index(OBJECTS, model="raw", name="s")
+        n = self.N // 3
+
+        def run(start, stop):
+            if start == 0:
+                fill_kernel_logs(session, handle, RAW_QUERIES)
+            for i in range(start, stop):
+                handle.delete(handle.insert(OBJECTS[i % 40 : i % 40 + 3]))
+                handle.search([RAW_QUERIES[i % len(RAW_QUERIES)]], k=3)
+
+        growth = _retained_growth(run, n, session)
+        assert handle.manifest.compactions == 0 and not len(handle.manifest.delta)
+        assert growth <= SLACK_BYTES, growth
+
+    def test_updates_without_a_search(self):
+        """Every iteration rewrites one of eight objects in the delta run, with no search between
+        them to catch the run's index up. Allowance: the slack alone; the 3N extra iterations stay
+        under it only while one retains under ~10 B."""
+        session = GenieSession()
+        handle = session.create_index(OBJECTS, model="raw", name="s")
+        n = self.N
+
+        def run(start, stop):
+            if start == 0:
+                fill_kernel_logs(session, handle, RAW_QUERIES)
+                run.ids = handle.insert(OBJECTS[:8]).tolist()
+            for i in range(start, stop):
+                handle.update(run.ids[i % 8], OBJECTS[(i * 7) % 40])
+
+        growth = _retained_growth(run, n, session)
+        assert handle.manifest.compactions == 0 and handle.manifest.mutation_epoch == 4 * n + 1
+        assert growth <= SLACK_BYTES, growth
+
     def test_stream_mutations_with_compaction(self):
         # Each name is created, mutated, compacted, served and dropped
         # twice, so the serve metrics see both reused and retired names.
         session = GenieSession()
         server = GenieServer(session, policy=BatchPolicy.micro(max_batch=4, max_wait=1e-4))
         metrics = server.metrics
-        objects = [[i % 16, 16 + (7 * i) % 16] for i in range(40)]
+        objects = OBJECTS
         n = 12
 
         def run(start, stop):

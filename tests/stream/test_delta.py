@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
@@ -65,17 +67,18 @@ class TestDeltaRun:
         assert run.corpus.total_entries == 2
         assert [row.tolist() for row in run.corpus] == [[8], [9]]
 
-    def test_every_edit_bumps_version(self):
-        """The corpus object is the version: whatever was built from an earlier one is stale."""
-        run = DeltaRun()
-        versions = [run.corpus]
-        added(run, 1, 0)
-        versions.append(run.corpus)
-        run.replace(0, Corpus([[1]]))
-        versions.append(run.corpus)
-        run.remove(kw(0))
-        versions.append(run.corpus)
-        assert len({id(corpus) for corpus in versions}) == len(versions)  # all held, all distinct
+    def test_an_edit_moves_no_corpus(self, monkeypatch):
+        """Edits touch the ids, the row sizes and the log; rows are folded only when read."""
+        run = added(added(DeltaRun(), 1, 5, 6), 2, 7)
+        run.refresh()
+        built = []
+        monkeypatch.setattr(Corpus, "_of", classmethod(lambda cls, *parts: built.append(parts)))
+        rows = Corpus([[3], [4]])
+        run.add(kw(3, 4), rows)
+        run.replace(0, Corpus([[8, 9]]))
+        run.remove(run.rows_of(kw(2, 3)))
+        assert built == [] and run.postings == 3
+        assert run.global_ids.tolist() == [1, 4]
 
     def test_rows_land_at_their_sorted_position_without_a_resort(self):
         run = DeltaRun()
@@ -91,9 +94,9 @@ class TestDeltaRun:
 INDEX_ARRAYS = ("list_array", "keyword_array", "kw_span_offsets", "span_starts", "span_ends")
 
 
-def assert_index_current(run, load_balance=None):
-    """``run.index`` is, array for array, a from-scratch build of ``run.corpus``."""
-    built = InvertedIndex.build(run.corpus, load_balance)
+def assert_index_current(run, load_balance=None, objects=None):
+    """``run.index`` is, array for array, a from-scratch build of ``objects`` (default: ``run.corpus``)."""
+    built = InvertedIndex.build(run.corpus if objects is None else Corpus(objects), load_balance)
     for name in INDEX_ARRAYS:
         assert np.array_equal(getattr(run.index, name), getattr(built, name)), name
     assert run.index.n_objects == len(run) and run.index.load_balance == load_balance
@@ -153,6 +156,22 @@ class TestDeltaRunIndex:
         run.refresh()
         assert_index_current(run, balance)
 
+    def test_the_log_follows_the_run_not_the_edit_history(self):
+        """Churn and rewrites with no refresh between them: the log never holds more than twice
+        the rows of the run and its index, and the refresh that follows is the one it would be."""
+        run = added(added(added(DeltaRun(), 1, 5), 2, 5, 6), 3, 7)
+        run.refresh()
+        run.remove(run.rows_of(kw(3)))  # an indexed row goes before the log is first cut
+        for gid in range(4, 204):  # an insert deleted again, then a rewrite of an indexed row
+            added(run, gid, gid % 7)
+            run.remove(run.rows_of(kw(gid)))
+            run.replace(1, Corpus([[gid % 5]]))
+            assert log_size(run) <= 2 * (len(run) + 3)
+        before = run.index
+        ops = run.refresh()
+        assert_index_current(run, None, [[5], [203 % 5]])
+        assert ops == two_pass_price(before, {2, 3}, [[203 % 5]], run.index)
+
     def test_refresh_price_is_the_merge_not_a_rebuild(self):
         rng = np.random.default_rng(0)
         run = DeltaRun()
@@ -161,6 +180,79 @@ class TestDeltaRunIndex:
         run.add(np.arange(400, 410), Corpus(rng.integers(0, 50, size=(10, 6))))
         ops = run.refresh()
         assert ops == run.index.build_ops < InvertedIndex.build(run.corpus).build_ops
+
+
+def log_size(run):
+    """Ids the run's edit log holds, added and dropped."""
+    return sum(ids.size for ids, _ in run._added) + sum(ids.size for ids in run._dropped)
+
+
+def two_pass_price(before, touched_indexed, fresh_rows, after):
+    """What a drop pass then a merge pass charged a refresh: ``0.0``, plus a linear pass over the
+    old index when an indexed row was removed or replaced, plus the fresh rows' own build and a
+    linear pass over the new index when a row was added or replaced — in that order."""
+    ops = 0.0
+    if touched_indexed:
+        ops += 4.0 * max(1, before.total_entries)
+    if fresh_rows:
+        ops += InvertedIndex.build(Corpus(fresh_rows)).build_ops + 4.0 * after.total_entries
+    return ops
+
+
+keyword_sets = st.lists(st.integers(0, 9), max_size=4)
+edits = st.one_of(
+    st.tuples(st.just("add"), st.lists(keyword_sets, min_size=1, max_size=3), st.booleans()),
+    st.tuples(st.just("remove"), st.lists(st.integers(0, 10**6), min_size=1, max_size=3)),
+    st.tuples(st.just("replace"), st.integers(0, 10**6), keyword_sets),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(edits, max_size=6), min_size=1, max_size=5),
+    st.one_of(st.none(), st.just(LoadBalanceConfig(max_sublist_len=2))),
+)
+def test_bursts_of_edits_between_refreshes(bursts, balance):
+    """Interleaved adds, removes and replaces, refreshed after every burst, against a shadow of the run."""
+    run, shadow, next_gid = DeltaRun(balance), {}, 0
+    for burst in bursts:
+        indexed, touched = set(shadow), set()
+        for kind, *args in burst:
+            if kind == "add":
+                objects, reuse = args
+                # An id freed earlier lands mid-run (like a base object's replacement); new ids append.
+                free = sorted(set(range(next_gid)) - set(shadow))[: len(objects)] if reuse else []
+                gids = free + list(range(next_gid, next_gid + len(objects) - len(free)))
+                next_gid = max(next_gid, gids[-1] + 1)
+                run.add(np.asarray(gids), Corpus(objects))
+                shadow.update(zip(gids, objects))
+                touched.update(gids)
+            elif shadow:
+                live = sorted(shadow)
+                if kind == "remove":
+                    victims = sorted({live[i % len(live)] for i in args[0]})
+                    run.remove(run.rows_of(victims))
+                    for gid in victims:
+                        del shadow[gid]
+                    touched.update(victims)
+                else:
+                    gid = live[args[0] % len(live)]
+                    run.replace(int(run.rows_of([gid])[0]), Corpus([args[1]]))
+                    shadow[gid] = args[1]
+                    touched.add(gid)
+            assert run.postings == sum(len(set(obj)) for obj in shadow.values())
+            assert log_size(run) <= 2 * (len(run) + len(indexed))
+        before = run.index
+        ops = run.refresh()
+        live = sorted(shadow)
+        assert run.global_ids.tolist() == live
+        assert_index_current(run, balance, [shadow[gid] for gid in live])
+        assert run.postings == run.corpus.total_entries
+        fresh = [shadow[gid] for gid in sorted(touched & set(shadow))]
+        if fresh or touched & indexed:
+            assert ops == run.index.build_ops == two_pass_price(before, touched & indexed, fresh, run.index)
+        else:  # nothing reached the index: the search keeps its part
+            assert ops == 0.0 and run.index is before
 
 
 class TestSegmentManifest:

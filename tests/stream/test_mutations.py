@@ -9,6 +9,8 @@ indexes or bumping the fit epoch.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import GenieSession
 from repro.core.inverted_index import InvertedIndex
@@ -304,6 +306,50 @@ class TestIndexMaintenance:
         assert builds == []
         assert handle.compact()
         assert len(builds) == 3  # compaction rebuilds the base: one per shard
+        session.close()
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "update", "search", "compact"]),
+                              st.integers(0, 10**6)), max_size=14))
+    def test_marks_and_gauges_follow_every_edit(self, steps):
+        """The per-id marks answer what the sorted tombstones and a shadow of the live ids say,
+        ``delta_postings`` is the folded run's size, and a search leaves the run's index current."""
+        rng = np.random.default_rng(steps[0][1] if steps else 0)
+        session = GenieSession()
+        handle = make(session)
+        shadow = dict(enumerate(OBJECTS))
+        for kind, pick in steps:
+            live = sorted(shadow)
+            if kind == "insert":
+                objects = [rng.integers(0, 9, size=rng.integers(0, 4)).tolist() for _ in range(1 + pick % 3)]
+                shadow.update(zip(handle.insert(objects).tolist(), objects))
+            elif kind == "delete" and live:
+                victims = sorted({live[(pick + i) % len(live)] for i in range(1 + pick % 2)})
+                handle.delete(victims)
+                for gid in victims:
+                    del shadow[gid]
+            elif kind == "update" and live:
+                shadow[live[pick % len(live)]] = [pick % 9]
+                handle.update(live[pick % len(live)], [pick % 9])
+            elif kind == "search":
+                handle.search([[1, 2]], k=2)
+            elif kind == "compact":
+                handle.compact()
+            manifest, stream = handle.manifest, handle._stream
+            if manifest is None:
+                continue
+            ids = np.arange(manifest.next_gid + 3)
+            assert np.array_equal(manifest.is_tombstoned(ids), np.isin(ids, manifest.tombstones))
+            alive = stream._is_live(ids, manifest.delta.rows_of(ids))
+            assert alive.tolist() == [gid in shadow for gid in ids.tolist()]
+            assert manifest.delta_postings == manifest.delta.corpus.total_entries
+            if kind == "search" and len(manifest.delta):
+                run = manifest.delta
+                built = InvertedIndex.build(run.corpus, handle.config.load_balance)
+                assert np.array_equal(run.index.list_array, built.list_array)
+                assert np.array_equal(run.index.keyword_array, built.keyword_array)
+                assert [sorted(set(shadow[g])) for g in run.global_ids.tolist()] == [r.tolist() for r in run.corpus]
         session.close()
 
 

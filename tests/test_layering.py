@@ -219,7 +219,8 @@ def test_search_path_moves_candidates_as_batches():
 
 
 def test_the_stream_delta_holds_a_corpus_not_per_object_dicts():
-    """The delta run is a ``Corpus``, its id array and its index: no dict entry or row object per insert."""
+    """The delta run is its id array, its index and a log of the ``Corpus`` each edit brought:
+    no dict entry or row object per insert."""
     root = Path(repro.__file__).parent
     offenders = []
     for path in sorted((root / "stream").rglob("*.py")):
@@ -232,7 +233,9 @@ def test_the_stream_delta_holds_a_corpus_not_per_object_dicts():
     assert not offenders, "per-object keyword storage in stream/:\n" + "\n".join(offenders)
     from repro.stream import DeltaRun, SegmentManifest, StreamConfig
 
-    assert set(DeltaRun.__slots__) == {"corpus", "global_ids", "index", "_indexed_ids", "_fresh"}
+    assert set(DeltaRun.__slots__) == {
+        "global_ids", "index", "postings", "_sizes", "_added", "_dropped", "_logged", "_indexed_ids"
+    }
     # One run, not a list of them — and no knob that could make a second.
     manifest = SegmentManifest(0)
     assert isinstance(manifest.delta, DeltaRun) and not hasattr(manifest, "segments")
