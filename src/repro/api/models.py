@@ -32,7 +32,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.engine import GenieConfig
-from repro.core.types import ID_DTYPE, Corpus, Query, QueryBatch, flat_keyword_sets
+from repro.core.types import ID_DTYPE, Corpus, Query, QueryBatch, csr_offsets, flat_keyword_sets, ragged_slices
 from repro.errors import ConfigError, QueryError
 from repro.gpu.host import HostCpu
 from repro.lsh.family import LshFamily, finite_points
@@ -356,10 +356,11 @@ class RelationalModel(BaseMatchModel):
     def encode_queries(self, ranges_batch: list[dict[str, tuple]]) -> QueryBatch:
         """One query per ``{attribute: (lo, hi)}`` dict, one item per range.
 
-        Through the trusted door: an item is an ``arange`` of clamped codes
-        plus the attribute's offset, so it is ascending and distinct.
+        Through the trusted door: an item is a run of clamped codes plus the
+        attribute's offset, so it is ascending and distinct; every run is
+        laid out by one ``ragged_slices``.
         """
-        items, item_offsets, query_offsets = [], [0], [0]
+        starts, counts, items_per_query = [], [], []
         for position, ranges in enumerate(ranges_batch):
             if not isinstance(ranges, dict):
                 raise QueryError(
@@ -369,13 +370,10 @@ class RelationalModel(BaseMatchModel):
                 raise QueryError(f"query {position} must constrain at least one attribute")
             for name, bounds in ranges.items():
                 start, count = self._code_range(position, name, bounds)
-                items.append(np.arange(start, start + count, dtype=ID_DTYPE))
-                item_offsets.append(item_offsets[-1] + count)
-            query_offsets.append(len(items))
-        keywords = np.concatenate(items) if items else np.empty(0, dtype=ID_DTYPE)
-        return QueryBatch._of(
-            keywords, np.array(item_offsets, dtype=ID_DTYPE), np.array(query_offsets, dtype=ID_DTYPE)
-        )
+                starts.append(start)
+                counts.append(count)
+            items_per_query.append(len(ranges))
+        return QueryBatch._of(ragged_slices(starts, counts), csr_offsets(counts), csr_offsets(items_per_query))
 
 
 # ----------------------------------------------------------------------

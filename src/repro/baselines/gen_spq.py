@@ -37,8 +37,11 @@ class GenSpq(GenieEngine):
             raise ConfigError("engine must be fitted first")
         return count_table_batch_bytes(self.index.n_objects, 1)
 
-    def _match_and_select(self, queries: QueryBatch, k: int, count_bound: int) -> TopKBatch:
-        plans = [reference.plan_query_scan(self.index, query, qi, k) for qi, query in enumerate(queries)]
+    def _scan(self, queries: QueryBatch, k: int) -> list:
+        """Every query's scan by the per-query specification."""
+        return [reference.plan_query_scan(self.index, query, qi, k) for qi, query in enumerate(queries)]
+
+    def _match_and_select(self, queries: QueryBatch, k: int, count_bound: int, plans: list) -> TopKBatch:
         tpb = self.config.threads_per_block
         # Plain Count Table: list read + one atomic per update, no Gate.
         match = replace(

@@ -217,7 +217,11 @@ class ShardPlan:
         shards: One :class:`ShardSlice` per shard, in position order.
         bounds: The cut points of a range plan — shard ``s`` holds global
             ids ``[bounds[s], bounds[s + 1])`` — and ``None`` for a hash plan.
+        equal_cut: Whether :meth:`build` cut the ranges equal-size (a
+            recut that lands on the same cuts is still a recut).
     """
+
+    equal_cut = False
 
     def __init__(
         self, shards: list[ShardSlice], strategy: str, n_objects: int, bounds: list[int] | None = None
@@ -258,7 +262,9 @@ class ShardPlan:
             corpus = Corpus(corpus)
         n_shards = int(n_shards)
         if strategy == "range":
-            return cls.build_ranges(corpus, _equal_bounds(len(corpus), n_shards))
+            plan = cls.build_ranges(corpus, _equal_bounds(len(corpus), n_shards))
+            plan.equal_cut = True
+            return plan
         shard_of = _hash_ids(np.arange(len(corpus), dtype=ID_DTYPE), seed) % np.uint64(n_shards)
         assignments = [np.nonzero(shard_of == np.uint64(s))[0].astype(ID_DTYPE) for s in range(n_shards)]
         return cls._cut(corpus, assignments, strategy)
@@ -317,7 +323,7 @@ class ShardPlan:
         for a hash plan and for ranges still at :meth:`build`'s equal-size
         cut, which stay equal-size as the corpus grows.
         """
-        if self.bounds is None or self.bounds == _equal_bounds(self.n_objects, self.n_shards):
+        if self.bounds is None or self.equal_cut:
             return None
         return [*self.bounds[:-1], int(n_objects)]
 

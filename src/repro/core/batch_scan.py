@@ -1,52 +1,60 @@
-"""Whole-batch match counting (the engine's one scan path).
+"""Whole-batch match counting (the engine's one scan path), one round of parts at a time.
 
 GENIE's match-count model lets thousands of queries share one scan
-infrastructure; this module is the host-side realization of that idea. The
-*whole batch* is processed as flat arrays:
+infrastructure; this module is the host-side realization of that idea.
+:func:`plan_scan_round` scans every part of a round — each an ``(index,
+batch, k)``: the plan executor's routed sources, each device-sized
+sub-batch one more part — in one pass over flat arrays whose rows are
+``(part, query)`` pairs; :func:`plan_batch_scan` is its one-part case.
 
-1. the :class:`~repro.core.types.QueryBatch`'s flat keyword array is
+1. Each part's :class:`~repro.core.types.QueryBatch` keyword array is
    resolved to CSR keyword rows with one fancy-indexed lookup
    (:meth:`InvertedIndex.keyword_rows`) and expanded to span rows in
    ``(query, item, span)`` order, owners read off the batch's cached
-   keyword → item → query arrays; the batch's ``block_sizes`` fall out of
+   keyword → item → query arrays; its ``block_sizes`` fall out of
    segmented reductions over that span stream,
-2. match counts are computed one tile of query rows at a time, in one of
-   four regimes picked by rules over what the span stream already says.
+2. match counts are computed one tile of a part's query rows at a time,
+   in one of four regimes picked by rules over what the span stream says.
    A tile whose postings stream is at most a quarter of its cells is
-   **sparse**: ``np.unique`` of the fused ``row * n_objects + object_id``
-   keys yields the positive cells and the tile is never touched. A dense
-   tile is **short-list** or **long-list**, by whether the batch's keyword
+   **sparse**: the round's sparse tiles are pooled (while their postings
+   stay within ``max_fused_cells``) and ``np.unique`` of a pool's fused
+   ``row * stride + object_id`` keys (``stride`` the widest part's object
+   count) yields its positive cells; no tile is touched. A dense tile is
+   **short-list** or **long-list**, by whether its part's keyword
    references average a quarter of the objects a list
    (``sum(list_lengths) * 4 >= n_references * n_objects``). Short lists:
-   each row's List-Array spans are concatenated — a cache-sized stream,
-   never the batch's — and counted with one ``bincount`` straight into a
-   reused **int32** tile, the device's counter width. Long lists: a batch
-   shares its lists (the paper's premise; an LSH re-hash domain makes a
-   few heavy buckets that every query hits), so each *distinct* referenced
-   keyword list becomes a 0/1 byte row **once per batch** — its cached
-   bitmap (:attr:`InvertedIndex.keyword_bitmaps`) unpacked, its postings
-   scattered where the index keeps none — and a tile's counts are sums of
-   byte rows in a **uint8** tile. A count never exceeds its row's
-   references, so rows of more than 255, or byte rows past
-   ``MAX_BYTE_ROW_BYTES``, count as short lists instead (README, "Four
-   counting regimes", has the measured redundancy per workload).
-   A short-list tile may count as **bit planes** instead — the
-   paper's Bitmap Counter (``bit_length(bound)`` bits an object) stored
-   plane by plane: a pass adds each row's next two
-   bitmaps into the planes 64 objects a word with a carry-save full adder,
-   the planes above the tile's largest count are dropped, an MSB-first
-   split of the rest under ``np.bitwise_count`` is the row histogram up to
-   that count and a bit-sliced comparison yields the candidates. :func:`_bit_planes_pay`
-   picks it from the tile's rows, references, objects and postings,
+   each row's List-Array spans are concatenated (spans adjacent in the List
+   Array as one view) — a cache-sized stream, never the batch's — and
+   counted with one ``bincount`` straight into a reused **int32** tile, the
+   device's counter width. Long lists: a batch shares its lists (the
+   paper's premise; an LSH re-hash domain makes a few heavy buckets that
+   every query hits), so each *distinct* referenced keyword list becomes a
+   0/1 byte row **once per part** — its cached bitmap
+   (:attr:`InvertedIndex.keyword_bitmaps`) unpacked, its postings scattered
+   where the index keeps none — and a tile's counts are sums of byte rows
+   in a **uint8** tile. A count never exceeds its row's references, so rows
+   of more than 255, or byte rows past ``MAX_BYTE_ROW_BYTES``, count as
+   short lists instead (README, "Four counting regimes", has the measured
+   redundancy per workload). A short-list tile may count as **bit planes**
+   instead — the paper's Bitmap Counter (``bit_length(bound)`` bits an
+   object) stored plane by plane: a pass adds each row's next two bitmaps
+   into the planes 64 objects a word with a carry-save full adder, the
+   planes above the tile's largest count are dropped, an MSB-first split of
+   the rest under ``np.bitwise_count`` is the row histogram up to that
+   count and a bit-sliced comparison yields the candidates.
+   :func:`_bit_planes_pay` picks it from the tile's rows, references,
+   objects and postings,
 3. every regime feeds one **per-row count histogram** (slot ``v`` = how
    many of the row's objects ended at count ``v``; a count is bounded by
    the query size, the fact the paper's Bitmap Counter rests on). Every
-   statistic is read off it: nonzero totals, the k-th largest count
-   (Theorem 3.1 pins ``AT - 1`` to it), the c-PQ Gate passes, and the
-   batch's ``count_hist`` for the launch's atomic-conflict estimate,
+   statistic is read off it, once per pool or dense tile, each row at its
+   part's ``k``: nonzero totals, the k-th largest count (Theorem 3.1 pins
+   ``AT - 1`` to it), the c-PQ Gate passes, and each part's ``count_hist``
+   for the launch's atomic-conflict estimate (one ``bincount`` a round),
 4. the only sparse extraction is the cells at or above each row's
-   threshold, and one segmented sort over them yields every row's top-k as
-   one :class:`~repro.core.types.TopKBatch`.
+   threshold, and one segmented sort over the round's candidates yields
+   every row's top-k; each part gets its own
+   :class:`~repro.core.types.TopKBatch`.
 
 :class:`BatchScanPlan` carries what the engine and the launch builders of
 :mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. No
@@ -54,8 +62,9 @@ infrastructure; this module is the host-side realization of that idea. The
 
 The readable per-query specification lives in :mod:`repro.core.reference`;
 ``reference.plan_batch`` assembles the same struct one query at a time and
-``tests/core/test_batch_scan.py`` holds the two equal field by field, so the
-simulated :class:`~repro.gpu.kernel.KernelLaunch` costs and every answer
+``tests/core/test_batch_scan.py`` holds the two equal field by field (and a
+round equal to its parts scanned one by one), so the simulated
+:class:`~repro.gpu.kernel.KernelLaunch` costs and every answer
 (count-desc / id-asc tie-break included) are bit-for-bit the specification's.
 """
 
@@ -107,28 +116,57 @@ def plan_batch_scan(
     k: int,
     max_fused_cells: int = DEFAULT_MAX_FUSED_CELLS,
 ) -> BatchScanPlan:
-    """Lay out block structure, count and select top-k for a whole batch.
+    """Lay out block structure, count and select top-k for a whole batch: a one-part round.
 
-    Args:
-        index: The fitted inverted index (CSR position map).
-        queries: The batch.
-        k: Result size (feeds the c-PQ cost derivation and selection).
-        max_fused_cells: Upper bound on one tile's count-matrix cells (the
-            tile size of the cache-resident pipeline).
+    Returns the batch plan, equal field by field to
+    ``repro.core.reference.plan_batch(index, queries, k)`` (see
+    :func:`plan_scan_round`; ``k`` also feeds the c-PQ cost derivation).
+    """
+    (plan,) = plan_scan_round([(index, queries, k)], max_fused_cells)
+    return plan
+
+
+def plan_scan_round(parts, max_fused_cells: int = DEFAULT_MAX_FUSED_CELLS) -> list[BatchScanPlan]:
+    """Scan every ``(index, queries, k)`` part of a round in one pass.
+
+    Rows are ``(part, query)`` pairs, part-major. Each part resolves its own
+    spans, block sizes and tiles of at most ``max_fused_cells`` cells, and
+    its dense tiles keep their regime rules; the round's sparse tiles are
+    pooled while their postings stay within ``max_fused_cells``, and each
+    pool is counted by one ``np.unique`` over ``row * stride + local_id``
+    keys (``stride`` = the widest part's object count). Row statistics run
+    once per pool and once per dense tile, each row at its part's ``k``;
+    the selection and the count histograms run once per round.
 
     Returns:
-        The batch plan, equal field by field to
-        ``repro.core.reference.plan_batch(index, queries, k)``.
+        Per part, ``plan_batch_scan(index, queries, k)`` field by field.
     """
-    n_queries = len(queries)
-    span_rows, span_query, span_item, keyword_rows, keyword_query = _resolve_spans(index, queries)
-    span_lengths = index.span_ends[span_rows] - index.span_starts[span_rows]
-    block_sizes = _segmented_block_sizes(index, span_lengths, span_query, span_item, n_queries)
-    keyword_bounds = np.searchsorted(keyword_query, np.arange(n_queries + 1))
-    return _tiled_sweep(
-        index, span_rows, span_lengths, span_query, keyword_rows, keyword_bounds, block_sizes, n_queries, int(k),
-        max_fused_cells,
-    )
+    sweep = _Round([_Part(index, queries, int(k)) for index, queries, k in parts], int(max_fused_cells))
+    pool, pooled = [], 0
+    for part in sweep.parts:
+        n_objects, n_queries = part.index.n_objects, part.n_queries
+        rows_per_tile = max(1, sweep.max_fused_cells // max(n_objects, 1))
+        shared = _shared_byte_rows(part.index, part.keyword_rows, part.keyword_bounds, int(part.updates.sum()))
+        buffer = None
+        for lo in range(0, n_queries, rows_per_tile):
+            hi = min(lo + rows_per_tile, n_queries)
+            entries = int(part.updates[lo:hi].sum())
+            if entries * 4 <= (hi - lo) * n_objects:
+                if pool and pooled + entries > sweep.max_fused_cells:
+                    sweep.count_sparse(pool)
+                    pool, pooled = [], 0
+                pool.append((part, lo, hi))
+                pooled += entries
+                continue
+            if buffer is None:
+                # Dense tiles are recounted into one buffer at the device's
+                # counter width; byte rows add up in a byte tile.
+                counter = np.int32 if shared is None else np.uint8
+                buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=counter)
+            sweep.count_dense(part, lo, hi, entries, shared, buffer[: hi - lo])
+    if pool:
+        sweep.count_sparse(pool)
+    return sweep.plans()
 
 
 # ----------------------------------------------------------------------
@@ -199,131 +237,168 @@ def _segmented_block_sizes(
 
 
 # ----------------------------------------------------------------------
-# the tiled count / histogram / selection sweep
+# the round's count / histogram / selection sweep
 
 
-def _tiled_sweep(
-    index: InvertedIndex, span_rows: np.ndarray, span_lengths: np.ndarray, span_query: np.ndarray,
-    keyword_rows: np.ndarray, keyword_bounds: np.ndarray, block_sizes: np.ndarray, n_queries: int, k: int,
-    max_fused_cells: int,
-) -> BatchScanPlan:
-    """Count, histogram, cost-derive and select, one tile at a time.
+class _Part:
+    """One part of a round: its span stream, block layout and (set by the round) first round row."""
 
-    A tile is counted sparse when its postings stream is at most a quarter
-    of its cells. Dense tiles take one regime per batch: long-list when
-    ``span_lengths.sum() * 4 >= keyword_rows.size * n_objects``, short-list
-    otherwise — and whenever a row has more than 255 keyword references (a
-    byte counter would wrap) or the byte rows would pass their bound: one
-    byte per object per *distinct* keyword row, at most ``MAX_BYTE_ROW_BYTES``
-    (16 MB) for the life of this call, next to one byte tile of ``max_fused_cells``.
-    A short-list tile counts as bit planes instead when
-    :func:`_bit_planes_pay` says so and the index caches keyword bitmaps.
-    """
-    n_objects = index.n_objects
-    kk = min(k, n_objects)
-    updates = np.bincount(
-        span_query, weights=span_lengths.astype(np.float64), minlength=n_queries
-    ).astype(np.int64)
-    span_starts = index.span_starts[span_rows]
-    span_bounds = np.searchsorted(span_query, np.arange(n_queries + 1))
+    def __init__(self, index: InvertedIndex, queries: QueryBatch, k: int):
+        self.index, self.k, self.n_queries = index, k, len(queries)
+        span_rows, self.span_query, span_item, self.keyword_rows, keyword_query = _resolve_spans(index, queries)
+        self.span_starts = index.span_starts[span_rows]
+        self.span_lengths = index.span_ends[span_rows] - self.span_starts
+        self.block_sizes = _segmented_block_sizes(index, self.span_lengths, self.span_query, span_item, self.n_queries)
+        every_query = np.arange(self.n_queries + 1)
+        self.keyword_bounds = np.searchsorted(keyword_query, every_query)
+        self.span_bounds = np.searchsorted(self.span_query, every_query)
+        self.updates = np.bincount(
+            self.span_query, weights=self.span_lengths.astype(np.float64), minlength=self.n_queries
+        ).astype(np.int64)
 
-    gate_passes = np.empty(n_queries, dtype=np.float64)
-    # Per tile: the count values that occur, and how many counters ended on each.
-    hist_values = [np.empty(0, dtype=np.int64)]  # so an empty batch still concatenates
-    hist_counters = [np.empty(0, dtype=np.int64)]
-    tile_results: list[TopKBatch] = []
 
-    rows_per_tile = max(1, int(max_fused_cells) // max(n_objects, 1))
-    shared = _shared_byte_rows(index, keyword_rows, keyword_bounds, int(updates.sum()))
-    # Dense tiles are recounted into one buffer at the device's counter
-    # width; byte rows add up in a byte tile.
-    counter = np.int32 if shared is None else np.uint8
-    buffer = np.empty((min(rows_per_tile, n_queries), n_objects), dtype=counter)
-    for lo in range(0, n_queries, rows_per_tile):
-        hi = min(lo + rows_per_tile, n_queries)
-        n_rows = hi - lo
-        spans = slice(span_bounds[lo], span_bounds[hi])
-        entries = int(updates[lo:hi].sum())
-        sparse = entries * 4 <= n_rows * n_objects
-        planes, tile = None, buffer[:n_rows]
-        if sparse:
-            keys, vals = _positive_cells(
-                index, span_starts[spans], span_lengths[spans], span_query[spans] - lo, n_rows
-            )
-            key_row = keys // n_objects
-            # A count never exceeds the entries its row scanned.
-            widths = updates[lo:hi] + 1
-            hist = np.bincount((np.cumsum(widths) - widths)[key_row] + vals, minlength=int(widths.sum()))
-        elif shared is None and _bit_planes_pay(
-            n_rows, keyword_bounds[lo : hi + 1], n_objects, entries, max_fused_cells
+class _Round:
+    """One round's per-row state: statistics, count histograms and the candidates held for selection."""
+
+    def __init__(self, parts: list[_Part], max_fused_cells: int):
+        self.parts, self.max_fused_cells = parts, max_fused_cells
+        sizes = [part.n_queries for part in parts]
+        self.first_row = csr_offsets(sizes)
+        for part, first in zip(parts, self.first_row.tolist()):
+            part.first_row = first
+        self.k = np.repeat(np.asarray([part.k for part in parts], dtype=np.int64), sizes)
+        self.kk = np.minimum(self.k, np.repeat([part.index.n_objects for part in parts], sizes))
+        self.updates = np.concatenate([np.empty(0, dtype=np.int64), *(part.updates for part in parts)])
+        self.stride = max([1, *(part.index.n_objects for part in parts)])
+        self.gate_passes = np.empty(self.k.size, dtype=np.float64)
+        self.kth = np.empty(self.k.size, dtype=np.int64)
+        nothing = np.empty(0, dtype=np.int64)
+        # Per count-histogram slot that occurs: its row, count value and counters.
+        self.hist = [(nothing, nothing, nothing)]
+        # Candidates (row, id, count), a row's in one chunk, ids ascending
+        # among its equal counts; ``held`` counts those no selection has cut yet.
+        self.candidates, self.held = [(nothing, nothing, nothing)], 0
+
+    def count_sparse(self, pool: list) -> None:
+        """A pool of sparse ``(part, lo, hi)`` tiles: one ``np.unique``, then their rows' statistics."""
+        streams, pool_rows = [], 0
+        for part, lo, hi in pool:
+            spans = slice(part.span_bounds[lo], part.span_bounds[hi])
+            streams.append((part.index.list_array32, part.span_starts[spans], part.span_lengths[spans],
+                            part.span_query[spans] - lo + pool_rows))
+            pool_rows += hi - lo
+        keys, vals = _positive_cells(streams, self.stride, pool_rows)
+        rows = np.concatenate([np.arange(part.first_row + lo, part.first_row + hi) for part, lo, hi in pool])
+        key_row = keys // self.stride
+        # A count never exceeds the entries its row scanned.
+        widths = self.updates[rows] + 1
+        hist = np.bincount((np.cumsum(widths) - widths)[key_row] + vals, minlength=int(widths.sum()))
+        # Theorem 3.1: only counts at or above the k-th largest can win.
+        keep = vals >= self.rank(rows, hist, widths)[key_row]
+        key_row = key_row[keep]
+        self.hold(rows[key_row], keys[keep] - key_row * self.stride, vals[keep])
+
+    def count_dense(self, part: _Part, lo: int, hi: int, entries: int, shared, tile: np.ndarray) -> None:
+        """One dense tile of ``part`` (its queries ``lo:hi``), counted in the part's regime."""
+        index, n_objects, refs = part.index, part.index.n_objects, part.keyword_bounds[lo : hi + 1]
+        planes = None
+        if shared is None and _bit_planes_pay(
+            hi - lo, refs, n_objects, entries, self.max_fused_cells
         ) and index.keyword_bitmaps is not None:
-            planes = _add_bitmaps(index.keyword_bitmaps, keyword_rows, keyword_bounds[lo : hi + 1])
+            planes = _add_bitmaps(index.keyword_bitmaps, part.keyword_rows, refs)
             most = _largest_count(planes)  # >= 1: a dense tile has a posting
             planes = planes[: most.bit_length()]  # the ones above are zero
-            hist = _plane_histograms(planes, most, max_fused_cells * 4).reshape(-1)
-            widths = np.full(n_rows, most + 1)
+            hist = _plane_histograms(planes, most, self.max_fused_cells * 4).reshape(-1)
+            widths = np.full(hi - lo, most + 1)
         elif shared is None:
-            row_bounds = span_bounds[lo : hi + 1] - span_bounds[lo]
+            spans = slice(part.span_bounds[lo], part.span_bounds[hi])
+            row_bounds = part.span_bounds[lo : hi + 1] - part.span_bounds[lo]
             widths, hist = _row_histograms(
-                _count_rows(tile, index, span_starts[spans], span_lengths[spans], row_bounds)
+                _count_rows(tile, index, part.span_starts[spans], part.span_lengths[spans], row_bounds)
             )
         else:
-            _add_byte_rows(tile, *shared, keyword_bounds[lo : hi + 1])
+            _add_byte_rows(tile, *shared, refs)
             widths, hist = _row_histograms(tile)
 
-        nonzero, kth, passes_high, value = _row_statistics(hist, widths, kk)
-        gate_passes[lo:hi] = passes_high + np.minimum(nonzero, k) * kth
-        occurs = hist > 0
-        hist_values.append(value[occurs])
-        hist_counters.append(hist[occurs])
-
-        # Theorem 3.1: only counts at or above the k-th largest can win.
-        level = np.maximum(kth, 1)
-        if sparse:
-            keep = vals >= level[key_row]
-            keys, vals = keys[keep], vals[keep]
-        elif planes is not None:
+        first = part.first_row + lo
+        level = self.rank(np.arange(first, first + hi - lo), hist, widths)
+        if planes is not None:
             keys, vals = _planes_at_least(planes, level, n_objects)
         else:
             keys = np.flatnonzero(tile >= level.astype(tile.dtype)[:, None])
             vals = tile.reshape(-1)[keys].astype(np.int64)  # off the counter width
-        tile_results.append(_select_rows(keys, vals, kth, kk, n_objects))
+        key_row, ids = np.divmod(keys, n_objects)
+        self.hold(key_row + first, ids, vals)
 
-    return BatchScanPlan(
-        n_queries=n_queries,
-        block_sizes=block_sizes,
-        updates=updates,
-        gate_passes=gate_passes,
-        count_hist=np.bincount(
-            np.concatenate(hist_values), weights=np.concatenate(hist_counters)
-        ).astype(np.int64),
-        results=TopKBatch.concat(tile_results),
-    )
+    def rank(self, rows: np.ndarray, hist: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        """Record ``rows``' statistics from their count histograms; returns each row's candidate level."""
+        nonzero, kth, passes_high, value, row_of = _row_statistics(hist, widths, self.kk[rows])
+        self.gate_passes[rows] = passes_high + np.minimum(nonzero, self.k[rows]) * kth
+        self.kth[rows] = kth
+        occurs = hist > 0
+        self.hist.append((rows[row_of[occurs]], value[occurs], hist[occurs]))
+        return np.maximum(kth, 1)
+
+    def hold(self, rows: np.ndarray, ids: np.ndarray, vals: np.ndarray) -> None:
+        """Hold a counted chunk's candidates (whole rows) for the round's selection.
+
+        Threshold ties can make candidates outnumber answers by far: once the
+        uncut ones pass ``max_fused_cells`` they are cut to their rows' answers.
+        """
+        self.candidates.append((rows, ids, vals))
+        self.held += ids.size
+        if self.held > self.max_fused_cells:
+            rows, ids, vals = (np.concatenate(field) for field in zip(*self.candidates))
+            top, _ = _select_rows(rows, ids, vals, self.kk)
+            self.candidates, self.held = [(rows[top], ids[top], vals[top])], 0
+
+    def plans(self) -> list[BatchScanPlan]:
+        """Select every row's top-k and split the round into its parts' plans."""
+        rows, ids, vals = (np.concatenate(field) for field in zip(*self.candidates))
+        top, sizes = _select_rows(rows, ids, vals, self.kk)
+        offsets = csr_offsets(sizes)
+        hist_rows, values, counters = (np.concatenate(field) for field in zip(*self.hist))
+        slots = int(values.max(initial=0)) + 1
+        slot_part = np.searchsorted(self.first_row, hist_rows, side="right") - 1
+        count_hist = np.bincount(
+            slot_part * slots + values, weights=counters, minlength=len(self.parts) * slots
+        ).astype(np.int64).reshape(len(self.parts), slots)
+        plans = []
+        for p, part in enumerate(self.parts):
+            a, b = self.first_row[p], self.first_row[p + 1]
+            # A gather of the part's answer entries alone: a kept result view
+            # must not pin the round's candidate arrays.
+            picked = top[offsets[a] : offsets[b]]
+            counted = np.flatnonzero(count_hist[p])
+            plans.append(BatchScanPlan(
+                n_queries=part.n_queries,
+                block_sizes=part.block_sizes,
+                updates=part.updates,
+                gate_passes=self.gate_passes[a:b],
+                count_hist=count_hist[p, : counted[-1] + 1 if counted.size else 0],
+                results=TopKBatch(ids[picked], vals[picked], offsets[a : b + 1] - offsets[a], self.kth[a:b]),
+            ))
+        return plans
 
 
-def _positive_cells(
-    index: InvertedIndex,
-    span_starts: np.ndarray,
-    span_lengths: np.ndarray,
-    span_row: np.ndarray,
-    n_rows: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sparse regime: a tile's positive cells without touching the tile.
+def _positive_cells(streams: list, stride: int, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse regime: a pool of tiles' positive cells without touching a tile.
 
-    The tile's postings stream is much smaller than the tile, so
-    ``np.unique`` of the fused ``row * n_objects + object_id`` keys yields
-    the positive cells directly.
+    ``streams`` holds per tile ``(list_array32, span_starts, span_lengths,
+    span_row)``, rows numbered through the pool. The pool's postings stream
+    is much smaller than its tiles, so ``np.unique`` of the fused
+    ``row * stride + object_id`` keys yields the positive cells directly.
 
     Returns:
         ``(keys, vals)``: flat cell keys in ascending order and their counts.
     """
-    n_objects = index.n_objects
-    stream = index.list_array32[ragged_slices(span_starts, span_lengths)]
-    fused_dtype = np.int32 if n_rows * n_objects < 2**31 else np.int64
-    fused = stream.astype(fused_dtype, copy=False) + np.repeat(
-        (span_row * n_objects).astype(fused_dtype), span_lengths
-    )
-    return np.unique(fused, return_counts=True)
+    fused_dtype = np.int32 if n_rows * stride < 2**31 else np.int64
+    fused = [
+        list_array32[ragged_slices(starts, lengths)].astype(fused_dtype, copy=False)
+        + np.repeat((rows * stride).astype(fused_dtype), lengths)
+        for list_array32, starts, lengths, rows in streams
+    ]
+    return np.unique(fused[0] if len(fused) == 1 else np.concatenate(fused), return_counts=True)
 
 
 def _count_rows(
@@ -336,13 +411,22 @@ def _count_rows(
     """Short-list dense regime: fill ``tile`` row by row, one ``bincount`` per row.
 
     A row's List-Array spans are concatenated (plain memcpy of a
-    cache-sized stream) and counted straight into the tile. Yields each row
-    as it is filled, so :func:`_row_histograms` reads it while it is hot.
+    cache-sized stream) and counted straight into the tile; spans that
+    follow each other in the List Array (a range item's keywords, a list's
+    sublists) are read as one view. Yields each row as it is filled, so
+    :func:`_row_histograms` reads it while it is hot.
     """
     list_array32 = index.list_array32
     n_objects = tile.shape[1]
-    views = [list_array32[s : s + n] for s, n in zip(span_starts.tolist(), span_lengths.tolist())]
-    bounds = row_bounds.tolist()
+    joined = np.empty(span_starts.size, dtype=bool)
+    joined[0] = False  # a dense tile has a span
+    np.equal(span_starts[1:], span_starts[:-1] + span_lengths[:-1], out=joined[1:])
+    row_starts = row_bounds[:-1]
+    joined[row_starts[row_starts < span_starts.size]] = False
+    first = np.flatnonzero(~joined)
+    lengths = np.add.reduceat(span_lengths, first)
+    views = [list_array32[s : s + n] for s, n in zip(span_starts[first].tolist(), lengths.tolist())]
+    bounds = np.searchsorted(first, row_bounds).tolist()
     for ti, (a, b) in enumerate(zip(bounds, bounds[1:])):
         row = np.bincount(np.concatenate(views[a:b] or [list_array32[:0]]), minlength=n_objects)
         tile[ti] = row
@@ -368,8 +452,8 @@ def _shared_byte_rows(
     Returns:
         ``(byte_rows, ref_row)`` — one ``uint8`` row of ``n_objects`` per
         distinct keyword row and, per keyword reference, its byte row — or
-        ``None`` when the batch's dense tiles count per row instead (the rule
-        and the bound are in :func:`_tiled_sweep`).
+        ``None`` when the part's dense tiles count per row instead (the rule
+        and the bound are in the module docstring).
     """
     n_objects = index.n_objects
     if not 0 < keyword_rows.size * n_objects <= entries * 4 or np.diff(keyword_bounds).max() > np.iinfo(np.uint8).max:
@@ -551,8 +635,8 @@ def _row_histograms(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_statistics(
-    hist: np.ndarray, widths: np.ndarray, kk: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    hist: np.ndarray, widths: np.ndarray, kk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every per-row statistic of a tile from its per-row count histogram.
 
     ``hist`` concatenates one histogram per row: row ``r`` owns
@@ -562,10 +646,10 @@ def _row_statistics(
     gets: at most the tile's postings stream plus one slot per row.
 
     Returns:
-        ``(nonzero, kth, passes_high, value)``: per row its number of
-        positive counts, its ``kk``-th largest count (Theorem 3.1's
-        ``AT - 1``; 0 when fewer than ``kk`` are positive) and the Gate
-        passes of the objects at or above it; per slot its count value.
+        ``(nonzero, kth, passes_high, value, row_of)``: per row its number
+        of positive counts, its ``kk[row]``-th largest count (Theorem 3.1's
+        ``AT - 1``; 0 when fewer than ``kk[row]`` are positive) and the Gate
+        passes of the objects at or above it; per slot its count value and row.
     """
     ends = np.cumsum(widths)
     starts = ends - widths
@@ -577,30 +661,30 @@ def _row_statistics(
     # Objects of the slot's row with a count >= the slot's value: it never
     # grows along a row, so the slots that still reach kk are 1..kth.
     at_least = row_end[row_of] - running + hist
-    kth = np.add.reduceat(((at_least >= kk) & (value > 0)).astype(np.int64), starts)
+    kth = np.add.reduceat(((at_least >= kk[row_of]) & (value > 0)).astype(np.int64), starts)
     level = np.maximum(kth, 1)
     passes_high = np.add.reduceat(hist * np.maximum(value - level[row_of] + 1, 0), starts)
-    return nonzero, kth, passes_high, value
+    return nonzero, kth, passes_high, value, row_of
 
 
 def _select_rows(
-    keys: np.ndarray, vals: np.ndarray, kth: np.ndarray, kk: int, n_objects: int
-) -> TopKBatch:
-    """Every row's top-k from the tile's threshold-filtered candidates.
+    rows: np.ndarray, ids: np.ndarray, vals: np.ndarray, kk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's top-k from its threshold-filtered candidates.
 
-    ``keys`` / ``vals`` hold, in ascending flat-key (row, then id) order,
+    ``rows`` / ``ids`` / ``vals`` hold, for every row in ``0..kk.size``,
     every cell with a count ``>= max(kth, 1)`` — exactly the candidate set
-    :func:`repro.core.reference.topk_from_counts` draws from. One stable
-    segmented sort by (row, count desc) leaves ids ascending among equal
-    counts; fewer than ``kk`` cells sit above the threshold, so a row's
-    first ``kk`` entries are those plus the threshold ties of lowest id.
+    :func:`repro.core.reference.topk_from_counts` draws from — rows in any
+    order, each row's cells together and ids ascending among its equal
+    counts. One stable segmented sort by (row, count desc) keeps them so;
+    fewer than ``kk`` cells sit above the threshold, so a row's first
+    ``kk`` entries are those plus the threshold ties of lowest id.
+
+    Returns:
+        ``(top, sizes)``: the positions of every row's answers in rank
+        order, rows ascending, and each row's answer count.
     """
-    rows, ids = np.divmod(keys, n_objects)
-    order = np.lexsort((-vals, rows))  # rows are already ascending, so they stay in place
-    ids, vals = ids[order], vals[order]
-    first = np.searchsorted(rows, np.arange(kth.size + 1))
+    order = np.lexsort((-vals, rows))
+    first = np.searchsorted(rows[order], np.arange(kk.size + 1))
     sizes = np.minimum(first[1:] - first[:-1], kk)
-    # A gather of the answer entries alone: a kept result view must not pin
-    # the tile's candidate arrays.
-    top = ragged_slices(first[:-1], sizes)
-    return TopKBatch(ids[top], vals[top], csr_offsets(sizes), kth)
+    return order[ragged_slices(first[:-1], sizes)], sizes

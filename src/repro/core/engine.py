@@ -9,13 +9,16 @@
    (postings scan into c-PQ), launch the c-PQ selection step, and transfer
    results back.
 
-The functional work of a batch has one path: a call to
-:func:`repro.core.batch_scan.plan_batch_scan` resolves every query's
+A search is *computed*, then *charged*. The functional work of a batch has
+one path: :func:`repro.core.batch_scan.plan_batch_scan` (a one-part
+:func:`~repro.core.batch_scan.plan_scan_round`) resolves every query's
 postings through the CSR position map, counts matches tile by tile
 (``np.unique`` of fused keys where the postings stream is sparse; per-row
 ``bincount``, shared byte rows or bit planes where it is dense), and hands
 back batch arrays (block sizes, update and Gate-pass totals, the count
-histogram) plus every query's top-k.
+histogram) plus every query's top-k. :meth:`GenieEngine.charge` then
+allocates, transfers and launches what that scan lays out; the plan
+executor calls it with the scans of its own round.
 The per-query specification it is tested against, Algorithm-1 c-PQ run
 included, lives in :mod:`repro.core.reference`, which the engine never imports;
 the GEN-SPQ ablation (plain Count Table + SPQ selection) is a baseline,
@@ -34,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.batch_scan import plan_batch_scan
+from repro.core.batch_scan import BatchScanPlan, plan_batch_scan
 from repro.core.bitmap_counter import bits_for_bound
 from repro.core.cpq import hash_table_capacity
 from repro.core.inverted_index import InvertedIndex
@@ -257,6 +260,19 @@ class GenieEngine:
         if len(queries) == 0:
             raise QueryError("empty query batch")
         k = resolve_k(k, self.config.k)
+        return self.charge(queries, k, self._scan(queries, k))
+
+    def _scan(self, queries: QueryBatch, k: int) -> BatchScanPlan:
+        """The compute half of a search: the batch's scan."""
+        return plan_batch_scan(self.index, queries, k)
+
+    def charge(self, queries: QueryBatch, k: int, scan) -> TopKBatch:
+        """Charge one batch whose ``scan`` is computed; returns its answers, ``last_profile`` their cost.
+
+        Raises:
+            GpuOutOfMemoryError: If the batch's c-PQ structures do not fit
+                in device memory.
+        """
         count_bound = batch_count_bound(self.config, queries)
 
         before = self.device.timings.copy()
@@ -268,7 +284,7 @@ class GenieEngine:
         try:
             query_bytes = queries.keywords.size * QUERY_KEYWORD_BYTES
             self.device.charge_seconds(query_bytes / pcie, stage="query_transfer")
-            results = self._match_and_select(queries, k, count_bound)
+            results = self._match_and_select(queries, k, count_bound, scan)
             result_bytes = len(queries) * k * RESULT_ENTRY_BYTES
             self.device.charge_seconds(result_bytes / pcie, stage="select")
         finally:
@@ -278,9 +294,8 @@ class GenieEngine:
         self.last_profile.merge(timings_delta(host_before, self.host.timings))
         return results
 
-    def _match_and_select(self, queries: QueryBatch, k: int, count_bound: int) -> TopKBatch:
+    def _match_and_select(self, queries: QueryBatch, k: int, count_bound: int, scan: BatchScanPlan) -> TopKBatch:
         """The batch's match and c-PQ select launches; returns its answers."""
-        scan = plan_batch_scan(self.index, queries, k)
         self.device.launch(
             build_match_launch(scan, self.device.spec, self.config.threads_per_block), stage="match"
         )
@@ -307,10 +322,7 @@ class GenieEngine:
 
         Returns:
             One result per query, in input order. ``last_profile``
-            accumulates over all batches. If a mid-workload batch raises
-            (e.g. :class:`~repro.errors.GpuOutOfMemoryError`),
-            ``last_profile`` holds the accumulated profile of the batches
-            that completed, not the dangling profile of the failed one.
+            accumulates over all batches.
         """
         queries = QueryBatch.from_queries(queries)
         if len(queries) == 0:
@@ -319,14 +331,29 @@ class GenieEngine:
         if batch_size is None:
             bound = batch_count_bound(self.config, queries)
             batch_size = max(1, min(len(queries), self.max_batch_size(bound, k)))
-        batch_size = count_option(batch_size, "batch_size")
+        batches = device_batches(queries, count_option(batch_size, "batch_size"))
+        if self.index is None:
+            raise QueryError("engine must be fitted before querying")
+        return self.charge_batches(batches, k, [self._scan(batch, k) for batch in batches])
+
+    def charge_batches(self, batches: list[QueryBatch], k: int, scans: list) -> TopKBatch:
+        """Charge computed batches in order; ``last_profile`` accumulates over them.
+
+        If a batch raises (e.g. :class:`~repro.errors.GpuOutOfMemoryError`),
+        ``last_profile`` holds the profile of the batches that completed.
+        """
         results: list[TopKBatch] = []
         profile = StageTimings()
         try:
-            for start in range(0, len(queries), batch_size):
-                stop = min(start + batch_size, len(queries))
-                results.append(self.query(queries.take(np.arange(start, stop)), k=k))
+            for batch, scan in zip(batches, scans):
+                results.append(self.charge(batch, k, scan))
                 profile.merge(self.last_profile)
         finally:
             self.last_profile = profile
         return TopKBatch.concat(results)
+
+
+def device_batches(queries: QueryBatch, batch_size: int) -> list[QueryBatch]:
+    """``queries`` cut into consecutive batches of ``batch_size`` (the last one shorter)."""
+    n = len(queries)
+    return [queries.take(np.arange(start, min(start + batch_size, n))) for start in range(0, n, batch_size)]

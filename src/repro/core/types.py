@@ -665,8 +665,9 @@ class TopKBatch(Sequence):
 
     def compress(self, keep: np.ndarray) -> "TopKBatch":
         """Only the entries whose ``keep`` flag is set, still grouped by query."""
-        kept_before = np.concatenate([np.zeros(1, dtype=ID_DTYPE), np.cumsum(keep, dtype=ID_DTYPE)])
-        return TopKBatch(self.ids[keep], self.counts[keep], kept_before[self.offsets], self.thresholds)
+        # An offset moves down by the struck entries before it.
+        struck_before = np.flatnonzero(~keep).searchsorted(self.offsets)
+        return TopKBatch(self.ids[keep], self.counts[keep], self.offsets - struck_before, self.thresholds)
 
     @property
     def sizes(self) -> np.ndarray:

@@ -9,12 +9,15 @@ top-k on the host). :func:`execute_plan` runs every plan
    partition (one slice, ``part_size`` slices sharing a device, or one
    shard slice per pool device) plus the delta run's slice while it holds
    live mutations;
-2. run one :func:`_scan_round` over it (two for a TPUT plan), each scan
-   through :func:`_scan_one` — fault check, replica choice, residency,
-   engine call, ``swap_parts`` eviction, profile. Every source keeps one
-   query-aligned :class:`~repro.core.types.TopKBatch` (an empty segment
-   where it was not routed), its ids remapped to global ids with one
-   gather as the scan lands;
+2. run one :func:`_scan_round` over it (two for a TPUT plan) in two
+   halves. *Compute*: one :func:`~repro.core.batch_scan.plan_scan_round`
+   counts and ranks every routed source's subset together, reading only
+   the sources' indexes. *Account*: :func:`_scan_one` walks the sources in
+   order — fault check, replica choice, residency, the engine's charge,
+   ``swap_parts`` eviction, profile — exactly as when each source scanned
+   on its own. Every source keeps one query-aligned
+   :class:`~repro.core.types.TopKBatch` (an empty segment where it was not
+   routed), its ids remapped to global ids with one gather as it lands;
 3. strike tombstoned base candidates — one gather of per-id marks;
 4. fold the per-source profiles along the timeline: sources on their own
    devices run concurrently (the slowest is the critical path), sources
@@ -54,6 +57,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.executor import critical_path_profile, merge_shard_results, pool_candidates
+from repro.core.batch_scan import BatchScanPlan, plan_scan_round
+from repro.core.engine import device_batches
 from repro.core.types import ID_DTYPE, QueryBatch, TopKBatch
 from repro.errors import AvailabilityError
 from repro.gpu.stats import StageTimings
@@ -216,34 +221,40 @@ def _scan_round(
     batch_size: int | None,
     candidates: list[TopKBatch],
 ) -> list[StageTimings]:
-    """Scan each source's routed query subset at its width.
+    """Scan each source's routed query subset at its width: compute, then account.
 
-    Results land query-aligned in ``candidates[s]`` with their ids
-    remapped to global ids (positions a source was not routed keep their
-    previous contents — nothing in round one, the round-one candidates in
-    a TPUT top-up round). Returns each source's stage profile for the
-    round (including any swap-in it forced); empty for an unscanned source.
+    *Compute* is one round over every routed subset, each device-sized
+    sub-batch one more part; *account* walks the sources through
+    :func:`_scan_one`. Results land query-aligned in ``candidates[s]`` with
+    their ids remapped to global ids (positions a source was not routed
+    keep their previous contents — nothing in round one, the round-one
+    candidates in a TPUT top-up round). Returns each source's stage profile
+    for the round (including any swap-in it forced); empty for an unscanned
+    source.
     """
     profiles = [StageTimings() for _ in sources]
-    for s, (part, route, width) in enumerate(zip(sources, routes, widths)):
-        if route.size == 0:
-            continue
-        everyone = route.size == len(queries)
-        subset = queries if everyone else queries.take(route)
-        results, profiles[s] = _scan_one(handle, part, subset, width, batch_size)
+    scanned = [s for s, route in enumerate(routes) if route.size]
+    batches = {}
+    for s in scanned:
+        subset = queries if routes[s].size == len(queries) else queries.take(routes[s])
+        batches[s] = [subset] if batch_size is None else device_batches(subset, batch_size)
+    scans = iter(plan_scan_round([(sources[s].index, batch, widths[s]) for s in scanned for batch in batches[s]]))
+    for s in scanned:
+        part, route = sources[s], routes[s]
+        results, profiles[s] = _scan_one(handle, part, batches[s], widths[s], [next(scans) for _ in batches[s]])
         results = TopKBatch(part.to_global(results.ids), results.counts, results.offsets, results.thresholds)
-        candidates[s] = results if everyone else candidates[s].replace(route, results)
+        candidates[s] = results if route.size == len(queries) else candidates[s].replace(route, results)
     return profiles
 
 
 def _scan_one(
     handle,
     part,
-    subset: QueryBatch,
+    batches: list[QueryBatch],
     k: int,
-    batch_size: int | None,
+    scans: list[BatchScanPlan],
 ) -> tuple[TopKBatch, StageTimings]:
-    """Scan one source's routed subset on the first live copy of it.
+    """Charge one source's computed ``scans`` to the first live copy of it.
 
     The candidate order comes from ``handle._scan_candidates`` (every
     copy of the slice, least-loaded first; the part itself when it has
@@ -256,9 +267,10 @@ def _scan_one(
     slowed device scans with its stage timings stretched by the fault's
     factor. The attempt loop is bounded by the replica count (lint rule
     REPRO007's bounded-retry shape). The chosen copy is made resident
-    (paying ``index_transfer`` when it has to swap in) and, on a
-    ``swap_parts`` index, evicted again right after its scan — the
-    paper's one-part-at-a-time multi-loading protocol.
+    (paying ``index_transfer`` when it has to swap in), its engine charges
+    the batches (:meth:`~repro.core.engine.GenieEngine.charge_batches`)
+    and, on a ``swap_parts`` index, the copy is evicted again right after
+    — the paper's one-part-at-a-time multi-loading protocol.
 
     Raises:
         AvailabilityError: Every candidate's device is down.
@@ -292,10 +304,7 @@ def _scan_one(
         transfer_before = device.timings.get("index_transfer")
         session._ensure_resident(candidate)
         try:
-            if batch_size is None:
-                results = engine.query(subset, k=k)
-            else:
-                results = engine.query_batched(subset, k=k, batch_size=batch_size)
+            results = engine.charge_batches(batches, k, scans)
         finally:
             if handle.swap_parts:
                 session._evict_part(candidate)

@@ -195,7 +195,8 @@ def route_queries(
             routes.append(np.empty(0, dtype=np.int64))
             continue
         pos = np.minimum(np.searchsorted(shard_kw, flat), shard_kw.size - 1)
-        routes.append(np.unique(owner[shard_kw[pos] == flat]))
+        hit = owner[shard_kw[pos] == flat]  # ascending: owners ascend along the batch
+        routes.append(hit[np.flatnonzero(np.diff(hit, prepend=-1))])
     return routes
 
 

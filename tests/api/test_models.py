@@ -515,6 +515,12 @@ class TestTrustedDoor:
                 offset, top = (0, bins - 1) if name == "x" else (bins, 2)
                 assert item[0] >= offset and item[-1] <= offset + top  # past the domain clamps
                 assert np.array_equal(item, np.arange(item[0], item[-1] + 1))
+        # The keywords are the per-range runs, one ``arange`` per range end to end.
+        runs = [handle.model._code_range(position, name, bounds)
+                for position, ranges in enumerate(ranges_batch) for name, bounds in ranges.items()]
+        expected = np.concatenate([np.empty(0, dtype=np.int64), *(np.arange(start, start + n) for start, n in runs)])
+        assert np.array_equal(batch.keywords, expected)
+        assert batch.item_offsets.tolist() == np.cumsum([0] + [n for _, n in runs]).tolist()
 
     def test_empty_batch_is_as_before(self):
         from repro.api import GenieSession

@@ -86,6 +86,11 @@ class TestBounds:
         assert recut.carried_bounds(14) == [0, 1, 3, 14]
         ShardPlan.build_ranges(_corpus(n=14), recut.carried_bounds(14)).validate()
 
+    def test_a_recut_onto_the_equal_cuts_is_still_carried(self):
+        # A rebalance may land on the equal-size cuts; the next rebuild keeps them.
+        recut = ShardPlan.build_ranges(_corpus(n=10), ShardPlan.build(_corpus(n=10), 4).bounds)
+        assert recut.carried_bounds(14) == [0, 2, 5, 7, 14]
+
     def test_an_equal_or_hash_partition_is_cut_again(self):
         assert ShardPlan.build(_corpus(n=10), 4).carried_bounds(14) is None
         assert ShardPlan.build(_corpus(n=10), 1).carried_bounds(14) is None

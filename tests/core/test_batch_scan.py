@@ -69,7 +69,7 @@ def make_batch(raw_queries):
 
 
 def record_regimes(monkeypatch):
-    """The counting regime of every tile ``plan_batch_scan`` sweeps from here on, in order."""
+    """The counting regime of every tile (one entry per pool of sparse tiles) a scan counts from here on, in order."""
     taken = []
     regimes = (("sparse", "_positive_cells"), ("short", "_count_rows"), ("long", "_add_byte_rows"), ("bits", "_add_bitmaps"))
     for regime, name in regimes:
@@ -260,7 +260,20 @@ class TestPlanEquivalence:
                 return "bits"
             return "long" if long_lists else "short"
 
-        assert taken == [regime(lo, min(lo + rows_per_tile, 5)) for lo in range(0, 5, rows_per_tile)]
+        # Sparse tiles are counted in pools, one call a pool: a pool is flushed
+        # when the next sparse tile would take its postings past max_fused_cells.
+        expected, pooled = [], None
+        for lo in range(0, 5, rows_per_tile):
+            hi = min(lo + rows_per_tile, 5)
+            if regime(lo, hi) != "sparse":
+                expected.append(regime(lo, hi))
+                continue
+            entries = int(scan.updates[lo:hi].sum())
+            if pooled is not None and pooled + entries > max_fused_cells:
+                expected.append("sparse")
+                pooled = None
+            pooled = entries + (pooled or 0)
+        assert taken == expected + ["sparse"] * (pooled is not None)
         if max_fused_cells == 10**9 and lb is None:  # one tile, so the batch's density is the tile's
             # Unfloored, "one_past" ripples 5 rows x 2 refs x 2 planes = 20 words
             # for 21 entries and "short_lists" 5 x 4 x 3 = 60 for 28.
@@ -286,6 +299,35 @@ class TestPlanEquivalence:
         assert match.name == "genie_match_counttable"
         assert (match.blocks, match.bytes_read) == (len(launch.block_items), launch.bytes_read)
         assert [stats.name for stats in selects] == ["spq_select"] * len(queries)
+
+    @pytest.mark.parametrize("lb", LB_CONFIGS, ids=["no_lb", "sublists_3", "sublists_5_by_3"])
+    def test_short_lists_read_contiguous_spans_as_one_view(self, monkeypatch, lb):
+        # Six attributes of five values, each value on 8 of 40 objects: range
+        # items make runs of neighbouring lists. A row's run is one view across
+        # items and sublists, never across rows, and a repeated range restarts.
+        index = InvertedIndex.build(Corpus([[a * 5 + (o + a) % 5 for a in range(6)] for o in range(40)]), load_balance=lb)
+        rows = [
+            [range(0, 3), range(6, 9)],  # two runs
+            [range(3, 5), range(5, 10)],  # one run across two items
+            [range(10, 15)],  # one run, ending where the next row's starts
+            [range(15, 17), range(15, 17)],  # the same run twice
+            [],
+        ]
+        queries = make_batch([[list(item) for item in row] for row in rows])
+
+        class Slices(np.ndarray):
+            taken = 0
+
+            def __getitem__(self, key):
+                Slices.taken += isinstance(key, slice)
+                return super().__getitem__(key)
+
+        index._list_array32 = index.list_array32.view(Slices)
+        taken = record_regimes(monkeypatch)
+        scan = plan_batch_scan(index, queries, 3)
+        assert taken == ["short"]
+        assert Slices.taken == 2 + 1 + 1 + 2 + 1  # the empty row reads an empty view
+        assert_scan_matches_reference(index, queries, 3, scan)
 
     @pytest.mark.parametrize("refs, regime", [(255, "long"), (256, "short")])
     def test_a_count_past_a_byte_falls_back(self, monkeypatch, refs, regime):
@@ -579,6 +621,89 @@ class TestBitSlicedRegime:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+ROUND_KINDS = ["sparse", "short", "long", "bits", "empty"]
+
+
+def round_part(kind, n, lb, k, rows, seed):
+    """One ``(index, queries, k)`` part of a round over ``n`` objects, shaped for a counting regime.
+
+    ``"short"`` and ``"bits"`` are the same uniform-bucket lists (about a sixth
+    of the objects each), without and with keyword bitmaps; ``"long"`` makes
+    heavy buckets; ``"empty"`` scans no posting (an index without keywords,
+    or queries that miss it). ``k`` is ``"one"``, ``"three"`` or ``"past_n"``.
+    """
+    rng = np.random.default_rng(seed)
+    buckets = rng.integers(0, 6, size=(n, 6))
+    if kind == "long":
+        buckets = np.where(rng.random((n, 6)) < 0.7, 0, buckets)
+    keywords = buckets + np.arange(6) * 6
+    # A row names the keywords of one object, one item each (or nothing).
+    raw = [[[kw] for kw in keywords[rng.integers(0, n)]] if rng.random() < 0.85 else [] for _ in range(rows)]
+    if kind == "sparse":
+        keywords = rng.integers(0, 60, size=(n, 3))
+        raw = [[[kw] for kw in rng.integers(0, 70, size=2)] for _ in range(rows)]
+    elif kind == "empty":
+        keywords = [[]] * n
+        raw = [[[99], [98]] if rng.random() < 0.5 else [] for _ in range(rows)]
+    index = InvertedIndex.build(Corpus(keywords), load_balance=lb)
+    if kind == "short":
+        index.__dict__["keyword_bitmaps"] = None
+    return index, make_batch(raw), {"one": 1, "three": 3, "past_n": n + 5}[k]
+
+
+round_parts = st.lists(
+    st.tuples(st.sampled_from(ROUND_KINDS), st.integers(1, 150), lb_configs,
+              st.sampled_from(["one", "three", "past_n"]), st.integers(1, 5), st.integers(0, 2**16)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def assert_same_plans(got, expected):
+    """Two lists of :class:`BatchScanPlan` equal field by field."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.n_queries == b.n_queries
+        for field in ("block_sizes", "updates", "gate_passes", "count_hist"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        for field in ("ids", "counts", "offsets", "thresholds"):
+            assert np.array_equal(getattr(a.results, field), getattr(b.results, field)), field
+        assert a.results.ids.base is None and a.results.counts.base is None
+
+
+class TestScanRound:
+    """A round scans every part at once and hands each part its own ``plan_batch_scan``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(round_parts, st.sampled_from([1, 300, 10**9]))
+    def test_the_round_equals_its_parts(self, shapes, max_fused_cells):
+        parts = [round_part(*shape) for shape in shapes]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_scan, "MIN_PLANE_BYTES", 0)  # so small tiles may count as bit planes
+            got = batch_scan.plan_scan_round(parts, max_fused_cells)
+            expected = [plan_batch_scan(index, queries, k, max_fused_cells) for index, queries, k in parts]
+        assert_same_plans(got, expected)
+
+    def test_every_regime_in_one_round(self, monkeypatch):
+        monkeypatch.setattr(batch_scan, "MIN_PLANE_BYTES", 0)
+        parts = [round_part(kind, n, None, k, 4, seed) for kind, n, k, seed in (
+            ("sparse", 40, "three", 1), ("short", 100, "past_n", 2), ("long", 70, "one", 3),
+            ("sparse", 130, "past_n", 4), ("bits", 90, "three", 5), ("empty", 20, "one", 6),
+        )]
+        taken = record_regimes(monkeypatch)
+        got = batch_scan.plan_scan_round(parts)
+        # The two sparse parts (and the empty one) are counted by one np.unique.
+        assert taken == ["short", "long", "bits", "sparse"]
+        for (index, queries, k), plan in zip(parts, got):
+            assert_scan_matches_reference(index, queries, k, plan)
+        taken.clear()
+        assert_same_plans(got, [plan_batch_scan(index, queries, k) for index, queries, k in parts])
+        assert taken == ["sparse", "short", "long", "sparse", "bits", "sparse"]
+
+    def test_an_empty_round(self):
+        assert batch_scan.plan_scan_round([]) == []
 
 
 class TestEveryConstructor:

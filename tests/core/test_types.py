@@ -646,6 +646,19 @@ class TestTopKBatch:
         assert as_triples(kept) == [([30], [2], 2), ([], [], 0), ([10], [5], 5)]
         assert as_triples(kept.compress(np.zeros(2, dtype=bool))) == [([], [], 2), ([], [], 0), ([], [], 5)]
 
+    @settings(max_examples=80, deadline=None)
+    @given(raw_answers, st.sampled_from(["none", "all", "some"]), st.randoms(use_true_random=False))
+    def test_compress_keeps_each_query_its_flagged_entries(self, raw, kept, rnd):
+        # Empty segments, nothing kept and everything kept, against the per-query filter.
+        batch = TopKBatch.from_results(as_results(raw))
+        keep = np.asarray([kept == "all" or (kept == "some" and rnd.random() < 0.5) for _ in batch.ids], dtype=bool)
+        flags = np.split(keep, batch.offsets[1:-1])
+        expected = [(ids[flag].tolist(), counts[flag].tolist(), threshold) for (ids, counts, threshold), flag in zip(
+            ((r.ids, r.counts, r.threshold) for r in batch), flags)]
+        compressed = batch.compress(keep)
+        assert as_triples(compressed) == expected
+        assert compressed.offsets.dtype == np.int64 and compressed.offsets[-1] == keep.sum()
+
     def test_a_dirty_sharded_search_builds_one_result_object_per_query(self, monkeypatch):
         """Candidates cross scan, remap, strike and merge as arrays: counted, not estimated."""
         built = []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import GenieSession
 from repro.core.types import Query, QueryBatch
@@ -54,6 +56,19 @@ class TestRouteQueries:
             QueryBatch.from_queries([Query.from_keywords([0])]), (np.empty(0, dtype=np.int64),)
         )
         assert routes[0].size == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.lists(st.lists(st.integers(0, 30), max_size=4), max_size=3), max_size=6),
+        st.lists(st.sets(st.integers(0, 30), max_size=12), min_size=1, max_size=4),
+    )
+    def test_routes_equal_the_distinct_owners_of_the_hits(self, raw_queries, shards):
+        # Shards with no hit, empty shards and an empty batch included.
+        queries = QueryBatch.from_queries([Query(items=items) for items in raw_queries])
+        shard_keywords = tuple(np.asarray(sorted(keywords), dtype=np.int64) for keywords in shards)
+        for shard_kw, route in zip(shard_keywords, route_queries(queries, shard_keywords)):
+            expected = np.unique(queries.keyword_query[np.isin(queries.keywords, shard_kw)])
+            assert route.dtype == np.int64 and route.tolist() == expected.tolist()
 
 
 def compile_rule(raw_queries, strategy="range", **kwargs):

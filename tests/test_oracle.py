@@ -15,6 +15,7 @@ the cross-feature bugs found so far through the same machine.
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -516,13 +517,17 @@ class OracleMachine(RuleBasedStateMachine):
         assert "bad" not in self.session.indexes
 
 
+#: Examples and steps per machine: 2 x 12 in tier-1. ``REPRO_ORACLE_DEPTH="examples,steps"``
+#: runs the same seeded machines deeper (CI's ``oracle-depth`` job, outside tier-1).
+EXAMPLES, STEPS = (int(n) for n in os.environ.get("REPRO_ORACLE_DEPTH", "2,12").split(","))
+
 #: One machine per (model, handle kind, policy, cache) cell, so every cell is reached.
 ORACLES = {}
 for _position, _cell in enumerate(itertools.product(MODELS, KINDS, POLICIES, CACHES)):
     _fields = dict(zip(("model_name", "kind", "policy", "cache"), _cell))
     _machine = type(f"Oracle[{', '.join(_cell)}]", (OracleMachine,), _fields)
     ORACLES[_cell] = _machine
-    _machine.TestCase.settings = settings(max_examples=2, stateful_step_count=12, deadline=None, database=None)
+    _machine.TestCase.settings = settings(max_examples=EXAMPLES, stateful_step_count=STEPS, deadline=None, database=None)
     seed(_position)(_machine)  # the same examples on every run
     globals()["TestOracle_" + "_".join(_cell).replace("-", "_")] = _machine.TestCase
 del _position, _cell, _fields, _machine
@@ -583,6 +588,21 @@ def test_a_compacted_index_rebalances_again():
     oracle.compact()
     oracle.rebalance(weights=[10.0, 1.0, 1.0])
     assert oracle.cuts is not None
+    oracle.probes_answer_like_brute_force()
+    oracle.teardown()
+
+
+def test_a_recut_onto_the_equal_size_cuts_survives_compaction():
+    # Found at depth: a rebalance landing on the equal-size cuts was recut
+    # equal-size by the next compaction, as if never rebalanced.
+    oracle = machine("raw", "range")
+    for weights in ([10.0, 1.0, 1.0], [1.0, 0.0, 0.0]):
+        oracle.rebalance(weights=weights)
+    oracle.insert(objects=[[0], [0]])
+    oracle.compact()
+    oracle.rebalance(weights=[1.0, 1.0, 10.0])
+    assert oracle.cuts == [0, 8, 17]  # the equal-size cuts of 26 objects
+    oracle.huge_keyword()
     oracle.probes_answer_like_brute_force()
     oracle.teardown()
 
