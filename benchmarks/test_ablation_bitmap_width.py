@@ -1,6 +1,6 @@
 """Bench: ablation — Bitmap-Counter width vs per-query memory."""
 
-from repro.experiments import ablations
+from paper.experiments import ablations
 
 
 def test_ablation_bitmap_width(benchmark, emit):

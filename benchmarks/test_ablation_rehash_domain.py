@@ -1,6 +1,6 @@
 """Bench: ablation — re-hash domain D vs tau-ANN quality."""
 
-from repro.experiments import ablations
+from paper.experiments import ablations
 
 
 def test_ablation_rehash_domain(benchmark, emit):

@@ -1,6 +1,6 @@
 """Bench: ablation — Robin Hood expired-overwrite modification."""
 
-from repro.experiments import ablations
+from paper.experiments import ablations
 
 
 def test_ablation_robin_hood(benchmark, emit):

@@ -1,6 +1,6 @@
 """Bench: ablation — load-balance sublist length sweep."""
 
-from repro.experiments import ablations
+from paper.experiments import ablations
 
 
 def test_ablation_sublist_length(benchmark, emit):

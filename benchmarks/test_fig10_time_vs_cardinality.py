@@ -1,6 +1,6 @@
 """Bench: Fig. 10 — running time vs data cardinality (fixed batch)."""
 
-from repro.experiments import fig10_time_vs_cardinality
+from paper.experiments import fig10_time_vs_cardinality
 
 
 def test_fig10_time_vs_cardinality(benchmark, emit):

@@ -1,6 +1,6 @@
 """Bench: Fig. 11 — very large query batches on SIFT."""
 
-from repro.experiments import fig11_large_batches
+from paper.experiments import fig11_large_batches
 
 
 def test_fig11_large_batches(benchmark, emit):

@@ -1,6 +1,6 @@
 """Bench: Fig. 12 — load balancing on the Adult workload."""
 
-from repro.experiments import fig12_load_balance
+from paper.experiments import fig12_load_balance
 
 
 def test_fig12_load_balance(benchmark, emit):

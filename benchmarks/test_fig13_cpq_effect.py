@@ -1,6 +1,6 @@
 """Bench: Fig. 13 — GENIE vs GEN-SPQ (c-PQ effectiveness)."""
 
-from repro.experiments import fig13_cpq_effect
+from paper.experiments import fig13_cpq_effect
 
 
 def test_fig13_cpq_effect(benchmark, emit):

@@ -1,6 +1,6 @@
 """Bench: Fig. 14 — approximation ratio vs k on SIFT."""
 
-from repro.experiments import fig14_approx_ratio
+from paper.experiments import fig14_approx_ratio
 
 
 def test_fig14_approx_ratio(benchmark, emit):

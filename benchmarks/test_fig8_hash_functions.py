@@ -1,6 +1,6 @@
 """Bench: Fig. 8 — minimum required LSH functions vs similarity."""
 
-from repro.experiments import fig8_hash_functions
+from paper.experiments import fig8_hash_functions
 
 
 def test_fig8_hash_functions(benchmark, emit):

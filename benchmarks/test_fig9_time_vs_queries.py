@@ -1,6 +1,6 @@
 """Bench: Fig. 9 — total running time vs number of queries, five datasets."""
 
-from repro.experiments import fig9_time_vs_queries
+from paper.experiments import fig9_time_vs_queries
 
 
 def test_fig9_time_vs_queries(benchmark, emit):

@@ -24,8 +24,8 @@ import hashlib
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
-from repro.experiments.table import ResultTable
 from repro.replica import FaultEvent, FaultPlan
 
 N_OBJECTS = 400

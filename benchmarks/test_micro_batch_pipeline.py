@@ -6,7 +6,7 @@ functionally identical pipelines on a Fig.-9-style 256-query LSH workload
 objects, k=10):
 
 * legacy: one :func:`plan_query_scan` + :func:`topk_from_counts` per query
-  (the specification in ``repro.core.reference``: per-item span lookups,
+  (the specification in ``paper.reference.reference``: per-item span lookups,
   per-query ``bincount``/selection), and
 * batch: one :func:`plan_batch_scan` for the whole batch (CSR span
   resolution, fused-key ``bincount`` tiles, cache-resident cost/selection
@@ -27,12 +27,12 @@ import time
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
+from paper.reference.reference import plan_query_scan, topk_from_counts
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex
-from repro.core.reference import plan_query_scan, topk_from_counts
 from repro.core.types import Corpus, Query, QueryBatch
-from repro.experiments.table import ResultTable
 
 M, DOMAIN, N_OBJECTS, N_QUERIES, K = 32, 1024, 8000, 256, 10
 

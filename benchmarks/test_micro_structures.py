@@ -9,12 +9,12 @@ the reproduction itself.
 import numpy as np
 import pytest
 
-from repro.core.bitmap_counter import BitmapCounter
-from repro.core.cpq import CountPriorityQueue
+from paper.reference.bitmap_counter import BitmapCounter
+from paper.reference.cpq import CountPriorityQueue
+from paper.reference.hash_table import RobinHoodHashTable
+from paper.reference.reference import topk_from_counts
+from paper.reference.spq_select import spq_topk
 from repro.core.engine import GenieConfig, GenieEngine
-from repro.core.hash_table import RobinHoodHashTable
-from repro.core.reference import topk_from_counts
-from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query
 from repro.sa.edit_distance import edit_distance
 

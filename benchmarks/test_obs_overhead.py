@@ -15,9 +15,9 @@ import time
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
 from repro.datasets.documents import make_document_queries, make_tweets_like
-from repro.experiments.table import ResultTable
 from repro.serve import BatchPolicy, GenieServer, TrafficSource, run_open_loop, sample_trace
 
 N_REQUESTS = 192

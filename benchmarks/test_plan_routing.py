@@ -33,9 +33,9 @@ caller opts into, not a rule.
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
 from repro.datasets.relational import adult_schema, make_adult_like
-from repro.experiments.table import ResultTable
 
 N_ROWS = 20000
 N_QUERIES = 96

@@ -28,10 +28,10 @@ the emitted artifact is byte-stable without masking):
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
 from repro.datasets.relational import adult_schema, make_adult_like
 from repro.errors import AvailabilityError
-from repro.experiments.table import ResultTable
 from repro.replica import FaultEvent, FaultPlan, RebalancePolicy
 from repro.serve import BatchPolicy, GenieServer
 

@@ -22,11 +22,11 @@ direct ``IndexHandle.search`` of the same query.
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
 from repro.datasets.documents import make_document_queries, make_tweets_like
 from repro.datasets.relational import adult_schema, make_adult_like
 from repro.datasets.synthetic import make_sift_like
-from repro.experiments.table import ResultTable
 from repro.serve import BatchPolicy, GenieServer, TrafficSource, run_open_loop, sample_trace
 
 N_REQUESTS = 256

@@ -23,11 +23,11 @@ Two tables, both in deterministic simulated seconds:
 
 import numpy as np
 
+from paper.experiments.common import fit_genie_ocr
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
 from repro.datasets import registry
 from repro.datasets.relational import adult_schema, make_adult_like
-from repro.experiments.common import fit_genie_ocr
-from repro.experiments.table import ResultTable
 from repro.serve import BatchPolicy, GenieServer
 
 SHARD_COUNTS = (1, 2, 4, 8)

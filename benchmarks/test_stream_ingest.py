@@ -21,8 +21,8 @@ bit-identical to a from-scratch refit of the final corpus.
 
 import numpy as np
 
+from paper.experiments.table import ResultTable
 from repro.api import GenieSession
-from repro.experiments.table import ResultTable
 from repro.stream import StreamConfig
 
 N_BASE = 1500

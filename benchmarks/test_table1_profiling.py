@@ -1,6 +1,6 @@
 """Bench: Table I — per-stage time profile of GENIE."""
 
-from repro.experiments import table1_profiling
+from paper.experiments import table1_profiling
 
 
 def test_table1_profiling(benchmark, emit):

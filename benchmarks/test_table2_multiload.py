@@ -1,6 +1,6 @@
 """Bench: Tables II + III — multi-loading scalability on SIFT_LARGE."""
 
-from repro.experiments import table2_multiload
+from paper.experiments import table2_multiload
 
 
 def test_table2_multiload(benchmark, emit):

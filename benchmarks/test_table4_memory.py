@@ -1,6 +1,6 @@
 """Bench: Table IV — per-query device memory, GENIE vs GEN-SPQ."""
 
-from repro.experiments import table4_memory
+from paper.experiments import table4_memory
 
 
 def test_table4_memory(benchmark, emit):

@@ -1,6 +1,6 @@
 """Bench: Table V — OCR 1-NN prediction quality."""
 
-from repro.experiments import table5_ocr_prediction
+from paper.experiments import table5_ocr_prediction
 
 
 def test_table5_ocr_prediction(benchmark, emit):

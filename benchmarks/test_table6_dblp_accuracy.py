@@ -1,6 +1,6 @@
 """Bench: Table VI — DBLP top-1 accuracy vs modification rate."""
 
-from repro.experiments import table6_dblp_accuracy
+from paper.experiments import table6_dblp_accuracy
 
 
 def test_table6_dblp_accuracy(benchmark, emit):

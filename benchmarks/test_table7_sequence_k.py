@@ -1,6 +1,6 @@
 """Bench: Table VII — sequence accuracy and time vs shortlist size K."""
 
-from repro.experiments import table7_sequence_k
+from paper.experiments import table7_sequence_k
 
 
 def test_table7_sequence_k(benchmark, emit):

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.api import GenieSession
 from repro.datasets.synthetic import make_sift_like, true_knn
-from repro.experiments.metrics import batch_approximation_ratio, recall_at_k
 from repro.lsh import hoeffding_m, practical_m
 
 K = 10
@@ -42,13 +41,18 @@ def main():
 
     recalls, reported = [], []
     for (ids, counts, estimates), tids, qp in zip(result.payload, true_ids, dataset.queries):
-        recalls.append(recall_at_k(ids, tids))
+        recalls.append(np.isin(tids, ids).mean())  # recall@k: true neighbours found
         d = np.sort(np.linalg.norm(dataset.data[ids] - qp[None, :], axis=1))
         d = np.pad(d, (0, K - d.size), mode="edge") if d.size else np.full(K, np.inf)
         reported.append(d[:K])
 
+    # Eqn. 13: the mean ratio of reported to true neighbour distances (a zero
+    # true distance counts as exact when the reported one is zero too).
+    reported = np.array(reported)
+    ratios = np.divide(reported, true_d, out=np.ones_like(reported), where=true_d > 0)
+    ratios[(true_d == 0) & (reported > 0)] = np.inf
     print(f"recall@{K}:           {np.mean(recalls):.3f}")
-    print(f"approximation ratio: {batch_approximation_ratio(np.array(reported), true_d):.4f}")
+    print(f"approximation ratio: {ratios.mean(axis=1).mean():.4f}")
 
     ids, counts, estimates = result.payload[0]
     print("\nFirst query's top-5 (count = colliding hash functions, c/m = similarity estimate):")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from paper.reference.reference import match_counts
 from repro.core.inverted_index import InvertedIndex
-from repro.core.reference import match_counts
 from repro.core.types import Corpus, Query
 from repro.errors import QueryError
 from repro.gpu.host import HostCpu

@@ -6,7 +6,7 @@ extraction uses the SPQ bucket selection. Comparing it with GENIE isolates
 c-PQ's contribution (Fig. 13, Table IV).
 
 Like the other baselines it computes its counts with the per-query
-specification (:mod:`repro.core.reference`). It charges the Count-Table
+specification (:mod:`paper.reference.reference`). It charges the Count-Table
 pipeline: GENIE's query and result transfers, one match launch (GENIE's,
 without the Gate and the Hash-Table writes), one SPQ selection launch per
 query, and a full Count Table plus SPQ workspace per in-flight query.
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core import reference
-from repro.core.count_table import count_table_batch_bytes
+from paper.reference import reference
+from paper.reference.count_table import count_table_batch_bytes
+from paper.reference.spq_select import spq_topk
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.scan_kernel import build_match_launch
-from repro.core.spq_select import spq_topk
 from repro.core.types import QueryBatch, TopKBatch
 from repro.errors import ConfigError
 from repro.gpu.device import Device

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.count_table import count_table_batch_bytes
+from paper.reference.count_table import count_table_batch_bytes
+from paper.reference.reference import match_counts
+from paper.reference.spq_select import spq_topk
 from repro.core.inverted_index import InvertedIndex
-from repro.core.reference import match_counts
-from repro.core.spq_select import spq_topk
 from repro.core.types import Corpus, Query, TopKResult
 from repro.errors import QueryError
 from repro.gpu.device import Device

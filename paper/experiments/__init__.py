@@ -1,12 +1,13 @@
 """Experiment harness: one module per figure/table of the paper.
 
 Each module exposes ``run(...) -> ResultTable`` (or a tuple of tables) and
-is runnable directly (``python -m repro.experiments.fig9_time_vs_queries``).
+is runnable directly from the repository root
+(``PYTHONPATH=src python -m paper.experiments.fig9_time_vs_queries``).
 The benchmarks under ``benchmarks/`` call these runners and print their
 tables.
 """
 
-from repro.experiments import (
+from paper.experiments import (
     ablations,
     fig8_hash_functions,
     fig9_time_vs_queries,
@@ -22,14 +23,14 @@ from repro.experiments import (
     table6_dblp_accuracy,
     table7_sequence_k,
 )
-from repro.experiments.metrics import (
+from paper.experiments.metrics import (
     approximation_ratio,
     batch_approximation_ratio,
     classification_report,
     recall_at_k,
     top1_accuracy,
 )
-from repro.experiments.table import ResultTable
+from paper.experiments.table import ResultTable
 
 __all__ = [
     "ResultTable",

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from paper.experiments.common import fit_genie_sift, reported_distances
+from paper.experiments.metrics import batch_approximation_ratio
+from paper.experiments.table import ResultTable
+from paper.reference.count_table import count_table_batch_bytes
+from paper.reference.cpq import CountPriorityQueue
 from repro.api.session import GenieSession
-from repro.core.count_table import count_table_batch_bytes
-from repro.core.cpq import CountPriorityQueue
 from repro.core.engine import GenieConfig, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig
 from repro.datasets import registry
 from repro.datasets.relational import adult_schema, make_exact_match_queries
 from repro.datasets.synthetic import true_knn
-from repro.experiments.common import fit_genie_sift, reported_distances
-from repro.experiments.metrics import batch_approximation_ratio
-from repro.experiments.table import ResultTable
 
 
 def run_bitmap_width(
@@ -32,7 +32,7 @@ def run_bitmap_width(
         title="Ablation: Bitmap-Counter width vs per-query memory",
         columns=["count_bound", "bits", "genie_bytes", "gen_spq_bytes", "ratio"],
     )
-    from repro.core.bitmap_counter import bits_for_bound
+    from repro.core.engine import bits_for_bound
 
     for bound in bounds:
         bits = bits_for_bound(bound)
@@ -57,7 +57,7 @@ def run_robin_hood(
     place; without it, every stale entry keeps lengthening probe chains.
     """
     rng = np.random.default_rng(seed)
-    from repro.core.hash_table import RobinHoodHashTable
+    from paper.reference.hash_table import RobinHoodHashTable
 
     keys = rng.integers(0, 10 * n_keys, size=n_keys)
     values = rng.integers(0, 4, size=n_keys)

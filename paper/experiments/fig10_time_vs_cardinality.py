@@ -8,8 +8,8 @@ magnitude above GENIE.
 
 from __future__ import annotations
 
-from repro.experiments.suite import systems_for
-from repro.experiments.table import ResultTable
+from paper.experiments.suite import systems_for
+from paper.experiments.table import ResultTable
 
 #: Scaled cardinality sweep (paper sweeps 500K..8M per dataset).
 DEFAULT_CARDINALITIES = (1_000, 2_000, 4_000, 8_000)

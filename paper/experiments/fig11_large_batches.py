@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from paper.baselines.gpu_lsh import GpuLsh
+from paper.experiments.common import DEFAULT_K, DEFAULT_M, fit_genie_sift
+from paper.experiments.table import ResultTable
 from repro.datasets import registry
-from repro.experiments.common import DEFAULT_K, DEFAULT_M, fit_genie_sift
-from repro.experiments.table import ResultTable
-from repro.baselines.gpu_lsh import GpuLsh
 from repro.gpu.device import Device
 
 #: Scaled query counts (paper sweeps 2048..65536).

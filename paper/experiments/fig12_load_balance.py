@@ -9,12 +9,12 @@ variant is slightly *slower* (split-index overhead).
 
 from __future__ import annotations
 
+from paper.experiments.table import ResultTable
 from repro.api.session import GenieSession
 from repro.core.engine import GenieConfig
 from repro.core.load_balance import LoadBalanceConfig
 from repro.datasets import registry
 from repro.datasets.relational import adult_schema, make_exact_match_queries
-from repro.experiments.table import ResultTable
 
 #: Scaled query counts (paper sweeps 1..16 on a 100M-row table).
 DEFAULT_QUERY_COUNTS = (1, 2, 4, 8, 16)

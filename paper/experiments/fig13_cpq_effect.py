@@ -8,8 +8,8 @@ selection re-scans full count arrays.
 
 from __future__ import annotations
 
-from repro.experiments.suite import document_systems, point_systems, relational_systems
-from repro.experiments.table import ResultTable
+from paper.experiments.suite import document_systems, point_systems, relational_systems
+from paper.experiments.table import ResultTable
 
 DEFAULT_QUERY_COUNTS = (32, 64, 128, 256)
 DEFAULT_DATASETS = ("ocr", "sift", "tweets", "adult")

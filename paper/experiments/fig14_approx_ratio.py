@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.gpu_lsh import GpuLsh
+from paper.baselines.gpu_lsh import GpuLsh
+from paper.experiments.common import DEFAULT_M, fit_genie_sift, reported_distances
+from paper.experiments.metrics import batch_approximation_ratio
+from paper.experiments.table import ResultTable
 from repro.datasets import registry
 from repro.datasets.synthetic import true_knn
-from repro.experiments.common import DEFAULT_M, fit_genie_sift, reported_distances
-from repro.experiments.metrics import batch_approximation_ratio
-from repro.experiments.table import ResultTable
 from repro.gpu.device import Device
 
 DEFAULT_KS = (1, 2, 4, 8, 16, 32, 64)

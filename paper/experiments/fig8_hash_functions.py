@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.table import ResultTable
+from paper.experiments.table import ResultTable
 from repro.lsh.tann import PAPER_DELTA, PAPER_EPS, fig8_curve, hoeffding_m
 
 

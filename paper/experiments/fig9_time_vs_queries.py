@@ -8,8 +8,8 @@ orders of magnitude slower and grow linearly.
 
 from __future__ import annotations
 
-from repro.experiments.suite import systems_for
-from repro.experiments.table import ResultTable
+from paper.experiments.suite import systems_for
+from paper.experiments.table import ResultTable
 
 #: Scaled default query counts (paper sweeps 32..1024).
 DEFAULT_QUERY_COUNTS = (32, 64, 128, 256)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from paper.baselines.appgram import AppGram
+from paper.baselines.cpu_idx import CpuIdx
+from paper.baselines.cpu_lsh import CpuLsh
+from paper.baselines.gen_spq import make_gen_spq
+from paper.baselines.gpu_lsh import GpuLsh
+from paper.baselines.gpu_spq import GpuSpq
+from paper.experiments.common import DEFAULT_DOMAIN, DEFAULT_K, DEFAULT_M, fit_genie_ocr, fit_genie_sift
 from repro.api.session import GenieSession
-from repro.baselines.appgram import AppGram
-from repro.baselines.cpu_idx import CpuIdx
-from repro.baselines.cpu_lsh import CpuLsh
-from repro.baselines.gen_spq import make_gen_spq
-from repro.baselines.gpu_lsh import GpuLsh
-from repro.baselines.gpu_spq import GpuSpq
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.types import Corpus, Query
 from repro.datasets import registry
@@ -24,7 +25,6 @@ from repro.datasets.documents import make_document_queries
 from repro.datasets.relational import adult_schema, make_range_queries
 from repro.datasets.sequences import make_query_set
 from repro.errors import GpuOutOfMemoryError, UnknownNameError
-from repro.experiments.common import DEFAULT_DOMAIN, DEFAULT_K, DEFAULT_M, fit_genie_ocr, fit_genie_sift
 from repro.gpu.device import Device
 from repro.sa.document import WordVocabulary, tokenize
 from repro.sa.ngram import NgramVocabulary

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from paper.experiments.common import DEFAULT_K, fit_genie_ocr, fit_genie_sift
+from paper.experiments.table import ResultTable
 from repro.api.session import GenieSession
 from repro.datasets import registry
 from repro.datasets.documents import make_document_queries
 from repro.datasets.relational import adult_schema, make_range_queries
 from repro.datasets.sequences import make_query_set
-from repro.experiments.common import DEFAULT_K, fit_genie_ocr, fit_genie_sift
-from repro.experiments.table import ResultTable
 
 STAGE_COLUMNS = ["index_build", "index_transfer", "query_transfer", "match", "select"]
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from paper.experiments.common import DEFAULT_K, DEFAULT_M
+from paper.experiments.table import ResultTable
 from repro.api.session import GenieSession
 from repro.core.engine import GenieConfig
 from repro.datasets import registry
-from repro.experiments.common import DEFAULT_K, DEFAULT_M
-from repro.experiments.table import ResultTable
 from repro.lsh.e2lsh import E2Lsh
 from repro.lsh.transform import LshTransformer
 

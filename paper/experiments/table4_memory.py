@@ -8,10 +8,10 @@ of GEN-SPQ's per-query memory, which multiplies its feasible batch size.
 
 from __future__ import annotations
 
-from repro.core.count_table import count_table_batch_bytes
+from paper.experiments.common import DEFAULT_K, DEFAULT_M
+from paper.experiments.table import ResultTable
+from paper.reference.count_table import count_table_batch_bytes
 from repro.core.engine import per_query_device_bytes
-from repro.experiments.common import DEFAULT_K, DEFAULT_M
-from repro.experiments.table import ResultTable
 from repro.gpu.specs import TITAN_X
 
 #: Per-dataset match-count bounds (number of query items / LSH functions).

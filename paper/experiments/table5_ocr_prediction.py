@@ -8,11 +8,11 @@ it at 8 hash functions on high-dimensional data.
 
 from __future__ import annotations
 
-from repro.baselines.gpu_lsh import GpuLsh
+from paper.baselines.gpu_lsh import GpuLsh
+from paper.experiments.common import fit_genie_ocr
+from paper.experiments.metrics import classification_report
+from paper.experiments.table import ResultTable
 from repro.datasets import registry
-from repro.experiments.common import fit_genie_ocr
-from repro.experiments.metrics import classification_report
-from repro.experiments.table import ResultTable
 from repro.gpu.device import Device
 
 METRIC_COLUMNS = ["precision", "recall", "f1", "accuracy"]

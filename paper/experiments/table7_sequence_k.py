@@ -7,11 +7,11 @@ should be visible in the output.
 
 from __future__ import annotations
 
+from paper.experiments.metrics import top1_accuracy
+from paper.experiments.table import ResultTable
 from repro.api.session import GenieSession
 from repro.datasets import registry
 from repro.datasets.sequences import make_query_set
-from repro.experiments.metrics import top1_accuracy
-from repro.experiments.table import ResultTable
 
 DEFAULT_KS = (8, 16, 32, 64, 128, 256)
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.3, 0.4)

@@ -10,28 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.engine import _ALLOWED_BITS, bits_for_bound
 from repro.errors import ConfigError, ObjectIdError
-
-#: Bit widths a counter may use; must divide the 32-bit word.
-_ALLOWED_BITS = (1, 2, 4, 8, 16, 32)
-
-
-def bits_for_bound(count_bound: int) -> int:
-    """Smallest allowed bit width whose max value reaches ``count_bound``.
-
-    Args:
-        count_bound: Largest count any object can attain (e.g. the number
-            of hash functions for LSH data).
-
-    Returns:
-        A width from ``{1, 2, 4, 8, 16, 32}``.
-    """
-    if count_bound < 0:
-        raise ConfigError("count bound must be non-negative")
-    for bits in _ALLOWED_BITS:
-        if (1 << bits) - 1 >= count_bound:
-            return bits
-    raise ConfigError(f"count bound {count_bound} exceeds 32-bit counters")
 
 
 class BitmapCounter:

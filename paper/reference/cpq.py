@@ -2,10 +2,10 @@
 
 c-PQ replaces the per-query Count Table with:
 
-* a :class:`~repro.core.bitmap_counter.BitmapCounter` (all objects, a few
+* a :class:`~paper.reference.bitmap_counter.BitmapCounter` (all objects, a few
   bits each),
-* a :class:`~repro.core.zipper.Gate` (ZipperArray + AuditThreshold), and
-* a :class:`~repro.core.hash_table.RobinHoodHashTable` holding only the
+* a :class:`~paper.reference.zipper.Gate` (ZipperArray + AuditThreshold), and
+* a :class:`~paper.reference.hash_table.RobinHoodHashTable` holding only the
   few objects that ever passed the Gate.
 
 :meth:`CountPriorityQueue.update` is Algorithm 1 verbatim; after the scan,
@@ -22,19 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitmap_counter import BitmapCounter
-from repro.core.hash_table import RobinHoodHashTable
+from paper.reference.bitmap_counter import BitmapCounter
+from paper.reference.hash_table import RobinHoodHashTable
+from paper.reference.zipper import Gate
+from repro.core.engine import hash_table_capacity
 from repro.core.types import TopKResult
-from repro.core.zipper import Gate
 from repro.errors import ConfigError
-
-#: Hash-table slots per expected entry (headroom over the k*AT bound).
-_HT_SLACK = 4
-
-
-def hash_table_capacity(k: int, count_bound: int) -> int:
-    """Slot count for the c-PQ hash table, ``O(k * count_bound)`` as in the paper."""
-    return max(16, _HT_SLACK * k * max(1, count_bound))
 
 
 class CountPriorityQueue:

@@ -8,11 +8,11 @@ statistics as pure functions of the final counts (Theorem 3.1 pins ``AT`` to
 ``MC_k + 1`` whatever the scan order). :func:`reference_query` runs the
 exact Algorithm-1 c-PQ, update by update.
 
-Only tests, experiments and the baselines import this module — never the
-engine (``tests/test_layering.py``). :func:`plan_batch` assembles the same
+It lives outside the installed package, which never imports it
+(``tests/test_layering.py``). :func:`plan_batch` assembles the same
 :class:`~repro.core.batch_scan.BatchScanPlan` the production scan returns,
 so the two are compared field by field; the GEN-SPQ baseline
-(:mod:`repro.baselines.gen_spq`) reads its counts and launch statistics from
+(:mod:`paper.baselines.gen_spq`) reads its counts and launch statistics from
 the same per-query plans.
 """
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from paper.reference.cpq import CountPriorityQueue
 from repro.core.batch_scan import BatchScanPlan
-from repro.core.cpq import CountPriorityQueue
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import group_spans_into_blocks
 from repro.core.types import Query, TopKResult

@@ -14,14 +14,17 @@ GPU" (ICDE 2018). Subpackages:
 * :mod:`repro.obs` — observability (deterministic request traces on the
   virtual clock, typed metric primitives),
 * :mod:`repro.gpu` — the simulated GPU/CPU substrate,
-* :mod:`repro.core` — match-count model, inverted index, c-PQ, engine,
+* :mod:`repro.core` — match-count model, inverted index, batch scan, engine,
 * :mod:`repro.lsh` — LSH families, re-hashing, the points-to-keywords
   transform and the tau-ANN theory (searched via ``model="ann-*"``),
 * :mod:`repro.sa` — shotgun-and-assembly encoders (n-grams, words,
   relational attributes) behind the sequence/document/relational models,
-* :mod:`repro.baselines` — the paper's competitor systems,
-* :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets,
-* :mod:`repro.experiments` — the figure/table reproduction harness.
+* :mod:`repro.datasets` — synthetic stand-ins for the paper's datasets.
+
+How the paper evaluates GENIE ships outside the package, in the
+repository's ``paper/``: the Algorithm-1 reference structures
+(``paper/reference``), the competitor systems (``paper/baselines``) and the
+figure/table runners (``paper/experiments``).
 """
 
 __version__ = "1.2.0"

@@ -60,10 +60,11 @@ sub-batch one more part — in one pass over flat arrays whose rows are
 :mod:`repro.core.scan_kernel` read: batch arrays, no per-query objects. No
 ``(n_queries, n_objects)`` array ever exists.
 
-The readable per-query specification lives in :mod:`repro.core.reference`;
-``reference.plan_batch`` assembles the same struct one query at a time and
-``tests/core/test_batch_scan.py`` holds the two equal field by field (and a
-round equal to its parts scanned one by one), so the simulated
+The readable per-query specification lives outside the package, in the
+repository's ``paper/reference/reference.py``; its ``plan_batch`` assembles
+the same struct one query at a time and ``tests/core/test_batch_scan.py``
+holds the two equal field by field (and a round equal to its parts scanned
+one by one), so the simulated
 :class:`~repro.gpu.kernel.KernelLaunch` costs and every answer
 (count-desc / id-asc tie-break included) are bit-for-bit the specification's.
 """
@@ -119,7 +120,7 @@ def plan_batch_scan(
     """Lay out block structure, count and select top-k for a whole batch: a one-part round.
 
     Returns the batch plan, equal field by field to
-    ``repro.core.reference.plan_batch(index, queries, k)`` (see
+    the specification's ``plan_batch(index, queries, k)`` (see
     :func:`plan_scan_round`; ``k`` also feeds the c-PQ cost derivation).
     """
     (plan,) = plan_scan_round([(index, queries, k)], max_fused_cells)
@@ -184,7 +185,7 @@ def _resolve_spans(
         query, and owning item (a batch-global item counter); for each
         resolved keyword its keyword row and owning query. The stream is
         ordered by query, then item, then the item's keyword order, then
-        span order — the order :func:`repro.core.reference.plan_query_scan`
+        span order — the order the specification's ``plan_query_scan``
         visits spans.
     """
     rows, found = index.keyword_rows(queries.keywords)
@@ -674,7 +675,7 @@ def _select_rows(
 
     ``rows`` / ``ids`` / ``vals`` hold, for every row in ``0..kk.size``,
     every cell with a count ``>= max(kth, 1)`` — exactly the candidate set
-    :func:`repro.core.reference.topk_from_counts` draws from — rows in any
+    the specification's ``topk_from_counts`` draws from — rows in any
     order, each row's cells together and ids ascending among its equal
     counts. One stable segmented sort by (row, count desc) keeps them so;
     fewer than ``kk`` cells sit above the threshold, so a row's first

@@ -20,9 +20,12 @@ histogram) plus every query's top-k. :meth:`GenieEngine.charge` then
 allocates, transfers and launches what that scan lays out; the plan
 executor calls it with the scans of its own round.
 The per-query specification it is tested against, Algorithm-1 c-PQ run
-included, lives in :mod:`repro.core.reference`, which the engine never imports;
+included, lives outside the package in the repository's ``paper/reference``;
 the GEN-SPQ ablation (plain Count Table + SPQ selection) is a baseline,
-:mod:`repro.baselines.gen_spq`, built on that specification.
+``paper/baselines/gen_spq.py``, built on that specification. The engine
+builds none of the c-PQ structures: it prices them (the sizing helpers
+:func:`bits_for_bound`, :func:`hash_table_capacity` and
+:func:`per_query_device_bytes` below).
 
 The engine is also the home of the memory accounting that reproduces
 Table IV: per-batch structures are really allocated on the simulated
@@ -38,8 +41,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.batch_scan import BatchScanPlan, plan_batch_scan
-from repro.core.bitmap_counter import bits_for_bound
-from repro.core.cpq import hash_table_capacity
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.scan_kernel import build_match_launch, build_select_launch
@@ -51,6 +52,12 @@ from repro.gpu.stats import StageTimings, timings_delta
 
 #: Modeled bytes per Hash-Table slot on the real device (4B key + 4B value).
 _HT_SLOT_BYTES = 8
+
+#: Hash-table slots per expected entry (headroom over the k*AT bound).
+_HT_SLACK = 4
+
+#: Bit widths a Bitmap-Counter counter may use; must divide the 32-bit word.
+_ALLOWED_BITS = (1, 2, 4, 8, 16, 32)
 
 #: Bytes per query keyword sent to the device (a 32-bit keyword id).
 QUERY_KEYWORD_BYTES = 4
@@ -144,6 +151,29 @@ def batch_count_bound(config: GenieConfig, queries: QueryBatch) -> int:
     if config.count_bound is not None:
         return max(1, int(config.count_bound))
     return max(1, int(queries.keywords_per_query.max(initial=1)))
+
+
+def bits_for_bound(count_bound: int) -> int:
+    """Smallest allowed Bitmap-Counter bit width whose max value reaches ``count_bound``.
+
+    Args:
+        count_bound: Largest count any object can attain (e.g. the number
+            of hash functions for LSH data).
+
+    Returns:
+        A width from ``{1, 2, 4, 8, 16, 32}``.
+    """
+    if count_bound < 0:
+        raise ConfigError("count bound must be non-negative")
+    for bits in _ALLOWED_BITS:
+        if (1 << bits) - 1 >= count_bound:
+            return bits
+    raise ConfigError(f"count bound {count_bound} exceeds 32-bit counters")
+
+
+def hash_table_capacity(k: int, count_bound: int) -> int:
+    """Slot count for the c-PQ hash table, ``O(k * count_bound)`` as in the paper."""
+    return max(16, _HT_SLACK * k * max(1, count_bound))
 
 
 def per_query_device_bytes(n_objects: int, k: int, count_bound: int, bits: int | None) -> int:
@@ -304,37 +334,6 @@ class GenieEngine:
         )
         self.device.launch(select_launch, stage="select")
         return scan.results
-
-    def query_batched(
-        self, queries: QueryBatch | list[Query], k: int | None = None, batch_size: int | None = None
-    ) -> TopKBatch:
-        """Run an oversized workload as a sequence of device-sized batches.
-
-        This is the paper's Fig.-11 protocol: GENIE answers tens of
-        thousands of queries by splitting them into batches that fit next
-        to the resident index. When ``batch_size`` is omitted it is derived
-        from free device memory.
-
-        Args:
-            queries: The full workload.
-            k: Result size.
-            batch_size: Queries per batch; auto-sized when ``None``.
-
-        Returns:
-            One result per query, in input order. ``last_profile``
-            accumulates over all batches.
-        """
-        queries = QueryBatch.from_queries(queries)
-        if len(queries) == 0:
-            raise QueryError("empty query batch")
-        k = resolve_k(k, self.config.k)
-        if batch_size is None:
-            bound = batch_count_bound(self.config, queries)
-            batch_size = max(1, min(len(queries), self.max_batch_size(bound, k)))
-        batches = device_batches(queries, count_option(batch_size, "batch_size"))
-        if self.index is None:
-            raise QueryError("engine must be fitted before querying")
-        return self.charge_batches(batches, k, [self._scan(batch, k) for batch in batches])
 
     def charge_batches(self, batches: list[QueryBatch], k: int, scans: list) -> TopKBatch:
         """Charge computed batches in order; ``last_profile`` accumulates over them.

@@ -8,11 +8,11 @@ result of that scan is computed by
 *cost* — coalesced list reads, atomic contention on hot counters, Gate branch
 divergence, Hash-Table writes — into a :class:`~repro.gpu.kernel.KernelLaunch`
 from that one :class:`~repro.core.batch_scan.BatchScanPlan` (which the
-per-query specification, :func:`repro.core.reference.plan_batch`, also
-builds): two sums over its per-query arrays, and the atomic-conflict estimate
-in one expression over ``count_hist``, the histogram of where the batch's
-counters ended. The GEN-SPQ baseline's plain Count-Table scan is this launch
-without the Gate and the Hash-Table writes (:mod:`repro.baselines.gen_spq`).
+per-query specification, ``plan_batch`` in the repository's
+``paper/reference/reference.py``, also builds): two sums over its per-query
+arrays, and the atomic-conflict estimate in one expression over
+``count_hist``, the histogram of where the batch's counters ended. The GEN-SPQ baseline's plain Count-Table scan is this launch
+without the Gate and the Hash-Table writes (``paper/baselines/gen_spq.py``).
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ build straight from their keyword matrices and what the scan, the planner
 and the caches read; a :class:`TopKBatch` is what the selection step hands
 back for the whole batch and what scan sources, the tombstone strike and the
 host merge pass on. :class:`Query` and :class:`TopKResult` are the per-query
-views of them: what users, model hooks, the specification
-(:mod:`repro.core.reference`) and the baselines handle, converted at the
+views of them: what users, model hooks, the specification and the
+baselines (the repository's ``paper/``) handle, converted at the
 public doors — once on the way in by :meth:`QueryBatch.from_queries`, once
 per answered query on the way out by iterating the final batch.
 """
@@ -456,7 +456,7 @@ class QueryBatch:
         A :class:`QueryBatch` passes through untouched, so every public
         door (``RawModel.encode_queries``, ``IndexHandle.encode_queries``
         for third-party models, ``IndexHandle.search_encoded``,
-        ``GenieEngine.query`` / ``query_batched``) calls this once on entry.
+        ``GenieEngine.query``) calls this once on entry.
 
         Raises:
             QueryError: If an element is not a :class:`Query`.

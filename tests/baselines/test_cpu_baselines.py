@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.baselines.appgram import AppGram
-from repro.baselines.cpu_idx import CpuIdx
-from repro.baselines.cpu_lsh import CpuLsh
-from repro.baselines.gen_spq import make_gen_spq
-from repro.core.count_table import count_table_batch_bytes
+from paper.baselines.appgram import AppGram
+from paper.baselines.cpu_idx import CpuIdx
+from paper.baselines.cpu_lsh import CpuLsh
+from paper.baselines.gen_spq import make_gen_spq
+from paper.reference.count_table import count_table_batch_bytes
 from repro.core.engine import GenieConfig, GenieEngine
-from repro.gpu.device import Device
-from repro.gpu.specs import small_device
 from repro.core.match_count import brute_force_topk
 from repro.core.types import Corpus, Query
 from repro.errors import QueryError
+from repro.gpu.device import Device
+from repro.gpu.specs import small_device
 from repro.sa.edit_distance import edit_distance
 
 CORPUS = Corpus([[i % 7, 7 + (i * 3) % 5] for i in range(40)])

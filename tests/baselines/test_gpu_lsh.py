@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.gpu_lsh import GpuLsh
+from paper.baselines.gpu_lsh import GpuLsh
 from repro.errors import ConfigError, QueryError
 from repro.gpu.device import Device
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.gpu_spq import GpuSpq
+from paper.baselines.gpu_spq import GpuSpq
 from repro.core.match_count import brute_force_topk
 from repro.core.types import Corpus, Query
 from repro.errors import GpuOutOfMemoryError, QueryError

@@ -1,7 +1,7 @@
 """Tests for the vectorized batch match pipeline.
 
 The batch scanner must be *value-identical* to the per-query specification
-in :mod:`repro.core.reference` (``plan_batch`` assembles the same struct one
+in :mod:`paper.reference.reference` (``plan_batch`` assembles the same struct one
 query at a time), and equivalent to the exact Algorithm-1 reference up to the
 reference's own tie identity at the k-th count (Theorem 3.1 pins counts and
 threshold, not which tied id the Robin Hood table happens to retain).
@@ -15,14 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.gen_spq import make_gen_spq
+from paper.baselines.gen_spq import make_gen_spq
+from paper.reference import reference
 from repro.core import batch_scan
 from repro.core.batch_scan import plan_batch_scan
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.inverted_index import InvertedIndex, ragged_slices
 from repro.core.load_balance import LoadBalanceConfig, split_span
 from repro.core.match_count import match_counts_all
-from repro.core import reference
 from repro.core.scan_kernel import build_match_launch
 from repro.core.types import Corpus, Query, QueryBatch, csr_offsets
 from repro.gpu.device import Device

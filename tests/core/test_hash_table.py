@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hash_table import RobinHoodHashTable, next_power_of_two
+from paper.reference.hash_table import RobinHoodHashTable, next_power_of_two
 from repro.errors import ConfigError
 
 

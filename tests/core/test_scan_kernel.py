@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper.reference.reference import match_counts, plan_batch, plan_query_scan
 from repro.core.inverted_index import InvertedIndex
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.match_count import match_counts_all
-from repro.core.reference import match_counts, plan_batch, plan_query_scan
 from repro.core.scan_kernel import CONTENTION_DILUTION, build_match_launch, build_select_launch
 from repro.core.types import Corpus, Query
 from repro.gpu.specs import TITAN_X, DeviceSpec, small_device

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reference import audit_threshold_from_counts, derive_cpq_cost, topk_from_counts
+from paper.reference.reference import audit_threshold_from_counts, derive_cpq_cost, topk_from_counts
 
 
 class TestTopkFromCounts:

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.reference import topk_from_counts
-from repro.core.spq_select import spq_topk
+from paper.reference.reference import topk_from_counts
+from paper.reference.spq_select import spq_topk
 
 
 class TestSpqTopk:

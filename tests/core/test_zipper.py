@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.zipper import Gate
+from paper.reference.zipper import Gate
 from repro.errors import ConfigError, InvariantError, ReproError
 
 

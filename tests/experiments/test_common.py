@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from paper.experiments.common import fit_genie_ocr, fit_genie_sift, genie_batch_seconds, reported_distances
+from paper.experiments.suite import _oom_guard, systems_for
 from repro.core.types import TopKResult
 from repro.datasets.synthetic import make_ocr_like, make_sift_like
 from repro.errors import GpuOutOfMemoryError
-from repro.experiments.common import fit_genie_ocr, fit_genie_sift, genie_batch_seconds, reported_distances
-from repro.experiments.suite import _oom_guard, systems_for
 
 
 class TestFitHelpers:

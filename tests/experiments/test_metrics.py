@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.metrics import (
+from paper.experiments.metrics import (
     approximation_ratio,
     batch_approximation_ratio,
     classification_report,

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments import (
+from paper.experiments import (
     ablations,
     fig8_hash_functions,
     fig9_time_vs_queries,

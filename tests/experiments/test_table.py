@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.table import ResultTable
+from paper.experiments.table import ResultTable
 
 
 class TestResultTable:

@@ -1,8 +1,8 @@
-"""Tier-1 gate: src/repro and the linter lint clean, and the report is byte-deterministic.
+"""Tier-1 gate: src/repro, paper/ and the linter lint clean, and the report is byte-deterministic.
 
 These are the tests that make the checker *enforcing*: seeding a
-violation anywhere under ``src/repro`` fails the suite (nothing is
-allowlisted), and two CLI runs must emit identical bytes.
+violation anywhere under ``src/repro`` or ``paper/`` fails the suite
+(nothing is allowlisted), and two CLI runs must emit identical bytes.
 """
 
 import os
@@ -31,12 +31,14 @@ def _cli(*args, cwd=REPO_ROOT):
 
 
 class TestCleanTree:
-    def test_package_and_linter_are_clean(self):
+    def test_package_paper_and_linter_are_clean(self):
         report = lint_paths(DEFAULT_PATHS)
         assert report.findings == [], "\n" + report.render()
         package = len(list((SRC / "repro").rglob("*.py")))
+        paper = len(list((REPO_ROOT / "paper").rglob("*.py")))
         linter = len(list((REPO_ROOT / "tools" / "lint").rglob("*.py")))
-        assert report.files == package + linter
+        assert paper > 0
+        assert report.files == package + paper + linter
         assert [rule.rule_id for rule in report.rules] == [f"REPRO00{i}" for i in range(1, 8)]
 
 
@@ -51,8 +53,7 @@ class TestSeededViolation:
         )
 
     def test_cli_exits_nonzero_on_violation(self, tmp_path):
-        # No allowlist: a wall clock in any repro module fails, the
-        # experiments package included.
+        # No allowlist: a wall clock in any linted module fails.
         scratch = tmp_path / "src" / "repro" / "experiments" / "clocked.py"
         scratch.parent.mkdir(parents=True)
         scratch.write_text(BAD_SNIPPET, encoding="utf-8")

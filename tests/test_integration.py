@@ -8,10 +8,10 @@ GPU-SPQ full scan, CPU-Idx) agree on real workloads.
 import numpy as np
 import pytest
 
+from paper.baselines.cpu_idx import CpuIdx
+from paper.baselines.gen_spq import make_gen_spq
+from paper.baselines.gpu_spq import GpuSpq
 from repro.api import AnnModel, GenieSession
-from repro.baselines.cpu_idx import CpuIdx
-from repro.baselines.gen_spq import make_gen_spq
-from repro.baselines.gpu_spq import GpuSpq
 from repro.core.engine import GenieConfig, GenieEngine
 from repro.core.load_balance import LoadBalanceConfig
 from repro.core.types import Corpus, Query
@@ -60,27 +60,28 @@ class TestSystemsAgree:
         assert _count_lists(multi.search(self.queries).results) == expected
 
 
-class TestQueryBatched:
+class TestSearchBatchSize:
+    """``search(batch_size=)`` cuts the workload into device-sized batches (Fig. 11's protocol)."""
+
     def test_matches_single_batch(self):
         rng = np.random.default_rng(2)
         corpus = Corpus([rng.integers(0, 40, size=6) for _ in range(150)])
         queries = [Query.from_keywords(rng.integers(0, 40, size=6)) for _ in range(20)]
-        engine = GenieEngine(config=GenieConfig(k=4)).fit(corpus)
-        whole = _count_lists(engine.query(queries))
-        batched = _count_lists(engine.query_batched(queries, batch_size=3))
+        handle = GenieSession(config=GenieConfig(k=4)).create_index(corpus, model="raw")
+        whole = _count_lists(handle.search(queries).results)
+        batched = _count_lists(handle.search(queries, batch_size=3).results)
         assert batched == whole
 
-    def test_auto_batch_size(self):
+    def test_batch_size_past_the_workload(self):
         corpus = Corpus([[i % 5] for i in range(50)])
-        engine = GenieEngine(config=GenieConfig(k=2)).fit(corpus)
-        results = engine.query_batched([Query.from_keywords([0])] * 7)
+        handle = GenieSession(config=GenieConfig(k=2)).create_index(corpus, model="raw")
+        results = handle.search([Query.from_keywords([0])] * 7, batch_size=100).results
         assert len(results) == 7
 
     def test_empty_rejected(self):
-        corpus = Corpus([[0]])
-        engine = GenieEngine(config=GenieConfig(k=1)).fit(corpus)
+        handle = GenieSession(config=GenieConfig(k=1)).create_index(Corpus([[0]]), model="raw")
         with pytest.raises(QueryError):
-            engine.query_batched([])
+            handle.search([], batch_size=2)
 
 
 class TestAnnQualityEndToEnd:

@@ -1,6 +1,6 @@
 """Layering: the substrate packages never import the layers built on them.
 
-``core`` / ``gpu`` / ``lsh`` / ``sa`` / ``datasets`` / ``baselines`` are what
+``core`` / ``gpu`` / ``lsh`` / ``sa`` / ``datasets`` are what
 the session, planner, cluster, replica, stream, serve and obs layers are
 built from; an import in the other direction — even a lazy one inside a
 function body — is a cycle waiting to happen.
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import repro
 
-LOWER = ("core", "gpu", "lsh", "sa", "datasets", "baselines")
+LOWER = ("core", "gpu", "lsh", "sa", "datasets")
 UPPER = ("api", "serve", "plan", "cluster", "replica", "stream", "obs")
 
 
@@ -39,38 +39,22 @@ def test_lower_layers_do_not_import_upward():
     assert not offenders, "upward imports:\n" + "\n".join(offenders)
 
 
-def test_only_baselines_and_experiments_import_the_specification():
-    """``core/reference.py`` is the per-query specification, not a code path.
+def test_the_package_imports_nothing_from_paper():
+    """How the paper evaluates GENIE (``paper/``: the Algorithm-1 reference structures and the
+    per-query specification, the baselines, the figure runners) is not a code path.
 
-    Production modules — the engine included, and ``repro.core``'s own
-    ``__init__`` — never import it; the baselines (which *are* per-query
-    systems) and the experiment runners may.
+    The wheel does not ship it, so no module of the package may import it — not even lazily
+    inside a function body: the engine prices the c-PQ structures and the Count Table, it never
+    builds them.
     """
     root = Path(repro.__file__).parent
-    allowed = ("baselines", "experiments")
-    offenders = []
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        if relative.parts[0] in allowed or relative == Path("core/reference.py"):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for lineno, module in _imported_modules(tree):
-            if module == "repro.core.reference" or module.startswith("repro.core.reference."):
-                offenders.append(f"{relative}:{lineno}: {module}")
-    assert not offenders, "the specification leaked into production:\n" + "\n".join(offenders)
-
-
-def test_the_scan_path_knows_no_count_table():
-    """GEN-SPQ (a plain Count Table + SPQ selection) is a baseline, not a mode of GENIE's scan."""
-    root = Path(repro.__file__).parent
-    banned = ("repro.core.spq_select", "repro.core.count_table")
     offenders = [
-        f"core/{name}.py:{lineno}: {module}"
-        for name in ("engine", "batch_scan", "scan_kernel")
-        for lineno, module in _imported_modules(ast.parse((root / "core" / f"{name}.py").read_text()))
-        if any(module == b or module.startswith(b + ".") for b in banned)
+        f"{path.relative_to(root)}:{lineno}: {module}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, module in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if module == "paper" or module.startswith("paper.")
     ]
-    assert not offenders, "the scan path imports GEN-SPQ's structures:\n" + "\n".join(offenders)
+    assert not offenders, "imports of the paper harness:\n" + "\n".join(offenders)
 
 
 def test_stream_and_cluster_never_import_the_session_layer():
@@ -204,9 +188,9 @@ def test_search_path_moves_candidates_as_batches():
     A ``TopKResult(...)`` built in the scan, the executor, the merge, the
     stream or the serve layer is a per-query python loop come back; the
     per-query views are made by ``TopKBatch.__getitem__`` alone, once per
-    answered query at ``search_encoded``. (The SPQ bucket selection
-    lives in ``core/spq_select.py``; the specification and the baselines,
-    GEN-SPQ included, are per-query systems.)
+    answered query at ``search_encoded``. (The specification and the
+    baselines, GEN-SPQ included, are per-query systems; they live in
+    ``paper/``, outside the package.)
     """
     root = Path(repro.__file__).parent
     offenders = [
@@ -244,13 +228,11 @@ def test_the_stream_delta_holds_a_corpus_not_per_object_dicts():
 
 def test_only_the_doors_and_the_specification_construct_queries():
     root = Path(repro.__file__).parent
-    allowed_files = {Path("core/types.py"), Path("core/reference.py"), Path("core/match_count.py"),
-                     Path("api/models.py")}
-    allowed_packages = ("baselines", "experiments")
+    allowed_files = {Path("core/types.py"), Path("core/match_count.py"), Path("api/models.py")}
     offenders = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
-        if relative in allowed_files or relative.parts[0] in allowed_packages:
+        if relative in allowed_files:
             continue
         offenders += [f"{relative}:{lineno}" for lineno, what in _per_query_uses(path)
                       if what == "constructs Query"]
@@ -283,12 +265,11 @@ def test_canonical_rows_are_moved_not_rewrapped():
     ``.keyword_arrays`` in the build path is a python object per object.
     """
     root = Path(repro.__file__).parent
-    allowed_files = {Path("core/types.py"), Path("core/reference.py"), Path("core/match_count.py")}
-    allowed_packages = ("baselines", "experiments")
+    allowed_files = {Path("core/types.py"), Path("core/match_count.py")}
     offenders = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
-        if relative in allowed_files or relative.parts[0] in allowed_packages:
+        if relative in allowed_files:
             continue
         offenders += [f"{relative}:{lineno}: {what}" for lineno, what in _corpus_rewraps(path)]
     for relative in ("core/inverted_index.py", "cluster/plan.py", "stream/state.py", "api/session.py"):
@@ -346,20 +327,42 @@ def test_the_package_holds_no_linter_and_imports_no_repo_tool():
     assert not offenders, "repo-tool imports:\n" + "\n".join(offenders)
 
 
+#: The modules that left ``repro.core`` for ``paper/reference`` (and ``match_count``, the
+#: brute-force oracle, which stays in the package but is no longer imported by ``repro.core``).
+MOVED_CORE = ("cpq", "hash_table", "bitmap_counter", "zipper", "count_table", "reference", "spq_select")
+
+
 def test_the_serving_system_loads_no_harness_package():
-    """``import repro, repro.api, repro.serve`` loads no experiment runner or baseline."""
+    """``import repro, repro.api, repro.serve`` loads nothing from ``paper`` and none of the
+    Algorithm-1 structures, the Count Table or the brute-force oracle."""
     import os
     import subprocess
     import sys
 
+    unwanted = [f"repro.core.{name}" for name in (*MOVED_CORE, "match_count")]
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
          "import repro, repro.api, repro.serve\n"
          "print(' '.join(sorted(m for m in sys.modules\n"
-         "    if m.split('.')[:2] in (['repro', 'experiments'], ['repro', 'baselines']))))"],
+         f"    if m.split('.')[0] == 'paper' or m in {unwanted!r})))"],
         env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parent.parent)},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_the_package_holds_no_harness():
+    """The baselines, the figure runners and the Algorithm-1 structures live in ``paper/``:
+    a copy left in the package would ship in the wheel again."""
+    root = Path(repro.__file__).parent
+    assert not [name for name in ("baselines", "experiments") if (root / name).exists()]
+    assert not [name for name in MOVED_CORE if (root / "core" / f"{name}.py").exists()]
+    from repro import core
+
+    assert set(core.__all__) == {
+        "Corpus", "Query", "QueryBatch", "TopKBatch", "TopKResult", "GenieEngine", "GenieConfig",
+        "InvertedIndex", "LoadBalanceConfig", "plan_batch_scan", "BatchScanPlan",
+        "bits_for_bound", "hash_table_capacity", "per_query_device_bytes",
+    }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import currently_in_test_context, event, seed, settings
+from hypothesis import Phase, currently_in_test_context, event, seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -519,7 +519,12 @@ class OracleMachine(RuleBasedStateMachine):
 
 #: Examples and steps per machine: 2 x 12 in tier-1. ``REPRO_ORACLE_DEPTH="examples,steps"``
 #: runs the same seeded machines deeper (CI's ``oracle-depth`` job, outside tier-1).
-EXAMPLES, STEPS = (int(n) for n in os.environ.get("REPRO_ORACLE_DEPTH", "2,12").split(","))
+DEPTH = os.environ.get("REPRO_ORACLE_DEPTH")
+EXAMPLES, STEPS = (int(n) for n in (DEPTH or "2,12").split(","))
+#: At depth a failure is reported as found, unshrunk: shrinking a long run takes minutes,
+#: past the per-test watchdog (``conftest.py``), which would end the run before the
+#: falsifying example is printed. Tier-1's short runs keep shrinking.
+PHASES = tuple(phase for phase in Phase if phase is not Phase.shrink) if DEPTH else settings().phases
 
 #: One machine per (model, handle kind, policy, cache) cell, so every cell is reached.
 ORACLES = {}
@@ -527,7 +532,8 @@ for _position, _cell in enumerate(itertools.product(MODELS, KINDS, POLICIES, CAC
     _fields = dict(zip(("model_name", "kind", "policy", "cache"), _cell))
     _machine = type(f"Oracle[{', '.join(_cell)}]", (OracleMachine,), _fields)
     ORACLES[_cell] = _machine
-    _machine.TestCase.settings = settings(max_examples=EXAMPLES, stateful_step_count=STEPS, deadline=None, database=None)
+    _machine.TestCase.settings = settings(max_examples=EXAMPLES, stateful_step_count=STEPS, deadline=None,
+                                          database=None, phases=PHASES)
     seed(_position)(_machine)  # the same examples on every run
     globals()["TestOracle_" + "_".join(_cell).replace("-", "_")] = _machine.TestCase
 del _position, _cell, _fields, _machine

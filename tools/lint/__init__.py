@@ -5,16 +5,16 @@ plan strategies, byte-identical traces across seeded runs, honest stage
 accounting behind Table I's per-stage profile — is otherwise enforced
 only dynamically, by tests that must think to exercise the violation.
 This package makes the whole *class* of regressions checkable at commit
-time: a rule registry with stable ids, AST visitors over ``src/repro``
-and this tool itself, and a deterministic report (byte-identical across
-runs) wired into tier-1 and CI. Every finding fails; nothing is
-allowlisted.
+time: a rule registry with stable ids, AST visitors over ``src/repro``,
+the paper's evaluation code under ``paper/`` and this tool itself, and a
+deterministic report (byte-identical across runs) wired into tier-1 and
+CI. Every finding fails; nothing is allowlisted.
 
 It is a repository tool, not part of the installed ``repro`` package.
 Run it from the repository root (it imports ``repro.errors`` for the
 error taxonomy, so the package must be importable)::
 
-    PYTHONPATH=src python -m tools.lint            # lint src/repro and tools/lint
+    PYTHONPATH=src python -m tools.lint            # lint src/repro, paper and tools/lint
     PYTHONPATH=src python -m tools.lint --list-rules
 
 Shipped rules:

@@ -1,6 +1,6 @@
 """CLI entry point: ``python -m tools.lint [paths...]``.
 
-With no paths it lints ``src/repro`` and ``tools/lint`` of this checkout.
+With no paths it lints ``src/repro``, ``paper`` and ``tools/lint`` of this checkout.
 Exit code 0 when the tree is clean, 1 on any finding. Output is
 deterministic: two consecutive runs over the same tree emit identical
 bytes, which tier-1 asserts.
@@ -24,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src/repro and tools/lint)",
+        help="files or directories to lint (default: src/repro, paper and tools/lint)",
     )
     parser.add_argument(
         "--output",

@@ -20,8 +20,9 @@ from tools.lint.registry import Rule, all_rules
 #: The checkout this tool lives in (``tools/lint`` is two levels down).
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: What a run with no paths lints: the package and this tool.
-DEFAULT_PATHS = (REPO_ROOT / "src" / "repro", REPO_ROOT / "tools" / "lint")
+#: What a run with no paths lints: the package, the paper's evaluation code
+#: (reference structures, baselines, figure runners) and this tool.
+DEFAULT_PATHS = (REPO_ROOT / "src" / "repro", REPO_ROOT / "paper", REPO_ROOT / "tools" / "lint")
 
 
 def display_path(path: Path) -> str:
