@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import GenieSession, IndexHandle
 from repro.api.models import AnnModel
-from repro.api.session import GenieSession, IndexHandle
 from repro.core.engine import GenieConfig
 from repro.datasets.synthetic import PointDataset
 from repro.lsh.e2lsh import E2Lsh

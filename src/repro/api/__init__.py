@@ -72,13 +72,9 @@ from repro.api.models import (
     register_model,
     resolve_model,
 )
-from repro.api.session import (
-    GenieSession,
-    IndexHandle,
-    ResidencyEvent,
-    ResidencyLog,
-    SearchResult,
-)
+from repro.api.handle import IndexHandle, SearchResult
+from repro.api.residency import ResidencyEvent, ResidencyLog
+from repro.api.session import GenieSession
 
 __all__ = [
     "GenieSession",

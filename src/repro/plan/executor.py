@@ -302,12 +302,12 @@ def _scan_one(
                 )
                 continue
         transfer_before = device.timings.get("index_transfer")
-        session._ensure_resident(candidate)
+        session.residency._ensure_resident(candidate)
         try:
             results = engine.charge_batches(batches, k, scans)
         finally:
             if handle.swap_parts:
-                session._evict_part(candidate)
+                session.residency._evict_part(candidate)
         scan_profile = engine.last_profile.copy()
         swap_seconds = device.timings.get("index_transfer") - transfer_before
         if swap_seconds > 0:

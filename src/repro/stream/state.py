@@ -166,7 +166,7 @@ class StreamState:
     def release(self) -> None:
         """Evict and forget the delta part."""
         if self.part is not None and self.part.resident:
-            self.handle.session._evict_part(self.part)
+            self.handle.session.residency._evict_part(self.part)
         self.part = None
 
     # ------------------------------------------------------------------

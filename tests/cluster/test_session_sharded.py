@@ -191,7 +191,7 @@ class TestResidency:
         device = Device(small_device(3000))
         session = GenieSession(device=device, memory_budget=1 << 30)
         a = session.create_index(objects, model="raw", name="a", shards=3)
-        session._ensure_resident(a._parts[0])  # LRU bump: order is a1, a2, a0
+        session.residency._ensure_resident(a._parts[0])  # LRU bump: order is a1, a2, a0
         b = session.create_index(_objects(n=100, seed=1), model="raw", name="b", shards=1)
         # b's only shard lives on pool device 0: a0 (device 0) is evicted
         # even though a1 (device 1) was least recently used.

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.session import IndexHandle
+from repro.api import IndexHandle
 from repro.cluster import merge_shard_results
 from repro.core.types import ID_DTYPE, TopKBatch, TopKResult
 from repro.gpu.host import HostCpu

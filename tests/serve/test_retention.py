@@ -13,8 +13,7 @@ import weakref
 
 import numpy as np
 
-from repro.api import GenieSession
-from repro.api.session import ResidencyLog
+from repro.api import GenieSession, ResidencyLog
 from repro.gpu.device import KERNEL_LOG_LIMIT
 from repro.replica import FaultEvent, FaultPlan
 from repro.serve import BatchPolicy, GenieServer

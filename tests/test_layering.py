@@ -98,7 +98,7 @@ def test_one_partition_cut_in_one_place():
                     if name == "build_ranges" or (name == "build" and owner in ("ShardPlan", "cls")):
                         builders.append(f"{relative}::{function.name}")
     assert sorted(set(cutters)) == ["cluster/plan.py::_equal_bounds", "cluster/plan.py::part_bounds"]
-    assert sorted(set(builders) - {"cluster/plan.py::build"}) == ["api/session.py::_install"]
+    assert sorted(set(builders) - {"cluster/plan.py::build"}) == ["api/handle.py::_install"]
     from repro import plan
     from repro.replica import rebalance
 
