@@ -15,7 +15,6 @@ from paper.experiments.common import fit_genie_sift, reported_distances
 from paper.experiments.metrics import batch_approximation_ratio
 from paper.experiments.table import ResultTable
 from paper.reference.count_table import count_table_batch_bytes
-from paper.reference.cpq import CountPriorityQueue
 from repro.api.session import GenieSession
 from repro.core.engine import GenieConfig, per_query_device_bytes
 from repro.core.load_balance import LoadBalanceConfig

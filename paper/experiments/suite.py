@@ -18,7 +18,7 @@ from paper.baselines.gpu_lsh import GpuLsh
 from paper.baselines.gpu_spq import GpuSpq
 from paper.experiments.common import DEFAULT_DOMAIN, DEFAULT_K, DEFAULT_M, fit_genie_ocr, fit_genie_sift
 from repro.api.session import GenieSession
-from repro.core.engine import GenieConfig, GenieEngine
+from repro.core.engine import GenieConfig
 from repro.core.types import Corpus, Query
 from repro.datasets import registry
 from repro.datasets.documents import make_document_queries
@@ -27,7 +27,6 @@ from repro.datasets.sequences import make_query_set
 from repro.errors import GpuOutOfMemoryError, UnknownNameError
 from repro.gpu.device import Device
 from repro.sa.document import WordVocabulary, tokenize
-from repro.sa.ngram import NgramVocabulary
 
 
 def _oom_guard(fn):

@@ -9,8 +9,6 @@ fraction of the total (Table III).
 
 from __future__ import annotations
 
-import numpy as np
-
 from paper.experiments.common import DEFAULT_K, DEFAULT_M
 from paper.experiments.table import ResultTable
 from repro.api.session import GenieSession

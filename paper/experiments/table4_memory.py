@@ -8,7 +8,6 @@ of GEN-SPQ's per-query memory, which multiplies its feasible batch size.
 
 from __future__ import annotations
 
-from paper.experiments.common import DEFAULT_K, DEFAULT_M
 from paper.experiments.table import ResultTable
 from paper.reference.count_table import count_table_batch_bytes
 from repro.core.engine import per_query_device_bytes

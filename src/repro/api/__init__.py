@@ -8,9 +8,9 @@ three concepts:
   :func:`~repro.api.models.register_model`),
 * :class:`~repro.api.session.GenieSession` — the shared device/host with a
   device-memory budget and multi-index residency (attach / LRU-evict),
-* :class:`~repro.api.session.IndexHandle` — one named index with the
+* :class:`~repro.api.handle.IndexHandle` — one named index with the
   uniform ``search(raw_queries, k=..., batch_size=...)`` surface returning
-  a :class:`~repro.api.session.SearchResult`. There is one handle type:
+  a :class:`~repro.api.handle.SearchResult`. There is one handle type:
   ``create_index(..., shards=N[, replicas=R])`` gives it a
   :class:`~repro.cluster.plan.Placement` (``handle.placement``, ``None``
   when unsharded) that partitioning, residency, dispatch and healing read.

@@ -1,10 +1,16 @@
-"""One named index inside a session, and the answer its search returns.
+"""One named index of a session (:class:`IndexHandle`) and its answer (:class:`SearchResult`).
 
-:class:`IndexHandle` is the uniform search surface of every modality: it
-owns the model (encoders), the adapted engine configuration and the
-index's partition, whose slice copies the session's
-:class:`~repro.api.residency.Residency` swaps through device memory.
-:class:`SearchResult` is what :meth:`IndexHandle.search` returns.
+Every index holds one partition (``handle.plan``, a
+:class:`~repro.cluster.plan.ShardPlan`): one or more *slices*, each a corpus
+slice with its own inverted index, built once on the host, and one
+:class:`~repro.cluster.plan.SliceCopy` per replica, which the session's
+residency swaps through device memory.
+
+Results come back as a :class:`SearchResult`: per-query top-k ids and
+counts, the per-stage :class:`~repro.gpu.stats.StageTimings` profile
+(including swap-in transfers and host verification), the model-specific
+payload (e.g. edit-distance-verified sequence matches), and the residency
+events (evictions / swap-ins) the search caused.
 """
 
 from __future__ import annotations
@@ -26,13 +32,7 @@ from repro.gpu.stats import StageTimings, timings_delta
 from repro.obs.trace import Span
 from repro.plan.executor import execute_plan
 from repro.plan.nodes import PlanNode, RoutingSummary
-from repro.plan.planner import (
-    active_batch,
-    compile_search,
-    eligibility_needed,
-    reprice_plan,
-    validate_plan_args,
-)
+from repro.plan.planner import active_batch, compile_search, eligibility_needed, reprice_plan, validate_plan_args
 from repro.replica.faults import STATUS_DOWN
 from repro.replica.rebalance import balanced_range_bounds
 
@@ -155,11 +155,9 @@ class IndexHandle:
         #: (one slice when neither ``part_size`` nor ``shards`` cut the
         #: corpus; ``None`` until fitted).
         self.plan: ShardPlan | None = None
-        #: Per-shard stage profiles of the last search, in shard order.
-        #: ``()`` until a sharded search succeeds — and again after a
-        #: search *fails*, so a monitoring caller never reads a previous
-        #: search's profiles as if they belonged to the failed one.
-        self.shard_profiles: tuple[StageTimings, ...] = ()
+        #: The last search's result; ``None`` before the first and while a
+        #: search runs — so after a *failed* search, a monitoring caller
+        #: never reads the previous search's result as if it were this one.
         self.last_result: SearchResult | None = None
         self.fit_epoch = 0
         # _copies[i] holds every replica of plan.shards[i] (one when
@@ -172,9 +170,7 @@ class IndexHandle:
         self._stream = None
         # The primary engine exists before fit so configuration is
         # inspectable.
-        self._engine0 = GenieEngine(
-            device=session.device, host=session.host, config=self.config
-        )
+        self._engine0 = GenieEngine(device=session.device, host=session.host, config=self.config)
 
     # ------------------------------------------------------------------
     # introspection
@@ -236,6 +232,15 @@ class IndexHandle:
         """Whether every part of this index is device-resident."""
         return bool(self._copies) and self.resident_parts == len(self._copies)
 
+    def _require_fitted(self, doing: str | None = "searching", error=QueryError) -> None:
+        """Refuse work on a closed session or a dropped handle, and (unless
+        ``doing`` is ``None``) on an unfitted one, raising ``error`` naming ``doing``."""
+        self.session._check_open()
+        if self.session._handles.get(self.name) is not self:
+            raise ConfigError(f"index {self.name!r} was dropped from its session")
+        if doing is not None and not self._copies:
+            raise error(f"index must be fitted before {doing}")
+
     # ------------------------------------------------------------------
     # lifecycle
 
@@ -252,7 +257,7 @@ class IndexHandle:
         Bumps the fit epoch and notifies invalidation hooks (serving
         caches subscribe) — a refit changes what every query returns.
         """
-        self.session._check_open()
+        self._require_fitted(doing=None)
         self.fit_epoch += 1
         self.session._notify_invalidated(self.name)
         corpus = self.model.encode_corpus(data)
@@ -313,7 +318,7 @@ class IndexHandle:
         layout = placement.layout if placement is not None else ((0,),) * plan.n_shards
         self._copies = [
             [
-                SliceCopy(self, shard, self._part_engine(shard.position, replica, pool[device]), replica)
+                SliceCopy(self, shard, self._part_engine(shard.position, replica, pool[device]), replica, device)
                 for replica, device in enumerate(devices)
             ]
             for shard, devices in zip(plan.shards, layout)
@@ -323,13 +328,13 @@ class IndexHandle:
         if placement is not None or (self.part_size is None and not self.swap_parts):
             for copies in self._copies:
                 for part in copies:
-                    session.residency._ensure_resident(part)
+                    session.residency.attach(part)
 
     def evict(self) -> None:
         """Release every resident part of this index (the delta part too)."""
         for part in self._all_parts():
             if part.resident:
-                self.session.residency._evict_part(part)
+                self.session.residency.evict(part)
 
     # ------------------------------------------------------------------
     # self-healing (see repro.replica)
@@ -358,14 +363,12 @@ class IndexHandle:
         identical to the current bounds.
 
         Raises:
-            ConfigError: Called on an unfitted sharded handle.
+            ConfigError: Called on an unfitted handle.
         """
-        self.session._check_open()
+        self._require_fitted("rebalancing", ConfigError)
         placement = self.placement
         if placement is None:
             return False
-        if self.plan is None:
-            raise ConfigError(f"cannot rebalance unfitted index {self.name!r}")
         if placement.strategy != "range" or placement.shards < 2:
             return False
         if self._stream is not None and self._stream.dirty:
@@ -394,8 +397,10 @@ class IndexHandle:
         under-replicated for a later pass.
 
         Returns the number of replicas placed. No-op (``0``) without an
-        injected fault plan and on unsharded or unfitted handles.
+        injected fault plan and on unsharded or unfitted handles; a closed
+        session or a dropped handle raises :class:`ConfigError`.
         """
+        self._require_fitted(doing=None)
         session = self.session
         faults = session.faults
         if faults is None or self.placement is None or self.plan is None:
@@ -416,13 +421,13 @@ class IndexHandle:
                     continue
                 target = min(candidates, key=lambda i: (load.load(i), i))
                 replacement = SliceCopy(
-                    self, part.slice, self._part_engine(shard, replica, pool[target]), replica
+                    self, part.slice, self._part_engine(shard, replica, pool[target]), replica, target
                 )
                 if part.resident:
-                    session.residency._evict_part(part)
+                    session.residency.evict(part)
                 copies[replica] = replacement
                 self.placement = self.placement.moved(shard, replica, target)
-                session.residency._ensure_resident(replacement)
+                session.residency.attach(replacement)
                 placed += 1
         return placed
 
@@ -430,9 +435,7 @@ class IndexHandle:
     # online mutations (see repro.stream)
 
     def _stream_state(self):
-        self.session._check_open()
-        if not self._copies:
-            raise QueryError("index must be fitted before mutating")
+        self._require_fitted("mutating")
         if self._stream is None:
             from repro.stream import StreamState
 
@@ -466,7 +469,7 @@ class IndexHandle:
         threshold-driven compaction runs after every mutation unless
         ``stream_config`` disables it; this is the manual trigger.
         """
-        self.session._check_open()
+        self._require_fitted(doing=None)
         if self._stream is None:
             return False
         return self._stream.compact()
@@ -530,10 +533,9 @@ class IndexHandle:
         Raises:
             QueryError: Unfitted index, malformed queries, bad ``k``, or
                 a shard-only strategy forced on a serial index.
+            ConfigError: The session is closed or the index was dropped.
         """
-        self.session._check_open()
-        if not self._copies:
-            raise QueryError("index must be fitted before searching")
+        self._require_fitted()
         raw_queries = listed(raw_queries, "raw_queries")
         if not raw_queries:
             raise QueryError("empty query batch")
@@ -559,12 +561,10 @@ class IndexHandle:
         :class:`~repro.plan.nodes.PlanNode` renders to a stable text tree
         via ``render()`` / ``str()``.
         """
-        # The open/fitted checks must precede the encode (an unfitted
-        # model has no vocabulary/discretizers to encode against);
-        # everything else is _compile's, shared with search_encoded.
-        self.session._check_open()
-        if not self._copies:
-            raise QueryError("index must be fitted before searching")
+        # The guard must precede the encode (an unfitted model has no
+        # vocabulary/discretizers to encode against); everything else is
+        # _compile's, shared with search_encoded.
+        self._require_fitted()
         queries = self.encode_queries(listed(raw_queries, "raw_queries"))
         _, compiled, _ = self._compile(queries, k, route, plan, search_opts)
         return compiled.root
@@ -584,9 +584,7 @@ class IndexHandle:
             ``(k, compiled, cache_hit)`` — whether the plan came from the
             cache (trace spans and cache-audit callers read the flag).
         """
-        self.session._check_open()
-        if not self._copies:
-            raise QueryError("index must be fitted before searching")
+        self._require_fitted()
         if len(queries) == 0:
             raise QueryError("empty query batch")
         k = resolve_k(k, self.config.k)
@@ -659,7 +657,7 @@ class IndexHandle:
         :func:`repro.plan.executor.execute_plan`, for serial and sharded
         indexes alike (the serve layer's dispatch lands here too).
         """
-        self.shard_profiles = ()
+        self.last_result = None
         if batch_size is not None:
             batch_size = count_option(batch_size, "batch_size")
         queries = QueryBatch.from_queries(queries)
@@ -682,25 +680,20 @@ class IndexHandle:
                 merge=compiled.merge,
             )
 
-        # A private sink observes this search's residency events exactly;
-        # the session-level log is bounded and may drop older entries. A
-        # second sink collects the failover events the scans emit.
-        events: list[ResidencyEvent] = []
-        failovers: list = []
-        self.session._event_sinks.append(events)
-        self.session._failover_sinks.append(failovers)
+        # A private recording observes this search's residency and failover
+        # events exactly; the session-level log is bounded and may drop
+        # older entries.
         profile = StageTimings()
         shard_profiles: list[StageTimings] | None = None
-        try:
+        with self.session.residency.recording() as events:
             if len(active_queries):
                 merged, shard_profiles = execute_plan(
                     compiled, self, active_queries, batch_size, profile, trace=span
                 )
             else:
                 merged = TopKBatch.empty(0)
-        finally:
-            self.session._event_sinks.remove(events)
-            self.session._failover_sinks.remove(failovers)
+        moves = [ev for ev in events if isinstance(ev, ResidencyEvent)]
+        failovers = [ev for ev in events if not isinstance(ev, ResidencyEvent)]
 
         if span is not None:
             for ev in failovers:
@@ -708,12 +701,8 @@ class IndexHandle:
                 # the span records which device was skipped and what the
                 # detection retry cost on the critical path.
                 span.child(
-                    "failover",
-                    duration=ev.penalty,
-                    shard=ev.shard,
-                    device=ev.device,
-                    attempt=ev.attempt,
-                    permanent=ev.permanent,
+                    "failover", duration=ev.penalty, shard=ev.shard, device=ev.device,
+                    attempt=ev.attempt, permanent=ev.permanent,
                 )
         # The door: the one place a search's answers become per-query objects.
         results = list(self._scatter(merged, compiled.active, len(queries)))
@@ -746,8 +735,8 @@ class IndexHandle:
             results=results,
             profile=profile,
             payload=payload,
-            evicted=tuple(ev for ev in events if ev.kind == "evict"),
-            swapped_in=sum(1 for ev in events if ev.kind == "attach"),
+            evicted=tuple(ev for ev in moves if ev.kind == "evict"),
+            swapped_in=sum(1 for ev in moves if ev.kind == "attach"),
             shard_profiles=tuple(shard_profiles) if shard_profiles is not None else None,
             plan=compiled.root,
             routing=compiled.routing,
@@ -755,7 +744,6 @@ class IndexHandle:
             failovers=tuple(failovers),
         )
         self.last_result = result
-        self.shard_profiles = result.shard_profiles or ()
         return result
 
     def _scan_candidates(self, part: "SliceCopy") -> tuple:
@@ -772,10 +760,9 @@ class IndexHandle:
         if part.position >= len(self._copies) or len(self._copies[part.position]) == 1:
             return (part,)
         load = self.session.device_load
-        devices = self.placement.layout[part.position]
         return tuple(sorted(
             self._copies[part.position],
-            key=lambda copy: (load.load(devices[copy.replica]), copy.replica),
+            key=lambda copy: (load.load(copy.pool_position), copy.replica),
         ))
 
     @staticmethod

@@ -56,7 +56,7 @@ class MatchModel(Protocol):
     ``encode_queries`` returns a :class:`~repro.core.types.QueryBatch`
     (every bundled model does) or a list of
     :class:`~repro.core.types.Query` objects, which
-    :meth:`IndexHandle.encode_queries <repro.api.session.IndexHandle.encode_queries>`
+    :meth:`IndexHandle.encode_queries <repro.api.handle.IndexHandle.encode_queries>`
     converts with :meth:`QueryBatch.from_queries
     <repro.core.types.QueryBatch.from_queries>` before anything else sees
     it. The ``queries`` the hooks below receive are therefore always the
@@ -71,7 +71,7 @@ class MatchModel(Protocol):
       reranks a wider shortlist (sequence search retrieves ``n_candidates``),
     * ``finalize(raw, queries, results, *, k, host, **opts)`` — the
       verify/rerank hook; its return value becomes
-      :attr:`repro.api.session.SearchResult.payload`.
+      :attr:`repro.api.handle.SearchResult.payload`.
     """
 
     name: str

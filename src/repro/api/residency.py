@@ -1,18 +1,21 @@
-"""Device residency of a session's slice copies: attach on demand, evict LRU.
+"""Device residency: the session swaps slice copies through device memory on demand.
 
-:class:`Residency` is the one place a :class:`~repro.cluster.plan.SliceCopy`
-is attached to or released from its device. Attaching pays the paper's
-``index_transfer`` stage; when the session's memory budget would be
-exceeded, the least-recently-used resident copy is evicted first — the
-Section III-D multi-loading protocol generalized to every index of a
-session. Each transition is a :class:`ResidencyEvent`, kept in the
-session's bounded :class:`ResidencyLog`.
+Attaching a :class:`~repro.cluster.plan.SliceCopy` pays the paper's
+``index_transfer`` stage, and when the budget is exceeded the
+least-recently-used resident copy is evicted. This generalizes the
+multi-loading strategy of Section III-D — one oversized index
+(``part_size=...``) and several small indexes of different modalities are
+the same residency problem — and is how the session serves multi-tenant
+traffic from a single card (Table IV's memory accounting bounds what fits
+next to the queries). :class:`Residency` is the one place a copy is attached
+or released; each transition is a :class:`ResidencyEvent`.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.cluster.plan import SliceCopy
@@ -59,23 +62,6 @@ class ResidencyLog:
         self._events.append(event)
         self.total_events += 1
 
-    def mark(self) -> int:
-        """Current position in the lifetime stream (for :meth:`since`)."""
-        return self.total_events
-
-    def since(self, mark: int) -> list[ResidencyEvent]:
-        """Events appended after ``mark`` that are still retained."""
-        first_retained = self.total_events - len(self._events)
-        skip = max(0, mark - first_retained)
-        if skip == 0:
-            return list(self._events)
-        return list(self._events)[skip:]
-
-    @property
-    def dropped(self) -> int:
-        """Events no longer retained because of the limit."""
-        return self.total_events - len(self._events)
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -91,11 +77,14 @@ class Residency:
 
     Owned by a :class:`~repro.api.session.GenieSession` as
     ``session.residency``; the budget is the session's ``memory_budget``.
+    A search opens a :meth:`recording` to observe exactly the residency and
+    failover events it caused, whatever the bounded log still retains.
     """
 
     def __init__(self, session):
         self.session = session
         self._resident: dict[int, SliceCopy] = {}  # insertion order == LRU order
+        self._recorders: list[list] = []
 
     @property
     def resident_bytes(self) -> int:
@@ -106,7 +95,7 @@ class Residency:
         """``(index_name, part_position)`` pairs, LRU-first."""
         return [(p.handle.name, p.position) for p in self._resident.values()]
 
-    def _ensure_resident(self, part: SliceCopy) -> bool:
+    def attach(self, part: SliceCopy) -> bool:
         """Make ``part`` device-resident; returns ``True`` if it transferred.
 
         Evicts LRU parts while the budget is exceeded, then attaches. If
@@ -119,7 +108,8 @@ class Residency:
             self._resident.pop(key)
             self._resident[key] = part  # LRU bump
             return False
-        if part.device_bytes > self.session.memory_budget < self.session.device.memory.capacity:
+        budget = self.session.memory_budget
+        if part.device_bytes > budget < self.session.device.memory.capacity:
             # Only an explicitly constrained budget raises the advisory
             # error; at full capacity the attach below reports the
             # hardware-level GpuOutOfMemoryError, as the engine always has.
@@ -130,10 +120,10 @@ class Residency:
             )
             raise ConfigError(
                 f"index part of {part.device_bytes} bytes exceeds the session's "
-                f"memory budget of {self.session.memory_budget} bytes; {advice}"
+                f"memory budget of {budget} bytes; {advice}"
             )
-        while self._resident and self.resident_bytes + part.device_bytes > self.session.memory_budget:
-            self._evict_lru()
+        while self._resident and self.resident_bytes + part.device_bytes > budget:
+            self.evict(next(iter(self._resident.values())))
         # Bounded retry (REPRO007): every failed attempt evicts one
         # distinct same-device victim, so residents + 1 attempts suffice
         # by pigeonhole — either the attach fits or no victim remains.
@@ -152,23 +142,13 @@ class Residency:
                 )
                 if victim is None:
                     raise
-                self._evict_part(victim)
+                self.evict(victim)
         self._resident[key] = part
-        self._record_event(
-            ResidencyEvent("attach", part.handle.name, part.position, part.device_bytes)
-        )
+        self.record(ResidencyEvent("attach", part.handle.name, part.position, part.device_bytes))
         return True
 
-    def _record_event(self, event: ResidencyEvent) -> None:
-        self.session.residency_log.append(event)
-        for sink in self.session._event_sinks:
-            sink.append(event)
-
-    def _evict_lru(self) -> None:
-        part = next(iter(self._resident.values()))
-        self._evict_part(part)
-
-    def _evict_part(self, part: SliceCopy) -> None:
+    def evict(self, part: SliceCopy) -> None:
+        """Release ``part``'s device memory."""
         self._resident.pop(id(part), None)
         if part.engine.index_resident:
             part.engine.release()
@@ -176,6 +156,29 @@ class Residency:
             "evict index=%s part=%d bytes=%d resident_bytes=%d",
             part.handle.name, part.position, part.device_bytes, self.resident_bytes,
         )
-        self._record_event(
-            ResidencyEvent("evict", part.handle.name, part.position, part.device_bytes)
-        )
+        self.record(ResidencyEvent("evict", part.handle.name, part.position, part.device_bytes))
+
+    def evict_all(self) -> None:
+        """Release every resident part, least-recently-used first."""
+        for part in list(self._resident.values()):
+            self.evict(part)
+
+    def record(self, event) -> None:
+        """Hand ``event`` (a :class:`ResidencyEvent`, also logged, or a
+        :class:`~repro.replica.faults.FailoverEvent`) to every open :meth:`recording`."""
+        if isinstance(event, ResidencyEvent):
+            self.session.residency_log.append(event)
+        else:
+            logger.debug("failover %s", event)
+        for recorder in self._recorders:
+            recorder.append(event)
+
+    @contextmanager
+    def recording(self):
+        """Collect, in order, the events :meth:`record` receives inside the block."""
+        events: list = []
+        self._recorders.append(events)
+        try:
+            yield events
+        finally:
+            self._recorders.remove(events)

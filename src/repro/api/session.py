@@ -2,49 +2,28 @@
 
 :class:`GenieSession` owns a shared simulated :class:`~repro.gpu.device.Device`
 and :class:`~repro.gpu.host.HostCpu` plus a device-memory budget for index
-residency. Indexes of any modality are created through one call::
+residency (:mod:`repro.api.residency`). Indexes of any modality are created
+through one call and searched through their :class:`~repro.api.handle.IndexHandle`::
 
     session = GenieSession(memory_budget=64 << 20)
     docs = session.create_index(texts, model="document", name="tweets")
     result = docs.search(["gpu similarity search"], k=10)
-
-Every index holds one partition (``handle.plan``, a
-:class:`~repro.cluster.plan.ShardPlan`): one or more *slices*, each a corpus
-slice with its own inverted index, built once on the host, and one
-:class:`~repro.cluster.plan.SliceCopy` per replica. The session swaps
-copies through device memory on demand: attaching pays the paper's
-``index_transfer`` stage, and when the budget is exceeded the
-least-recently-used resident copy is evicted. This generalizes the
-multi-loading strategy of Section III-D — one oversized index
-(``part_size=...``) and several small indexes of different modalities are
-the same residency problem — and is how the session serves multi-tenant
-traffic from a single card (Table IV's memory accounting bounds what fits
-next to the queries).
-
-Results come back as a :class:`~repro.api.handle.SearchResult`: per-query top-k ids and
-counts, the per-stage :class:`~repro.gpu.stats.StageTimings` profile
-(including swap-in transfers and host verification), the model-specific
-payload (e.g. edit-distance-verified sequence matches), and the residency
-events (evictions / swap-ins) the search caused.
 """
 
 from __future__ import annotations
 
-import logging
 import weakref
 from typing import Callable
 
 from repro.api.handle import IndexHandle
 from repro.api.models import MatchModel, resolve_model
-from repro.api.residency import Residency, ResidencyEvent, ResidencyLog
+from repro.api.residency import Residency, ResidencyLog
 from repro.cluster.plan import Placement
 from repro.core.engine import GenieConfig, count_option
 from repro.errors import ConfigError
 from repro.gpu.device import Device
 from repro.gpu.host import HostCpu
 from repro.plan.cache import LruCache
-
-logger = logging.getLogger("repro.api")
 
 
 class GenieSession:
@@ -90,9 +69,6 @@ class GenieSession:
         self._auto_names = 0
         self._closed = False
         self._invalidation_hooks: list[Callable[[], Callable[[str], None] | None]] = []
-        # Searches register a sink here to observe their own residency
-        # events exactly, independent of the bounded log's retention.
-        self._event_sinks: list[list[ResidencyEvent]] = []
         self.plan_cache = LruCache(plan_cache_size) if plan_cache_size else None
         # Serving layers attach a repro.obs.Tracer here; background work
         # (stream compaction) records standalone spans through it.
@@ -103,9 +79,6 @@ class GenieSession:
         # Rolling per-device busy seconds — the least-loaded replica
         # selection signal. Created lazily on the first recorded scan.
         self._device_load = None
-        # Searches register a sink here to collect the failover events
-        # their own shard scans emitted (mirrors _event_sinks).
-        self._failover_sinks: list[list] = []
 
     # ------------------------------------------------------------------
     # devices
@@ -122,18 +95,6 @@ class GenieSession:
         while len(self._device_pool) < n:
             self._device_pool.append(Device(spec=self.device.spec, costs=self.device.costs))
         return self._device_pool[:n]
-
-    def device_position(self, device: Device) -> int:
-        """Pool position of ``device`` (identity match), or ``-1``.
-
-        Fault plans and the load tracker address devices by pool
-        position; ``-1`` (a device outside the pool) is always healthy
-        and unloaded.
-        """
-        for position, pooled in enumerate(self._device_pool):
-            if pooled is device:
-                return position
-        return -1
 
     @property
     def device_load(self):
@@ -169,15 +130,6 @@ class GenieSession:
             plan = FaultPlan(plan)
         self.faults = FaultInjector(plan, clock=clock, **injector_opts)
         return self.faults
-
-    def _record_failover(self, event) -> None:
-        """Deliver one failover event to every registered search sink."""
-        logger.debug(
-            "failover index=%s shard=%d device=%d attempt=%d permanent=%s",
-            event.index, event.shard, event.device, event.attempt, event.permanent,
-        )
-        for sink in self._failover_sinks:
-            sink.append(event)
 
     # ------------------------------------------------------------------
     # index lifecycle
@@ -282,9 +234,7 @@ class GenieSession:
             raise ConfigError(f"an index named {name!r} already exists in this session")
         if shards is None:
             if shard_strategy != "range" or shard_seed != 0:
-                raise ConfigError(
-                    "shard_strategy=/shard_seed= require shards=N"
-                )
+                raise ConfigError("shard_strategy=/shard_seed= require shards=N")
             if replicas is not None:
                 raise ConfigError("replicas= requires shards=N")
             placement = None
@@ -294,9 +244,7 @@ class GenieSession:
                     "shards= is mutually exclusive with part_size=/swap_parts=; "
                     "sharding partitions across devices, multi-loading through one"
                 )
-            placement = Placement(
-                shards, 1 if replicas is None else replicas, shard_strategy, shard_seed
-            )
+            placement = Placement(shards, 1 if replicas is None else replicas, shard_strategy, shard_seed)
         handle = IndexHandle(
             self, name, model, config if config is not None else self.config,
             part_size=part_size, swap_parts=swap_parts, placement=placement,
@@ -311,9 +259,7 @@ class GenieSession:
         try:
             return self._handles[name]
         except KeyError:
-            raise ConfigError(
-                f"no index named {name!r}; registered: {list(self._handles)}"
-            ) from None
+            raise ConfigError(f"no index named {name!r}; registered: {list(self._handles)}") from None
 
     @property
     def indexes(self) -> tuple[str, ...]:
@@ -325,7 +271,7 @@ class GenieSession:
         self.index(name).evict()
 
     def drop(self, name: str) -> None:
-        """Evict and unregister the named index (its name may be reused)."""
+        """Evict and unregister the named index (its name may be reused); the handle then refuses work."""
         handle = self.index(name)
         handle.evict()
         del self._handles[name]
@@ -334,9 +280,8 @@ class GenieSession:
         self._notify_invalidated(name)
 
     def evict_all(self) -> None:
-        """Evict every resident part (handles stay registered and usable)."""
-        for handle in self._handles.values():
-            handle.evict()
+        """Evict every resident part, registered or not (handles stay usable)."""
+        self.residency.evict_all()
 
     def close(self) -> None:
         """Shut the session down: evict everything and refuse further work.

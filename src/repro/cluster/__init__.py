@@ -13,7 +13,7 @@ devices** and answers every query with an exact global top-k:
 * :class:`~repro.cluster.plan.Placement` — the value behind
   ``GenieSession.create_index(..., shards=N[, replicas=R])``: shards,
   replicas, partition strategy/seed and the current shard → pool-device
-  layout. The session's one :class:`~repro.api.session.IndexHandle`
+  layout. The session's one :class:`~repro.api.handle.IndexHandle`
   holds it as ``handle.placement`` and partitions, places, dispatches
   and heals from it (per-shard residency accounting, per-shard profile
   slices on every result),

@@ -63,7 +63,7 @@ def check_partition_args(strategy: str, seed: int) -> None:
 class Placement:
     """Where a sharded index lives: shards x replicas over the device pool.
 
-    The one value an :class:`~repro.api.session.IndexHandle` reads to
+    The one value an :class:`~repro.api.handle.IndexHandle` reads to
     partition, place, dispatch and heal (``handle.placement``; ``None``
     on an unsharded handle). ``create_index(..., shards=N)`` and
     ``shards=N, replicas=1`` build the same value.
@@ -167,15 +167,18 @@ class SliceCopy:
     Every slice has one copy per replica (one when unreplicated), each
     with an engine on the device that hosts it; ``handle`` is the index
     handle the slice belongs to (its ``name`` labels residency events).
+    ``pool_position`` is the session pool device it was placed on, as fault
+    plans and the load tracker address it (0 when unsharded, and for the delta part).
     """
 
-    __slots__ = ("handle", "slice", "engine", "replica", "device_bytes")
+    __slots__ = ("handle", "slice", "engine", "replica", "pool_position", "device_bytes")
 
-    def __init__(self, handle, slice: ShardSlice, engine, replica: int = 0):
+    def __init__(self, handle, slice: ShardSlice, engine, replica: int = 0, pool_position: int = 0):
         self.handle = handle
         self.slice = slice
         self.engine = engine
         self.replica = replica
+        self.pool_position = pool_position
         # The device-resident List Array holds 32-bit ids (what
         # GenieEngine.attach_index actually transfers and allocates).
         self.device_bytes = 4 * int(slice.index.list_array.size)

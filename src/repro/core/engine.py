@@ -262,10 +262,6 @@ class GenieEngine:
             self.config.bits,
         )
 
-    def max_batch_size(self, count_bound: int, k: int | None = None) -> int:
-        """Largest batch the device can hold next to the resident index."""
-        return int(self.device.memory.free // max(1, self.per_query_bytes(count_bound, k)))
-
     # ------------------------------------------------------------------
     # querying
 

@@ -1,7 +1,7 @@
 """Explainable query planning: one compiled plan behind every search.
 
 ``repro.plan`` puts every way a search is issued —
-:meth:`IndexHandle.search <repro.api.session.IndexHandle.search>` on a
+:meth:`IndexHandle.search <repro.api.handle.IndexHandle.search>` on a
 serial or a sharded (:class:`~repro.cluster.plan.Placement`) index, and
 :class:`~repro.serve.server.GenieServer` batch dispatch — behind one
 logical/physical plan IR::

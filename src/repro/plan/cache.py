@@ -14,7 +14,7 @@ name, so :meth:`LruCache.invalidate` drops exactly one index's entries:
   ``pruned`` routes and dirty (mutated) indexes compile per batch: their
   plans read the queries' keywords or the live delta run.
 
-  :meth:`IndexHandle._install <repro.api.session.IndexHandle._install>`
+  :meth:`IndexHandle._install <repro.api.handle.IndexHandle._install>`
   (fit, compaction, rebalance) and ``drop`` invalidate the index's plans.
 * The server's **result cache** (``GenieServer.cache``): an exact repeat
   of an encoded query is answered without a device trip (key:

@@ -266,8 +266,8 @@ def _scan_one(
     :class:`~repro.replica.faults.FailoverEvent` — and a candidate on a
     slowed device scans with its stage timings stretched by the fault's
     factor. The attempt loop is bounded by the replica count (lint rule
-    REPRO007's bounded-retry shape). The chosen copy is made resident
-    (paying ``index_transfer`` when it has to swap in), its engine charges
+    REPRO007's bounded-retry shape). ``session.residency`` makes the chosen
+    copy resident (paying ``index_transfer`` when it has to swap in), its engine charges
     the batches (:meth:`~repro.core.engine.GenieEngine.charge_batches`)
     and, on a ``swap_parts`` index, the copy is evicted again right after
     — the paper's one-part-at-a-time multi-loading protocol.
@@ -276,13 +276,13 @@ def _scan_one(
         AvailabilityError: Every candidate's device is down.
     """
     session = handle.session
-    faults = session.faults
+    residency, faults = session.residency, session.faults
     penalty = 0.0
     tried: list[int] = []
     for attempt, candidate in enumerate(handle._scan_candidates(part)):
         engine = candidate.engine
         device = engine.device
-        position = session.device_position(device)
+        position = candidate.pool_position
         factor = 1.0
         if faults is not None:
             status, factor = faults.state(position)
@@ -290,7 +290,7 @@ def _scan_one(
                 step = faults.retry_penalty_for(part.position, attempt)
                 penalty += step
                 tried.append(position)
-                session._record_failover(
+                residency.record(
                     FailoverEvent(
                         index=handle.name,
                         shard=part.position,
@@ -302,12 +302,12 @@ def _scan_one(
                 )
                 continue
         transfer_before = device.timings.get("index_transfer")
-        session.residency._ensure_resident(candidate)
+        residency.attach(candidate)
         try:
             results = engine.charge_batches(batches, k, scans)
         finally:
             if handle.swap_parts:
-                session.residency._evict_part(candidate)
+                residency.evict(candidate)
         scan_profile = engine.last_profile.copy()
         swap_seconds = device.timings.get("index_transfer") - transfer_before
         if swap_seconds > 0:

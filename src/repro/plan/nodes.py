@@ -10,7 +10,7 @@ Every search in the session layer lowers to one tree of plan nodes::
                               skip-empty / cache elision recorded)
 
 Nodes are *logical descriptions* — frozen, hashable, safe to keep on a
-:class:`~repro.api.session.SearchResult` — while the physical execution
+:class:`~repro.api.handle.SearchResult` — while the physical execution
 annotations (active query positions, per-shard route arrays, the
 first-round ``k``) live on the planner's
 :class:`~repro.plan.planner.CompiledPlan`. ``render()`` produces a stable

@@ -21,14 +21,14 @@ Four pieces, wired through the existing layers:
   :class:`RebalancePolicy` watches the serve layer's rolling shard
   imbalance and recuts hot range partitions online
   (:meth:`IndexHandle.rebalance
-  <repro.api.session.IndexHandle.rebalance>`), and permanently failed
+  <repro.api.handle.IndexHandle.rebalance>`), and permanently failed
   devices trigger re-replication of their groups
   (:meth:`IndexHandle.re_replicate
-  <repro.api.session.IndexHandle.re_replicate>`); the healed layout is
+  <repro.api.handle.IndexHandle.re_replicate>`); the healed layout is
   recorded in ``handle.placement``, so later rebuilds keep it.
 
 This package holds leaf modules only (the session imports them); the
-handle-side logic lives on :class:`~repro.api.session.IndexHandle`.
+handle-side logic lives on :class:`~repro.api.handle.IndexHandle`.
 """
 
 from repro.replica.faults import (

@@ -14,7 +14,7 @@ it through :class:`RebalancePolicy`, which watches the rolling
 ``shard_imbalance`` (:attr:`ServeMetrics.rolling_shard_imbalance
 <repro.serve.metrics.ServeMetrics.rolling_shard_imbalance>`) and fires
 :meth:`IndexHandle.rebalance
-<repro.api.session.IndexHandle.rebalance>` once the window
+<repro.api.handle.IndexHandle.rebalance>` once the window
 is full, the threshold is crossed, and the cooldown has elapsed.
 """
 

@@ -4,7 +4,7 @@ GENIE's match kernel amortizes beautifully over large query batches
 (Fig. 9 / Fig. 11; PR 1's vectorized pipeline) — but an online request
 stream arrives one query at a time. The scheduler is the layer that turns
 the stream back into batches. Per-index queues drain into coalesced
-:meth:`~repro.api.session.IndexHandle.search` calls when a queue reaches
+:meth:`~repro.api.handle.IndexHandle.search` calls when a queue reaches
 ``max_batch`` requests or its oldest request has waited ``max_wait``
 simulated seconds, whichever is first. Draining is fair round-robin across
 indexes, so one hot index cannot starve a session's other residents.

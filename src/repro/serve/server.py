@@ -6,7 +6,7 @@ kernel. There is one way in: a burst of requests for one index
 once at the door, answered from the exact-match result cache when
 possible, and otherwise queued for the micro-batching scheduler, which
 drains requests into coalesced
-:meth:`~repro.api.session.IndexHandle.search_encoded` calls.
+:meth:`~repro.api.handle.IndexHandle.search_encoded` calls.
 
 The result cache is a :class:`~repro.plan.cache.LruCache` — the same
 bounded LRU the session keeps its compiled plans in — keyed on the
@@ -251,7 +251,7 @@ class GenieServer:
             consulted after every dispatched sharded batch; past its
             rolling-imbalance threshold the server recuts the batch's
             index online (:meth:`IndexHandle.rebalance
-            <repro.api.session.IndexHandle.rebalance>`).
+            <repro.api.handle.IndexHandle.rebalance>`).
             ``None`` (default) never rebalances.
     """
 
@@ -447,7 +447,7 @@ class GenieServer:
         """The plan a :meth:`submit` with these arguments would execute.
 
         Delegates to :meth:`IndexHandle.explain
-        <repro.api.session.IndexHandle.explain>`. Nothing is admitted,
+        <repro.api.handle.IndexHandle.explain>`. Nothing is admitted,
         executed, or charged.
         """
         self._check_open()

@@ -1,7 +1,7 @@
 """An LSM-style mutable delta run over the static GENIE base.
 
 Online ``insert``/``delete``/``update`` on an
-:class:`~repro.api.session.IndexHandle` land in one mutable
+:class:`~repro.api.handle.IndexHandle` land in one mutable
 :class:`DeltaRun` instead of refitting; searches compose the
 CSR base with the delta exactly (plan: ``Scan(base) + DeltaScan`` under
 one merge, tombstones filtered before top-k), and a threshold-driven

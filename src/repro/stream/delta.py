@@ -44,7 +44,7 @@ class StreamConfig:
             pays a full rebuild) often.
         auto_compact: Run the threshold check after every mutation.
             ``False`` leaves compaction entirely to explicit
-            :meth:`~repro.api.session.IndexHandle.compact` calls.
+            :meth:`~repro.api.handle.IndexHandle.compact` calls.
     """
 
     compact_ratio: float = 0.25

@@ -1,6 +1,6 @@
 """Per-handle stream state: mutations in, one scan-ready delta part out.
 
-:class:`StreamState` is what an :class:`~repro.api.session.IndexHandle`
+:class:`StreamState` is what an :class:`~repro.api.handle.IndexHandle`
 lazily attaches on its first mutation. It owns the
 :class:`~repro.stream.manifest.SegmentManifest`, applies
 ``insert``/``delete``/``update`` under the placement invariant (every
@@ -166,7 +166,7 @@ class StreamState:
     def release(self) -> None:
         """Evict and forget the delta part."""
         if self.part is not None and self.part.resident:
-            self.handle.session.residency._evict_part(self.part)
+            self.handle.session.residency.evict(self.part)
         self.part = None
 
     # ------------------------------------------------------------------

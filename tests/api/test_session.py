@@ -86,6 +86,22 @@ class TestSessionBasics:
         session.drop("x")
         assert session.indexes == ()
         assert session.resident_bytes == 0
+        # A dropped handle refuses work instead of re-attaching its copies.
+        for work in (
+            lambda: handle.search(["gpu index"], k=2),
+            lambda: handle.fit(_docs()),
+            lambda: handle.insert(["gpu index"]),
+            lambda: handle.rebalance([1.0]),
+            lambda: handle.re_replicate(),
+        ):
+            with pytest.raises(ConfigError, match="dropped"):
+                work()
+        assert session.resident_bytes == 0 and session.resident_parts() == []
+        # close() frees everything resident, registered or not.
+        session.residency.attach(handle._parts[0])
+        assert session.resident_parts() == [("x", 0)]
+        session.close()
+        assert session.resident_bytes == 0 and not handle._parts[0].resident
 
     def test_close_evicts_everything(self):
         session = GenieSession()
@@ -178,7 +194,6 @@ class TestResidencyLogBound:
         log = session.residency_log
         assert len(log) <= 4
         assert log.total_events > len(log)
-        assert log.dropped == log.total_events - len(log)
         assert all(e.kind in ("attach", "evict") for e in log)
 
     def test_search_result_events_exact_despite_tight_limit(self):
@@ -197,16 +212,16 @@ class TestResidencyLogBound:
         assert result.swapped_in + len(result.evicted) > len(session.residency_log)
         assert len(session.residency_log) <= 2
 
-    def test_since_survives_dropped_events(self):
+    def test_total_events_survives_dropped_events(self):
         session = GenieSession()
-        session.residency_log = ResidencyLog(limit=2)
-        mark = session.residency_log.mark()
+        log = session.residency_log = ResidencyLog(limit=2)
+        before = log.total_events
         session.create_index([[1]], model="raw", name="a")
         session.create_index([[2]], model="raw", name="b")
         session.create_index([[3]], model="raw", name="c")
-        recent = session.residency_log.since(mark)
-        # Only the retained tail is reported; never duplicates, never errors.
-        assert [e.index for e in recent] == ["b", "c"]
+        # Every event is counted; only the retained tail is kept.
+        assert log.total_events - before == 3
+        assert [e.index for e in log] == ["b", "c"]
 
     def test_bad_limit_rejected(self):
         for bad in (0, float("nan"), 1.5):
@@ -414,9 +429,10 @@ class TestResidency:
         # Room for three residents: attaching a new index must evict the
         # two least recently used ones, in exactly LRU order.
         session.memory_budget = 3 * one + one // 2
-        log_mark = session.residency_log.mark()
+        log = session.residency_log
+        before = log.total_events
         session.create_index(corpus, model="raw", name="e")
-        evicted = [e.index for e in session.residency_log.since(log_mark) if e.kind == "evict"]
+        evicted = [e.index for e in list(log)[before - log.total_events:] if e.kind == "evict"]
         assert evicted == ["c", "a"]
         assert [n for n, _ in session.resident_parts()] == ["d", "b", "e"]
 

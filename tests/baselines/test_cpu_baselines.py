@@ -113,7 +113,8 @@ class TestGenSpqFactory:
         device = Device(small_device(16 * 1024))
         engine = make_gen_spq(device=device, config=GenieConfig(k=4)).fit(CORPUS)
         assert engine.per_query_bytes() == count_table_batch_bytes(len(CORPUS), 1)
-        assert engine.max_batch_size(count_bound=2) == device.memory.free // count_table_batch_bytes(len(CORPUS), 1)
+        fits = device.memory.free // engine.per_query_bytes(count_bound=2)
+        assert fits == device.memory.free // count_table_batch_bytes(len(CORPUS), 1)
 
     def test_results_agree_with_genie(self):
         query = Query.from_keywords([0, 7])

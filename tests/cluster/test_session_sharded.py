@@ -127,14 +127,14 @@ def test_replicas_omitted_is_one_replica(strategy, n_shards, crash):
             with pytest.raises(AvailabilityError) as err:
                 handle.search(queries, k=6)
             outcome = (str(err.value), err.value.shard, err.value.devices)
-            assert handle.shard_profiles == ()
+            assert handle.last_result is None
         else:
             result = handle.search(queries, k=6)
             outcome = (
                 [(r.ids.tolist(), r.counts.tolist(), r.threshold) for r in result.results],
                 result.profile.seconds,
                 [p.seconds for p in result.shard_profiles],
-                [p.seconds for p in handle.shard_profiles],
+                [p.seconds for p in handle.last_result.shard_profiles],
                 result.plan.render(),
             )
         observed.append(
@@ -191,7 +191,7 @@ class TestResidency:
         device = Device(small_device(3000))
         session = GenieSession(device=device, memory_budget=1 << 30)
         a = session.create_index(objects, model="raw", name="a", shards=3)
-        session.residency._ensure_resident(a._parts[0])  # LRU bump: order is a1, a2, a0
+        session.residency.attach(a._parts[0])  # LRU bump: order is a1, a2, a0
         b = session.create_index(_objects(n=100, seed=1), model="raw", name="b", shards=1)
         # b's only shard lives on pool device 0: a0 (device 0) is evicted
         # even though a1 (device 1) was least recently used.
@@ -225,7 +225,7 @@ class TestProfiles:
         result = handle.search(_queries(), k=5)
         assert result.shard_profiles is not None
         assert len(result.shard_profiles) == 3
-        assert handle.shard_profiles == result.shard_profiles
+        assert handle.last_result is result
         merge = result.profile.get("result_merge")
         assert result.profile.query_total() == pytest.approx(
             max(p.query_total() for p in result.shard_profiles) + merge
@@ -297,10 +297,10 @@ class TestShardProfilesAfterFailure:
         session = GenieSession()
         handle = session.create_index(_objects(), model="raw", name="x", shards=3)
         ok = handle.search(_queries(n=2), k=3)
-        assert handle.shard_profiles == ok.shard_profiles
-        assert len(handle.shard_profiles) == 3
+        assert handle.last_result is ok
+        assert len(handle.last_result.shard_profiles) == 3
         with pytest.raises(QueryError):
             handle.search(_queries(n=2), k=0)
-        assert handle.shard_profiles == ()
+        assert handle.last_result is None
         again = handle.search(_queries(n=2), k=3)
-        assert handle.shard_profiles == again.shard_profiles
+        assert handle.last_result is again

@@ -110,7 +110,7 @@ class TestMemoryBehaviour:
         corpus = Corpus([[i % 50] for i in range(5_000)])
         device = Device(small_device(1 << 20))
         engine = make_gen_spq(device=device, config=GenieConfig(k=10)).fit(corpus)
-        fits = engine.max_batch_size(count_bound=1)
+        fits = device.memory.free // engine.per_query_bytes(count_bound=1)
         assert fits == device.memory.free // (5_000 * 12)
         assert 0 < fits < 64
         engine.query([Query.from_keywords([0])] * fits)
@@ -118,10 +118,6 @@ class TestMemoryBehaviour:
             engine.query([Query.from_keywords([0])] * (fits + 1))
         with pytest.raises(GpuOutOfMemoryError):
             engine.query([Query.from_keywords([0])] * 64)
-
-    def test_max_batch_size_positive_on_default_device(self):
-        engine = GenieEngine(config=GenieConfig(k=10)).fit(FIG1)
-        assert engine.max_batch_size(count_bound=3) > 0
 
 
 class TestBatchedWorkloads:

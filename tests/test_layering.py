@@ -106,6 +106,43 @@ def test_one_partition_cut_in_one_place():
     assert [name for name in vars(rebalance) if name.endswith("bounds")] == ["balanced_range_bounds"]
 
 
+def test_one_residency_in_one_place():
+    """Only ``api/residency.py`` moves an index on or off a device.
+
+    An engine attached or released anywhere else (``GenieEngine.fit``
+    aside: a standalone engine owns its own index) is a copy the session's
+    budget and LRU order never see — how a dropped handle kept device
+    memory. The plan and stream layers reach residency through
+    ``session.residency``, never through the session's old private names.
+    """
+    root = Path(repro.__file__).parent
+    movers = []
+    for path in sorted(root.rglob("*.py")):
+        relative = str(path.relative_to(root))
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                    continue
+                receiver = ast.unparse(node.func.value)
+                if node.func.attr == "attach_index" or (
+                    node.func.attr == "release" and receiver.endswith("engine")
+                ):
+                    movers.append(f"{relative}::{function.name}")
+    assert sorted(set(movers)) == ["api/residency.py::attach", "api/residency.py::evict", "core/engine.py::fit"]
+    private = ("_ensure_resident", "_evict_part", "_record_failover")
+    offenders = [
+        f"{path.relative_to(root)}: {name}"
+        for package in ("plan", "stream")
+        for path in sorted((root / package).rglob("*.py"))
+        for name in private
+        if name in path.read_text()
+    ]
+    assert not offenders, "session-private residency names:\n" + "\n".join(offenders)
+
+
 def _called_names(path: Path):
     """Attribute / function names of every call expression in ``path``."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -125,7 +162,7 @@ def test_one_execution_loop_and_one_merge():
     """
     root = Path(repro.__file__).parent
     executor_calls = list(_called_names(root / "plan" / "executor.py"))
-    assert executor_calls.count("_ensure_resident") == 1
+    assert executor_calls.count("attach") == 1
     assert executor_calls.count("pool_candidates") == 1
     sorters = [
         str(path.relative_to(root))

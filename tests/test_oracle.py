@@ -491,11 +491,11 @@ class OracleMachine(RuleBasedStateMachine):
     @step(checks=True, value=st.sampled_from([0, -1, 1.5, NAN, True, "3"]), option=st.sampled_from(["k", "batch_size"]))
     def bad_count(self, value, option):
         """A bad ``k`` / ``batch_size`` is refused before any residency event or charge."""
-        mark = self.session.residency_log.mark()
+        events = self.session.residency_log.total_events
         host, device = self.session.host.timings.total, self.session.device.timings.total
         with pytest.raises(QueryError, match=option):
             self.handle.search([self.spec.probe], **{option: value})
-        assert not self.session.residency_log.since(mark)
+        assert self.session.residency_log.total_events == events
         assert (self.session.host.timings.total, self.session.device.timings.total) == (host, device)
 
     @step(checks=True, which=st.sampled_from(
